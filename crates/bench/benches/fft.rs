@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the serial FFT kernels: complex
-//! mixed-radix, real-half-complex, the Bluestein fallback, and the
-//! 3/2-rule pad/truncate passes.
+//! mixed-radix, real-half-complex, the Bluestein fallback, the 3/2-rule
+//! pad/truncate passes, and lane-blocked against single-line batches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dns_fft::dealias::{pad_full, truncate_full};
@@ -122,11 +122,46 @@ fn bench_strided(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_lines_batched(c: &mut Criterion) {
+    // the lane-blocked multi-line entry against a loop over the
+    // single-line one, at the solver's padded line lengths
+    let mut g = c.benchmark_group("lines_batched");
+    let lines = 512usize;
+    for n in [36usize, 72, 96, 192] {
+        let plan = CfftPlan::new(n, Direction::Forward);
+        let mut scratch = plan.make_scratch();
+        let data: Vec<C64> = (0..n * lines)
+            .map(|i| C64::new((i as f64).sin(), (i as f64).cos()))
+            .collect();
+        g.throughput(Throughput::Elements((n * lines) as u64));
+        g.bench_with_input(BenchmarkId::new("single_line_loop", n), &n, |b, _| {
+            let mut x = data.clone();
+            b.iter(|| {
+                x.copy_from_slice(&data);
+                for line in x.chunks_exact_mut(n) {
+                    plan.execute(line, &mut scratch);
+                }
+                std::hint::black_box(&x);
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("multi_line", n), &n, |b, _| {
+            let mut x = data.clone();
+            b.iter(|| {
+                x.copy_from_slice(&data);
+                plan.execute_many(&mut x, &mut scratch);
+                std::hint::black_box(&x);
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cfft,
     bench_rfft,
     bench_dealias,
-    bench_strided
+    bench_strided,
+    bench_lines_batched
 );
 criterion_main!(benches);

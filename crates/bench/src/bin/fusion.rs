@@ -6,7 +6,9 @@
 //! (`compute_into`: five products formed in-cache between the x-inverse
 //! and x-forward passes, zero steady-state allocations), across on-node
 //! thread counts. DDR traffic per evaluation comes from the telemetry
-//! `DdrBytes` counter. Results land in `BENCH_fusion.json`.
+//! `DdrBytes` counter. Results land in `BENCH_fusion.json`, stamped with
+//! the host they were taken on; a row with more threads than the host has
+//! cores is marked `oversubscribed` (its timings measure the scheduler).
 //!
 //! ```text
 //! cargo run -p dns-bench --release --bin fusion
@@ -14,7 +16,7 @@
 //! cargo run -p dns-bench --release --bin fusion -- --nx 64 --threads 1,2
 //! ```
 
-use dns_bench::report::{secs, Table};
+use dns_bench::report::{host_json, nproc, secs, Table};
 use dns_bench::time_it;
 use dns_core::nonlinear::{self, NlTerms, NlWorkspace};
 use dns_core::{run_serial, Params};
@@ -190,13 +192,16 @@ fn main() {
          allocations). DDR bytes are the transpose-layer counter only."
     );
 
+    let nproc = nproc();
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "    {{\"threads\": {}, \"unfused_s\": {:.6e}, \"fused_s\": {:.6e}, \
-                 \"speedup\": {:.4}, \"unfused_ddr_bytes\": {}, \"fused_ddr_bytes\": {}}}",
+                "    {{\"threads\": {}, \"oversubscribed\": {}, \"unfused_s\": {:.6e}, \
+                 \"fused_s\": {:.6e}, \"speedup\": {:.4}, \"unfused_ddr_bytes\": {}, \
+                 \"fused_ddr_bytes\": {}}}",
                 r.threads,
+                r.threads > nproc,
                 r.unfused_s,
                 r.fused_s,
                 r.unfused_s / r.fused_s,
@@ -206,8 +211,9 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"fusion\",\n  \"grid\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"fusion\",\n  \"host\": {},\n  \
+         \"grid\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        host_json(),
         o.nx,
         o.ny,
         o.nz,

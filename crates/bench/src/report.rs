@@ -89,6 +89,36 @@ pub fn opt_secs(t: Option<f64>) -> String {
     t.map(secs).unwrap_or_else(|| "N/A".into())
 }
 
+/// Cores of the host; a bench row using more threads than this is
+/// `oversubscribed` and its timings measure the scheduler.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The host block a `BENCH_*.json` artifact is stamped with — a timing
+/// means nothing without the machine it was taken on:
+/// `{"nproc": N, "cpu": "...", "rustc": "..."}` (`unknown` where the
+/// host does not say).
+pub fn host_json() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|t| {
+        let line = t.lines().find(|l| l.starts_with("model name"))?;
+        Some(line.split(':').nth(1)?.trim().replace('"', "'"))
+    });
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+    let unknown = || "unknown".to_string();
+    format!(
+        "{{\"nproc\": {}, \"cpu\": \"{}\", \"rustc\": \"{}\"}}",
+        nproc(),
+        cpu.unwrap_or_else(unknown),
+        rustc.unwrap_or_else(unknown)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

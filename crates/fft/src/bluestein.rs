@@ -55,9 +55,10 @@ impl Bluestein {
         }
     }
 
-    /// Scratch: one length-m work array plus the inner plans' scratch.
+    /// Scratch: one length-m work array plus the single-line scratch of
+    /// the inner length-m Stockham plans.
     pub fn scratch_len(&self) -> usize {
-        self.m + self.fwd.scratch_len()
+        2 * self.m
     }
 
     pub fn execute(&self, data: &mut [C64], scratch: &mut [C64]) {

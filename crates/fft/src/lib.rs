@@ -16,6 +16,18 @@
 //!   small-prime butterfly) use a recursive Stockham autosort algorithm —
 //!   no bit-reversal pass. Other lengths fall back to Bluestein's chirp-z
 //!   algorithm, so every length is supported.
+//! * Each radix butterfly is stated once, generic over the value type.
+//!   `f64` gives the single-line transform; [`Lanes`] gives the same
+//!   butterfly on [`LANES`] lines at once, with the lane index innermost,
+//!   which is what the compiler vectorises (a single short line has
+//!   nothing to vectorise at Stockham stride 1). The multi-line entries —
+//!   [`CfftPlan::execute_many`], [`CfftPlan::execute_dealiased`],
+//!   [`RfftPlan::inverse_lanes`], [`RfftPlan::forward_lanes`] — gather
+//!   lines into such blocks, fuse the 3/2-rule pad / truncate and the
+//!   normalisation into the gather and scatter, and run an AVX2
+//!   instantiation of the same code where the CPU has it (no FMA). Every
+//!   lane performs the single-line operations in the single-line order, so
+//!   blocked and per-line results are bitwise equal.
 //! * The real transform packs `n` reals into an `n/2` complex transform
 //!   (`n` even), the classic halving trick. Per the paper (section 4.4),
 //!   the Nyquist coefficient can be elided: turbulence codes zero it
@@ -49,10 +61,12 @@
 mod bluestein;
 pub mod dealias;
 pub mod dft;
+mod lanes;
 mod plan;
 mod radix;
 mod real;
 
+pub use lanes::{Lanes, LANES};
 pub use plan::{CfftPlan, Direction, PlanCache};
 pub use real::{RealLayout, RfftPlan};
 

@@ -4,7 +4,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::bluestein::Bluestein;
-use crate::radix::{factorize, Stage};
+use crate::lanes::{
+    gather, isa_fn, lane_blocks, scatter, Isa, LaneC, Lanes, LANES, SCRATCH_SLACK, ZERO,
+};
+use crate::radix::{factorize, stockham, Stage};
 use crate::C64;
 
 /// Transform direction. Forward uses the `exp(-2*pi*i*jk/n)` kernel;
@@ -43,6 +46,13 @@ pub struct CfftPlan {
     n: usize,
     direction: Direction,
     alg: Algorithm,
+    /// Instruction set of the multi-line kernels, detected once here.
+    pub(crate) isa: Isa,
+}
+
+isa_fn! {
+    /// [`stockham`] on lane blocks under the plan's instruction set.
+    fn stockham_lanes(stages: &[Stage], first: &mut [LaneC], second: &mut [LaneC]) = stockham::<Lanes>
 }
 
 impl CfftPlan {
@@ -62,7 +72,12 @@ impl CfftPlan {
         } else {
             Algorithm::Bluestein(Box::new(Bluestein::new(n, direction.sign())))
         };
-        CfftPlan { n, direction, alg }
+        CfftPlan {
+            n,
+            direction,
+            alg,
+            isa: Isa::detect(),
+        }
     }
 
     /// Transform length.
@@ -80,13 +95,22 @@ impl CfftPlan {
         self.direction
     }
 
-    /// Number of scratch elements [`CfftPlan::execute`] requires.
+    /// Number of scratch elements any entry point of this plan requires:
+    /// two lane blocks for the multi-line entries (whose front doubles as
+    /// the line of [`CfftPlan::execute`]), plus, where the length has no
+    /// blocked kernel, the staging line and scratch that take each lane
+    /// through the single-line transform.
     pub fn scratch_len(&self) -> usize {
-        match &self.alg {
-            Algorithm::Identity => 0,
-            Algorithm::Stockham(_) => self.n,
-            Algorithm::Bluestein(b) => b.scratch_len(),
-        }
+        self.lanes_scratch_len(self.n)
+    }
+
+    /// [`CfftPlan::scratch_len`] with lane blocks of `len >= n` entries.
+    pub(crate) fn lanes_scratch_len(&self, len: usize) -> usize {
+        let per_lane = match &self.alg {
+            Algorithm::Bluestein(b) => self.n + b.scratch_len(),
+            _ => 0,
+        };
+        2 * len * LANES + SCRATCH_SLACK + per_lane
     }
 
     /// Allocate a correctly-sized scratch buffer for this plan.
@@ -100,41 +124,31 @@ impl CfftPlan {
     /// If `data.len() != n` or `scratch.len() < scratch_len()`.
     pub fn execute(&self, data: &mut [C64], scratch: &mut [C64]) {
         let _line = dns_telemetry::detail_span("cfft_line", dns_telemetry::Phase::Fft);
+        self.count_flops(1);
+        self.execute_inner(data, scratch);
+    }
+
+    /// Add the nominal flops of `lines` transforms to the FFT phase.
+    fn count_flops(&self, lines: usize) {
         if dns_telemetry::enabled() {
             dns_telemetry::count_phase(
                 dns_telemetry::Phase::Fft,
                 dns_telemetry::Counter::Flops,
-                crate::cfft_flops(self.n) as u64,
+                lines as u64 * crate::cfft_flops(self.n) as u64,
             );
         }
-        self.execute_inner(data, scratch);
     }
 
-    /// The transform kernel with no telemetry at all: the batched entry
-    /// points ([`CfftPlan::execute_many`], the pencil-FFT line loops)
-    /// account for their whole batch once instead of taxing every line
-    /// with a span-open and counter increment.
+    /// The single-line kernel (the `f64` instantiation of the
+    /// butterflies) with no telemetry at all.
     pub(crate) fn execute_inner(&self, data: &mut [C64], scratch: &mut [C64]) {
         assert_eq!(data.len(), self.n, "data length mismatch");
         match &self.alg {
             Algorithm::Identity => {}
             Algorithm::Stockham(stages) => {
                 let scratch = &mut scratch[..self.n];
-                // Ping-pong between `data` and `scratch`; the stage list
-                // encodes the recursion fft0(n,s,eo,x,y) -> stage ->
-                // fft0(m, r*s, !eo, y, x).
-                let mut s = 1usize;
-                let mut in_data = true;
-                for st in stages {
-                    if in_data {
-                        st.apply(s, data, scratch);
-                    } else {
-                        st.apply(s, scratch, data);
-                    }
-                    in_data = !in_data;
-                    s *= st.radix;
-                }
-                if !in_data {
+                stockham(stages, data, scratch);
+                if stages.len() % 2 == 1 {
                     data.copy_from_slice(scratch);
                 }
             }
@@ -177,12 +191,11 @@ impl CfftPlan {
 
     /// Execute over `count` contiguous lines of length `n` stored
     /// back-to-back in `data` (the batched layout produced by the pencil
-    /// reorder, where the transform direction is the fastest index).
+    /// reorder, where the transform direction is the fastest index),
+    /// [`LANES`] lines per pass.
     ///
     /// Telemetry is recorded once for the whole batch (one span, one flop
-    /// increment), not per line — the per-line accounting of
-    /// [`CfftPlan::execute`] is measurable overhead at production line
-    /// counts even when collection is disabled.
+    /// increment), not per line.
     pub fn execute_many(&self, data: &mut [C64], scratch: &mut [C64]) {
         assert!(
             self.n == 0 || data.len().is_multiple_of(self.n),
@@ -192,16 +205,137 @@ impl CfftPlan {
             return;
         }
         let _batch = dns_telemetry::detail_span("cfft_batch", dns_telemetry::Phase::Fft);
-        if dns_telemetry::enabled() {
-            let lines = (data.len() / self.n) as u64;
-            dns_telemetry::count_phase(
-                dns_telemetry::Phase::Fft,
-                dns_telemetry::Counter::Flops,
-                lines * crate::cfft_flops(self.n) as u64,
-            );
+        self.count_flops(data.len() / self.n);
+        let n = self.n;
+        let (a, b, rest) = self.lane_work(scratch, n);
+        for block in data.chunks_mut(LANES * n) {
+            for (k, v) in a.iter_mut().enumerate() {
+                *v = gather(block, n, k);
+            }
+            for (k, &v) in self.transform_block(a, b, rest).0.iter().enumerate() {
+                scatter(v, 1.0, block, n, k);
+            }
         }
-        for line in data.chunks_exact_mut(self.n) {
-            self.execute_inner(line, scratch);
+    }
+
+    /// Two lane blocks of `len >= n` entries each inside `scratch`, and
+    /// the rest of it.
+    pub(crate) fn lane_work<'a>(
+        &self,
+        scratch: &'a mut [C64],
+        len: usize,
+    ) -> (&'a mut [LaneC], &'a mut [LaneC], &'a mut [C64]) {
+        let (blocks, rest) = lane_blocks(scratch, 2 * len);
+        let (a, b) = blocks.split_at_mut(len);
+        (a, b, rest)
+    }
+
+    /// Transform the lane block in `a[..n]`, with `b[..n]` as the other
+    /// half of the Stockham ping-pong; returns the `n` result entries,
+    /// then the whole of the other buffer, free for reuse. A length with
+    /// no blocked kernel takes each lane through the single-line
+    /// transform in `rest` — the same operations, so the same bits.
+    pub(crate) fn transform_block<'a>(
+        &self,
+        a: &'a mut [LaneC],
+        b: &'a mut [LaneC],
+        rest: &mut [C64],
+    ) -> (&'a [LaneC], &'a mut [LaneC]) {
+        let n = self.n;
+        match &self.alg {
+            Algorithm::Identity => (&a[..n], b),
+            Algorithm::Stockham(stages) => {
+                stockham_lanes(self.isa, stages, &mut a[..n], &mut b[..n]);
+                if stages.len() % 2 == 0 {
+                    (&a[..n], b)
+                } else {
+                    (&b[..n], a)
+                }
+            }
+            Algorithm::Bluestein(_) => {
+                let (line, inner) = rest.split_at_mut(n);
+                for l in 0..LANES {
+                    for (v, x) in line.iter_mut().zip(a.iter()) {
+                        *v = C64::new(x.re.0[l], x.im.0[l]);
+                    }
+                    self.execute_inner(line, inner);
+                    for (v, x) in line.iter().zip(a.iter_mut()) {
+                        (x.re.0[l], x.im.0[l]) = (v.re, v.im);
+                    }
+                }
+                (&a[..n], b)
+            }
+        }
+    }
+
+    /// Multi-line transform with the 3/2-rule spectrum handling fused
+    /// into its gather and scatter, [`LANES`] lines per pass, no
+    /// telemetry (callers account for their whole batch).
+    ///
+    /// `modes` is the dealiased spectrum length (`modes <= n`, both
+    /// even). An **inverse** plan reads lines of `modes` coefficients
+    /// from `src`, zero-pads each to `n` exactly as
+    /// [`crate::dealias::pad_full`] does, and writes whole lines of `n`
+    /// values to `dst`. A **forward** plan reads whole lines of `n` values
+    /// and writes the `modes` coefficients
+    /// [`crate::dealias::truncate_full`] keeps. Every stored value is
+    /// multiplied by `scale` (`1.0` is exact).
+    pub fn execute_dealiased(
+        &self,
+        src: &[C64],
+        modes: usize,
+        dst: &mut [C64],
+        scale: f64,
+        scratch: &mut [C64],
+    ) {
+        let n = self.n;
+        assert!(
+            (2..=n).contains(&modes) && modes.is_multiple_of(2) && n.is_multiple_of(2),
+            "bad dealiased sizes {modes} / {n}"
+        );
+        let pad = self.direction == Direction::Inverse;
+        let (src_len, dst_len) = if pad { (modes, n) } else { (n, modes) };
+        assert_eq!(src.len() % src_len, 0, "source must be whole lines");
+        assert_eq!(
+            src.len() / src_len,
+            dst.len() / dst_len,
+            "line counts differ"
+        );
+        assert_eq!(dst.len() % dst_len, 0, "destination must be whole lines");
+        // index of dealiased coefficient `j != modes / 2` in the
+        // length-`n` spectrum: non-negative wavenumbers in front, negative
+        // ones at the tail
+        let half = modes / 2;
+        let wide = |j: usize| if j < half { j } else { j + n - modes };
+        let kept = || (0..modes).filter(|&j| j != half);
+        let (a, b, rest) = self.lane_work(scratch, n);
+        for (s, d) in src
+            .chunks(LANES * src_len)
+            .zip(dst.chunks_mut(LANES * dst_len))
+        {
+            if pad {
+                // pad_full: zeros between the two halves, source Nyquist dropped
+                a[half..=n - half].fill(ZERO);
+                for j in kept() {
+                    a[wide(j)] = gather(s, modes, j);
+                }
+            } else {
+                for (k, v) in a.iter_mut().enumerate() {
+                    *v = gather(s, n, k);
+                }
+            }
+            let (out, _) = self.transform_block(a, b, rest);
+            if pad {
+                for (k, &v) in out.iter().enumerate() {
+                    scatter(v, scale, d, n, k);
+                }
+            } else {
+                // truncate_full: the destination Nyquist slot is zero
+                scatter(ZERO, 1.0, d, modes, half);
+                for j in kept() {
+                    scatter(out[wide(j)], scale, d, modes, j);
+                }
+            }
         }
     }
 }
@@ -238,6 +372,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dealias::{pad_full, truncate_full};
     use crate::dft::dft;
 
     fn max_err(a: &[C64], b: &[C64]) -> f64 {
@@ -377,6 +512,116 @@ mod tests {
             plan.execute(&mut gathered, &mut inner);
             for (i, want) in gathered.iter().enumerate() {
                 assert!((data[line + i * stride] - want).norm() < 1e-13);
+            }
+        }
+    }
+
+    /// Smooth, odd-prime-radix (7, 49) and Bluestein (67, 2*67) lengths.
+    const LANE_LENGTHS: [usize; 11] = [2, 8, 36, 72, 96, 7, 14, 49, 98, 67, 134];
+
+    fn bits(v: &[C64]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn execute_many_equals_single_lines_bitwise() {
+        for n in LANE_LENGTHS {
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let plan = CfftPlan::new(n, dir);
+                let mut scratch = plan.make_scratch();
+                // every partial last block up to three full ones and one over
+                for lines in 1..=3 * LANES + 1 {
+                    let mut many = random_signal(lines * n, (n * 131 + lines) as u64);
+                    let mut single = many.clone();
+                    for line in single.chunks_exact_mut(n) {
+                        plan.execute(line, &mut scratch);
+                    }
+                    plan.execute_many(&mut many, &mut scratch);
+                    assert_eq!(bits(&many), bits(&single), "n={n} {dir:?} lines={lines}");
+                }
+            }
+        }
+    }
+
+    /// Per-line reference for [`CfftPlan::execute_dealiased`] from the
+    /// single-line API: pad, transform, scale, truncate.
+    fn dealiased_reference(plan: &CfftPlan, src: &[C64], modes: usize, scale: f64) -> Vec<C64> {
+        let n = plan.len();
+        let mut scratch = plan.make_scratch();
+        let mut line = vec![C64::new(0.0, 0.0); n];
+        let mut out = Vec::new();
+        if plan.direction() == Direction::Inverse {
+            for s in src.chunks_exact(modes) {
+                pad_full(s, &mut line);
+                plan.execute(&mut line, &mut scratch);
+                out.extend(line.iter().map(|v| v * scale));
+            }
+        } else {
+            let mut kept = vec![C64::new(0.0, 0.0); modes];
+            for s in src.chunks_exact(n) {
+                line.copy_from_slice(s);
+                plan.execute(&mut line, &mut scratch);
+                for v in line.iter_mut() {
+                    *v *= scale;
+                }
+                truncate_full(&line, &mut kept);
+                out.extend_from_slice(&kept);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn execute_dealiased_equals_pad_transform_truncate_bitwise() {
+        for n in LANE_LENGTHS.into_iter().filter(|n| n % 2 == 0) {
+            // the 3/2-rule size where it exists, and no padding at all
+            // (which still drops the Nyquist slot)
+            for modes in [n, 2 * (n / 3)] {
+                if modes < 2 {
+                    continue;
+                }
+                for (dir, scale) in [
+                    (Direction::Inverse, 1.0),
+                    (Direction::Forward, 1.0 / n as f64),
+                ] {
+                    let plan = CfftPlan::new(n, dir);
+                    let mut scratch = plan.make_scratch();
+                    let (src_len, dst_len) = match dir {
+                        Direction::Inverse => (modes, n),
+                        Direction::Forward => (n, modes),
+                    };
+                    for lines in 1..=3 * LANES + 1 {
+                        let src = random_signal(lines * src_len, (n * 977 + lines) as u64);
+                        let mut dst = vec![C64::new(9.0, 9.0); lines * dst_len];
+                        plan.execute_dealiased(&src, modes, &mut dst, scale, &mut scratch);
+                        let want = dealiased_reference(&plan, &src, modes, scale);
+                        assert_eq!(
+                            bits(&dst),
+                            bits(&want),
+                            "n={n} modes={modes} {dir:?} lines={lines}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn baseline_and_detected_instantiations_agree_bitwise() {
+        if !Isa::detect().avx2() {
+            eprintln!("no AVX2 on this host: only the baseline instantiation exists");
+        }
+        for n in [8usize, 36, 72, 96, 98, 120] {
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let wide = CfftPlan::new(n, dir);
+                let mut base = CfftPlan::new(n, dir);
+                base.isa = Isa::BASELINE;
+                let mut scratch = wide.make_scratch();
+                let data = random_signal(19 * n, n as u64);
+                let (mut a, mut b) = (data.clone(), data);
+                wide.execute_many(&mut a, &mut scratch);
+                base.execute_many(&mut b, &mut scratch);
+                assert_eq!(bits(&a), bits(&b), "n={n} {dir:?}");
             }
         }
     }

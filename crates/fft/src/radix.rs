@@ -10,12 +10,45 @@
 //!     y[q + s*(r*p + k)] = t_k * w^(k*p)           (w = omega_{r*m})
 //! ```
 //!
-//! The twiddles `w^(k*p)` are precomputed per stage (`tw[p*r + k]`); the
-//! radix-2/3/4/5 butterflies are hand-unrolled, mirroring the paper's
-//! observation (section 4.1.1) that hand-unrolled inner loops beat what
-//! the compiler produces for these short dependence chains.
+//! The twiddles `w^(k*p)` are precomputed per stage (`tw[p*r + k]`). Each
+//! radix is stated once, generic over the [`Lane`] value type: `f64` gives
+//! the single-line transform, [`crate::Lanes`] the same butterfly on
+//! [`crate::LANES`] lines at once. The complex arithmetic is spelled out
+//! on the parts so both instantiations perform the same real operations
+//! in the same order.
 
+use num_complex::Complex;
+
+use crate::lanes::Lane;
 use crate::C64;
+
+#[inline(always)]
+pub(crate) fn add<V: Lane>(a: Complex<V>, b: Complex<V>) -> Complex<V> {
+    Complex::new(a.re + b.re, a.im + b.im)
+}
+
+#[inline(always)]
+pub(crate) fn sub<V: Lane>(a: Complex<V>, b: Complex<V>) -> Complex<V> {
+    Complex::new(a.re - b.re, a.im - b.im)
+}
+
+/// `a * s` for a real scalar `s`.
+#[inline(always)]
+pub(crate) fn scale<V: Lane>(a: Complex<V>, s: f64) -> Complex<V> {
+    Complex::new(a.re * s, a.im * s)
+}
+
+/// `a * w` for a complex scalar `w` shared by all lanes.
+#[inline(always)]
+pub(crate) fn mulw<V: Lane>(a: Complex<V>, w: C64) -> Complex<V> {
+    Complex::new(a.re * w.re - a.im * w.im, a.re * w.im + a.im * w.re)
+}
+
+/// `i * s * a` for a real scalar `s`.
+#[inline(always)]
+fn rot90<V: Lane>(a: Complex<V>, s: f64) -> Complex<V> {
+    Complex::new(a.im * -s, a.re * s)
+}
 
 /// One Stockham stage: radix, sub-transform count, and twiddle table.
 #[derive(Clone, Debug)]
@@ -59,8 +92,8 @@ impl Stage {
 
     /// Apply this stage, reading `x` and writing `y` (both of length
     /// `s * radix * m`).
-    #[inline]
-    pub fn apply(&self, s: usize, x: &[C64], y: &mut [C64]) {
+    #[inline(always)]
+    pub fn apply<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
         match self.radix {
             2 => self.apply_r2(s, x, y),
             3 => self.apply_r3(s, x, y),
@@ -70,8 +103,8 @@ impl Stage {
         }
     }
 
-    #[inline]
-    fn apply_r2(&self, s: usize, x: &[C64], y: &mut [C64]) {
+    #[inline(always)]
+    fn apply_r2<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
         let m = self.m;
         for p in 0..m {
             let w = self.tw[p * 2 + 1];
@@ -81,14 +114,14 @@ impl Stage {
             for q in 0..s {
                 let a = xa[q];
                 let b = xb[q];
-                ya[q] = a + b;
-                yb[q] = (a - b) * w;
+                ya[q] = add(a, b);
+                yb[q] = mulw(sub(a, b), w);
             }
         }
     }
 
-    #[inline]
-    fn apply_r3(&self, s: usize, x: &[C64], y: &mut [C64]) {
+    #[inline(always)]
+    fn apply_r3<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
         let m = self.m;
         // omega[1] = (-1/2, sign*-sqrt(3)/2); write the radix-3 DFT in the
         // standard two-constant form.
@@ -100,20 +133,18 @@ impl Stage {
                 let a = x[q + s * p];
                 let b = x[q + s * (p + m)];
                 let c = x[q + s * (p + 2 * m)];
-                let bc_s = b + c;
-                let bc_d = b - c;
-                let t = a - 0.5 * bc_s;
-                // i * tau * (b - c)
-                let rot = C64::new(-tau * bc_d.im, tau * bc_d.re);
-                y[q + s * (3 * p)] = a + bc_s;
-                y[q + s * (3 * p + 1)] = (t + rot) * w1;
-                y[q + s * (3 * p + 2)] = (t - rot) * w2;
+                let bc_s = add(b, c);
+                let t = sub(a, scale(bc_s, 0.5));
+                let rot = rot90(sub(b, c), tau);
+                y[q + s * (3 * p)] = add(a, bc_s);
+                y[q + s * (3 * p + 1)] = mulw(add(t, rot), w1);
+                y[q + s * (3 * p + 2)] = mulw(sub(t, rot), w2);
             }
         }
     }
 
-    #[inline]
-    fn apply_r4(&self, s: usize, x: &[C64], y: &mut [C64]) {
+    #[inline(always)]
+    fn apply_r4<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
         let m = self.m;
         // sign = -1 forward: multiply by -i is (im, -re); encode via
         // omega[1] = (0, sign).
@@ -127,22 +158,20 @@ impl Stage {
                 let b = x[q + s * (p + m)];
                 let c = x[q + s * (p + 2 * m)];
                 let d = x[q + s * (p + 3 * m)];
-                let ac_s = a + c;
-                let ac_d = a - c;
-                let bd_s = b + d;
-                let bd_d = b - d;
-                // sign*i * (b - d)
-                let rot = C64::new(-sgn * bd_d.im, sgn * bd_d.re);
-                y[q + s * (4 * p)] = ac_s + bd_s;
-                y[q + s * (4 * p + 1)] = (ac_d + rot) * w1;
-                y[q + s * (4 * p + 2)] = (ac_s - bd_s) * w2;
-                y[q + s * (4 * p + 3)] = (ac_d - rot) * w3;
+                let ac_s = add(a, c);
+                let ac_d = sub(a, c);
+                let bd_s = add(b, d);
+                let rot = rot90(sub(b, d), sgn);
+                y[q + s * (4 * p)] = add(ac_s, bd_s);
+                y[q + s * (4 * p + 1)] = mulw(add(ac_d, rot), w1);
+                y[q + s * (4 * p + 2)] = mulw(sub(ac_s, bd_s), w2);
+                y[q + s * (4 * p + 3)] = mulw(sub(ac_d, rot), w3);
             }
         }
     }
 
-    #[inline]
-    fn apply_r5(&self, s: usize, x: &[C64], y: &mut [C64]) {
+    #[inline(always)]
+    fn apply_r5<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
         let m = self.m;
         let w5 = &self.omega;
         for p in 0..m {
@@ -154,12 +183,11 @@ impl Stage {
                 let u3 = x[q + s * (p + 3 * m)];
                 let u4 = x[q + s * (p + 4 * m)];
                 for k in 0..5 {
-                    let t = u0
-                        + u1 * w5[k % 5]
-                        + u2 * w5[(2 * k) % 5]
-                        + u3 * w5[(3 * k) % 5]
-                        + u4 * w5[(4 * k) % 5];
-                    y[q + s * (5 * p + k)] = t * twp[k];
+                    let mut t = add(u0, mulw(u1, w5[k % 5]));
+                    t = add(t, mulw(u2, w5[(2 * k) % 5]));
+                    t = add(t, mulw(u3, w5[(3 * k) % 5]));
+                    t = add(t, mulw(u4, w5[(4 * k) % 5]));
+                    y[q + s * (5 * p + k)] = mulw(t, twp[k]);
                 }
             }
         }
@@ -167,10 +195,11 @@ impl Stage {
 
     /// Generic O(r^2) butterfly for odd prime radices up to
     /// [`MAX_DIRECT_PRIME`].
-    fn apply_generic(&self, s: usize, x: &[C64], y: &mut [C64]) {
+    #[inline(always)]
+    fn apply_generic<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
         let r = self.radix;
         let m = self.m;
-        let mut u = [C64::new(0.0, 0.0); MAX_DIRECT_PRIME];
+        let mut u = [Complex::new(V::ZERO, V::ZERO); MAX_DIRECT_PRIME];
         for p in 0..m {
             let twp = &self.tw[p * r..p * r + r];
             for q in 0..s {
@@ -180,12 +209,31 @@ impl Stage {
                 for k in 0..r {
                     let mut t = u[0];
                     for i in 1..r {
-                        t += u[i] * self.omega[(k * i) % r];
+                        t = add(t, mulw(u[i], self.omega[(k * i) % r]));
                     }
-                    y[q + s * (r * p + k)] = t * twp[k];
+                    y[q + s * (r * p + k)] = mulw(t, twp[k]);
                 }
             }
         }
+    }
+}
+
+/// Run the stage list as a Stockham ping-pong starting in `first`: the
+/// result lands in `first` for an even stage count, in `second` for an
+/// odd one. The list encodes the recursion `fft0(n, s, x, y) -> stage ->
+/// fft0(m, r*s, y, x)`.
+#[inline(always)]
+pub(crate) fn stockham<V: Lane>(
+    stages: &[Stage],
+    first: &mut [Complex<V>],
+    second: &mut [Complex<V>],
+) {
+    let (mut x, mut y) = (first, second);
+    let mut s = 1usize;
+    for st in stages {
+        st.apply(s, x, y);
+        std::mem::swap(&mut x, &mut y);
+        s *= st.radix;
     }
 }
 

@@ -13,7 +13,11 @@
 //!   not representable in the dealiased Fourier basis of the solution, so
 //!   it is neither stored nor communicated; the inverse treats it as zero.
 
+use num_complex::Complex;
+
+use crate::lanes::{gather, isa_fn, scatter, Lane, LaneC, Lanes, ZERO};
 use crate::plan::{CfftPlan, Direction};
+use crate::radix::{add, mulw, scale, sub};
 use crate::C64;
 
 /// Spectrum storage convention for real transforms.
@@ -32,10 +36,91 @@ pub struct RfftPlan {
     n: usize,
     h: usize,
     layout: RealLayout,
-    fwd: CfftPlan,
-    inv: CfftPlan,
+    pub(crate) fwd: CfftPlan,
+    pub(crate) inv: CfftPlan,
     /// `w[k] = exp(-2*pi*i*k/n)` for `k in 0..=h/2` plus symmetric use.
     w: Vec<C64>,
+}
+
+#[inline(always)]
+fn conj<V: Lane>(a: Complex<V>) -> Complex<V> {
+    Complex::new(a.re, -a.im)
+}
+
+/// `Z[k] = E[k] + i*O[k]` from `X[k]`, `X[h-k]` and `w^k`, with
+/// `E[k] = (X[k] + conj(X[h-k]))/2` and
+/// `O[k] = (X[k] - conj(X[h-k]))/2 * conj(w^k)`.
+#[inline(always)]
+fn merge_one<V: Lane>(xk: Complex<V>, xhk: Complex<V>, wk: C64) -> Complex<V> {
+    let xc = conj(xhk);
+    let e = scale(add(xk, xc), 0.5);
+    let o = mulw(scale(sub(xk, xc), 0.5), wk.conj());
+    add(e, Complex::new(-o.im, o.re))
+}
+
+/// Synthesis pre-pass, in place: `x` holds the half-complex spectrum
+/// `X[0..=h]` (`X[h]` is the Nyquist mode) and leaves the packed spectrum
+/// `Z[0..h]` of the half-length complex transform in its first `h`
+/// entries (conjugate symmetry of E and O, and `conj(w^(h-k)) = -w^k`).
+/// `k` and `h - k` are read together before either is overwritten.
+#[inline(always)]
+fn merge<V: Lane>(w: &[C64], x: &mut [Complex<V>]) {
+    let h = x.len() - 1;
+    let (x0, nyq) = (x[0].re, x[h].re);
+    x[0] = Complex::new((x0 + nyq) * 0.5, (x0 - nyq) * 0.5);
+    for k in 1..=h / 2 {
+        let (xa, xb) = (x[k], x[h - k]);
+        x[k] = merge_one(xa, xb, w[k]);
+        x[h - k] = merge_one(xb, xa, w[h - k]);
+    }
+}
+
+/// Analysis post-pass: the first `out.len()` coefficients
+/// `X[k] = E[k] + w^k * O[k]` from the packed transform `z`, with
+/// `E[k] = (Z[k] + conj(Z[h-k]))/2`, `O[k] = (Z[k] - conj(Z[h-k]))/(2i)`.
+#[inline(always)]
+fn split<V: Lane>(w: &[C64], z: &[Complex<V>], out: &mut [Complex<V>]) {
+    let h = z.len();
+    out[0] = Complex::new(z[0].re + z[0].im, V::ZERO);
+    for k in 1..h.min(out.len()) {
+        let zc = conj(z[h - k]);
+        let e = scale(add(z[k], zc), 0.5);
+        // w^k * (o / i) == -i * w^k * o
+        let rot = mulw(scale(sub(z[k], zc), 0.5), w[k]);
+        out[k] = add(e, Complex::new(rot.im, -rot.re));
+    }
+    if out.len() > h {
+        out[h] = Complex::new(z[0].re - z[0].im, V::ZERO);
+    }
+}
+
+/// [`merge`] of up to [`crate::LANES`] lines of `modes` coefficients, each
+/// zero-padded to the `x.len()`-long spectrum.
+#[inline(always)]
+fn merge_block(w: &[C64], src: &[C64], modes: usize, x: &mut [LaneC]) {
+    for (k, v) in x[..modes].iter_mut().enumerate() {
+        *v = gather(src, modes, k);
+    }
+    x[modes..].fill(ZERO);
+    merge(w, x);
+}
+
+/// [`split`] into `out`, then scattered, scaled, into lines of
+/// `out.len()` coefficients.
+#[inline(always)]
+fn split_block(w: &[C64], z: &[LaneC], out: &mut [LaneC], scale: f64, dst: &mut [C64]) {
+    split(w, z, out);
+    for (k, &v) in out.iter().enumerate() {
+        scatter(v, scale, dst, out.len(), k);
+    }
+}
+
+isa_fn! {
+    fn merge_lanes(w: &[C64], src: &[C64], modes: usize, x: &mut [LaneC]) = merge_block
+}
+
+isa_fn! {
+    fn split_lanes(w: &[C64], z: &[LaneC], out: &mut [LaneC], scale: f64, dst: &mut [C64]) = split_block
 }
 
 impl RfftPlan {
@@ -85,9 +170,14 @@ impl RfftPlan {
         }
     }
 
-    /// Scratch length required by either direction.
+    /// Scratch length required by any entry point, either direction: the
+    /// inner plans' lane blocks with room for the `h + 1`-th spectrum
+    /// entry (whose front doubles as the single-line spectrum).
     pub fn scratch_len(&self) -> usize {
-        self.h + self.fwd.scratch_len().max(self.inv.scratch_len())
+        let len = self.h + 1;
+        self.fwd
+            .lanes_scratch_len(len)
+            .max(self.inv.lanes_scratch_len(len))
     }
 
     /// Allocate scratch for this plan.
@@ -95,43 +185,32 @@ impl RfftPlan {
         vec![C64::new(0.0, 0.0); self.scratch_len()]
     }
 
+    /// Add the nominal flops of `lines` transforms to the FFT phase: the
+    /// packed half-length complex pass plus the O(n) split/merge (the
+    /// inner complex kernel is telemetry-free, so nothing is counted
+    /// twice).
+    fn count_flops(&self, lines: usize) {
+        if dns_telemetry::enabled() {
+            dns_telemetry::count_phase(
+                dns_telemetry::Phase::Fft,
+                dns_telemetry::Counter::Flops,
+                lines as u64 * crate::rfft_flops(self.n) as u64,
+            );
+        }
+    }
+
     /// Analysis: real `input` (length n) to half-complex `output`
     /// (length [`RfftPlan::spectrum_len`]).
     pub fn forward(&self, input: &[f64], output: &mut [C64], scratch: &mut [C64]) {
         assert_eq!(input.len(), self.n);
         assert_eq!(output.len(), self.spectrum_len());
-        // one flop increment covering the packed half-length complex pass
-        // and the O(n) split/merge (the inner complex kernel is the
-        // telemetry-free path, so nothing is double-counted per line)
-        if dns_telemetry::enabled() {
-            dns_telemetry::count_phase(
-                dns_telemetry::Phase::Fft,
-                dns_telemetry::Counter::Flops,
-                crate::rfft_flops(self.n) as u64,
-            );
-        }
-        let h = self.h;
-        let (z, inner) = scratch.split_at_mut(h);
+        self.count_flops(1);
+        let (z, inner) = scratch.split_at_mut(self.h);
         for (j, zj) in z.iter_mut().enumerate() {
             *zj = C64::new(input[2 * j], input[2 * j + 1]);
         }
         self.fwd.execute_inner(z, inner);
-        // Split: X[k] = E[k] + w^k * O[k], with
-        // E[k] = (Z[k] + conj(Z[h-k]))/2, O[k] = (Z[k] - conj(Z[h-k]))/(2i).
-        let nyquist = C64::new(z[0].re - z[0].im, 0.0);
-        output[0] = C64::new(z[0].re + z[0].im, 0.0);
-        for k in 1..h {
-            let zk = z[k];
-            let zc = z[h - k].conj();
-            let e = 0.5 * (zk + zc);
-            let o = 0.5 * (zk - zc);
-            // w^k * (o / i) == -i * w^k * o
-            let rot = self.w[k] * o;
-            output[k] = e + C64::new(rot.im, -rot.re);
-        }
-        if self.layout == RealLayout::WithNyquist {
-            output[h] = nyquist;
-        }
+        split(&self.w, z, output);
     }
 
     /// Synthesis: half-complex `input` to real `output` (length n),
@@ -140,32 +219,12 @@ impl RfftPlan {
     pub fn inverse(&self, input: &[C64], output: &mut [f64], scratch: &mut [C64]) {
         assert_eq!(input.len(), self.spectrum_len());
         assert_eq!(output.len(), self.n);
-        if dns_telemetry::enabled() {
-            dns_telemetry::count_phase(
-                dns_telemetry::Phase::Fft,
-                dns_telemetry::Counter::Flops,
-                crate::rfft_flops(self.n) as u64,
-            );
-        }
-        let h = self.h;
-        let (z, inner) = scratch.split_at_mut(h);
-        let nyq = match self.layout {
-            RealLayout::WithNyquist => input[h].re,
-            RealLayout::ElideNyquist => 0.0,
-        };
-        // Recover the packed spectrum Z[k] = E[k] + i*O[k], using
-        // E[k] = (X[k] + conj(X[h-k]))/2 and
-        // O[k] = (X[k] - conj(X[h-k]))/2 * conj(w^k)
-        // (conjugate symmetry of E and O, and conj(w^(h-k)) = -w^k).
-        z[0] = C64::new(0.5 * (input[0].re + nyq), 0.5 * (input[0].re - nyq));
-        for k in 1..h {
-            let xk = input[k];
-            let xc = input[h - k].conj();
-            let e = 0.5 * (xk + xc);
-            let o = 0.5 * (xk - xc) * self.w[k].conj();
-            // Z[k] = E[k] + i*O[k]
-            z[k] = e + C64::new(-o.im, o.re);
-        }
+        self.count_flops(1);
+        let (x, inner) = scratch.split_at_mut(self.h + 1);
+        x[..input.len()].copy_from_slice(input);
+        x[input.len()..].fill(C64::new(0.0, 0.0));
+        merge(&self.w, x);
+        let z = &mut x[..self.h];
         self.inv.execute_inner(z, inner);
         // inv gives h * z_packed; desired output is n*x = 2h*x, so double.
         for (j, zj) in z.iter().enumerate() {
@@ -173,12 +232,64 @@ impl RfftPlan {
             output[2 * j + 1] = 2.0 * zj.im;
         }
     }
+
+    /// Multi-line synthesis, no telemetry: `src` holds up to [`crate::LANES`]
+    /// back-to-back half-complex lines of `modes <= spectrum_len()`
+    /// coefficients each; every line is zero-padded to the full spectrum
+    /// (as [`crate::dealias::pad_half`] does) and transformed, and value
+    /// `j` of line `l` lands in `output[j].0[l]`. Lanes past the last
+    /// line hold the transform of a zero line.
+    pub fn inverse_lanes(
+        &self,
+        src: &[C64],
+        modes: usize,
+        output: &mut [Lanes],
+        scratch: &mut [C64],
+    ) {
+        assert!((1..=self.spectrum_len()).contains(&modes));
+        assert_eq!(src.len() % modes, 0, "source must be whole lines");
+        assert_eq!(output.len(), self.n);
+        let (x, b, rest) = self.inv.lane_work(scratch, self.h + 1);
+        merge_lanes(self.inv.isa, &self.w, src, modes, x);
+        let (z, _) = self.inv.transform_block(x, b, rest);
+        for (j, zj) in z.iter().enumerate() {
+            output[2 * j] = zj.re * 2.0;
+            output[2 * j + 1] = zj.im * 2.0;
+        }
+    }
+
+    /// Multi-line analysis, no telemetry: `input[j].0[l]` is value `j` of
+    /// line `l`; the first `modes <= spectrum_len()` coefficients of each
+    /// line (what [`crate::dealias::truncate_half`] keeps), multiplied by
+    /// `scale`, are written to the `dst.len() / modes <= LANES`
+    /// back-to-back lines of `dst`.
+    pub fn forward_lanes(
+        &self,
+        input: &[Lanes],
+        dst: &mut [C64],
+        modes: usize,
+        scale: f64,
+        scratch: &mut [C64],
+    ) {
+        assert!((1..=self.spectrum_len()).contains(&modes));
+        assert_eq!(dst.len() % modes, 0, "destination must be whole lines");
+        assert_eq!(input.len(), self.n);
+        let (a, b, rest) = self.fwd.lane_work(scratch, self.h + 1);
+        for (j, zj) in a[..self.h].iter_mut().enumerate() {
+            *zj = Complex::new(input[2 * j], input[2 * j + 1]);
+        }
+        // the result lands in one buffer; split through the other
+        let (z, free) = self.fwd.transform_block(a, b, rest);
+        split_lanes(self.fwd.isa, &self.w, z, &mut free[..modes], scale, dst);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dealias::{pad_half, truncate_half};
     use crate::dft::rdft;
+    use crate::lanes::{Isa, LANES};
 
     fn rand_reals(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -268,6 +379,95 @@ mod tests {
         for (j, &v) in out.iter().enumerate() {
             let want = 2.0 * (2.0 * std::f64::consts::PI * 2.0 * j as f64 / n as f64).cos();
             assert!((v - want).abs() < 1e-12, "j={j}");
+        }
+    }
+
+    /// Smooth, odd-prime-radix (h = 7, 49) and Bluestein (h = 67) lengths.
+    const LANE_LENGTHS: [usize; 9] = [2, 4, 16, 72, 96, 14, 98, 134, 144];
+
+    fn rand_spectra(n: usize, seed: u64) -> Vec<C64> {
+        let v = rand_reals(2 * n, seed);
+        v.chunks_exact(2).map(|p| C64::new(p[0], p[1])).collect()
+    }
+
+    fn lane_plans(n: usize, layout: RealLayout) -> [RfftPlan; 2] {
+        let mut base = RfftPlan::new(n, layout);
+        base.fwd.isa = Isa::BASELINE;
+        base.inv.isa = Isa::BASELINE;
+        [RfftPlan::new(n, layout), base]
+    }
+
+    #[test]
+    fn inverse_lanes_equals_single_lines_bitwise() {
+        for n in LANE_LENGTHS {
+            for layout in [RealLayout::WithNyquist, RealLayout::ElideNyquist] {
+                // the detected and the baseline instantiation
+                for plan in lane_plans(n, layout) {
+                    let full = plan.spectrum_len();
+                    let mut scratch = plan.make_scratch();
+                    for modes in [full, (2 * full / 3).max(1)] {
+                        for lines in 1..=LANES {
+                            let src = rand_spectra(lines * modes, (n * 31 + lines) as u64);
+                            let mut got = vec![Lanes([7.0; LANES]); n];
+                            plan.inverse_lanes(&src, modes, &mut got, &mut scratch);
+                            let mut padded = vec![C64::new(0.0, 0.0); full];
+                            let mut want = vec![0.0; n];
+                            // a lane past the last line transforms a zero line
+                            let zeros = vec![C64::new(0.0, 0.0); modes];
+                            let lines_then_zeros =
+                                src.chunks_exact(modes).chain(std::iter::repeat(&zeros[..]));
+                            for (l, line) in lines_then_zeros.take(LANES).enumerate() {
+                                pad_half(line, &mut padded);
+                                plan.inverse(&padded, &mut want, &mut scratch);
+                                for j in 0..n {
+                                    assert_eq!(
+                                        got[j].0[l].to_bits(),
+                                        want[j].to_bits(),
+                                        "n={n} {layout:?} modes={modes} lines={lines} l={l} j={j}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_lanes_equals_single_lines_bitwise() {
+        for n in LANE_LENGTHS {
+            for layout in [RealLayout::WithNyquist, RealLayout::ElideNyquist] {
+                for plan in lane_plans(n, layout) {
+                    let full = plan.spectrum_len();
+                    let mut scratch = plan.make_scratch();
+                    let scale = 1.0 / n as f64;
+                    for modes in [full, (2 * full / 3).max(1)] {
+                        for lines in 1..=LANES {
+                            let reals = rand_reals(LANES * n, (n * 57 + lines) as u64);
+                            let input: Vec<Lanes> = (0..n)
+                                .map(|j| Lanes(std::array::from_fn(|l| reals[l * n + j])))
+                                .collect();
+                            let mut got = vec![C64::new(9.0, 9.0); lines * modes];
+                            plan.forward_lanes(&input, &mut got, modes, scale, &mut scratch);
+                            let mut spec = vec![C64::new(0.0, 0.0); full];
+                            for (l, line) in got.chunks_exact(modes).enumerate() {
+                                plan.forward(&reals[l * n..(l + 1) * n], &mut spec, &mut scratch);
+                                let mut want = vec![C64::new(0.0, 0.0); modes];
+                                truncate_half(&spec, &mut want);
+                                for (k, (a, b)) in line.iter().zip(&want).enumerate() {
+                                    let b = b * scale;
+                                    assert!(
+                                        a.re.to_bits() == b.re.to_bits()
+                                            && a.im.to_bits() == b.im.to_bits(),
+                                        "n={n} {layout:?} modes={modes} lines={lines} l={l} k={k}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -2,8 +2,7 @@
 
 use std::cell::Cell;
 
-use dns_fft::dealias::{pad_full, pad_half, truncate_full, truncate_half};
-use dns_fft::{CfftPlan, Direction, RealLayout, RfftPlan};
+use dns_fft::{CfftPlan, Direction, Lanes, RealLayout, RfftPlan, LANES};
 use dns_minimpi::{CartComm, Communicator};
 use dns_pencil::{Block, ExchangeStrategy, InflightTranspose, RowsPlacement, TransposePlan};
 
@@ -172,10 +171,10 @@ pub struct ParallelFft {
     rfft_x: RfftPlan,
     zfwd: CfftPlan,
     zinv: CfftPlan,
-    t_xz: TransposePlan,
-    t_zx: TransposePlan,
-    t_zy: TransposePlan,
-    t_yz: TransposePlan,
+    /// Exchange schedules chosen (or measured) at construction for the
+    /// CommA and CommB hops; every batch width inherits them.
+    strategy_a: ExchangeStrategy,
+    strategy_b: ExchangeStrategy,
     pool: Option<rayon::ThreadPool>,
     timers: Cell<PfftTimers>,
     /// Transpose plans for batched multi-field transforms, keyed by the
@@ -189,6 +188,48 @@ struct BatchPlans {
     t_zx: TransposePlan,
     t_zy: TransposePlan,
     t_yz: TransposePlan,
+}
+
+/// Where an x-stage's physical lines come from.
+#[derive(Clone, Copy)]
+enum XIn<'a> {
+    /// Spectral x lines stacked `[y][field][z][sx]`: pad + c2r.
+    Spectra(&'a [C64]),
+    /// Physical fields, each `[y][z][px]`.
+    Fields(&'a [&'a [f64]]),
+}
+
+/// One flop increment for a whole batch of `lines` transforms of nominal
+/// cost `per_line` (truncated per line, as the single-line entries count).
+fn count_flops(lines: usize, per_line: f64) {
+    if telemetry::enabled() {
+        let flops = lines as u64 * per_line as u64;
+        telemetry::count_phase(Phase::Fft, telemetry::Counter::Flops, flops);
+    }
+}
+
+/// Interleave `fields` block-wise for a batched transpose: block `o`
+/// (`block` values) of field `f` lands at block `o * k + f`.
+fn stack<T: Copy>(fields: &[&[T]], block: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(fields.len() * fields[0].len());
+    for o in 0..fields[0].len() / block.max(1) {
+        for field in fields {
+            out.extend_from_slice(&field[o * block..(o + 1) * block]);
+        }
+    }
+    out
+}
+
+/// Undo [`stack`] for `k` fields.
+fn unstack<T: Copy>(stacked: Vec<T>, k: usize, block: usize) -> Vec<Vec<T>> {
+    if k == 1 {
+        return vec![stacked];
+    }
+    let mut out = vec![Vec::with_capacity(stacked.len() / k); k];
+    for (i, chunk) in stacked.chunks_exact(block.max(1)).enumerate() {
+        out[i % k].extend_from_slice(chunk);
+    }
+    out
 }
 
 impl ParallelFft {
@@ -220,11 +261,10 @@ impl ParallelFft {
             None => TransposePlan::plan(comm, rows, nf, nt, placement),
         };
         // x->z: CommA, rows = local y, f = physical z, t = kx spectrum
-        let t_xz = make(&comm_a, y_block.len, pz, sx, RowsPlacement::Outer);
-        let t_zx = t_xz.inverse(&comm_a);
+        let strategy_a = make(&comm_a, y_block.len, pz, sx, RowsPlacement::Outer).strategy();
         // z->y: CommB, rows = local kx, f = y, t = kz spectrum
-        let t_zy = make(&comm_b, kx_block.len, cfg.ny, cfg.nz, RowsPlacement::Middle);
-        let t_yz = t_zy.inverse(&comm_b);
+        let strategy_b =
+            make(&comm_b, kx_block.len, cfg.ny, cfg.nz, RowsPlacement::Middle).strategy();
 
         let pool = if cfg.threads > 1 {
             Some(
@@ -248,10 +288,8 @@ impl ParallelFft {
             rfft_x: RfftPlan::new(px, RealLayout::WithNyquist),
             zfwd: CfftPlan::new(pz, Direction::Forward),
             zinv: CfftPlan::new(pz, Direction::Inverse),
-            t_xz,
-            t_zx,
-            t_zy,
-            t_yz,
+            strategy_a,
+            strategy_b,
             timers: Cell::new(PfftTimers::default()),
             batch_plans: std::cell::RefCell::new(std::collections::HashMap::new()),
         };
@@ -275,23 +313,14 @@ impl ParallelFft {
         {
             let mut map = self.batch_plans.borrow_mut();
             map.entry(k).or_insert_with(|| {
-                let (px, pz, sx) = (self.cfg.px(), self.cfg.pz(), self.cfg.sx());
-                let _ = px;
-                let t_xz = TransposePlan::with_placement(
-                    &self.comm_a,
-                    self.y_block.len * k,
-                    pz,
-                    sx,
-                    self.t_xz.strategy(),
-                    RowsPlacement::Outer,
-                );
+                let t_xz = self.plan_a(self.y_block.len * k, self.cfg.pz(), self.cfg.sx());
                 let t_zx = t_xz.inverse(&self.comm_a);
                 let t_zy = TransposePlan::with_placement(
                     &self.comm_b,
                     self.kx_block.len * k,
                     self.cfg.ny,
                     self.cfg.nz,
-                    self.t_zy.strategy(),
+                    self.strategy_b,
                     RowsPlacement::Middle,
                 );
                 let t_yz = t_zy.inverse(&self.comm_b);
@@ -304,6 +333,14 @@ impl ParallelFft {
             });
         }
         std::cell::Ref::map(self.batch_plans.borrow(), |m| &m[&k])
+    }
+
+    /// A CommA transpose of `rows` outer rows from complete `nf` to
+    /// complete `nt`, on the schedule fixed at construction (local
+    /// arithmetic: no collectives, no heap).
+    fn plan_a(&self, rows: usize, nf: usize, nt: usize) -> TransposePlan {
+        let outer = RowsPlacement::Outer;
+        TransposePlan::with_placement(&self.comm_a, rows, nf, nt, self.strategy_a, outer)
     }
 
     /// The configuration this instance was planned for.
@@ -358,10 +395,24 @@ impl ParallelFft {
         self.timers.set(PfftTimers::default());
     }
 
-    fn add_transpose(&self, dt: f64) {
+    /// Run `f` on the transpose clock.
+    fn transposing<R>(&self, f: impl FnOnce() -> R) -> R {
+        let t0 = std::time::Instant::now();
+        let out = f();
         let mut t = self.timers.get();
-        t.transpose += dt;
+        t.transpose += t0.elapsed().as_secs_f64();
         self.timers.set(t);
+        out
+    }
+
+    /// Run a field (un)stacking copy under its span; it is booked on the
+    /// FFT clock, as the line loops it feeds are.
+    fn restacking<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
+        let _span = telemetry::span(name, Phase::Other);
+        let t0 = std::time::Instant::now();
+        let out = f();
+        self.add_fft(t0.elapsed().as_secs_f64());
+        out
     }
 
     fn add_fft(&self, dt: f64) {
@@ -386,116 +437,15 @@ impl ParallelFft {
     /// Physical x-pencil (real `[y_loc][z_loc][px]`) to spectral y-pencil
     /// (complex `[kz_loc][kx_loc][ny]`), normalised so coefficients are
     /// true Fourier coefficients (roundtrip with [`ParallelFft::inverse`]
-    /// is the identity for band-limited data).
+    /// is the identity for band-limited data). A batch of one.
     pub fn forward(&self, xp: &[f64]) -> Vec<C64> {
-        assert_eq!(xp.len(), self.x_pencil_len());
-        let _pfft = telemetry::span("pfft_forward", Phase::Other);
-        let cfg = &self.cfg;
-        let (px, pz, sx) = (cfg.px(), cfg.pz(), cfg.sx());
-        let lines_x = self.y_block.len * self.zphys_block.len;
-
-        // (1) r2c in x, truncate to the solution modes, normalise by px
-        let fft_x = telemetry::span("fft_x_fwd", Phase::Fft);
-        let t0 = std::time::Instant::now();
-        let mut spec_x = vec![C64::new(0.0, 0.0); lines_x * sx];
-        let inv_px = 1.0 / px as f64;
-        let rfft = &self.rfft_x;
-        self.for_each_line(&mut spec_x, sx, |l, out| {
-            let mut line_full = vec![C64::new(0.0, 0.0); px / 2 + 1];
-            let mut scratch = rfft.make_scratch();
-            rfft.forward(&xp[l * px..(l + 1) * px], &mut line_full, &mut scratch);
-            truncate_half(&line_full, out);
-            for v in out.iter_mut() {
-                *v *= inv_px;
-            }
-        });
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(fft_x);
-
-        // (2) CommA exchange: x-pencil -> z-pencil
-        let t0 = std::time::Instant::now();
-        let zp = self.t_xz.run(&self.comm_a, &spec_x);
-        self.add_transpose(t0.elapsed().as_secs_f64());
-
-        // (3) c2c forward in z, truncate pz -> nz, normalise by pz
-        let fft_z = telemetry::span("fft_z_fwd", Phase::Fft);
-        let t0 = std::time::Instant::now();
-        let lines_z = self.y_block.len * self.kx_block.len;
-        let mut out_z = vec![C64::new(0.0, 0.0); lines_z * cfg.nz];
-        let inv_pz = 1.0 / pz as f64;
-        let zp_ref = &zp;
-        let zfwd = &self.zfwd;
-        let nz = cfg.nz;
-        self.for_each_line(&mut out_z, nz, |l, out| {
-            let mut line: Vec<C64> = zp_ref[l * pz..(l + 1) * pz].to_vec();
-            let mut zscratch = zfwd.make_scratch();
-            zfwd.execute(&mut line, &mut zscratch);
-            for v in line.iter_mut() {
-                *v *= inv_pz;
-            }
-            truncate_full(&line, out);
-        });
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(fft_z);
-
-        // (4) CommB exchange: z-pencil -> y-pencil
-        let t0 = std::time::Instant::now();
-        let yp = self.t_zy.run(&self.comm_b, &out_z);
-        self.add_transpose(t0.elapsed().as_secs_f64());
-        yp
+        self.forward_batch(&[xp]).pop().expect("one field out")
     }
 
     /// Spectral y-pencil back to the physical x-pencil (unnormalised
-    /// synthesis; see [`ParallelFft::forward`]).
+    /// synthesis; see [`ParallelFft::forward`]). A batch of one.
     pub fn inverse(&self, yp: &[C64]) -> Vec<f64> {
-        assert_eq!(yp.len(), self.y_pencil_len());
-        let _pfft = telemetry::span("pfft_inverse", Phase::Other);
-        let cfg = &self.cfg;
-        let (px, pz, sx) = (cfg.px(), cfg.pz(), cfg.sx());
-
-        // (1) CommB exchange: y-pencil -> z-pencil
-        let t0 = std::time::Instant::now();
-        let zp_spec = self.t_yz.run(&self.comm_b, yp);
-        self.add_transpose(t0.elapsed().as_secs_f64());
-
-        // (2) pad nz -> pz, inverse c2c in z (pad fused with the
-        // transform pass, as in the threaded blocks of section 4.2)
-        let fft_z = telemetry::span("fft_z_inv", Phase::Fft);
-        let t0 = std::time::Instant::now();
-        let lines_z = self.y_block.len * self.kx_block.len;
-        let mut zp = vec![C64::new(0.0, 0.0); lines_z * pz];
-        let spec_ref = &zp_spec;
-        let zinv = &self.zinv;
-        let nz = cfg.nz;
-        self.for_each_line(&mut zp, pz, |l, dst| {
-            let mut zscratch = zinv.make_scratch();
-            pad_full(&spec_ref[l * nz..(l + 1) * nz], dst);
-            zinv.execute(dst, &mut zscratch);
-        });
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(fft_z);
-
-        // (3) CommA exchange: z-pencil -> x-pencil
-        let t0 = std::time::Instant::now();
-        let spec_x = self.t_zx.run(&self.comm_a, &zp);
-        self.add_transpose(t0.elapsed().as_secs_f64());
-
-        // (4) pad sx -> px/2+1, c2r in x
-        let fft_x = telemetry::span("fft_x_inv", Phase::Fft);
-        let t0 = std::time::Instant::now();
-        let lines_x = self.y_block.len * self.zphys_block.len;
-        let mut out = vec![0.0f64; lines_x * px];
-        let spec_ref = &spec_x;
-        let rfft = &self.rfft_x;
-        self.for_each_line(&mut out, px, |l, dst| {
-            let mut line_full = vec![C64::new(0.0, 0.0); px / 2 + 1];
-            let mut scratch = rfft.make_scratch();
-            pad_half(&spec_ref[l * sx..(l + 1) * sx], &mut line_full);
-            rfft.inverse(&line_full, dst, &mut scratch);
-        });
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(fft_x);
-        out
+        self.inverse_batch(&[yp]).pop().expect("one field out")
     }
 
     /// One full benchmark cycle (Table 6 protocol): physical -> spectral
@@ -506,34 +456,12 @@ impl ParallelFft {
         self.inverse(&spec)
     }
 
-    /// Apply `f(line_index, line)` to every `chunk`-sized output line,
+    /// Apply `f(state, row_index, row)` to every `chunk`-sized output row,
     /// serially or on the configured thread pool (the OpenMP-style
-    /// threading of section 4.2: each line is independent).
-    fn for_each_line<T: Send>(
-        &self,
-        data: &mut [T],
-        chunk: usize,
-        f: impl Fn(usize, &mut [T]) + Send + Sync,
-    ) {
-        match &self.pool {
-            None => {
-                for (l, line) in data.chunks_exact_mut(chunk).enumerate() {
-                    f(l, line);
-                }
-            }
-            Some(pool) => pool.install(|| {
-                use rayon::prelude::*;
-                data.par_chunks_exact_mut(chunk)
-                    .enumerate()
-                    .for_each(|(l, line)| f(l, line));
-            }),
-        }
-    }
-
-    /// [`ParallelFft::for_each_line`] with per-worker state: the serial
-    /// path reuses the caller's persistent `serial` scratch (zero
+    /// threading of section 4.2: rows are independent). The serial path
+    /// reuses the caller's persistent `serial` scratch (zero
     /// allocations); threaded workers each build their own via `init`
-    /// (rayon `for_each_init` semantics — once per worker, not per line).
+    /// (rayon `for_each_init` semantics — once per worker, not per row).
     fn for_lines_init<S: Send, T: Send>(
         &self,
         data: &mut [T],
@@ -555,6 +483,112 @@ impl ParallelFft {
                     .for_each_init(&init, |s, (l, line)| f(s, l, line));
             }),
         }
+    }
+
+    /// Plan scratch one line-loop worker needs (max over the plans).
+    fn fft_len(&self) -> usize {
+        self.rfft_x
+            .scratch_len()
+            .max(self.zinv.scratch_len())
+            .max(self.zfwd.scratch_len())
+    }
+
+    /// The z-stage: every z line of `src` through `plan` into `dst`,
+    /// [`LANES`] lines per transform pass, one y row per work item. An
+    /// inverse plan zero-pads `nz -> pz`; a forward plan truncates
+    /// `pz -> nz` and normalises by `pz`. Flops are counted once for the
+    /// whole stage.
+    fn z_stage(&self, plan: &CfftPlan, src: &[C64], dst: &mut [C64], serial: &mut LineScratch) {
+        let (nz, pz, nyl) = (self.cfg.nz, self.cfg.pz(), self.y_block.len);
+        let (name, src_len, dst_len, scale) = match plan.direction() {
+            Direction::Inverse => ("fft_z_inv", nz, pz, 1.0),
+            Direction::Forward => ("fft_z_fwd", pz, nz, 1.0 / pz as f64),
+        };
+        if dst.is_empty() {
+            return;
+        }
+        let _stage = telemetry::span(name, Phase::Fft);
+        let t0 = std::time::Instant::now();
+        let lines = src.len() / src_len;
+        assert_eq!(dst.len(), lines * dst_len);
+        count_flops(lines, dns_fft::cfft_flops(pz));
+        let (src_row, dst_row) = (lines / nyl * src_len, lines / nyl * dst_len);
+        let fft_len = self.fft_len();
+        self.for_lines_init(
+            dst,
+            dst_row,
+            serial,
+            || LineScratch::sized(0, 0, fft_len),
+            |sc, y, row| {
+                let from = &src[y * src_row..(y + 1) * src_row];
+                plan.execute_dealiased(from, nz, row, scale, &mut sc.fft);
+            },
+        );
+        self.add_fft(t0.elapsed().as_secs_f64());
+    }
+
+    /// The x-stage: for each y row of `dst` and each block of up to
+    /// [`LANES`] consecutive z, bring the x lines of the row's `k` fields
+    /// to physical space as lane blocks in `sc.phys` — padded and c2r
+    /// transformed from spectra, or gathered from physical fields — and
+    /// hand the block to `emit(sc, z0, count, row)`, which writes its part
+    /// of the row. `input` and `dst` are y-aligned (same first row).
+    /// `transforms` real transforms per (y, z) line are counted, once for
+    /// the whole stage.
+    #[allow(clippy::too_many_arguments)]
+    fn x_stage<T: Send>(
+        &self,
+        name: &'static str,
+        k: usize,
+        transforms: usize,
+        input: XIn<'_>,
+        dst: &mut [T],
+        row_len: usize,
+        serial: &mut LineScratch,
+        emit: impl Fn(&mut LineScratch, usize, usize, &mut [T]) + Send + Sync,
+    ) {
+        if dst.is_empty() {
+            return;
+        }
+        let _stage = telemetry::span(name, Phase::Fft);
+        let t0 = std::time::Instant::now();
+        let (px, sx, zpl) = (self.cfg.px(), self.cfg.sx(), self.zphys_block.len);
+        count_flops(
+            dst.len() / row_len * zpl * transforms,
+            dns_fft::rfft_flops(px),
+        );
+        let (rfft, fft_len) = (&self.rfft_x, self.fft_len());
+        self.for_lines_init(
+            dst,
+            row_len,
+            serial,
+            || LineScratch::sized(k, px, fft_len),
+            |sc, y, row| {
+                for z0 in (0..zpl).step_by(LANES) {
+                    let cnt = LANES.min(zpl - z0);
+                    for (f, phys) in sc.phys.chunks_exact_mut(px).take(k).enumerate() {
+                        match input {
+                            XIn::Spectra(spec) => {
+                                let s = ((y * k + f) * zpl + z0) * sx;
+                                rfft.inverse_lanes(&spec[s..s + cnt * sx], sx, phys, &mut sc.fft);
+                            }
+                            XIn::Fields(fields) => {
+                                let s = (y * zpl + z0) * px;
+                                let lines = &fields[f][s..s + cnt * px];
+                                for (x, v) in phys.iter_mut().enumerate() {
+                                    *v = Lanes::default();
+                                    for (l, line) in lines.chunks_exact(px).enumerate() {
+                                        v.0[l] = line[x];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    emit(sc, z0, cnt, row);
+                }
+            },
+        );
+        self.add_fft(t0.elapsed().as_secs_f64());
     }
 
     /// The fused nonlinear cycle (section 4.1, Tables 2-4): inverse
@@ -629,13 +663,7 @@ impl ParallelFft {
         let cfg = &self.cfg;
         let (px, pz, sx) = (cfg.px(), cfg.pz(), cfg.sx());
         let (sxl, nyl, zpl) = (self.kx_block.len, self.y_block.len, self.zphys_block.len);
-        let nz = cfg.nz;
         let zero = C64::new(0.0, 0.0);
-        let fft_len = self
-            .rfft_x
-            .scratch_len()
-            .max(self.zinv.scratch_len())
-            .max(self.zfwd.scratch_len());
         let Workspace {
             zp_spec,
             zp,
@@ -648,7 +676,7 @@ impl ParallelFft {
             pack_fwd,
             serial,
         } = ws;
-        serial.ensure(px, pz, fft_len);
+        serial.ensure(NL_FIELDS, px, self.fft_len());
 
         // Overlap depth for the CommA x-stage. Every rank of a CommA
         // group shares the same y_block (same CommB coordinate), so the
@@ -664,61 +692,40 @@ impl ParallelFft {
         // --- inverse leg: 3 velocity fields to the z-pencil ---
         {
             let plans = self.batch_plans(NL_FIELDS);
-            let t0 = std::time::Instant::now();
-            plans.t_yz.run_with(&self.comm_b, uvw, send, zp_spec);
-            self.add_transpose(t0.elapsed().as_secs_f64());
-
-            let fft_z = telemetry::span("fft_z_inv", Phase::Fft);
-            let t0 = std::time::Instant::now();
-            let lines_z = nyl * NL_FIELDS * sxl;
-            zp.resize(lines_z * pz, zero);
-            let src = &*zp_spec;
-            let zinv = &self.zinv;
-            self.for_lines_init(
-                zp,
-                pz,
-                serial,
-                || LineScratch::sized(px, pz, fft_len),
-                |sc, l, dst| {
-                    pad_full(&src[l * nz..(l + 1) * nz], dst);
-                    zinv.execute(dst, &mut sc.fft);
-                },
-            );
-            self.add_fft(t0.elapsed().as_secs_f64());
-            drop(fft_z);
+            self.transposing(|| plans.t_yz.run_with(&self.comm_b, uvw, send, zp_spec));
+            zp.resize(nyl * NL_FIELDS * sxl * pz, zero);
+            self.z_stage(&self.zinv, zp_spec, zp, serial);
         }
 
-        // The fused x-stage body: inverse-transform the three velocity
-        // x-lines of one y row, form the five products in cache, forward
-        // transform them. `src` and `ychunk` are y-aligned slices (same
-        // first y row), so the row index the line loop hands back works
-        // for both.
+        // The fused x-stage body, per block of up to LANES x-lines held
+        // as lane blocks: form each of the five products from the three
+        // physical velocity blocks, forward transform it, and scatter the
+        // truncated, normalised spectra.
         let rfft = &self.rfft_x;
         let inv_px = 1.0 / px as f64;
-        let fused_row = |sc: &mut LineScratch, y: usize, src: &[C64], ychunk: &mut [C64]| {
-            for z in 0..zpl {
-                for fi in 0..NL_FIELDS {
-                    let s = ((y * NL_FIELDS + fi) * zpl + z) * sx;
-                    pad_half(&src[s..s + sx], &mut sc.cline);
-                    rfft.inverse(&sc.cline, &mut sc.phys[fi * px..(fi + 1) * px], &mut sc.fft);
-                }
-                for (f, &(i, j, sub_vv)) in PRODUCTS.iter().enumerate() {
-                    for x in 0..px {
-                        let mut p = sc.phys[i * px + x] * sc.phys[j * px + x];
+        let fused = |sc: &mut LineScratch, z0: usize, cnt: usize, row: &mut [C64]| {
+            for (f, &(i, j, sub_vv)) in PRODUCTS.iter().enumerate() {
+                for x in 0..px {
+                    let (a, b, v) = (sc.phys[i * px + x], sc.phys[j * px + x], sc.phys[px + x]);
+                    for l in 0..LANES {
+                        let mut p = a.0[l] * b.0[l];
                         if sub_vv {
-                            p -= sc.phys[px + x] * sc.phys[px + x];
+                            p -= v.0[l] * v.0[l];
                         }
-                        sc.prod[x] = p;
-                    }
-                    rfft.forward(&sc.prod, &mut sc.cline, &mut sc.fft);
-                    let d = (f * zpl + z) * sx;
-                    truncate_half(&sc.cline, &mut ychunk[d..d + sx]);
-                    for v in ychunk[d..d + sx].iter_mut() {
-                        *v *= inv_px;
+                        sc.prod[x].0[l] = p;
                     }
                 }
+                let d = (f * zpl + z0) * sx;
+                rfft.forward_lanes(
+                    &sc.prod[..px],
+                    &mut row[d..d + cnt * sx],
+                    sx,
+                    inv_px,
+                    &mut sc.fft,
+                );
             }
         };
+        const FUSED_TRANSFORMS: usize = NL_FIELDS + NL_PRODUCTS;
 
         if nb >= 2 {
             // --- pipelined x-stage: the CommA exchange for batch k+1 is
@@ -738,28 +745,9 @@ impl ParallelFft {
             spec_px.resize(nyl * fwd_in, zero);
             zp_px.resize(nyl * fwd_out, zero);
             // Batch sub-plans share the measured strategies of the full
-            // plans; construction is local arithmetic (no collectives,
-            // no heap), so building them per call is cheap.
-            let inv_plan = |rows: usize| {
-                TransposePlan::with_placement(
-                    &self.comm_a,
-                    rows * NL_FIELDS,
-                    sx,
-                    pz,
-                    self.t_zx.strategy(),
-                    RowsPlacement::Outer,
-                )
-            };
-            let fwd_plan = |rows: usize| {
-                TransposePlan::with_placement(
-                    &self.comm_a,
-                    rows * NL_PRODUCTS,
-                    pz,
-                    sx,
-                    self.t_xz.strategy(),
-                    RowsPlacement::Outer,
-                )
-            };
+            // plans, so building them per call is cheap.
+            let inv_plan = |rows: usize| self.plan_a(rows * NL_FIELDS, sx, pz);
+            let fwd_plan = |rows: usize| self.plan_a(rows * NL_PRODUCTS, pz, sx);
             fn fail(e: dns_minimpi::CommError) -> ! {
                 panic!("pipelined transpose exchange failed: {e}")
             }
@@ -768,149 +756,85 @@ impl ParallelFft {
             // per identical tag): inverse batch k uses 2k, forward 2k+1.
             let zp_src: &[C64] = zp;
             let b0 = Block::of(nyl, nb, 0);
-            let t0 = std::time::Instant::now();
-            let mut inv_fly = Some(inv_plan(b0.len).post(
-                &self.comm_a,
-                &zp_src[b0.start * inv_in..(b0.start + b0.len) * inv_in],
-                &mut pack_inv[0],
-                0,
-            ));
-            self.add_transpose(t0.elapsed().as_secs_f64());
+            let mut inv_fly = Some(self.transposing(|| {
+                let from = &zp_src[b0.start * inv_in..(b0.start + b0.len) * inv_in];
+                inv_plan(b0.len).post(&self.comm_a, from, &mut pack_inv[0], 0)
+            }));
             let mut fwd_fly: Option<(Block, InflightTranspose<C64>)> = None;
             for k in 0..nb {
                 let b = Block::of(nyl, nb, k);
                 // post the next inverse exchange before blocking on this
                 // one, so it flies through this batch's kernel
-                let inv_next = if k + 1 < nb {
+                let inv_next = (k + 1 < nb).then(|| {
                     let bn = Block::of(nyl, nb, k + 1);
-                    let t0 = std::time::Instant::now();
-                    let fly = inv_plan(bn.len).post(
-                        &self.comm_a,
-                        &zp_src[bn.start * inv_in..(bn.start + bn.len) * inv_in],
-                        &mut pack_inv[(k + 1) % 2],
-                        2 * (k as u64 + 1),
-                    );
-                    self.add_transpose(t0.elapsed().as_secs_f64());
-                    Some(fly)
-                } else {
-                    None
-                };
-                let t0 = std::time::Instant::now();
-                inv_fly
-                    .take()
-                    .expect("inverse exchange in flight")
-                    .complete_into(
-                        &self.comm_a,
-                        &mut spec_x[b.start * inv_out..(b.start + b.len) * inv_out],
-                    )
+                    let from = &zp_src[bn.start * inv_in..(bn.start + bn.len) * inv_in];
+                    let (pack, seq) = (&mut pack_inv[(k + 1) % 2], 2 * (k as u64 + 1));
+                    self.transposing(|| inv_plan(bn.len).post(&self.comm_a, from, pack, seq))
+                });
+                let landing = &mut spec_x[b.start * inv_out..(b.start + b.len) * inv_out];
+                let fly = inv_fly.take().expect("inverse exchange in flight");
+                self.transposing(|| fly.complete_into(&self.comm_a, landing))
                     .unwrap_or_else(|e| fail(e));
-                self.add_transpose(t0.elapsed().as_secs_f64());
                 inv_fly = inv_next;
 
-                {
-                    let fused = telemetry::span("fused_products", Phase::Fft);
-                    let t0 = std::time::Instant::now();
-                    let src = &spec_x[b.start * inv_out..(b.start + b.len) * inv_out];
-                    self.for_lines_init(
-                        &mut spec_px[b.start * fwd_in..(b.start + b.len) * fwd_in],
-                        fwd_in,
-                        serial,
-                        || LineScratch::sized(px, pz, fft_len),
-                        |sc, y, ychunk| fused_row(sc, y, src, ychunk),
-                    );
-                    self.add_fft(t0.elapsed().as_secs_f64());
-                    drop(fused);
-                }
-
-                let t0 = std::time::Instant::now();
-                let fly = fwd_plan(b.len).post(
-                    &self.comm_a,
-                    &spec_px[b.start * fwd_in..(b.start + b.len) * fwd_in],
-                    &mut pack_fwd[k % 2],
-                    2 * k as u64 + 1,
+                self.x_stage(
+                    "fused_products",
+                    NL_FIELDS,
+                    FUSED_TRANSFORMS,
+                    XIn::Spectra(&spec_x[b.start * inv_out..(b.start + b.len) * inv_out]),
+                    &mut spec_px[b.start * fwd_in..(b.start + b.len) * fwd_in],
+                    fwd_in,
+                    serial,
+                    fused,
                 );
-                // retire the previous forward exchange — it has been in
-                // flight for this entire batch's kernel
-                if let Some((bp, prev)) = fwd_fly.take() {
-                    prev.complete_into(
-                        &self.comm_a,
-                        &mut zp_px[bp.start * fwd_out..(bp.start + bp.len) * fwd_out],
-                    )
-                    .unwrap_or_else(|e| fail(e));
-                }
-                fwd_fly = Some((b, fly));
-                self.add_transpose(t0.elapsed().as_secs_f64());
+
+                // post this batch's forward exchange, then retire the
+                // previous one — it has been in flight for this entire
+                // batch's kernel
+                let prev = fwd_fly.take();
+                fwd_fly = Some(self.transposing(|| {
+                    let from = &spec_px[b.start * fwd_in..(b.start + b.len) * fwd_in];
+                    let (pack, seq) = (&mut pack_fwd[k % 2], 2 * k as u64 + 1);
+                    let fly = fwd_plan(b.len).post(&self.comm_a, from, pack, seq);
+                    if let Some((bp, prev)) = prev {
+                        let landing = &mut zp_px[bp.start * fwd_out..(bp.start + bp.len) * fwd_out];
+                        prev.complete_into(&self.comm_a, landing)
+                            .unwrap_or_else(|e| fail(e));
+                    }
+                    (b, fly)
+                }));
             }
             let (bp, last) = fwd_fly.take().expect("final forward exchange in flight");
-            let t0 = std::time::Instant::now();
-            last.complete_into(
-                &self.comm_a,
-                &mut zp_px[bp.start * fwd_out..(bp.start + bp.len) * fwd_out],
-            )
-            .unwrap_or_else(|e| fail(e));
-            self.add_transpose(t0.elapsed().as_secs_f64());
+            let landing = &mut zp_px[bp.start * fwd_out..(bp.start + bp.len) * fwd_out];
+            self.transposing(|| last.complete_into(&self.comm_a, landing))
+                .unwrap_or_else(|e| fail(e));
         } else {
             // --- blocking x-stage: monolithic transposes around one
             // full-pencil fused kernel (single rank, or pipeline off) ---
-            {
-                let plans = self.batch_plans(NL_FIELDS);
-                let t0 = std::time::Instant::now();
-                plans.t_zx.run_with(&self.comm_a, zp, send, spec_x);
-                self.add_transpose(t0.elapsed().as_secs_f64());
-            }
-            {
-                let fused = telemetry::span("fused_products", Phase::Fft);
-                let t0 = std::time::Instant::now();
-                spec_px.resize(nyl * NL_PRODUCTS * zpl * sx, zero);
-                let src = &*spec_x;
-                self.for_lines_init(
-                    spec_px,
-                    NL_PRODUCTS * zpl * sx,
-                    serial,
-                    || LineScratch::sized(px, pz, fft_len),
-                    |sc, y, ychunk| fused_row(sc, y, src, ychunk),
-                );
-                self.add_fft(t0.elapsed().as_secs_f64());
-                drop(fused);
-            }
-            {
-                let plans = self.batch_plans(NL_PRODUCTS);
-                let t0 = std::time::Instant::now();
-                plans.t_xz.run_with(&self.comm_a, spec_px, send, zp);
-                self.add_transpose(t0.elapsed().as_secs_f64());
-            }
+            let plans = self.batch_plans(NL_FIELDS);
+            self.transposing(|| plans.t_zx.run_with(&self.comm_a, zp, send, spec_x));
+            spec_px.resize(nyl * NL_PRODUCTS * zpl * sx, zero);
+            self.x_stage(
+                "fused_products",
+                NL_FIELDS,
+                FUSED_TRANSFORMS,
+                XIn::Spectra(spec_x),
+                spec_px,
+                NL_PRODUCTS * zpl * sx,
+                serial,
+                fused,
+            );
+            let plans = self.batch_plans(NL_PRODUCTS);
+            self.transposing(|| plans.t_xz.run_with(&self.comm_a, spec_px, send, zp));
         }
 
         // --- forward leg: 5 product fields back to the y-pencil ---
         {
             let plans = self.batch_plans(NL_PRODUCTS);
-            let fft_z = telemetry::span("fft_z_fwd", Phase::Fft);
-            let t0 = std::time::Instant::now();
-            let lines_z = nyl * NL_PRODUCTS * sxl;
-            out_z.resize(lines_z * nz, zero);
+            out_z.resize(nyl * NL_PRODUCTS * sxl * cfg.nz, zero);
             let src: &[C64] = if nb >= 2 { &zp_px[..] } else { &zp[..] };
-            let zfwd = &self.zfwd;
-            let inv_pz = 1.0 / pz as f64;
-            self.for_lines_init(
-                out_z,
-                nz,
-                serial,
-                || LineScratch::sized(px, pz, fft_len),
-                |sc, l, dst| {
-                    sc.zline[..pz].copy_from_slice(&src[l * pz..(l + 1) * pz]);
-                    zfwd.execute(&mut sc.zline[..pz], &mut sc.fft);
-                    for v in sc.zline[..pz].iter_mut() {
-                        *v *= inv_pz;
-                    }
-                    truncate_full(&sc.zline[..pz], dst);
-                },
-            );
-            self.add_fft(t0.elapsed().as_secs_f64());
-            drop(fft_z);
-
-            let t0 = std::time::Instant::now();
-            plans.t_zy.run_with(&self.comm_b, out_z, send, out);
-            self.add_transpose(t0.elapsed().as_secs_f64());
+            self.z_stage(&self.zfwd, src, out_z, serial);
+            self.transposing(|| plans.t_zy.run_with(&self.comm_b, out_z, send, out));
         }
     }
 
@@ -923,88 +847,49 @@ impl ParallelFft {
         if k == 0 {
             return Vec::new();
         }
-        if k == 1 {
-            return vec![self.inverse(fields[0])];
-        }
         for f in fields {
             assert_eq!(f.len(), self.y_pencil_len());
         }
         let _pfft = telemetry::span("pfft_inverse_batch", Phase::Other);
-        let cfg = &self.cfg;
-        let (px, pz, sx) = (cfg.px(), cfg.pz(), cfg.sx());
-        let (nzl, sxl, nyl, zpl) = (
-            self.kz_block.len,
-            self.kx_block.len,
-            self.y_block.len,
-            self.zphys_block.len,
-        );
-        let ny = cfg.ny;
+        let (px, pz, ny) = (self.cfg.px(), self.cfg.pz(), self.cfg.ny);
+        let (sxl, nyl, zpl) = (self.kx_block.len, self.y_block.len, self.zphys_block.len);
         let plans = self.batch_plans(k);
+        let mut serial = LineScratch::sized(k, px, self.fft_len());
 
         // stack as [kz_loc][field][kx_loc][ny] so the Middle transpose
         // sees rows = k * kx_loc
-        let stack = telemetry::span("stack_fields", Phase::Other);
-        let t0 = std::time::Instant::now();
-        let mut stacked = vec![C64::new(0.0, 0.0); k * self.y_pencil_len()];
-        for kz in 0..nzl {
-            for (f, field) in fields.iter().enumerate() {
-                let src = kz * sxl * ny;
-                let dst = ((kz * k + f) * sxl) * ny;
-                stacked[dst..dst + sxl * ny].copy_from_slice(&field[src..src + sxl * ny]);
-            }
-        }
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(stack);
-
-        let t0 = std::time::Instant::now();
-        let zp_spec = plans.t_yz.run(&self.comm_b, &stacked);
-        self.add_transpose(t0.elapsed().as_secs_f64());
+        let stacked = self.restacking("stack_fields", || stack(fields, sxl * ny));
+        let zp_spec = self.transposing(|| plans.t_yz.run(&self.comm_b, &stacked));
 
         // [y_loc][field][kx_loc][nz] -> pad+inverse FFT in z
-        let fft_z = telemetry::span("fft_z_inv", Phase::Fft);
-        let t0 = std::time::Instant::now();
-        let lines_z = nyl * k * sxl;
-        let mut zp = vec![C64::new(0.0, 0.0); lines_z * pz];
-        let spec_ref = &zp_spec;
-        let zinv = &self.zinv;
-        let nz = cfg.nz;
-        self.for_each_line(&mut zp, pz, |l, dst| {
-            let mut zscratch = zinv.make_scratch();
-            pad_full(&spec_ref[l * nz..(l + 1) * nz], dst);
-            zinv.execute(dst, &mut zscratch);
-        });
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(fft_z);
+        let mut zp = vec![C64::new(0.0, 0.0); nyl * k * sxl * pz];
+        self.z_stage(&self.zinv, &zp_spec, &mut zp, &mut serial);
 
         // Outer transpose with rows = y_loc * field
-        let t0 = std::time::Instant::now();
-        let spec_x = plans.t_zx.run(&self.comm_a, &zp);
-        self.add_transpose(t0.elapsed().as_secs_f64());
+        let spec_x = self.transposing(|| plans.t_zx.run(&self.comm_a, &zp));
 
         // [y_loc][field][z_loc][sx] -> pad + c2r in x, then unstack
-        let fft_x = telemetry::span("fft_x_inv", Phase::Fft);
-        let t0 = std::time::Instant::now();
-        let lines_x = nyl * k * zpl;
-        let mut phys = vec![0.0f64; lines_x * px];
-        let spec_ref = &spec_x;
-        let rfft = &self.rfft_x;
-        self.for_each_line(&mut phys, px, |l, dst| {
-            let mut line_full = vec![C64::new(0.0, 0.0); px / 2 + 1];
-            let mut scratch = rfft.make_scratch();
-            pad_half(&spec_ref[l * sx..(l + 1) * sx], &mut line_full);
-            rfft.inverse(&line_full, dst, &mut scratch);
-        });
-        let mut out = vec![vec![0.0f64; self.x_pencil_len()]; k];
-        for y in 0..nyl {
-            for (f, field) in out.iter_mut().enumerate() {
-                let src = ((y * k + f) * zpl) * px;
-                let dst = y * zpl * px;
-                field[dst..dst + zpl * px].copy_from_slice(&phys[src..src + zpl * px]);
-            }
-        }
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(fft_x);
-        out
+        let mut phys = vec![0.0f64; nyl * k * zpl * px];
+        self.x_stage(
+            "fft_x_inv",
+            k,
+            k,
+            XIn::Spectra(&spec_x),
+            &mut phys,
+            k * zpl * px,
+            &mut serial,
+            |sc, z0, cnt, row: &mut [f64]| {
+                for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
+                    let lines = &mut row[(f * zpl + z0) * px..][..cnt * px];
+                    for (l, line) in lines.chunks_exact_mut(px).enumerate() {
+                        for (v, lanes) in line.iter_mut().zip(block) {
+                            *v = lanes.0[l];
+                        }
+                    }
+                }
+            },
+        );
+        self.restacking("unstack_fields", || unstack(phys, k, zpl * px))
     }
 
     /// Batched forward: `k` physical fields to spectral space through
@@ -1014,99 +899,43 @@ impl ParallelFft {
         if k == 0 {
             return Vec::new();
         }
-        if k == 1 {
-            return vec![self.forward(fields[0])];
-        }
         for f in fields {
             assert_eq!(f.len(), self.x_pencil_len());
         }
         let _pfft = telemetry::span("pfft_forward_batch", Phase::Other);
-        let cfg = &self.cfg;
-        let (px, pz, sx) = (cfg.px(), cfg.pz(), cfg.sx());
-        let (nzl, sxl, nyl, zpl) = (
-            self.kz_block.len,
-            self.kx_block.len,
-            self.y_block.len,
-            self.zphys_block.len,
-        );
-        let ny = cfg.ny;
+        let (px, sx, ny, nz) = (self.cfg.px(), self.cfg.sx(), self.cfg.ny, self.cfg.nz);
+        let (sxl, nyl, zpl) = (self.kx_block.len, self.y_block.len, self.zphys_block.len);
         let plans = self.batch_plans(k);
+        let mut serial = LineScratch::sized(k, px, self.fft_len());
 
-        // stack physical fields as [y_loc][field][z_loc][px], r2c in x
-        let fft_x = telemetry::span("fft_x_fwd", Phase::Fft);
-        let t0 = std::time::Instant::now();
-        let lines_x = nyl * k * zpl;
-        let mut stacked = vec![0.0f64; lines_x * px];
-        for y in 0..nyl {
-            for (f, field) in fields.iter().enumerate() {
-                let src = y * zpl * px;
-                let dst = ((y * k + f) * zpl) * px;
-                stacked[dst..dst + zpl * px].copy_from_slice(&field[src..src + zpl * px]);
-            }
-        }
-        let mut spec_x = vec![C64::new(0.0, 0.0); lines_x * sx];
-        let inv_px = 1.0 / px as f64;
-        let rfft = &self.rfft_x;
-        let stacked_ref = &stacked;
-        self.for_each_line(&mut spec_x, sx, |l, out_line| {
-            let mut line_full = vec![C64::new(0.0, 0.0); px / 2 + 1];
-            let mut scratch = rfft.make_scratch();
-            rfft.forward(
-                &stacked_ref[l * px..(l + 1) * px],
-                &mut line_full,
-                &mut scratch,
-            );
-            truncate_half(&line_full, out_line);
-            for v in out_line.iter_mut() {
-                *v *= inv_px;
-            }
-        });
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(fft_x);
+        // r2c in x straight from the fields into [y_loc][field][z_loc][sx],
+        // truncated to the solution modes and normalised by px
+        let mut spec_x = vec![C64::new(0.0, 0.0); nyl * k * zpl * sx];
+        let (rfft, inv_px) = (&self.rfft_x, 1.0 / px as f64);
+        self.x_stage(
+            "fft_x_fwd",
+            k,
+            k,
+            XIn::Fields(fields),
+            &mut spec_x,
+            k * zpl * sx,
+            &mut serial,
+            |sc, z0, cnt, row: &mut [C64]| {
+                for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
+                    let d = (f * zpl + z0) * sx;
+                    rfft.forward_lanes(block, &mut row[d..d + cnt * sx], sx, inv_px, &mut sc.fft);
+                }
+            },
+        );
+        let zp = self.transposing(|| plans.t_xz.run(&self.comm_a, &spec_x));
 
-        let t0 = std::time::Instant::now();
-        let zp = plans.t_xz.run(&self.comm_a, &spec_x);
-        self.add_transpose(t0.elapsed().as_secs_f64());
-
-        // [y_loc][field][kx_loc][pz]: forward z-FFT + truncate
-        let fft_z = telemetry::span("fft_z_fwd", Phase::Fft);
-        let t0 = std::time::Instant::now();
-        let lines_z = nyl * k * sxl;
-        let mut out_z = vec![C64::new(0.0, 0.0); lines_z * cfg.nz];
-        let zp_ref = &zp;
-        let zfwd = &self.zfwd;
-        let nz = cfg.nz;
-        let inv_pz = 1.0 / pz as f64;
-        self.for_each_line(&mut out_z, nz, |l, out_line| {
-            let mut line: Vec<C64> = zp_ref[l * pz..(l + 1) * pz].to_vec();
-            let mut zscratch = zfwd.make_scratch();
-            zfwd.execute(&mut line, &mut zscratch);
-            for v in line.iter_mut() {
-                *v *= inv_pz;
-            }
-            truncate_full(&line, out_line);
-        });
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(fft_z);
-
-        let t0 = std::time::Instant::now();
-        let yp = plans.t_zy.run(&self.comm_b, &out_z);
-        self.add_transpose(t0.elapsed().as_secs_f64());
+        // [y_loc][field][kx_loc][pz]: forward z-FFT + truncate + normalise
+        let mut out_z = vec![C64::new(0.0, 0.0); nyl * k * sxl * nz];
+        self.z_stage(&self.zfwd, &zp, &mut out_z, &mut serial);
+        let yp = self.transposing(|| plans.t_zy.run(&self.comm_b, &out_z));
 
         // [kz_loc][field][kx_loc][ny] -> unstack
-        let unstack = telemetry::span("unstack_fields", Phase::Other);
-        let t0 = std::time::Instant::now();
-        let mut out = vec![vec![C64::new(0.0, 0.0); self.y_pencil_len()]; k];
-        for kz in 0..nzl {
-            for (f, field) in out.iter_mut().enumerate() {
-                let src = ((kz * k + f) * sxl) * ny;
-                let dst = kz * sxl * ny;
-                field[dst..dst + sxl * ny].copy_from_slice(&yp[src..src + sxl * ny]);
-            }
-        }
-        self.add_fft(t0.elapsed().as_secs_f64());
-        drop(unstack);
-        out
+        self.restacking("unstack_fields", || unstack(yp, k, sxl * ny))
     }
 
     /// Signed spanwise wavenumber of global kz index `g` (FFT ordering;
@@ -1660,6 +1489,117 @@ mod tests {
                     assert!(
                         x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
                         "pipeline={pipeline}: {x} != {y} bitwise"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Per-line reference for [`ParallelFft::nonlinear_products`]: the
+    /// blocking schedule with every line loop written out on the
+    /// single-line transform API.
+    fn products_per_line(p: &ParallelFft, uvw: &[C64]) -> Vec<C64> {
+        use dns_fft::dealias::{pad_full, pad_half, truncate_full, truncate_half};
+        let cfg = &p.cfg;
+        let (px, pz, sx, nz) = (cfg.px(), cfg.pz(), cfg.sx(), cfg.nz);
+        let (nyl, zpl) = (p.y_block.len, p.zphys_block.len);
+        let zero = C64::new(0.0, 0.0);
+        let mut zscratch = p.zinv.make_scratch();
+        let mut xscratch = p.rfft_x.make_scratch();
+
+        let zp_spec = p.batch_plans(NL_FIELDS).t_yz.run(&p.comm_b, uvw);
+        let mut zp = vec![zero; zp_spec.len() / nz * pz];
+        for (src, dst) in zp_spec.chunks_exact(nz).zip(zp.chunks_exact_mut(pz)) {
+            pad_full(src, dst);
+            p.zinv.execute(dst, &mut zscratch);
+        }
+        let spec_x = p.batch_plans(NL_FIELDS).t_zx.run(&p.comm_a, &zp);
+
+        let mut spec_px = vec![zero; nyl * NL_PRODUCTS * zpl * sx];
+        let mut cline = vec![zero; px / 2 + 1];
+        let mut phys = vec![0.0; NL_FIELDS * px];
+        let mut prod = vec![0.0; px];
+        for y in 0..nyl {
+            for z in 0..zpl {
+                for fi in 0..NL_FIELDS {
+                    let s = ((y * NL_FIELDS + fi) * zpl + z) * sx;
+                    pad_half(&spec_x[s..s + sx], &mut cline);
+                    let line = &mut phys[fi * px..(fi + 1) * px];
+                    p.rfft_x.inverse(&cline, line, &mut xscratch);
+                }
+                for (f, &(i, j, sub_vv)) in PRODUCTS.iter().enumerate() {
+                    for x in 0..px {
+                        prod[x] = phys[i * px + x] * phys[j * px + x];
+                        if sub_vv {
+                            prod[x] -= phys[px + x] * phys[px + x];
+                        }
+                    }
+                    p.rfft_x.forward(&prod, &mut cline, &mut xscratch);
+                    let d = ((y * NL_PRODUCTS + f) * zpl + z) * sx;
+                    truncate_half(&cline, &mut spec_px[d..d + sx]);
+                    for v in spec_px[d..d + sx].iter_mut() {
+                        *v *= 1.0 / px as f64;
+                    }
+                }
+            }
+        }
+
+        let zp = p.batch_plans(NL_PRODUCTS).t_xz.run(&p.comm_a, &spec_px);
+        let mut out_z = vec![zero; zp.len() / pz * nz];
+        let mut zline = vec![zero; pz];
+        for (src, dst) in zp.chunks_exact(pz).zip(out_z.chunks_exact_mut(nz)) {
+            zline.copy_from_slice(src);
+            p.zfwd.execute(&mut zline, &mut zscratch);
+            for v in zline.iter_mut() {
+                *v *= 1.0 / pz as f64;
+            }
+            truncate_full(&zline, dst);
+        }
+        p.batch_plans(NL_PRODUCTS).t_zy.run(&p.comm_b, &out_z)
+    }
+
+    #[test]
+    fn lane_blocked_products_equal_the_per_line_loop_bitwise() {
+        // 2x1 grid: pz = 36 over pa = 2 leaves zpl = 18 (two full lane
+        // blocks and a partial one per row); 3 * sxl = 12 z lines per row
+        let run = |threads: usize, pipeline: usize| {
+            mpi::run(2, move |world| {
+                let cfg = PfftConfig::customized(16, 6, 24, 2, 1)
+                    .with_dealias()
+                    .with_threads(threads)
+                    .with_pipeline(pipeline);
+                let p = ParallelFft::new(world, cfg);
+                assert!(!p.zphys_block().len.is_multiple_of(LANES));
+                let base = fill_x_pencil(&p);
+                let fields = [1.0, 0.3, -0.2].map(|c| {
+                    let f: Vec<f64> = base.iter().map(|v| c * v + 0.1 * c * c).collect();
+                    p.forward(&f)
+                });
+                let (sxl, nzl, ny) = (p.kx_block().len, p.kz_block().len, p.config().ny);
+                let mut uvw = vec![C64::new(0.0, 0.0); NL_FIELDS * p.y_pencil_len()];
+                for kz in 0..nzl {
+                    for (fi, field) in fields.iter().enumerate() {
+                        let (src, dst) = (kz * sxl * ny, (kz * NL_FIELDS + fi) * sxl * ny);
+                        uvw[dst..dst + sxl * ny].copy_from_slice(&field[src..src + sxl * ny]);
+                    }
+                }
+                let (mut out, mut ws) = (Vec::new(), Workspace::new());
+                p.nonlinear_products(&uvw, &mut out, &mut ws);
+                p.nonlinear_products(&uvw, &mut out, &mut ws); // warm buffers
+                (out, products_per_line(&p, &uvw))
+            })
+        };
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        for threads in [1, 2, 3] {
+            for pipeline in [0, 4] {
+                for (rank, (got, want)) in run(threads, pipeline).iter().enumerate() {
+                    assert!(got.iter().any(|c| c.norm() > 1e-3), "trivial test field");
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "threads={threads} pipeline={pipeline} rank={rank}"
                     );
                 }
             }

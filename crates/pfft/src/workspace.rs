@@ -7,6 +7,8 @@
 //! allocation-free on a single rank (multi-rank exchanges still allocate
 //! inside the message layer).
 
+use dns_fft::Lanes;
+
 use crate::C64;
 
 /// Intermediate full-pencil buffers plus the serial-path line scratch.
@@ -51,46 +53,39 @@ impl Workspace {
     }
 }
 
-/// The cache-resident per-line buffers of the fused kernel: one worker
-/// owns one of these (the serial path keeps a persistent copy inside
-/// [`Workspace`]; threaded workers build one each via `for_each_init`).
+/// The cache-resident buffers of one line-loop worker (the serial path
+/// keeps a persistent copy inside [`Workspace`]; threaded workers build
+/// one each via `for_each_init`). Physical x data lives here as lane
+/// blocks: entry `x` holds value `x` of [`dns_fft::LANES`] lines.
 #[derive(Default)]
 pub(crate) struct LineScratch {
-    /// Half-complex x line (`px/2 + 1`).
-    pub cline: Vec<C64>,
-    /// Full complex z line (`pz`).
-    pub zline: Vec<C64>,
     /// FFT plan scratch (max over the plans used).
     pub fft: Vec<C64>,
-    /// Physical u/v/w x-lines, stacked (`3 * px`).
-    pub phys: Vec<f64>,
-    /// One physical product x-line (`px`).
-    pub prod: Vec<f64>,
+    /// Physical x-line blocks of the stage's fields, stacked
+    /// (`fields * px`).
+    pub phys: Vec<Lanes>,
+    /// One physical product x-line block (`px`).
+    pub prod: Vec<Lanes>,
 }
 
 impl LineScratch {
-    /// Grow every buffer to the sizes one fused call needs.
-    pub fn ensure(&mut self, px: usize, pz: usize, fft_len: usize) {
-        let grow_c = |v: &mut Vec<C64>, n: usize| {
-            if v.len() < n {
-                v.resize(n, C64::new(0.0, 0.0));
-            }
-        };
-        grow_c(&mut self.cline, px / 2 + 1);
-        grow_c(&mut self.zline, pz);
-        grow_c(&mut self.fft, fft_len);
-        if self.phys.len() < 3 * px {
-            self.phys.resize(3 * px, 0.0);
+    /// Grow every buffer to the sizes a stage over `fields` fields needs.
+    pub fn ensure(&mut self, fields: usize, px: usize, fft_len: usize) {
+        if self.fft.len() < fft_len {
+            self.fft.resize(fft_len, C64::new(0.0, 0.0));
+        }
+        if self.phys.len() < fields * px {
+            self.phys.resize(fields * px, Lanes::default());
         }
         if self.prod.len() < px {
-            self.prod.resize(px, 0.0);
+            self.prod.resize(px, Lanes::default());
         }
     }
 
-    /// A fresh, fully sized scratch (threaded workers).
-    pub fn sized(px: usize, pz: usize, fft_len: usize) -> LineScratch {
+    /// A fresh, fully sized scratch (threaded workers, unfused calls).
+    pub fn sized(fields: usize, px: usize, fft_len: usize) -> LineScratch {
         let mut s = LineScratch::default();
-        s.ensure(px, pz, fft_len);
+        s.ensure(fields, px, fft_len);
         s
     }
 }

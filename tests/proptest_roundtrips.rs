@@ -3,8 +3,8 @@
 use channel_dns::banded::testmat::CollocationLike;
 use channel_dns::banded::{BandedLu, BandedMatrix, CornerBanded, CornerLu, DenseLu};
 use channel_dns::bspline::{tanh_breakpoints, BsplineBasis, CollocationOps};
-use channel_dns::fft::dealias::{pad_full, truncate_full};
-use channel_dns::fft::{CfftPlan, Direction, RealLayout, RfftPlan, C64};
+use channel_dns::fft::dealias::{pad_full, pad_half, truncate_full, truncate_half};
+use channel_dns::fft::{CfftPlan, Direction, Lanes, RealLayout, RfftPlan, C64, LANES};
 use proptest::prelude::*;
 
 proptest! {
@@ -51,6 +51,121 @@ proptest! {
         plan.inverse(&spec, &mut back, &mut scratch);
         for (a, b) in back.iter().zip(&data) {
             prop_assert!((a / n as f64 - b).abs() < 1e-10);
+        }
+    }
+
+    /// lane-blocked multi-line transforms equal the single-line transform
+    /// bit for bit: any length (smooth, odd-prime radix, Bluestein), any
+    /// line count (partial last block), both directions
+    #[test]
+    fn cfft_lanes_equal_single_lines_bitwise(
+        n in 1usize..150,
+        lines in 1usize..(3 * LANES + 2),
+        inverse in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let dir = if inverse { Direction::Inverse } else { Direction::Forward };
+        let plan = CfftPlan::new(n, dir);
+        let mut scratch = plan.make_scratch();
+        let mut many = rand_complex(lines * n, seed);
+        let mut single = many.clone();
+        for line in single.chunks_exact_mut(n) {
+            plan.execute(line, &mut scratch);
+        }
+        plan.execute_many(&mut many, &mut scratch);
+        prop_assert!(same_bits(&many, &single), "execute_many n={} lines={}", n, lines);
+    }
+
+    /// ... and so does the entry with the 3/2-rule pad / truncate + scale
+    /// fused into its gather and scatter, with padding and without
+    #[test]
+    fn cfft_dealiased_lanes_equal_single_lines_bitwise(
+        half in 1usize..70,
+        lines in 1usize..(3 * LANES + 2),
+        inverse in any::<bool>(),
+        padded in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let modes = 2 * half;
+        let n = if padded { 2 * (3 * half).div_ceil(2) } else { modes };
+        let scale = if inverse { 1.0 } else { 1.0 / n as f64 };
+        let mut line = vec![C64::new(0.0, 0.0); n];
+        let mut want = Vec::new();
+        let (plan, src) = if inverse {
+            let plan = CfftPlan::new(n, Direction::Inverse);
+            let mut scratch = plan.make_scratch();
+            let src = rand_complex(lines * modes, seed);
+            for s in src.chunks_exact(modes) {
+                pad_full(s, &mut line);
+                plan.execute(&mut line, &mut scratch);
+                want.extend_from_slice(&line);
+            }
+            (plan, src)
+        } else {
+            let plan = CfftPlan::new(n, Direction::Forward);
+            let mut scratch = plan.make_scratch();
+            let src = rand_complex(lines * n, seed);
+            let mut kept = vec![C64::new(0.0, 0.0); modes];
+            for s in src.chunks_exact(n) {
+                line.copy_from_slice(s);
+                plan.execute(&mut line, &mut scratch);
+                for v in line.iter_mut() {
+                    *v *= scale;
+                }
+                truncate_full(&line, &mut kept);
+                want.extend_from_slice(&kept);
+            }
+            (plan, src)
+        };
+        let mut got = vec![C64::new(9.0, 9.0); want.len()];
+        plan.execute_dealiased(&src, modes, &mut got, scale, &mut plan.make_scratch());
+        prop_assert!(same_bits(&got, &want), "n={} modes={} lines={} inverse={}", n, modes, lines, inverse);
+    }
+
+    /// the lane-blocked real transforms (pad_half / truncate_half + scale
+    /// fused) equal the single-line ones bit for bit, both layouts
+    #[test]
+    fn rfft_lanes_equal_single_lines_bitwise(
+        h in 1usize..80,
+        lines in 1usize..(LANES + 1),
+        elide in any::<bool>(),
+        padded in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let n = 2 * h;
+        let layout = if elide { RealLayout::ElideNyquist } else { RealLayout::WithNyquist };
+        let plan = RfftPlan::new(n, layout);
+        let full = plan.spectrum_len();
+        let modes = if padded { (2 * full / 3).max(1) } else { full };
+        let mut scratch = plan.make_scratch();
+        // synthesis
+        let src = rand_complex(lines * modes, seed);
+        let mut phys = vec![Lanes([3.0; LANES]); n];
+        plan.inverse_lanes(&src, modes, &mut phys, &mut scratch);
+        let mut spec = vec![C64::new(0.0, 0.0); full];
+        let mut real = vec![0.0; n];
+        for (l, s) in src.chunks_exact(modes).enumerate() {
+            pad_half(s, &mut spec);
+            plan.inverse(&spec, &mut real, &mut scratch);
+            for j in 0..n {
+                prop_assert!(phys[j].0[l].to_bits() == real[j].to_bits(), "inverse n={} l={} j={}", n, l, j);
+            }
+        }
+        // analysis of what came out (lanes past `lines` are zero)
+        let scale = 1.0 / n as f64;
+        let mut got = vec![C64::new(9.0, 9.0); lines * modes];
+        plan.forward_lanes(&phys, &mut got, modes, scale, &mut scratch);
+        let mut want = vec![C64::new(0.0, 0.0); modes];
+        for (l, g) in got.chunks_exact(modes).enumerate() {
+            for j in 0..n {
+                real[j] = phys[j].0[l];
+            }
+            plan.forward(&real, &mut spec, &mut scratch);
+            truncate_half(&spec, &mut want);
+            for v in want.iter_mut() {
+                *v *= scale;
+            }
+            prop_assert!(same_bits(g, &want), "forward n={} l={}", n, l);
         }
     }
 
@@ -183,6 +298,13 @@ proptest! {
         let s: f64 = vals.iter().sum();
         prop_assert!((s - 1.0).abs() < 1e-12);
     }
+}
+
+fn same_bits(a: &[C64], b: &[C64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
 }
 
 fn rand_complex(n: usize, seed: u64) -> Vec<C64> {
