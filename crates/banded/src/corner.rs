@@ -272,43 +272,6 @@ impl CornerLu {
         let per_row = 2 * self.m.kl + 2 * (self.m.kl + self.m.ku) + 1;
         (self.m.n * per_row) as u64
     }
-
-    /// Solve with one step of iterative refinement against the original
-    /// (unfactored) matrix: `x1 = x0 + A^-1 (b - A x0)`. Unpivoted LU can
-    /// lose a few digits on less-dominant systems; a single refinement
-    /// pass recovers them at the cost of one matvec and one extra solve.
-    pub fn solve_refined(&self, a: &CornerBanded, b: &mut [f64]) {
-        let n = self.n();
-        assert_eq!(a.n(), n);
-        let rhs = b.to_vec();
-        self.solve(b);
-        let mut residual = vec![0.0; n];
-        a.matvec(b, &mut residual);
-        for (r, &want) in residual.iter_mut().zip(&rhs) {
-            *r = want - *r;
-        }
-        self.solve(&mut residual);
-        for (x, d) in b.iter_mut().zip(&residual) {
-            *x += d;
-        }
-    }
-
-    /// Complex-RHS variant of [`CornerLu::solve_refined`].
-    pub fn solve_refined_complex(&self, a: &CornerBanded, b: &mut [C64]) {
-        let n = self.n();
-        assert_eq!(a.n(), n);
-        let rhs = b.to_vec();
-        self.solve_complex(b);
-        let mut residual = vec![C64::new(0.0, 0.0); n];
-        a.matvec_complex(b, &mut residual);
-        for (r, &want) in residual.iter_mut().zip(&rhs) {
-            *r = want - *r;
-        }
-        self.solve_complex(&mut residual);
-        for (x, d) in b.iter_mut().zip(&residual) {
-            *x += d;
-        }
-    }
 }
 
 /// Threshold below which an unpivoted diagonal is declared singular.
@@ -642,76 +605,6 @@ mod tests {
             assert!((got[i].re - re[i]).abs() < 1e-10);
             assert!((got[i].im - im[i]).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn iterative_refinement_reduces_the_residual() {
-        // weakly dominant system: unpivoted LU leaves a larger residual,
-        // one refinement pass shrinks it
-        let n = 64;
-        let mut m = CornerBanded::zeros(n, 3, 3, 1, 1);
-        let mut state = 0x1234_5678_u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        for i in 0..n {
-            let ci = m.col_start(i);
-            for j in ci..(ci + m.width()).min(n) {
-                let in_band = j + 3 >= i && j <= i + 3;
-                let wide = i == 0 || i + 1 == n;
-                if in_band || wide {
-                    // barely dominant: diagonal ~ sum of off-diagonals
-                    m.set(i, j, if i == j { 3.2 + next() } else { next() + 0.45 });
-                }
-            }
-        }
-        let a = m.clone();
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut b = vec![0.0; n];
-        a.matvec(&x_true, &mut b);
-        let lu = CornerLu::factor(m).unwrap();
-
-        let residual_of = |x: &[f64]| -> f64 {
-            let mut ax = vec![0.0; n];
-            a.matvec(x, &mut ax);
-            ax.iter()
-                .zip(&b)
-                .map(|(p, q)| (p - q).abs())
-                .fold(0.0, f64::max)
-        };
-        let mut x_plain = b.clone();
-        lu.solve(&mut x_plain);
-        let mut x_ref = b.clone();
-        lu.solve_refined(&a, &mut x_ref);
-        let (r_plain, r_ref) = (residual_of(&x_plain), residual_of(&x_ref));
-        assert!(
-            r_ref <= r_plain * 1.001,
-            "refinement must not worsen: {r_ref} vs {r_plain}"
-        );
-        // and the refined solution is accurate
-        for (p, q) in x_ref.iter().zip(&x_true) {
-            assert!((p - q).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn complex_refinement_matches_real_refinement() {
-        let cfg = crate::testmat::CollocationLike::table1(7);
-        let a = cfg.corner();
-        let lu = CornerLu::factor(a.clone()).unwrap();
-        let mut b = cfg.rhs();
-        lu.solve_refined_complex(&a, &mut b);
-        // residual near machine precision
-        let mut ax = vec![C64::new(0.0, 0.0); cfg.n];
-        a.matvec_complex(&b, &mut ax);
-        let rhs = cfg.rhs();
-        let worst = ax
-            .iter()
-            .zip(&rhs)
-            .map(|(p, q)| (p - q).norm())
-            .fold(0.0, f64::max);
-        assert!(worst < 1e-11, "residual {worst}");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! compares them against the embedded Moser reference tables
 //! ([`dns_core::moser`]) within the documented per-region tolerances of
 //! [`dns_bench::validation`]. Writes `BENCH_validation.json` with the
-//! measured-vs-reference curves; with `--check` a failed comparison
+//! measured-vs-reference curves and, from the same run, the figure
+//! artefacts under `target/figures/` (`fig5_mean_velocity.csv`,
+//! `fig6_variances.csv`, `fig7_streamwise_velocity.pgm`,
+//! `fig8_spanwise_vorticity.pgm`); with `--check` a failed comparison
 //! exits nonzero, which is the CI contract:
 //!
 //! ```text
@@ -20,19 +23,18 @@
 //! every structure check must fail — proving the gate actually
 //! discriminates, not just that the tolerances are wide.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use dns_bench::report::Table;
-use dns_bench::validation::{all_pass, evaluate, Check, Tolerances};
-use dns_core::moser;
+use dns_bench::validation::{all_pass, evaluate, minimal_channel_params, Check, Tolerances};
 use dns_core::run::{
     execute, InitialCondition, ResumePolicy, RunConfig, RunControl, RunObserver, RunSpec,
     RunStatus, RunSummary,
 };
 use dns_core::solver::ChannelDns;
-use dns_core::stats::{HistorySample, Profiles, StatsConfig};
-use dns_core::Forcing;
+use dns_core::stats::{reichardt_u_plus, HistorySample, Profiles, StatsConfig};
+use dns_core::{io, moser, spectra, Forcing};
 use dns_json::Json;
 use dns_minimpi::FaultPlan;
 
@@ -179,7 +181,11 @@ impl RunObserver for CaptureStats {
     fn on_finish(&self, dns: &ChannelDns, summary: RunSummary) {
         if let Some(acc) = dns.stats() {
             *self.samples.lock().unwrap() = acc.count();
-            *self.mean.lock().unwrap() = acc.mean();
+            let mean = acc.mean();
+            if let Some(p) = &mean {
+                write_figures(dns, p).expect("write figure artefacts");
+            }
+            *self.mean.lock().unwrap() = mean;
             *self.history.lock().unwrap() = acc.history().to_vec();
         }
         if summary.root && summary.steps_ran > 0 {
@@ -193,12 +199,67 @@ impl RunObserver for CaptureStats {
     }
 }
 
-/// The validation run: the figure harnesses' minimal channel, driven
-/// through the production engine in its own directory (never the shared
-/// `target/figures` checkpoint — gate runs must be reproducible from a
-/// fresh state, not extend whatever a previous figure run left behind).
+/// The figure artefacts, from the gate run itself: the time-averaged
+/// profiles in wall units (figures 5 and 6) and the final instantaneous
+/// field (figure 7: `u(x, y)` at mid-span; figure 8: `omega_z(x, z)` at
+/// `y+ ~ 10`, plus the streak spacing read off the premultiplied
+/// spanwise spectrum of `u` at that height).
+fn write_figures(dns: &ChannelDns, mean: &Profiles) -> std::io::Result<()> {
+    let dir = Path::new("target/figures");
+    std::fs::create_dir_all(dir)?;
+    let (yp, up) = (mean.y_plus(), mean.u_plus());
+    let reich: Vec<f64> = yp.iter().map(|&y| reichardt_u_plus(y)).collect();
+    io::write_csv(
+        &dir.join("fig5_mean_velocity.csv"),
+        &[("y_plus", &yp), ("u_plus", &up), ("reichardt", &reich)],
+    )?;
+    let ut2 = (mean.u_tau * mean.u_tau).max(1e-300);
+    let plus = |v: &[f64], sign: f64| -> Vec<f64> { v.iter().map(|x| sign * x / ut2).collect() };
+    let (uu, vv) = (plus(&mean.uu, 1.0), plus(&mean.vv, 1.0));
+    let (ww, uv) = (plus(&mean.ww, 1.0), plus(&mean.uv, -1.0));
+    io::write_csv(
+        &dir.join("fig6_variances.csv"),
+        &[
+            ("y_plus", &yp),
+            ("uu_plus", &uu),
+            ("vv_plus", &vv),
+            ("ww_plus", &ww),
+            ("minus_uv_plus", &uv),
+        ],
+    )?;
+    let u = io::gather_physical(dns, dns.state().u()).expect("single rank gathers");
+    let (w, h, slice) = u.slice_xy(u.nz / 2);
+    io::write_pgm(&dir.join("fig7_streamwise_velocity.pgm"), w, h, &slice)?;
+    let oz = io::gather_physical(dns, &io::omega_z_coefficients(dns)).expect("single rank");
+    let nominal_re_tau = 1.0 / dns.params().nu;
+    let yj = (0..oz.ny)
+        .find(|&j| (1.0 + dns.ops().points()[j]) * nominal_re_tau > 10.0)
+        .unwrap_or(3);
+    let (w, h, slice) = oz.slice_xz(yj);
+    io::write_pgm(&dir.join("fig8_spanwise_vorticity.pgm"), w, h, &slice)?;
+    let (mut best_k, mut best) = (1usize, 0.0f64);
+    for (k, &e) in spectra::spanwise_u_spectrum_at(dns, yj)
+        .iter()
+        .enumerate()
+        .skip(1)
+    {
+        if k as f64 * e > best {
+            (best_k, best) = (k, k as f64 * e);
+        }
+    }
+    println!(
+        "  wrote {}/fig5..fig8; streak spacing lambda_z+ ~ {:.0} at y+ ~ 10 (canonical: ~100)",
+        dir.display(),
+        dns.params().lz * mean.re_tau / best_k as f64
+    );
+    Ok(())
+}
+
+/// The validation run: the minimal channel, driven through the
+/// production engine from a fresh state in its own directory (gate runs
+/// must be reproducible, so nothing is resumed).
 fn run_window(a: &Args) -> (Profiles, u64, Vec<HistorySample>) {
-    let mut params = dns_bench::channel_run::minimal_channel_params();
+    let mut params = minimal_channel_params();
     let ic = if a.laminar {
         // negative control: forcing off and no perturbation — the
         // near-wall cycle never forms, the mean shear slowly decays,
@@ -213,7 +274,7 @@ fn run_window(a: &Args) -> (Profiles, u64, Vec<HistorySample>) {
         }
     } else {
         // scaled-down laminar mean + finite perturbation: the most
-        // reliable transition for this box (see channel_run.rs)
+        // reliable transition for this box
         InitialCondition::SeededTransition {
             scale: 0.3,
             amplitude: 0.5,

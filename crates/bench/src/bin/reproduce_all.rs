@@ -1,7 +1,7 @@
 //! Run every table reproduction in sequence and write the reports to
 //! `target/reports/` — the one-command regeneration of the paper's
-//! quantitative artefacts (the figure binaries are separate because they
-//! run the real DNS for minutes each).
+//! quantitative artefacts (figures 5-8 come from `dns-validate`, which
+//! runs the real DNS for minutes).
 //!
 //! The sequence ends with the `dns-scaling` campaign harness, which
 //! probes the real stack, calibrates the machine model from harvested
@@ -9,8 +9,11 @@
 //! `BENCH_scalinglab.json` into the report directory (failing the whole
 //! reproduction if any overlap-region model error exceeds the bound).
 //!
+//! It launches its sibling binaries (including `dns-scaling` from another
+//! package), so build the whole workspace first:
+//!
 //! ```text
-//! cargo run --release -p dns-bench --bin reproduce_all
+//! cargo build --release --workspace && target/release/reproduce_all
 //! ```
 
 use std::path::Path;
@@ -18,7 +21,6 @@ use std::process::Command;
 
 fn main() {
     let out_dir = Path::new("target/reports");
-    std::fs::create_dir_all(out_dir).expect("create report directory");
     let campaign_args = vec![
         "--smoke".to_string(),
         "--check".to_string(),
@@ -31,16 +33,24 @@ fn main() {
         ("table3", vec![]),
         ("table4", vec![]),
         ("table5", vec![]),
-        ("table6", vec![]),
-        ("table9", vec![]),
-        ("table10", vec![]),
-        ("table11", vec![]),
         ("conclusions", vec![]),
         ("dns-scaling", campaign_args),
     ];
     // locate sibling binaries next to this executable
     let me = std::env::current_exe().expect("current exe");
     let bin_dir = me.parent().expect("bin dir");
+    if let Some(missing) = bins
+        .iter()
+        .map(|(b, _)| bin_dir.join(b))
+        .find(|p| !p.exists())
+    {
+        eprintln!(
+            "reproduce_all: {} is not built; run `cargo build --release --workspace` first",
+            missing.display()
+        );
+        std::process::exit(2);
+    }
+    std::fs::create_dir_all(out_dir).expect("create report directory");
     let mut failed = Vec::new();
     for (b, args) in &bins {
         print!("running {b:>12} ... ");

@@ -14,8 +14,6 @@
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::type_complexity)]
 
-pub mod channel_run;
-pub mod measured;
 pub mod paper;
 pub mod report;
 pub mod validation;

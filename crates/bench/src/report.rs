@@ -84,11 +84,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Format an optional time, using the paper's "N/A" for `None`.
-pub fn opt_secs(t: Option<f64>) -> String {
-    t.map(secs).unwrap_or_else(|| "N/A".into())
-}
-
 /// Cores of the host; a bench row using more threads than this is
 /// `oversubscribed` and its timings measure the scheduler.
 pub fn nproc() -> usize {
@@ -147,6 +142,5 @@ mod tests {
         assert_eq!(secs(1.234), "1.23");
         assert_eq!(secs(0.1234), "0.123");
         assert_eq!(pct(0.915), "91.5%");
-        assert_eq!(opt_secs(None), "N/A");
     }
 }

@@ -23,13 +23,12 @@
 #![allow(clippy::type_complexity)]
 
 mod basis;
-pub mod galerkin;
 mod grid;
 mod operators;
 
 pub use basis::BsplineBasis;
 pub use grid::{chebyshev_like_breakpoints, tanh_breakpoints, uniform_breakpoints};
-pub use operators::{integration_weights, resample, resample_complex, CollocationOps};
+pub use operators::{integration_weights, CollocationOps};
 
 #[cfg(test)]
 mod tests {

@@ -178,27 +178,6 @@ impl CollocationOps {
     }
 }
 
-/// Re-express a spline given by `coef` on `src` in the space of `dst`
-/// by interpolating its values at `dst`'s collocation points — the
-/// wall-normal grid-refinement primitive (restarting a run on a finer
-/// y grid).
-pub fn resample(src: &BsplineBasis, coef: &[f64], dst: &CollocationOps) -> Vec<f64> {
-    let vals: Vec<f64> = dst.points().iter().map(|&y| src.eval(coef, y)).collect();
-    dst.interpolate(&vals)
-}
-
-/// Complex-coefficient variant of [`resample`].
-pub fn resample_complex(src: &BsplineBasis, coef: &[C64], dst: &CollocationOps) -> Vec<C64> {
-    let re: Vec<f64> = coef.iter().map(|c| c.re).collect();
-    let im: Vec<f64> = coef.iter().map(|c| c.im).collect();
-    let vals: Vec<C64> = dst
-        .points()
-        .iter()
-        .map(|&y| C64::new(src.eval(&re, y), src.eval(&im, y)))
-        .collect();
-    dst.interpolate_complex(&vals)
-}
-
 /// Quadrature weights `w` such that `sum_i w[i] * f(xi_i)` approximates
 /// `int f dy` exactly for any function in the spline space: solve
 /// `B0^T w = q` with `q` the basis integrals.
@@ -355,40 +334,6 @@ mod tests {
         // weights are positive and sum to the domain length
         let s: f64 = w.iter().sum();
         assert!((s - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_is_exact_for_shared_polynomials() {
-        let src_basis = BsplineBasis::new(8, &tanh_breakpoints(10, 2.0));
-        let src_ops = CollocationOps::new(&src_basis);
-        let dst_ops = CollocationOps::new(&BsplineBasis::new(8, &tanh_breakpoints(17, 1.5)));
-        let f = |y: f64| 0.3 - y + 2.0 * y.powi(5);
-        let vals: Vec<f64> = src_ops.points().iter().map(|&y| f(y)).collect();
-        let coef = src_ops.interpolate(&vals);
-        let coef2 = resample(&src_basis, &coef, &dst_ops);
-        for &y in &[-0.9, -0.2, 0.4, 0.95] {
-            assert!(
-                (dst_ops.basis().eval(&coef2, y) - f(y)).abs() < 1e-10,
-                "y={y}"
-            );
-        }
-    }
-
-    #[test]
-    fn resample_to_finer_grid_preserves_smooth_functions() {
-        let src_basis = BsplineBasis::new(8, &tanh_breakpoints(14, 2.0));
-        let src_ops = CollocationOps::new(&src_basis);
-        let dst_ops = CollocationOps::new(&BsplineBasis::new(8, &tanh_breakpoints(28, 2.0)));
-        let f = |y: f64| (3.0 * y).sin();
-        let vals: Vec<f64> = src_ops.points().iter().map(|&y| f(y)).collect();
-        let coef = src_ops.interpolate(&vals);
-        let coef2 = resample(&src_basis, &coef, &dst_ops);
-        for &y in &[-0.7, 0.0, 0.66] {
-            assert!(
-                (dst_ops.basis().eval(&coef2, y) - f(y)).abs() < 1e-7,
-                "y={y}"
-            );
-        }
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //!         --crash-at-step 6 --recovery-log target/recovery.json
 //! ```
 
-use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -37,7 +36,7 @@ use dns_core::run::{
     RunStatus, RunSummary, StepCtx,
 };
 use dns_core::solver::ChannelDns;
-use dns_core::stats::{profiles, RunningStats};
+use dns_core::stats::{profiles, StatsConfig};
 use dns_core::{io, spectra, Forcing, Params};
 use dns_health::{SentinelConfig, StragglerConfig};
 use dns_minimpi::FaultPlan;
@@ -142,14 +141,14 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--stats-sample-every",
         value: Some("N"),
-        help: "accumulate checkpointed time-averaged turbulence statistics every N \
-               steps (default off; survives --resume and crash recovery bit-exactly)",
+        help: "sample the checkpointed time-averaged turbulence statistics every N \
+               steps (default: the --stats-every cadence; survives --resume and \
+               crash recovery bit-exactly)",
     },
     Flag {
         name: "--stats-warmup",
         value: Some("S"),
-        help: "steps to discard before the first statistics sample (default 0, \
-               only with --stats-sample-every)",
+        help: "steps to discard before the first statistics sample (default 0)",
     },
     Flag {
         name: "--checkpoint-every",
@@ -190,11 +189,6 @@ const FLAGS: &[Flag] = &[
         name: "--laminar-ic",
         value: None,
         help: "start from the laminar profile instead",
-    },
-    Flag {
-        name: "--no-batched",
-        value: None,
-        help: "per-mode scalar wall-normal solves instead of batched panels (oracle path)",
     },
     Flag {
         name: "--pipeline",
@@ -375,7 +369,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
             }
             "--laminar-ic" => args.ic = InitialCondition::Laminar { scale: 1.0 },
-            "--no-batched" => args.params.batched = false,
             "--pipeline" => args.params.pipeline = num(&flag, take(&mut i)?)?,
             "--grid" => {
                 let v = take(&mut i)?;
@@ -431,14 +424,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-thread_local! {
-    /// Per-rank running mean of the wall statistics, exactly as the old
-    /// monolithic driver kept one `RunningStats` per rank body. Rank
-    /// threads are distinct, so thread-local storage gives each rank its
-    /// own accumulator through the shared observer.
-    static ACC: RefCell<RunningStats> = RefCell::new(RunningStats::new());
-}
-
 /// The engine hooks that make `dns-run` feel like `dns-run`: live
 /// statistics lines, windowed telemetry reports, and the final
 /// profile/spectra/slice data products. Runs on every rank; printing is
@@ -454,14 +439,6 @@ struct CliObserver {
 
 impl RunObserver for CliObserver {
     fn on_start(&self, dns: &ChannelDns, resumed_from: Option<u64>, attempt: usize) {
-        // reset the per-rank print-cadence averager only on a *fresh*
-        // start: a resumed attempt keeps whatever this thread already
-        // accumulated. (The checkpointed engine accumulator behind
-        // --stats-sample-every is the authoritative cross-restart
-        // average; this one only backs the final CSV fallback.)
-        if resumed_from.is_none() {
-            ACC.with_borrow_mut(|acc| *acc = RunningStats::new());
-        }
         let root = dns.pfft().comm_a().rank() == 0 && dns.pfft().comm_b().rank() == 0;
         if let Some(step) = resumed_from {
             if root {
@@ -484,17 +461,23 @@ impl RunObserver for CliObserver {
 
     fn on_step(&self, dns: &ChannelDns, ctx: StepCtx) {
         if ctx.step.is_multiple_of(self.stats_every) {
-            let p = profiles(dns);
-            ACC.with_borrow_mut(|acc| acc.add(&p));
+            // the engine's sample for this step when it took one (the
+            // accumulator is rank-replicated, so every rank agrees on the
+            // branch); a print step off the sampling cadence reduces its own
+            let sampled = dns.stats().and_then(|acc| acc.history().last().copied());
+            let (u_tau, re_tau, bulk) = match sampled.filter(|h| h.step == ctx.step) {
+                Some(h) => (h.u_tau, h.re_tau, h.bulk_velocity),
+                None => {
+                    let p = profiles(dns);
+                    (p.u_tau, p.re_tau, p.bulk_velocity)
+                }
+            };
             let cfl = dns.cfl();
             if ctx.root {
                 println!(
-                    "step {:6}  t = {:7.3}  u_tau = {:.3}  Re_tau = {:6.1}  bulk = {:6.2}  CFL = {cfl:.2}",
+                    "step {:6}  t = {:7.3}  u_tau = {u_tau:.3}  Re_tau = {re_tau:6.1}  bulk = {bulk:6.2}  CFL = {cfl:.2}",
                     ctx.step,
                     dns.state().time,
-                    p.u_tau,
-                    p.re_tau,
-                    p.bulk_velocity,
                 );
             }
         }
@@ -530,20 +513,11 @@ impl RunObserver for CliObserver {
                 summary.wall_s / summary.steps_ran as f64 * 1e3
             );
         }
-        // final data products; precedence for the profile CSV: the
-        // checkpointed engine accumulator (restart-proof time average),
-        // then the print-cadence running mean, then one instantaneous
-        // snapshot. The fallbacks are collective, and every rank took
-        // the same stats steps, so all ranks agree on which branch runs
-        let p = dns.stats().and_then(|acc| acc.mean()).or_else(|| {
-            ACC.with_borrow(|acc| {
-                if acc.count() > 0 {
-                    Some(acc.mean())
-                } else {
-                    None
-                }
-            })
-        });
+        // final data products; the profile CSV is the checkpointed
+        // (restart-proof) time average, or one instantaneous snapshot
+        // when the run took no sample. The snapshot is collective; the
+        // accumulator is rank-replicated, so all ranks take one branch
+        let p = dns.stats().and_then(|acc| acc.mean());
         let p = p.unwrap_or_else(|| profiles(dns));
         let sp = spectra::spectra(dns);
         let phys = io::gather_physical(dns, dns.state().u());
@@ -661,8 +635,12 @@ fn main() {
             sentinels: SentinelConfig::default(),
         }),
         health_attempt_base: 0,
-        stats: (a.stats_sample_every > 0).then_some(dns_core::stats::StatsConfig {
-            every: a.stats_sample_every as u64,
+        stats: Some(StatsConfig {
+            every: if a.stats_sample_every > 0 {
+                a.stats_sample_every as u64
+            } else {
+                a.stats_every as u64
+            },
             warmup: a.stats_warmup as u64,
         }),
     };

@@ -53,7 +53,6 @@
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::type_complexity)]
 
-pub mod budget;
 pub mod checkpoint;
 pub mod headless;
 pub mod health;
@@ -64,7 +63,6 @@ pub mod nonlinear;
 pub mod orrsommerfeld;
 pub mod params;
 pub mod pressure;
-pub mod refine;
 pub mod rk3;
 pub mod run;
 pub mod solver;
@@ -72,7 +70,6 @@ pub mod solver;
 pub mod spectra;
 #[deny(missing_docs)]
 pub mod stats;
-pub mod vorticity;
 pub mod wallnormal;
 
 pub use params::{Forcing, Params};

@@ -52,12 +52,6 @@ pub struct Params {
     /// On-node worker threads for the transform line loops (the paper's
     /// OpenMP threading, section 4.2). 1 = serial.
     pub fft_threads: usize,
-    /// Route the implicit wall-normal solves through the batched
-    /// multi-RHS panel path (section 4.1.1's "many right-hand sides at
-    /// once"); false falls back to per-mode scalar sweeps, kept as the
-    /// agreement oracle. An execution knob: results agree to round-off
-    /// and the choice is excluded from [`Params::state_hash`].
-    pub batched: bool,
     /// Overlap depth of the fused nonlinear x-stage: split the local y
     /// rows into up to this many batches and keep the CommA transpose
     /// for the next batch in flight behind the current batch's FFT
@@ -87,16 +81,8 @@ impl Params {
             pa: 1,
             pb: 1,
             fft_threads: 1,
-            batched: true,
             pipeline: 4,
         }
-    }
-
-    /// Enable/disable the batched multi-RHS implicit path (on by
-    /// default; the scalar path is the agreement oracle).
-    pub fn with_batched(mut self, batched: bool) -> Params {
-        self.batched = batched;
-        self
     }
 
     /// Set the overlap depth of the fused x-stage transposes (default 4;
@@ -172,7 +158,7 @@ impl Params {
     /// basis, nonlinearity. Checkpoints store it so a restart under
     /// different physics is rejected instead of silently continuing a
     /// different simulation. Pure execution knobs (`pa`, `pb`,
-    /// `fft_threads`, `batched`, `pipeline`) are excluded: the decomposition is
+    /// `fft_threads`, `pipeline`) are excluded: the decomposition is
     /// validated separately, and results are layout-independent.
     pub fn state_hash(&self) -> u64 {
         fn mix(h: u64, v: u64) -> u64 {
@@ -226,7 +212,6 @@ mod tests {
             p.state_hash(),
             p.clone().with_grid(2, 2).with_fft_threads(4).state_hash()
         );
-        assert_eq!(p.state_hash(), p.clone().with_batched(false).state_hash());
         assert_eq!(p.state_hash(), p.clone().with_pipeline(0).state_hash());
         // physics does
         assert_ne!(p.state_hash(), p.clone().with_dt(2e-3).state_hash());

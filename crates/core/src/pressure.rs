@@ -28,14 +28,9 @@ pub fn pressure_coefficients(dns: &ChannelDns) -> Vec<C64> {
     pressure_from_h(dns, &h)
 }
 
-/// Pressure solve from precomputed convective fluxes. Routes every
-/// non-mean mode through one batched multi-RHS panel solve when
-/// `Params::batched` is on; [`pressure_from_h_scalar`] is the per-mode
-/// oracle (results agree to round-off).
+/// Pressure solve from precomputed convective fluxes: every non-mean
+/// mode goes through one batched multi-RHS panel solve.
 pub fn pressure_from_h(dns: &ChannelDns, h: &HFields) -> Vec<C64> {
-    if !dns.params().batched {
-        return pressure_from_h_scalar(dns, h);
-    }
     let ops = dns.ops();
     let ny = ops.n();
     let mut out = vec![C64::new(0.0, 0.0); dns.field_len()];
@@ -69,22 +64,6 @@ pub fn pressure_from_h(dns: &ChannelDns, h: &HFields) -> Vec<C64> {
     batch.solve_panel(&mut panel);
     for (r, &m) in batched.iter().enumerate() {
         panel.store_col(r, &mut out[dns.line_range(m)]);
-    }
-    out
-}
-
-/// Per-mode scalar pressure solve (the batched path's agreement oracle).
-pub fn pressure_from_h_scalar(dns: &ChannelDns, h: &HFields) -> Vec<C64> {
-    let mut out = vec![C64::new(0.0, 0.0); dns.field_len()];
-    for m in 0..dns.local_modes() {
-        if dns.is_nyquist(m) {
-            continue;
-        }
-        let r = dns.line_range(m);
-        let (mut rhs, op) = mode_system(dns, h, m);
-        let lu = CornerLu::factor(op).expect("pressure operator nonsingular");
-        lu.solve_complex(&mut rhs);
-        out[r].copy_from_slice(&rhs);
     }
     out
 }
@@ -219,6 +198,22 @@ mod tests {
     use crate::params::Params;
     use crate::solver::run_serial;
     use crate::stats::profiles;
+
+    /// Per-mode scalar pressure solve (the batched path's agreement oracle).
+    fn pressure_from_h_scalar(dns: &ChannelDns, h: &HFields) -> Vec<C64> {
+        let mut out = vec![C64::new(0.0, 0.0); dns.field_len()];
+        for m in 0..dns.local_modes() {
+            if dns.is_nyquist(m) {
+                continue;
+            }
+            let r = dns.line_range(m);
+            let (mut rhs, op) = mode_system(dns, h, m);
+            let lu = CornerLu::factor(op).expect("pressure operator nonsingular");
+            lu.solve_complex(&mut rhs);
+            out[r].copy_from_slice(&rhs);
+        }
+        out
+    }
 
     #[test]
     fn laminar_flow_has_no_pressure_fluctuations() {

@@ -56,8 +56,8 @@ pub enum InitialCondition {
     /// transition recipe the figure harnesses use for the minimal
     /// channel (the excess shear feeds the instability far more
     /// reliably than starting from the turbulent mean; see
-    /// `dns-bench::channel_run`). Used by the `dns-validate` science
-    /// gate.
+    /// `dns_bench::validation::minimal_channel_params`). Used by the
+    /// `dns-validate` science gate.
     SeededTransition {
         /// Laminar profile scale factor.
         scale: f64,
@@ -208,7 +208,10 @@ impl RunSpec {
         for v in [p.pa, p.pb, p.fft_threads, p.pipeline] {
             h = mix(h, v as u64);
         }
-        h = mix(h, p.batched as u64);
+        // the slot `Params::batched` occupied while the scalar wall-normal
+        // route was selectable: always 1 now, so digests embedded in specs
+        // written before its removal still verify
+        h = mix(h, 1);
         h = mix(h, self.steps);
         h = mix(h, self.ckpt_every);
         match self.ic {
@@ -289,7 +292,6 @@ impl RunSpec {
             .put("pa", Json::num(p.pa as u32))
             .put("pb", Json::num(p.pb as u32))
             .put("threads", Json::num(p.fft_threads as u32))
-            .put("batched", Json::Bool(p.batched))
             .put("pipeline", Json::num(p.pipeline as u32))
             .put("steps", Json::Num(self.steps as f64))
             .put("ckpt_every", Json::Num(self.ckpt_every as f64))
@@ -359,7 +361,11 @@ impl RunSpec {
         params.pa = u(&v, "pa")? as usize;
         params.pb = u(&v, "pb")? as usize;
         params.fft_threads = u(&v, "threads")? as usize;
-        params.batched = b(&v, "batched")?;
+        // accepted from older writers; asking for the removed scalar
+        // route must not silently run another
+        if v.get("batched").is_some() && !b(&v, "batched")? {
+            return Err(SpecError::Field("batched"));
+        }
         params.pipeline = u(&v, "pipeline")? as usize;
         let spec = RunSpec {
             name: s(&v, "name")?.to_string(),
@@ -1106,6 +1112,21 @@ mod tests {
         m.remove("hash");
         let spec = RunSpec::from_json(&Json::Obj(m).dump()).unwrap();
         assert_eq!(spec, tiny_spec());
+    }
+
+    #[test]
+    fn specs_written_before_the_batched_knob_was_removed_still_decode() {
+        // `tiny_spec().to_json()` as emitted at commit 5558978
+        const OLD: &str = r#"{"batched":true,"ckpt_every":2,"dt":0.001,"forcing":{"kind":"pressure_gradient","value":1},"hash":"389b938e81e50c5f","ic":{"kind":"laminar","scale":1},"kind":"run_spec","lx":6.283185307179586,"lz":3.141592653589793,"name":"tiny","nonlinear":true,"nu":0.02,"nx":16,"ny":25,"nz":16,"pa":1,"pb":1,"pipeline":4,"spline_order":8,"steps":4,"stretch":2,"threads":1,"version":1}"#;
+        // the embedded digest verifies, and the key is not written back
+        assert_eq!(RunSpec::from_json(OLD).unwrap(), tiny_spec());
+        assert_eq!(tiny_spec().to_json(), OLD.replace(r#""batched":true,"#, ""));
+        // a spec that asked for the removed scalar route is refused
+        let scalar = OLD.replace(r#""batched":true"#, r#""batched":false"#);
+        assert_eq!(
+            RunSpec::from_json(&scalar),
+            Err(SpecError::Field("batched"))
+        );
     }
 
     #[test]

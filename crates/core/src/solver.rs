@@ -11,10 +11,7 @@ use dns_telemetry as telemetry;
 use crate::nonlinear::{self, NlTerms, NlWorkspace};
 use crate::params::Params;
 use crate::rk3;
-use crate::wallnormal::{
-    dy_coefficients, dy_coefficients_into, dy_coefficients_panel, BatchNormalSolver, MeanSolver,
-    ModeSolver,
-};
+use crate::wallnormal::{dy_coefficients, dy_coefficients_panel, BatchNormalSolver, MeanSolver};
 use crate::C64;
 use dns_banded::RhsPanel;
 
@@ -24,10 +21,7 @@ enum ModeKind {
     Mean,
     /// The structurally-zero spanwise Nyquist slot.
     NyquistZ,
-    /// A regular mode with its factored wall-normal operators (scalar
-    /// per-mode path, `Params::batched = false`).
-    Normal(Box<ModeSolver>),
-    /// A regular mode whose solves run through the rank-wide
+    /// A regular mode; its solves run through the rank-wide
     /// [`BatchNormalSolver`] panels.
     Batched,
 }
@@ -83,8 +77,8 @@ pub struct PhaseTimers {
 }
 
 /// Reusable per-substep buffers for `advance_substep` (mean-profile
-/// staging, Helmholtz `B0 c`/`B2 c` scratch, derivative lines) — after
-/// the first step these never reallocate.
+/// staging and the wall-normal panels) — after the first step these
+/// never reallocate.
 #[derive(Default)]
 struct StepScratch {
     r0: Vec<f64>,
@@ -92,9 +86,7 @@ struct StepScratch {
     r2: Vec<f64>,
     r3: Vec<f64>,
     r4: Vec<f64>,
-    c0: Vec<C64>,
-    c1: Vec<C64>,
-    /// Batched-path panels (sized on first use, grow-only thereafter):
+    /// Wall-normal panels (sized on first use, grow-only thereafter):
     /// prognostic columns, new/old nonlinear terms, `B0 c`/`B2 c` matvec
     /// scratch, and the recovered `v` columns.
     pc: RhsPanel,
@@ -111,9 +103,8 @@ pub struct ChannelDns {
     pfft: ParallelFft,
     ops: CollocationOps,
     modes: Vec<ModeKind>,
-    /// The rank-wide batched wall-normal solver (`Params::batched`);
-    /// `None` when every normal mode carries its own [`ModeSolver`], or
-    /// when the rank owns no normal modes.
+    /// The rank-wide batched wall-normal solver; `None` only on a rank
+    /// that owns no regular mode (e.g. just the spanwise Nyquist slot).
     batch: Option<BatchNormalSolver>,
     /// Local mode indices behind `batch`, in panel-column order.
     batch_modes: Vec<usize>,
@@ -170,14 +161,9 @@ impl ChannelDns {
                 } else {
                     let kx = params.alpha() * kx_g as f64;
                     let kz = params.beta() * signed(kz_g, params.nz) as f64;
-                    let k2 = kx * kx + kz * kz;
-                    if params.batched {
-                        batch_modes.push(modes.len());
-                        batch_k2.push(k2);
-                        ModeKind::Batched
-                    } else {
-                        ModeKind::Normal(Box::new(ModeSolver::new(&ops, k2, params.nu, params.dt)))
-                    }
+                    batch_modes.push(modes.len());
+                    batch_k2.push(kx * kx + kz * kz);
+                    ModeKind::Batched
                 };
                 modes.push(kind);
             }
@@ -406,7 +392,7 @@ impl ChannelDns {
         let nz = self.params.nz;
         let kxlen = self.pfft.kx_block().len;
         for m in 0..self.local_modes() {
-            if !matches!(self.modes[m], ModeKind::Normal(_) | ModeKind::Batched) {
+            if !matches!(self.modes[m], ModeKind::Batched) {
                 continue;
             }
             let kx_g = self.pfft.kx_block().global(m % kxlen);
@@ -463,7 +449,7 @@ impl ChannelDns {
         let kxlen = self.pfft.kx_block().len;
         let nz = self.params.nz;
         for m in 0..self.local_modes() {
-            if !matches!(self.modes[m], ModeKind::Normal(_) | ModeKind::Batched) {
+            if !matches!(self.modes[m], ModeKind::Batched) {
                 continue;
             }
             let kx_g = self.pfft.kx_block().global(m % kxlen);
@@ -564,6 +550,13 @@ impl ChannelDns {
     }
 
     fn advance_substep(&mut self, i: usize, nl: &NlTerms, n_old: &NlTerms, sc: &mut StepScratch) {
+        self.advance_mean(i, nl, n_old, sc);
+        self.advance_panels(i, nl, n_old, sc);
+    }
+
+    /// The `(0, 0)` mode: mass-flux feedback, then the `<u>`, `<w>`
+    /// Helmholtz advances. Touches only the mean mode's lines.
+    fn advance_mean(&mut self, i: usize, nl: &NlTerms, n_old: &NlTerms, sc: &mut StepScratch) {
         let ny = self.params.ny;
         let nu = self.params.nu;
         let dt = self.params.dt;
@@ -597,165 +590,123 @@ impl ChannelDns {
         let f = self.dyn_force;
         let ops = &self.ops;
         let state = &mut self.state;
-        // Batched path: all normal modes advance as multi-RHS panels —
-        // gather the y-lines into SoA panels, sweep each banded system
-        // once across every mode, scatter back. Same per-mode arithmetic
-        // as the scalar arm below, vectorised over the mode index.
-        if let Some(batch) = &self.batch {
-            let w = batch.width();
-            sc.pc.reset(ny, w);
-            sc.pn.reset(ny, w);
-            sc.po.reset(ny, w);
-            sc.pb0.reset(ny, w);
-            sc.pb2.reset(ny, w);
-            sc.pv.reset(ny, w);
-            // omega_y: advance through the substep's Helmholtz solve
-            for (r, &m) in self.batch_modes.iter().enumerate() {
-                let rng = m * ny..(m + 1) * ny;
-                sc.pc.load_col(r, &state.omega_y[rng.clone()]);
-                sc.pn.load_col(r, &nl.h_g[rng.clone()]);
-                sc.po.load_col(r, &n_old.h_g[rng]);
+        for (m, kind) in self.modes.iter().enumerate() {
+            if !matches!(kind, ModeKind::Mean) {
+                continue;
             }
-            batch.advance_panel(
+            let r = m * ny..(m + 1) * ny;
+            // <u>: forced by the pressure gradient and -d<uv>/dy
+            sc.r0.clear();
+            sc.r0.extend(state.u[r.clone()].iter().map(|c| c.re));
+            sc.r1.clear();
+            sc.r1.extend(nl.mean_hx.iter().map(|h| h + f));
+            sc.r2.clear();
+            sc.r2.extend(n_old.mean_hx.iter().map(|h| h + f));
+            sc.r3.resize(ny, 0.0);
+            sc.r4.resize(ny, 0.0);
+            self.mean.advance_in(
+                ops, i, &mut sc.r0, &sc.r1, &sc.r2, nu, dt, &mut sc.r3, &mut sc.r4,
+            );
+            for (slot, &c) in state.u[r.clone()].iter_mut().zip(&sc.r0) {
+                *slot = C64::new(c, 0.0);
+            }
+            // <w>: unforced
+            sc.r0.clear();
+            sc.r0.extend(state.w[r.clone()].iter().map(|c| c.re));
+            self.mean.advance_in(
                 ops,
                 i,
-                &mut sc.pc,
-                &sc.pn,
-                &sc.po,
+                &mut sc.r0,
+                &nl.mean_hz,
+                &n_old.mean_hz,
                 nu,
                 dt,
-                &mut sc.pb0,
-                &mut sc.pb2,
+                &mut sc.r3,
+                &mut sc.r4,
             );
-            for (r, &m) in self.batch_modes.iter().enumerate() {
-                sc.pc.store_col(r, &mut state.omega_y[m * ny..(m + 1) * ny]);
-            }
-            // phi: advance, then recover v with the influence correction
-            for (r, &m) in self.batch_modes.iter().enumerate() {
-                let rng = m * ny..(m + 1) * ny;
-                sc.pc.load_col(r, &state.phi[rng.clone()]);
-                sc.pn.load_col(r, &nl.h_v[rng.clone()]);
-                sc.po.load_col(r, &n_old.h_v[rng]);
-            }
-            batch.advance_panel(
-                ops,
-                i,
-                &mut sc.pc,
-                &sc.pn,
-                &sc.po,
-                nu,
-                dt,
-                &mut sc.pb0,
-                &mut sc.pb2,
-            );
-            batch.solve_v_panel(ops, i, &mut sc.pc, &mut sc.pv);
-            for (r, &m) in self.batch_modes.iter().enumerate() {
-                sc.pc.store_col(r, &mut state.phi[m * ny..(m + 1) * ny]);
-                sc.pv.store_col(r, &mut state.v[m * ny..(m + 1) * ny]);
-            }
-            // u, w recovery: dv/dy for the whole panel, then per-mode
-            // combination with omega_y
-            dy_coefficients_panel(ops, &sc.pv, &mut sc.pb0);
-            let kxlen = self.pfft.kx_block().len;
-            for (r, &m) in self.batch_modes.iter().enumerate() {
-                let kx_g = self.pfft.kx_block().global(m % kxlen);
-                let kz_g = self.pfft.kz_block().global(m / kxlen);
-                let kx = self.params.alpha() * kx_g as f64;
-                let kz = self.params.beta() * signed(kz_g, self.params.nz) as f64;
-                let (ikx, ikz, k2) = (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz);
-                let base = m * ny;
-                for j in 0..ny {
-                    let vy = sc.pb0.at(j, r);
-                    let om = state.omega_y[base + j];
-                    state.u[base + j] = (ikx * vy - ikz * om) / k2;
-                    state.w[base + j] = (ikz * vy + ikx * om) / k2;
-                }
+            for (slot, &c) in state.w[r].iter_mut().zip(&sc.r0) {
+                *slot = C64::new(c, 0.0);
             }
         }
-        for (m, kind) in self.modes.iter().enumerate() {
-            let r = m * ny..(m + 1) * ny;
-            match kind {
-                ModeKind::NyquistZ => {}
-                ModeKind::Batched => {}
-                ModeKind::Mean => {
-                    // <u>: forced by the pressure gradient and -d<uv>/dy
-                    sc.r0.clear();
-                    sc.r0.extend(state.u[r.clone()].iter().map(|c| c.re));
-                    sc.r1.clear();
-                    sc.r1.extend(nl.mean_hx.iter().map(|h| h + f));
-                    sc.r2.clear();
-                    sc.r2.extend(n_old.mean_hx.iter().map(|h| h + f));
-                    sc.r3.resize(ny, 0.0);
-                    sc.r4.resize(ny, 0.0);
-                    self.mean.advance_in(
-                        ops, i, &mut sc.r0, &sc.r1, &sc.r2, nu, dt, &mut sc.r3, &mut sc.r4,
-                    );
-                    for (slot, &c) in state.u[r.clone()].iter_mut().zip(&sc.r0) {
-                        *slot = C64::new(c, 0.0);
-                    }
-                    // <w>: unforced
-                    sc.r0.clear();
-                    sc.r0.extend(state.w[r.clone()].iter().map(|c| c.re));
-                    self.mean.advance_in(
-                        ops,
-                        i,
-                        &mut sc.r0,
-                        &nl.mean_hz,
-                        &n_old.mean_hz,
-                        nu,
-                        dt,
-                        &mut sc.r3,
-                        &mut sc.r4,
-                    );
-                    for (slot, &c) in state.w[r].iter_mut().zip(&sc.r0) {
-                        *slot = C64::new(c, 0.0);
-                    }
-                }
-                ModeKind::Normal(ms) => {
-                    sc.c0.resize(ny, C64::new(0.0, 0.0));
-                    sc.c1.resize(ny, C64::new(0.0, 0.0));
-                    ms.advance_in(
-                        ops,
-                        i,
-                        &mut state.omega_y[r.clone()],
-                        &nl.h_g[r.clone()],
-                        &n_old.h_g[r.clone()],
-                        nu,
-                        dt,
-                        &mut sc.c0,
-                        &mut sc.c1,
-                    );
-                    ms.advance_in(
-                        ops,
-                        i,
-                        &mut state.phi[r.clone()],
-                        &nl.h_v[r.clone()],
-                        &n_old.h_v[r.clone()],
-                        nu,
-                        dt,
-                        &mut sc.c0,
-                        &mut sc.c1,
-                    );
-                    // v straight into the state (phi and v are disjoint
-                    // fields, so both lines borrow mutably at once)
-                    let (phi_line, v_line) = (&mut state.phi[r.clone()], &mut state.v[r.clone()]);
-                    ms.solve_v_into(ops, i, phi_line, v_line);
-                    // u, w recovery
-                    let (ikx, ikz, k2) = {
-                        let kxlen = self.pfft.kx_block().len;
-                        let kx_g = self.pfft.kx_block().global(m % kxlen);
-                        let kz_g = self.pfft.kz_block().global(m / kxlen);
-                        let kx = self.params.alpha() * kx_g as f64;
-                        let kz = self.params.beta() * signed(kz_g, self.params.nz) as f64;
-                        (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz)
-                    };
-                    dy_coefficients_into(ops, &state.v[r.clone()], &mut sc.c0, &mut sc.c1);
-                    for j in 0..ny {
-                        let om = state.omega_y[r.start + j];
-                        state.u[r.start + j] = (ikx * sc.c0[j] - ikz * om) / k2;
-                        state.w[r.start + j] = (ikz * sc.c0[j] + ikx * om) / k2;
-                    }
-                }
+    }
+
+    /// Every regular mode, as multi-RHS panels: gather the y-lines into
+    /// SoA panels, sweep each banded system once across every mode,
+    /// scatter back.
+    fn advance_panels(&mut self, i: usize, nl: &NlTerms, n_old: &NlTerms, sc: &mut StepScratch) {
+        let ny = self.params.ny;
+        let nu = self.params.nu;
+        let dt = self.params.dt;
+        let ops = &self.ops;
+        let state = &mut self.state;
+        let Some(batch) = &self.batch else { return };
+        let w = batch.width();
+        sc.pc.reset(ny, w);
+        sc.pn.reset(ny, w);
+        sc.po.reset(ny, w);
+        sc.pb0.reset(ny, w);
+        sc.pb2.reset(ny, w);
+        sc.pv.reset(ny, w);
+        // omega_y: advance through the substep's Helmholtz solve
+        for (r, &m) in self.batch_modes.iter().enumerate() {
+            let rng = m * ny..(m + 1) * ny;
+            sc.pc.load_col(r, &state.omega_y[rng.clone()]);
+            sc.pn.load_col(r, &nl.h_g[rng.clone()]);
+            sc.po.load_col(r, &n_old.h_g[rng]);
+        }
+        batch.advance_panel(
+            ops,
+            i,
+            &mut sc.pc,
+            &sc.pn,
+            &sc.po,
+            nu,
+            dt,
+            &mut sc.pb0,
+            &mut sc.pb2,
+        );
+        for (r, &m) in self.batch_modes.iter().enumerate() {
+            sc.pc.store_col(r, &mut state.omega_y[m * ny..(m + 1) * ny]);
+        }
+        // phi: advance, then recover v with the influence correction
+        for (r, &m) in self.batch_modes.iter().enumerate() {
+            let rng = m * ny..(m + 1) * ny;
+            sc.pc.load_col(r, &state.phi[rng.clone()]);
+            sc.pn.load_col(r, &nl.h_v[rng.clone()]);
+            sc.po.load_col(r, &n_old.h_v[rng]);
+        }
+        batch.advance_panel(
+            ops,
+            i,
+            &mut sc.pc,
+            &sc.pn,
+            &sc.po,
+            nu,
+            dt,
+            &mut sc.pb0,
+            &mut sc.pb2,
+        );
+        batch.solve_v_panel(ops, i, &mut sc.pc, &mut sc.pv);
+        for (r, &m) in self.batch_modes.iter().enumerate() {
+            sc.pc.store_col(r, &mut state.phi[m * ny..(m + 1) * ny]);
+            sc.pv.store_col(r, &mut state.v[m * ny..(m + 1) * ny]);
+        }
+        // u, w recovery: dv/dy for the whole panel, then per-mode
+        // combination with omega_y
+        dy_coefficients_panel(ops, &sc.pv, &mut sc.pb0);
+        let kxlen = self.pfft.kx_block().len;
+        for (r, &m) in self.batch_modes.iter().enumerate() {
+            let kx_g = self.pfft.kx_block().global(m % kxlen);
+            let kz_g = self.pfft.kz_block().global(m / kxlen);
+            let kx = self.params.alpha() * kx_g as f64;
+            let kz = self.params.beta() * signed(kz_g, self.params.nz) as f64;
+            let (ikx, ikz, k2) = (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz);
+            let base = m * ny;
+            for j in 0..ny {
+                let vy = sc.pb0.at(j, r);
+                let om = state.omega_y[base + j];
+                state.u[base + j] = (ikx * vy - ikz * om) / k2;
+                state.w[base + j] = (ikz * vy + ikx * om) / k2;
             }
         }
     }
@@ -908,6 +859,7 @@ where
 mod tests {
     use super::*;
     use crate::stats;
+    use crate::wallnormal::ModeSolver;
 
     fn tiny_params() -> Params {
         Params::channel(16, 25, 16, 50.0).with_dt(2e-3)
@@ -1017,17 +969,64 @@ mod tests {
         assert!(drift < 2e-3, "energy drift {drift} (e0={e0}, e1={e1})");
     }
 
+    /// One RK3 step with every regular mode advanced by its own scalar
+    /// [`ModeSolver`] sweeps instead of the panels — the per-mode
+    /// reference route (the mean mode shares `advance_mean`).
+    fn step_scalar(dns: &mut ChannelDns, solvers: &[(usize, ModeSolver)]) {
+        let (ny, nu, dt) = (dns.params.ny, dns.params.nu, dns.params.dt);
+        let (mut ws, mut sc) = (NlWorkspace::default(), StepScratch::default());
+        let (mut nl, mut n_old) = (NlTerms::default(), NlTerms::default());
+        n_old.reset(dns);
+        for i in 0..3 {
+            nonlinear::compute_into(dns, &mut nl, &mut ws);
+            dns.advance_mean(i, &nl, &n_old, &mut sc);
+            for (m, ms) in solvers {
+                let r = dns.line_range(*m);
+                let (ikx, ikz, k2) = dns.mode_wavenumbers(*m);
+                let (ops, state) = (&dns.ops, &mut dns.state);
+                let (hg, hg_old) = (&nl.h_g[r.clone()], &n_old.h_g[r.clone()]);
+                ms.advance(ops, i, &mut state.omega_y[r.clone()], hg, hg_old, nu, dt);
+                let (hv, hv_old) = (&nl.h_v[r.clone()], &n_old.h_v[r.clone()]);
+                ms.advance(ops, i, &mut state.phi[r.clone()], hv, hv_old, nu, dt);
+                let v = ms.solve_v(ops, i, &mut state.phi[r.clone()]);
+                state.v[r.clone()].copy_from_slice(&v);
+                let vy = dy_coefficients(ops, &v);
+                for j in 0..ny {
+                    let om = state.omega_y[r.start + j];
+                    state.u[r.start + j] = (ikx * vy[j] - ikz * om) / k2;
+                    state.w[r.start + j] = (ikz * vy[j] + ikx * om) / k2;
+                }
+            }
+            std::mem::swap(&mut nl, &mut n_old);
+            dns.state.time += (rk3::ALPHA[i] + rk3::BETA[i]) * dt;
+        }
+        dns.state.steps += 1;
+    }
+
     #[test]
     fn batched_step_matches_scalar_oracle() {
         // the batched panels and the per-mode scalar sweeps must produce
         // the same trajectory to round-off (they differ only in memory
         // layout and division-vs-reciprocal rounding)
         let run = |batched: bool| {
-            run_serial(tiny_params().with_batched(batched), |dns| {
+            run_serial(tiny_params(), move |dns| {
                 dns.set_laminar(1.0);
                 dns.add_perturbation(0.05, 9);
+                let solvers: Vec<(usize, ModeSolver)> = dns
+                    .batch_modes
+                    .iter()
+                    .map(|&m| {
+                        let k2 = dns.mode_wavenumbers(m).2;
+                        let p = &dns.params;
+                        (m, ModeSolver::new(&dns.ops, k2, p.nu, p.dt))
+                    })
+                    .collect();
                 for _ in 0..3 {
-                    dns.step();
+                    if batched {
+                        dns.step();
+                    } else {
+                        step_scalar(dns, &solvers);
+                    }
                 }
                 let s = dns.state();
                 [
@@ -1041,6 +1040,7 @@ mod tests {
         };
         let batched = run(true);
         let scalar = run(false);
+        assert!(scalar[1].iter().any(|c| c.norm() > 1e-6), "oracle ran");
         for (f, (bf, sf)) in batched.iter().zip(&scalar).enumerate() {
             for (j, (b, s)) in bf.iter().zip(sf).enumerate() {
                 assert!(

@@ -168,80 +168,6 @@ pub fn local_finite(dns: &ChannelDns) -> bool {
         .all(|c| c.re.is_finite() && c.im.is_finite())
 }
 
-/// Running time average of profiles.
-///
-/// This is the *ephemeral* in-process averager (used by observers that
-/// only live for one attempt). Long runs that must survive
-/// checkpoint/restore should use [`StatsAccumulator`], which rides in
-/// the checkpoint itself and therefore never silently resets when a
-/// crashed run is resumed.
-#[derive(Default)]
-pub struct RunningStats {
-    n: usize,
-    sum: Option<Profiles>,
-}
-
-impl RunningStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one snapshot.
-    pub fn add(&mut self, p: &Profiles) {
-        self.n += 1;
-        match &mut self.sum {
-            None => self.sum = Some(p.clone()),
-            Some(s) => {
-                for (a, b) in s.u_mean.iter_mut().zip(&p.u_mean) {
-                    *a += b;
-                }
-                for (a, b) in s.uu.iter_mut().zip(&p.uu) {
-                    *a += b;
-                }
-                for (a, b) in s.vv.iter_mut().zip(&p.vv) {
-                    *a += b;
-                }
-                for (a, b) in s.ww.iter_mut().zip(&p.ww) {
-                    *a += b;
-                }
-                for (a, b) in s.uv.iter_mut().zip(&p.uv) {
-                    *a += b;
-                }
-                s.u_tau += p.u_tau;
-                s.re_tau += p.re_tau;
-                s.bulk_velocity += p.bulk_velocity;
-            }
-        }
-    }
-
-    /// Number of accumulated snapshots.
-    pub fn count(&self) -> usize {
-        self.n
-    }
-
-    /// The averaged profiles.
-    ///
-    /// # Panics
-    /// If no snapshots were added.
-    pub fn mean(&self) -> Profiles {
-        let s = self.sum.as_ref().expect("no snapshots accumulated");
-        let inv = 1.0 / self.n as f64;
-        let scale = |v: &[f64]| v.iter().map(|x| x * inv).collect::<Vec<_>>();
-        Profiles {
-            y: s.y.clone(),
-            u_mean: scale(&s.u_mean),
-            uu: scale(&s.uu),
-            vv: scale(&s.vv),
-            ww: scale(&s.ww),
-            uv: scale(&s.uv),
-            u_tau: s.u_tau * inv,
-            re_tau: s.re_tau * inv,
-            bulk_velocity: s.bulk_velocity * inv,
-        }
-    }
-}
-
 /// Sampling policy for [`StatsAccumulator`].
 ///
 /// ```
@@ -588,32 +514,6 @@ mod tests {
             let l = log_law_u_plus(yp);
             assert!((r - l).abs() < 0.6, "y+={yp}: {r} vs {l}");
         }
-    }
-
-    #[test]
-    fn running_stats_averages() {
-        let base = Profiles {
-            y: vec![0.0],
-            u_mean: vec![1.0],
-            uu: vec![2.0],
-            vv: vec![0.0],
-            ww: vec![0.0],
-            uv: vec![-1.0],
-            u_tau: 1.0,
-            re_tau: 180.0,
-            bulk_velocity: 15.0,
-        };
-        let mut other = base.clone();
-        other.u_mean[0] = 3.0;
-        other.u_tau = 2.0;
-        let mut rs = RunningStats::new();
-        rs.add(&base);
-        rs.add(&other);
-        let m = rs.mean();
-        assert_eq!(rs.count(), 2);
-        assert!((m.u_mean[0] - 2.0).abs() < 1e-15);
-        assert!((m.u_tau - 1.5).abs() < 1e-15);
-        assert!((m.uu[0] - 2.0).abs() < 1e-15);
     }
 
     fn toy_profiles(scale: f64) -> Profiles {

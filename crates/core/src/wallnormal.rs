@@ -25,17 +25,9 @@ pub fn row_dot_complex(m: &CornerBanded, row: usize, c: &[C64]) -> C64 {
 /// Derivative in coefficient space: coefficients of `df/dy` from
 /// coefficients of `f` (`B0 c' = B1 c`).
 pub fn dy_coefficients(ops: &CollocationOps, c: &[C64]) -> Vec<C64> {
-    let mut out = vec![C64::new(0.0, 0.0); c.len()];
     let mut vals = vec![C64::new(0.0, 0.0); c.len()];
-    dy_coefficients_into(ops, c, &mut out, &mut vals);
-    out
-}
-
-/// [`dy_coefficients`] into caller-owned buffers (`vals` is overwritten
-/// scratch of the same length) — the zero-allocation hot-path variant.
-pub fn dy_coefficients_into(ops: &CollocationOps, c: &[C64], out: &mut [C64], vals: &mut [C64]) {
-    ops.b1().matvec_complex(c, vals);
-    ops.interpolate_complex_into(vals, out);
+    ops.b1().matvec_complex(c, &mut vals);
+    ops.interpolate_complex(&vals)
 }
 
 /// Influence-matrix data for one substep: two homogeneous Helmholtz
@@ -153,27 +145,8 @@ impl ModeSolver {
         let n = c.len();
         let mut b0c = vec![C64::new(0.0, 0.0); n];
         let mut b2c = vec![C64::new(0.0, 0.0); n];
-        self.advance_in(ops, i, c, n_new, n_old, nu, dt, &mut b0c, &mut b2c);
-    }
-
-    /// [`ModeSolver::advance`] with caller-owned `B0 c` / `B2 c` scratch
-    /// (both overwritten) — the zero-allocation hot-path variant.
-    #[allow(clippy::too_many_arguments)]
-    pub fn advance_in(
-        &self,
-        ops: &CollocationOps,
-        i: usize,
-        c: &mut [C64],
-        n_new: &[C64],
-        n_old: &[C64],
-        nu: f64,
-        dt: f64,
-        b0c: &mut [C64],
-        b2c: &mut [C64],
-    ) {
-        let n = c.len();
-        ops.b0().matvec_complex(c, b0c);
-        ops.b2().matvec_complex(c, b2c);
+        ops.b0().matvec_complex(c, &mut b0c);
+        ops.b2().matvec_complex(c, &mut b2c);
         let a = nu * dt * rk3::ALPHA[i];
         let g = dt * rk3::GAMMA[i];
         let z = dt * rk3::ZETA[i];
@@ -191,22 +164,15 @@ impl ModeSolver {
     /// (its wall values become the correction amplitudes). `c_phi` is
     /// updated in place; returns the coefficients of `v`.
     pub fn solve_v(&self, ops: &CollocationOps, i: usize, c_phi: &mut [C64]) -> Vec<C64> {
-        let mut c_v = vec![C64::new(0.0, 0.0); c_phi.len()];
-        self.solve_v_into(ops, i, c_phi, &mut c_v);
-        c_v
-    }
-
-    /// [`ModeSolver::solve_v`] writing `v` into a caller-owned buffer —
-    /// the zero-allocation hot-path variant.
-    pub fn solve_v_into(&self, ops: &CollocationOps, i: usize, c_phi: &mut [C64], c_v: &mut [C64]) {
         let n = c_phi.len();
-        ops.b0().matvec_complex(c_phi, c_v);
+        let mut c_v = vec![C64::new(0.0, 0.0); n];
+        ops.b0().matvec_complex(c_phi, &mut c_v);
         c_v[0] = C64::new(0.0, 0.0);
         c_v[n - 1] = C64::new(0.0, 0.0);
-        self.pois.solve_complex(c_v);
+        self.pois.solve_complex(&mut c_v);
         // residual wall slopes
-        let r0 = row_dot_complex(ops.b1(), 0, c_v);
-        let r1 = row_dot_complex(ops.b1(), n - 1, c_v);
+        let r0 = row_dot_complex(ops.b1(), 0, &c_v);
+        let r1 = row_dot_complex(ops.b1(), n - 1, &c_v);
         let g = &self.greens[i];
         let a = -(g.minv[0][0] * r0 + g.minv[0][1] * r1);
         let b = -(g.minv[1][0] * r0 + g.minv[1][1] * r1);
@@ -214,10 +180,11 @@ impl ModeSolver {
             c_phi[j] += a * g.c_phi_a[j] + b * g.c_phi_b[j];
             c_v[j] += a * g.c_v_a[j] + b * g.c_v_b[j];
         }
+        c_v
     }
 }
 
-/// Panel analogue of [`dy_coefficients_into`]: derivative coefficients
+/// Panel analogue of [`dy_coefficients`]: derivative coefficients
 /// of every column at once (`B0 c' = B1 c` swept as one panel against
 /// the shared `B0` factors). `out` is overwritten.
 pub fn dy_coefficients_panel(ops: &CollocationOps, c: &RhsPanel, out: &mut RhsPanel) {
@@ -315,7 +282,7 @@ impl BatchNormalSolver {
         self.width
     }
 
-    /// Panel analogue of [`ModeSolver::advance_in`]: advance one
+    /// Panel analogue of [`ModeSolver::advance`]: advance one
     /// prognostic panel (`omega_y` or `phi` columns) through RK substep
     /// `i`. `b0c`/`b2c` are overwritten matvec scratch panels of the
     /// same shape.
@@ -357,7 +324,7 @@ impl BatchNormalSolver {
         self.helm[i].solve_panel(c);
     }
 
-    /// Panel analogue of [`ModeSolver::solve_v_into`]: recover the `v`
+    /// Panel analogue of [`ModeSolver::solve_v`]: recover the `v`
     /// panel from the `phi` panel after substep `i`, applying the
     /// per-lane influence-matrix corrections so every column satisfies
     /// `v(+-1) = v'(+-1) = 0`. `c_phi` is corrected in place.

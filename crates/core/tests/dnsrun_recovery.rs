@@ -97,6 +97,36 @@ fn injected_crash_recovers_bitwise_identical_final_state() {
     assert!(events.contains("\"kind\":\"converged\""), "{events}");
 }
 
+/// The crash lands after the samples of steps 2, 4 and 6 and the restart
+/// checkpoint (step 6) is past them: the recovered run's time average
+/// must still hold all four samples, not only the post-restart one.
+#[test]
+fn recovered_run_writes_the_same_profiles_csv() {
+    let cadence = ["--stats-every", "2", "--checkpoint-every", "6"];
+    let ref_dir = fresh_dir("dnsrun_recovery_stats_ref");
+    let chaos_dir = fresh_dir("dnsrun_recovery_stats_chaos");
+    let control = Command::new(dns_run())
+        .args(base_args(&ref_dir))
+        .args(cadence)
+        .output()
+        .expect("spawn dns-run");
+    assert!(control.status.success(), "control run failed");
+    let chaos = Command::new(dns_run())
+        .args(base_args(&chaos_dir))
+        .args(cadence)
+        .args(["--crash-at-step", "7", "--max-restarts", "1"])
+        .output()
+        .expect("spawn dns-run");
+    let stdout = String::from_utf8_lossy(&chaos.stdout);
+    assert!(
+        chaos.status.success() && stdout.contains("resumed from step 6"),
+        "expected a recovery from the step-6 checkpoint in:\n{stdout}"
+    );
+    let a = std::fs::read(ref_dir.join("profiles.csv")).expect("control profiles");
+    let b = std::fs::read(chaos_dir.join("profiles.csv")).expect("recovered profiles");
+    assert_eq!(a, b, "recovered time average differs from the control's");
+}
+
 #[test]
 fn crash_without_restart_budget_exits_nonzero() {
     let dir = fresh_dir("dnsrun_recovery_fail");

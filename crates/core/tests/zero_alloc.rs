@@ -42,15 +42,13 @@ fn steady_rk3_step_performs_zero_heap_allocations() {
     // off here: disabled, its entire cost is one relaxed atomic load, so
     // the zero-allocation guarantee holds with monitoring built in
     assert!(!dns_health::enabled());
-    // pin the *batched* implicit path explicitly: the multi-RHS panels in
-    // StepScratch are grow-only, so they must not allocate once warm.
+    // the multi-RHS panels in StepScratch are grow-only, so they must
+    // not allocate once warm.
     // `with_pipeline(4)` pins that requesting transpose overlap keeps the
     // guarantee: a single-rank CommA group has no exchange to hide, so
     // the solver must stay on the monolithic zero-allocation route
     // rather than entering the (allocating) pipelined schedule
-    let params = dns_core::Params::channel(16, 25, 16, 100.0)
-        .with_batched(true)
-        .with_pipeline(4);
+    let params = dns_core::Params::channel(16, 25, 16, 100.0).with_pipeline(4);
     let allocs = dns_core::run_serial(params, |dns| {
         dns.set_laminar(1.0);
         dns.add_perturbation(0.3, 17);

@@ -66,9 +66,42 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
+/// Seal one serialized record as an append-only journal line
+/// `{"crc":C,"rec":R}` (no trailing newline), `C` the CRC-32 of `rec`'s
+/// bytes. `rec` must be canonical `dns_json` output so that
+/// [`unframe`] can re-derive the same bytes.
+pub fn frame(rec: &str) -> String {
+    format!("{{\"crc\":{},\"rec\":{rec}}}", crc32(rec.as_bytes()))
+}
+
+/// Verify one [`frame`]d line and return its record; `None` for a
+/// truncated, unparsable or corrupted line (the torn tail of a killed
+/// writer).
+pub fn unframe(line: &str) -> Option<dns_json::Json> {
+    let dns_json::Json::Obj(mut v) = dns_json::parse(line).ok()? else {
+        return None;
+    };
+    let crc = v.get("crc")?.as_u64()?;
+    let rec = v.remove("rec")?;
+    (u64::from(crc32(rec.dump().as_bytes())) == crc).then_some(rec)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frame_round_trips_and_rejects_damage() {
+        let line = frame(r#"{"a":1,"b":"x"}"#);
+        assert_eq!(line, r#"{"crc":4068419412,"rec":{"a":1,"b":"x"}}"#);
+        assert_eq!(unframe(&line).unwrap().dump(), r#"{"a":1,"b":"x"}"#);
+        assert!(unframe(&line[..line.len() - 3]).is_none(), "torn tail");
+        assert!(
+            unframe(&line.replace("\"x\"", "\"y\"")).is_none(),
+            "bit rot"
+        );
+        assert!(unframe("[1]").is_none());
+    }
 
     #[test]
     fn matches_the_standard_check_value() {

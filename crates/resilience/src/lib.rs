@@ -15,7 +15,8 @@
 //!   timeline of attempts, failures, restarts, and the final verdict,
 //!   exported as JSON for CI artifacts.
 //! * [`crc32`] / [`Crc32`] — the integrity primitive checkpoint records
-//!   and manifests are sealed with.
+//!   and manifests are sealed with; [`frame`] / [`unframe`] — the
+//!   `{"crc":C,"rec":R}` line codec of the append-only journals.
 //!
 //! Fault *injection* (the deterministic adversary these pieces are
 //! tested against) lives in [`FaultPlan`](dns_minimpi::FaultPlan); this
@@ -26,6 +27,6 @@ mod crc;
 mod events;
 mod supervisor;
 
-pub use crc::{crc32, Crc32};
+pub use crc::{crc32, frame, unframe, Crc32};
 pub use events::{events_to_json, EventKind, RecoveryEvent};
 pub use supervisor::{supervise, Attempt, Report, SupervisorConfig};

@@ -30,7 +30,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use dns_json::Json;
-use dns_resilience::crc32;
+use dns_resilience::{frame, unframe};
 
 /// Baseline window: the median over up to this many prior commits.
 pub const DEFAULT_WINDOW: usize = 5;
@@ -63,19 +63,12 @@ impl PerfRecord {
 
     /// One store line: `{"crc":C,"rec":{…}}`.
     pub fn to_line(&self) -> String {
-        let rec = self.rec_json().dump();
-        let crc = crc32(rec.as_bytes());
-        format!("{{\"crc\":{crc},\"rec\":{rec}}}")
+        frame(&self.rec_json().dump())
     }
 
     /// Decode and CRC-verify one store line.
     pub fn from_line(line: &str) -> Option<PerfRecord> {
-        let v = dns_json::parse(line).ok()?;
-        let crc = v.get("crc")?.as_u64()? as u32;
-        let rec = v.get("rec")?;
-        if crc32(rec.dump().as_bytes()) != crc {
-            return None;
-        }
+        let rec = unframe(line)?;
         let mut metrics = BTreeMap::new();
         if let Json::Obj(map) = rec.get("metrics")? {
             for (k, mv) in map {

@@ -21,7 +21,7 @@ use std::path::Path;
 
 use dns_core::run::RunSpec;
 use dns_json::Json;
-use dns_resilience::crc32;
+use dns_resilience::{frame, unframe};
 
 use crate::scheduler::{Job, JobId, JobState};
 
@@ -151,21 +151,13 @@ impl Record {
 
     /// The CRC-sealed journal line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let rec = self.to_json().dump();
-        let crc = crc32(rec.as_bytes());
-        format!("{{\"crc\":{crc},\"rec\":{rec}}}")
+        frame(&self.to_json().dump())
     }
 
     /// Decode and verify one journal line. `None` for truncated,
     /// unparsable, or corrupted lines.
     pub fn from_line(line: &str) -> Option<Record> {
-        let v = dns_json::parse(line).ok()?;
-        let crc = v.get("crc")?.as_u64()? as u32;
-        let rec = v.get("rec")?;
-        if crc32(rec.dump().as_bytes()) != crc {
-            return None;
-        }
-        Record::from_json(rec)
+        Record::from_json(&unframe(line)?)
     }
 }
 

@@ -9,7 +9,7 @@
 //! production run (see DESIGN.md): identical code path, small box.
 
 use channel_dns::core_solver::io::{ascii_art, gather_physical};
-use channel_dns::core_solver::stats::{profiles, RunningStats};
+use channel_dns::core_solver::stats::{profiles, StatsAccumulator, StatsConfig};
 use channel_dns::core_solver::{run_serial, Params};
 
 fn main() {
@@ -29,10 +29,14 @@ fn main() {
     run_serial(params, move |dns| {
         dns.set_laminar(0.3);
         dns.add_perturbation(0.5, 2024);
-        let mut acc = RunningStats::new();
+        let every = (steps / 8).max(1);
+        let mut acc = StatsAccumulator::new(StatsConfig {
+            every: every as u64,
+            warmup: (steps / 2) as u64,
+        });
         for s in 1..=steps {
             dns.step();
-            if s % (steps / 8).max(1) == 0 {
+            if s % every == 0 {
                 let p = profiles(dns);
                 println!(
                     "step {s:5}  t = {:.2}  u_tau = {:.3}  Re_tau = {:5.1}  peak u'u' = {:.2}",
@@ -42,12 +46,11 @@ fn main() {
                     p.uu.iter().cloned().fold(0.0, f64::max)
                 );
                 if s > steps / 2 {
-                    acc.add(&p);
+                    acc.add_profiles(&p, dns.state().steps, dns.state().time);
                 }
             }
         }
-        if acc.count() > 0 {
-            let m = acc.mean();
+        if let Some(m) = acc.mean() {
             println!(
                 "\naveraged over the last half: u_tau = {:.3}, Re_tau = {:.1}",
                 m.u_tau, m.re_tau

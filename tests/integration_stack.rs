@@ -175,3 +175,94 @@ fn pencil_cycle_over_both_communicators_is_identity() {
     });
     assert!(results.into_iter().all(|ok| ok));
 }
+
+/// The production run path end to end: `run::execute` with statistics
+/// on is paused (one checkpoint), then resumed by a second `execute`,
+/// and the time-average continues from the checkpointed accumulator
+/// instead of restarting.
+#[test]
+fn paused_run_resumes_its_statistics_through_execute() {
+    use channel_dns::core_solver::run::{
+        execute, InitialCondition, ResumePolicy, RunConfig, RunControl, RunObserver, RunSpec,
+        RunStatus, RunSummary, StepCtx,
+    };
+    use channel_dns::core_solver::stats::StatsConfig;
+    use channel_dns::core_solver::{ChannelDns, Params};
+    use std::sync::{Arc, Mutex};
+
+    /// Pauses the run after `pause_at` steps; records the sample count
+    /// at start and the sampled steps at finish.
+    struct Probe {
+        ctl: Arc<RunControl>,
+        pause_at: u64,
+        start_count: Mutex<Option<u64>>,
+        sampled: Mutex<Vec<u64>>,
+    }
+    impl RunObserver for Probe {
+        fn on_start(&self, dns: &ChannelDns, _resumed_from: Option<u64>, _attempt: usize) {
+            *self.start_count.lock().unwrap() = dns.stats().map(|acc| acc.count());
+        }
+        fn on_step(&self, _dns: &ChannelDns, ctx: StepCtx) {
+            if ctx.step == self.pause_at {
+                self.ctl.request_pause();
+            }
+        }
+        fn on_finish(&self, dns: &ChannelDns, _summary: RunSummary) {
+            let acc = dns.stats().expect("statistics enabled");
+            assert_eq!(acc.count() as usize, acc.history().len());
+            *self.sampled.lock().unwrap() = acc.history().iter().map(|h| h.step).collect();
+        }
+    }
+
+    let dir = std::env::temp_dir().join(format!("integration-execute-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = RunSpec {
+        name: "integration".into(),
+        params: Params::channel(16, 17, 16, 50.0).with_dt(1e-3),
+        steps: 4,
+        ckpt_every: 0,
+        ic: InitialCondition::Turbulent {
+            amplitude: 0.1,
+            seed: 3,
+        },
+    };
+    let mut cfg = RunConfig::in_dir(&dir);
+    cfg.stats = Some(StatsConfig {
+        every: 1,
+        warmup: 0,
+    });
+    let run = |cfg: &RunConfig, pause_at: u64| {
+        let ctl = Arc::new(RunControl::new());
+        let probe = Arc::new(Probe {
+            ctl: Arc::clone(&ctl),
+            pause_at,
+            start_count: Mutex::new(None),
+            sampled: Mutex::new(Vec::new()),
+        });
+        let outcome = execute(
+            &spec,
+            cfg,
+            ctl,
+            Arc::clone(&probe) as Arc<dyn RunObserver>,
+            |_| minimpi::FaultPlan::none(),
+        );
+        let start_count = *probe.start_count.lock().unwrap();
+        let sampled = probe.sampled.lock().unwrap().clone();
+        (outcome, start_count, sampled)
+    };
+
+    let (first, start_count, _) = run(&cfg, 2);
+    assert_eq!((first.status, first.steps_done), (RunStatus::Paused, 2));
+    assert_eq!(start_count, Some(0));
+
+    cfg.resume = ResumePolicy::IfPresent;
+    let (second, start_count, sampled) = run(&cfg, u64::MAX);
+    assert_eq!((second.status, second.steps_done), (RunStatus::Done, 4));
+    assert_eq!(
+        start_count,
+        Some(2),
+        "the accumulator came back with the state"
+    );
+    assert_eq!(sampled, [1, 2, 3, 4], "history continues across the pause");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,7 +5,7 @@
 //! cargo test --release --test long_turbulence -- --ignored
 //! ```
 
-use channel_dns::core_solver::stats::{profiles, reichardt_u_plus, RunningStats};
+use channel_dns::core_solver::stats::{profiles, reichardt_u_plus, StatsAccumulator, StatsConfig};
 use channel_dns::core_solver::{run_serial, Params};
 
 fn minimal_params() -> Params {
@@ -59,14 +59,17 @@ fn mean_profile_approaches_the_law_of_the_wall() {
         for _ in 0..4000 {
             dns.step();
         }
-        let mut acc = RunningStats::new();
+        let mut acc = StatsAccumulator::new(StatsConfig {
+            every: 20,
+            warmup: 4000,
+        });
         for s in 0..4000 {
             dns.step();
             if s % 20 == 0 {
-                acc.add(&profiles(dns));
+                acc.sample(dns);
             }
         }
-        acc.mean()
+        acc.mean().expect("200 samples")
     });
     let yp = mean.y_plus();
     let up = mean.u_plus();
