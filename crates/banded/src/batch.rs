@@ -15,19 +15,24 @@
 //!   row/part slab is exactly one cache line of `f64`s;
 //! * [`BatchedFactor`] — `width` factored operators packed in the same
 //!   lane layout (factor once per operator, reciprocal diagonals
-//!   precomputed), whose [`solve_panel`](BatchedFactor::solve_panel)
-//!   runs the forward/backward sweeps with all lane operations
-//!   elementwise and autovectorizable;
+//!   precomputed), swept by [`solve_panel`](BatchedFactor::solve_panel);
 //! * [`CornerLu::solve_panel`] / [`CornerBanded::matvec_panel`] — the
 //!   *shared-operator* variants (one real operator broadcast over every
 //!   lane), used for the B-spline interpolation (`B0`) solves and
 //!   banded matvecs that surround the implicit solves.
 //!
-//! Per mode the arithmetic sequence is identical to the scalar kernels
-//! (same sweep order, same reciprocal-multiply division), so batched
-//! results agree with per-mode [`CornerLu::solve_complex`] calls to
-//! round-off; the property tests in `tests/batch_oracle.rs` pin the
-//! agreement at 1e-12 across random bandwidths and corner structures.
+//! The three block sweeps are one kernel family: per output row the
+//! [`LANES`] real and [`LANES`] imaginary lanes live in registers across
+//! the whole band and are stored once, each sweep written as one body
+//! compiled for the build target and for AVX (selected at run time). Per
+//! lane the arithmetic sequence is identical to the scalar kernels (same
+//! sweep order, multiply then add/subtract, never fused, same
+//! reciprocal-multiply division), so the shared-operator sweeps equal
+//! [`CornerLu::solve_complex`] / [`CornerBanded::matvec_complex`] bit for
+//! bit (unit tests here, a seeded property in `tests/batch_property.rs`),
+//! and the per-lane-factor solve agrees with per-mode `solve_complex`
+//! calls to round-off, pinned there at 1e-12 across random bandwidths
+//! and corner structures.
 //!
 //! # Example
 //!
@@ -83,15 +88,64 @@ use crate::{LinalgError, C64};
 /// fills one register, AVX2/NEON unroll by two/four with no remainder).
 pub const LANES: usize = 8;
 
+/// One row of a lane block: element `j` of [`LANES`] complex columns,
+/// real parts then imaginary parts, two cache lines.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(C, align(64))]
+pub struct LaneRow {
+    /// Real parts, one per lane.
+    pub re: [f64; LANES],
+    /// Imaginary parts, one per lane.
+    pub im: [f64; LANES],
+}
+
+impl LaneRow {
+    /// All lanes zero.
+    pub const ZERO: LaneRow = LaneRow {
+        re: [0.0; LANES],
+        im: [0.0; LANES],
+    };
+
+    /// Lane `l` as a complex number.
+    #[inline(always)]
+    pub fn get(&self, l: usize) -> C64 {
+        C64::new(self.re[l], self.im[l])
+    }
+
+    /// Store `v` in lane `l`.
+    #[inline(always)]
+    pub fn set(&mut self, l: usize, v: C64) {
+        self.re[l] = v.re;
+        self.im[l] = v.im;
+    }
+
+    /// `self -= f * x` with one real factor per lane: multiply, then
+    /// subtract (never fused), the scalar kernels' rounding.
+    #[inline(always)]
+    fn sub_mul(&mut self, f: &[f64; LANES], x: &LaneRow) {
+        for l in 0..LANES {
+            self.re[l] -= f[l] * x.re[l];
+            self.im[l] -= f[l] * x.im[l];
+        }
+    }
+
+    /// `self *= f`, lane by lane.
+    #[inline(always)]
+    fn scale(&mut self, f: &[f64; LANES]) {
+        for l in 0..LANES {
+            self.re[l] *= f[l];
+            self.im[l] *= f[l];
+        }
+    }
+}
+
 /// A structure-of-arrays panel of complex right-hand sides.
 ///
-/// The `width` columns are grouped into blocks of [`LANES`]; within a
-/// block, row `j` stores the real parts of all lanes contiguously and
-/// then the imaginary parts (`[re0..re7, im0..im7]`), so every
-/// elementwise operation of a banded sweep touches whole `f64` cache
-/// lines with stride 1. Columns beyond `width` in the last block are
-/// zero-padded and solved against identity factors, so they stay finite
-/// and are never read back.
+/// The `width` columns are grouped into blocks of [`LANES`]; a block is
+/// `n` consecutive [`LaneRow`]s, so every elementwise operation of a
+/// banded sweep touches whole `f64` cache lines with stride 1. Columns
+/// beyond `width` in the last block are zero-padded and solved against
+/// identity factors, so they stay finite and are never read back.
 ///
 /// Buffers grow monotonically: [`RhsPanel::reset`] only reallocates when
 /// the requested shape exceeds the current capacity, which is what lets
@@ -100,23 +154,13 @@ pub const LANES: usize = 8;
 pub struct RhsPanel {
     n: usize,
     width: usize,
-    data: Vec<f64>,
-}
-
-/// Scalars per block: `n` rows × (re + im) × [`LANES`].
-#[inline]
-fn block_len(n: usize) -> usize {
-    n * 2 * LANES
+    data: Vec<LaneRow>,
 }
 
 impl RhsPanel {
     /// Create a zeroed panel of `width` length-`n` complex columns.
     pub fn new(n: usize, width: usize) -> Self {
-        let mut p = RhsPanel {
-            n: 0,
-            width: 0,
-            data: Vec::new(),
-        };
+        let mut p = RhsPanel::default();
         p.reset(n, width);
         p
     }
@@ -124,12 +168,11 @@ impl RhsPanel {
     /// Resize to `width` columns of length `n` and zero the contents.
     /// Grow-only: shrinking or same-size reshapes reuse the allocation.
     pub fn reset(&mut self, n: usize, width: usize) {
-        let blocks = width.div_ceil(LANES);
-        let len = blocks * block_len(n);
+        let len = width.div_ceil(LANES) * n;
         if len > self.data.len() {
-            self.data.resize(len, 0.0);
+            self.data.resize(len, LaneRow::ZERO);
         }
-        self.data[..len].fill(0.0);
+        self.data[..len].fill(LaneRow::ZERO);
         self.n = n;
         self.width = width;
     }
@@ -146,75 +189,48 @@ impl RhsPanel {
     pub fn blocks(&self) -> usize {
         self.width.div_ceil(LANES)
     }
-    /// Active lanes in block `b` (all [`LANES`] except possibly the last).
-    pub fn active_lanes(&self, b: usize) -> usize {
-        (self.width - b * LANES).min(LANES)
+
+    /// The `n` rows of block `b`.
+    #[inline]
+    pub fn block(&self, b: usize) -> &[LaneRow] {
+        &self.data[b * self.n..(b + 1) * self.n]
     }
 
+    /// Mutable rows of block `b`.
     #[inline]
-    fn offset(&self, b: usize, j: usize) -> usize {
-        (b * self.n + j) * 2 * LANES
+    pub fn block_mut(&mut self, b: usize) -> &mut [LaneRow] {
+        &mut self.data[b * self.n..(b + 1) * self.n]
     }
 
-    /// The real/imaginary lane slabs of row `j` in block `b`.
-    #[inline]
-    pub fn row(&self, b: usize, j: usize) -> (&[f64; LANES], &[f64; LANES]) {
-        let o = self.offset(b, j);
-        let s = &self.data[o..o + 2 * LANES];
-        let (re, im) = s.split_at(LANES);
-        (re.try_into().unwrap(), im.try_into().unwrap())
-    }
-
-    /// Mutable real/imaginary lane slabs of row `j` in block `b`.
-    #[inline]
-    pub fn row_mut(&mut self, b: usize, j: usize) -> (&mut [f64; LANES], &mut [f64; LANES]) {
-        let o = self.offset(b, j);
-        let s = &mut self.data[o..o + 2 * LANES];
-        let (re, im) = s.split_at_mut(LANES);
-        (re.try_into().unwrap(), im.try_into().unwrap())
+    /// The active rows, block after block.
+    fn rows_mut(&mut self) -> &mut [LaneRow] {
+        let len = self.blocks() * self.n;
+        &mut self.data[..len]
     }
 
     /// Read element `(j, r)` — row `j` of column `r`.
     pub fn at(&self, j: usize, r: usize) -> C64 {
-        let (b, l) = (r / LANES, r % LANES);
-        let o = self.offset(b, j);
-        C64::new(self.data[o + l], self.data[o + LANES + l])
+        self.block(r / LANES)[j].get(r % LANES)
     }
 
     /// Write element `(j, r)`.
     pub fn set(&mut self, j: usize, r: usize, v: C64) {
-        let (b, l) = (r / LANES, r % LANES);
-        let o = self.offset(b, j);
-        self.data[o + l] = v.re;
-        self.data[o + LANES + l] = v.im;
-    }
-
-    /// Zero row `j` across every column (boundary-condition rows).
-    pub fn zero_row(&mut self, j: usize) {
-        for b in 0..self.blocks() {
-            let o = self.offset(b, j);
-            self.data[o..o + 2 * LANES].fill(0.0);
-        }
+        self.block_mut(r / LANES)[j].set(r % LANES, v);
     }
 
     /// Scatter a length-`n` complex vector into column `r`.
     pub fn load_col(&mut self, r: usize, src: &[C64]) {
         assert_eq!(src.len(), self.n);
-        let (b, l) = (r / LANES, r % LANES);
-        for (j, v) in src.iter().enumerate() {
-            let o = self.offset(b, j);
-            self.data[o + l] = v.re;
-            self.data[o + LANES + l] = v.im;
+        for (row, &v) in self.block_mut(r / LANES).iter_mut().zip(src) {
+            row.set(r % LANES, v);
         }
     }
 
     /// Gather column `r` back into a length-`n` complex vector.
     pub fn store_col(&self, r: usize, dst: &mut [C64]) {
         assert_eq!(dst.len(), self.n);
-        let (b, l) = (r / LANES, r % LANES);
-        for (j, v) in dst.iter_mut().enumerate() {
-            let o = self.offset(b, j);
-            *v = C64::new(self.data[o + l], self.data[o + LANES + l]);
+        for (row, v) in self.block(r / LANES).iter().zip(dst) {
+            *v = row.get(r % LANES);
         }
     }
 
@@ -224,6 +240,63 @@ impl RhsPanel {
         self.store_col(r, &mut v);
         v
     }
+}
+
+/// Gather the `blk.len()`-long line of `src` that starts at `start(m)`
+/// into lane `l` of a block, for each `m = modes[l]`. The remaining lanes
+/// become zero, so whatever a sweep computes in them stays zero (never
+/// merely finite).
+pub fn gather_lanes(
+    blk: &mut [LaneRow],
+    src: &[C64],
+    modes: &[usize],
+    start: impl Fn(usize) -> usize,
+) {
+    for l in 0..LANES {
+        let line = modes.get(l).map(|&m| &src[start(m)..][..blk.len()]);
+        for (j, row) in blk.iter_mut().enumerate() {
+            row.set(l, line.map_or(C64::new(0.0, 0.0), |x| x[j]));
+        }
+    }
+}
+
+/// Scatter lane `l` of a block to the line of `dst` that starts at
+/// `start(m)`, for each `m = modes[l]`.
+pub fn scatter_lanes(
+    blk: &[LaneRow],
+    dst: &mut [C64],
+    modes: &[usize],
+    start: impl Fn(usize) -> usize,
+) {
+    for (l, &m) in modes.iter().enumerate() {
+        for (row, v) in blk.iter().zip(&mut dst[start(m)..][..blk.len()]) {
+            *v = row.get(l);
+        }
+    }
+}
+
+/// Define `$name(args..)` as the runtime-selected instantiation of the
+/// `#[inline(always)]` block sweep `$body`: the same body compiled once
+/// for the build target and once with AVX enabled. FMA is deliberately
+/// not enabled (and Rust never contracts `a * b + c` on its own), so both
+/// instantiations round identically, and identically to the scalar
+/// kernels whose operations they repeat lane by lane.
+macro_rules! isa_fn {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) = $body:path) => {
+        $(#[$doc])*
+        fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx") {
+                #[target_feature(enable = "avx")]
+                unsafe fn wide($($arg: $ty),*) {
+                    $body($($arg),*)
+                }
+                // SAFETY: AVX support was just detected on this CPU.
+                return unsafe { wide($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
 }
 
 /// `width` corner-banded LU factorisations packed lane-wise for
@@ -257,23 +330,75 @@ pub struct BatchedFactor {
     kl: usize,
     ku: usize,
     width: usize,
-    /// Per-block scalars in `ldata` (`sum_i (i - col_start(i)) * LANES`).
+    /// Per-block slots in `ldata` (`sum_i (i - col_start(i))`).
     lstride: usize,
-    /// Per-block scalars in `udata` (`sum_i (jend(i) - i) * LANES`).
+    /// Per-block slots in `udata` (`sum_i (jend(i) - i)`).
     ustride: usize,
-    /// Forward-sweep multipliers, `blocks * lstride` scalars.
-    ldata: Vec<f64>,
-    /// Backward-sweep upper slots, `blocks * ustride` scalars.
-    udata: Vec<f64>,
-    /// Packed reciprocal diagonals, `blocks * n * LANES` scalars.
-    idata: Vec<f64>,
+    /// Forward-sweep multipliers, `blocks * lstride` slots.
+    ldata: Vec<[f64; LANES]>,
+    /// Backward-sweep upper slots, `blocks * ustride` slots.
+    udata: Vec<[f64; LANES]>,
+    /// Packed reciprocal diagonals, `blocks * n` slots.
+    idata: Vec<[f64; LANES]>,
 }
 
-/// Borrow `LANES` consecutive scalars as a fixed-size array (bounds are
-/// checked once here, so the lane loops below compile branch-free).
+/// One block's three factor streams.
+#[derive(Clone, Copy)]
+struct FactorBlock<'a> {
+    kl: usize,
+    ku: usize,
+    l: &'a [[f64; LANES]],
+    u: &'a [[f64; LANES]],
+    inv: &'a [[f64; LANES]],
+}
+
+/// One block's forward/backward sweep against its own lane-packed
+/// factors. The forward sweep is the row-accumulation form of the scalar
+/// kernel: every stored slot of row `i` left of the diagonal (columns
+/// `col_start(i) .. i`) is either an elimination multiplier or a
+/// structural zero, for corner and regular rows alike, so one
+/// unconditional dot product per row applies exactly the updates the
+/// scalar kernel applies — in the same column order, the row's lanes
+/// held in registers across the band and stored once.
 #[inline(always)]
-fn lanes(s: &[f64], off: usize) -> &[f64; LANES] {
-    s[off..off + LANES].try_into().unwrap()
+fn solve_lanes_body(f: FactorBlock<'_>, rhs: &mut [LaneRow]) {
+    let n = rhs.len();
+    let w = f.kl + f.ku + 1;
+    let anchor = n - w;
+    assert_eq!(f.inv.len(), n, "block slab length");
+    // forward: b_i -= sum_{k=ci..i} L[i][k] * b_k, streaming `l` front
+    // to back
+    let mut l = f.l;
+    for i in 1..n {
+        let ci = i.saturating_sub(f.kl).min(anchor);
+        let (fs, rest) = l.split_at(i - ci);
+        l = rest;
+        let mut a = rhs[i];
+        for (fk, xk) in fs.iter().zip(&rhs[ci..i]) {
+            a.sub_mul(fk, xk);
+        }
+        rhs[i] = a;
+    }
+    // backward: b_i = (b_i - sum_{j>i} U[i][j] * b_j) / U[i][i]; `u`
+    // holds rows in descending order, so this streams front to back too
+    let mut u = f.u;
+    for i in (0..n).rev() {
+        let ci = i.saturating_sub(f.kl).min(anchor);
+        let jend = (ci + w - 1).min(n - 1);
+        let (fs, rest) = u.split_at(jend - i);
+        u = rest;
+        let mut a = rhs[i];
+        for (fj, xj) in fs.iter().zip(&rhs[i + 1..=jend]) {
+            a.sub_mul(fj, xj);
+        }
+        a.scale(&f.inv[i]);
+        rhs[i] = a;
+    }
+}
+
+isa_fn! {
+    /// [`solve_lanes_body`] under the widest instruction set of this CPU.
+    fn solve_lanes(f: FactorBlock<'_>, rhs: &mut [LaneRow]) = solve_lanes_body
 }
 
 impl BatchedFactor {
@@ -287,23 +412,22 @@ impl BatchedFactor {
         let f0 = lus[0].factors();
         let (n, kl, ku) = (f0.n(), f0.kl(), f0.ku());
         let w = kl + ku + 1;
-        let anchor = n - w;
         let blocks = lus.len().div_ceil(LANES);
         // stream lengths: row i contributes its sub-diagonal window to L
         // and its super-diagonal window to U
         let mut lstride = 0;
         let mut ustride = 0;
         for i in 0..n {
-            let ci = i.saturating_sub(kl).min(anchor);
+            let ci = f0.col_start(i);
             let jend = (ci + w - 1).min(n - 1);
-            lstride += (i - ci) * LANES;
-            ustride += (jend - i) * LANES;
+            lstride += i - ci;
+            ustride += jend - i;
         }
-        let mut ldata = vec![0.0; blocks * lstride];
-        let mut udata = vec![0.0; blocks * ustride];
+        let mut ldata = vec![[0.0; LANES]; blocks * lstride];
+        let mut udata = vec![[0.0; LANES]; blocks * ustride];
         // identity padding: unit diagonal in every lane, overwritten
         // below for the active ones (L/U padding is all-zero already)
-        let mut idata = vec![1.0; blocks * n * LANES];
+        let mut idata = vec![[1.0; LANES]; blocks * n];
         for (r, lu) in lus.iter().enumerate() {
             let f = lu.factors();
             assert_eq!(f.n(), n, "packed operators must share the dimension");
@@ -315,19 +439,19 @@ impl BatchedFactor {
             for i in 0..n {
                 let ci = f.col_start(i);
                 for t in 0..i - ci {
-                    ldata[loff + t * LANES + l] = raw[i * w + t];
+                    ldata[loff + t][l] = raw[i * w + t];
                 }
-                loff += (i - ci) * LANES;
-                idata[(b * n + i) * LANES + l] = 1.0 / raw[i * w + (i - ci)];
+                loff += i - ci;
+                idata[b * n + i][l] = 1.0 / raw[i * w + (i - ci)];
             }
             let mut uoff = b * ustride;
             for i in (0..n).rev() {
                 let ci = f.col_start(i);
                 let jend = (ci + w - 1).min(n - 1);
                 for t in 0..jend - i {
-                    udata[uoff + t * LANES + l] = raw[i * w + (i - ci) + 1 + t];
+                    udata[uoff + t][l] = raw[i * w + (i - ci) + 1 + t];
                 }
-                uoff += (jend - i) * LANES;
+                uoff += jend - i;
             }
         }
         BatchedFactor {
@@ -376,33 +500,41 @@ impl BatchedFactor {
     pub fn solve_panel(&self, p: &mut RhsPanel) {
         let _solve =
             dns_telemetry::detail_span("batched_solve_panel", dns_telemetry::Phase::NsAdvance);
-        self.count_panel();
         self.check_panel(p);
-        let mut acc = [0.0f64; 2 * LANES];
-        let bl = block_len(self.n);
-        for (blk, chunk) in p.data.chunks_exact_mut(bl).enumerate() {
-            self.solve_block(blk, chunk, &mut acc);
+        self.count_solves(1);
+        for (blk, rhs) in p.rows_mut().chunks_exact_mut(self.n).enumerate() {
+            self.solve_block(blk, rhs);
         }
     }
 
+    /// [`solve_panel`](Self::solve_panel) on the `n` rows of block `blk`,
+    /// uncounted: a caller that walks blocks itself reports each stage
+    /// once through [`count_solves`](Self::count_solves).
+    pub fn solve_block(&self, blk: usize, rhs: &mut [LaneRow]) {
+        solve_lanes(self.block(blk), rhs);
+    }
+
+    /// Telemetry of `stages` stages of `width` solves each.
+    pub fn count_solves(&self, stages: usize) {
+        count_solves(self.n, self.kl, self.ku, self.width, stages);
+    }
+
     /// [`BatchedFactor::solve_panel`] with the blocks fanned out over a
-    /// rayon pool; each worker carries its own accumulator scratch via
-    /// `for_each_init`. Falls back to the serial sweep for `None`.
+    /// rayon pool. Falls back to the serial sweep for `None`.
     pub fn solve_panel_threaded(&self, p: &mut RhsPanel, pool: Option<&rayon::ThreadPool>) {
         let Some(pool) = pool else {
             return self.solve_panel(p);
         };
         let _solve =
             dns_telemetry::detail_span("batched_solve_panel", dns_telemetry::Phase::NsAdvance);
-        self.count_panel();
         self.check_panel(p);
-        let bl = block_len(self.n);
+        self.count_solves(1);
         pool.install(|| {
             use rayon::prelude::*;
-            p.data.par_chunks_exact_mut(bl).enumerate().for_each_init(
-                || vec![0.0f64; 2 * LANES],
-                |acc, (blk, chunk)| self.solve_block(blk, chunk, acc),
-            );
+            p.rows_mut()
+                .par_chunks_exact_mut(self.n)
+                .enumerate()
+                .for_each(|(blk, rhs)| self.solve_block(blk, rhs));
         });
     }
 
@@ -411,289 +543,153 @@ impl BatchedFactor {
         assert_eq!(p.width(), self.width, "panel width must match the batch");
     }
 
-    fn count_panel(&self) {
-        if dns_telemetry::enabled() {
-            let per_row = 2 * self.kl + 2 * (self.kl + self.ku) + 1;
-            use dns_telemetry::{count_phase, Counter, Phase};
-            count_phase(Phase::NsAdvance, Counter::SolvePanels, 1);
-            count_phase(Phase::NsAdvance, Counter::SolveRhs, self.width as u64);
-            // complex RHS against real factors: two real solves per column
-            count_phase(
-                Phase::NsAdvance,
-                Counter::Flops,
-                2 * (self.n * per_row * self.width) as u64,
-            );
+    fn block(&self, blk: usize) -> FactorBlock<'_> {
+        FactorBlock {
+            kl: self.kl,
+            ku: self.ku,
+            l: &self.ldata[blk * self.lstride..][..self.lstride],
+            u: &self.udata[blk * self.ustride..][..self.ustride],
+            inv: &self.idata[blk * self.n..][..self.n],
         }
     }
+}
 
-    /// One block's forward/backward sweep. `rhs` is the block's
-    /// `n * 2 * LANES` slab, `acc` a `2 * LANES` accumulator scratch.
-    ///
-    /// The forward sweep is the row-accumulation form of the scalar
-    /// kernel: every stored slot of row `i` left of the diagonal
-    /// (`columns col_start(i) .. i`) is either an elimination multiplier
-    /// or a structural zero, for corner and regular rows alike, so one
-    /// unconditional dot product per row applies exactly the updates the
-    /// scalar kernel applies — in the same column order, with the lanes
-    /// elementwise.
-    fn solve_block(&self, blk: usize, rhs: &mut [f64], acc: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if LANES == 8 && std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: AVX support was just detected on this host.
-            unsafe { self.solve_block_avx(blk, rhs) };
-            return;
-        }
-        self.solve_block_scalar(blk, rhs, acc);
+/// Telemetry of `stages` stages of `width` complex solves each against
+/// real `(n, kl, ku)` factors: counted per stage, never per block.
+fn count_solves(n: usize, kl: usize, ku: usize, width: usize, stages: usize) {
+    if dns_telemetry::enabled() {
+        use dns_telemetry::{count_phase, Counter, Phase};
+        let per_row = 2 * kl + 2 * (kl + ku) + 1;
+        count_phase(Phase::NsAdvance, Counter::SolvePanels, stages as u64);
+        count_phase(Phase::NsAdvance, Counter::SolveRhs, (stages * width) as u64);
+        // complex RHS against real factors: two real solves per column
+        count_phase(
+            Phase::NsAdvance,
+            Counter::Flops,
+            2 * (stages * n * per_row * width) as u64,
+        );
     }
+}
 
-    /// Portable form of the block sweep; the autovectorizer handles the
-    /// fixed-[`LANES`] inner loops on targets with wide registers
-    /// enabled, and baseline builds fall back to scalar code.
-    fn solve_block_scalar(&self, blk: usize, rhs: &mut [f64], acc: &mut [f64]) {
-        let n = self.n;
-        let w = self.kl + self.ku + 1;
-        let anchor = n - w;
-        let lb = &self.ldata[blk * self.lstride..][..self.lstride];
-        let ub = &self.udata[blk * self.ustride..][..self.ustride];
-        let ib = &self.idata[blk * n * LANES..][..n * LANES];
-        let (ar, ai) = acc.split_at_mut(LANES);
-        let ar: &mut [f64; LANES] = (&mut ar[..LANES]).try_into().unwrap();
-        let ai: &mut [f64; LANES] = (&mut ai[..LANES]).try_into().unwrap();
-        // forward: b_i -= sum_{k=ci..i} L[i][k] * b_k, streaming `lb`
-        // front to back
-        let mut loff = 0;
-        for i in 1..n {
-            let ci = i.saturating_sub(self.kl).min(anchor);
-            if ci == i {
-                continue;
-            }
-            let (ro, io) = ((i * 2) * LANES, (i * 2 + 1) * LANES);
-            *ar = *lanes(rhs, ro);
-            *ai = *lanes(rhs, io);
-            for t in 0..i - ci {
-                let f = lanes(lb, loff + t * LANES);
-                let k = ci + t;
-                let kr = lanes(rhs, (k * 2) * LANES);
-                let ki = lanes(rhs, (k * 2 + 1) * LANES);
+/// One block's sweep against one real factorisation shared by every
+/// lane: the operations of [`CornerLu::solve_complex`], in its order —
+/// the in-band multipliers of each row (the whole window of a bottom
+/// corner row) forward, the stored upper window backward, then the
+/// reciprocal diagonal — with the row's lanes held in registers across
+/// the band and stored once.
+#[inline(always)]
+fn solve_shared_body(m: &CornerBanded, rhs: &mut [LaneRow]) {
+    let n = m.n();
+    let w = m.width();
+    let d = m.raw_data();
+    assert_eq!(rhs.len(), n, "block rows must match the operator");
+    for i in 1..n {
+        let ci = m.col_start(i);
+        let k0 = if i + m.nc_bot() >= n {
+            ci
+        } else {
+            i.saturating_sub(m.kl())
+        };
+        let fs = &d[i * w..][k0 - ci..i - ci];
+        let mut a = rhs[i];
+        for (&f, xk) in fs.iter().zip(&rhs[k0..i]) {
+            a.sub_mul(&[f; LANES], xk);
+        }
+        rhs[i] = a;
+    }
+    for i in (0..n).rev() {
+        let ci = m.col_start(i);
+        let jend = (ci + w - 1).min(n - 1);
+        let row = &d[i * w..][..w];
+        let mut a = rhs[i];
+        for (&f, xj) in row[i - ci + 1..].iter().zip(&rhs[i + 1..=jend]) {
+            a.sub_mul(&[f; LANES], xj);
+        }
+        a.scale(&[1.0 / row[i - ci]; LANES]);
+        rhs[i] = a;
+    }
+}
+
+isa_fn! {
+    /// [`solve_shared_body`] under the widest instruction set of this CPU.
+    fn solve_shared(m: &CornerBanded, rhs: &mut [LaneRow]) = solve_shared_body
+}
+
+/// One block of `y = A x` for a real operator shared by every lane, the
+/// output row accumulated in registers in [`CornerBanded::matvec_complex`]'s
+/// column order. Exactly-zero entries are skipped: a sum that starts at
+/// `+0` never holds `-0`, so the `±0` product skipped cannot change a bit
+/// of it.
+#[inline(always)]
+fn matvec_shared_body(m: &CornerBanded, x: &[LaneRow], y: &mut [LaneRow]) {
+    let n = m.n();
+    let w = m.width();
+    assert_eq!(x.len(), n, "input block rows must match the operator");
+    assert_eq!(y.len(), n, "output block rows must match the operator");
+    for (i, (row, yi)) in m.raw_data().chunks_exact(w).zip(y).enumerate() {
+        let xs = &x[m.col_start(i)..][..w];
+        let mut s = LaneRow::ZERO;
+        for (&a, xj) in row.iter().zip(xs) {
+            if a != 0.0 {
                 for l in 0..LANES {
-                    ar[l] -= f[l] * kr[l];
-                    ai[l] -= f[l] * ki[l];
+                    s.re[l] += a * xj.re[l];
+                    s.im[l] += a * xj.im[l];
                 }
             }
-            loff += (i - ci) * LANES;
-            rhs[ro..ro + LANES].copy_from_slice(ar);
-            rhs[io..io + LANES].copy_from_slice(ai);
         }
-        // backward: b_i = (b_i - sum_{j>i} U[i][j] * b_j) / U[i][i];
-        // `ub` holds rows in descending order, so this streams front to
-        // back too
-        let mut uoff = 0;
-        for i in (0..n).rev() {
-            let ci = i.saturating_sub(self.kl).min(anchor);
-            let jend = (ci + w - 1).min(n - 1);
-            let (ro, io) = ((i * 2) * LANES, (i * 2 + 1) * LANES);
-            *ar = *lanes(rhs, ro);
-            *ai = *lanes(rhs, io);
-            for t in 0..jend - i {
-                let f = lanes(ub, uoff + t * LANES);
-                let j = i + 1 + t;
-                let jr = lanes(rhs, (j * 2) * LANES);
-                let ji = lanes(rhs, (j * 2 + 1) * LANES);
-                for l in 0..LANES {
-                    ar[l] -= f[l] * jr[l];
-                    ai[l] -= f[l] * ji[l];
-                }
-            }
-            uoff += (jend - i) * LANES;
-            let iv = lanes(ib, i * LANES);
-            for l in 0..LANES {
-                rhs[ro + l] = ar[l] * iv[l];
-                rhs[io + l] = ai[l] * iv[l];
-            }
-        }
+        *yi = s;
     }
+}
 
-    /// AVX form of [`BatchedFactor::solve_block_scalar`]: the same
-    /// sweeps with each 8-lane slot handled as two 256-bit vectors.
-    /// Deliberately multiply-then-subtract (no FMA contraction), so the
-    /// rounding — and therefore every lane's result — is bitwise
-    /// identical to the scalar kernel's.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX support on the running CPU.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn solve_block_avx(&self, blk: usize, rhs: &mut [f64]) {
-        use core::arch::x86_64::*;
-        let n = self.n;
-        let w = self.kl + self.ku + 1;
-        let anchor = n - w;
-        let lb = &self.ldata[blk * self.lstride..][..self.lstride];
-        let ub = &self.udata[blk * self.ustride..][..self.ustride];
-        let ib = &self.idata[blk * n * LANES..][..n * LANES];
-        assert_eq!(rhs.len(), block_len(n), "block slab length");
-        let r = rhs.as_mut_ptr();
-        // forward: b_i -= sum_{k=ci..i} L[i][k] * b_k
-        let mut lp = lb.as_ptr();
-        for i in 1..n {
-            let ci = i.saturating_sub(self.kl).min(anchor);
-            if ci == i {
-                continue;
-            }
-            let ro = (i * 2) * LANES;
-            let mut ar0 = _mm256_loadu_pd(r.add(ro));
-            let mut ar1 = _mm256_loadu_pd(r.add(ro + 4));
-            let mut ai0 = _mm256_loadu_pd(r.add(ro + 8));
-            let mut ai1 = _mm256_loadu_pd(r.add(ro + 12));
-            for k in ci..i {
-                let f0 = _mm256_loadu_pd(lp);
-                let f1 = _mm256_loadu_pd(lp.add(4));
-                lp = lp.add(LANES);
-                let kp = r.add((k * 2) * LANES);
-                ar0 = _mm256_sub_pd(ar0, _mm256_mul_pd(f0, _mm256_loadu_pd(kp)));
-                ar1 = _mm256_sub_pd(ar1, _mm256_mul_pd(f1, _mm256_loadu_pd(kp.add(4))));
-                ai0 = _mm256_sub_pd(ai0, _mm256_mul_pd(f0, _mm256_loadu_pd(kp.add(8))));
-                ai1 = _mm256_sub_pd(ai1, _mm256_mul_pd(f1, _mm256_loadu_pd(kp.add(12))));
-            }
-            _mm256_storeu_pd(r.add(ro), ar0);
-            _mm256_storeu_pd(r.add(ro + 4), ar1);
-            _mm256_storeu_pd(r.add(ro + 8), ai0);
-            _mm256_storeu_pd(r.add(ro + 12), ai1);
-        }
-        debug_assert_eq!(lp as usize, lb.as_ptr().add(self.lstride) as usize);
-        // backward: b_i = (b_i - sum_{j>i} U[i][j] * b_j) / U[i][i]
-        let mut up = ub.as_ptr();
-        for i in (0..n).rev() {
-            let ci = i.saturating_sub(self.kl).min(anchor);
-            let jend = (ci + w - 1).min(n - 1);
-            let ro = (i * 2) * LANES;
-            let mut ar0 = _mm256_loadu_pd(r.add(ro));
-            let mut ar1 = _mm256_loadu_pd(r.add(ro + 4));
-            let mut ai0 = _mm256_loadu_pd(r.add(ro + 8));
-            let mut ai1 = _mm256_loadu_pd(r.add(ro + 12));
-            for j in i + 1..=jend {
-                let f0 = _mm256_loadu_pd(up);
-                let f1 = _mm256_loadu_pd(up.add(4));
-                up = up.add(LANES);
-                let jp = r.add((j * 2) * LANES);
-                ar0 = _mm256_sub_pd(ar0, _mm256_mul_pd(f0, _mm256_loadu_pd(jp)));
-                ar1 = _mm256_sub_pd(ar1, _mm256_mul_pd(f1, _mm256_loadu_pd(jp.add(4))));
-                ai0 = _mm256_sub_pd(ai0, _mm256_mul_pd(f0, _mm256_loadu_pd(jp.add(8))));
-                ai1 = _mm256_sub_pd(ai1, _mm256_mul_pd(f1, _mm256_loadu_pd(jp.add(12))));
-            }
-            let ivp = ib.as_ptr().add(i * LANES);
-            let iv0 = _mm256_loadu_pd(ivp);
-            let iv1 = _mm256_loadu_pd(ivp.add(4));
-            _mm256_storeu_pd(r.add(ro), _mm256_mul_pd(ar0, iv0));
-            _mm256_storeu_pd(r.add(ro + 4), _mm256_mul_pd(ar1, iv1));
-            _mm256_storeu_pd(r.add(ro + 8), _mm256_mul_pd(ai0, iv0));
-            _mm256_storeu_pd(r.add(ro + 12), _mm256_mul_pd(ai1, iv1));
-        }
-        debug_assert_eq!(up as usize, ub.as_ptr().add(self.ustride) as usize);
-    }
+isa_fn! {
+    /// [`matvec_shared_body`] under the widest instruction set of this CPU.
+    fn matvec_shared(m: &CornerBanded, x: &[LaneRow], y: &mut [LaneRow]) = matvec_shared_body
 }
 
 impl CornerLu {
     /// Shared-operator panel solve: apply *this* factorisation to every
     /// column of the panel (the B-spline `B0` interpolation solve is the
-    /// same real operator for all modes). Identical sweeps to
-    /// [`CornerLu::solve_complex`], with the lane loop innermost.
+    /// same real operator for all modes). Each lane equals
+    /// [`CornerLu::solve_complex`] of its column bit for bit.
     pub fn solve_panel(&self, p: &mut RhsPanel) {
         let _solve =
             dns_telemetry::detail_span("corner_solve_panel", dns_telemetry::Phase::NsAdvance);
+        assert_eq!(p.n(), self.n(), "panel rows must match the operator");
+        self.count_solves(p.width(), 1);
+        for rhs in p.rows_mut().chunks_exact_mut(self.n()) {
+            self.solve_block(rhs);
+        }
+    }
+
+    /// [`solve_panel`](Self::solve_panel) on the `n` rows of one block,
+    /// uncounted: a caller that walks blocks itself reports each stage
+    /// once through [`count_solves`](Self::count_solves).
+    pub fn solve_block(&self, rhs: &mut [LaneRow]) {
+        solve_shared(self.factors(), rhs);
+    }
+
+    /// Telemetry of `stages` stages of `width` shared-operator solves.
+    pub fn count_solves(&self, width: usize, stages: usize) {
         let m = self.factors();
-        let n = m.n();
-        let (kl, ku) = (m.kl(), m.ku());
-        let w = kl + ku + 1;
-        let anchor = n - w;
-        assert_eq!(p.n(), n, "panel rows must match the operator");
-        if dns_telemetry::enabled() {
-            let per_row = 2 * kl + 2 * (kl + ku) + 1;
-            use dns_telemetry::{count_phase, Counter, Phase};
-            count_phase(Phase::NsAdvance, Counter::SolvePanels, 1);
-            count_phase(Phase::NsAdvance, Counter::SolveRhs, p.width() as u64);
-            count_phase(
-                Phase::NsAdvance,
-                Counter::Flops,
-                2 * (n * per_row * p.width()) as u64,
-            );
-        }
-        let d = m.raw_data();
-        let bl = block_len(n);
-        for chunk in p.data.chunks_exact_mut(bl) {
-            // forward
-            for i in 1..n {
-                let ci = i.saturating_sub(kl).min(anchor);
-                for k in ci..i {
-                    let f = d[i * w + (k - ci)];
-                    if f == 0.0 {
-                        continue;
-                    }
-                    let (ro, io) = ((i * 2) * LANES, (i * 2 + 1) * LANES);
-                    let (kr, ki) = ((k * 2) * LANES, (k * 2 + 1) * LANES);
-                    for l in 0..LANES {
-                        chunk[ro + l] -= f * chunk[kr + l];
-                        chunk[io + l] -= f * chunk[ki + l];
-                    }
-                }
-            }
-            // backward
-            for i in (0..n).rev() {
-                let ci = i.saturating_sub(kl).min(anchor);
-                let jend = (ci + w - 1).min(n - 1);
-                let (ro, io) = ((i * 2) * LANES, (i * 2 + 1) * LANES);
-                for j in i + 1..=jend {
-                    let f = d[i * w + (j - ci)];
-                    let (jr, ji) = ((j * 2) * LANES, (j * 2 + 1) * LANES);
-                    for l in 0..LANES {
-                        chunk[ro + l] -= f * chunk[jr + l];
-                        chunk[io + l] -= f * chunk[ji + l];
-                    }
-                }
-                let inv = 1.0 / d[i * w + (i - ci)];
-                for l in 0..LANES {
-                    chunk[ro + l] *= inv;
-                    chunk[io + l] *= inv;
-                }
-            }
-        }
+        count_solves(m.n(), m.kl(), m.ku(), width, stages);
     }
 }
 
 impl CornerBanded {
     /// Shared-operator panel matvec: `y_r = A x_r` for every column,
-    /// lane loop innermost. `x` and `y` must share the panel shape.
+    /// each lane equal to [`CornerBanded::matvec_complex`] of its column
+    /// bit for bit. `x` and `y` must share the panel shape.
     pub fn matvec_panel(&self, x: &RhsPanel, y: &mut RhsPanel) {
-        let n = self.n();
-        let w = self.width();
-        assert_eq!(x.n(), n, "input panel rows must match the operator");
-        assert_eq!(y.n(), n, "output panel rows must match the operator");
+        assert_eq!(x.n(), y.n(), "panels must share the row count");
         assert_eq!(x.width(), y.width(), "panels must share the width");
-        let d = self.raw_data();
-        let bl = block_len(n);
-        let blocks = x.width().div_ceil(LANES);
-        for b in 0..blocks {
-            let xb = &x.data[b * bl..][..bl];
-            let yb = &mut y.data[b * bl..][..bl];
-            for i in 0..n {
-                let ci = self.col_start(i);
-                let (ro, io) = ((i * 2) * LANES, (i * 2 + 1) * LANES);
-                yb[ro..ro + LANES].fill(0.0);
-                yb[io..io + LANES].fill(0.0);
-                for t in 0..w {
-                    let a = d[i * w + t];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let j = ci + t;
-                    let (jr, ji) = ((j * 2) * LANES, (j * 2 + 1) * LANES);
-                    for l in 0..LANES {
-                        yb[ro + l] += a * xb[jr + l];
-                        yb[io + l] += a * xb[ji + l];
-                    }
-                }
-            }
+        for b in 0..x.blocks() {
+            self.matvec_block(x.block(b), y.block_mut(b));
         }
+    }
+
+    /// [`matvec_panel`](Self::matvec_panel) on the `n` rows of one block.
+    pub fn matvec_block(&self, x: &[LaneRow], y: &mut [LaneRow]) {
+        matvec_shared(self, x, y);
     }
 }
 
@@ -791,53 +787,92 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shared_operator_panel_solve_matches_scalar() {
-        let base = CollocationLike {
-            n: 48,
-            p: 2,
-            nc: 1,
-            seed: 3,
-        };
-        let lu = CornerLu::factor(base.corner()).unwrap();
-        let width = 11;
-        let mut panel = RhsPanel::new(base.n, width);
-        for r in 0..width {
-            panel.load_col(r, &rhs_col(base.n, r));
+    /// `width` columns as a panel, with their plain-vector twins.
+    fn panel_of(n: usize, width: usize) -> (RhsPanel, Vec<Vec<C64>>) {
+        let cols: Vec<Vec<C64>> = (0..width).map(|r| rhs_col(n, r)).collect();
+        let mut panel = RhsPanel::new(n, width);
+        for (r, col) in cols.iter().enumerate() {
+            panel.load_col(r, col);
         }
-        lu.solve_panel(&mut panel);
-        for r in 0..width {
-            let mut want = rhs_col(base.n, r);
-            lu.solve_complex(&mut want);
-            for (g, w) in panel.col_to_vec(r).iter().zip(&want) {
-                assert!((g - w).norm() < 1e-12, "col {r}");
+        (panel, cols)
+    }
+
+    /// Every (band, corner, width) case of the shared-operator tests:
+    /// widths through a partial fourth block.
+    fn shared_cases(mut f: impl FnMut(CornerBanded, usize)) {
+        for &p in &[1usize, 3, 7] {
+            for &nc in &[0usize, 1] {
+                let base = CollocationLike {
+                    n: 40,
+                    p,
+                    nc,
+                    seed: 3 + p as u64,
+                };
+                for width in 1..=3 * LANES + 1 {
+                    f(base.corner(), width);
+                }
             }
         }
     }
 
     #[test]
-    fn matvec_panel_matches_scalar() {
-        let base = CollocationLike {
-            n: 40,
-            p: 3,
-            nc: 2,
-            seed: 5,
-        };
-        let a = base.corner();
-        let width = 10;
-        let mut x = RhsPanel::new(base.n, width);
-        let mut y = RhsPanel::new(base.n, width);
-        for r in 0..width {
-            x.load_col(r, &rhs_col(base.n, r));
-        }
-        a.matvec_panel(&x, &mut y);
-        for r in 0..width {
-            let mut want = vec![C64::new(0.0, 0.0); base.n];
-            a.matvec_complex(&rhs_col(base.n, r), &mut want);
-            for (g, w) in y.col_to_vec(r).iter().zip(&want) {
-                assert!((g - w).norm() < 1e-12, "col {r}");
+    fn shared_operator_panel_solve_matches_scalar() {
+        shared_cases(|a, width| {
+            let lu = CornerLu::factor(a).unwrap();
+            let (mut panel, cols) = panel_of(lu.n(), width);
+            // the build-target body, then the detected-ISA one through
+            // the public entry
+            let mut plain = panel.clone();
+            for rhs in plain.rows_mut().chunks_exact_mut(lu.n()) {
+                solve_shared_body(lu.factors(), rhs);
             }
+            lu.solve_panel(&mut panel);
+            for (r, col) in cols.into_iter().enumerate() {
+                let mut want = col;
+                lu.solve_complex(&mut want);
+                assert_eq!(plain.col_to_vec(r), want, "build-target col {r}");
+                assert_eq!(panel.col_to_vec(r), want, "dispatched col {r}");
+            }
+        });
+    }
+
+    #[test]
+    fn matvec_panel_matches_scalar() {
+        shared_cases(|a, width| {
+            let n = a.n();
+            let (x, cols) = panel_of(n, width);
+            let mut plain = RhsPanel::new(n, width);
+            let mut y = RhsPanel::new(n, width);
+            for b in 0..x.blocks() {
+                matvec_shared_body(&a, x.block(b), plain.block_mut(b));
+            }
+            a.matvec_panel(&x, &mut y);
+            for (r, col) in cols.iter().enumerate() {
+                let mut want = vec![C64::new(0.0, 0.0); n];
+                a.matvec_complex(col, &mut want);
+                assert_eq!(plain.col_to_vec(r), want, "build-target col {r}");
+                assert_eq!(y.col_to_vec(r), want, "dispatched col {r}");
+            }
+        });
+    }
+
+    #[test]
+    fn per_lane_bodies_agree_across_instruction_sets() {
+        let base = CollocationLike {
+            n: 64,
+            p: 7,
+            nc: 2,
+            seed: 21,
+        };
+        let width = 2 * LANES + 3;
+        let batch = BatchedFactor::factor(shifted_ops(&base, width)).unwrap();
+        let (mut panel, _) = panel_of(base.n, width);
+        let mut plain = panel.clone();
+        for (blk, rhs) in plain.rows_mut().chunks_exact_mut(base.n).enumerate() {
+            solve_lanes_body(batch.block(blk), rhs);
         }
+        batch.solve_panel(&mut panel);
+        assert_eq!(plain.data, panel.data);
     }
 
     #[test]
@@ -849,9 +884,7 @@ mod tests {
         assert_eq!(p.at(3, 5), C64::new(0.0, 0.0), "reset must zero");
         assert_eq!(p.data.capacity(), cap, "shrink must not reallocate");
         assert_eq!(p.blocks(), 2);
-        assert_eq!(p.active_lanes(1), 8);
         p.reset(32, 17);
         assert_eq!(p.blocks(), 3);
-        assert_eq!(p.active_lanes(2), 1);
     }
 }

@@ -55,7 +55,7 @@ pub mod general;
 pub mod scalar;
 pub mod testmat;
 
-pub use batch::{BatchedFactor, RhsPanel, LANES};
+pub use batch::{gather_lanes, scatter_lanes, BatchedFactor, LaneRow, RhsPanel, LANES};
 pub use corner::{CornerBanded, CornerLu};
 pub use dense::DenseLu;
 pub use general::{BandedLu, BandedMatrix};

@@ -1,7 +1,8 @@
-//! Property test: batched panel solves agree with the scalar corner
+//! Property tests: batched panel solves agree with the scalar corner
 //! solver across random bandwidths, corner structures and panel widths
-//! (ISSUE: 1..64, corner and corner-free operators, 1e-12), and the
-//! threaded panel path is bitwise identical to the serial one.
+//! (ISSUE: 1..64, corner and corner-free operators, 1e-12), the
+//! threaded panel path is bitwise identical to the serial one, and the
+//! shared-operator panel sweeps equal the scalar kernels bit for bit.
 //!
 //! Seeds are derived deterministically from the vendored proptest
 //! `TestRng` — no wall clock anywhere, so failures replay exactly.
@@ -101,6 +102,42 @@ proptest! {
                 // same kernel, different work distribution: bitwise
                 prop_assert_eq!(panel.at(j, m), threaded.at(j, m));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn shared_operator_panels_equal_the_scalar_kernels_bitwise(
+        n in 18usize..80,
+        kl in 1usize..8,
+        ku in 1usize..8,
+        nc in 0usize..3,
+        width in 1usize..34,
+        seed in 0u64..(1u64 << 48),
+    ) {
+        prop_assume!(n >= 2 * (kl + ku + 1));
+        let a = random_operator(n, kl, ku, nc, seed);
+        let lu = CornerLu::factor(a.clone()).expect("dominant operator factors");
+        let cols: Vec<Vec<C64>> = (0..width)
+            .map(|m| random_rhs(n, seed.rotate_left(23) ^ (m as u64)))
+            .collect();
+        let mut x = RhsPanel::new(n, width);
+        for (m, col) in cols.iter().enumerate() {
+            x.load_col(m, col);
+        }
+        let mut y = RhsPanel::new(n, width);
+        a.matvec_panel(&x, &mut y);
+        lu.solve_panel(&mut x);
+        for (m, col) in cols.into_iter().enumerate() {
+            let mut ax = vec![C64::new(0.0, 0.0); n];
+            a.matvec_complex(&col, &mut ax);
+            prop_assert_eq!(y.col_to_vec(m), ax);
+            let mut sol = col;
+            lu.solve_complex(&mut sol);
+            prop_assert_eq!(x.col_to_vec(m), sol);
         }
     }
 }

@@ -11,7 +11,10 @@
 //!
 //! The sweep then times W independent scalar `CornerLu::solve_complex`
 //! calls against one `BatchedFactor::solve_panel` over the same W
-//! right-hand sides, across panel widths and matrix sizes, and writes
+//! right-hand sides, across panel widths and matrix sizes — and, for one
+//! operator shared by all W (the `B0`/`B1`/`B2` case of the DNS), the
+//! scalar `solve_complex` / `matvec_complex` calls against
+//! `CornerLu::solve_panel` / `CornerBanded::matvec_panel` — and writes
 //! the measurements to `BENCH_table1.json`.
 //!
 //! ```text
@@ -22,7 +25,7 @@
 
 use dns_banded::testmat::CollocationLike;
 use dns_banded::{BandedLu, BatchedFactor, CornerLu, RhsPanel, C64};
-use dns_bench::report::{secs, Table};
+use dns_bench::report::{host_json, nproc, secs, Table};
 use dns_bench::{paper, time_it};
 
 struct Opts {
@@ -170,6 +173,10 @@ struct SweepRow {
     batched_s: f64,
     threaded_s: f64,
     max_rel_err: f64,
+    /// Shared-operator rows: `[scalar, panel]` seconds for W solves and
+    /// for W matvecs against one operator.
+    shared_solve_s: [f64; 2],
+    shared_matvec_s: [f64; 2],
 }
 
 fn sweep_point(
@@ -195,6 +202,7 @@ fn sweep_point(
         .iter()
         .map(|m| CornerLu::factor(m.clone()).unwrap())
         .collect();
+    let a = mats[0].clone();
     let batch = BatchedFactor::factor(mats).unwrap();
 
     // one distinct complex RHS per operator, as in the DNS (each mode
@@ -212,9 +220,12 @@ fn sweep_point(
 
     // correctness pin before timing: batched == scalar to 1e-12
     let mut panel = RhsPanel::new(n, width);
-    for (m, col) in rhs.iter().enumerate() {
-        panel.load_col(m, col);
-    }
+    let refill = |panel: &mut RhsPanel| {
+        for (m, col) in rhs.iter().enumerate() {
+            panel.load_col(m, col);
+        }
+    };
+    refill(&mut panel);
     batch.solve_panel(&mut panel);
     let mut max_rel_err = 0.0f64;
     for (m, col) in rhs.iter().enumerate() {
@@ -241,19 +252,58 @@ fn sweep_point(
         }
     });
     let batched_s = time_it(min_time, 10, || {
-        for (m, col) in rhs.iter().enumerate() {
-            panel.load_col(m, col);
-        }
+        refill(&mut panel);
         batch.solve_panel(&mut panel);
         std::hint::black_box(&panel);
     });
     let threaded_s = time_it(min_time, 10, || {
-        for (m, col) in rhs.iter().enumerate() {
-            panel.load_col(m, col);
-        }
+        refill(&mut panel);
         batch.solve_panel_threaded(&mut panel, Some(pool));
         std::hint::black_box(&panel);
     });
+
+    // one operator shared by every column: the panel sweeps are pinned
+    // bitwise to the scalar kernels before timing
+    let lu = &lus[0];
+    refill(&mut panel);
+    let mut y = RhsPanel::new(n, width);
+    a.matvec_panel(&panel, &mut y);
+    lu.solve_panel(&mut panel);
+    let mut want = buf.clone();
+    for (m, col) in rhs.iter().enumerate() {
+        a.matvec_complex(col, &mut want);
+        assert_eq!(y.col_to_vec(m), want, "shared matvec, n={n} col {m}");
+        want.copy_from_slice(col);
+        lu.solve_complex(&mut want);
+        assert_eq!(panel.col_to_vec(m), want, "shared solve, n={n} col {m}");
+    }
+    let shared_solve_s = [
+        time_it(min_time, 10, || {
+            for col in &rhs {
+                buf.copy_from_slice(col);
+                lu.solve_complex(&mut buf);
+                std::hint::black_box(&buf);
+            }
+        }),
+        time_it(min_time, 10, || {
+            refill(&mut panel);
+            lu.solve_panel(&mut panel);
+            std::hint::black_box(&panel);
+        }),
+    ];
+    refill(&mut panel);
+    let shared_matvec_s = [
+        time_it(min_time, 10, || {
+            for col in &rhs {
+                a.matvec_complex(col, &mut buf);
+                std::hint::black_box(&buf);
+            }
+        }),
+        time_it(min_time, 10, || {
+            a.matvec_panel(&panel, &mut y);
+            std::hint::black_box(&y);
+        }),
+    ];
 
     SweepRow {
         n,
@@ -262,6 +312,8 @@ fn sweep_point(
         batched_s,
         threaded_s,
         max_rel_err,
+        shared_solve_s,
+        shared_matvec_s,
     }
 }
 
@@ -319,6 +371,28 @@ fn main() {
         }
     }
     t.print();
+    println!("\n(one real operator shared by all W columns: scalar calls vs one panel sweep)\n");
+    let mut t = Table::new(vec![
+        "N",
+        "width",
+        "solve scalar/rhs",
+        "solve panel/rhs",
+        "matvec scalar/rhs",
+        "matvec panel/rhs",
+    ]);
+    for r in &sweep {
+        let w = r.width as f64;
+        let ([ss, sp], [ms, mp]) = (r.shared_solve_s, r.shared_matvec_s);
+        t.row(vec![
+            r.n.to_string(),
+            r.width.to_string(),
+            secs(ss / w),
+            format!("{} ({:.2}x)", secs(sp / w), ss / sp),
+            secs(ms / w),
+            format!("{} ({:.2}x)", secs(mp / w), ms / mp),
+        ]);
+    }
+    t.print();
     println!(
         "\nnotes: all solves hit the same factored operators; the batched path\n\
          amortises factor-row loads over LANES right-hand sides held stride-1\n\
@@ -350,7 +424,10 @@ fn main() {
             format!(
                 "    {{\"n\": {}, \"width\": {}, \"scalar_s\": {:.6e}, \
                  \"batched_s\": {:.6e}, \"threaded_s\": {:.6e}, \"speedup\": {:.4}, \
-                 \"threaded_speedup\": {:.4}, \"max_rel_err\": {:.3e}}}",
+                 \"threaded_speedup\": {:.4}, \"max_rel_err\": {:.3e}, \
+                 \"shared_solve_scalar_s\": {:.6e}, \"shared_solve_panel_s\": {:.6e}, \
+                 \"shared_matvec_scalar_s\": {:.6e}, \"shared_matvec_panel_s\": {:.6e}, \
+                 \"oversubscribed\": {}}}",
                 r.n,
                 r.width,
                 r.scalar_s,
@@ -358,13 +435,19 @@ fn main() {
                 r.threaded_s,
                 r.scalar_s / r.batched_s,
                 r.scalar_s / r.threaded_s,
-                r.max_rel_err
+                r.max_rel_err,
+                r.shared_solve_s[0],
+                r.shared_solve_s[1],
+                r.shared_matvec_s[0],
+                r.shared_matvec_s[1],
+                o.threads > nproc()
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"table1\",\n  \"bandwidth\": {},\n  \"threads\": {},\n  \
-         \"classic\": [\n{}\n  ],\n  \"batched_sweep\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"table1\",\n  \"host\": {},\n  \"bandwidth\": {},\n  \
+         \"threads\": {},\n  \"classic\": [\n{}\n  ],\n  \"batched_sweep\": [\n{}\n  ]\n}}\n",
+        host_json(),
         o.bandwidth,
         o.threads,
         classic_json.join(",\n"),

@@ -24,6 +24,7 @@
 
 use crate::solver::ChannelDns;
 use crate::C64;
+use dns_banded::{gather_lanes, scatter_lanes, LaneRow, RhsPanel, LANES};
 
 /// The spectral convective-flux divergences `H_i = -d/dx_j (u_i u_j)` as
 /// values at the collocation points, for every locally-owned wavenumber
@@ -38,17 +39,18 @@ pub struct HFields {
     pub hz: Vec<C64>,
 }
 
-/// Nonlinear right-hand sides, as *values at the y collocation points*
-/// for every locally-owned wavenumber (same y-pencil layout as the
-/// state), plus the mean-flow terms on the rank owning mode (0,0).
+/// Nonlinear right-hand sides, as *values at the y collocation points*:
+/// one panel column per regular mode, in the column order of the rank's
+/// batched wall-normal solver (so the time advance reads them as they
+/// are), plus the mean-flow terms on the rank owning mode (0,0).
 #[derive(Default)]
 pub struct NlTerms {
     /// RHS of the `omega_y` equation.
-    pub h_g: Vec<C64>,
+    pub h_g: RhsPanel,
     /// RHS of the `phi` equation.
-    pub h_v: Vec<C64>,
+    pub h_v: RhsPanel,
     /// `H_x(0,0)(y) = -d<uv>/dy` (streamwise mean forcing by the
-    /// turbulence), on the owner of mode (0,0); empty elsewhere.
+    /// turbulence), on the owner of mode (0,0); zero elsewhere.
     pub mean_hx: Vec<f64>,
     /// `H_z(0,0)(y) = -d<vw>/dy`.
     pub mean_hz: Vec<f64>,
@@ -66,23 +68,31 @@ impl NlTerms {
     /// Size for the layout of `dns` and zero every entry (no allocation
     /// once the buffers have their steady-state sizes).
     pub fn reset(&mut self, dns: &ChannelDns) {
-        let len = dns.field_len();
-        let ny = dns.ops().n();
-        let zero = C64::new(0.0, 0.0);
-        self.h_g.clear();
-        self.h_g.resize(len, zero);
-        self.h_v.clear();
-        self.h_v.resize(len, zero);
+        let (ny, width) = (dns.ops().n(), dns.batch_modes().len());
+        self.h_g.reset(ny, width);
+        self.h_v.reset(ny, width);
         self.mean_hx.clear();
         self.mean_hx.resize(ny, 0.0);
         self.mean_hz.clear();
         self.mean_hz.resize(ny, 0.0);
     }
+
+    /// [`reset`](Self::reset) only when the layout changes. Terms that
+    /// keep their shape need no fill: the assembly stores every lane of
+    /// every row (zeros in the lanes past the last mode) and both mean
+    /// lines on their owner before the time advance reads them.
+    fn size(&mut self, dns: &ChannelDns) {
+        let shape = (dns.ops().n(), dns.batch_modes().len());
+        if (self.h_g.n(), self.h_g.width()) != shape || self.mean_hx.len() != shape.0 {
+            self.reset(dns);
+        }
+    }
 }
 
-/// Reusable buffers for [`compute_into`]: the pfft pipeline workspace
-/// plus the stacked field staging and per-mode line scratch. Starts
-/// empty; sized on first use, allocation-free afterwards.
+/// Reusable buffers for [`compute_into`]: the pfft pipeline workspace,
+/// the stacked field staging and the one-block lane panels the
+/// wall-normal stages work in. Starts empty; sized on first use,
+/// allocation-free afterwards.
 #[derive(Default)]
 pub struct NlWorkspace {
     /// Transform-pipeline buffers (transposes, line scratch).
@@ -91,13 +101,13 @@ pub struct NlWorkspace {
     uvw: Vec<C64>,
     /// Stacked spectral products `[kz_loc][5][kx_loc][ny]`.
     products: Vec<C64>,
-    /// Per-mode line of `G = ikx H_x + ikz H_z + k^2 vv` values.
-    gline: Vec<C64>,
-    /// Two derivative-line buffers (`d/dy` of `uv` and `vw`).
-    dy1: Vec<C64>,
-    dy2: Vec<C64>,
-    /// Interpolation scratch for the derivative solves.
-    coef: Vec<C64>,
+    /// Eight one-block panels of `ny` rows each (together L1-sized): the
+    /// five gathered product lines, an interpolation scratch, and two
+    /// derivative blocks.
+    blocks: [Vec<LaneRow>; 8],
+    /// Two mean-mode lines (`d/dy` of `uv` and `vw`, and their
+    /// interpolation scratch).
+    mean: [Vec<C64>; 2],
 }
 
 /// Evaluate the convective-flux divergences `H_i` for the current state
@@ -202,91 +212,140 @@ pub fn compute(dns: &ChannelDns) -> NlTerms {
 /// Evaluate the nonlinear terms through the fused five-product pipeline,
 /// writing into caller-owned output and workspace buffers. Steady-state
 /// calls perform zero heap allocations on a single rank.
+///
+/// Both wall-normal stages walk the regular modes [`LANES`] at a time in
+/// the batched solver's column order, every banded sweep on a one-block
+/// panel: per lane the operations, and their order, are those of the
+/// per-mode evaluation (the test module keeps it as the bitwise oracle).
 pub fn compute_into(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWorkspace) {
-    out.reset(dns);
     if !dns.params().nonlinear {
+        out.reset(dns);
         return;
     }
+    out.size(dns);
     let _nl = dns_telemetry::span("nonlinear", dns_telemetry::Phase::Other);
     let ops = dns.ops();
     let ny = ops.n();
     let pfft = dns.pfft();
     let sxl = pfft.kx_block().len;
-    let nzl = pfft.kz_block().len;
     let zero = C64::new(0.0, 0.0);
     const KF: usize = dns_pfft::NL_FIELDS;
     const KP: usize = dns_pfft::NL_PRODUCTS;
+    let modes = dns.batch_modes();
+    let mean_mode = (0..dns.local_modes()).find(|&m| dns.is_mean(m));
+
+    // sized (and zeroed) once: every regular and mean line is stored
+    // below before the transform reads it, and the Nyquist lines, whose
+    // coefficients are structurally zero, are never written and stay zero
+    if ws.uvw.len() != KF * dns.field_len() {
+        ws.uvw.clear();
+        ws.uvw.resize(KF * dns.field_len(), zero);
+    }
+    for blk in ws.blocks.iter_mut() {
+        blk.resize(ny, LaneRow::ZERO);
+    }
+    for line in ws.mean.iter_mut() {
+        line.resize(ny, zero);
+    }
+    let [pa, puv, puw, pvw, pb, coef, dy1, dy2] = &mut ws.blocks;
+    // where mode `m`'s line of field `f` starts in an
+    // `[kz_loc][nf][kx_loc][ny]` stack (`nf = 1`: the state's own layout)
+    let start = |nf: usize, f: usize| move |m: usize| ((m / sxl * nf + f) * sxl + m % sxl) * ny;
 
     // velocities to collocation values, stacked [kz_loc][3][kx_loc][ny]
-    // directly (no separate full-field staging copy)
-    ws.uvw.clear();
-    ws.uvw.resize(KF * dns.field_len(), zero);
+    // directly (no separate full-field staging copy): gather 8
+    // coefficient lines, one B0 block matvec, scatter
     let state = dns.state();
-    for kzl in 0..nzl {
-        for (fi, field) in [state.u(), state.v(), state.w()].into_iter().enumerate() {
-            for kxl in 0..sxl {
-                let src = (kzl * sxl + kxl) * ny;
-                let dst = ((kzl * KF + fi) * sxl + kxl) * ny;
-                ops.b0()
-                    .matvec_complex(&field[src..src + ny], &mut ws.uvw[dst..dst + ny]);
-            }
+    let fields = [state.u(), state.v(), state.w()];
+    for modes in modes.chunks(LANES) {
+        for (fi, field) in fields.into_iter().enumerate() {
+            gather_lanes(coef, field, modes, start(1, 0));
+            ops.b0().matvec_block(coef, dy1);
+            scatter_lanes(dy1, &mut ws.uvw, modes, start(KF, fi));
+        }
+    }
+    if let Some(m) = mean_mode {
+        for (fi, field) in fields.into_iter().enumerate() {
+            let dst = start(KF, fi)(m);
+            ops.b0()
+                .matvec_complex(&field[dns.line_range(m)], &mut ws.uvw[dst..dst + ny]);
         }
     }
 
     // fused inverse-product-forward cycle: five spectral products out
     pfft.nonlinear_products(&ws.uvw, &mut ws.products, &mut ws.pfft);
 
-    // per-mode assembly from the five products A = uu - vv, uv, uw, vw,
+    // assembly from the five products A = uu - vv, uv, uw, vw,
     // B = ww - vv (D = d/dy on a mode line):
     //   h_g = kx kz (A - B) + (kz^2 - kx^2) uw - ikz D(uv) + ikx D(vw)
     //   G   = kx^2 A + kz^2 B + 2 kx kz uw - ikx D(uv) - ikz D(vw)
     //   h_v = -D(G) + k^2 (ikx uv + ikz vw)
     // (the d/dy(vv) terms of H_y and of D(ikx H_x + ikz H_z) cancel)
-    ws.gline.resize(ny, zero);
-    ws.dy1.resize(ny, zero);
-    ws.dy2.resize(ny, zero);
-    ws.coef.resize(ny, zero);
     let products = &ws.products;
-    for mode in 0..dns.local_modes() {
-        if dns.is_nyquist(mode) {
-            continue;
+    // D of a block: interpolate the values to spline coefficients in
+    // place (the shared B0 solve), then apply B1
+    let dy_of = |vals: &mut [LaneRow], out: &mut [LaneRow]| {
+        ops.b0_lu().solve_block(vals);
+        ops.b1().matvec_block(vals, out);
+    };
+    for (b, modes) in modes.chunks(LANES).enumerate() {
+        for (f, blk) in [&mut *pa, puv, puw, pvw, pb].into_iter().enumerate() {
+            gather_lanes(blk, products, modes, start(KP, f));
         }
-        let kzl = mode / sxl;
-        let kxl = mode % sxl;
-        let pline = |f: usize| -> &[C64] {
-            let s = ((kzl * KP + f) * sxl + kxl) * ny;
-            &products[s..s + ny]
-        };
-        let (pa, puv, puw, pvw, pb) = (pline(0), pline(1), pline(2), pline(3), pline(4));
-        // D(uv) and D(vw) feed both h_g and G (and the mean forcing)
-        let dy_of = |vals: &[C64], coef: &mut [C64], out: &mut [C64]| {
-            ops.interpolate_complex_into(vals, coef);
-            ops.b1().matvec_complex(coef, out);
-        };
-        dy_of(puv, &mut ws.coef, &mut ws.dy1);
-        dy_of(pvw, &mut ws.coef, &mut ws.dy2);
-        if dns.is_mean(mode) {
-            for j in 0..ny {
-                out.mean_hx[j] = -ws.dy1[j].re;
-                out.mean_hz[j] = -ws.dy2[j].re;
-            }
-            continue;
+        // per-lane wavenumbers; zero past the last mode, where the
+        // gathered lanes are zero too
+        let (mut kxs, mut kzs) = ([0.0; LANES], [0.0; LANES]);
+        for (l, &m) in modes.iter().enumerate() {
+            let (ikx, ikz, _) = dns.mode_wavenumbers(m);
+            (kxs[l], kzs[l]) = (ikx.im, ikz.im);
         }
-        let (ikx, ikz, k2) = dns.mode_wavenumbers(mode);
-        let (kx, kz) = (ikx.im, ikz.im);
-        let line = dns.line_range(mode);
+        // D(uv) and D(vw) feed both h_g and G
+        coef.copy_from_slice(puv);
+        dy_of(coef, dy1);
+        coef.copy_from_slice(pvw);
+        dy_of(coef, dy2);
+        // G lands in `coef`, where its own derivative solve wants it
+        let h_g = out.h_g.block_mut(b);
         for j in 0..ny {
-            out.h_g[line.start + j] = kx * kz * (pa[j] - pb[j]) + (kz * kz - kx * kx) * puw[j]
-                - ikz * ws.dy1[j]
-                + ikx * ws.dy2[j];
-            ws.gline[j] = kx * kx * pa[j] + kz * kz * pb[j] + 2.0 * kx * kz * puw[j]
-                - ikx * ws.dy1[j]
-                - ikz * ws.dy2[j];
+            for l in 0..LANES {
+                let (kx, kz) = (kxs[l], kzs[l]);
+                let (ikx, ikz) = (C64::new(0.0, kx), C64::new(0.0, kz));
+                let (a, uw, bb) = (pa[j].get(l), puw[j].get(l), pb[j].get(l));
+                let (d1, d2) = (dy1[j].get(l), dy2[j].get(l));
+                h_g[j].set(
+                    l,
+                    kx * kz * (a - bb) + (kz * kz - kx * kx) * uw - ikz * d1 + ikx * d2,
+                );
+                coef[j].set(
+                    l,
+                    kx * kx * a + kz * kz * bb + 2.0 * kx * kz * uw - ikx * d1 - ikz * d2,
+                );
+            }
         }
         // D(G) can overwrite dy1 — h_g and G are already assembled
-        dy_of(&ws.gline, &mut ws.coef, &mut ws.dy1);
+        dy_of(coef, dy1);
+        let h_v = out.h_v.block_mut(b);
         for j in 0..ny {
-            out.h_v[line.start + j] = -ws.dy1[j] + k2 * (ikx * puv[j] + ikz * pvw[j]);
+            for l in 0..LANES {
+                let (kx, kz) = (kxs[l], kzs[l]);
+                let (ikx, ikz, k2) = (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz);
+                let (uv, vw) = (puv[j].get(l), pvw[j].get(l));
+                h_v[j].set(l, -dy1[j].get(l) + k2 * (ikx * uv + ikz * vw));
+            }
+        }
+    }
+    // three interpolation solves per regular mode, reported per stage
+    ops.b0_lu().count_solves(modes.len(), 3);
+    // the mean mode's turbulent forcing: -D(uv) and -D(vw), two lines
+    if let Some(m) = mean_mode {
+        let [d, coef] = &mut ws.mean;
+        for (f, mean_h) in [(1, &mut out.mean_hx), (3, &mut out.mean_hz)] {
+            let s = start(KP, f)(m);
+            ops.interpolate_complex_into(&products[s..s + ny], coef);
+            ops.b1().matvec_complex(coef, d);
+            for (h, d) in mean_h.iter_mut().zip(d.iter()) {
+                *h = -d.re;
+            }
         }
     }
 }
@@ -303,33 +362,32 @@ pub fn compute_unfused(dns: &ChannelDns) -> NlTerms {
     let h = quadratic_h(dns);
 
     let mut out = NlTerms::zeros(dns);
+    if let Some(m) = (0..dns.local_modes()).find(|&m| dns.is_mean(m)) {
+        let line = dns.line_range(m);
+        for j in 0..ny {
+            out.mean_hx[j] = h.hx[line.start + j].re;
+            out.mean_hz[j] = h.hz[line.start + j].re;
+        }
+    }
     let mut dy_vals = vec![C64::new(0.0, 0.0); ny];
-    for mode in 0..dns.local_modes() {
+    for (col, &mode) in dns.batch_modes().iter().enumerate() {
         let line = dns.line_range(mode);
         let (ikx, ikz, k2) = dns.mode_wavenumbers(mode);
-        if dns.is_nyquist(mode) {
-            continue;
-        }
-        if dns.is_mean(mode) {
-            for j in 0..ny {
-                out.mean_hx[j] = h.hx[line.start + j].re;
-                out.mean_hz[j] = h.hz[line.start + j].re;
-            }
-            continue;
-        }
         // h_g = ikz H_x - ikx H_z
-        for j in 0..ny {
-            out.h_g[line.start + j] = ikz * h.hx[line.start + j] - ikx * h.hz[line.start + j];
-        }
+        let h_g: Vec<C64> = (0..ny)
+            .map(|j| ikz * h.hx[line.start + j] - ikx * h.hz[line.start + j])
+            .collect();
+        out.h_g.load_col(col, &h_g);
         // h_v = -d/dy (ikx H_x + ikz H_z) - k^2 H_y
         let g_vals: Vec<C64> = (0..ny)
             .map(|j| ikx * h.hx[line.start + j] + ikz * h.hz[line.start + j])
             .collect();
         let coef = ops.interpolate_complex(&g_vals);
         ops.b1().matvec_complex(&coef, &mut dy_vals);
-        for j in 0..ny {
-            out.h_v[line.start + j] = -dy_vals[j] - k2 * h.hy[line.start + j];
-        }
+        let h_v: Vec<C64> = (0..ny)
+            .map(|j| -dy_vals[j] - k2 * h.hy[line.start + j])
+            .collect();
+        out.h_v.load_col(col, &h_v);
     }
     out
 }
@@ -340,20 +398,129 @@ mod tests {
     use crate::params::Params;
     use crate::solver::{run_parallel, run_serial};
 
+    /// The per-mode evaluation [`compute_into`] replaced: one scalar
+    /// `B0` matvec per staged line, three scalar interpolation solves and
+    /// `B1` matvecs per mode. Kept as the bitwise oracle of the blockwise
+    /// stages.
+    fn compute_per_mode(dns: &ChannelDns) -> NlTerms {
+        let mut out = NlTerms::zeros(dns);
+        let ops = dns.ops();
+        let ny = ops.n();
+        let pfft = dns.pfft();
+        let sxl = pfft.kx_block().len;
+        let nzl = pfft.kz_block().len;
+        let zero = C64::new(0.0, 0.0);
+        const KF: usize = dns_pfft::NL_FIELDS;
+        const KP: usize = dns_pfft::NL_PRODUCTS;
+        let mut uvw = vec![zero; KF * dns.field_len()];
+        let state = dns.state();
+        for kzl in 0..nzl {
+            for (fi, field) in [state.u(), state.v(), state.w()].into_iter().enumerate() {
+                for kxl in 0..sxl {
+                    let src = (kzl * sxl + kxl) * ny;
+                    let dst = ((kzl * KF + fi) * sxl + kxl) * ny;
+                    ops.b0()
+                        .matvec_complex(&field[src..src + ny], &mut uvw[dst..dst + ny]);
+                }
+            }
+        }
+        let mut products = Vec::new();
+        pfft.nonlinear_products(&uvw, &mut products, &mut dns_pfft::Workspace::default());
+        let (mut gline, mut coef) = (vec![zero; ny], vec![zero; ny]);
+        let (mut dy1, mut dy2) = (vec![zero; ny], vec![zero; ny]);
+        let mut col = 0;
+        for mode in 0..dns.local_modes() {
+            if dns.is_nyquist(mode) {
+                continue;
+            }
+            let (kzl, kxl) = (mode / sxl, mode % sxl);
+            let pline = |f: usize| -> &[C64] {
+                let s = ((kzl * KP + f) * sxl + kxl) * ny;
+                &products[s..s + ny]
+            };
+            let (pa, puv, puw, pvw, pb) = (pline(0), pline(1), pline(2), pline(3), pline(4));
+            let dy_of = |vals: &[C64], coef: &mut [C64], out: &mut [C64]| {
+                ops.interpolate_complex_into(vals, coef);
+                ops.b1().matvec_complex(coef, out);
+            };
+            dy_of(puv, &mut coef, &mut dy1);
+            dy_of(pvw, &mut coef, &mut dy2);
+            if dns.is_mean(mode) {
+                for j in 0..ny {
+                    out.mean_hx[j] = -dy1[j].re;
+                    out.mean_hz[j] = -dy2[j].re;
+                }
+                continue;
+            }
+            let (ikx, ikz, k2) = dns.mode_wavenumbers(mode);
+            let (kx, kz) = (ikx.im, ikz.im);
+            for j in 0..ny {
+                let h_g = kx * kz * (pa[j] - pb[j]) + (kz * kz - kx * kx) * puw[j] - ikz * dy1[j]
+                    + ikx * dy2[j];
+                out.h_g.set(j, col, h_g);
+                gline[j] = kx * kx * pa[j] + kz * kz * pb[j] + 2.0 * kx * kz * puw[j]
+                    - ikx * dy1[j]
+                    - ikz * dy2[j];
+            }
+            dy_of(&gline, &mut coef, &mut dy1);
+            for j in 0..ny {
+                out.h_v
+                    .set(j, col, -dy1[j] + k2 * (ikx * puv[j] + ikz * pvw[j]));
+            }
+            col += 1;
+        }
+        out
+    }
+
+    /// The active columns of a panel, one after the other.
+    fn cols(p: &RhsPanel) -> Vec<C64> {
+        (0..p.width()).flat_map(|r| p.col_to_vec(r)).collect()
+    }
+
+    /// Every column of both panels and both mean lines, as bits.
+    fn bits(t: &NlTerms) -> Vec<u64> {
+        cols(&t.h_g)
+            .into_iter()
+            .chain(cols(&t.h_v))
+            .flat_map(|c| [c.re, c.im])
+            .chain(t.mean_hx.iter().chain(&t.mean_hz).copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn blockwise_stages_equal_the_per_mode_oracle_bitwise() {
+        // 1x1, a 2x2 grid, and a local kx count (nx = 20: 10) that is no
+        // multiple of the lane count, so the last block is partial
+        for params in [
+            Params::channel(16, 25, 16, 100.0),
+            Params::channel(16, 25, 16, 100.0).with_grid(2, 2),
+            Params::channel(20, 25, 12, 100.0),
+        ] {
+            let outs = run_parallel(params, |dns| {
+                perturbed(dns);
+                // a reused output and workspace must not leak state
+                let (mut out, mut ws) = (NlTerms::default(), NlWorkspace::default());
+                compute_into(dns, &mut out, &mut ws);
+                dns.step();
+                compute_into(dns, &mut out, &mut ws);
+                (bits(&out), bits(&compute_per_mode(dns)), out.h_g.width())
+            });
+            for (got, want, width) in outs {
+                assert!(width > 0 && want.iter().any(|&b| b != 0), "oracle ran");
+                assert_eq!(got, want);
+            }
+        }
+    }
+
     fn worst_mismatch(dns: &ChannelDns) -> f64 {
         let fused = compute(dns);
         let oracle = compute_unfused(dns);
-        let scale = oracle
-            .h_g
-            .iter()
-            .chain(&oracle.h_v)
-            .map(|c| c.norm())
-            .fold(1.0, f64::max);
+        let (f_g, o_g) = (cols(&fused.h_g), cols(&oracle.h_g));
+        let (f_v, o_v) = (cols(&fused.h_v), cols(&oracle.h_v));
+        let scale = o_g.iter().chain(&o_v).map(|c| c.norm()).fold(1.0, f64::max);
         let mut worst = 0.0f64;
-        for (a, b) in fused.h_g.iter().zip(&oracle.h_g) {
-            worst = worst.max((a - b).norm());
-        }
-        for (a, b) in fused.h_v.iter().zip(&oracle.h_v) {
+        for (a, b) in f_g.iter().zip(&o_g).chain(f_v.iter().zip(&o_v)) {
             worst = worst.max((a - b).norm());
         }
         for (a, b) in fused.mean_hx.iter().zip(&oracle.mean_hx) {

@@ -11,9 +11,9 @@ use dns_telemetry as telemetry;
 use crate::nonlinear::{self, NlTerms, NlWorkspace};
 use crate::params::Params;
 use crate::rk3;
-use crate::wallnormal::{dy_coefficients, dy_coefficients_panel, BatchNormalSolver, MeanSolver};
+use crate::wallnormal::{dy_coefficients, dy_coefficients_block, BatchNormalSolver, MeanSolver};
 use crate::C64;
-use dns_banded::RhsPanel;
+use dns_banded::{gather_lanes, scatter_lanes, LaneRow, LANES};
 
 /// Classification of a locally-owned horizontal wavenumber.
 enum ModeKind {
@@ -77,7 +77,7 @@ pub struct PhaseTimers {
 }
 
 /// Reusable per-substep buffers for `advance_substep` (mean-profile
-/// staging and the wall-normal panels) — after the first step these
+/// staging and the wall-normal lane blocks) — after the first step these
 /// never reallocate.
 #[derive(Default)]
 struct StepScratch {
@@ -86,15 +86,10 @@ struct StepScratch {
     r2: Vec<f64>,
     r3: Vec<f64>,
     r4: Vec<f64>,
-    /// Wall-normal panels (sized on first use, grow-only thereafter):
-    /// prognostic columns, new/old nonlinear terms, `B0 c`/`B2 c` matvec
-    /// scratch, and the recovered `v` columns.
-    pc: RhsPanel,
-    pn: RhsPanel,
-    po: RhsPanel,
-    pb0: RhsPanel,
-    pb2: RhsPanel,
-    pv: RhsPanel,
+    /// One-block panels of `ny` rows (together L1-sized): prognostic
+    /// columns, `B0 c`/`B2 c` matvec scratch, and the recovered `v`
+    /// columns. The nonlinear terms arrive as panels ([`NlTerms`]).
+    blocks: [Vec<LaneRow>; 4],
 }
 
 /// A distributed channel DNS bound to one rank of a `pa x pb` grid.
@@ -275,6 +270,12 @@ impl ChannelDns {
     /// Number of locally-owned horizontal wavenumbers.
     pub fn local_modes(&self) -> usize {
         self.modes.len()
+    }
+
+    /// The regular local modes in the column order of the wall-normal
+    /// panels (the batched solver's, and [`NlTerms`]'s).
+    pub(crate) fn batch_modes(&self) -> &[usize] {
+        &self.batch_modes
     }
 
     /// Index range of mode `m`'s y-line within a spectral field.
@@ -551,7 +552,7 @@ impl ChannelDns {
 
     fn advance_substep(&mut self, i: usize, nl: &NlTerms, n_old: &NlTerms, sc: &mut StepScratch) {
         self.advance_mean(i, nl, n_old, sc);
-        self.advance_panels(i, nl, n_old, sc);
+        self.advance_blocks(i, nl, n_old, sc);
     }
 
     /// The `(0, 0)` mode: mass-flux feedback, then the `<u>`, `<w>`
@@ -630,85 +631,52 @@ impl ChannelDns {
         }
     }
 
-    /// Every regular mode, as multi-RHS panels: gather the y-lines into
-    /// SoA panels, sweep each banded system once across every mode,
-    /// scatter back.
-    fn advance_panels(&mut self, i: usize, nl: &NlTerms, n_old: &NlTerms, sc: &mut StepScratch) {
+    /// Every regular mode, [`LANES`] at a time in the batched solver's
+    /// column order: gather the block's y-lines from the state, sweep
+    /// each banded system of the substep across its lanes against the
+    /// nonlinear-term panels, scatter back — one block's working set
+    /// stays in cache from the first sweep to the last.
+    fn advance_blocks(&mut self, i: usize, nl: &NlTerms, n_old: &NlTerms, sc: &mut StepScratch) {
         let ny = self.params.ny;
         let nu = self.params.nu;
         let dt = self.params.dt;
-        let ops = &self.ops;
-        let state = &mut self.state;
         let Some(batch) = &self.batch else { return };
-        let w = batch.width();
-        sc.pc.reset(ny, w);
-        sc.pn.reset(ny, w);
-        sc.po.reset(ny, w);
-        sc.pb0.reset(ny, w);
-        sc.pb2.reset(ny, w);
-        sc.pv.reset(ny, w);
-        // omega_y: advance through the substep's Helmholtz solve
-        for (r, &m) in self.batch_modes.iter().enumerate() {
-            let rng = m * ny..(m + 1) * ny;
-            sc.pc.load_col(r, &state.omega_y[rng.clone()]);
-            sc.pn.load_col(r, &nl.h_g[rng.clone()]);
-            sc.po.load_col(r, &n_old.h_g[rng]);
+        for blk in sc.blocks.iter_mut() {
+            blk.resize(ny, LaneRow::ZERO);
         }
-        batch.advance_panel(
-            ops,
-            i,
-            &mut sc.pc,
-            &sc.pn,
-            &sc.po,
-            nu,
-            dt,
-            &mut sc.pb0,
-            &mut sc.pb2,
-        );
-        for (r, &m) in self.batch_modes.iter().enumerate() {
-            sc.pc.store_col(r, &mut state.omega_y[m * ny..(m + 1) * ny]);
-        }
-        // phi: advance, then recover v with the influence correction
-        for (r, &m) in self.batch_modes.iter().enumerate() {
-            let rng = m * ny..(m + 1) * ny;
-            sc.pc.load_col(r, &state.phi[rng.clone()]);
-            sc.pn.load_col(r, &nl.h_v[rng.clone()]);
-            sc.po.load_col(r, &n_old.h_v[rng]);
-        }
-        batch.advance_panel(
-            ops,
-            i,
-            &mut sc.pc,
-            &sc.pn,
-            &sc.po,
-            nu,
-            dt,
-            &mut sc.pb0,
-            &mut sc.pb2,
-        );
-        batch.solve_v_panel(ops, i, &mut sc.pc, &mut sc.pv);
-        for (r, &m) in self.batch_modes.iter().enumerate() {
-            sc.pc.store_col(r, &mut state.phi[m * ny..(m + 1) * ny]);
-            sc.pv.store_col(r, &mut state.v[m * ny..(m + 1) * ny]);
-        }
-        // u, w recovery: dv/dy for the whole panel, then per-mode
-        // combination with omega_y
-        dy_coefficients_panel(ops, &sc.pv, &mut sc.pb0);
-        let kxlen = self.pfft.kx_block().len;
-        for (r, &m) in self.batch_modes.iter().enumerate() {
-            let kx_g = self.pfft.kx_block().global(m % kxlen);
-            let kz_g = self.pfft.kz_block().global(m / kxlen);
-            let kx = self.params.alpha() * kx_g as f64;
-            let kz = self.params.beta() * signed(kz_g, self.params.nz) as f64;
-            let (ikx, ikz, k2) = (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz);
-            let base = m * ny;
-            for j in 0..ny {
-                let vy = sc.pb0.at(j, r);
-                let om = state.omega_y[base + j];
-                state.u[base + j] = (ikx * vy - ikz * om) / k2;
-                state.w[base + j] = (ikz * vy + ikx * om) / k2;
+        let [c, b0c, b2c, v] = &mut sc.blocks;
+        let (ops, start) = (&self.ops, |m: usize| m * ny);
+        for (b, modes) in self.batch_modes.chunks(LANES).enumerate() {
+            // omega_y: advance through the substep's Helmholtz solve
+            let (hg, hg_old) = (nl.h_g.block(b), n_old.h_g.block(b));
+            gather_lanes(c, &self.state.omega_y, modes, start);
+            batch.advance_block(ops, i, b, c, hg, hg_old, nu, dt, b0c, b2c);
+            scatter_lanes(c, &mut self.state.omega_y, modes, start);
+            // phi: advance, then recover v with the influence correction
+            let (hv, hv_old) = (nl.h_v.block(b), n_old.h_v.block(b));
+            gather_lanes(c, &self.state.phi, modes, start);
+            batch.advance_block(ops, i, b, c, hv, hv_old, nu, dt, b0c, b2c);
+            batch.solve_v_block(ops, i, b, c, v);
+            scatter_lanes(c, &mut self.state.phi, modes, start);
+            scatter_lanes(v, &mut self.state.v, modes, start);
+            // u, w recovery: dv/dy of the block, then per-mode
+            // combination with omega_y
+            dy_coefficients_block(ops, v, b0c);
+            for (l, &m) in modes.iter().enumerate() {
+                let (ikx, ikz, k2) = self.mode_wavenumbers(m);
+                let (base, state) = (m * ny, &mut self.state);
+                for j in 0..ny {
+                    let vy = b0c[j].get(l);
+                    let om = state.omega_y[base + j];
+                    state.u[base + j] = (ikx * vy - ikz * om) / k2;
+                    state.w[base + j] = (ikz * vy + ikx * om) / k2;
+                }
             }
         }
+        // two Helmholtz solves, the Poisson solve and the dv/dy
+        // interpolation solve per mode, reported per stage
+        batch.count_solves(3);
+        ops.b0_lu().count_solves(batch.width(), 1);
     }
 
     /// Phase timers accumulated since the last reset (transpose/FFT from
@@ -980,14 +948,14 @@ mod tests {
         for i in 0..3 {
             nonlinear::compute_into(dns, &mut nl, &mut ws);
             dns.advance_mean(i, &nl, &n_old, &mut sc);
-            for (m, ms) in solvers {
+            for (col, (m, ms)) in solvers.iter().enumerate() {
                 let r = dns.line_range(*m);
                 let (ikx, ikz, k2) = dns.mode_wavenumbers(*m);
                 let (ops, state) = (&dns.ops, &mut dns.state);
-                let (hg, hg_old) = (&nl.h_g[r.clone()], &n_old.h_g[r.clone()]);
-                ms.advance(ops, i, &mut state.omega_y[r.clone()], hg, hg_old, nu, dt);
-                let (hv, hv_old) = (&nl.h_v[r.clone()], &n_old.h_v[r.clone()]);
-                ms.advance(ops, i, &mut state.phi[r.clone()], hv, hv_old, nu, dt);
+                let (hg, hg_old) = (nl.h_g.col_to_vec(col), n_old.h_g.col_to_vec(col));
+                ms.advance(ops, i, &mut state.omega_y[r.clone()], &hg, &hg_old, nu, dt);
+                let (hv, hv_old) = (nl.h_v.col_to_vec(col), n_old.h_v.col_to_vec(col));
+                ms.advance(ops, i, &mut state.phi[r.clone()], &hv, &hv_old, nu, dt);
                 let v = ms.solve_v(ops, i, &mut state.phi[r.clone()]);
                 state.v[r.clone()].copy_from_slice(&v);
                 let vy = dy_coefficients(ops, &v);

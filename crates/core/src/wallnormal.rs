@@ -8,7 +8,7 @@
 
 use crate::rk3;
 use crate::C64;
-use dns_banded::{BatchedFactor, CornerBanded, CornerLu, RhsPanel, LANES};
+use dns_banded::{BatchedFactor, CornerBanded, CornerLu, LaneRow, RhsPanel, LANES};
 use dns_bspline::CollocationOps;
 
 /// Dot product of one stored row of a banded operator with a complex
@@ -184,12 +184,12 @@ impl ModeSolver {
     }
 }
 
-/// Panel analogue of [`dy_coefficients`]: derivative coefficients
-/// of every column at once (`B0 c' = B1 c` swept as one panel against
-/// the shared `B0` factors). `out` is overwritten.
-pub fn dy_coefficients_panel(ops: &CollocationOps, c: &RhsPanel, out: &mut RhsPanel) {
-    ops.b1().matvec_panel(c, out);
-    ops.b0_lu().solve_panel(out);
+/// Block analogue of [`dy_coefficients`]: derivative coefficients of the
+/// [`LANES`] columns of one block (`B0 c' = B1 c` against the shared `B0`
+/// factors). `out` is overwritten.
+pub fn dy_coefficients_block(ops: &CollocationOps, c: &[LaneRow], out: &mut [LaneRow]) {
+    ops.b1().matvec_block(c, out);
+    ops.b0_lu().solve_block(out);
 }
 
 /// The influence-matrix columns of a whole batch of modes, lane-packed:
@@ -207,10 +207,10 @@ struct BatchGreens {
 
 /// The batched counterpart of a rank's worth of [`ModeSolver`]s: every
 /// normal `(kx, kz)` mode's Helmholtz/Poisson factors packed into
-/// [`BatchedFactor`]s (one per RK substep plus one Poisson), advanced by
-/// whole-panel sweeps instead of per-mode scalar solves — the paper's
-/// "many right-hand sides at once" amortisation (section 4.1.1) applied
-/// to the DNS hot path.
+/// [`BatchedFactor`]s (one per RK substep plus one Poisson), advanced
+/// [`LANES`] modes per sweep instead of by per-mode scalar solves — the
+/// paper's "many right-hand sides at once" amortisation (section 4.1.1)
+/// applied to the DNS hot path.
 pub struct BatchNormalSolver {
     width: usize,
     blocks: usize,
@@ -282,10 +282,18 @@ impl BatchNormalSolver {
         self.width
     }
 
+    /// Telemetry of `stages` solve stages over the batch (the packed
+    /// Helmholtz and Poisson factors share one shape): the block methods
+    /// below are uncounted, so a caller that walks blocks itself reports
+    /// each stage once.
+    pub fn count_solves(&self, stages: usize) {
+        self.pois.count_solves(stages);
+    }
+
     /// Panel analogue of [`ModeSolver::advance`]: advance one
     /// prognostic panel (`omega_y` or `phi` columns) through RK substep
-    /// `i`. `b0c`/`b2c` are overwritten matvec scratch panels of the
-    /// same shape.
+    /// `i`, block by block. Block 0 of `b0c`/`b2c` is the matvec scratch
+    /// of every block (overwritten), so it stays cache-resident.
     #[allow(clippy::too_many_arguments)]
     pub fn advance_panel(
         &self,
@@ -299,92 +307,107 @@ impl BatchNormalSolver {
         b0c: &mut RhsPanel,
         b2c: &mut RhsPanel,
     ) {
-        let n = ops.n();
-        ops.b0().matvec_panel(c, b0c);
-        ops.b2().matvec_panel(c, b2c);
-        let a = nu * dt * rk3::ALPHA[i];
-        let g = dt * rk3::GAMMA[i];
-        let z = dt * rk3::ZETA[i];
+        self.count_solves(1);
+        let (b0c, b2c) = (b0c.block_mut(0), b2c.block_mut(0));
         for b in 0..self.blocks {
-            let k2 = &self.k2[b * LANES..][..LANES];
-            for j in 0..n {
-                let (b0r, b0i) = b0c.row(b, j);
-                let (b2r, b2i) = b2c.row(b, j);
-                let (nr, ni) = n_new.row(b, j);
-                let (zr, zi) = n_old.row(b, j);
-                let (cr, ci) = c.row_mut(b, j);
-                for l in 0..LANES {
-                    cr[l] = b0r[l] + a * (b2r[l] - k2[l] * b0r[l]) + g * nr[l] + z * zr[l];
-                    ci[l] = b0i[l] + a * (b2i[l] - k2[l] * b0i[l]) + g * ni[l] + z * zi[l];
-                }
-            }
+            let (nn, no) = (n_new.block(b), n_old.block(b));
+            self.advance_block(ops, i, b, c.block_mut(b), nn, no, nu, dt, b0c, b2c);
         }
-        c.zero_row(0);
-        c.zero_row(n - 1);
-        self.helm[i].solve_panel(c);
     }
 
-    /// Panel analogue of [`ModeSolver::solve_v`]: recover the `v`
-    /// panel from the `phi` panel after substep `i`, applying the
-    /// per-lane influence-matrix corrections so every column satisfies
-    /// `v(+-1) = v'(+-1) = 0`. `c_phi` is corrected in place.
-    pub fn solve_v_panel(
+    /// [`advance_panel`](Self::advance_panel) on the rows of block `b`
+    /// (uncounted); `b0c`/`b2c` are one-block scratch.
+    #[allow(clippy::too_many_arguments)]
+    pub fn advance_block(
         &self,
         ops: &CollocationOps,
         i: usize,
-        c_phi: &mut RhsPanel,
-        c_v: &mut RhsPanel,
+        b: usize,
+        c: &mut [LaneRow],
+        n_new: &[LaneRow],
+        n_old: &[LaneRow],
+        nu: f64,
+        dt: f64,
+        b0c: &mut [LaneRow],
+        b2c: &mut [LaneRow],
     ) {
         let n = ops.n();
-        ops.b0().matvec_panel(c_phi, c_v);
-        c_v.zero_row(0);
-        c_v.zero_row(n - 1);
-        self.pois.solve_panel(c_v);
+        ops.b0().matvec_block(c, b0c);
+        ops.b2().matvec_block(c, b2c);
+        let a = nu * dt * rk3::ALPHA[i];
+        let g = dt * rk3::GAMMA[i];
+        let z = dt * rk3::ZETA[i];
+        let k2 = &self.k2[b * LANES..][..LANES];
+        for (j, c) in c.iter_mut().enumerate() {
+            let (b0, b2, nn, no) = (&b0c[j], &b2c[j], &n_new[j], &n_old[j]);
+            for l in 0..LANES {
+                c.re[l] =
+                    b0.re[l] + a * (b2.re[l] - k2[l] * b0.re[l]) + g * nn.re[l] + z * no.re[l];
+                c.im[l] =
+                    b0.im[l] + a * (b2.im[l] - k2[l] * b0.im[l]) + g * nn.im[l] + z * no.im[l];
+            }
+        }
+        c[0] = LaneRow::ZERO;
+        c[n - 1] = LaneRow::ZERO;
+        self.helm[i].solve_block(b, c);
+    }
+
+    /// Block analogue of [`ModeSolver::solve_v`] (uncounted): recover
+    /// the `v` columns of block `b` from its `phi` columns after substep
+    /// `i`, applying the per-lane influence-matrix corrections so every
+    /// column satisfies `v(+-1) = v'(+-1) = 0`. `c_phi` is corrected in
+    /// place.
+    pub fn solve_v_block(
+        &self,
+        ops: &CollocationOps,
+        i: usize,
+        b: usize,
+        c_phi: &mut [LaneRow],
+        c_v: &mut [LaneRow],
+    ) {
+        let n = ops.n();
+        ops.b0().matvec_block(c_phi, c_v);
+        c_v[0] = LaneRow::ZERO;
+        c_v[n - 1] = LaneRow::ZERO;
+        self.pois.solve_block(b, c_v);
         let b1 = ops.b1();
         let g = &self.greens[i];
-        for b in 0..self.blocks {
-            // residual wall slopes of every lane: rows 0 and n-1 of B1 c_v
-            let mut s0 = [0.0f64; 2 * LANES]; // re | im
-            let mut s1 = [0.0f64; 2 * LANES];
-            for (row, s) in [(0, &mut s0), (n - 1, &mut s1)] {
-                let ci = b1.col_start(row);
-                for j in ci..(ci + b1.width()).min(n) {
-                    let a = b1.get(row, j);
-                    let (vr, vi) = c_v.row(b, j);
-                    for l in 0..LANES {
-                        s[l] += a * vr[l];
-                        s[LANES + l] += a * vi[l];
-                    }
+        // residual wall slopes of every lane: rows 0 and n-1 of B1 c_v
+        let mut s0 = [0.0f64; 2 * LANES]; // re | im
+        let mut s1 = [0.0f64; 2 * LANES];
+        for (row, s) in [(0, &mut s0), (n - 1, &mut s1)] {
+            let ci = b1.col_start(row);
+            for j in ci..(ci + b1.width()).min(n) {
+                let a = b1.get(row, j);
+                for l in 0..LANES {
+                    s[l] += a * c_v[j].re[l];
+                    s[LANES + l] += a * c_v[j].im[l];
                 }
             }
-            // correction amplitudes, lane-wise
-            let mut ar = [0.0f64; LANES];
-            let mut ai = [0.0f64; LANES];
-            let mut br = [0.0f64; LANES];
-            let mut bi = [0.0f64; LANES];
+        }
+        // correction amplitudes, lane-wise
+        let mut ar = [0.0f64; LANES];
+        let mut ai = [0.0f64; LANES];
+        let mut br = [0.0f64; LANES];
+        let mut bi = [0.0f64; LANES];
+        for l in 0..LANES {
+            let m = &g.minv[b * LANES + l];
+            ar[l] = -(m[0][0] * s0[l] + m[0][1] * s1[l]);
+            ai[l] = -(m[0][0] * s0[LANES + l] + m[0][1] * s1[LANES + l]);
+            br[l] = -(m[1][0] * s0[l] + m[1][1] * s1[l]);
+            bi[l] = -(m[1][0] * s0[LANES + l] + m[1][1] * s1[LANES + l]);
+        }
+        for (j, (p, v)) in c_phi.iter_mut().zip(c_v).enumerate() {
+            let o = (b * n + j) * LANES;
+            let pa = &g.c_phi_a[o..o + LANES];
+            let pb = &g.c_phi_b[o..o + LANES];
+            let va = &g.c_v_a[o..o + LANES];
+            let vb = &g.c_v_b[o..o + LANES];
             for l in 0..LANES {
-                let m = &g.minv[b * LANES + l];
-                ar[l] = -(m[0][0] * s0[l] + m[0][1] * s1[l]);
-                ai[l] = -(m[0][0] * s0[LANES + l] + m[0][1] * s1[LANES + l]);
-                br[l] = -(m[1][0] * s0[l] + m[1][1] * s1[l]);
-                bi[l] = -(m[1][0] * s0[LANES + l] + m[1][1] * s1[LANES + l]);
-            }
-            for j in 0..n {
-                let o = (b * n + j) * LANES;
-                let pa = &g.c_phi_a[o..o + LANES];
-                let pb = &g.c_phi_b[o..o + LANES];
-                let va = &g.c_v_a[o..o + LANES];
-                let vb = &g.c_v_b[o..o + LANES];
-                let (pr, pi) = c_phi.row_mut(b, j);
-                for l in 0..LANES {
-                    pr[l] += ar[l] * pa[l] + br[l] * pb[l];
-                    pi[l] += ai[l] * pa[l] + bi[l] * pb[l];
-                }
-                let (vr, vi) = c_v.row_mut(b, j);
-                for l in 0..LANES {
-                    vr[l] += ar[l] * va[l] + br[l] * vb[l];
-                    vi[l] += ai[l] * va[l] + bi[l] * vb[l];
-                }
+                p.re[l] += ar[l] * pa[l] + br[l] * pb[l];
+                p.im[l] += ai[l] * pa[l] + bi[l] * pb[l];
+                v.re[l] += ar[l] * va[l] + br[l] * vb[l];
+                v.im[l] += ai[l] * va[l] + bi[l] * vb[l];
             }
         }
     }
@@ -606,7 +629,9 @@ mod tests {
                 po.load_col(r, &line(r, 0.8));
             }
             batch.advance_panel(&ops, i, &mut pc, &pn, &po, nu, dt, &mut pb0, &mut pb2);
-            batch.solve_v_panel(&ops, i, &mut pc, &mut pv);
+            for b in 0..pc.blocks() {
+                batch.solve_v_block(&ops, i, b, pc.block_mut(b), pv.block_mut(b));
+            }
             for (r, ms) in scalars.iter().enumerate() {
                 let mut c = line(r, 0.0);
                 ms.advance(&ops, i, &mut c, &line(r, 0.4), &line(r, 0.8), nu, dt);
@@ -627,7 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn dy_panel_matches_scalar_derivative() {
+    fn dy_block_matches_scalar_derivative() {
         let ops = make_ops(28);
         let n = ops.n();
         let w = 5;
@@ -643,7 +668,7 @@ mod tests {
         for (r, col) in cols.iter().enumerate() {
             c.load_col(r, col);
         }
-        dy_coefficients_panel(&ops, &c, &mut out);
+        dy_coefficients_block(&ops, c.block(0), out.block_mut(0));
         for (r, col) in cols.iter().enumerate() {
             let want = dy_coefficients(&ops, col);
             for j in 0..n {

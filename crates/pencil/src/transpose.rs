@@ -260,8 +260,13 @@ impl TransposePlan {
         let _transpose = telemetry::span("transpose", Phase::Transpose);
         let rows = self.rows;
         let nt = self.nt;
-        out.clear();
-        out.resize(self.output_len(), T::default());
+        // sized, not cleared: both routes below store every output element
+        // (the reorder is a bijection of the index space), so nothing
+        // stale can be read and a buffer of the right length needs no fill
+        if out.len() != self.output_len() {
+            out.clear();
+            out.resize(self.output_len(), T::default());
+        }
 
         if self.p == 1 {
             // Single rank: no exchange, no pack copy — one strided pass.
