@@ -191,11 +191,6 @@ const FLAGS: &[Flag] = &[
         help: "start from the laminar profile instead",
     },
     Flag {
-        name: "--pipeline",
-        value: Some("K"),
-        help: "overlap depth of the fused x-stage transposes (0 = blocking; default 4)",
-    },
-    Flag {
         name: "--grid",
         value: Some("PAxPB"),
         help: "process grid, e.g. 2x2 (default 1x1; ranks are threads)",
@@ -369,7 +364,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
             }
             "--laminar-ic" => args.ic = InitialCondition::Laminar { scale: 1.0 },
-            "--pipeline" => args.params.pipeline = num(&flag, take(&mut i)?)?,
             "--grid" => {
                 let v = take(&mut i)?;
                 let (pa, pb) = v

@@ -65,7 +65,6 @@ impl Default for MonitorConfig {
 struct Baselines {
     timers: PhaseTimers,
     recv_wait: f64,
-    overlap: f64,
     msgs: u64,
     bytes: u64,
 }
@@ -79,9 +78,6 @@ impl Baselines {
             // the wait clock lives on the rank thread, shared by every
             // communicator of the rank — any handle reads the same value
             recv_wait: comm.recv_wait_seconds(),
-            // exchange time the pipelined transposes hid behind compute;
-            // stays zero under blocking exchanges
-            overlap: comm.overlap_seconds(),
             // sends only: counting both directions would double the traffic
             msgs: a.messages_sent + b.messages_sent,
             bytes: a.bytes_sent + b.bytes_sent,
@@ -171,7 +167,6 @@ impl StepMonitor {
         let d_fft = t.fft - self.prev.timers.fft;
         let d_ns = t.ns_advance - self.prev.timers.ns_advance;
         let wait = self.comm.recv_wait_seconds() - self.prev.recv_wait;
-        let overlap = self.comm.overlap_seconds() - self.prev.overlap;
         let busy = (wall_s - wait).max(0.0);
         let a = dns.pfft().comm_a().stats();
         let b = dns.pfft().comm_b().stats();
@@ -209,14 +204,13 @@ impl StepMonitor {
             None
         };
 
-        // one 9-number row per rank onto the monitor's communicator
+        // one 8-number row per rank onto the monitor's communicator
         let row = vec![
             wall_s,
             d_transpose,
             d_fft,
             d_ns,
             wait,
-            overlap,
             busy,
             msgs as f64,
             bytes as f64,
@@ -238,10 +232,11 @@ impl StepMonitor {
                     fft_s: row[2],
                     ns_s: row[3],
                     recv_wait_s: row[4],
-                    overlap_s: row[5],
-                    busy_s: row[6],
-                    msgs: row[7] as u64,
-                    bytes: row[8] as u64,
+                    // the exchange is blocking: nothing is hidden
+                    overlap_s: 0.0,
+                    busy_s: row[5],
+                    msgs: row[6] as u64,
+                    bytes: row[7] as u64,
                 });
             }
             if let Some((values, result)) = &verdict {
@@ -258,7 +253,7 @@ impl StepMonitor {
                     }
                 }
             }
-            let busy_col: Vec<f64> = rows.iter().map(|r| r[6]).collect();
+            let busy_col: Vec<f64> = rows.iter().map(|r| r[5]).collect();
             for event in self.straggler.observe(step, &busy_col) {
                 write(&FlightEvent::Health(event));
             }

@@ -52,13 +52,6 @@ pub struct Params {
     /// On-node worker threads for the transform line loops (the paper's
     /// OpenMP threading, section 4.2). 1 = serial.
     pub fft_threads: usize,
-    /// Overlap depth of the fused nonlinear x-stage: split the local y
-    /// rows into up to this many batches and keep the CommA transpose
-    /// for the next batch in flight behind the current batch's FFT
-    /// kernel. `0`/`1` = blocking transposes. An execution knob —
-    /// pipelined and blocking schedules are bitwise identical, so it is
-    /// excluded from [`Params::state_hash`].
-    pub pipeline: usize,
 }
 
 impl Params {
@@ -81,15 +74,7 @@ impl Params {
             pa: 1,
             pb: 1,
             fft_threads: 1,
-            pipeline: 4,
         }
-    }
-
-    /// Set the overlap depth of the fused x-stage transposes (default 4;
-    /// `0` restores blocking exchanges).
-    pub fn with_pipeline(mut self, k: usize) -> Params {
-        self.pipeline = k;
-        self
     }
 
     /// Use `n` on-node threads for the transform line loops.
@@ -158,8 +143,8 @@ impl Params {
     /// basis, nonlinearity. Checkpoints store it so a restart under
     /// different physics is rejected instead of silently continuing a
     /// different simulation. Pure execution knobs (`pa`, `pb`,
-    /// `fft_threads`, `pipeline`) are excluded: the decomposition is
-    /// validated separately, and results are layout-independent.
+    /// `fft_threads`) are excluded: the decomposition is validated
+    /// separately, and results are layout-independent.
     pub fn state_hash(&self) -> u64 {
         fn mix(h: u64, v: u64) -> u64 {
             let mut z = h.wrapping_add(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -212,7 +197,6 @@ mod tests {
             p.state_hash(),
             p.clone().with_grid(2, 2).with_fft_threads(4).state_hash()
         );
-        assert_eq!(p.state_hash(), p.clone().with_pipeline(0).state_hash());
         // physics does
         assert_ne!(p.state_hash(), p.clone().with_dt(2e-3).state_hash());
         assert_ne!(

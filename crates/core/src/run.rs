@@ -68,6 +68,11 @@ pub enum InitialCondition {
     },
 }
 
+/// Digest-slot value of a spec without the legacy `"pipeline"` key (the
+/// default depth while the key was written), so every digest ever
+/// embedded still verifies.
+const LEGACY_PIPELINE: u64 = 4;
+
 /// A complete, serializable description of one simulation run: the
 /// physics and decomposition ([`Params`]), the step budget, the
 /// checkpoint cadence, and the initial condition.
@@ -193,6 +198,12 @@ impl RunSpec {
     /// [`Params::state_hash`]. Serialized specs embed it; decoding
     /// verifies it.
     pub fn spec_hash(&self) -> u64 {
+        self.digest(LEGACY_PIPELINE)
+    }
+
+    /// [`spec_hash`](Self::spec_hash) with an explicit value in the slot
+    /// the removed `"pipeline"` key occupied.
+    fn digest(&self, pipeline: u64) -> u64 {
         fn mix(h: u64, v: u64) -> u64 {
             let mut z = h.wrapping_add(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -205,8 +216,8 @@ impl RunSpec {
             h = mix(h, b as u64);
         }
         h = mix(h, p.state_hash());
-        for v in [p.pa, p.pb, p.fft_threads, p.pipeline] {
-            h = mix(h, v as u64);
+        for v in [p.pa as u64, p.pb as u64, p.fft_threads as u64, pipeline] {
+            h = mix(h, v);
         }
         // the slot `Params::batched` occupied while the scalar wall-normal
         // route was selectable: always 1 now, so digests embedded in specs
@@ -292,7 +303,6 @@ impl RunSpec {
             .put("pa", Json::num(p.pa as u32))
             .put("pb", Json::num(p.pb as u32))
             .put("threads", Json::num(p.fft_threads as u32))
-            .put("pipeline", Json::num(p.pipeline as u32))
             .put("steps", Json::Num(self.steps as f64))
             .put("ckpt_every", Json::Num(self.ckpt_every as f64))
             .put("ic", ic)
@@ -366,7 +376,13 @@ impl RunSpec {
         if v.get("batched").is_some() && !b(&v, "batched")? {
             return Err(SpecError::Field("batched"));
         }
-        params.pipeline = u(&v, "pipeline")? as usize;
+        // the depth of the removed pipelined x-stage: results never
+        // depended on it, so it selects nothing, but specs that carry the
+        // key mixed its value into their digest
+        let pipeline = match v.get("pipeline") {
+            Some(_) => u(&v, "pipeline")?,
+            None => LEGACY_PIPELINE,
+        };
         let spec = RunSpec {
             name: s(&v, "name")?.to_string(),
             params,
@@ -377,7 +393,7 @@ impl RunSpec {
         if let Some(stored_hex) = v.get("hash").and_then(Json::as_str) {
             let stored =
                 u64::from_str_radix(stored_hex, 16).map_err(|_| SpecError::Field("hash"))?;
-            let computed = spec.spec_hash();
+            let computed = spec.digest(pipeline);
             if stored != computed {
                 return Err(SpecError::HashMismatch { stored, computed });
             }
@@ -1120,13 +1136,47 @@ mod tests {
         const OLD: &str = r#"{"batched":true,"ckpt_every":2,"dt":0.001,"forcing":{"kind":"pressure_gradient","value":1},"hash":"389b938e81e50c5f","ic":{"kind":"laminar","scale":1},"kind":"run_spec","lx":6.283185307179586,"lz":3.141592653589793,"name":"tiny","nonlinear":true,"nu":0.02,"nx":16,"ny":25,"nz":16,"pa":1,"pb":1,"pipeline":4,"spline_order":8,"steps":4,"stretch":2,"threads":1,"version":1}"#;
         // the embedded digest verifies, and the key is not written back
         assert_eq!(RunSpec::from_json(OLD).unwrap(), tiny_spec());
-        assert_eq!(tiny_spec().to_json(), OLD.replace(r#""batched":true,"#, ""));
+        let written = OLD
+            .replace(r#""batched":true,"#, "")
+            .replace(r#""pipeline":4,"#, "");
+        assert_eq!(tiny_spec().to_json(), written);
         // a spec that asked for the removed scalar route is refused
         let scalar = OLD.replace(r#""batched":true"#, r#""batched":false"#);
         assert_eq!(
             RunSpec::from_json(&scalar),
             Err(SpecError::Field("batched"))
         );
+    }
+
+    #[test]
+    fn specs_written_before_the_pipeline_knob_was_removed_still_decode() {
+        // `tiny_spec().to_json()` as emitted at commit dec9e3b, at the
+        // default depth and with `with_pipeline(0)`
+        const P4: &str = r#"{"ckpt_every":2,"dt":0.001,"forcing":{"kind":"pressure_gradient","value":1},"hash":"389b938e81e50c5f","ic":{"kind":"laminar","scale":1},"kind":"run_spec","lx":6.283185307179586,"lz":3.141592653589793,"name":"tiny","nonlinear":true,"nu":0.02,"nx":16,"ny":25,"nz":16,"pa":1,"pb":1,"pipeline":4,"spline_order":8,"steps":4,"stretch":2,"threads":1,"version":1}"#;
+        const P0: &str = r#"{"ckpt_every":2,"dt":0.001,"forcing":{"kind":"pressure_gradient","value":1},"hash":"897e1781610c669e","ic":{"kind":"laminar","scale":1},"kind":"run_spec","lx":6.283185307179586,"lz":3.141592653589793,"name":"tiny","nonlinear":true,"nu":0.02,"nx":16,"ny":25,"nz":16,"pa":1,"pb":1,"pipeline":0,"spline_order":8,"steps":4,"stretch":2,"threads":1,"version":1}"#;
+        // both embedded digests verify and both are the same run
+        assert_eq!(RunSpec::from_json(P4).unwrap(), tiny_spec());
+        assert_eq!(RunSpec::from_json(P0).unwrap(), tiny_spec());
+        // the key is not written back; the digest is the default depth's
+        assert_eq!(tiny_spec().to_json(), P4.replace(r#""pipeline":4,"#, ""));
+        // the key still takes part in the digest it was written under
+        let swapped = P0.replace(r#""pipeline":0"#, r#""pipeline":4"#);
+        assert!(matches!(
+            RunSpec::from_json(&swapped),
+            Err(SpecError::HashMismatch { .. })
+        ));
+        // and a value the old decoder refused is still refused
+        for bad in [
+            r#""pipeline":"deep""#,
+            r#""pipeline":-1"#,
+            r#""pipeline":2.5"#,
+        ] {
+            assert_eq!(
+                RunSpec::from_json(&P4.replace(r#""pipeline":4"#, bad)),
+                Err(SpecError::Field("pipeline")),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -132,8 +132,7 @@ impl ChannelDns {
         params.validate();
         let cfg = PfftConfig::customized(params.nx, params.ny, params.nz, params.pa, params.pb)
             .with_dealias()
-            .with_threads(params.fft_threads)
-            .with_pipeline(params.pipeline);
+            .with_threads(params.fft_threads);
         let pfft = ParallelFft::new(world, cfg);
         let breaks = tanh_breakpoints(params.ny - params.spline_order + 1, params.grid_stretch);
         let basis = BsplineBasis::new(params.spline_order, &breaks);

@@ -194,88 +194,11 @@ fn chaos_matrix_converges_bitwise_or_fails_clean() {
     }
 }
 
-#[test]
-fn transport_level_chaos_recovers_bitwise() {
-    // seeded *operation-level* crash: fires mid-step inside the transform
-    // pipeline, not at a polite step boundary — the restart must still
-    // recover from whatever generation was last committed
-    let total = 6u64;
-    let every = 2u64;
-
-    let reference = run_parallel(chaos_params(), move |dns| {
-        seed_ic(dns);
-        for _ in 0..total {
-            dns.step();
-        }
-        state_bits(dns)
-    });
-
-    for seed in [3u64, 11] {
-        let dir = test_dir(&format!("dns_chaos_op_seed{seed}"));
-        let stem = dir.join("state");
-        // a 2x2 grid runs thousands of transport ops over 6 steps; a
-        // crash in the middle half of this horizon lands mid-run
-        let plan = FaultPlan::seeded(seed, 4, 4000);
-
-        let report = supervise(
-            SupervisorConfig {
-                ranks: 4,
-                max_restarts: 2,
-                recv_timeout: Duration::from_secs(5),
-            },
-            move |attempt| {
-                if attempt == 0 {
-                    plan.clone()
-                } else {
-                    FaultPlan::none()
-                }
-            },
-            move |world, attempt| {
-                let ctl = world.dup();
-                let mut dns = ChannelDns::new(world, chaos_params());
-                supervised_body(&mut dns, &ctl, attempt.index > 0, &stem, total, every)
-            },
-        );
-
-        assert!(
-            report.succeeded(),
-            "seed {seed}: supervisor failed to recover:\n{}",
-            report.events_json()
-        );
-        for (rank, bits) in report.results.unwrap().iter().enumerate() {
-            assert_eq!(
-                bits, &reference[rank],
-                "seed {seed} rank {rank}: recovered state diverged bitwise"
-            );
-        }
-    }
-}
-
-#[test]
-fn pipelined_chaos_recovers_bitwise_to_blocking_reference() {
-    // the strongest statement of "overlap is a pure scheduling change":
-    // the reference trajectory runs *blocking* transposes, the chaos run
-    // keeps the pipelined x-stage on (the default) and takes a seeded
-    // operation-level crash while exchanges are in flight — recovery
-    // must land bit-for-bit on the blocking trajectory
-    let total = 6u64;
-    let every = 2u64;
-
-    let reference = run_parallel(chaos_params().with_pipeline(0), move |dns| {
-        seed_ic(dns);
-        for _ in 0..total {
-            dns.step();
-        }
-        state_bits(dns)
-    });
-
-    let dir = test_dir("dns_chaos_pipelined");
-    let stem = dir.join("state");
-    // an op-indexed crash on a 2x2 grid lands inside the transform
-    // pipeline, where up to three pipelined exchanges are outstanding;
-    // the surviving ranks must surface RankDead, not hang
-    let plan = FaultPlan::seeded(19, 4, 4000);
-
+/// Supervise a run of `OP_TOTAL` steps whose first launch runs under
+/// `plan`: it must take exactly one restart and land on `reference`, the
+/// uninterrupted trajectory, bit for bit.
+fn assert_op_fault_recovers_bitwise(reference: &[Vec<u64>], plan: FaultPlan, label: &str) {
+    let stem = test_dir(&format!("dns_chaos_op_{label}")).join("state");
     let report = supervise(
         SupervisorConfig {
             ranks: 4,
@@ -291,21 +214,70 @@ fn pipelined_chaos_recovers_bitwise_to_blocking_reference() {
         },
         move |world, attempt| {
             let ctl = world.dup();
-            let mut dns = ChannelDns::new(world, chaos_params().with_pipeline(4));
-            supervised_body(&mut dns, &ctl, attempt.index > 0, &stem, total, every)
+            let mut dns = ChannelDns::new(world, chaos_params());
+            supervised_body(&mut dns, &ctl, attempt.index > 0, &stem, OP_TOTAL, 2)
         },
     );
-
     assert!(
         report.succeeded(),
-        "supervisor failed to recover the pipelined run:\n{}",
+        "{label}: supervisor failed to recover:\n{}",
         report.events_json()
+    );
+    // a crash op past the end of the run would pass everything below
+    // without testing anything
+    assert_eq!(
+        report.restarts, 1,
+        "{label}: the injected crash never fired"
     );
     for (rank, bits) in report.results.unwrap().iter().enumerate() {
         assert_eq!(
             bits, &reference[rank],
-            "rank {rank}: pipelined recovery diverged from the blocking reference"
+            "{label} rank {rank}: recovered state diverged bitwise"
         );
+    }
+}
+
+/// Steps of the operation-level chaos runs. On the 2x2 grid every rank
+/// consumes between 200 and 300 transport ops over them (about 34 to
+/// plan, 36 per step — 12 transposes — and three checkpoints).
+const OP_TOTAL: u64 = 6;
+
+fn op_reference() -> Vec<Vec<u64>> {
+    run_parallel(chaos_params(), |dns| {
+        seed_ic(dns);
+        for _ in 0..OP_TOTAL {
+            dns.step();
+        }
+        state_bits(dns)
+    })
+}
+
+#[test]
+fn transport_level_chaos_recovers_bitwise() {
+    // seeded *operation-level* crash: fires mid-step inside the transform
+    // pipeline, not at a polite step boundary — the restart must still
+    // recover from whatever generation was last committed
+    let reference = op_reference();
+    for seed in [3u64, 11] {
+        // horizon 200: the crash lands on an op in [50, 150), which every
+        // rank reaches
+        let plan = FaultPlan::seeded(seed, 4, 200);
+        assert_op_fault_recovers_bitwise(&reference, plan, &format!("seed{seed}"));
+    }
+}
+
+#[test]
+fn crash_inside_the_x_stage_exchange_recovers_bitwise() {
+    // One substep's transposes are CommB, CommA, CommA, CommB — the middle
+    // pair is the x-stage — at 2 (pairwise) or 4 (all-to-all) transport
+    // ops each on a 2-rank sub-communicator, so 24 consecutive crash ops
+    // span a whole substep whichever schedule the planner picked: some
+    // land on the x-stage's sends, some on its receives, with the peer's
+    // blocks already queued.
+    let reference = op_reference();
+    for op in 100..124 {
+        let plan = FaultPlan::none().crash_at_op(2, op);
+        assert_op_fault_recovers_bitwise(&reference, plan, &format!("rank2_op{op}"));
     }
 }
 

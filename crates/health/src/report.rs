@@ -37,7 +37,6 @@ struct RankTotals {
     steps: u64,
     busy_s: f64,
     wait_s: f64,
-    overlap_s: f64,
     wall_s: f64,
     msgs: u64,
     bytes: u64,
@@ -93,10 +92,10 @@ impl Replay {
                     fft_s,
                     ns_s,
                     recv_wait_s,
-                    overlap_s,
                     busy_s,
                     msgs,
                     bytes,
+                    ..
                 } => {
                     r.wall.record(*wall_s);
                     r.transpose.record(*transpose_s);
@@ -108,7 +107,6 @@ impl Replay {
                     slot.steps += 1;
                     slot.busy_s += *busy_s;
                     slot.wait_s += *recv_wait_s;
-                    slot.overlap_s += *overlap_s;
                     slot.wall_s += *wall_s;
                     slot.msgs += *msgs;
                     slot.bytes += *bytes;
@@ -194,10 +192,7 @@ impl Replay {
         if self.per_rank.is_empty() {
             return;
         }
-        out.push_str(
-            "\n-- per-rank imbalance (busy = wall - recv wait; \
-             ovl = exchange time hidden behind compute) --\n",
-        );
+        out.push_str("\n-- per-rank imbalance (busy = wall - recv wait) --\n");
         let means: BTreeMap<usize, f64> = self
             .per_rank
             .iter()
@@ -210,7 +205,7 @@ impl Replay {
         let peak = means.values().cloned().fold(0.0, f64::max);
         const WIDTH: usize = 24;
         for (&rank, t) in &self.per_rank {
-            let (n, wait, overlap, wall) = (t.steps, t.wait_s, t.overlap_s, t.wall_s);
+            let (n, wait, wall) = (t.steps, t.wait_s, t.wall_s);
             let (msgs, bytes) = (t.msgs, t.bytes);
             let mean_busy = means[&rank];
             let bar_len = if peak > 0.0 {
@@ -220,19 +215,10 @@ impl Replay {
             };
             let bar: String = "#".repeat(bar_len) + &".".repeat(WIDTH - bar_len.min(WIDTH));
             let wait_share = if wall > 0.0 { wait / wall * 100.0 } else { 0.0 };
-            // Overlap fraction per step: share of this rank's exchange
-            // exposure (hidden + still-blocking wait) that the pipelined
-            // transposes hid behind compute. 0% under blocking exchanges.
-            let exchange = overlap + wait;
-            let ovl_share = if exchange > 0.0 {
-                overlap / exchange * 100.0
-            } else {
-                0.0
-            };
             let vs_mean = if grand > 0.0 { mean_busy / grand } else { 0.0 };
             out.push_str(&format!(
                 "rank {rank:>3} |{bar}| busy {}/step ({vs_mean:.2}x mean)  wait {wait_share:>4.1}%  \
-                 ovl {ovl_share:>4.1}%  {msgs} msgs {bytes} B over {n} steps\n",
+                 {msgs} msgs {bytes} B over {n} steps\n",
                 fmt_seconds(mean_busy)
             ));
         }
@@ -386,8 +372,7 @@ mod tests {
                     fft_s: 0.003,
                     ns_s: 0.002,
                     recv_wait_s: 0.042 - busy,
-                    // ranks 0..3 hide half their exchange exposure, rank 3 none
-                    overlap_s: if rank == 3 { 0.0 } else { 0.042 - busy },
+                    overlap_s: 0.0,
                     busy_s: busy,
                     msgs: 12,
                     bytes: 4096,
@@ -445,8 +430,6 @@ mod tests {
             "checkpoint committed",
             "recovery converged",
             "measured vs dnscost model",
-            "ovl 50.0%",
-            "ovl  0.0%",
             "Gflop/s",
             "calibration fit",
             "phase-sum vs critical path",

@@ -15,7 +15,8 @@ use std::fmt;
 /// change and teach [`FlightEvent::parse_line`] the old versions.
 ///
 /// v2 added `overlap_s` to `step` (seconds of communication hidden
-/// behind computation by the pipelined transposes); v1 lines parse with
+/// behind computation by the since-removed pipelined transposes; the
+/// blocking exchange writes `0.0`); v1 lines parse with
 /// `overlap_s = 0.0` — a v1 recorder predates the overlap clock, so
 /// zero is the faithful reading, not a guess.
 pub const SCHEMA_VERSION: u64 = 2;
@@ -130,8 +131,9 @@ pub enum FlightEvent {
         /// Seconds blocked in receives during the step.
         recv_wait_s: f64,
         /// Seconds of communication hidden behind computation during the
-        /// step (the in-flight transpose overlap clock; 0.0 under
-        /// blocking transposes and in schema-v1 recordings).
+        /// step: nonzero only in schema-v2 recordings of the removed
+        /// pipelined x-stage; 0.0 under the blocking exchange and in
+        /// schema-v1 recordings.
         overlap_s: f64,
         /// `wall_s - recv_wait_s`: the straggler-detection signal.
         busy_s: f64,

@@ -157,13 +157,6 @@ struct RankCtx {
     /// split wall time into busy vs wait — the signal that separates a
     /// genuine straggler (busy) from its victims (waiting on it).
     recv_wait: Cell<f64>,
-    /// Cumulative seconds of communication this rank's thread genuinely
-    /// hid behind computation: in-flight wall time of nonblocking
-    /// exchanges minus the blocked share, credited by the transpose
-    /// layer via [`Communicator::add_overlap_seconds`]. Always on (no
-    /// telemetry gate), so the run-health layer can report per-step
-    /// overlap fractions in production runs.
-    overlap: Cell<f64>,
 }
 
 impl RankCtx {
@@ -298,143 +291,6 @@ impl CommStats {
     }
 }
 
-/// Handle for a nonblocking send posted with [`Communicator::isend`].
-///
-/// The transport buffers eagerly (the payload is moved into the
-/// destination's channel at post time), so a send request is complete the
-/// moment [`Communicator::isend`] returns. The handle still exists — and
-/// is `#[must_use]` — so calling code is shaped for a zero-copy transport
-/// where the send buffer must stay untouched until [`SendRequest::wait`].
-#[derive(Debug)]
-#[must_use = "wait (or test) the request so calling code stays correct under a non-buffering transport"]
-pub struct SendRequest {
-    _posted: (),
-}
-
-impl SendRequest {
-    /// Poll for completion. Always `true` under the buffering transport.
-    pub fn test(&mut self) -> bool {
-        true
-    }
-
-    /// Block until the send buffer may be reused. Immediate here; a
-    /// zero-copy transport would park until the payload is drained.
-    pub fn wait(self) {}
-}
-
-/// Handle for a nonblocking receive posted with [`Communicator::irecv`].
-///
-/// The request is matched against exactly one message from `src` with
-/// `tag` on the posting communicator. Poll it with
-/// [`RecvRequest::test`] (never blocks, never accrues recv-wait time) and
-/// finish with [`RecvRequest::wait`] (blocks, accrues recv-wait only for
-/// the time actually spent blocked). Both surface a dead sender as
-/// [`CommError::RankDead`] instead of hanging.
-#[derive(Debug)]
-#[must_use = "an unfinished irecv leaves its message queued and skews request accounting"]
-pub struct RecvRequest<T> {
-    src: usize,
-    tag: u64,
-    comm: u64,
-    data: Option<Vec<T>>,
-}
-
-impl<T: Send + 'static> RecvRequest<T> {
-    /// Communicator rank of the awaited sender.
-    pub fn source(&self) -> usize {
-        self.src
-    }
-
-    /// User tag the request matches on.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
-    /// Poll for completion without blocking: drains the inbox into the
-    /// pending buffer, claims the matching message if one has arrived,
-    /// and returns `Ok(true)` once the payload is held by the request.
-    /// Returns [`CommError::RankDead`] as soon as the awaited sender's
-    /// thread is known dead with no matching message buffered. Never
-    /// accrues recv-wait time.
-    ///
-    /// `comm` must be the communicator the request was posted on.
-    pub fn test(&mut self, comm: &Communicator) -> Result<bool, CommError> {
-        debug_assert_eq!(
-            self.comm, comm.id,
-            "request polled on a foreign communicator"
-        );
-        if self.data.is_some() {
-            return Ok(true);
-        }
-        while let Ok(env) = comm.ctx.inbox.try_recv() {
-            comm.ctx
-                .pending
-                .borrow_mut()
-                .entry((env.src, env.comm, env.tag))
-                .or_default()
-                .push_back((env.bytes, env.payload));
-        }
-        let key = (self.src, self.comm, self.tag);
-        let claimed = comm
-            .ctx
-            .pending
-            .borrow_mut()
-            .get_mut(&key)
-            .and_then(|q| q.pop_front());
-        if let Some((bytes, payload)) = claimed {
-            if self.src != comm.rank {
-                comm.note_recv(bytes);
-            }
-            self.data = Some(
-                *payload
-                    .downcast::<Vec<T>>()
-                    .expect("message element type mismatch"),
-            );
-            return Ok(true);
-        }
-        let src_world = comm.members[self.src];
-        if src_world != comm.ctx.me && !comm.ctx.mesh.alive[src_world].load(Ordering::Acquire) {
-            return Err(CommError::RankDead {
-                src: self.src,
-                world_rank: src_world,
-            });
-        }
-        Ok(false)
-    }
-
-    /// Block until the message arrives and return it. Time spent blocked
-    /// here lands on the rank's recv-wait accumulator
-    /// ([`Communicator::recv_wait_seconds`]) exactly like a blocking
-    /// receive would; a request completed earlier by [`RecvRequest::test`]
-    /// returns instantly and accrues nothing. Fails fast with
-    /// [`CommError::RankDead`] if the sender died, or
-    /// [`CommError::Timeout`] after the run's receive budget.
-    ///
-    /// `comm` must be the communicator the request was posted on.
-    pub fn wait(mut self, comm: &Communicator) -> Result<Vec<T>, CommError> {
-        debug_assert_eq!(
-            self.comm, comm.id,
-            "request waited on a foreign communicator"
-        );
-        if let Some(data) = self.data.take() {
-            return Ok(data);
-        }
-        let (bytes, payload) = comm.ctx.fetch_deadline(
-            self.src,
-            comm.members[self.src],
-            self.comm,
-            self.tag,
-            comm.ctx.recv_timeout,
-        )?;
-        if self.src != comm.rank {
-            comm.note_recv(bytes);
-        }
-        Ok(*payload
-            .downcast::<Vec<T>>()
-            .expect("message element type mismatch"))
-    }
-}
-
 /// An MPI-like communicator: an ordered group of ranks with isolated
 /// message matching and its own traffic counters.
 pub struct Communicator {
@@ -492,25 +348,6 @@ impl Communicator {
     /// to attribute wait time to an interval.
     pub fn recv_wait_seconds(&self) -> f64 {
         self.ctx.recv_wait.get()
-    }
-
-    /// Cumulative seconds of communication this rank's thread has hidden
-    /// behind computation, across all communicators of the rank (the
-    /// clock lives on the shared rank context, like
-    /// [`recv_wait_seconds`](Self::recv_wait_seconds)). Monotone;
-    /// callers diff successive reads to attribute overlap to an
-    /// interval. Credited by overlapped-exchange layers through
-    /// [`add_overlap_seconds`](Self::add_overlap_seconds).
-    pub fn overlap_seconds(&self) -> f64 {
-        self.ctx.overlap.get()
-    }
-
-    /// Credit `s` seconds of hidden communication to the rank's overlap
-    /// clock. Called by nonblocking-exchange owners (e.g. an in-flight
-    /// pencil transpose at completion) with the exchange's in-flight
-    /// wall time minus the rank's blocked time over that window.
-    pub fn add_overlap_seconds(&self, s: f64) {
-        self.ctx.overlap.set(self.ctx.overlap.get() + s.max(0.0));
     }
 
     fn note_send(&self, bytes: usize) {
@@ -711,55 +548,6 @@ impl Communicator {
     ) -> Result<Vec<T>, CommError> {
         self.send(dest, tag, data);
         self.recv_checked(src, tag)
-    }
-
-    /// Nonblocking send: posts the message and returns a request handle.
-    ///
-    /// Consumes the fault plan exactly like [`Communicator::send`] (one
-    /// transport op: delays sleep here, crashes fire here, a seeded
-    /// `Drop` silently loses the message), so seeded fault schedules hit
-    /// the nonblocking path identically to the blocking one.
-    pub fn isend<T: Send + 'static>(&self, dest: usize, tag: u64, data: Vec<T>) -> SendRequest {
-        self.send(dest, tag, data);
-        SendRequest { _posted: () }
-    }
-
-    /// Nonblocking receive: registers interest in one message from `src`
-    /// with `tag` and returns immediately. Poll the returned request with
-    /// [`RecvRequest::test`] or finish it with [`RecvRequest::wait`].
-    ///
-    /// Posting is a transport operation for the fault plan (mirroring the
-    /// blocking receive, which consults the plan on entry), so seeded
-    /// delay/crash schedules line up between the two paths.
-    pub fn irecv<T: Send + 'static>(&self, src: usize, tag: u64) -> RecvRequest<T> {
-        // drops degenerate to no-ops on the receive side, as in
-        // `recv_within`
-        let _ = self.ctx.next_op_fault();
-        RecvRequest {
-            src,
-            tag,
-            comm: self.id,
-            data: None,
-        }
-    }
-
-    /// Finish a batch of receive requests, returning their payloads in
-    /// posting order. Blocks on each unfinished request in turn; because
-    /// every blocking fetch drains the shared inbox and stashes
-    /// out-of-order arrivals in the pending buffer, total progress is
-    /// independent of completion order and only genuinely idle time
-    /// accrues to the recv-wait accumulator. The first failure is
-    /// returned and the remaining requests are abandoned (their messages,
-    /// if any, stay buffered).
-    pub fn waitall<T: Send + 'static>(
-        &self,
-        reqs: Vec<RecvRequest<T>>,
-    ) -> Result<Vec<Vec<T>>, CommError> {
-        let mut out = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            out.push(req.wait(self)?);
-        }
-        Ok(out)
     }
 
     /// Synchronise all ranks of this communicator (gather-then-release).
@@ -1244,7 +1032,6 @@ where
                         recv_timeout,
                         faults,
                         recv_wait: Cell::new(0.0),
-                        overlap: Cell::new(0.0),
                     });
                     let world = Communicator {
                         ctx,
@@ -1870,133 +1657,5 @@ mod tests {
         telemetry::set_level(telemetry::Level::Off);
         telemetry::reset();
         assert!(faults >= 1, "expected at least one injected fault counted");
-    }
-
-    #[test]
-    fn irecv_test_completes_without_accruing_wait() {
-        let got = run(2, |comm| {
-            if comm.rank() == 0 {
-                let mut req = comm.irecv::<u8>(1, 9);
-                // poll until the message lands; test() never blocks, so
-                // no recv-wait should accumulate even though the sender
-                // is slow
-                while !req.test(&comm).unwrap() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                let data = req.wait(&comm).unwrap();
-                (data, comm.recv_wait_seconds())
-            } else {
-                std::thread::sleep(Duration::from_millis(20));
-                comm.isend(0, 9, vec![42u8]).wait();
-                (vec![], comm.recv_wait_seconds())
-            }
-        });
-        assert_eq!(got[0].0, vec![42]);
-        assert_eq!(
-            got[0].1, 0.0,
-            "polling via test() must not accrue recv-wait time"
-        );
-    }
-
-    #[test]
-    fn irecv_wait_blocks_and_accrues_wait() {
-        let got = run(2, |comm| {
-            if comm.rank() == 0 {
-                let req = comm.irecv::<u8>(1, 5);
-                let data = req.wait(&comm).unwrap();
-                (data, comm.recv_wait_seconds())
-            } else {
-                std::thread::sleep(Duration::from_millis(30));
-                comm.send(0, 5, vec![7u8]);
-                (vec![], comm.recv_wait_seconds())
-            }
-        });
-        assert_eq!(got[0].0, vec![7]);
-        assert!(
-            got[0].1 > 0.02,
-            "wait() blocked ~30ms but recorded {} s",
-            got[0].1
-        );
-    }
-
-    #[test]
-    fn waitall_returns_payloads_in_posting_order() {
-        let got = run(4, |comm| {
-            if comm.rank() == 0 {
-                let reqs = (1..4).map(|s| comm.irecv::<u8>(s, 2)).collect::<Vec<_>>();
-                comm.waitall(reqs)
-                    .unwrap()
-                    .into_iter()
-                    .flatten()
-                    .collect::<Vec<_>>()
-            } else {
-                // staggered sends arrive out of posting order
-                std::thread::sleep(Duration::from_millis(5 * (4 - comm.rank() as u64)));
-                comm.send(0, 2, vec![comm.rank() as u8]);
-                vec![]
-            }
-        });
-        assert_eq!(got[0], vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn irecv_from_dead_rank_fails_fast_in_test_and_wait() {
-        let opts = RunOptions {
-            recv_timeout: Duration::from_secs(5),
-            fault_plan: FaultPlan::none().crash_at_op(1, 0),
-        };
-        let out = run_result(2, opts, |comm| {
-            if comm.rank() == 0 {
-                let mut req = comm.irecv::<u8>(1, 7);
-                // rank 1 crashes on its first op; test() must surface
-                // RankDead within the poll loop instead of spinning
-                let deadline = Instant::now() + Duration::from_secs(5);
-                loop {
-                    match req.test(&comm) {
-                        Err(CommError::RankDead { src: 1, .. }) => break,
-                        Ok(true) => panic!("no message was ever sent"),
-                        Ok(false) => {
-                            assert!(Instant::now() < deadline, "test() never saw the death");
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(other) => panic!("expected RankDead, got {other:?}"),
-                    }
-                }
-                // a fresh request's blocking wait fails fast too
-                match comm.irecv::<u8>(1, 8).wait(&comm) {
-                    Err(CommError::RankDead { src: 1, .. }) => true,
-                    other => panic!("expected RankDead from wait, got {other:?}"),
-                }
-            } else {
-                comm.send(0, 7, vec![1u8]); // crashes here (op 0)
-                true
-            }
-        });
-        let failure = out.expect_err("rank 1 should have died");
-        assert_eq!(failure.ranks(), vec![1]);
-    }
-
-    #[test]
-    fn isend_consumes_drop_faults_like_send() {
-        // rank 1's first transport op (the isend) is dropped; the second
-        // isend gets through — identical schedule to the blocking test
-        // `dropped_message_never_arrives_but_later_sends_do`
-        let opts = RunOptions {
-            recv_timeout: Duration::from_secs(5),
-            fault_plan: FaultPlan::none().drop_at_op(1, 0),
-        };
-        let got = run_result(2, opts, |comm| {
-            if comm.rank() == 1 {
-                comm.isend(0, 1, vec![11u8]).wait(); // dropped
-                comm.isend(0, 2, vec![22u8]).wait(); // delivered
-                true
-            } else {
-                let second = comm.irecv::<u8>(1, 2).wait(&comm).unwrap();
-                let first = comm.recv_within::<u8>(1, 1, Duration::from_millis(50));
-                second == vec![22] && matches!(first, Err(CommError::Timeout { .. }))
-            }
-        })
-        .expect("no crash scheduled");
-        assert!(got.into_iter().all(|x| x));
     }
 }

@@ -25,4 +25,4 @@ pub mod reorder;
 pub mod transpose;
 
 pub use decomp::{block_len, block_start, Block};
-pub use transpose::{ExchangeStrategy, InflightTranspose, RowsPlacement, TransposePlan};
+pub use transpose::{ExchangeStrategy, RowsPlacement, TransposePlan};

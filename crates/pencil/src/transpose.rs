@@ -298,275 +298,87 @@ impl TransposePlan {
             return Ok(());
         }
 
-        // Multi-rank: the blocking entry point is a thin wrapper over the
-        // nonblocking protocol — post the whole exchange, then complete it
-        // immediately. The pack loop, message schedule, and unpack order
-        // are byte-for-byte those of the pipelined path, so blocking and
-        // overlapped callers produce bitwise-identical results.
-        self.post(comm, input, send, 0).complete_into(comm, out)
-    }
-
-    /// Post the exchange for this transpose and return the in-flight
-    /// state: pack `input` destination-major into the caller-owned `send`
-    /// buffer, issue the nonblocking sends, and register a receive
-    /// request per peer. The caller overlaps computation with the
-    /// exchange and finishes via [`InflightTranspose::complete`] (or
-    /// polls with [`InflightTranspose::progress`]).
-    ///
-    /// `seq` disambiguates concurrently in-flight exchanges on the same
-    /// communicator (message matching is per `(src, tag)`, and FIFO order
-    /// only protects identically-tagged traffic): give every exchange
-    /// that may be in flight simultaneously a distinct sequence number.
-    /// The transport buffers sends eagerly, so `send` may be reused as
-    /// soon as this returns; a zero-copy transport would require it to
-    /// stay untouched until completion.
-    ///
-    /// # Panics
-    /// On a single-rank communicator (no exchange exists to overlap —
-    /// use [`run_with`](Self::run_with), whose single-rank path is a pure
-    /// local reorder).
-    pub fn post<T: Copy + Default + Send + 'static>(
-        &self,
-        comm: &Communicator,
-        input: &[T],
-        send: &mut Vec<T>,
-        seq: u64,
-    ) -> InflightTranspose<T> {
-        assert_eq!(input.len(), self.input_len(), "input length mismatch");
-        assert_eq!(comm.size(), self.p);
-        assert!(
-            self.p > 1,
-            "post() needs a multi-rank communicator; single-rank transposes are local reorders"
-        );
-        let rows = self.rows;
+        // Multi-rank: pack -> sends in destination order -> receives in
+        // source order -> unpack in source order.
+        let p = self.p;
+        let me = comm.rank();
         let nfl = self.f_block.len;
-        let nt = self.nt;
-        let wait0 = comm.recv_wait_seconds();
 
         // pack: destination-major; block of `t` for dest d is contiguous.
         // Both placements share the property that (slow1, slow2) iterate
         // over rows x f_loc in layout order with t fastest.
         send.clear();
         send.reserve(input.len());
-        let mut send_counts = Vec::with_capacity(self.p);
+        let mut offsets = Vec::with_capacity(p + 1);
         let (s1, s2) = match self.placement {
             RowsPlacement::Outer => (rows, nfl),
             RowsPlacement::Middle => (nfl, rows),
         };
         {
             let _pack = telemetry::span("pack", Phase::Transpose);
-            for d in 0..self.p {
-                let tb = Block::of(self.nt, self.p, d);
+            for d in 0..p {
+                let tb = Block::of(nt, p, d);
+                offsets.push(send.len());
                 for a in 0..s1 {
                     for b in 0..s2 {
                         let base = (a * s2 + b) * nt + tb.start;
                         send.extend_from_slice(&input[base..base + tb.len]);
                     }
                 }
-                send_counts.push(rows * nfl * tb.len);
             }
+            offsets.push(send.len());
             // the pack streams the input once and writes it once
             telemetry::count(Counter::DdrBytes, 2 * std::mem::size_of_val(input) as u64);
         }
+        let block = |d: usize| send[offsets[d]..offsets[d + 1]].to_vec();
 
-        let p = self.p;
-        let me = comm.rank();
-        let offsets: Vec<usize> = send_counts
-            .iter()
-            .scan(0usize, |acc, &c| {
-                let o = *acc;
-                *acc += c;
-                Some(o)
-            })
-            .collect();
-        let mut parts: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        let mut reqs: Vec<Option<dns_minimpi::RecvRequest<T>>> = (0..p).map(|_| None).collect();
-        let mut outstanding = 0usize;
-        let (posted, retired_sends) = match self.strategy {
-            ExchangeStrategy::AllToAll => {
-                // the nonblocking mirror of `alltoallv_checked`: all sends
-                // in destination order (self included), then one posted
-                // receive per source — the same transport-op schedule the
-                // blocking collective consumes from the fault plan
-                let tag = NB_TAG + seq;
-                for d in 0..p {
-                    comm.isend(
-                        d,
-                        tag,
-                        send[offsets[d]..offsets[d] + send_counts[d]].to_vec(),
-                    )
-                    .wait(); // eager transport: complete at post
-                }
-                for s in 0..p {
-                    reqs[s] = Some(comm.irecv::<T>(s, tag));
-                    outstanding += 1;
-                }
-                (2 * p as u64, p as u64)
-            }
-            ExchangeStrategy::Pairwise => {
-                // rotation partners as in `pairwise_exchange`, but all
-                // rounds posted up front (the buffering transport makes
-                // that safe); the self block never touches the wire
-                parts[me] = Some(send[offsets[me]..offsets[me] + send_counts[me]].to_vec());
-                for round in 1..p {
-                    let to = (me + round) % p;
-                    let tag = NB_PW_TAG + seq * p as u64 + round as u64;
-                    comm.isend(
-                        to,
-                        tag,
-                        send[offsets[to]..offsets[to] + send_counts[to]].to_vec(),
-                    )
-                    .wait();
-                }
-                for round in 1..p {
-                    let from = (me + p - round) % p;
-                    let tag = NB_PW_TAG + seq * p as u64 + round as u64;
-                    reqs[from] = Some(comm.irecv::<T>(from, tag));
-                    outstanding += 1;
-                }
-                (2 * (p as u64 - 1), p as u64 - 1)
-            }
-        };
-        telemetry::count_phase(Phase::Transpose, Counter::RequestsPosted, posted);
-        // sends retire at post under the eager transport
-        telemetry::count_phase(Phase::Transpose, Counter::RequestsCompleted, retired_sends);
-        InflightTranspose {
-            plan: self.clone(),
-            parts,
-            reqs,
-            outstanding,
-            posted_at: std::time::Instant::now(),
-            wait_at_post: wait0,
-        }
-    }
-}
-
-/// Tag base for nonblocking all-to-all transpose exchanges; the posting
-/// sequence number is added so overlapping exchanges match separately.
-const NB_TAG: u64 = 0x7051_0000;
-/// Tag base for nonblocking pairwise rounds: `NB_PW_TAG + seq*p + round`.
-const NB_PW_TAG: u64 = 0x7052_0000;
-
-/// An exchange in flight: the state between [`TransposePlan::post`] and
-/// [`InflightTranspose::complete`]. Receive requests are retired as their
-/// messages arrive (eagerly via [`progress`](Self::progress), lazily in
-/// [`complete`](Self::complete)); the unpack happens only at completion,
-/// in source-rank order, so the output is bitwise identical to the
-/// blocking path no matter in which order the network delivered.
-#[must_use = "an abandoned in-flight transpose leaves peers' messages queued forever"]
-pub struct InflightTranspose<T> {
-    plan: TransposePlan,
-    /// Received chunk per source rank (the self block is pre-filled for
-    /// the pairwise schedule).
-    parts: Vec<Option<Vec<T>>>,
-    /// Open receive request per source rank.
-    reqs: Vec<Option<dns_minimpi::RecvRequest<T>>>,
-    outstanding: usize,
-    posted_at: std::time::Instant,
-    /// The rank's monotone recv-wait clock at post time — the overlap
-    /// window accounting in `complete` diffs against it.
-    wait_at_post: f64,
-}
-
-impl<T: Copy + Default + Send + 'static> InflightTranspose<T> {
-    /// Poll every open receive request once, without blocking, retiring
-    /// those whose message has arrived. Returns `Ok(true)` once all
-    /// peers' chunks are in (a following [`complete`](Self::complete)
-    /// will not block at all), and surfaces a dead peer as
-    /// [`CommError::RankDead`](dns_minimpi::CommError::RankDead)
-    /// immediately instead of hanging.
-    pub fn progress(&mut self, comm: &Communicator) -> Result<bool, dns_minimpi::CommError> {
-        for s in 0..self.plan.p {
-            if let Some(req) = self.reqs[s].as_mut() {
-                if req.test(comm)? {
-                    let req = self.reqs[s].take().expect("request present");
-                    // the payload is already held: this wait is immediate
-                    // and accrues no recv-wait time
-                    self.parts[s] = Some(req.wait(comm)?);
-                    self.outstanding -= 1;
-                    telemetry::count_phase(Phase::Transpose, Counter::RequestsCompleted, 1);
-                }
-            }
-        }
-        Ok(self.outstanding == 0)
-    }
-
-    /// Finish the exchange: block on the remaining receive requests (in
-    /// source order), then unpack every chunk — also in source order, with
-    /// the same strided scatter as the blocking path — into `out`, which
-    /// is cleared and resized to the plan's output length.
-    ///
-    /// Wait time accrued here lands on `ExchangeWaitUs`; the in-flight
-    /// wall time *not* spent blocked since the post lands on
-    /// `ExchangeOverlapUs` — the communication the pipeline actually hid
-    /// behind computation.
-    pub fn complete(
-        self,
-        comm: &Communicator,
-        out: &mut Vec<T>,
-    ) -> Result<(), dns_minimpi::CommError> {
-        out.clear();
-        out.resize(self.plan.output_len(), T::default());
-        self.complete_into(comm, out.as_mut_slice())
-    }
-
-    /// [`complete`](Self::complete) into a caller-owned slice of exactly
-    /// the plan's output length — the pipelined callers' form, writing one
-    /// batch's worth of output into its offset region of a larger buffer.
-    /// Every element of `out` is overwritten.
-    pub fn complete_into(
-        mut self,
-        comm: &Communicator,
-        out: &mut [T],
-    ) -> Result<(), dns_minimpi::CommError> {
-        let plan = &self.plan;
-        assert_eq!(out.len(), plan.output_len(), "output length mismatch");
+        let mut parts: Vec<Vec<T>> = Vec::with_capacity(p);
         {
             let _exchange = telemetry::span("exchange", Phase::Transpose);
-            // attribute blocked-receive time inside the completion to its
-            // own counter: the rank thread's wait clock is monotone, so
-            // the delta across the wait loop is exactly this exchange's
-            // blocking share
-            let wait0 = comm.recv_wait_seconds();
-            for s in 0..plan.p {
-                if let Some(req) = self.reqs[s].take() {
-                    self.parts[s] = Some(req.wait(comm)?);
-                    telemetry::count_phase(Phase::Transpose, Counter::RequestsCompleted, 1);
+            match self.strategy {
+                // the schedule of `alltoallv_checked`: every block, self
+                // included, goes through the transport
+                ExchangeStrategy::AllToAll => {
+                    for d in 0..p {
+                        comm.send(d, A2A_TAG, block(d));
+                    }
+                }
+                // rotating partners, one tag per round; all rounds are sent
+                // up front (the buffering transport makes that safe) and
+                // the self block never touches the wire
+                ExchangeStrategy::Pairwise => {
+                    for round in 1..p {
+                        let to = (me + round) % p;
+                        comm.send(to, PAIRWISE_TAG + round as u64, block(to));
+                    }
                 }
             }
-            let now = comm.recv_wait_seconds();
+            // the rank thread's wait clock is monotone, so its delta across
+            // the receive loop is exactly this exchange's blocked share
+            let wait0 = comm.recv_wait_seconds();
+            for s in 0..p {
+                parts.push(match self.strategy {
+                    ExchangeStrategy::AllToAll => comm.recv_checked(s, A2A_TAG)?,
+                    ExchangeStrategy::Pairwise if s == me => block(me),
+                    ExchangeStrategy::Pairwise => {
+                        comm.recv_checked(s, PAIRWISE_TAG + ((me + p - s) % p) as u64)?
+                    }
+                });
+            }
             telemetry::count_phase(
                 Phase::Transpose,
                 Counter::ExchangeWaitUs,
-                ((now - wait0) * 1e6) as u64,
+                ((comm.recv_wait_seconds() - wait0) * 1e6) as u64,
             );
-            // overlap window: wall time this exchange spent in flight
-            // minus every second the rank was blocked in receives over
-            // that window (its own waits and any sibling exchange's) —
-            // i.e. communication genuinely hidden behind computation
-            let in_flight = self.posted_at.elapsed().as_secs_f64();
-            let blocked = now - self.wait_at_post;
-            let hidden = (in_flight - blocked).max(0.0);
-            telemetry::count_phase(
-                Phase::Transpose,
-                Counter::ExchangeOverlapUs,
-                (hidden * 1e6) as u64,
-            );
-            // also credit the rank's always-on overlap clock, so the
-            // run-health layer can report per-step overlap fractions
-            // without telemetry enabled
-            comm.add_overlap_seconds(hidden);
         }
 
         let _unpack = telemetry::span("unpack", Phase::Transpose);
-        let rows = plan.rows;
-        let ntl = plan.t_block.len;
-        let nf = plan.nf;
-        for s in 0..plan.p {
-            let fb = Block::of(plan.nf, plan.p, s);
-            let chunk = self.parts[s].as_deref().expect("all parts received");
+        let ntl = self.t_block.len;
+        let nf = self.nf;
+        for (s, chunk) in parts.iter().enumerate() {
+            let fb = Block::of(nf, p, s);
             debug_assert_eq!(chunk.len(), rows * fb.len * ntl);
-            match plan.placement {
+            match self.placement {
                 RowsPlacement::Outer => {
                     // chunk [rows][f_s][t_loc] -> out[(r*ntl + t)*nf + f]
                     for r in 0..rows {
@@ -595,10 +407,20 @@ impl<T: Copy + Default + Send + 'static> InflightTranspose<T> {
             }
         }
         // the unpack reads the receive chunks once and scatters them once
-        telemetry::count(Counter::DdrBytes, 2 * std::mem::size_of_val(out) as u64);
+        telemetry::count(
+            Counter::DdrBytes,
+            2 * std::mem::size_of_val(out.as_slice()) as u64,
+        );
         Ok(())
     }
 }
+
+/// Tag of the all-to-all schedule's messages. One tag for every exchange:
+/// matching is FIFO per `(source, communicator, tag)`, and a rank finishes
+/// one exchange before it starts the next.
+const A2A_TAG: u64 = 0x7051_0000;
+/// Tag base of the pairwise schedule: `PAIRWISE_TAG + round`.
+const PAIRWISE_TAG: u64 = 0x7052_0000;
 
 #[cfg(test)]
 mod tests {
@@ -610,37 +432,42 @@ mod tests {
         (0..rows * nf * nt).map(|x| x as u64).collect()
     }
 
+    /// This rank's `[rows][f_loc][t]` block of the global tensor `g`.
+    fn scatter(plan: &TransposePlan, g: &[u64]) -> Vec<u64> {
+        let (nf, nt, fb) = (plan.nf, plan.nt, plan.f_block());
+        let mut input = Vec::with_capacity(plan.input_len());
+        for r in 0..plan.rows {
+            for f in fb.start..fb.end() {
+                input.extend_from_slice(&g[(r * nf + f) * nt..][..nt]);
+            }
+        }
+        input
+    }
+
+    /// The definition: `out[r][t_loc][f] == g[r][f][t]`.
+    fn assert_transposed(plan: &TransposePlan, out: &[u64], g: &[u64]) {
+        let (nf, nt, tb) = (plan.nf, plan.nt, plan.t_block());
+        for r in 0..plan.rows {
+            for (tl, t) in (tb.start..tb.end()).enumerate() {
+                for f in 0..nf {
+                    assert_eq!(
+                        out[(r * tb.len + tl) * nf + f],
+                        g[(r * nf + f) * nt + t],
+                        "p={} r={r} t={t} f={f}",
+                        plan.p
+                    );
+                }
+            }
+        }
+    }
+
     fn check_transpose(p: usize, rows: usize, nf: usize, nt: usize, strategy: ExchangeStrategy) {
-        let results = mpi::run(p, move |comm| {
+        mpi::run(p, move |comm| {
             let plan = TransposePlan::new(&comm, rows, nf, nt, strategy);
             let g = global(rows, nf, nt);
-            // scatter my f-block
-            let fb = plan.f_block();
-            let mut input = Vec::with_capacity(plan.input_len());
-            for r in 0..rows {
-                for f in fb.start..fb.end() {
-                    for t in 0..nt {
-                        input.push(g[(r * nf + f) * nt + t]);
-                    }
-                }
-            }
-            let out = plan.run(&comm, &input);
-            // verify against the definition: out[r][t_loc][f] == g[r][f][t]
-            let tb = plan.t_block();
-            for r in 0..rows {
-                for (tl, t) in (tb.start..tb.end()).enumerate() {
-                    for f in 0..nf {
-                        assert_eq!(
-                            out[(r * tb.len + tl) * nf + f],
-                            g[(r * nf + f) * nt + t],
-                            "p={p} r={r} t={t} f={f}"
-                        );
-                    }
-                }
-            }
-            true
+            let out = plan.run(&comm, &scatter(&plan, &g));
+            assert_transposed(&plan, &out, &g);
         });
-        assert!(results.into_iter().all(|ok| ok));
     }
 
     #[test]
@@ -757,173 +584,83 @@ mod tests {
 
     #[test]
     fn dead_rank_surfaces_as_typed_error_not_hang() {
-        for strategy in [ExchangeStrategy::AllToAll, ExchangeStrategy::Pairwise] {
+        // rank 1 dies on its very first transport operation, or on one
+        // that falls into its second exchange (the first then delivers)
+        for (strategy, crash_op) in [
+            (ExchangeStrategy::AllToAll, 0),
+            (ExchangeStrategy::Pairwise, 0),
+            (ExchangeStrategy::AllToAll, 4),
+            (ExchangeStrategy::Pairwise, 2),
+        ] {
             let out = mpi::run_result(
                 2,
                 mpi::RunOptions {
                     recv_timeout: std::time::Duration::from_secs(5),
-                    // rank 1 dies on its very first transport operation
-                    fault_plan: mpi::FaultPlan::none().crash_at_op(1, 0),
+                    fault_plan: mpi::FaultPlan::none().crash_at_op(1, crash_op),
                 },
                 move |comm| {
                     let plan = TransposePlan::new(&comm, 1, 4, 4, strategy);
                     let input = vec![0.0f64; plan.input_len()];
                     let (mut send, mut result) = (Vec::new(), Vec::new());
-                    if comm.rank() == 0 {
-                        match plan.try_run_with(&comm, &input, &mut send, &mut result) {
-                            Err(mpi::CommError::RankDead { .. }) => (),
-                            other => panic!("expected RankDead, got {other:?}"),
-                        }
+                    let first = plan.try_run_with(&comm, &input, &mut send, &mut result);
+                    let failed = if crash_op == 0 {
+                        first
                     } else {
-                        // crashes inside the exchange before this returns
-                        let _ = plan.try_run_with(&comm, &input, &mut send, &mut result);
+                        first.expect("the first exchange completes on both ranks");
+                        plan.try_run_with(&comm, &input, &mut send, &mut result)
+                    };
+                    // rank 1 crashes inside the exchange before it returns
+                    match failed {
+                        Err(mpi::CommError::RankDead { .. }) => (),
+                        other => panic!("expected RankDead, got {other:?}"),
                     }
                 },
             );
             // only the injected crash dies; rank 0 observed it cleanly
             let failure = out.expect_err("rank 1 should have crashed");
-            assert_eq!(failure.ranks(), vec![1], "strategy {strategy:?}");
-        }
-    }
-
-    #[test]
-    fn posted_exchange_completes_bitwise_identical_to_blocking() {
-        for strategy in [ExchangeStrategy::AllToAll, ExchangeStrategy::Pairwise] {
-            for placement in [RowsPlacement::Outer, RowsPlacement::Middle] {
-                let results = mpi::run(4, move |comm| {
-                    let plan = TransposePlan::with_placement(&comm, 3, 8, 12, strategy, placement);
-                    let input: Vec<u64> = (0..plan.input_len())
-                        .map(|x| x as u64 * 31 + comm.rank() as u64)
-                        .collect();
-                    let blocking = plan.run(&comm, &input);
-                    let mut send = Vec::new();
-                    let mut out = vec![0u64; plan.output_len()];
-                    let mut inflight = plan.post(&comm, &input, &mut send, 1);
-                    // drive the exchange by polling until everything is
-                    // in, then complete without blocking
-                    while !inflight.progress(&comm).unwrap() {
-                        std::thread::yield_now();
-                    }
-                    inflight.complete_into(&comm, &mut out).unwrap();
-                    out == blocking
-                });
-                assert!(
-                    results.into_iter().all(|ok| ok),
-                    "{strategy:?}/{placement:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn overlapping_exchanges_with_distinct_seq_do_not_cross_match() {
-        // two exchanges in flight on the same communicator at once — the
-        // double-buffered pipeline's steady state; distinct sequence
-        // numbers keep their messages apart
-        for strategy in [ExchangeStrategy::AllToAll, ExchangeStrategy::Pairwise] {
-            let results = mpi::run(3, move |comm| {
-                let plan = TransposePlan::new(&comm, 2, 6, 9, strategy);
-                let a: Vec<u64> = (0..plan.input_len()).map(|x| x as u64).collect();
-                let b: Vec<u64> = (0..plan.input_len())
-                    .map(|x| x as u64 + 1_000_000)
-                    .collect();
-                let want_a = plan.run(&comm, &a);
-                let want_b = plan.run(&comm, &b);
-                let (mut send_a, mut send_b) = (Vec::new(), Vec::new());
-                let fly_a = plan.post(&comm, &a, &mut send_a, 0);
-                let fly_b = plan.post(&comm, &b, &mut send_b, 1);
-                // complete in reverse posting order to stress matching
-                let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
-                fly_b.complete(&comm, &mut got_b).unwrap();
-                fly_a.complete(&comm, &mut got_a).unwrap();
-                got_a == want_a && got_b == want_b
-            });
-            assert!(results.into_iter().all(|ok| ok), "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn crash_with_transpose_in_flight_surfaces_rank_dead() {
-        // rank 1 dies *after* the exchange is posted (its sends are ops
-        // 0..p-1; the crash lands on a later op), so the survivor holds an
-        // InflightTranspose whose peer will never deliver — both progress
-        // and complete must fail fast with the typed error, not hang
-        for strategy in [ExchangeStrategy::AllToAll, ExchangeStrategy::Pairwise] {
-            let out = mpi::run_result(
-                2,
-                mpi::RunOptions {
-                    recv_timeout: std::time::Duration::from_secs(5),
-                    // op 0 is rank 1's first send of the *second* exchange:
-                    // its first exchange delivers, the second never does
-                    fault_plan: mpi::FaultPlan::none().crash_at_op(1, 2),
-                },
-                move |comm| {
-                    let plan = TransposePlan::new(&comm, 1, 4, 4, strategy);
-                    let input = vec![1.0f64; plan.input_len()];
-                    let mut send = Vec::new();
-                    if comm.rank() == 0 {
-                        let mut first = plan.post(&comm, &input, &mut send, 0);
-                        while !first.progress(&comm).unwrap() {
-                            std::thread::yield_now();
-                        }
-                        let mut done = Vec::new();
-                        first.complete(&comm, &mut done).unwrap();
-                        let second = plan.post(&comm, &input, &mut send, 1);
-                        match second.complete(&comm, &mut Vec::new()) {
-                            Err(mpi::CommError::RankDead { .. }) => (),
-                            other => panic!("expected RankDead, got {other:?}"),
-                        }
-                    } else {
-                        // crashes part-way through posting the second
-                        // exchange
-                        let first = plan.post(&comm, &input, &mut send, 0);
-                        let _ = first.complete(&comm, &mut Vec::new());
-                        let _ = plan.post(&comm, &input, &mut send, 1);
-                    }
-                },
-            );
-            let failure = out.expect_err("rank 1 should have crashed");
             assert_eq!(
                 failure.ranks(),
                 vec![1],
-                "strategy {strategy:?}: {:?}",
+                "{strategy:?} op {crash_op}: {:?}",
                 failure.messages()
             );
         }
     }
 
     #[test]
-    fn request_counters_balance_and_overlap_is_counted() {
-        telemetry::set_level(telemetry::Level::Phases);
-        telemetry::reset();
-        let results = mpi::run(2, |comm| {
-            let plan = TransposePlan::new(&comm, 2, 4, 6, ExchangeStrategy::AllToAll);
-            let input = vec![0.5f64; plan.input_len()];
-            let mut send = Vec::new();
-            let inflight = plan.post(&comm, &input, &mut send, 0);
-            // do some "compute" while the exchange is in flight so a
-            // nonzero overlap window exists
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            let mut out = Vec::new();
-            inflight.complete(&comm, &mut out).unwrap();
-            true
-        });
-        let totals = telemetry::snapshot().total_counters();
-        telemetry::set_level(telemetry::Level::Off);
-        telemetry::reset();
-        assert!(results.into_iter().all(|ok| ok));
-        let posted = totals.get(Counter::RequestsPosted);
-        let completed = totals.get(Counter::RequestsCompleted);
-        // 2 ranks x (2 isends + 2 irecvs) = 8 requests, all retired
-        assert_eq!(posted, 8);
-        assert_eq!(
-            completed, posted,
-            "a quiesced exchange retires all requests"
-        );
-        assert!(
-            totals.get(Counter::ExchangeOverlapUs) >= 2_000,
-            "the 2 ms in-flight compute window must land on ExchangeOverlapUs"
-        );
+    fn back_to_back_exchanges_on_one_communicator_do_not_cross_match() {
+        // Every exchange uses the same tags, so two consecutive ones are
+        // kept apart by FIFO matching per (source, tag) alone. Rank 0 is
+        // delayed on its first receive of exchange A, so its peers have
+        // finished A and queued their B blocks behind their A blocks by
+        // the time it starts receiving.
+        for strategy in [ExchangeStrategy::AllToAll, ExchangeStrategy::Pairwise] {
+            let p = 3;
+            let first_recv_op = match strategy {
+                ExchangeStrategy::AllToAll => p,
+                ExchangeStrategy::Pairwise => p - 1,
+            } as u64;
+            let opts = mpi::RunOptions {
+                recv_timeout: std::time::Duration::from_secs(5),
+                fault_plan: mpi::FaultPlan::none().delay_at_op(
+                    0,
+                    first_recv_op,
+                    std::time::Duration::from_millis(30),
+                ),
+            };
+            mpi::run_result(p, opts, move |comm| {
+                let (rows, nf, nt) = (2, 6, 9);
+                let plan = TransposePlan::new(&comm, rows, nf, nt, strategy);
+                let ga = global(rows, nf, nt);
+                let gb: Vec<u64> = ga.iter().map(|x| x + 1_000_000).collect();
+                let (mut send, mut got_a, mut got_b) = (Vec::new(), Vec::new(), Vec::new());
+                plan.run_with(&comm, &scatter(&plan, &ga), &mut send, &mut got_a);
+                plan.run_with(&comm, &scatter(&plan, &gb), &mut send, &mut got_b);
+                assert_transposed(&plan, &got_a, &ga);
+                assert_transposed(&plan, &got_b, &gb);
+            })
+            .unwrap_or_else(|f| panic!("{strategy:?}: {:?}", f.messages()));
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::cell::Cell;
 
 use dns_fft::{CfftPlan, Direction, Lanes, RealLayout, RfftPlan, LANES};
 use dns_minimpi::{CartComm, Communicator};
-use dns_pencil::{Block, ExchangeStrategy, InflightTranspose, RowsPlacement, TransposePlan};
+use dns_pencil::{Block, ExchangeStrategy, RowsPlacement, TransposePlan};
 
 use dns_telemetry as telemetry;
 use dns_telemetry::Phase;
@@ -58,15 +58,6 @@ pub struct PfftConfig {
     /// On-node worker threads for the serial-FFT line loops (the paper's
     /// OpenMP threading, section 4.2). 1 = serial; P3DFFT has none.
     pub threads: usize,
-    /// Communication/computation overlap depth of the fused nonlinear
-    /// x-stage: split the local y rows into up to `pipeline` batches and
-    /// keep the CommA exchange for the next batch in flight while the
-    /// current batch runs its inverse-FFT -> five-product -> forward-FFT
-    /// kernel. `0` or `1` = blocking monolithic transposes (the
-    /// pre-overlap schedule); values above the local y count are clamped.
-    /// Only multi-rank CommA groups pipeline — a single rank has no
-    /// exchange to hide.
-    pub pipeline: usize,
 }
 
 impl PfftConfig {
@@ -83,7 +74,6 @@ impl PfftConfig {
             elide_nyquist: true,
             strategy: None,
             threads: 1,
-            pipeline: 4,
         }
     }
 
@@ -101,7 +91,6 @@ impl PfftConfig {
             elide_nyquist: false,
             strategy: Some(ExchangeStrategy::AllToAll),
             threads: 1,
-            pipeline: 0,
         }
     }
 
@@ -114,13 +103,6 @@ impl PfftConfig {
     /// Use `n` on-node threads for the transform line loops.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Set the overlap depth of the fused x-stage (see
-    /// [`PfftConfig::pipeline`]); `0` restores blocking transposes.
-    pub fn with_pipeline(mut self, k: usize) -> Self {
-        self.pipeline = k;
         self
     }
 
@@ -313,7 +295,14 @@ impl ParallelFft {
         {
             let mut map = self.batch_plans.borrow_mut();
             map.entry(k).or_insert_with(|| {
-                let t_xz = self.plan_a(self.y_block.len * k, self.cfg.pz(), self.cfg.sx());
+                let t_xz = TransposePlan::with_placement(
+                    &self.comm_a,
+                    self.y_block.len * k,
+                    self.cfg.pz(),
+                    self.cfg.sx(),
+                    self.strategy_a,
+                    RowsPlacement::Outer,
+                );
                 let t_zx = t_xz.inverse(&self.comm_a);
                 let t_zy = TransposePlan::with_placement(
                     &self.comm_b,
@@ -333,14 +322,6 @@ impl ParallelFft {
             });
         }
         std::cell::Ref::map(self.batch_plans.borrow(), |m| &m[&k])
-    }
-
-    /// A CommA transpose of `rows` outer rows from complete `nf` to
-    /// complete `nt`, on the schedule fixed at construction (local
-    /// arithmetic: no collectives, no heap).
-    fn plan_a(&self, rows: usize, nf: usize, nt: usize) -> TransposePlan {
-        let outer = RowsPlacement::Outer;
-        TransposePlan::with_placement(&self.comm_a, rows, nf, nt, self.strategy_a, outer)
     }
 
     /// The configuration this instance was planned for.
@@ -671,23 +652,9 @@ impl ParallelFft {
             spec_px,
             out_z,
             send,
-            zp_px,
-            pack_inv,
-            pack_fwd,
             serial,
         } = ws;
         serial.ensure(NL_FIELDS, px, self.fft_len());
-
-        // Overlap depth for the CommA x-stage. Every rank of a CommA
-        // group shares the same y_block (same CommB coordinate), so the
-        // batch partition below agrees collectively; a single-rank CommA
-        // group has no exchange to hide and keeps the monolithic
-        // (zero-allocation) route.
-        let nb = if self.comm_a.size() > 1 && cfg.pipeline >= 2 {
-            cfg.pipeline.min(nyl)
-        } else {
-            1
-        };
 
         // --- inverse leg: 3 velocity fields to the z-pencil ---
         {
@@ -727,90 +694,9 @@ impl ParallelFft {
         };
         const FUSED_TRANSFORMS: usize = NL_FIELDS + NL_PRODUCTS;
 
-        if nb >= 2 {
-            // --- pipelined x-stage: the CommA exchange for batch k+1 is
-            // posted before batch k's completion blocks, so it is in
-            // flight through batch k's fused kernel; likewise batch k's
-            // forward exchange flies through batch k+1's kernel. The
-            // per-y-row strided scatter is identical to the monolithic
-            // plans', so the result is bitwise identical. Forward
-            // completions land in `zp_px` (not `zp`): inverse posts of
-            // later batches still read `zp`, and the 3-field vs
-            // 5-product row strides overlap from the second batch on.
-            let inv_in = NL_FIELDS * sxl * pz; // zp stride per y row
-            let inv_out = NL_FIELDS * zpl * sx; // spec_x stride per y row
-            let fwd_in = NL_PRODUCTS * zpl * sx; // spec_px stride per y row
-            let fwd_out = NL_PRODUCTS * sxl * pz; // zp_px stride per y row
-            spec_x.resize(nyl * inv_out, zero);
-            spec_px.resize(nyl * fwd_in, zero);
-            zp_px.resize(nyl * fwd_out, zero);
-            // Batch sub-plans share the measured strategies of the full
-            // plans, so building them per call is cheap.
-            let inv_plan = |rows: usize| self.plan_a(rows * NL_FIELDS, sx, pz);
-            let fwd_plan = |rows: usize| self.plan_a(rows * NL_PRODUCTS, pz, sx);
-            fn fail(e: dns_minimpi::CommError) -> ! {
-                panic!("pipelined transpose exchange failed: {e}")
-            }
-            // Distinct sequence numbers keep simultaneously in-flight
-            // exchanges on disjoint tags (message matching is FIFO only
-            // per identical tag): inverse batch k uses 2k, forward 2k+1.
-            let zp_src: &[C64] = zp;
-            let b0 = Block::of(nyl, nb, 0);
-            let mut inv_fly = Some(self.transposing(|| {
-                let from = &zp_src[b0.start * inv_in..(b0.start + b0.len) * inv_in];
-                inv_plan(b0.len).post(&self.comm_a, from, &mut pack_inv[0], 0)
-            }));
-            let mut fwd_fly: Option<(Block, InflightTranspose<C64>)> = None;
-            for k in 0..nb {
-                let b = Block::of(nyl, nb, k);
-                // post the next inverse exchange before blocking on this
-                // one, so it flies through this batch's kernel
-                let inv_next = (k + 1 < nb).then(|| {
-                    let bn = Block::of(nyl, nb, k + 1);
-                    let from = &zp_src[bn.start * inv_in..(bn.start + bn.len) * inv_in];
-                    let (pack, seq) = (&mut pack_inv[(k + 1) % 2], 2 * (k as u64 + 1));
-                    self.transposing(|| inv_plan(bn.len).post(&self.comm_a, from, pack, seq))
-                });
-                let landing = &mut spec_x[b.start * inv_out..(b.start + b.len) * inv_out];
-                let fly = inv_fly.take().expect("inverse exchange in flight");
-                self.transposing(|| fly.complete_into(&self.comm_a, landing))
-                    .unwrap_or_else(|e| fail(e));
-                inv_fly = inv_next;
-
-                self.x_stage(
-                    "fused_products",
-                    NL_FIELDS,
-                    FUSED_TRANSFORMS,
-                    XIn::Spectra(&spec_x[b.start * inv_out..(b.start + b.len) * inv_out]),
-                    &mut spec_px[b.start * fwd_in..(b.start + b.len) * fwd_in],
-                    fwd_in,
-                    serial,
-                    fused,
-                );
-
-                // post this batch's forward exchange, then retire the
-                // previous one — it has been in flight for this entire
-                // batch's kernel
-                let prev = fwd_fly.take();
-                fwd_fly = Some(self.transposing(|| {
-                    let from = &spec_px[b.start * fwd_in..(b.start + b.len) * fwd_in];
-                    let (pack, seq) = (&mut pack_fwd[k % 2], 2 * k as u64 + 1);
-                    let fly = fwd_plan(b.len).post(&self.comm_a, from, pack, seq);
-                    if let Some((bp, prev)) = prev {
-                        let landing = &mut zp_px[bp.start * fwd_out..(bp.start + bp.len) * fwd_out];
-                        prev.complete_into(&self.comm_a, landing)
-                            .unwrap_or_else(|e| fail(e));
-                    }
-                    (b, fly)
-                }));
-            }
-            let (bp, last) = fwd_fly.take().expect("final forward exchange in flight");
-            let landing = &mut zp_px[bp.start * fwd_out..(bp.start + bp.len) * fwd_out];
-            self.transposing(|| last.complete_into(&self.comm_a, landing))
-                .unwrap_or_else(|e| fail(e));
-        } else {
-            // --- blocking x-stage: monolithic transposes around one
-            // full-pencil fused kernel (single rank, or pipeline off) ---
+        // --- x-stage: monolithic CommA transposes around one full-pencil
+        // fused kernel ---
+        {
             let plans = self.batch_plans(NL_FIELDS);
             self.transposing(|| plans.t_zx.run_with(&self.comm_a, zp, send, spec_x));
             spec_px.resize(nyl * NL_PRODUCTS * zpl * sx, zero);
@@ -832,8 +718,7 @@ impl ParallelFft {
         {
             let plans = self.batch_plans(NL_PRODUCTS);
             out_z.resize(nyl * NL_PRODUCTS * sxl * cfg.nz, zero);
-            let src: &[C64] = if nb >= 2 { &zp_px[..] } else { &zp[..] };
-            self.z_stage(&self.zfwd, src, out_z, serial);
+            self.z_stage(&self.zfwd, zp, out_z, serial);
             self.transposing(|| plans.t_zy.run_with(&self.comm_b, out_z, send, out));
         }
     }
@@ -1320,9 +1205,9 @@ mod tests {
         prods
     }
 
-    fn fused_case(threads: usize, dealias: bool, nproc: usize, pa: usize, pb: usize) {
-        let results = mpi::run(nproc, move |world| {
-            let mut cfg = PfftConfig::customized(16, 6, 8, pa, pb).with_threads(threads);
+    fn fused_case(threads: usize, dealias: bool, ny: usize, pa: usize, pb: usize) {
+        let results = mpi::run(pa * pb, move |world| {
+            let mut cfg = PfftConfig::customized(16, ny, 8, pa, pb).with_threads(threads);
             if dealias {
                 cfg = cfg.with_dealias();
             }
@@ -1373,39 +1258,42 @@ mod tests {
         for worst in results {
             assert!(
                 worst < 1e-12,
-                "fused/unfused mismatch {worst} (threads={threads} dealias={dealias})"
+                "fused/unfused mismatch {worst} (threads={threads} dealias={dealias} {pa}x{pb} ny={ny})"
             );
         }
     }
 
     #[test]
     fn fused_products_match_unfused_serial() {
-        fused_case(1, true, 1, 1, 1);
-        fused_case(1, false, 1, 1, 1);
+        fused_case(1, true, 6, 1, 1);
+        fused_case(1, false, 6, 1, 1);
     }
 
     #[test]
     fn fused_products_match_unfused_threaded() {
         for threads in [2, 4] {
-            fused_case(threads, true, 1, 1, 1);
-            fused_case(threads, false, 1, 1, 1);
+            fused_case(threads, true, 6, 1, 1);
+            fused_case(threads, false, 6, 1, 1);
         }
     }
 
     #[test]
     fn fused_products_match_unfused_multirank() {
-        fused_case(1, true, 4, 2, 2);
-        fused_case(2, false, 4, 2, 2);
+        fused_case(1, true, 6, 2, 2);
+        fused_case(2, false, 6, 2, 2);
+        // one decomposed axis at a time, y count not divisible by the ranks
+        fused_case(1, true, 7, 2, 1);
+        fused_case(1, true, 7, 1, 2);
     }
 
-    /// One warm fused cycle at the given overlap depth; returns this
-    /// rank's `(comm_a, comm_b)` message counts.
-    fn fused_cycle_messages(pipeline: usize) -> Vec<(u64, u64)> {
-        mpi::run(4, move |world| {
-            let p = ParallelFft::new(
-                world,
-                PfftConfig::customized(16, 6, 8, 2, 2).with_pipeline(pipeline),
-            );
+    #[test]
+    fn fused_cycle_shares_exchange_economics_with_batches() {
+        // the fused path must send exactly the batched message count — one
+        // 3-field exchange per inverse hop, one 5-field exchange per
+        // forward hop (4 transposes, each one message per off-rank peer on
+        // a 2-rank sub-communicator), never per-field
+        let counts = mpi::run(4, |world| {
+            let p = ParallelFft::new(world, PfftConfig::customized(16, 6, 8, 2, 2));
             let f = fill_x_pencil(&p);
             let u = p.forward(&f);
             let mut uvw = vec![C64::new(0.0, 0.0); NL_FIELDS * p.y_pencil_len()];
@@ -1428,76 +1316,15 @@ mod tests {
                 p.comm_a().stats().messages_sent,
                 p.comm_b().stats().messages_sent,
             )
-        })
-    }
-
-    #[test]
-    fn fused_cycle_shares_exchange_economics_with_batches() {
-        // blocking: the fused path must send exactly the batched message
-        // count — one 3-field exchange per inverse hop, one 5-field
-        // exchange per forward hop (4 transposes, each one message per
-        // off-rank peer on a 2-rank sub-communicator), never per-field
-        for (a, b) in fused_cycle_messages(0) {
-            assert_eq!(a + b, 4, "blocking fused cycle must batch each exchange");
-        }
-        // pipelined: the CommB hops are untouched (one message each) and
-        // each CommA hop deliberately splits into one message per y
-        // batch — the price of keeping an exchange in flight behind the
-        // kernel. ny=6 over pb=2 gives 3 local rows, so depth 3 fills.
-        for (a, b) in fused_cycle_messages(3) {
-            assert_eq!(b, 2, "pipelining must not touch the CommB hops");
-            assert_eq!(a, 6, "each CommA hop must split into 3 batch messages");
-        }
-    }
-
-    #[test]
-    fn pipelined_nonlinear_products_match_blocking_bitwise() {
-        let run = |pipeline: usize| {
-            mpi::run(4, move |world| {
-                let p = ParallelFft::new(
-                    world,
-                    PfftConfig::customized(16, 6, 8, 2, 2).with_pipeline(pipeline),
-                );
-                let f = fill_x_pencil(&p);
-                let base = p.forward(&f);
-                let mut uvw = vec![C64::new(0.0, 0.0); NL_FIELDS * p.y_pencil_len()];
-                let (sxl, nzl) = (p.kx_block().len, p.kz_block().len);
-                let ny = p.config().ny;
-                for kz in 0..nzl {
-                    for fi in 0..NL_FIELDS {
-                        let src = kz * sxl * ny;
-                        let dst = ((kz * NL_FIELDS + fi) * sxl) * ny;
-                        uvw[dst..dst + sxl * ny].copy_from_slice(&base[src..src + sxl * ny]);
-                    }
-                }
-                let mut ws = Workspace::new();
-                let mut out = Vec::new();
-                p.nonlinear_products(&uvw, &mut out, &mut ws);
-                p.nonlinear_products(&uvw, &mut out, &mut ws); // warm buffers
-                out
-            })
-        };
-        // overlap must be a pure scheduling change: same unpack order per
-        // y row, so bit-for-bit the blocking result at every depth
-        // (including depths that clamp to the 3 local rows)
-        let blocking = run(0);
-        for pipeline in [2, 3, 16] {
-            let piped = run(pipeline);
-            for (a, b) in blocking.iter().zip(&piped) {
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    assert!(
-                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                        "pipeline={pipeline}: {x} != {y} bitwise"
-                    );
-                }
-            }
+        });
+        for (a, b) in counts {
+            assert_eq!((a, b), (2, 2), "the fused cycle must batch each exchange");
         }
     }
 
     /// Per-line reference for [`ParallelFft::nonlinear_products`]: the
-    /// blocking schedule with every line loop written out on the
-    /// single-line transform API.
+    /// same schedule with every line loop written out on the single-line
+    /// transform API.
     fn products_per_line(p: &ParallelFft, uvw: &[C64]) -> Vec<C64> {
         use dns_fft::dealias::{pad_full, pad_half, truncate_full, truncate_half};
         let cfg = &p.cfg;
@@ -1560,14 +1387,14 @@ mod tests {
 
     #[test]
     fn lane_blocked_products_equal_the_per_line_loop_bitwise() {
-        // 2x1 grid: pz = 36 over pa = 2 leaves zpl = 18 (two full lane
-        // blocks and a partial one per row); 3 * sxl = 12 z lines per row
-        let run = |threads: usize, pipeline: usize| {
-            mpi::run(2, move |world| {
-                let cfg = PfftConfig::customized(16, 6, 24, 2, 1)
+        // pz = 36 over pa = 2 leaves zpl = 18 (two full lane blocks and a
+        // partial one per row), over pa = 1 it leaves 36 (four and a
+        // partial one); ny = 7 does not divide over pb = 2
+        let run = |threads: usize, pa: usize, pb: usize| {
+            mpi::run(pa * pb, move |world| {
+                let cfg = PfftConfig::customized(16, 7, 24, pa, pb)
                     .with_dealias()
-                    .with_threads(threads)
-                    .with_pipeline(pipeline);
+                    .with_threads(threads);
                 let p = ParallelFft::new(world, cfg);
                 assert!(!p.zphys_block().len.is_multiple_of(LANES));
                 let base = fill_x_pencil(&p);
@@ -1593,13 +1420,13 @@ mod tests {
             v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
         };
         for threads in [1, 2, 3] {
-            for pipeline in [0, 4] {
-                for (rank, (got, want)) in run(threads, pipeline).iter().enumerate() {
+            for (pa, pb) in [(2, 1), (1, 2)] {
+                for (rank, (got, want)) in run(threads, pa, pb).iter().enumerate() {
                     assert!(got.iter().any(|c| c.norm() > 1e-3), "trivial test field");
                     assert_eq!(
                         bits(got),
                         bits(want),
-                        "threads={threads} pipeline={pipeline} rank={rank}"
+                        "threads={threads} {pa}x{pb} rank={rank}"
                     );
                 }
             }

@@ -30,18 +30,6 @@ pub struct Workspace {
     pub(crate) out_z: Vec<C64>,
     /// Transpose pack buffer (unused on a single rank).
     pub(crate) send: Vec<C64>,
-    /// z-pencil product staging for the *pipelined* forward hop: forward
-    /// completions must not land in [`Workspace::zp`], whose rows are
-    /// still being read by in-flight inverse posts (the 3-field and
-    /// 5-product row strides overlap from the second batch on).
-    pub(crate) zp_px: Vec<C64>,
-    /// Double-buffered pack scratch for the pipelined inverse hop: batch
-    /// `k + 1` packs and posts into one half while batch `k`'s exchange
-    /// is still in flight out of the other.
-    pub(crate) pack_inv: [Vec<C64>; 2],
-    /// Double-buffered pack scratch for the pipelined forward hop (up to
-    /// two forward exchanges are in flight at once).
-    pub(crate) pack_fwd: [Vec<C64>; 2],
     /// Per-line scratch for the serial (no thread pool) path.
     pub(crate) serial: LineScratch,
 }

@@ -6,6 +6,10 @@
 //! safety. Not a cryptographic hash — a resilience subsystem guards
 //! against accidents, not adversaries.
 
+use std::fs::File;
+use std::io::{self, BufRead, Write};
+use std::path::Path;
+
 /// Reflected polynomial for CRC-32/ISO-HDLC.
 const POLY: u32 = 0xEDB8_8320;
 
@@ -84,6 +88,46 @@ pub fn unframe(line: &str) -> Option<dns_json::Json> {
     let crc = v.get("crc")?.as_u64()?;
     let rec = v.remove("rec")?;
     (u64::from(crc32(rec.dump().as_bytes())) == crc).then_some(rec)
+}
+
+/// Open (or create, parent directories included) the journal at `path`
+/// for appending.
+pub fn open_journal(path: &Path) -> io::Result<File> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    let mut how = File::options();
+    how.create(true).append(true).open(path)
+}
+
+/// Append one sealed line and flush it before returning, so a killed
+/// process never acts on a record it did not persist.
+pub fn append_line(journal: &mut File, line: &str) -> io::Result<()> {
+    writeln!(journal, "{line}")?;
+    journal.flush()
+}
+
+/// Decode the journal at `path` up to the first line `decode` refuses
+/// (the torn or corrupted tail of a killed writer); the flag says
+/// whether there was one. A missing file is an empty journal.
+pub fn read_journal<T>(
+    path: &Path,
+    decode: impl Fn(&str) -> Option<T>,
+) -> io::Result<(Vec<T>, bool)> {
+    let file = match File::open(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
+        other => other?,
+    };
+    let mut records = Vec::new();
+    for line in io::BufReader::new(file).lines() {
+        let line = line?;
+        match decode(&line) {
+            Some(rec) => records.push(rec),
+            None if line.trim().is_empty() => {}
+            None => return Ok((records, true)),
+        }
+    }
+    Ok((records, false))
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 //!   exported as JSON for CI artifacts.
 //! * [`crc32`] / [`Crc32`] — the integrity primitive checkpoint records
 //!   and manifests are sealed with; [`frame`] / [`unframe`] — the
-//!   `{"crc":C,"rec":R}` line codec of the append-only journals.
+//!   `{"crc":C,"rec":R}` line codec of the append-only journals, which
+//!   [`open_journal`] / [`append_line`] write and [`read_journal`] replays.
 //!
 //! Fault *injection* (the deterministic adversary these pieces are
 //! tested against) lives in [`FaultPlan`](dns_minimpi::FaultPlan); this
@@ -27,6 +28,6 @@ mod crc;
 mod events;
 mod supervisor;
 
-pub use crc::{crc32, frame, unframe, Crc32};
+pub use crc::{append_line, crc32, frame, open_journal, read_journal, unframe, Crc32};
 pub use events::{events_to_json, EventKind, RecoveryEvent};
 pub use supervisor::{supervise, Attempt, Report, SupervisorConfig};

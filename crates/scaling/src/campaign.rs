@@ -70,15 +70,15 @@ pub struct Point {
     pub counts: StepCounts,
     /// Filename (within the out dir) of the full counts export.
     pub counts_file: String,
-    /// Active transpose exchange mode: `"pipelined"` when the point ran
-    /// the nonblocking overlapped x-stage (multi-rank CommA group with a
-    /// pipeline depth of at least two), `"blocking"` otherwise (single
-    /// rank, or the P3DFFT-style baseline which pins blocking
-    /// monolithic transposes).
-    pub exchange_mode: &'static str,
 }
 
 impl Point {
+    /// More busy threads than host cores: the point's timings measure
+    /// the scheduler, not the kernels.
+    pub fn oversubscribed(&self) -> bool {
+        self.cores > dns_bench::report::nproc()
+    }
+
     /// The point as a calibration observation.
     pub fn observation(&self) -> Observation {
         Observation {
@@ -273,15 +273,6 @@ fn record(cfg: &CampaignConfig, bench: Bench, grid: Grid, probe: &Probe) -> std:
         probe.threads
     );
     std::fs::write(cfg.out_dir.join(&file), counts_json(&probe.snapshot, &meta))?;
-    // the solver and the customized pfft kernel default to the pipelined
-    // x-stage, which engages only on multi-rank CommA groups; the
-    // P3DFFT-style baseline pins blocking monolithic transposes
-    let (pa, _) = host_grid(probe.ranks);
-    let exchange_mode = if pa > 1 && bench != Bench::PfftBaseline {
-        "pipelined"
-    } else {
-        "blocking"
-    };
     Ok(Point {
         bench,
         grid,
@@ -293,7 +284,6 @@ fn record(cfg: &CampaignConfig, bench: Bench, grid: Grid, probe: &Probe) -> std:
         wall_s: probe.wall_s_per_step,
         counts: per_step_counts(probe),
         counts_file: file,
-        exchange_mode,
     })
 }
 

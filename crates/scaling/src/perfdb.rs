@@ -26,11 +26,10 @@
 //! jitter.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use dns_json::Json;
-use dns_resilience::{frame, unframe};
+use dns_resilience::{append_line, frame, open_journal, read_journal, unframe};
 
 /// Baseline window: the median over up to this many prior commits.
 pub const DEFAULT_WINDOW: usize = 5;
@@ -159,40 +158,13 @@ impl PerfDb {
     /// exactly like the campaign journal.
     pub fn load(path: impl Into<PathBuf>) -> std::io::Result<PerfDb> {
         let path = path.into();
-        let mut records = Vec::new();
-        match std::fs::File::open(&path) {
-            Ok(f) => {
-                for line in BufReader::new(f).lines() {
-                    let line = line?;
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match PerfRecord::from_line(&line) {
-                        Some(rec) => records.push(rec),
-                        None => break, // torn tail: keep the valid prefix
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+        let (records, _torn_tail) = read_journal(&path, PerfRecord::from_line)?;
         Ok(PerfDb { path, records })
     }
 
     /// Append one record durably (written and flushed before returning).
     pub fn append(&mut self, rec: PerfRecord) -> std::io::Result<()> {
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        f.write_all(rec.to_line().as_bytes())?;
-        f.write_all(b"\n")?;
-        f.flush()?;
+        append_line(&mut open_journal(&self.path)?, &rec.to_line())?;
         self.records.push(rec);
         Ok(())
     }
@@ -432,6 +404,7 @@ pub fn report_json(rep: &Report, window: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn rec(commit: &str, bench: &str, pairs: &[(&str, f64)]) -> PerfRecord {
         PerfRecord {

@@ -11,6 +11,7 @@
 
 use crate::campaign::{Bench, Campaign, Point};
 use dns_bench::paper;
+use dns_bench::report::host_json;
 use dns_netmodel::dnscost::{pfft_cycle_parts, timestep_phases, Grid, Parallelism, PhaseTimes};
 use dns_netmodel::machines::Machine;
 use std::io;
@@ -48,9 +49,10 @@ fn section(name: &str, machine: &str, grid: &Grid, mode: &str, rows: Vec<String>
 
 fn table_json(table: usize, title: &str, sections: Vec<String>) -> String {
     format!(
-        "{{\n  \"schema\": 1,\n  \"kind\": \"scaling_table\",\n  \"table\": {},\n  \"title\": \"{}\",\n  \"sections\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": 1,\n  \"kind\": \"scaling_table\",\n  \"table\": {},\n  \"title\": \"{}\",\n  \"host\": {},\n  \"sections\": [\n{}\n  ]\n}}\n",
         table,
         title,
+        host_json(),
         sections.join(",\n")
     )
 }
@@ -80,11 +82,11 @@ fn scaled_pfft(c: &Campaign, m: &Machine, g: &Grid, cores: usize, customized: bo
 fn host_total_row(c: &Campaign, p: &Point) -> String {
     let modelled = c.modelled(p);
     format!(
-        "      {{\"source\": \"both\", \"cores\": {}, \"ranks\": {}, \"threads\": {}, \"exchange_mode\": \"{}\", \"measured_s\": {}, \"modelled_s\": {}, \"err_rel\": {:.4}}}",
+        "      {{\"source\": \"both\", \"cores\": {}, \"ranks\": {}, \"threads\": {}, \"oversubscribed\": {}, \"measured_s\": {}, \"modelled_s\": {}, \"err_rel\": {:.4}}}",
         p.cores,
         p.ranks,
         p.threads,
-        p.exchange_mode,
+        p.oversubscribed(),
         num(p.seconds.total()),
         num(modelled.total()),
         c.err_rel(p)
@@ -96,7 +98,7 @@ fn host_phase_row(c: &Campaign, p: &Point) -> String {
     let m = c.modelled(p);
     format!(
         "      {{\"source\": \"both\", \"cores\": {}, \"ranks\": {}, \"threads\": {}, \"nx\": {}, \
-         \"exchange_mode\": \"{}\", \
+         \"oversubscribed\": {}, \
          \"measured_transpose_s\": {}, \"measured_fft_s\": {}, \"measured_ns_s\": {}, \"measured_s\": {}, \
          \"modelled_transpose_s\": {}, \"modelled_fft_s\": {}, \"modelled_ns_s\": {}, \"modelled_s\": {}, \
          \"err_rel\": {:.4}}}",
@@ -104,7 +106,7 @@ fn host_phase_row(c: &Campaign, p: &Point) -> String {
         p.ranks,
         p.threads,
         p.grid.nx,
-        p.exchange_mode,
+        p.oversubscribed(),
         num(p.seconds.transpose),
         num(p.seconds.fft),
         num(p.seconds.ns_advance),
@@ -547,7 +549,7 @@ pub fn table11_json(c: &Campaign) -> String {
             let modelled = c.modelled(p);
             format!(
                 "      {{\"source\": \"both\", \"cores\": {}, \"ranks\": {}, \"threads\": {}, \
-                 \"mode\": \"{}\", \"exchange_mode\": \"{}\", \"measured_s\": {}, \
+                 \"mode\": \"{}\", \"oversubscribed\": {}, \"measured_s\": {}, \
                  \"modelled_s\": {}, \"err_rel\": {:.4}}}",
                 p.cores,
                 p.ranks,
@@ -557,7 +559,7 @@ pub fn table11_json(c: &Campaign) -> String {
                 } else {
                     "mpi"
                 },
-                p.exchange_mode,
+                p.oversubscribed(),
                 num(p.seconds.total()),
                 num(modelled.total()),
                 c.err_rel(p)
@@ -655,7 +657,7 @@ pub fn scalinglab_json(c: &Campaign) -> String {
             let m = c.modelled(p);
             format!(
                 "    {{\"bench\": \"{}\", \"grid\": {}, \"ranks\": {}, \"threads\": {}, \
-                 \"cores\": {}, \"steps\": {}, \"wall_s\": {}, \
+                 \"cores\": {}, \"oversubscribed\": {}, \"steps\": {}, \"wall_s\": {}, \
                  \"measured\": {{\"transpose_s\": {}, \"fft_s\": {}, \"ns_s\": {}, \"total_s\": {}}}, \
                  \"modelled\": {{\"transpose_s\": {}, \"fft_s\": {}, \"ns_s\": {}, \"total_s\": {}}}, \
                  \"counts\": {{\"fft_flops\": {}, \"ns_flops\": {}, \"transpose_bytes\": {}}}, \
@@ -665,6 +667,7 @@ pub fn scalinglab_json(c: &Campaign) -> String {
                 p.ranks,
                 p.threads,
                 p.cores,
+                p.oversubscribed(),
                 p.steps,
                 num(p.wall_s),
                 num(p.seconds.transpose),
@@ -700,12 +703,13 @@ pub fn scalinglab_json(c: &Campaign) -> String {
         .join(",\n");
     let rk3_res = c.residual(Bench::Rk3Strong).max(c.residual(Bench::Rk3Weak));
     format!(
-        "{{\n  \"schema\": 1,\n  \"kind\": \"scalinglab\",\n  \"smoke\": {},\n  \"bound\": {:.4},\n  \
+        "{{\n  \"schema\": 1,\n  \"kind\": \"scalinglab\",\n  \"host\": {},\n  \"smoke\": {},\n  \"bound\": {:.4},\n  \
          \"check\": {{\"pass\": {}, \"worst_err_rel\": {:.4}, \"worst_point\": \"{}_r{}_t{}\"}},\n  \
          \"calibration\": {{\n    \"rk3\": {{\"fft_flop_rate\": {}, \"ns_flop_rate\": {}, \"stream_bw\": {}, \"residual\": {:.4}}},\n    \
          \"pfft\": {{\"fft_flop_rate\": {}, \"ns_flop_rate\": {}, \"stream_bw\": {}, \"residual\": {:.4}}}\n  }},\n  \
          \"count_ratios\": {{\"rk3_fft\": {:.4}, \"rk3_ns\": {:.4}, \"rk3_transpose\": {:.4}, \"pfft_fft\": {:.4}, \"pfft_transpose\": {:.4}}},\n  \
          \"points\": [\n{}\n  ],\n  \"eventsim\": [\n{}\n  ]\n}}\n",
+        host_json(),
         c.cfg.smoke,
         c.cfg.bound,
         c.check_passes(),

@@ -16,12 +16,11 @@
 //! or CRC-mismatched: a torn tail write loses at most the final record,
 //! never the history before it.
 
-use std::io::{BufRead, Write};
 use std::path::Path;
 
 use dns_core::run::RunSpec;
 use dns_json::Json;
-use dns_resilience::{frame, unframe};
+use dns_resilience::{append_line, frame, open_journal, read_journal, unframe};
 
 use crate::scheduler::{Job, JobId, JobState};
 
@@ -171,22 +170,12 @@ pub struct Journal {
 impl Journal {
     /// Open (or create) the journal at `path` for appending.
     pub fn open(path: &Path) -> std::io::Result<Journal> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Journal { file })
+        open_journal(path).map(|file| Journal { file })
     }
 
     /// Seal, append, and flush one record.
     pub fn append(&mut self, rec: &Record) -> std::io::Result<()> {
-        let line = rec.to_line();
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.flush()
+        append_line(&mut self.file, &rec.to_line())
     }
 }
 
@@ -223,24 +212,14 @@ pub struct Replay {
 /// Replay a journal file. A missing file is an empty (fresh) state.
 /// Replay is total: it never fails, it just stops at the first bad line.
 pub fn replay(path: &Path) -> std::io::Result<Replay> {
-    let mut out = Replay::default();
-    let file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
+    let (records, truncated) = read_journal(path, Record::from_line)?;
+    let mut out = Replay {
+        lines_ok: records.len(),
+        truncated,
+        ..Replay::default()
     };
     let mut jobs: Vec<RecoveredJob> = Vec::new();
-    let reader = std::io::BufReader::new(file);
-    for line in reader.lines() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        let Some(rec) = Record::from_line(&line) else {
-            out.truncated = true;
-            break;
-        };
-        out.lines_ok += 1;
+    for rec in records {
         fn by_id(jobs: &mut [RecoveredJob], id: JobId) -> Option<&mut Job> {
             jobs.iter_mut().find(|r| r.job.id == id).map(|r| &mut r.job)
         }
@@ -415,6 +394,42 @@ mod tests {
         assert!(!rep.truncated);
         assert_eq!(rep.jobs[0].job.state, JobState::Preempted);
         assert!(rep.jobs[0].interrupted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_written_before_the_pipeline_knob_was_removed_replays() {
+        // `queue.jsonl` of a `dns-server` built at commit dec9e3b, cut
+        // while job 1 was running again after a preemption: every
+        // `submitted` record carries a spec with `"pipeline":4`
+        const PARENT: &str = r#"{"crc":941936393,"rec":{"cores":1,"event":"submitted","id":1,"priority":2,"seq":0,"spec":{"ckpt_every":100,"dt":0.001,"forcing":{"kind":"pressure_gradient","value":1},"hash":"9fb5e6b435be9eaf","ic":{"kind":"laminar","scale":1},"kind":"run_spec","lx":6.283185307179586,"lz":3.141592653589793,"name":"bulk","nonlinear":true,"nu":0.0125,"nx":16,"ny":25,"nz":16,"pa":1,"pb":1,"pipeline":4,"spline_order":8,"steps":3000,"stretch":2,"threads":1,"version":1},"tenant":"acme"}}
+{"crc":1590405486,"rec":{"event":"started","id":1}}
+{"crc":4042718957,"rec":{"cores":1,"event":"submitted","id":2,"priority":9,"seq":1,"spec":{"ckpt_every":25,"dt":0.001,"forcing":{"kind":"pressure_gradient","value":1},"hash":"8f7283b57debcef7","ic":{"kind":"laminar","scale":1},"kind":"run_spec","lx":6.283185307179586,"lz":3.141592653589793,"name":"urgent","nonlinear":true,"nu":0.0125,"nx":16,"ny":25,"nz":16,"pa":1,"pb":1,"pipeline":4,"spline_order":8,"steps":10,"stretch":2,"threads":1,"version":1},"tenant":"ops"}}
+{"crc":559838150,"rec":{"event":"preempted","id":1,"step":269}}
+{"crc":1978071725,"rec":{"event":"started","id":2}}
+{"crc":4071796856,"rec":{"event":"done","id":2}}
+{"crc":1713657260,"rec":{"event":"resumed","id":1}}
+"#;
+        let dir = std::env::temp_dir().join(format!("dns-journal-parent-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("queue.jsonl");
+        std::fs::write(&path, PARENT).unwrap();
+        let rep = replay(&path).unwrap();
+        assert!(!rep.truncated);
+        assert_eq!(rep.lines_ok, 7);
+        let [bulk, urgent] = &rep.jobs[..] else {
+            panic!("expected two jobs, got {:?}", rep.jobs);
+        };
+        assert_eq!((bulk.spec.name.as_str(), bulk.spec.steps), ("bulk", 3000));
+        assert_eq!(bulk.job.state, JobState::Preempted);
+        assert!(bulk.interrupted);
+        assert_eq!(bulk.last_step, 269);
+        assert_eq!(
+            (urgent.spec.name.as_str(), urgent.spec.steps),
+            ("urgent", 10)
+        );
+        assert_eq!(urgent.job.state, JobState::Done);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -128,18 +128,13 @@ pub enum Counter {
     /// Multi-RHS panel sweeps executed by the batched banded solver; the
     /// ratio `SolveRhs / SolvePanels` is the achieved mean panel width.
     SolvePanels = 11,
-    /// Microseconds a posted transpose exchange spent in flight while the
-    /// rank was *not* blocked in receives — communication genuinely
-    /// hidden behind computation by the pipelined nonlinear path. The
-    /// per-step overlap fraction is
-    /// `ExchangeOverlapUs / (ExchangeOverlapUs + ExchangeWaitUs)`.
+    /// Retired with the pipelined x-stage and the request layer: this
+    /// and the next two have no producer and read 0; the names stay until
+    /// the next counts-schema bump because v5 exports carry them.
     ExchangeOverlapUs = 12,
-    /// Nonblocking send/receive requests posted by the transpose layer
-    /// (blocking exchanges post too — they complete immediately after).
+    /// Retired, see [`Counter::ExchangeOverlapUs`].
     RequestsPosted = 13,
-    /// Nonblocking requests retired (send at post under the buffering
-    /// transport, receive when its message is claimed). A quiesced run
-    /// has `RequestsCompleted == RequestsPosted`.
+    /// Retired, see [`Counter::ExchangeOverlapUs`].
     RequestsCompleted = 14,
     /// Simulation jobs accepted into the campaign server's queue.
     JobsSubmitted = 15,
