@@ -93,25 +93,29 @@ pub fn nproc() -> usize {
 /// The host block a `BENCH_*.json` artifact is stamped with — a timing
 /// means nothing without the machine it was taken on:
 /// `{"nproc": N, "cpu": "...", "rustc": "..."}` (`unknown` where the
-/// host does not say).
+/// host does not say). Asked once per process (`rustc -V` is a spawn).
 pub fn host_json() -> String {
-    let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|t| {
-        let line = t.lines().find(|l| l.starts_with("model name"))?;
-        Some(line.split(':').nth(1)?.trim().replace('"', "'"))
-    });
-    let rustc = std::process::Command::new("rustc")
-        .arg("-V")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
-    let unknown = || "unknown".to_string();
-    format!(
-        "{{\"nproc\": {}, \"cpu\": \"{}\", \"rustc\": \"{}\"}}",
-        nproc(),
-        cpu.unwrap_or_else(unknown),
-        rustc.unwrap_or_else(unknown)
-    )
+    static HOST: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    HOST.get_or_init(|| {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|t| {
+            let line = t.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().replace('"', "'"))
+        });
+        let rustc = std::process::Command::new("rustc")
+            .arg("-V")
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+        let unknown = || "unknown".to_string();
+        format!(
+            "{{\"nproc\": {}, \"cpu\": \"{}\", \"rustc\": \"{}\"}}",
+            nproc(),
+            cpu.unwrap_or_else(unknown),
+            rustc.unwrap_or_else(unknown)
+        )
+    })
+    .clone()
 }
 
 #[cfg(test)]

@@ -680,16 +680,6 @@ fn main() {
     if let Some(path) = &a.health_log {
         // the engine has already folded the supervisor's recovery
         // timeline into the JSONL artifact; report where it went
-        if let Some((step_h, _phases)) = dns_health::step_histograms() {
-            println!(
-                "step latency (all ranks, n = {}): p50 {}  p90 {}  p99 {}  max {}",
-                step_h.count(),
-                telemetry::fmt_seconds(step_h.quantile(0.5)),
-                telemetry::fmt_seconds(step_h.quantile(0.9)),
-                telemetry::fmt_seconds(step_h.quantile(0.99)),
-                telemetry::fmt_seconds(step_h.max()),
-            );
-        }
         println!(
             "wrote health log {} (render it with `dns-report {}`)",
             path.display(),

@@ -112,7 +112,6 @@ impl StepMonitor {
         attempt: usize,
         total_steps: u64,
     ) -> std::io::Result<StepMonitor> {
-        dns_health::set_enabled(true);
         let recorder = match (&cfg.log, comm.rank()) {
             (Some(path), 0) => {
                 let mut rec = if attempt == 0 {

@@ -54,7 +54,6 @@
 #![allow(clippy::type_complexity)]
 
 pub mod checkpoint;
-pub mod headless;
 pub mod health;
 pub mod io;
 #[deny(missing_docs)]

@@ -120,8 +120,8 @@ pub struct ChannelDns {
     nl_terms_old: NlTerms,
     scratch: StepScratch,
     /// Optional time-averaged statistics accumulator, sampled at the end
-    /// of [`step`](Self::step) on its own cadence (same opt-in pattern
-    /// as the run-health hook; `None` costs one branch per step).
+    /// of [`step`](Self::step) on its own cadence (`None` costs one
+    /// branch per step).
     stats: Option<crate::stats::StatsAccumulator>,
 }
 
@@ -498,10 +498,6 @@ impl ChannelDns {
     /// single-rank serial substep performs no heap allocation.
     pub fn step(&mut self) {
         let _step = telemetry::span("rk3_step", telemetry::Phase::Other);
-        // run-health hook: when monitoring is on, bracket the step with a
-        // wall clock and a phase-timer snapshot so per-step latencies land
-        // in the global histograms; off, this is one relaxed atomic load
-        let health = dns_health::enabled().then(|| (std::time::Instant::now(), self.timers()));
         let dt = self.params.dt;
         // lift the persistent buffers out of `self` for the step (the
         // taken-from slots hold empty Vecs: no allocation either way)
@@ -535,17 +531,6 @@ impl ChannelDns {
                 acc.sample(self);
                 self.stats = Some(acc);
             }
-        }
-        if let Some((t0, before)) = health {
-            let after = self.timers();
-            dns_health::record_step(
-                t0.elapsed().as_secs_f64(),
-                [
-                    after.transpose - before.transpose,
-                    after.fft - before.fft,
-                    after.ns_advance - before.ns_advance,
-                ],
-            );
         }
     }
 

@@ -5,8 +5,9 @@
 //! The counting allocator is thread-local and armed only around the
 //! measured step, so the test is immune to allocation traffic from other
 //! test threads and from the rank-spawning harness itself. The guarantee
-//! intentionally excludes multi-rank runs (`alltoallv` staging) and the
-//! threaded pool (scoped-thread spawns) — see DESIGN.md section 4.1.
+//! intentionally excludes multi-rank runs (per-message exchange staging)
+//! and the threaded pool (scoped-thread spawns) — see DESIGN.md section
+//! 4.1.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,10 +39,6 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_rk3_step_performs_zero_heap_allocations() {
-    // the run-health hook is compiled into `ChannelDns::step` but must be
-    // off here: disabled, its entire cost is one relaxed atomic load, so
-    // the zero-allocation guarantee holds with monitoring built in
-    assert!(!dns_health::enabled());
     // the multi-RHS panels in StepScratch are grow-only, so they must
     // not allocate once warm.
     let params = dns_core::Params::channel(16, 25, 16, 100.0);

@@ -16,12 +16,12 @@
 //!   on CFL, divergence, energy, and finiteness, failing a diverging
 //!   run fast with a typed [`SentinelAbort`];
 //! * an offline **replay/report** ([`report::Replay`], the `dns-report`
-//!   binary) rendering histograms, imbalance heat rows, the health
-//!   timeline, and a measured-vs-`dnscost` comparison.
+//!   binary) rendering histograms, imbalance heat rows and the health
+//!   timeline.
 //!
-//! Like telemetry, the whole layer is off by default behind a single
-//! relaxed atomic ([`enabled`]), so instrumented hot paths cost one
-//! load per call site until [`set_enabled`] turns monitoring on.
+//! The crate holds no process-global state: everything a run records
+//! lives on that run's monitor and in its JSONL file, so concurrent
+//! runs in one process (the campaign daemon) never share a counter.
 
 pub mod json;
 pub mod recorder;
@@ -41,60 +41,6 @@ pub use straggler::{StragglerConfig, StragglerDetector};
 pub use window::metrics_window;
 
 use dns_resilience::{EventKind, RecoveryEvent};
-use dns_telemetry::Histogram;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Switch run-health collection on or off process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// The disabled fast path of every health call site: one relaxed atomic
-/// load, mirroring `dns_telemetry::enabled`.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Global per-process step-latency histograms, fed by the solver's step
-/// hook on every rank thread (the histogram merge is just addition, so
-/// one shared table is equivalent to merging per-rank tables).
-/// Index 0 = whole step; 1..=3 = transpose, fft, ns_advance deltas.
-struct StepHists {
-    step: Histogram,
-    phases: [Histogram; 3],
-}
-
-static STEP_HISTS: Mutex<Option<StepHists>> = Mutex::new(None);
-
-/// Record one step observation into the global histograms. Callers
-/// gate on [`enabled`] so the disabled path never takes the lock.
-pub fn record_step(wall_s: f64, phase_deltas: [f64; 3]) {
-    let mut guard = STEP_HISTS.lock().unwrap();
-    let hists = guard.get_or_insert_with(|| StepHists {
-        step: Histogram::new(),
-        phases: [Histogram::new(), Histogram::new(), Histogram::new()],
-    });
-    hists.step.record(wall_s);
-    for (h, d) in hists.phases.iter_mut().zip(phase_deltas) {
-        h.record(d);
-    }
-}
-
-/// Snapshot the global step histograms as
-/// `(step, [transpose, fft, ns_advance])`; `None` before any record.
-pub fn step_histograms() -> Option<(Histogram, [Histogram; 3])> {
-    let guard = STEP_HISTS.lock().unwrap();
-    guard.as_ref().map(|h| (h.step.clone(), h.phases.clone()))
-}
-
-/// Clear the global step histograms (test isolation / window resets).
-pub fn reset_step_histograms() {
-    *STEP_HISTS.lock().unwrap() = None;
-}
 
 /// Fold supervisor recovery events into flight-recorder form, so one
 /// JSONL file interleaves restart markers with step records.
@@ -128,7 +74,6 @@ pub fn recovery_to_flight(events: &[RecoveryEvent]) -> Vec<FlightEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
     #[test]
     fn recovery_events_fold_into_the_timeline() {
@@ -169,41 +114,5 @@ mod tests {
             let line = f.to_json_line();
             assert_eq!(&FlightEvent::parse_line(&line).unwrap(), f);
         }
-    }
-
-    #[test]
-    fn step_histograms_accumulate_and_reset() {
-        reset_step_histograms();
-        assert!(step_histograms().is_none());
-        record_step(0.010, [0.004, 0.003, 0.002]);
-        record_step(0.020, [0.008, 0.006, 0.004]);
-        let (step, phases) = step_histograms().unwrap();
-        assert_eq!(step.count(), 2);
-        assert_eq!(phases[0].count(), 2);
-        assert!(step.max() >= 0.020 * 0.99);
-        reset_step_histograms();
-        assert!(step_histograms().is_none());
-    }
-
-    #[test]
-    fn disabled_overhead_is_small() {
-        set_enabled(false);
-        let n = 1_000_000u64;
-        let t0 = Instant::now();
-        let mut live = 0u64;
-        for _ in 0..n {
-            // the pattern every call site uses: gate, then (not) record
-            if enabled() {
-                live += 1;
-            }
-        }
-        let per_call = t0.elapsed().as_secs_f64() / n as f64;
-        assert_eq!(live, 0);
-        // same budget as telemetry's disabled-span check: a relaxed
-        // load + branch is single-digit ns even on slow CI machines
-        assert!(
-            per_call < 150e-9,
-            "disabled health gate cost {per_call:.2e} s/call"
-        );
     }
 }

@@ -1,14 +1,13 @@
 //! Replay a flight-recorder timeline into a human run report.
 //!
-//! Four sections, one artifact: latency histograms (per phase and whole
-//! step), per-rank imbalance heat rows, the health-event timeline, and
-//! a measured-vs-`dnscost`-model comparison — the offline half of the
-//! run-health layer, consumed by the `dns-report` binary and the e2e
-//! tests.
+//! Three sections, one artifact: latency histograms (per phase and
+//! whole step, with the measured comm payload per step), per-rank
+//! imbalance heat rows and the health-event timeline — the offline half
+//! of the run-health layer, consumed by the `dns-report` binary and the
+//! e2e tests. Comparing a run against the `dnscost` model is
+//! `dns-scaling`'s job, which fits one calibration over many runs.
 
 use crate::schema::{FlightEvent, HealthEvent};
-use dns_netmodel::calibration::{rel_err, Calibration, Observation, StepCounts, StepSeconds};
-use dns_netmodel::dnscost::{step_workload, Grid};
 use dns_telemetry::{fmt_seconds, Histogram};
 use std::collections::BTreeMap;
 
@@ -16,7 +15,7 @@ use std::collections::BTreeMap;
 pub struct Replay {
     events: Vec<FlightEvent>,
     /// Grid/topology from the first run_start, if any.
-    run: Option<(Grid, usize, usize, u64)>, // grid, pa, pb, steps
+    run: Option<([usize; 3], usize, usize, u64)>, // nx/ny/nz, pa, pb, steps
     attempts: usize,
     /// Per-phase latency histograms over per-rank step records.
     pub wall: Histogram,
@@ -72,16 +71,7 @@ impl Replay {
                 } => {
                     r.attempts += 1;
                     if r.run.is_none() {
-                        r.run = Some((
-                            Grid {
-                                nx: *nx,
-                                ny: *ny,
-                                nz: *nz,
-                            },
-                            *pa,
-                            *pb,
-                            *steps,
-                        ));
+                        r.run = Some(([*nx, *ny, *nz], *pa, *pb, *steps));
                     }
                 }
                 FlightEvent::Step {
@@ -145,17 +135,16 @@ impl Replay {
         self.latency_table(&mut out);
         self.heat_rows(&mut out);
         self.timeline(&mut out);
-        self.model_comparison(&mut out);
         out
     }
 
     fn header(&self, out: &mut String) {
         out.push_str("== dns-report: run health ==\n");
         match &self.run {
-            Some((g, pa, pb, steps)) => out.push_str(&format!(
-                "grid {}x{}x{} on {pa}x{pb} ranks, {steps} steps planned, \
+            Some(([nx, ny, nz], pa, pb, steps)) => out.push_str(&format!(
+                "grid {nx}x{ny}x{nz} on {pa}x{pb} ranks, {steps} steps planned, \
                  {} attempt(s), {} step(s) recorded\n",
-                g.nx, g.ny, g.nz, self.attempts, self.distinct_steps
+                self.attempts, self.distinct_steps
             )),
             None => out.push_str("no run_start event found\n"),
         }
@@ -184,6 +173,12 @@ impl Replay {
                 fmt_seconds(h.quantile(0.99)),
                 fmt_seconds(h.max()),
                 fmt_seconds(h.mean()),
+            ));
+        }
+        if self.distinct_steps > 0 {
+            out.push_str(&format!(
+                "measured comm payload: {:.3e} bytes/step across all ranks\n",
+                self.total_bytes as f64 / self.distinct_steps as f64
             ));
         }
     }
@@ -284,63 +279,6 @@ impl Replay {
             }
         }
     }
-
-    fn model_comparison(&self, out: &mut String) {
-        let Some((grid, pa, pb, _)) = &self.run else {
-            return;
-        };
-        if self.step_critical.is_empty() {
-            return;
-        }
-        let w = step_workload(grid);
-        let mean_step = self.step_critical.mean();
-        let attained = w.total_flops() / mean_step;
-        let measured_bytes = self.total_bytes as f64 / self.distinct_steps.max(1) as f64;
-        out.push_str("\n-- measured vs dnscost model --\n");
-        out.push_str(&format!(
-            "workload/step: {:.3e} flops ({:.3e} fft + {:.3e} ns), {:.3e} transpose DDR bytes\n",
-            w.total_flops(),
-            w.fft_flops,
-            w.ns_flops,
-            w.transpose_bytes
-        ));
-        out.push_str(&format!(
-            "measured: mean critical-path step {} -> {:.3} Gflop/s attained\n",
-            fmt_seconds(mean_step),
-            attained / 1e9
-        ));
-        // Fit the run's own calibration (dns-netmodel's measured-counts
-        // layer): analytic workload counts over the recorded per-phase
-        // seconds, one observation per flight-recorder file.
-        let obs = Observation {
-            ranks: pa * pb,
-            threads: 1,
-            counts: StepCounts::from_workload(&w),
-            seconds: StepSeconds {
-                transpose: self.transpose.mean(),
-                fft: self.fft.mean(),
-                ns_advance: self.ns.mean(),
-            },
-        };
-        if let Some(cal) = Calibration::fit(std::slice::from_ref(&obs)) {
-            out.push_str(&format!(
-                "calibration fit: fft {:.3} Gflop/s, ns {:.3} Gflop/s, transpose {:.3} GB/s\n",
-                cal.fft_flop_rate / 1e9,
-                cal.ns_flop_rate / 1e9,
-                cal.stream_bw / 1e9
-            ));
-            let predicted = cal.predict(&obs.counts).total();
-            out.push_str(&format!(
-                "phase-sum vs critical path: predicted {} per step, rel err {:.1}% (untimed work + waits)\n",
-                fmt_seconds(predicted),
-                rel_err(mean_step, predicted) * 100.0
-            ));
-        }
-        out.push_str(&format!(
-            "measured comm payload: {:.3e} bytes/step across all ranks\n",
-            measured_bytes
-        ));
-    }
 }
 
 #[cfg(test)]
@@ -429,10 +367,7 @@ mod tests {
             "WARN cfl",
             "checkpoint committed",
             "recovery converged",
-            "measured vs dnscost model",
-            "Gflop/s",
-            "calibration fit",
-            "phase-sum vs critical path",
+            "bytes/step",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

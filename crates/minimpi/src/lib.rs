@@ -5,8 +5,8 @@
 //! carry the all-to-all traffic of the global transposes. No MPI is
 //! available here, so this crate reproduces the *semantics* on OS threads:
 //! each rank is a thread, point-to-point messages travel over crossbeam
-//! channels, and the collectives (barrier, bcast, gather, allreduce,
-//! alltoall, alltoallv) are built on the point-to-point layer exactly as
+//! channels, and the collectives (barrier, bcast, gather, allgather,
+//! allreduce, alltoall) are built on the point-to-point layer exactly as
 //! a textbook MPI would build them.
 //!
 //! The crate also counts every message and byte per communicator
@@ -30,10 +30,9 @@
 //! * A crashed rank is *detected*: every blocking receive polls with
 //!   exponential backoff and surfaces a dead peer as
 //!   [`CommError::RankDead`] within milliseconds instead of hanging
-//!   until the timeout. The checked receive variants
-//!   ([`Communicator::recv_checked`], [`Communicator::recv_within`])
-//!   return the typed error; the classic [`Communicator::recv`] keeps
-//!   its panicking contract for infallible callers.
+//!   until the timeout. [`Communicator::recv_checked`] returns the
+//!   typed error; the classic [`Communicator::recv`] keeps its panicking
+//!   contract for infallible callers.
 //! * Retries and injected faults land on the telemetry counters
 //!   (`recv_retries`, `faults_injected`, `restarts`).
 //!
@@ -145,7 +144,6 @@ struct Mesh {
 /// rank's share of the run's fault plan.
 struct RankCtx {
     me: usize,
-    world_size: usize,
     mesh: Arc<Mesh>,
     inbox: Receiver<Envelope>,
     pending: RefCell<HashMap<(usize, u64, u64), VecDeque<(usize, Payload)>>>,
@@ -203,7 +201,6 @@ impl RankCtx {
         src_world: usize,
         comm: u64,
         tag: u64,
-        timeout: Duration,
     ) -> Result<(usize, Payload), CommError> {
         let key = (src, comm, tag);
         if let Some(q) = self.pending.borrow_mut().get_mut(&key) {
@@ -212,7 +209,7 @@ impl RankCtx {
             }
         }
         let start = Instant::now();
-        let out = self.fetch_loop(src, src_world, comm, tag, start, start + timeout);
+        let out = self.fetch_loop(src, src_world, comm, tag, start, start + self.recv_timeout);
         self.recv_wait
             .set(self.recv_wait.get() + start.elapsed().as_secs_f64());
         out
@@ -278,17 +275,6 @@ pub struct CommStats {
     pub messages_recvd: u64,
     /// Payload bytes this rank received (self-sends excluded).
     pub bytes_recvd: u64,
-}
-
-impl CommStats {
-    /// Element-wise sum (the reduction behind
-    /// [`Communicator::aggregate_stats`]).
-    pub fn merge(&mut self, other: &CommStats) {
-        self.messages_sent += other.messages_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.messages_recvd += other.messages_recvd;
-        self.bytes_recvd += other.bytes_recvd;
-    }
 }
 
 /// An MPI-like communicator: an ordered group of ranks with isolated
@@ -368,39 +354,6 @@ impl Communicator {
         telemetry::count(telemetry::Counter::BytesRecvd, bytes as u64);
     }
 
-    /// Sum every member's [`CommStats`] for this communicator — the
-    /// world-level (or sub-communicator-level) traffic total, available
-    /// on all ranks. Collective. The reduction's own messages are not
-    /// included: each rank snapshots its counters before exchanging them.
-    pub fn aggregate_stats(&self) -> CommStats {
-        let s = self.stats.get();
-        let mine = vec![
-            s.messages_sent,
-            s.bytes_sent,
-            s.messages_recvd,
-            s.bytes_recvd,
-        ];
-        let table = if self.rank == 0 {
-            let parts = self.gather(0, mine).unwrap();
-            let mut acc = [0u64; 4];
-            for part in parts {
-                for (a, b) in acc.iter_mut().zip(part) {
-                    *a += b;
-                }
-            }
-            self.bcast(0, Some(acc.to_vec()))
-        } else {
-            self.gather(0, mine);
-            self.bcast::<u64>(0, None)
-        };
-        CommStats {
-            messages_sent: table[0],
-            bytes_sent: table[1],
-            messages_recvd: table[2],
-            bytes_recvd: table[3],
-        }
-    }
-
     /// Send a vector to communicator rank `dest` with a user tag.
     /// Buffered: returns immediately.
     pub fn send<T: Send + 'static>(&self, dest: usize, tag: u64, data: Vec<T>) {
@@ -449,32 +402,22 @@ impl Communicator {
     }
 
     /// Blocking receive returning a typed [`CommError`] instead of
-    /// panicking, using the run's configured receive budget
-    /// ([`RunOptions::recv_timeout`]).
+    /// panicking: polls with exponential backoff, fails fast with
+    /// [`CommError::RankDead`] if the sender's thread has died, and
+    /// returns [`CommError::Timeout`] once the run's configured receive
+    /// budget ([`RunOptions::recv_timeout`]) has elapsed without a
+    /// matching message.
     pub fn recv_checked<T: Send + 'static>(
         &self,
         src: usize,
         tag: u64,
     ) -> Result<Vec<T>, CommError> {
-        self.recv_within(src, tag, self.ctx.recv_timeout)
-    }
-
-    /// Blocking receive with an explicit budget: polls with exponential
-    /// backoff, fails fast with [`CommError::RankDead`] if the sender's
-    /// thread has died, and returns [`CommError::Timeout`] once `timeout`
-    /// has elapsed without a matching message.
-    pub fn recv_within<T: Send + 'static>(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<T>, CommError> {
         // a blocking receive is a transport operation (drops degenerate
         // to no-ops here; delays and crashes apply)
         let _ = self.ctx.next_op_fault();
-        let (bytes, payload) =
-            self.ctx
-                .fetch_deadline(src, self.members[src], self.id, tag, timeout)?;
+        let (bytes, payload) = self
+            .ctx
+            .fetch_deadline(src, self.members[src], self.id, tag)?;
         if src != self.rank {
             self.note_recv(bytes);
         }
@@ -498,56 +441,6 @@ impl Communicator {
                 self.ctx.me
             );
         }
-    }
-
-    /// Non-blocking receive: returns the message from `src` with `tag`
-    /// if one has already arrived (draining the inbox into the pending
-    /// buffer), `None` otherwise.
-    pub fn try_recv<T: Send + 'static>(&self, src: usize, tag: u64) -> Option<Vec<T>> {
-        // drain whatever is in flight
-        while let Ok(env) = self.ctx.inbox.try_recv() {
-            self.ctx
-                .pending
-                .borrow_mut()
-                .entry((env.src, env.comm, env.tag))
-                .or_default()
-                .push_back((env.bytes, env.payload));
-        }
-        let key = (src, self.id, tag);
-        let (bytes, payload) = self.ctx.pending.borrow_mut().get_mut(&key)?.pop_front()?;
-        if src != self.rank {
-            self.note_recv(bytes);
-        }
-        Some(
-            *payload
-                .downcast::<Vec<T>>()
-                .expect("message element type mismatch"),
-        )
-    }
-
-    /// Combined send+receive (safe in any order thanks to buffering).
-    pub fn sendrecv<T: Send + 'static>(
-        &self,
-        dest: usize,
-        src: usize,
-        tag: u64,
-        data: Vec<T>,
-    ) -> Vec<T> {
-        self.send(dest, tag, data);
-        self.recv(src, tag)
-    }
-
-    /// [`Communicator::sendrecv`] with a typed error instead of a panic
-    /// when the receive half fails.
-    pub fn sendrecv_checked<T: Send + 'static>(
-        &self,
-        dest: usize,
-        src: usize,
-        tag: u64,
-        data: Vec<T>,
-    ) -> Result<Vec<T>, CommError> {
-        self.send(dest, tag, data);
-        self.recv_checked(src, tag)
     }
 
     /// Synchronise all ranks of this communicator (gather-then-release).
@@ -629,25 +522,6 @@ impl Communicator {
         self.allreduce(&[x], f64::max)[0]
     }
 
-    /// Scatter: `root` distributes one vector per rank; returns this
-    /// rank's part (`MPI_Scatter`).
-    pub fn scatter<T: Send + 'static>(&self, root: usize, data: Option<Vec<Vec<T>>>) -> Vec<T> {
-        const TAG: u64 = u64::MAX - 7;
-        if self.rank == root {
-            let mut data = data.expect("root must supply the scatter payload");
-            assert_eq!(data.len(), self.size());
-            let mine = std::mem::take(&mut data[root]);
-            for (r, part) in data.into_iter().enumerate() {
-                if r != root {
-                    self.send(r, TAG, part);
-                }
-            }
-            mine
-        } else {
-            self.recv(root, TAG)
-        }
-    }
-
     /// All-gather: every rank contributes one vector and receives all of
     /// them, ordered by rank (`MPI_Allgather`).
     pub fn allgather<T: Clone + Send + 'static>(&self, data: Vec<T>) -> Vec<Vec<T>> {
@@ -669,20 +543,6 @@ impl Communicator {
         }
     }
 
-    /// Reduce to `root` with `op` (element-wise over f64 slices).
-    pub fn reduce(&self, root: usize, data: &[f64], op: fn(f64, f64) -> f64) -> Option<Vec<f64>> {
-        let gathered = self.gather(root, data.to_vec());
-        gathered.map(|parts| {
-            let mut acc = parts[0].clone();
-            for part in &parts[1..] {
-                for (a, &b) in acc.iter_mut().zip(part) {
-                    *a = op(*a, b);
-                }
-            }
-            acc
-        })
-    }
-
     /// All-to-all: rank `i` sends `send[j]` to rank `j`; returns the
     /// vector received from each rank. This is the pattern of the global
     /// transpose (`MPI_alltoall`).
@@ -695,81 +555,6 @@ impl Communicator {
         (0..self.size())
             .map(|src| self.recv::<T>(src, TAG))
             .collect()
-    }
-
-    /// Pairwise-exchange all-to-all: the `MPI_sendrecv` strategy FFTW's
-    /// transpose planner also considers (section 4.3). Identical result to
-    /// [`Communicator::alltoall`], different message schedule: `size - 1`
-    /// rounds of `sendrecv` with a rotating partner.
-    pub fn alltoall_pairwise<T: Send + 'static>(&self, mut send: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        const TAG: u64 = u64::MAX - 1000;
-        assert_eq!(send.len(), self.size());
-        let p = self.size();
-        let mut recv: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        // self exchange
-        recv[self.rank] = Some(std::mem::take(&mut send[self.rank]));
-        for round in 1..p {
-            let partner = (self.rank + round) % p;
-            let from = (self.rank + p - round) % p;
-            self.send(
-                partner,
-                TAG + round as u64,
-                std::mem::take(&mut send[partner]),
-            );
-            recv[from] = Some(self.recv(from, TAG + round as u64));
-        }
-        recv.into_iter().map(Option::unwrap).collect()
-    }
-
-    /// Variable-size all-to-all over a flat buffer: `send` is partitioned
-    /// by `send_counts`; returns the flat receive buffer and its counts.
-    pub fn alltoallv<T: Clone + Send + 'static>(
-        &self,
-        send: &[T],
-        send_counts: &[usize],
-    ) -> (Vec<T>, Vec<usize>) {
-        const TAG: u64 = u64::MAX - 6;
-        assert_eq!(send_counts.len(), self.size());
-        assert_eq!(send.len(), send_counts.iter().sum::<usize>());
-        let mut off = 0usize;
-        for (dest, &cnt) in send_counts.iter().enumerate() {
-            self.send(dest, TAG, send[off..off + cnt].to_vec());
-            off += cnt;
-        }
-        let mut out = Vec::new();
-        let mut counts = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            let part: Vec<T> = self.recv(src, TAG);
-            counts.push(part.len());
-            out.extend(part);
-        }
-        (out, counts)
-    }
-
-    /// [`Communicator::alltoallv`] with a typed error instead of a panic
-    /// when any receive leg fails — the hardened exchange behind the
-    /// pencil transposes.
-    pub fn alltoallv_checked<T: Clone + Send + 'static>(
-        &self,
-        send: &[T],
-        send_counts: &[usize],
-    ) -> Result<(Vec<T>, Vec<usize>), CommError> {
-        const TAG: u64 = u64::MAX - 6;
-        assert_eq!(send_counts.len(), self.size());
-        assert_eq!(send.len(), send_counts.iter().sum::<usize>());
-        let mut off = 0usize;
-        for (dest, &cnt) in send_counts.iter().enumerate() {
-            self.send(dest, TAG, send[off..off + cnt].to_vec());
-            off += cnt;
-        }
-        let mut out = Vec::new();
-        let mut counts = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            let part: Vec<T> = self.recv_checked(src, TAG)?;
-            counts.push(part.len());
-            out.extend(part);
-        }
-        Ok((out, counts))
     }
 
     /// Split into disjoint sub-communicators by `color`, ordered by `key`
@@ -1025,7 +810,6 @@ where
                     let liveness = Arc::clone(&mesh);
                     let ctx = Rc::new(RankCtx {
                         me,
-                        world_size: n,
                         mesh,
                         inbox,
                         pending: RefCell::new(HashMap::new()),
@@ -1081,11 +865,6 @@ fn split_by<T: Clone>(flat: &[T], lens: &[u64]) -> Vec<Vec<T>> {
     out
 }
 
-/// World size visible to a communicator's rank context (diagnostics).
-pub fn world_size_of(comm: &Communicator) -> usize {
-    comm.ctx.world_size
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1101,8 +880,8 @@ mod tests {
         let got = run(5, |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            let recvd = comm.sendrecv(next, prev, 7, vec![comm.rank() as u64]);
-            recvd[0]
+            comm.send(next, 7, vec![comm.rank() as u64]);
+            comm.recv::<u64>(prev, 7)[0]
         });
         assert_eq!(got, vec![4, 0, 1, 2, 3]);
     }
@@ -1177,40 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_alltoall_matches_alltoall() {
-        let got = run(5, |comm| {
-            let send: Vec<Vec<i64>> = (0..5)
-                .map(|dest| vec![comm.rank() as i64 * 100 + dest as i64, dest as i64])
-                .collect();
-            let a = comm.alltoall(send.clone());
-            let b = comm.alltoall_pairwise(send);
-            a == b
-        });
-        assert!(got.iter().all(|&ok| ok));
-    }
-
-    #[test]
-    fn alltoallv_variable_sizes() {
-        let got = run(3, |comm| {
-            let r = comm.rank();
-            // rank r sends `dest + 1` elements (value r) to each dest
-            let counts: Vec<usize> = (0..3).map(|d| d + 1).collect();
-            let send: Vec<u8> = (0..3)
-                .flat_map(|d| std::iter::repeat_n(r as u8, d + 1))
-                .collect();
-            comm.alltoallv(&send, &counts)
-        });
-        // rank r receives r+1 elements from each src, tagged by src id
-        for (r, (recv, rc)) in got.iter().enumerate() {
-            assert_eq!(rc, &vec![r + 1; 3]);
-            let want: Vec<u8> = (0..3u8)
-                .flat_map(|s| std::iter::repeat_n(s, r + 1))
-                .collect();
-            assert_eq!(recv, &want);
-        }
-    }
-
-    #[test]
     fn split_forms_disjoint_groups() {
         let got = run(6, |comm| {
             let color = (comm.rank() % 2) as u64;
@@ -1249,23 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_distributes_parts() {
-        let got = run(3, |comm| {
-            let data = if comm.rank() == 1 {
-                Some(
-                    (0..3)
-                        .map(|r| vec![r as u64 * 10, r as u64 * 10 + 1])
-                        .collect(),
-                )
-            } else {
-                None
-            };
-            comm.scatter(1, data)
-        });
-        assert_eq!(got, vec![vec![0, 1], vec![10, 11], vec![20, 21]]);
-    }
-
-    #[test]
     fn allgather_orders_by_rank() {
         let got = run(4, |comm| {
             comm.allgather(vec![comm.rank() as u8; comm.rank() + 1])
@@ -1274,20 +1002,6 @@ mod tests {
             assert_eq!(rows.len(), 4);
             for (r, row) in rows.iter().enumerate() {
                 assert_eq!(row, &vec![r as u8; r + 1]);
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_applies_operator_at_root() {
-        let got = run(4, |comm| {
-            comm.reduce(2, &[comm.rank() as f64, 1.0], |a, b| a + b)
-        });
-        for (r, res) in got.into_iter().enumerate() {
-            if r == 2 {
-                assert_eq!(res, Some(vec![6.0, 4.0]));
-            } else {
-                assert_eq!(res, None);
             }
         }
     }
@@ -1312,10 +1026,6 @@ mod tests {
         let got = run(2, |comm| {
             comm.send(comm.rank(), 11, vec![1u64; 50]);
             let _: Vec<u64> = comm.recv(comm.rank(), 11);
-            let early: Option<Vec<u64>> = comm.try_recv(comm.rank(), 12);
-            assert!(early.is_none());
-            comm.send(comm.rank(), 12, vec![2u64; 5]);
-            let _: Vec<u64> = comm.try_recv(comm.rank(), 12).unwrap();
             comm.stats()
         });
         for s in got {
@@ -1324,11 +1034,12 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_counts_both_directions() {
+    fn send_recv_ring_counts_both_directions() {
         let got = run(4, |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            let _ = comm.sendrecv(next, prev, 5, vec![0u32; 16]);
+            comm.send(next, 5, vec![0u32; 16]);
+            let _: Vec<u32> = comm.recv(prev, 5);
             comm.stats()
         });
         for s in got {
@@ -1338,15 +1049,11 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_counts_exclude_the_self_block() {
+    fn alltoall_counts_exclude_the_self_block() {
         let got = run(3, |comm| {
-            let r = comm.rank();
             // rank r sends `d + 1` one-byte elements to each dest d
-            let counts: Vec<usize> = (0..3).map(|d| d + 1).collect();
-            let send: Vec<u8> = (0..3)
-                .flat_map(|d| std::iter::repeat_n(r as u8, d + 1))
-                .collect();
-            let _ = comm.alltoallv(&send, &counts);
+            let send: Vec<Vec<u8>> = (0..3).map(|d| vec![comm.rank() as u8; d + 1]).collect();
+            let _ = comm.alltoall(send);
             comm.stats()
         });
         for (r, s) in got.iter().enumerate() {
@@ -1377,28 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_stats_sums_the_world() {
-        let got = run(4, |comm| {
-            let next = (comm.rank() + 1) % comm.size();
-            let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            let _ = comm.sendrecv(next, prev, 5, vec![0f64; 10]);
-            let local = comm.stats();
-            (local, comm.aggregate_stats())
-        });
-        let mut want = CommStats::default();
-        for (local, _) in &got {
-            want.merge(local);
-        }
-        // the reduction's own traffic is excluded, every rank sees the sum
-        for (_, total) in &got {
-            assert_eq!(*total, want);
-        }
-        assert_eq!(want.messages_sent, want.messages_recvd);
-        assert_eq!(want.bytes_sent, want.bytes_recvd);
-        assert_eq!(want.bytes_sent, 4 * 80);
-    }
-
-    #[test]
     fn rank_threads_register_telemetry_tracks() {
         telemetry::set_level(telemetry::Level::Phases);
         let _ = run(4, |comm| {
@@ -1422,23 +1107,6 @@ mod tests {
         let totals = snap.total_counters();
         assert!(totals.get(telemetry::Counter::MessagesSent) > 0);
         assert!(totals.get(telemetry::Counter::MessagesRecvd) > 0);
-    }
-
-    #[test]
-    fn try_recv_is_nonblocking_and_eventually_sees_the_message() {
-        let got = run(2, |comm| {
-            let peer = 1 - comm.rank();
-            // nothing sent yet (sends happen only after the barrier):
-            // try_recv must return None without blocking
-            let early: Option<Vec<u32>> = comm.try_recv(peer, 9);
-            assert!(early.is_none());
-            comm.barrier();
-            comm.send(peer, 9, vec![7u32]);
-            comm.barrier(); // guarantees delivery to the inbox
-            let late: Option<Vec<u32>> = comm.try_recv(peer, 9);
-            late.map(|v| v[0])
-        });
-        assert_eq!(got, vec![Some(7), Some(7)]);
     }
 
     #[test]
@@ -1520,17 +1188,15 @@ mod tests {
     }
 
     #[test]
-    fn world_size_is_visible() {
-        let got = run(3, |comm| world_size_of(&comm));
-        assert_eq!(got, vec![3, 3, 3]);
-    }
-
-    #[test]
-    fn recv_within_times_out_with_typed_error() {
-        let got = run(2, |comm| {
+    fn recv_checked_times_out_with_typed_error() {
+        let opts = RunOptions {
+            recv_timeout: Duration::from_millis(50),
+            fault_plan: FaultPlan::none(),
+        };
+        let got = run_result(2, opts, |comm| {
             if comm.rank() == 0 {
                 // nobody ever sends on this tag
-                match comm.recv_within::<u8>(1, 99, Duration::from_millis(50)) {
+                match comm.recv_checked::<u8>(1, 99) {
                     Err(CommError::Timeout {
                         src: 1, tag: 99, ..
                     }) => true,
@@ -1539,7 +1205,8 @@ mod tests {
             } else {
                 true
             }
-        });
+        })
+        .expect("no crash scheduled");
         assert!(got.into_iter().all(|x| x));
     }
 
@@ -1577,7 +1244,7 @@ mod tests {
         // rank 1's first send (op 0) is dropped; its second send on a
         // different tag gets through
         let opts = RunOptions {
-            recv_timeout: Duration::from_secs(5),
+            recv_timeout: Duration::from_millis(250),
             fault_plan: FaultPlan::none().drop_at_op(1, 0),
         };
         let got = run_result(2, opts, |comm| {
@@ -1587,7 +1254,7 @@ mod tests {
                 true
             } else {
                 let second: Vec<u8> = comm.recv(1, 2);
-                let first = comm.recv_within::<u8>(1, 1, Duration::from_millis(50));
+                let first = comm.recv_checked::<u8>(1, 1);
                 second == vec![22] && matches!(first, Err(CommError::Timeout { .. }))
             }
         })

@@ -336,8 +336,8 @@ impl TransposePlan {
         {
             let _exchange = telemetry::span("exchange", Phase::Transpose);
             match self.strategy {
-                // the schedule of `alltoallv_checked`: every block, self
-                // included, goes through the transport
+                // the schedule of `Communicator::alltoall`: every block,
+                // self included, goes through the transport
                 ExchangeStrategy::AllToAll => {
                     for d in 0..p {
                         comm.send(d, A2A_TAG, block(d));

@@ -2,7 +2,7 @@
 //! host can hold, harvest counts, fit the host calibration, and
 //! cross-check the network model with the event simulator.
 
-use dns_core::headless::{probe_pfft_cycle, probe_rk3, Probe};
+use crate::probe::{probe_pfft_cycle, probe_rk3, Probe};
 use dns_core::params::Params;
 use dns_netmodel::calibration::{Calibration, Observation, StepCounts, StepSeconds};
 use dns_netmodel::dnscost::{self, Grid};

@@ -3,10 +3,11 @@
 //! `dns-scaling` closes the loop between the repository's two halves:
 //! dns-telemetry *counts* everything the real kernels do, and
 //! dns-netmodel *models* everything the paper's machines did. The
-//! campaign (a) runs the real stack — full RK3 steps and bare pfft
-//! cycles on minimpi — at every rank/thread configuration the build
-//! machine can hold, harvesting per-phase wall seconds and the
-//! machine-readable counter export ([`dns_telemetry::counts_json`]);
+//! campaign (a) runs the real stack — full RK3 steps through
+//! [`dns_core::run::execute`] and bare pfft cycles on minimpi, both via
+//! [`probe`] — at every rank/thread configuration the build machine can
+//! hold, harvesting per-phase wall seconds and the machine-readable
+//! counter export ([`dns_telemetry::counts_json`]);
 //! (b) fits a host [`dns_netmodel::calibration::Calibration`] from
 //! those *measured* counts and validates it point-by-point in the
 //! overlap region; and (c) feeds the measured counts into the machine
@@ -23,6 +24,7 @@
 
 pub mod campaign;
 pub mod perfdb;
+pub mod probe;
 pub mod tables;
 
 pub use campaign::{run, Bench, Campaign, CampaignConfig, Point};

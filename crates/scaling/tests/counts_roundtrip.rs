@@ -18,10 +18,10 @@
 //!   in the same decade as the model's `4 passes x 16 B` accounting but
 //!   not exactly on it.
 
-use dns_core::headless::probe_rk3;
 use dns_core::params::Params;
-use dns_health::json::parse;
+use dns_json::parse;
 use dns_netmodel::dnscost::{step_workload, Grid};
+use dns_scaling::probe::probe_rk3;
 use dns_telemetry::{counts_json, CountsMeta};
 
 #[test]

@@ -1,11 +1,12 @@
-//! Exporters over [`Snapshot`]: phase aggregation, human table, CSV,
-//! JSON, and Chrome trace-event output.
+//! Exporters over [`Snapshot`]: phase aggregation, human table, the
+//! versioned counts JSON, and Chrome trace-event output.
 
 use crate::{Counter, CounterSet, Phase, RankSnapshot, Snapshot, NUM_PHASES};
 
 /// Version stamp of the machine-readable counts schema emitted by
 /// [`counts_json`]. Bump whenever the field layout changes; consumers
-/// (dns-scaling, the `phases` bench `--json` mode) check it on read.
+/// (the dns-scaling counts archive and its round-trip test) check it on
+/// read.
 ///
 /// v2 appended the nonblocking-exchange counters `exchange_overlap_us`,
 /// `requests_posted`, and `requests_completed` to every counter block
@@ -239,91 +240,6 @@ impl Snapshot {
             }
         }
         out.push_str("\n]}\n");
-        out
-    }
-
-    // -- CSV ----------------------------------------------------------------
-
-    /// Span records as CSV: `rank,name,phase,depth,start_us,dur_us`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("rank,name,phase,depth,start_us,dur_us\n");
-        for r in &self.ranks {
-            let rank = r
-                .rank
-                .map(|x| x.to_string())
-                .unwrap_or_else(|| "driver".into());
-            for s in &r.spans {
-                out.push_str(&format!(
-                    "{rank},{},{},{},{:.3},{:.3}\n",
-                    s.name,
-                    s.phase.label(),
-                    s.depth,
-                    s.start_us,
-                    s.dur_us
-                ));
-            }
-        }
-        out
-    }
-
-    // -- JSON ---------------------------------------------------------------
-
-    /// Structured JSON: per-rank counters, phase seconds, decisions, and
-    /// span records.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"ranks\":[");
-        for (i, r) in self.ranks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let rank = r
-                .rank
-                .map(|x| x.to_string())
-                .unwrap_or_else(|| "null".into());
-            out.push_str(&format!("{{\"rank\":{rank},\"counters\":{{"));
-            for (j, c) in Counter::ALL.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", c.label(), r.counters.get(*c)));
-            }
-            out.push_str("},\"phase_seconds\":{");
-            let ps = PhaseSeconds::from_table(phase_exclusive_seconds(r));
-            for (j, p) in Phase::ALL.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{:.9}", p.label(), ps.get(*p)));
-            }
-            out.push_str("},\"decisions\":[");
-            for (j, d) in r.decisions.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"topic\":\"{}\",\"text\":\"{}\"}}",
-                    escape_json(d.topic),
-                    escape_json(&d.text)
-                ));
-            }
-            out.push_str(&format!("],\"dropped\":{},\"spans\":[", r.dropped));
-            for (j, s) in r.spans.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"name\":\"{}\",\"phase\":\"{}\",\"depth\":{},\
-                     \"start_us\":{:.3},\"dur_us\":{:.3}}}",
-                    escape_json(s.name),
-                    s.phase.label(),
-                    s.depth,
-                    s.start_us,
-                    s.dur_us
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
         out
     }
 
@@ -647,27 +563,19 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_one_row_per_span() {
-        let snap = fixture();
-        let csv = snap.to_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "rank,name,phase,depth,start_us,dur_us");
-        assert_eq!(lines.len(), 1 + snap.span_count());
-        assert!(lines[1].starts_with("0,rk3_substep,other,0,"));
-    }
-
-    #[test]
-    fn json_escapes_and_structures() {
-        let mut snap = fixture();
-        snap.ranks[0].decisions.push(Decision {
-            topic: "quote",
-            text: "say \"hi\"\nnewline".into(),
-        });
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"ranks\":["));
-        assert!(json.contains("\"flops\":1000000"));
+    fn counts_json_escapes_its_strings() {
+        let meta = CountsMeta {
+            bench: "say \"hi\"\nnewline".into(),
+            nx: 16,
+            ny: 17,
+            nz: 16,
+            ranks: 2,
+            threads: 1,
+            steps: 1,
+        };
+        let json = counts_json(&fixture(), &meta);
         assert!(json.contains("say \\\"hi\\\"\\nnewline"));
-        assert!(json.contains("\"phase_seconds\""));
+        assert!(json.contains("\"flops\":1000000"));
     }
 
     #[test]
