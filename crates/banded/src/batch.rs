@@ -81,6 +81,7 @@
 //! ```
 
 use crate::corner::{CornerBanded, CornerLu};
+use crate::laneband::LaneBand;
 use crate::{LinalgError, C64};
 
 /// Number of right-hand sides per panel block: one cache line of `f64`s,
@@ -321,9 +322,10 @@ macro_rules! isa_fn {
 ///   the scalar complex kernel uses, so per-lane results match it
 ///   bitwise.
 ///
-/// Lanes past `width` in the final block are padded with identity
-/// factors: sweeping them is a no-op on zero data and keeps the kernels
-/// free of per-lane bounds logic.
+/// Lanes past `width` in the final block hold well-posed factors too
+/// (the identity, or whatever the builder put in its spare lanes):
+/// sweeping them is arithmetic on zero data that is never read back, and
+/// keeps the kernels free of per-lane bounds logic.
 #[derive(Clone, Debug)]
 pub struct BatchedFactor {
     n: usize,
@@ -402,79 +404,78 @@ isa_fn! {
 }
 
 impl BatchedFactor {
-    /// Pack already-factored operators (factor once per operator — e.g.
-    /// at solver setup — then sweep panels every step).
-    ///
-    /// # Panics
-    /// If `lus` is empty or the operators disagree on `n`, `kl` or `ku`.
-    pub fn pack(lus: &[&CornerLu]) -> Self {
-        assert!(!lus.is_empty(), "cannot pack an empty batch");
-        let f0 = lus[0].factors();
-        let (n, kl, ku) = (f0.n(), f0.kl(), f0.ku());
+    /// `width` identity operators of shape `(n, kl, ku)`: the streams
+    /// allocated once, their blocks then filled by
+    /// [`set_block`](Self::set_block). Zero width is a valid, empty batch.
+    pub fn zeros(n: usize, kl: usize, ku: usize, width: usize) -> Self {
         let w = kl + ku + 1;
-        let blocks = lus.len().div_ceil(LANES);
+        let blocks = width.div_ceil(LANES);
         // stream lengths: row i contributes its sub-diagonal window to L
         // and its super-diagonal window to U
-        let mut lstride = 0;
-        let mut ustride = 0;
+        let (mut lstride, mut ustride) = (0, 0);
+        assert!(width == 0 || n >= w, "matrix smaller than its bandwidth");
         for i in 0..n {
-            let ci = f0.col_start(i);
-            let jend = (ci + w - 1).min(n - 1);
+            let ci = i.saturating_sub(kl).min(n.saturating_sub(w));
             lstride += i - ci;
-            ustride += jend - i;
-        }
-        let mut ldata = vec![[0.0; LANES]; blocks * lstride];
-        let mut udata = vec![[0.0; LANES]; blocks * ustride];
-        // identity padding: unit diagonal in every lane, overwritten
-        // below for the active ones (L/U padding is all-zero already)
-        let mut idata = vec![[1.0; LANES]; blocks * n];
-        for (r, lu) in lus.iter().enumerate() {
-            let f = lu.factors();
-            assert_eq!(f.n(), n, "packed operators must share the dimension");
-            assert_eq!(f.kl(), kl, "packed operators must share kl");
-            assert_eq!(f.ku(), ku, "packed operators must share ku");
-            let (b, l) = (r / LANES, r % LANES);
-            let raw = f.raw_data();
-            let mut loff = b * lstride;
-            for i in 0..n {
-                let ci = f.col_start(i);
-                for t in 0..i - ci {
-                    ldata[loff + t][l] = raw[i * w + t];
-                }
-                loff += i - ci;
-                idata[b * n + i][l] = 1.0 / raw[i * w + (i - ci)];
-            }
-            let mut uoff = b * ustride;
-            for i in (0..n).rev() {
-                let ci = f.col_start(i);
-                let jend = (ci + w - 1).min(n - 1);
-                for t in 0..jend - i {
-                    udata[uoff + t][l] = raw[i * w + (i - ci) + 1 + t];
-                }
-                uoff += jend - i;
-            }
+            ustride += (ci + w - 1).min(n - 1) - i;
         }
         BatchedFactor {
             n,
             kl,
             ku,
-            width: lus.len(),
+            width,
             lstride,
             ustride,
-            ldata,
-            udata,
-            idata,
+            ldata: vec![[0.0; LANES]; blocks * lstride],
+            udata: vec![[0.0; LANES]; blocks * ustride],
+            idata: vec![[1.0; LANES]; blocks * n],
         }
     }
 
-    /// Factor each matrix with [`CornerLu::factor`] and pack the results.
+    /// Split the factored `band` into block `blk`'s three streams.
+    ///
+    /// # Panics
+    /// If the shape of `band` is not this batch's.
+    pub fn set_block(&mut self, blk: usize, band: &LaneBand) {
+        let shape = (self.n, self.kl, self.ku);
+        assert_eq!((band.n, band.kl, band.ku), shape, "block shape");
+        let (n, w) = (self.n, self.kl + self.ku + 1);
+        let mut l = &mut self.ldata[blk * self.lstride..][..self.lstride];
+        let mut u = &mut self.udata[blk * self.ustride..][..self.ustride];
+        let inv = &mut self.idata[blk * n..][..n];
+        for i in 0..n {
+            let ci = i.saturating_sub(self.kl).min(n - w);
+            let (head, rest) = l.split_at_mut(i - ci);
+            head.copy_from_slice(&band.row(i)[..i - ci]);
+            l = rest;
+            inv[i] = band.row(i)[i - ci].map(|d| 1.0 / d);
+        }
+        for i in (0..n).rev() {
+            let ci = i.saturating_sub(self.kl).min(n - w);
+            let (head, rest) = u.split_at_mut((ci + w - 1).min(n - 1) - i);
+            head.copy_from_slice(&band.row(i)[i - ci + 1..][..head.len()]);
+            u = rest;
+        }
+    }
+
+    /// Factor the matrices [`LANES`] at a time ([`LaneBand::factor`]:
+    /// per lane the elimination of [`CornerLu::factor`]) into the sweep
+    /// streams. An empty `mats` gives the empty batch.
+    ///
+    /// # Panics
+    /// If the operators disagree on `n`, `kl` or `ku`.
     pub fn factor(mats: Vec<CornerBanded>) -> Result<Self, LinalgError> {
-        let lus = mats
-            .into_iter()
-            .map(CornerLu::factor)
-            .collect::<Result<Vec<_>, _>>()?;
-        let refs: Vec<&CornerLu> = lus.iter().collect();
-        Ok(BatchedFactor::pack(&refs))
+        let Some(m) = mats.first() else {
+            return Ok(BatchedFactor::zeros(0, 0, 0, 0));
+        };
+        let mut out = BatchedFactor::zeros(m.n(), m.kl(), m.ku(), mats.len());
+        let mut band = LaneBand::new(m.n(), m.kl(), m.ku());
+        for (blk, chunk) in mats.chunks(LANES).enumerate() {
+            band.load(chunk);
+            band.factor()?;
+            out.set_block(blk, &band);
+        }
+        Ok(out)
     }
 
     /// Matrix dimension shared by the packed operators.
@@ -501,8 +502,9 @@ impl BatchedFactor {
         let _solve =
             dns_telemetry::detail_span("batched_solve_panel", dns_telemetry::Phase::NsAdvance);
         self.check_panel(p);
-        self.count_solves(1);
-        for (blk, rhs) in p.rows_mut().chunks_exact_mut(self.n).enumerate() {
+        self.count_solves(self.width, 1);
+        // (`max`: the empty batch has no rows to chunk by)
+        for (blk, rhs) in p.rows_mut().chunks_exact_mut(self.n.max(1)).enumerate() {
             self.solve_block(blk, rhs);
         }
     }
@@ -514,9 +516,15 @@ impl BatchedFactor {
         solve_lanes(self.block(blk), rhs);
     }
 
-    /// Telemetry of `stages` stages of `width` solves each.
-    pub fn count_solves(&self, stages: usize) {
-        count_solves(self.n, self.kl, self.ku, self.width, stages);
+    /// Telemetry of `stages` stages of `width` solves each (the panel's
+    /// width: blocks may be swept more than once per stage).
+    pub fn count_solves(&self, width: usize, stages: usize) {
+        count_solves(self.n, self.kl, self.ku, width, stages);
+    }
+
+    /// Bytes held by the three streams.
+    pub fn bytes(&self) -> usize {
+        (self.ldata.len() + self.udata.len() + self.idata.len()) * size_of::<[f64; LANES]>()
     }
 
     /// [`BatchedFactor::solve_panel`] with the blocks fanned out over a
@@ -528,19 +536,23 @@ impl BatchedFactor {
         let _solve =
             dns_telemetry::detail_span("batched_solve_panel", dns_telemetry::Phase::NsAdvance);
         self.check_panel(p);
-        self.count_solves(1);
+        self.count_solves(self.width, 1);
         pool.install(|| {
             use rayon::prelude::*;
             p.rows_mut()
-                .par_chunks_exact_mut(self.n)
+                .par_chunks_exact_mut(self.n.max(1))
                 .enumerate()
                 .for_each(|(blk, rhs)| self.solve_block(blk, rhs));
         });
     }
 
     fn check_panel(&self, p: &RhsPanel) {
-        assert_eq!(p.n(), self.n, "panel rows must match the operators");
         assert_eq!(p.width(), self.width, "panel width must match the batch");
+        // the empty batch fits a zero-width panel of any height
+        assert!(
+            self.width == 0 || p.n() == self.n,
+            "panel rows must match the operators"
+        );
     }
 
     fn block(&self, blk: usize) -> FactorBlock<'_> {
@@ -557,7 +569,8 @@ impl BatchedFactor {
 /// Telemetry of `stages` stages of `width` complex solves each against
 /// real `(n, kl, ku)` factors: counted per stage, never per block.
 fn count_solves(n: usize, kl: usize, ku: usize, width: usize, stages: usize) {
-    if dns_telemetry::enabled() {
+    // (a zero-width stage is no panel: an empty batch counts nothing)
+    if dns_telemetry::enabled() && width > 0 {
         use dns_telemetry::{count_phase, Counter, Phase};
         let per_row = 2 * kl + 2 * (kl + ku) + 1;
         count_phase(Phase::NsAdvance, Counter::SolvePanels, stages as u64);
@@ -694,9 +707,57 @@ impl CornerBanded {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::testmat::CollocationLike;
+
+    /// The route [`BatchedFactor::factor`] replaced, kept as its oracle:
+    /// copy scalar factors into the streams slot by slot (identity in the
+    /// lanes past `lus.len()`).
+    pub(crate) fn pack(lus: &[&CornerLu]) -> BatchedFactor {
+        let f0 = lus[0].factors();
+        let (n, w) = (f0.n(), f0.width());
+        let mut out = BatchedFactor::zeros(n, f0.kl(), f0.ku(), lus.len());
+        for (r, lu) in lus.iter().enumerate() {
+            let (b, l) = (r / LANES, r % LANES);
+            let (f, raw) = (lu.factors(), lu.factors().raw_data());
+            let mut loff = b * out.lstride;
+            for i in 0..n {
+                let ci = f.col_start(i);
+                for t in 0..i - ci {
+                    out.ldata[loff + t][l] = raw[i * w + t];
+                }
+                loff += i - ci;
+                out.idata[b * n + i][l] = 1.0 / raw[i * w + (i - ci)];
+            }
+            let mut uoff = b * out.ustride;
+            for i in (0..n).rev() {
+                let ci = f.col_start(i);
+                let jend = (ci + w - 1).min(n - 1);
+                for t in 0..jend - i {
+                    out.udata[uoff + t][l] = raw[i * w + (i - ci) + 1 + t];
+                }
+                uoff += jend - i;
+            }
+        }
+        out
+    }
+
+    impl BatchedFactor {
+        /// Whether the three streams hold the same bits.
+        pub(crate) fn same_streams(&self, other: &BatchedFactor) -> bool {
+            let bits = |s: &[[f64; LANES]]| -> Vec<u64> {
+                s.iter().flatten().map(|v| v.to_bits()).collect()
+            };
+            [
+                (&self.ldata, &other.ldata),
+                (&self.udata, &other.udata),
+                (&self.idata, &other.idata),
+            ]
+            .iter()
+            .all(|(a, b)| bits(a) == bits(b))
+        }
+    }
 
     fn rhs_col(n: usize, r: usize) -> Vec<C64> {
         (0..n)
@@ -720,6 +781,17 @@ mod tests {
                 a
             })
             .collect()
+    }
+
+    #[test]
+    fn an_empty_batch_solves_a_zero_width_panel() {
+        let batch = BatchedFactor::factor(vec![]).unwrap();
+        assert_eq!((batch.width(), batch.blocks(), batch.bytes()), (0, 0, 0));
+        // a zero-width panel of any height fits it
+        let mut p = RhsPanel::new(9, 0);
+        batch.solve_panel(&mut p);
+        batch.solve_panel_threaded(&mut p, None);
+        assert_eq!(BatchedFactor::zeros(9, 1, 1, 0).bytes(), 0);
     }
 
     #[test]

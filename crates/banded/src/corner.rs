@@ -168,6 +168,33 @@ impl CornerBanded {
         }
     }
 
+    /// `sum_t c_t * M_t` over operators of one shape, slot by slot over
+    /// the raw windows: each stored entry is `c_0*m_0 + c_1*m_1 + ...`
+    /// evaluated left to right, the bits of the same expression written
+    /// with [`get`](Self::get). The result declares the widest corner
+    /// rows of its terms.
+    ///
+    /// # Panics
+    /// If `terms` is empty or the operators disagree on `n`, `kl`, `ku`.
+    pub fn weighted_sum(terms: &[(f64, &CornerBanded)]) -> CornerBanded {
+        let (c0, first) = terms[0];
+        let mut out = first.clone();
+        out.data.iter_mut().for_each(|v| *v *= c0);
+        for &(c, m) in &terms[1..] {
+            assert_eq!(
+                (m.n, m.kl, m.ku),
+                (out.n, out.kl, out.ku),
+                "summed operators must share their shape"
+            );
+            out.nc_top = out.nc_top.max(m.nc_top);
+            out.nc_bot = out.nc_bot.max(m.nc_bot);
+            for (v, x) in out.data.iter_mut().zip(&m.data) {
+                *v += c * x;
+            }
+        }
+        out
+    }
+
     /// Densify (tests only).
     pub fn to_dense(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.n * self.n];
@@ -275,7 +302,7 @@ impl CornerLu {
 }
 
 /// Threshold below which an unpivoted diagonal is declared singular.
-const TINY: f64 = 1e-300;
+pub(crate) const TINY: f64 = 1e-300;
 
 /// Thomas-style solve on tridiagonal LU factors (kl = ku = 1, no corner
 /// rows): forward multiplier sweep then backward substitution with the

@@ -48,10 +48,12 @@
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::type_complexity)]
 
+#[macro_use]
 pub mod batch;
 pub mod corner;
 pub mod dense;
 pub mod general;
+pub mod laneband;
 pub mod scalar;
 pub mod testmat;
 
@@ -59,6 +61,7 @@ pub use batch::{gather_lanes, scatter_lanes, BatchedFactor, LaneRow, RhsPanel, L
 pub use corner::{CornerBanded, CornerLu};
 pub use dense::DenseLu;
 pub use general::{BandedLu, BandedMatrix};
+pub use laneband::LaneBand;
 
 /// Complex double-precision scalar (shared alias with the FFT crate).
 pub type C64 = num_complex::Complex<f64>;

@@ -1,13 +1,15 @@
 //! Property tests: batched panel solves agree with the scalar corner
 //! solver across random bandwidths, corner structures and panel widths
 //! (ISSUE: 1..64, corner and corner-free operators, 1e-12), the
-//! threaded panel path is bitwise identical to the serial one, and the
-//! shared-operator panel sweeps equal the scalar kernels bit for bit.
+//! threaded panel path is bitwise identical to the serial one, the
+//! shared-operator panel sweeps equal the scalar kernels bit for bit, and
+//! lane-assembled, lane-factored operators solve to the bits of the
+//! scalar assemble -> factor -> solve route.
 //!
 //! Seeds are derived deterministically from the vendored proptest
 //! `TestRng` — no wall clock anywhere, so failures replay exactly.
 
-use dns_banded::{BatchedFactor, CornerBanded, CornerLu, RhsPanel, C64};
+use dns_banded::{BatchedFactor, CornerBanded, CornerLu, LaneBand, RhsPanel, C64, LANES};
 use proptest::prelude::*;
 
 /// Splitmix-style deterministic stream in [-0.5, 0.5).
@@ -138,6 +140,76 @@ proptest! {
             let mut sol = col;
             lu.solve_complex(&mut sol);
             prop_assert_eq!(x.col_to_vec(m), sol);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn lane_built_operators_solve_to_the_scalar_bits(
+        n in 18usize..80,
+        kl in 1usize..8,
+        ku in 1usize..8,
+        nc in 0usize..3,
+        width in 1usize..34,
+        seed in 0u64..(1u64 << 48),
+    ) {
+        prop_assume!(n >= 2 * (kl + ku + 1));
+        let w = kl + ku + 1;
+        let b0 = random_operator(n, kl, ku, nc, seed);
+        let b2 = random_operator(n, kl, ku, nc, seed.rotate_left(7));
+        let mut next = rng_stream(seed.rotate_left(29));
+        let c = next();
+        // in-band wall rows: the diagonal and one neighbour
+        let (mut top, mut bot) = (vec![0.0; w], vec![0.0; w]);
+        (top[0], top[1]) = (4.0 + next(), next());
+        (bot[w - 1], bot[w - 2]) = (4.0 + next(), next());
+        let a: Vec<f64> = (0..width.div_ceil(LANES) * LANES).map(|_| 1.5 + next()).collect();
+
+        let mut batch = BatchedFactor::zeros(n, kl, ku, width);
+        let mut band = LaneBand::new(n, kl, ku);
+        let rhs: Vec<Vec<C64>> = (0..width)
+            .map(|m| random_rhs(n, seed.rotate_left(13) ^ (m as u64)))
+            .collect();
+        let mut panel = RhsPanel::new(n, width);
+        for (m, col) in rhs.iter().enumerate() {
+            panel.load_col(m, col);
+        }
+        let mut divided = panel.clone();
+        for (blk, lanes) in a.chunks_exact(LANES).enumerate() {
+            let lanes: &[f64; LANES] = lanes.try_into().expect("whole blocks");
+            band.assemble(&b0, &b2, lanes, c, [&top, &bot]);
+            band.factor().expect("dominant operators factor");
+            batch.set_block(blk, &band);
+            band.solve(divided.block_mut(blk));
+        }
+        batch.solve_panel(&mut panel);
+
+        for (m, col) in rhs.into_iter().enumerate() {
+            // the scalar route, entry by entry
+            let mut op = CornerBanded::zeros(n, kl, ku, nc.min(kl), nc.min(ku));
+            for i in 0..n {
+                let ci = op.col_start(i);
+                for j in ci..ci + w {
+                    let v = match i {
+                        0 => top[j - ci],
+                        i if i == n - 1 => bot[j - ci],
+                        _ => a[m] * b0.get(i, j) + c * b2.get(i, j),
+                    };
+                    op.set(i, j, v);
+                }
+            }
+            let lu = CornerLu::factor(op).expect("dominant operator factors");
+            let (mut re, mut im): (Vec<f64>, Vec<f64>) = col.iter().map(|v| (v.re, v.im)).unzip();
+            lu.solve(&mut re);
+            lu.solve(&mut im);
+            let mut sol = col;
+            lu.solve_complex(&mut sol);
+            prop_assert_eq!(panel.col_to_vec(m), sol);
+            let want: Vec<C64> = re.iter().zip(&im).map(|(&r, &i)| C64::new(r, i)).collect();
+            prop_assert_eq!(divided.col_to_vec(m), want);
         }
     }
 }

@@ -14,8 +14,12 @@
 //! right-hand sides, across panel widths and matrix sizes — and, for one
 //! operator shared by all W (the `B0`/`B1`/`B2` case of the DNS), the
 //! scalar `solve_complex` / `matvec_complex` calls against
-//! `CornerLu::solve_panel` / `CornerBanded::matvec_panel` — and writes
-//! the measurements to `BENCH_table1.json`.
+//! `CornerLu::solve_panel` / `CornerBanded::matvec_panel`. Last come the
+//! set-up rows: one Helmholtz family of the DNS built per mode
+//! (`combine` -> `set_boundary_row` -> `CornerLu::factor`) against the
+//! lane-blocked construction (`LaneBand` assemble -> factor ->
+//! `BatchedFactor::set_block`), solutions pinned bit-equal. Everything
+//! is written to `BENCH_table1.json`.
 //!
 //! ```text
 //! cargo run -p dns-bench --release --bin table1
@@ -24,9 +28,10 @@
 //! ```
 
 use dns_banded::testmat::CollocationLike;
-use dns_banded::{BandedLu, BatchedFactor, CornerLu, RhsPanel, C64};
+use dns_banded::{BandedLu, BatchedFactor, CornerLu, LaneBand, RhsPanel, C64, LANES};
 use dns_bench::report::{host_json, nproc, secs, Table};
 use dns_bench::{paper, time_it};
+use dns_bspline::{tanh_breakpoints, BsplineBasis, CollocationOps};
 
 struct Opts {
     widths: Vec<usize>,
@@ -36,6 +41,8 @@ struct Opts {
     min_time: f64,
     out: String,
     classic: bool,
+    /// `(ny, width)` of the set-up rows.
+    setups: Vec<(usize, usize)>,
 }
 
 fn parse(argv: &[String]) -> Result<Opts, String> {
@@ -47,6 +54,8 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
         min_time: 0.2,
         out: "BENCH_table1.json".to_string(),
         classic: true,
+        // the 48 x 49 x 48 reference box, and a taller channel
+        setups: vec![(49, 1127), (129, 1127)],
     };
     let mut i = 1;
     while i < argv.len() {
@@ -79,6 +88,7 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
                 o.widths = vec![1, 8, 32];
                 o.sizes = vec![128];
                 o.min_time = 0.05;
+                o.setups = vec![(25, 119)];
             }
             "--help" | "-h" => {
                 println!(
@@ -317,6 +327,59 @@ fn sweep_point(
     }
 }
 
+/// One set-up row, `(ny, width, scalar_s, lane_s)`: the substep-0
+/// Helmholtz operators `(1 + c k^2) B0 - c B2` with Dirichlet wall rows
+/// for `width` wavenumbers on an order-8 basis of `ny` functions,
+/// assembled and factored per mode vs [`LANES`] modes at a time.
+fn setup_point(ny: usize, width: usize, min_time: f64) -> (usize, usize, f64, f64) {
+    let ops = CollocationOps::new(&BsplineBasis::new(8, &tanh_breakpoints(ny - 7, 1.9)));
+    let (n, p, c) = (ops.n(), ops.b0().kl(), 0.4 * 5e-4 / 180.0);
+    // a 24-wide kx row per kz, as the reference box owns them
+    let k2s: Vec<f64> = (1..=width)
+        .map(|m| ((m % 24) as f64).powi(2) + (2.5 * (m / 24) as f64).powi(2))
+        .collect();
+    let scalar = || -> Vec<CornerLu> {
+        let factor = |&k2: &f64| {
+            let mut m = ops.combine(1.0 + c * k2, 0.0, -c);
+            ops.set_boundary_row(&mut m, 0, -1.0, 0);
+            ops.set_boundary_row(&mut m, n - 1, 1.0, 0);
+            CornerLu::factor(m).unwrap()
+        };
+        k2s.iter().map(factor).collect()
+    };
+    let lane = || -> BatchedFactor {
+        let mut out = BatchedFactor::zeros(n, p, p, width);
+        let mut band = LaneBand::new(n, p, p);
+        for (blk, chunk) in k2s.chunks(LANES).enumerate() {
+            let a = std::array::from_fn(|l| 1.0 + c * chunk.get(l).unwrap_or(&1.0));
+            band.assemble(ops.b0(), ops.b2(), &a, -c, ops.wall_rows());
+            band.factor().unwrap();
+            out.set_block(blk, &band);
+        }
+        out
+    };
+    // same factors: one solve per mode through both must agree exactly
+    let (lus, batch) = (scalar(), lane());
+    let rhs: Vec<C64> = (0..n)
+        .map(|j| C64::new((0.7 * j as f64).sin() + 0.3, (0.3 * j as f64).cos()))
+        .collect();
+    let mut panel = RhsPanel::new(n, width);
+    (0..width).for_each(|m| panel.load_col(m, &rhs));
+    batch.solve_panel(&mut panel);
+    for (m, lu) in lus.iter().enumerate() {
+        let mut x = rhs.clone();
+        lu.solve_complex(&mut x);
+        assert_eq!(
+            panel.col_to_vec(m),
+            x,
+            "lane-built factors, ny={ny} col {m}"
+        );
+    }
+    let scalar_s = time_it(min_time, 3, || drop(std::hint::black_box(scalar())));
+    let lane_s = time_it(min_time, 3, || drop(std::hint::black_box(lane())));
+    (ny, width, scalar_s, lane_s)
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let o = match parse(&argv) {
@@ -408,6 +471,29 @@ fn main() {
         println!("shape check (target: batched >= 2x scalar at width >= 32): {wide:.2}x here");
     }
 
+    println!("\n== set-up: one Helmholtz family, factored per mode vs {LANES} modes at a time ==");
+    println!(
+        "(scalar = combine -> set_boundary_row -> CornerLu::factor, not yet copied into lanes)\n"
+    );
+    let mut t = Table::new(vec!["ny", "width", "scalar", "lane-blocked", "speedup"]);
+    let mut setup_json = Vec::new();
+    for &(ny, width) in &o.setups {
+        let (ny, width, scalar_s, lane_s) = setup_point(ny, width, o.min_time);
+        let speedup = scalar_s / lane_s;
+        t.row(vec![
+            ny.to_string(),
+            width.to_string(),
+            secs(scalar_s),
+            secs(lane_s),
+            format!("{speedup:.2}x"),
+        ]);
+        setup_json.push(format!(
+            "    {{\"ny\": {ny}, \"width\": {width}, \"scalar_s\": {scalar_s:.6e}, \
+             \"lane_s\": {lane_s:.6e}, \"speedup\": {speedup:.4}, \"max_rel_err\": 0.0}}"
+        ));
+    }
+    t.print();
+
     let classic_json: Vec<String> = classic
         .iter()
         .map(|(bw, t_z, t_c)| {
@@ -446,12 +532,14 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"table1\",\n  \"host\": {},\n  \"bandwidth\": {},\n  \
-         \"threads\": {},\n  \"classic\": [\n{}\n  ],\n  \"batched_sweep\": [\n{}\n  ]\n}}\n",
+         \"threads\": {},\n  \"classic\": [\n{}\n  ],\n  \"batched_sweep\": [\n{}\n  ],\n  \
+         \"setup\": [\n{}\n  ]\n}}\n",
         host_json(),
         o.bandwidth,
         o.threads,
         classic_json.join(",\n"),
-        sweep_json.join(",\n")
+        sweep_json.join(",\n"),
+        setup_json.join(",\n")
     );
     std::fs::write(&o.out, json).expect("write benchmark JSON");
     println!("\nwrote {}", o.out);

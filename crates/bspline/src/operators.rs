@@ -19,6 +19,9 @@ pub struct CollocationOps {
     b1: CornerBanded,
     b2: CornerBanded,
     b0_lu: CornerLu,
+    /// Row windows of the Dirichlet conditions at `x = -1` (as row `0`)
+    /// and `x = +1` (as row `n - 1`).
+    walls: [Vec<f64>; 2],
 }
 
 impl CollocationOps {
@@ -48,6 +51,8 @@ impl CollocationOps {
             }
         }
         let b0_lu = CornerLu::factor(b0.clone()).expect("Greville B0 is nonsingular");
+        let walls =
+            [(0, -1.0), (n - 1, 1.0)].map(|(row, x)| boundary_window(basis, &b0, row, x, 0));
         CollocationOps {
             basis: basis.clone(),
             points,
@@ -55,6 +60,7 @@ impl CollocationOps {
             b1,
             b2,
             b0_lu,
+            walls,
         }
     }
 
@@ -90,6 +96,13 @@ impl CollocationOps {
     /// the batched hot path can sweep whole panels against it.
     pub fn b0_lu(&self) -> &CornerLu {
         &self.b0_lu
+    }
+    /// The stored windows of the two Dirichlet wall rows — row `0` for
+    /// `x = -1`, row `n - 1` for `x = +1` — evaluated once: what
+    /// [`set_boundary_row`](Self::set_boundary_row) writes for them, and
+    /// what a lane-blocked assembly broadcasts.
+    pub fn wall_rows(&self) -> [&[f64]; 2] {
+        [&self.walls[0], &self.walls[1]]
     }
 
     /// Coefficients interpolating real `values` at the collocation points.
@@ -144,38 +157,50 @@ impl CollocationOps {
     /// shape of the viscous time advance (`B0 - beta*nu*dt*(B2 - k^2 B0)`
     /// is `combine(1 + beta*nu*dt*k^2, 0, -beta*nu*dt)`).
     pub fn combine(&self, a: f64, b: f64, c: f64) -> CornerBanded {
-        let n = self.n();
-        let p = self.basis.degree();
-        let mut m = CornerBanded::zeros(n, p, p, 0, 0);
-        for i in 0..n {
-            let ci = m.col_start(i);
-            for j in ci..(ci + m.width()).min(n) {
-                let v = a * self.b0.get(i, j) + b * self.b1.get(i, j) + c * self.b2.get(i, j);
-                if m.in_window(i, j) {
-                    m.set(i, j, v);
-                }
-            }
-        }
-        m
+        CornerBanded::weighted_sum(&[(a, &self.b0), (b, &self.b1), (c, &self.b2)])
     }
 
     /// Replace row `row` of `m` with the collocation row of the `deriv`-th
     /// derivative at boundary point `x` — how Dirichlet (`deriv = 0`) and
     /// Neumann (`deriv = 1`) conditions enter the banded systems.
     pub fn set_boundary_row(&self, m: &mut CornerBanded, row: usize, x: f64, deriv: usize) {
-        let n = self.n();
-        let ci = m.col_start(row);
-        // zero the stored window first
-        for j in ci..(ci + m.width()).min(n) {
-            m.set(row, j, 0.0);
-        }
-        let (first, ders) = self.basis.eval_derivs(x, deriv);
-        for (j, &v) in ders[deriv].iter().enumerate() {
-            if v != 0.0 {
-                m.set(row, first + j, v);
+        // the two Dirichlet wall rows of an operator of this shape are
+        // cached; anything else is evaluated here
+        let cached = [(0, -1.0), (self.n() - 1, 1.0)]
+            .iter()
+            .position(|&at| at == (row, x))
+            .filter(|_| deriv == 0 && m.width() == self.b0.width());
+        let fresh;
+        let window = match cached {
+            Some(side) => &self.walls[side],
+            None => {
+                fresh = boundary_window(&self.basis, m, row, x, deriv);
+                &fresh
             }
+        };
+        for (t, &v) in window.iter().enumerate() {
+            m.set(row, m.col_start(row) + t, v);
         }
     }
+}
+
+/// Row `row`'s stored window (in the geometry of `shape`) of the
+/// collocation row of the `deriv`-th derivative at `x`.
+fn boundary_window(
+    basis: &BsplineBasis,
+    shape: &CornerBanded,
+    row: usize,
+    x: f64,
+    deriv: usize,
+) -> Vec<f64> {
+    let (first, ders) = basis.eval_derivs(x, deriv);
+    let mut window = vec![0.0; shape.width()];
+    for (j, &v) in ders[deriv].iter().enumerate() {
+        if v != 0.0 {
+            window[first + j - shape.col_start(row)] = v;
+        }
+    }
+    window
 }
 
 /// Quadrature weights `w` such that `sum_i w[i] * f(xi_i)` approximates
@@ -291,6 +316,36 @@ mod tests {
                 (ops.basis().eval(&rhs, y) - u_exact(y)).abs() < 1e-8,
                 "y={y}"
             );
+        }
+    }
+
+    #[test]
+    fn combine_and_wall_rows_keep_the_entrywise_bits() {
+        let ops = ops(8, 12, 1.8);
+        let n = ops.n();
+        for (a, b, c) in [(1.37, 0.0, -0.02), (-3.1, 0.0, 1.0), (0.5, -2.0, 0.25)] {
+            let mut m = ops.combine(a, b, c);
+            ops.set_boundary_row(&mut m, 0, -1.0, 0);
+            ops.set_boundary_row(&mut m, n - 1, 1.0, 0);
+            for i in 0..n {
+                let ci = m.col_start(i);
+                for j in ci..ci + m.width() {
+                    let want = match i {
+                        0 => ops.basis().eval_derivs(-1.0, 0).1[0].get(j).copied(),
+                        i if i == n - 1 => {
+                            let (first, ders) = ops.basis().eval_derivs(1.0, 0);
+                            (j >= first).then(|| ders[0][j - first])
+                        }
+                        _ => Some(
+                            a * ops.b0().get(i, j)
+                                + b * ops.b1().get(i, j)
+                                + c * ops.b2().get(i, j),
+                        ),
+                    };
+                    let want = want.unwrap_or(0.0);
+                    assert_eq!(m.get(i, j).to_bits(), want.to_bits(), "({i},{j})");
+                }
+            }
         }
     }
 

@@ -449,6 +449,7 @@ impl RunObserver for CliObserver {
         }
         let cfl = dns.cfl();
         if root {
+            println!("wall-normal set-up: {}", dns.wallnormal_plan());
             println!("initial CFL = {cfl:.3}");
         }
     }

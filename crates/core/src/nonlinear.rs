@@ -428,7 +428,6 @@ mod tests {
         pfft.nonlinear_products(&uvw, &mut products, &mut dns_pfft::Workspace::default());
         let (mut gline, mut coef) = (vec![zero; ny], vec![zero; ny]);
         let (mut dy1, mut dy2) = (vec![zero; ny], vec![zero; ny]);
-        let mut col = 0;
         for mode in 0..dns.local_modes() {
             if dns.is_nyquist(mode) {
                 continue;
@@ -454,6 +453,8 @@ mod tests {
             }
             let (ikx, ikz, k2) = dns.mode_wavenumbers(mode);
             let (kx, kz) = (ikx.im, ikz.im);
+            let col = dns.batch_modes().iter().position(|&m| m == mode);
+            let col = col.expect("a regular mode has a panel column");
             for j in 0..ny {
                 let h_g = kx * kz * (pa[j] - pb[j]) + (kz * kz - kx * kx) * puw[j] - ikz * dy1[j]
                     + ikx * dy2[j];
@@ -467,7 +468,6 @@ mod tests {
                 out.h_v
                     .set(j, col, -dy1[j] + k2 * (ikx * puv[j] + ikz * pvw[j]));
             }
-            col += 1;
         }
         out
     }

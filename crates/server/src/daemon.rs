@@ -291,11 +291,11 @@ impl Server {
         for id in ids {
             let (status, settled, step) = {
                 let run = self.jobs.get_mut(&id).unwrap();
-                let Some(h) = run.handle.as_ref() else {
+                let Some(h) = run.handle.as_mut() else {
                     continue;
                 };
                 run.last_step = run.last_step.max(h.current_step());
-                (h.status(), h.is_settled(), h.current_step())
+                (h.status(), h.settle(), h.current_step())
             };
             if !settled {
                 continue;
@@ -830,10 +830,12 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
     }
 
     // the facade's per-tenant counters flow through dns-telemetry; make
-    // sure the substrate is recording (a host embedding serve() may have
-    // already picked a deeper level — leave that alone)
+    // sure the substrate is counting (a host embedding serve() may have
+    // already picked a deeper level — leave that alone). Counters only:
+    // nothing here reads span timelines, and at `Phases` every step of
+    // every job would add to them for as long as the daemon lives
     if !dns_telemetry::enabled() {
-        dns_telemetry::set_level(dns_telemetry::Level::Phases);
+        dns_telemetry::set_level(dns_telemetry::Level::Counters);
     }
 
     let listener = TcpListener::bind(&cfg.addr)?;

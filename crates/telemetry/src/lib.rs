@@ -53,10 +53,15 @@ use std::time::Instant;
 pub enum Level {
     /// Record nothing; instrumented call sites cost one atomic load.
     Off = 0,
+    /// Record counters and decisions but no spans: what a long-lived host
+    /// (the campaign daemon) can leave on for ever, since counters are
+    /// fixed-size while span timelines grow with every step of every job.
+    /// With no span open, [`count`] attributes to [`Phase::Other`].
+    Counters = 1,
     /// Record phase-level spans and counters (the default when profiling).
-    Phases = 1,
+    Phases = 2,
     /// Additionally record per-line/per-mode detail spans in hot loops.
-    Detail = 2,
+    Detail = 3,
 }
 
 /// Phase taxonomy of the RK3 substep, mirroring
@@ -346,7 +351,8 @@ pub fn set_level(level: Level) {
 pub fn level() -> Level {
     match LEVEL.load(Ordering::Relaxed) {
         0 => Level::Off,
-        1 => Level::Phases,
+        1 => Level::Counters,
+        2 => Level::Phases,
         _ => Level::Detail,
     }
 }
@@ -388,7 +394,7 @@ impl Span {
 /// Open a phase-level span. Near-free when collection is [`Level::Off`].
 #[inline]
 pub fn span(name: &'static str, phase: Phase) -> Span {
-    if !enabled() {
+    if LEVEL.load(Ordering::Relaxed) < Level::Phases as u8 {
         return Span::INACTIVE;
     }
     open_span(name, phase)
@@ -738,6 +744,26 @@ mod tests {
         }
         set_level(Level::Off);
         assert_eq!(snapshot().span_count(), 1);
+    }
+
+    #[test]
+    fn counters_level_counts_without_recording_spans() {
+        let _x = exclusive();
+        reset();
+        set_level(Level::Counters);
+        {
+            let _s = span("step", Phase::Fft);
+            count(Counter::Flops, 7);
+            decision("plan", "kept");
+        }
+        set_level(Level::Off);
+        flush_thread();
+        let snap = snapshot();
+        assert_eq!(snap.span_count(), 0);
+        assert_eq!(snap.total_counters().get(Counter::Flops), 7);
+        let by_phase = snap.total_counters_by_phase();
+        assert_eq!(by_phase[Phase::Other as usize].get(Counter::Flops), 7);
+        assert_eq!(snap.ranks[0].decisions.len(), 1);
     }
 
     #[test]
