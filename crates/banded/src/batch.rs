@@ -499,8 +499,6 @@ impl BatchedFactor {
     /// If the panel shape does not match (`p.n() != n` or
     /// `p.width() != width`).
     pub fn solve_panel(&self, p: &mut RhsPanel) {
-        let _solve =
-            dns_telemetry::detail_span("batched_solve_panel", dns_telemetry::Phase::NsAdvance);
         self.check_panel(p);
         self.count_solves(self.width, 1);
         // (`max`: the empty batch has no rows to chunk by)
@@ -533,8 +531,6 @@ impl BatchedFactor {
         let Some(pool) = pool else {
             return self.solve_panel(p);
         };
-        let _solve =
-            dns_telemetry::detail_span("batched_solve_panel", dns_telemetry::Phase::NsAdvance);
         self.check_panel(p);
         self.count_solves(self.width, 1);
         pool.install(|| {
@@ -665,8 +661,6 @@ impl CornerLu {
     /// same real operator for all modes). Each lane equals
     /// [`CornerLu::solve_complex`] of its column bit for bit.
     pub fn solve_panel(&self, p: &mut RhsPanel) {
-        let _solve =
-            dns_telemetry::detail_span("corner_solve_panel", dns_telemetry::Phase::NsAdvance);
         assert_eq!(p.n(), self.n(), "panel rows must match the operator");
         self.count_solves(p.width(), 1);
         for rhs in p.rows_mut().chunks_exact_mut(self.n()) {

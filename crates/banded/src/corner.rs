@@ -243,7 +243,6 @@ impl CornerLu {
 
     /// Solve `A x = b` in place for a real right-hand side.
     pub fn solve(&self, b: &mut [f64]) {
-        let _solve = dns_telemetry::detail_span("corner_solve", dns_telemetry::Phase::NsAdvance);
         if dns_telemetry::enabled() {
             dns_telemetry::count_phase(
                 dns_telemetry::Phase::NsAdvance,
@@ -261,8 +260,6 @@ impl CornerLu {
     /// Solve `A x = b` in place for a complex right-hand side against the
     /// real factors — no splitting, no complex*complex products.
     pub fn solve_complex(&self, b: &mut [C64]) {
-        let _solve =
-            dns_telemetry::detail_span("corner_solve_complex", dns_telemetry::Phase::NsAdvance);
         if dns_telemetry::enabled() {
             // complex RHS against real factors: two real solves' worth
             dns_telemetry::count_phase(

@@ -223,7 +223,6 @@ impl<T: Scalar> BandedLu<T> {
     pub fn solve(&self, b: &mut [T]) {
         let n = self.n;
         assert_eq!(b.len(), n);
-        let _solve = dns_telemetry::detail_span("banded_solve", dns_telemetry::Phase::NsAdvance);
         if dns_telemetry::enabled() {
             // forward elimination (2 kl) + back substitution (2 (kl+ku) + 1)
             // multiply-adds per row, the GBTRS nominal count

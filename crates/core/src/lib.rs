@@ -65,6 +65,7 @@ pub mod pressure;
 pub mod rk3;
 pub mod run;
 pub mod solver;
+pub mod spec;
 #[deny(missing_docs)]
 pub mod spectra;
 #[deny(missing_docs)]

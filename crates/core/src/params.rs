@@ -17,6 +17,15 @@ pub enum Forcing {
     None,
 }
 
+/// One round of the bijective finalizer both digests
+/// ([`Params::state_hash`], `RunSpec::spec_hash`) fold their fields with.
+pub(crate) fn mix(h: u64, v: u64) -> u64 {
+    let mut z = h.wrapping_add(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Physical and numerical configuration of a channel DNS.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Params {
@@ -96,22 +105,52 @@ impl Params {
         self
     }
 
-    /// Validate the configuration.
+    /// The one list of parameter rules; `Err` names the rule broken.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.nx.is_multiple_of(4) || !self.nz.is_multiple_of(4) {
+            return Err(format!(
+                "nx ({}) and nz ({}) must be multiples of 4",
+                self.nx, self.nz
+            ));
+        }
+        if self.spline_order < 4 {
+            return Err(format!("spline order {} < 4", self.spline_order));
+        }
+        if self.ny < self.spline_order.saturating_add(2) {
+            return Err(format!(
+                "ny too small: {} < spline order {} + 2",
+                self.ny, self.spline_order
+            ));
+        }
+        if !(self.nu > 0.0 && self.dt > 0.0 && self.lx > 0.0 && self.lz > 0.0) {
+            return Err("nu, dt, lx, lz must all be positive".into());
+        }
+        if self.pa == 0 || self.pb == 0 {
+            return Err(format!("degenerate {}x{} process grid", self.pa, self.pb));
+        }
+        // the spec codec writes every count as a 32-bit integer
+        let counts = [
+            self.nx,
+            self.ny,
+            self.nz,
+            self.pa,
+            self.pb,
+            self.fft_threads,
+        ];
+        if counts.iter().any(|&n| n > u32::MAX as usize) {
+            return Err("modes, process grid and threads must each fit in 32 bits".into());
+        }
+        Ok(())
+    }
+
+    /// [`check`](Self::check) for callers that cannot go on.
     ///
     /// # Panics
-    /// On inconsistent sizes.
+    /// With the broken rule as the message.
     pub fn validate(&self) {
-        assert!(
-            self.nx.is_multiple_of(4) && self.nz.is_multiple_of(4),
-            "nx, nz must be multiples of 4"
-        );
-        assert!(
-            self.ny >= self.spline_order + 2,
-            "ny too small for the spline order"
-        );
-        assert!(self.spline_order >= 4, "spline order must be at least 4");
-        assert!(self.nu > 0.0 && self.dt > 0.0);
-        assert!(self.lx > 0.0 && self.lz > 0.0);
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
     }
 
     /// Pressure-gradient magnitude (0 when unforced or flux-driven —
@@ -146,12 +185,6 @@ impl Params {
     /// `fft_threads`) are excluded: the decomposition is validated
     /// separately, and results are layout-independent.
     pub fn state_hash(&self) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            let mut z = h.wrapping_add(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
         let mut h = 0x434E_4453_0000_0000u64; // "CNDS" salt
         for v in [self.nx, self.ny, self.nz, self.spline_order] {
             h = mix(h, v as u64);

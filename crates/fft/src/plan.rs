@@ -123,7 +123,6 @@ impl CfftPlan {
     /// # Panics
     /// If `data.len() != n` or `scratch.len() < scratch_len()`.
     pub fn execute(&self, data: &mut [C64], scratch: &mut [C64]) {
-        let _line = dns_telemetry::detail_span("cfft_line", dns_telemetry::Phase::Fft);
         self.count_flops(1);
         self.execute_inner(data, scratch);
     }
@@ -204,7 +203,6 @@ impl CfftPlan {
         if self.n == 0 {
             return;
         }
-        let _batch = dns_telemetry::detail_span("cfft_batch", dns_telemetry::Phase::Fft);
         self.count_flops(data.len() / self.n);
         let n = self.n;
         let (a, b, rest) = self.lane_work(scratch, n);

@@ -60,11 +60,11 @@ pub struct FaultEvent {
 /// [`poll_step_faults`](crate::Communicator::poll_step_faults) with the
 /// matching step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StepCrash {
+struct StepCrash {
     /// World rank that crashes.
-    pub rank: usize,
+    rank: usize,
     /// Timestep at which the poll panics.
-    pub step: u64,
+    step: u64,
 }
 
 /// A deterministic schedule of faults for one run.
@@ -166,11 +166,6 @@ impl FaultPlan {
     /// The scheduled transport faults (diagnostics / logging).
     pub fn op_events(&self) -> &[FaultEvent] {
         &self.ops
-    }
-
-    /// The scheduled step crashes (diagnostics / logging).
-    pub fn step_crashes(&self) -> &[StepCrash] {
-        &self.steps
     }
 
     /// Extract rank `rank`'s share of the plan, ready to consult from

@@ -58,7 +58,7 @@
 
 pub mod fault;
 
-pub use fault::{FaultEvent, FaultKind, FaultPlan, StepCrash};
+pub use fault::{FaultEvent, FaultKind, FaultPlan};
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};

@@ -58,70 +58,6 @@ pub fn reorder_bytes(n_elems: usize, sz: usize) -> u64 {
     2 * (n_elems as u64) * (sz as u64)
 }
 
-/// Threaded cache-blocked reorder: the `i` range is split across
-/// `threads` workers, each writing a disjoint slab of the output — the
-/// paper's section 4.2 strategy of "dividing this transpose up into
-/// independent pieces and threading across the pieces" to keep multiple
-/// DRAM streams in flight.
-pub fn reorder_blocked_parallel<T: Copy + Send + Sync>(
-    a: &[T],
-    ni: usize,
-    nj: usize,
-    nk: usize,
-    out: &mut [T],
-    bs: usize,
-    threads: usize,
-) {
-    assert_eq!(a.len(), ni * nj * nk);
-    assert_eq!(out.len(), ni * nj * nk);
-    let threads = threads.max(1).min(ni.max(1));
-    if threads <= 1 || ni == 0 {
-        reorder_blocked(a, ni, nj, nk, out, bs);
-        return;
-    }
-    // Workers own i-slabs of the *input*; output writes land at
-    // out[(j*nk + k)*ni + i], i.e. disjoint strided columns per slab.
-    // Rust cannot prove the disjointness through slices, so hand each
-    // worker the whole output through a raw pointer wrapper.
-    struct SendPtr<T>(*mut T);
-    unsafe impl<T> Send for SendPtr<T> {}
-    unsafe impl<T> Sync for SendPtr<T> {}
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let chunk = ni.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let i0 = t * chunk;
-            let i1 = ((t + 1) * chunk).min(ni);
-            if i0 >= i1 {
-                continue;
-            }
-            let out_ref = &out_ptr;
-            scope.spawn(move || {
-                for ib in (i0..i1).step_by(bs) {
-                    let ie = (ib + bs).min(i1);
-                    for k0 in (0..nk).step_by(bs) {
-                        let k1 = (k0 + bs).min(nk);
-                        for j in 0..nj {
-                            for i in ib..ie {
-                                let src = (i * nj + j) * nk;
-                                let dst_base = j * nk * ni + i;
-                                for k in k0..k1 {
-                                    // SAFETY: each (i, j, k) triple maps to a
-                                    // unique output index, and workers cover
-                                    // disjoint i ranges.
-                                    unsafe {
-                                        *out_ref.0.add(dst_base + k * ni) = a[src + k];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,19 +113,6 @@ mod tests {
         reorder_naive(&b, nj, nk, ni, &mut c);
         reorder_naive(&c, nk, ni, nj, &mut d);
         assert_eq!(a, d);
-    }
-
-    #[test]
-    fn parallel_reorder_matches_serial_for_any_thread_count() {
-        let (ni, nj, nk) = (13usize, 7usize, 9usize);
-        let a = index_tensor(ni, nj, nk);
-        let mut want = vec![0u64; a.len()];
-        reorder_naive(&a, ni, nj, nk, &mut want);
-        for threads in [1usize, 2, 3, 5, 16] {
-            let mut got = vec![0u64; a.len()];
-            reorder_blocked_parallel(&a, ni, nj, nk, &mut got, 4, threads);
-            assert_eq!(got, want, "threads={threads}");
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dns_core::run::{InitialCondition, RunSpec};
+use dns_core::spec::{self, put, Flag, RunSpec};
 use dns_core::Params;
 use dns_json::Json;
 use dns_server::proto::{JobRow, Request, TenantRow};
@@ -44,21 +44,6 @@ commands:
 connection flags (all commands):
   --server HOST:PORT       daemon address (default: read DATA_DIR/addr)
   --data-dir DIR           where the daemon keeps its addr file (default target/dns-server)
-
-submit flags:
-  --spec FILE.json         serialized run spec (inline flags below override it)
-  --name NAME              display name (default cli-run)
-  --nx N --ny N --nz N     grid (default 16 x 25 x 16)
-  --re RE                  friction Reynolds number (default 80)
-  --dt DT                  timestep (default 1e-3)
-  --steps N                timesteps (default 100)
-  --ckpt-every N           checkpoint cadence (default 25)
-  --grid PAxPB             process grid (default 1x1)
-  --threads N              worker threads per rank (default 1)
-  --turbulent-ic AMP       perturbed turbulent initial condition (default, amp 0.5)
-  --laminar-ic             laminar initial condition instead
-  --tenant T               owning tenant (default 'default')
-  --priority P             higher runs first (default 10)
 ";
 
 fn fail(msg: &str) -> ! {
@@ -120,28 +105,20 @@ impl Client {
 /// Shared connection flags, stripped out of the argument list before the
 /// per-command parsing sees it.
 fn split_conn_flags(args: &mut Vec<String>) -> String {
-    let mut server: Option<String> = None;
-    let mut data_dir = PathBuf::from("target/dns-server");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--server" => {
-                args.remove(i);
-                if i >= args.len() {
-                    fail("--server needs a value");
-                }
-                server = Some(args.remove(i));
+    // every `flag VALUE` pair leaves the list; the last one given wins
+    let mut take = |flag: &str| {
+        let mut value = None;
+        while let Some(i) = args.iter().position(|a| a == flag) {
+            args.remove(i);
+            if i >= args.len() {
+                fail(&format!("{flag} needs a value"));
             }
-            "--data-dir" => {
-                args.remove(i);
-                if i >= args.len() {
-                    fail("--data-dir needs a value");
-                }
-                data_dir = PathBuf::from(args.remove(i));
-            }
-            _ => i += 1,
+            value = Some(args.remove(i));
         }
-    }
+        value
+    };
+    let server = take("--server");
+    let data_dir = PathBuf::from(take("--data-dir").unwrap_or("target/dns-server".into()));
     server.unwrap_or_else(|| {
         let addr_file = data_dir.join("addr");
         std::fs::read_to_string(&addr_file)
@@ -155,74 +132,55 @@ fn split_conn_flags(args: &mut Vec<String>) -> String {
     })
 }
 
-fn parse_submit(args: &[String]) -> (RunSpec, String, u8) {
-    let mut spec = RunSpec {
-        name: "cli-run".into(),
-        params: Params::channel(16, 25, 16, 80.0).with_dt(1e-3),
-        steps: 100,
-        ckpt_every: 25,
-        ic: InitialCondition::Turbulent {
-            amplitude: 0.5,
-            seed: 2024,
+/// What `dns-cli submit` sends: the run and who queues it how urgently.
+struct Submit {
+    spec: RunSpec,
+    tenant: String,
+    priority: u8,
+}
+
+/// The submit flags that are not part of the run description (those are
+/// [`spec::SPEC_FLAGS`]).
+#[rustfmt::skip] // a table: one row per flag, not one line per field
+const SUBMIT_FLAGS: &[Flag<Submit>] = &[
+    Flag("--name", "NAME", "display name (default cli-run)", |s, v| put(&mut s.spec.name, v)),
+    Flag("--tenant", "T", "owning tenant (default 'default')", |s, v| put(&mut s.tenant, v)),
+    Flag("--priority", "P", "higher runs first (default 10)", |s, v| put(&mut s.priority, v)),
+];
+
+fn submit_base() -> Submit {
+    Submit {
+        spec: RunSpec {
+            name: "cli-run".into(),
+            params: Params::channel(16, 25, 16, 80.0).with_dt(1e-3),
+            steps: 100,
+            ckpt_every: 25,
+            ..RunSpec::default()
         },
-    };
-    let mut tenant = "default".to_string();
-    let mut priority: u8 = 10;
-    let mut i = 0;
-    let take = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .unwrap_or_else(|| fail(&format!("{} needs a value", args[*i - 1])))
-    };
-    fn num<T: std::str::FromStr>(flag: &str, v: String) -> T {
-        v.parse()
-            .unwrap_or_else(|_| fail(&format!("{flag}: cannot parse {v:?}")))
+        tenant: "default".into(),
+        priority: 10,
     }
-    while i < args.len() {
-        let flag = args[i].clone();
-        match flag.as_str() {
-            "--spec" => {
-                let path = take(&mut i);
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| fail(&format!("--spec: cannot read {path}: {e}")));
-                spec = RunSpec::from_json(&text)
-                    .unwrap_or_else(|e| fail(&format!("--spec {path}: {e}")));
-            }
-            "--name" => spec.name = take(&mut i),
-            "--nx" => spec.params.nx = num(&flag, take(&mut i)),
-            "--ny" => spec.params.ny = num(&flag, take(&mut i)),
-            "--nz" => spec.params.nz = num(&flag, take(&mut i)),
-            "--re" => spec.params.nu = 1.0 / num::<f64>(&flag, take(&mut i)),
-            "--dt" => spec.params.dt = num(&flag, take(&mut i)),
-            "--steps" => spec.steps = num(&flag, take(&mut i)),
-            "--ckpt-every" => spec.ckpt_every = num(&flag, take(&mut i)),
-            "--threads" => spec.params.fft_threads = num::<usize>(&flag, take(&mut i)).max(1),
-            "--grid" => {
-                let v = take(&mut i);
-                let Some((pa, pb)) = v.split_once('x') else {
-                    fail(&format!("--grid: expected PAxPB, got {v:?}"));
-                };
-                spec.params.pa = num(&flag, pa.to_string());
-                spec.params.pb = num(&flag, pb.to_string());
-            }
-            "--turbulent-ic" => {
-                spec.ic = InitialCondition::Turbulent {
-                    amplitude: num(&flag, take(&mut i)),
-                    seed: 2024,
-                }
-            }
-            "--laminar-ic" => spec.ic = InitialCondition::Laminar { scale: 1.0 },
-            "--tenant" => tenant = take(&mut i),
-            "--priority" => priority = num(&flag, take(&mut i)),
-            other => fail(&format!("submit: unknown argument {other}")),
-        }
-        i += 1;
+}
+
+/// The submit section of `--help`: the base spec in its own words, then
+/// the shared flag rows and the three above.
+fn submit_usage() -> String {
+    format!(
+        "\nsubmit flags (where a default quoted below is dns-run's, submit starts from\n\
+         {}):\n{}",
+        submit_base().spec,
+        spec::usage(SUBMIT_FLAGS)
+    )
+}
+
+fn parse_submit(args: &[String]) -> Submit {
+    let mut submit = submit_base();
+    spec::apply(args, &mut submit, SUBMIT_FLAGS, |s| &mut s.spec)
+        .unwrap_or_else(|e| fail(&format!("submit: {e}")));
+    if let Err(e) = submit.spec.validate() {
+        fail(&e.to_string());
     }
-    if let Err(e) = spec.validate() {
-        fail(&format!("invalid spec: {e}"));
-    }
-    (spec, tenant, priority)
+    submit
 }
 
 fn take_id(args: &[String], cmd: &str) -> u64 {
@@ -345,7 +303,7 @@ fn stream_watch(client: &mut Client, id: u64) -> WatchEnd {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        print!("{USAGE}");
+        print!("{USAGE}{}", submit_usage());
         return;
     }
     // strip connection flags before taking the command, so
@@ -359,7 +317,11 @@ fn main() {
     let mut client = Client::connect(&addr);
     match cmd.as_str() {
         "submit" => {
-            let (spec, tenant, priority) = parse_submit(&args);
+            let Submit {
+                spec,
+                tenant,
+                priority,
+            } = parse_submit(&args);
             let v = client.call(&Request::Submit {
                 spec,
                 tenant,
@@ -417,5 +379,63 @@ fn main() {
             println!("server shutting down");
         }
         other => fail(&format!("unknown command {other}\n\n{USAGE}")),
+    }
+}
+
+#[cfg(test)]
+mod docs {
+    //! `submit` parses and prints its help from the flag tables; what can
+    //! still drift is the prose that quotes them.
+    use super::{submit_usage, USAGE};
+
+    const README: &str = include_str!("../../../../README.md");
+    const CI: &str = include_str!("../../../../.github/workflows/ci.yml");
+    const SKILL: &str = include_str!("../../../../.claude/skills/verify/SKILL.md");
+
+    /// The `--flags` following the word `submit` on every shell line of
+    /// `doc` (backslash continuations joined, cut at `#`, `|`, `;`).
+    fn submit_flags(doc: &str) -> Vec<String> {
+        let joined = doc.replace("\\\n", " ");
+        let mut flags = Vec::new();
+        for line in joined.lines() {
+            let mut words = line.split_whitespace().skip_while(|w| *w != "submit");
+            words.next();
+            flags.extend(
+                words
+                    .take_while(|w| !["#", "|", ";", "&&"].contains(w))
+                    .map(|w| w.trim_end_matches(|c: char| !c.is_ascii_alphanumeric()))
+                    .filter(|w| w.starts_with("--") && w.len() > 2)
+                    .map(String::from),
+            );
+        }
+        flags
+    }
+
+    #[test]
+    fn documented_submit_lines_only_use_table_rows() {
+        let help = format!("{USAGE}{}", submit_usage());
+        for doc in [README, CI, SKILL] {
+            let flags = submit_flags(doc);
+            assert!(!flags.is_empty(), "the scan lost a file's submit examples");
+            for flag in flags {
+                assert!(
+                    help.contains(&format!("  {flag} "))
+                        || help.contains(&format!("(also {flag})")),
+                    "a documented command passes {flag}, which dns-cli submit does not accept"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn readme_submit_flag_table_is_the_help_text() {
+        let block = format!(
+            "<!-- dns-cli submit flags -->\n```text{}```\n",
+            submit_usage()
+        );
+        assert!(
+            README.contains(&block),
+            "README.md's dns-cli submit flag table is stale; it should read:\n{block}"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! the shared measurement substrate for that accounting across every crate
 //! in the workspace:
 //!
-//! * **RAII scoped spans** ([`span`], [`detail_span`]) tagged with a
+//! * **RAII scoped spans** ([`span`]) tagged with a
 //!   [`Phase`] drawn from the same taxonomy as
 //!   `dns-netmodel::dnscost::PhaseTimes`, recorded per thread and merged
 //!   into a global registry keyed by minimpi rank.
@@ -60,8 +60,6 @@ pub enum Level {
     Counters = 1,
     /// Record phase-level spans and counters (the default when profiling).
     Phases = 2,
-    /// Additionally record per-line/per-mode detail spans in hot loops.
-    Detail = 3,
 }
 
 /// Phase taxonomy of the RK3 substep, mirroring
@@ -266,7 +264,7 @@ pub struct Decision {
     pub text: String,
 }
 
-/// Per-thread buffers are capped so a forgotten `Detail`-level run cannot
+/// Per-thread buffers are capped so a forgotten `Phases`-level run cannot
 /// grow without bound; drops beyond the cap are counted, not silent.
 const SPAN_CAP: usize = 1 << 20;
 
@@ -352,8 +350,7 @@ pub fn level() -> Level {
     match LEVEL.load(Ordering::Relaxed) {
         0 => Level::Off,
         1 => Level::Counters,
-        2 => Level::Phases,
-        _ => Level::Detail,
+        _ => Level::Phases,
     }
 }
 
@@ -362,11 +359,6 @@ pub fn level() -> Level {
 #[inline(always)]
 pub fn enabled() -> bool {
     LEVEL.load(Ordering::Relaxed) != Level::Off as u8
-}
-
-#[inline(always)]
-fn detail_enabled() -> bool {
-    LEVEL.load(Ordering::Relaxed) >= Level::Detail as u8
 }
 
 // ---------------------------------------------------------------------------
@@ -395,16 +387,6 @@ impl Span {
 #[inline]
 pub fn span(name: &'static str, phase: Phase) -> Span {
     if LEVEL.load(Ordering::Relaxed) < Level::Phases as u8 {
-        return Span::INACTIVE;
-    }
-    open_span(name, phase)
-}
-
-/// Open a hot-loop detail span (per line / per mode); records only at
-/// [`Level::Detail`] so phase-level profiling stays cheap.
-#[inline]
-pub fn detail_span(name: &'static str, phase: Phase) -> Span {
-    if !detail_enabled() {
         return Span::INACTIVE;
     }
     open_span(name, phase)
@@ -727,23 +709,6 @@ mod tests {
         // sorted by start: outer opened first
         assert_eq!(spans[0].name, "outer");
         assert!(by_name("outer").dur_us >= by_name("inner").dur_us);
-    }
-
-    #[test]
-    fn detail_spans_gated_by_level() {
-        let _x = exclusive();
-        reset();
-        set_level(Level::Phases);
-        {
-            let _d = detail_span("per_line", Phase::Fft);
-        }
-        assert_eq!(snapshot().span_count(), 0);
-        set_level(Level::Detail);
-        {
-            let _d = detail_span("per_line", Phase::Fft);
-        }
-        set_level(Level::Off);
-        assert_eq!(snapshot().span_count(), 1);
     }
 
     #[test]
