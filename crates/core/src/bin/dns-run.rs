@@ -195,9 +195,8 @@ fn parse_args(argv: &[String]) -> Result<Cli, String> {
 /// root-gated.
 impl RunObserver for Cli {
     fn on_start(&self, dns: &ChannelDns, resumed_from: Option<u64>, attempt: usize) {
-        let root = dns.pfft().comm_a().rank() == 0 && dns.pfft().comm_b().rank() == 0;
-        if let Some(step) = resumed_from {
-            if root {
+        if dns.pfft().comm_a().rank() == 0 && dns.pfft().comm_b().rank() == 0 {
+            if let Some(step) = resumed_from {
                 println!(
                     "resumed from step {step} (t = {:.3}){}",
                     dns.state().time,
@@ -208,11 +207,7 @@ impl RunObserver for Cli {
                     }
                 );
             }
-        }
-        let cfl = dns.cfl();
-        if root {
             println!("wall-normal set-up: {}", dns.wallnormal_plan());
-            println!("initial CFL = {cfl:.3}");
         }
     }
 
@@ -229,7 +224,7 @@ impl RunObserver for Cli {
                     (p.u_tau, p.re_tau, p.bulk_velocity)
                 }
             };
-            let cfl = dns.cfl();
+            let cfl = dns.courant();
             if ctx.root {
                 println!(
                     "step {:6}  t = {:7.3}  u_tau = {u_tau:.3}  Re_tau = {re_tau:6.1}  bulk = {bulk:6.2}  CFL = {cfl:.2}",

@@ -16,7 +16,9 @@
 //!   the column the straggler detector consumes;
 //! * **collective sentinels** — CFL, divergence, energy, and finiteness
 //!   are reduced over all ranks before the thresholds are applied, so
-//!   every rank reaches the identical warn/abort verdict;
+//!   every rank reaches the identical warn/abort verdict. `cfl` is
+//!   [`ChannelDns::courant`], what the step's three nonlinear evaluations
+//!   advected with; divergence and energy come from one blockwise sweep;
 //! * one **allgather** of an 8-number row per step onto the monitor's
 //!   own communicator, after which all baselines are re-snapshotted so
 //!   the monitor's own traffic never pollutes the next step's deltas.
@@ -41,8 +43,8 @@ pub struct MonitorConfig {
     /// Flight-recorder JSONL path (rank 0 writes; `None` keeps the
     /// detectors running without an on-disk artifact).
     pub log: Option<PathBuf>,
-    /// Evaluate the physics sentinels every N steps (they cost inverse
-    /// transforms and reductions; 0 disables them entirely).
+    /// Evaluate the physics sentinels every N steps (a finiteness scan, one
+    /// blockwise sweep, four small reductions; 0 disables them entirely).
     pub sentinel_every: u64,
     /// Straggler-detector thresholds.
     pub straggler: StragglerConfig,
@@ -95,6 +97,7 @@ pub struct StepMonitor {
     recorder: Option<FlightRecorder>,
     straggler: StragglerDetector,
     sentinels: Sentinels,
+    sweep: stats::PlaneSweep,
     prev: Baselines,
     attempt: usize,
 }
@@ -138,6 +141,7 @@ impl StepMonitor {
         Ok(StepMonitor {
             straggler: StragglerDetector::new(cfg.straggler, comm.size()),
             sentinels: Sentinels::new(cfg.sentinels),
+            sweep: stats::PlaneSweep::default(),
             prev: Baselines::snapshot(dns, &comm),
             recorder,
             comm,
@@ -161,60 +165,44 @@ impl StepMonitor {
     /// verdict are reduced collectively first.
     pub fn observe_step(&mut self, dns: &ChannelDns, wall_s: f64) -> Result<(), SentinelAbort> {
         let step = dns.state().steps;
-        let t = dns.timers();
-        let d_transpose = t.transpose - self.prev.timers.transpose;
-        let d_fft = t.fft - self.prev.timers.fft;
-        let d_ns = t.ns_advance - self.prev.timers.ns_advance;
-        let wait = self.comm.recv_wait_seconds() - self.prev.recv_wait;
-        let busy = (wall_s - wait).max(0.0);
-        let a = dns.pfft().comm_a().stats();
-        let b = dns.pfft().comm_b().stats();
-        let msgs = (a.messages_sent + b.messages_sent) - self.prev.msgs;
-        let bytes = (a.bytes_sent + b.bytes_sent) - self.prev.bytes;
+        let (now, prev) = (Baselines::snapshot(dns, &self.comm), &self.prev);
+        let wait = now.recv_wait - prev.recv_wait;
+        // one 8-number row per rank onto the monitor's communicator
+        let row = [
+            wall_s,
+            now.timers.transpose - prev.timers.transpose,
+            now.timers.fft - prev.timers.fft,
+            now.timers.ns_advance - prev.timers.ns_advance,
+            wait,
+            (wall_s - wait).max(0.0),
+            (now.msgs - prev.msgs) as f64,
+            (now.bytes - prev.bytes) as f64,
+        ];
 
         // physics sentinels on their cadence, from collectively-reduced
         // values so the verdict below is identical on every rank
         let verdict = if self.cfg.sentinel_every > 0 && step.is_multiple_of(self.cfg.sentinel_every)
         {
-            let finite_local = stats::local_finite(dns);
-            let finite = self
-                .comm
-                .allreduce_max(if finite_local { 0.0 } else { 1.0 })
-                == 0.0;
+            let bad = f64::from(!stats::local_finite(dns));
+            let finite = self.comm.allreduce_max(bad) == 0.0;
             // on a non-finite state skip the derived quantities (they
             // would only launder the NaNs); finite=false already aborts
-            let (cfl, max_div, energy) = if finite {
-                (
-                    dns.cfl(),
-                    self.comm.allreduce_max(stats::max_divergence(dns)),
-                    stats::kinetic_energy(dns),
-                )
-            } else {
-                (0.0, 0.0, 0.0)
-            };
-            let values = SentinelValues {
-                cfl,
-                max_div,
-                energy,
+            let mut values = SentinelValues {
                 finite,
+                ..Default::default()
             };
+            if finite {
+                let div = self.sweep.run(dns).max_div;
+                values.cfl = dns.courant();
+                values.max_div = self.comm.allreduce_max(div);
+                values.energy = self.sweep.reduce(dns).energy(dns);
+            }
             Some((values, self.sentinels.check(step, &values)))
         } else {
             None
         };
 
-        // one 8-number row per rank onto the monitor's communicator
-        let row = vec![
-            wall_s,
-            d_transpose,
-            d_fft,
-            d_ns,
-            wait,
-            busy,
-            msgs as f64,
-            bytes as f64,
-        ];
-        let rows = self.comm.allgather(row);
+        let rows = self.comm.allgather(row.to_vec());
 
         if self.comm.rank() == 0 {
             let mut write = |event: &FlightEvent| {

@@ -204,8 +204,7 @@ pub fn quadratic_h(dns: &ChannelDns) -> HFields {
 /// buffers; the timestep loop reuses persistent ones).
 pub fn compute(dns: &ChannelDns) -> NlTerms {
     let mut out = NlTerms::default();
-    let mut ws = NlWorkspace::default();
-    compute_into(dns, &mut out, &mut ws);
+    compute_into(dns, &mut out, &mut NlWorkspace::default());
     out
 }
 
@@ -535,6 +534,108 @@ mod tests {
     fn perturbed(dns: &mut ChannelDns) {
         dns.set_laminar(1.0);
         dns.add_perturbation(0.3, 9);
+    }
+
+    /// The triple inverse transform `ChannelDns::cfl` ran every step
+    /// before the x-stage reduced the same number on the way:
+    /// `dt * max(|u|/dx + |v|/dy_j + |w|/dz)` of the current state over the
+    /// dealiased grid, by division.
+    fn cfl_by_inverse_transforms(dns: &ChannelDns) -> f64 {
+        let state = dns.state();
+        let [phys_u, phys_v, phys_w] =
+            [state.u(), state.v(), state.w()].map(|f| dns.pfft().inverse(&dns.field_values(f)));
+        let (px, pz) = (dns.pfft().config().px(), dns.pfft().config().pz());
+        let (dx, dz) = (dns.params().lx / px as f64, dns.params().lz / pz as f64);
+        let pts = dns.ops().points();
+        let row = dns.pfft().zphys_block().len * px;
+        let mut worst = 0.0f64;
+        for (idx, ((u, v), w)) in phys_u.iter().zip(&phys_v).zip(&phys_w).enumerate() {
+            let j = dns.pfft().y_block().global(idx / row);
+            let lo = if j > 0 {
+                pts[j] - pts[j - 1]
+            } else {
+                pts[1] - pts[0]
+            };
+            let hi = if j + 1 < pts.len() {
+                pts[j + 1] - pts[j]
+            } else {
+                pts[j] - pts[j - 1]
+            };
+            worst = worst.max(u.abs() / dx + v.abs() / lo.min(hi) + w.abs() / dz);
+        }
+        let worst = dns.pfft().comm_a().allreduce_max(worst);
+        dns.pfft().comm_b().allreduce_max(worst) * dns.params().dt
+    }
+
+    #[test]
+    fn x_stage_courant_number_equals_the_triple_inverse_oracle() {
+        // nz = 20 pads to 30 physical z lines (15 per rank on 2x2):
+        // never a whole number of lane blocks; stretched dy throughout
+        let base = Params::channel(16, 25, 20, 100.0).with_dt(1e-3);
+        let cases = [
+            base.clone(),
+            base.clone().with_fft_threads(2),
+            base.clone().with_grid(2, 2),
+        ];
+        let mut serial_bits = None;
+        for params in cases {
+            let (threads, ranks) = (params.fft_threads, params.pa * params.pb);
+            let outs = run_parallel(params, |dns| {
+                perturbed(dns);
+                assert_eq!(dns.courant(), 0.0, "nothing advected yet");
+                let start = cfl_by_inverse_transforms(dns);
+                dns.step();
+                let (first, mid) = (dns.courant(), cfl_by_inverse_transforms(dns));
+                dns.step();
+                [start, first, mid, dns.courant()]
+            });
+            for &[start, first, mid, second] in &outs {
+                assert!(start > 0.05, "trivial state: CFL {start}");
+                // a step's first substep advects with the state the step
+                // starts from; on this decaying flow that substep's number
+                // is the step's. Same physical velocities in both routes:
+                // the reduction multiplies by 1/dx, 1/dy_j, 1/dz where the
+                // oracle divides
+                assert!((first - start).abs() <= 1e-13 * start, "{outs:?}");
+                assert!((second - mid).abs() <= 1e-13 * mid, "{outs:?}");
+                // and the maximum visibly starts afresh with every step
+                assert!(second < first, "{outs:?}");
+                assert_eq!([first, second], [outs[0][1], outs[0][3]], "ranks agree");
+            }
+            if ranks == 1 {
+                let bits = [outs[0][1], outs[0][3]].map(f64::to_bits);
+                assert_eq!(*serial_bits.get_or_insert(bits), bits, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_laminar_step_advects_with_the_cfl_of_its_state() {
+        // Poiseuille flow is steady: all three substeps see one state
+        let p = Params::channel(16, 25, 16, 50.0).with_dt(2e-3);
+        let (before, stepped) = run_serial(p, |dns| {
+            dns.set_laminar(1.0);
+            let before = cfl_by_inverse_transforms(dns);
+            dns.step();
+            (before, dns.courant())
+        });
+        assert!(before > 0.1, "trivial state: CFL {before}");
+        assert!(
+            (stepped - before).abs() < 1e-9 * before,
+            "{stepped} vs {before}"
+        );
+    }
+
+    #[test]
+    fn a_linearised_run_advects_nothing() {
+        let mut p = Params::channel(16, 25, 16, 100.0);
+        p.nonlinear = false;
+        let courant = run_serial(p, |dns| {
+            perturbed(dns);
+            dns.step();
+            dns.courant()
+        });
+        assert_eq!(courant, 0.0);
     }
 
     #[test]

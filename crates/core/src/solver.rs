@@ -177,6 +177,16 @@ impl ChannelDns {
         };
         let len = kxb.len * kzb.len * params.ny;
         let zero = vec![C64::new(0.0, 0.0); len];
+        // Courant weights: reciprocal spacings of the dealiased grid (`dy`
+        // the smaller one next to a row's point)
+        let pts = ops.points();
+        let spacing = |j: usize| pts[j] - pts[j - 1];
+        let inv_dy = (pfft.y_block().start..pfft.y_block().end())
+            .map(|j| 1.0 / spacing(j.max(1)).min(spacing((j + 1).min(pts.len() - 1))))
+            .collect();
+        let mut nl_ws = NlWorkspace::default();
+        let (dx, dz) = (params.lx / cfg.px() as f64, params.lz / cfg.pz() as f64);
+        nl_ws.pfft.courant_weights = (1.0 / dx, inv_dy, 1.0 / dz);
         let dns = ChannelDns {
             params,
             pfft,
@@ -199,7 +209,7 @@ impl ChannelDns {
             y_weights,
             dyn_force,
             flux_integral: dyn_force,
-            nl_ws: NlWorkspace::default(),
+            nl_ws,
             nl_terms: NlTerms::default(),
             nl_terms_old: NlTerms::default(),
             scratch: StepScratch::default(),
@@ -283,6 +293,11 @@ impl ChannelDns {
     /// Current state.
     pub fn state(&self) -> &State {
         &self.state
+    }
+
+    /// Quadrature weights of the collocation points (`int f dy` on `[-1, 1]`).
+    pub(crate) fn y_weights(&self) -> &[f64] {
+        &self.y_weights
     }
 
     /// Length of one spectral field on this rank.
@@ -529,6 +544,7 @@ impl ChannelDns {
         let mut nl = std::mem::take(&mut self.nl_terms);
         let mut n_old = std::mem::take(&mut self.nl_terms_old);
         let mut scratch = std::mem::take(&mut self.scratch);
+        ws.pfft.courant_rate = 0.0;
         n_old.reset(self); // zeta_0 = 0: first substep ignores it anyway
         for i in 0..3 {
             let _substep = telemetry::span("rk3_substep", telemetry::Phase::Other);
@@ -549,12 +565,10 @@ impl ChannelDns {
         // statistics hook: sampling is collective, but `due` is a pure
         // function of the (replicated) step counter, so every rank takes
         // the branch identically; disabled, this is one Option check
-        if let Some(acc) = &self.stats {
-            if acc.due(self.state.steps) {
-                let mut acc = self.stats.take().expect("stats present");
-                acc.sample(self);
-                self.stats = Some(acc);
-            }
+        let steps = self.state.steps;
+        if let Some(mut acc) = self.stats.take_if(|acc| acc.due(steps)) {
+            acc.sample(self);
+            self.stats = Some(acc);
         }
     }
 
@@ -732,52 +746,14 @@ impl ChannelDns {
         self.state.steps = steps;
     }
 
-    /// Advective CFL number of the current state (collective):
-    /// `dt * max(|u|/dx + |v|/dy_local + |w|/dz)` over the dealiased
-    /// grid. Keep it comfortably below ~1.7 (the RK3 stability limit on
-    /// the imaginary axis) — above that the run will go unstable.
-    pub fn cfl(&self) -> f64 {
-        let phys_u = self.pfft.inverse(&self.field_values(self.state.u()));
-        let phys_v = self.pfft.inverse(&self.field_values(self.state.v()));
-        let phys_w = self.pfft.inverse(&self.field_values(self.state.w()));
-        let px = self.pfft.config().px();
-        let pzn = self.pfft.config().pz();
-        let dx = self.params.lx / px as f64;
-        let dz = self.params.lz / pzn as f64;
-        // local wall-normal spacing at each collocation point
-        let pts = self.ops.points();
-        let dy: Vec<f64> = (0..pts.len())
-            .map(|j| {
-                let lo = if j > 0 {
-                    pts[j] - pts[j - 1]
-                } else {
-                    pts[1] - pts[0]
-                };
-                let hi = if j + 1 < pts.len() {
-                    pts[j + 1] - pts[j]
-                } else {
-                    pts[j] - pts[j - 1]
-                };
-                lo.min(hi)
-            })
-            .collect();
-        let zpl = self.pfft.zphys_block().len;
-        let mut worst = 0.0f64;
-        let mut idx = 0;
-        for yl in 0..self.pfft.y_block().len {
-            let dyj = dy[self.pfft.y_block().global(yl)];
-            for _z in 0..zpl {
-                for _x in 0..px {
-                    let c =
-                        phys_u[idx].abs() / dx + phys_v[idx].abs() / dyj + phys_w[idx].abs() / dz;
-                    worst = worst.max(c);
-                    idx += 1;
-                }
-            }
-        }
-        let worst = self.pfft.comm_a().allreduce_max(worst);
-        let worst = self.pfft.comm_b().allreduce_max(worst);
-        worst * self.params.dt
+    /// The largest Courant number `dt * max(|u|/dx + |v|/dy + |w|/dz)` the last
+    /// [`step`](Self::step) advected with (collective): over the dealiased grid
+    /// and the states entering its three substeps, reduced inside the fused
+    /// x-stage; 0 before the first step and on a linearised run. Keep it well
+    /// below ~1.7, the RK3 stability limit on the imaginary axis.
+    pub fn courant(&self) -> f64 {
+        let (a, b) = (self.pfft.comm_a(), self.pfft.comm_b());
+        b.allreduce_max(a.allreduce_max(self.nl_ws.pfft.courant_rate)) * self.params.dt
     }
 }
 

@@ -8,8 +8,7 @@
 //! modes whose conjugate partners are not stored.
 
 use crate::solver::ChannelDns;
-use crate::C64;
-use dns_bspline::integration_weights;
+use dns_banded::{gather_lanes, LaneRow, LANES};
 use dns_telemetry as telemetry;
 
 /// One-point profiles at the collocation points.
@@ -49,110 +48,128 @@ impl Profiles {
             .map(|&u| u / self.u_tau.max(1e-300))
             .collect()
     }
+
+    /// Profiles out of flat sums `[u_mean | uu | vv | ww | uv]` over `y`,
+    /// times `scale`, and `wall = [u_tau, re_tau, bulk_velocity]`.
+    fn from_sums(y: &[f64], sums: &[f64], scale: f64, wall: [f64; 3]) -> Profiles {
+        let mut rows = sums
+            .chunks_exact(y.len())
+            .map(|row| row.iter().map(|x| x * scale).collect::<Vec<_>>());
+        let mut row = || rows.next().expect("five rows of sums");
+        Profiles {
+            y: y.to_vec(),
+            u_mean: row(),
+            uu: row(),
+            vv: row(),
+            ww: row(),
+            uv: row(),
+            u_tau: wall[0],
+            re_tau: wall[1],
+            bulk_velocity: wall[2],
+        }
+    }
+}
+
+/// One blockwise pass over the velocity state on reused buffers: regular
+/// modes go [`LANES`] at a time through `B0` (`B1` for `dv/dy`) block matvecs
+/// and fold into the plane sums lane by lane, in the per-mode loop's order.
+#[derive(Default)]
+pub(crate) struct PlaneSweep {
+    /// The regular local modes, ascending.
+    modes: Vec<usize>,
+    /// One-block panels: gathered coefficients, `B0 u`, `B0 v`, `B0 w`, `B1 v`.
+    blocks: [Vec<LaneRow>; 5],
+    /// Plane sums `[u_mean | uu | vv | ww | uv]`; `reduce` makes them the grid's.
+    sums: Vec<f64>,
+    /// This rank's largest `|ikx u + dv/dy + ikz w|` over modes and points.
+    pub(crate) max_div: f64,
+}
+
+impl PlaneSweep {
+    /// Fill this rank's plane sums and largest divergence.
+    pub(crate) fn run(&mut self, dns: &ChannelDns) -> &mut Self {
+        let (ops, ny, state) = (dns.ops(), dns.params().ny, dns.state());
+        let (modes, sums) = (&mut self.modes, &mut self.sums);
+        for block in &mut self.blocks {
+            block.resize(ny, LaneRow::ZERO);
+        }
+        let [coef, u, v, w, vy] = &mut self.blocks;
+        modes.clear();
+        modes.extend((0..dns.local_modes()).filter(|&m| !dns.is_nyquist(m) && !dns.is_mean(m)));
+        sums.clear();
+        sums.resize(5 * ny, 0.0);
+        let (start, mut worst) = (|m: usize| m * ny, 0.0f64);
+        for modes in modes.chunks(LANES) {
+            for (field, vals) in [(state.u(), &mut *u), (state.w(), w), (state.v(), v)] {
+                gather_lanes(coef, field, modes, start);
+                ops.b0().matvec_block(coef, vals);
+            }
+            ops.b1().matvec_block(coef, vy); // of v, gathered last
+            for (l, &m) in modes.iter().enumerate() {
+                let ((ikx, ikz, _), wt) = (dns.mode_wavenumbers(m), dns.mode_weight(m));
+                for j in 0..ny {
+                    let (uj, vj, wj) = (u[j].get(l), v[j].get(l), w[j].get(l));
+                    sums[ny + j] += wt * uj.norm_sqr();
+                    sums[2 * ny + j] += wt * vj.norm_sqr();
+                    sums[3 * ny + j] += wt * wj.norm_sqr();
+                    sums[4 * ny + j] += wt * (uj * vj.conj()).re;
+                    worst = worst.max((ikx * uj + vy[j].get(l) + ikz * wj).norm_sqr());
+                }
+            }
+        }
+        if let Some(m) = (0..dns.local_modes()).find(|&m| dns.is_mean(m)) {
+            gather_lanes(coef, state.u(), &[m], start);
+            ops.b0().matvec_block(coef, u);
+            sums.iter_mut()
+                .zip(&*u)
+                .for_each(|(sum, u)| *sum += u.re[0]);
+        }
+        self.max_div = worst.sqrt(); // of the largest squared modulus
+        self
+    }
+
+    /// Sum the plane sums over the process grid (collective).
+    pub(crate) fn reduce(&mut self, dns: &ChannelDns) -> &Self {
+        let sums = dns.pfft().comm_a().allreduce(&self.sums, |a, b| a + b);
+        self.sums = dns.pfft().comm_b().allreduce(&sums, |a, b| a + b);
+        self
+    }
+
+    /// `(1/2) int (u^2 + v^2 + w^2) dV / (Lx Lz)` of the reduced sums.
+    pub(crate) fn energy(&self, dns: &ChannelDns) -> f64 {
+        let (ny, s) = (dns.params().ny, &self.sums);
+        let point = |j: usize| s[j] * s[j] + s[ny + j] + s[2 * ny + j] + s[3 * ny + j];
+        let weights = dns.y_weights().iter().enumerate();
+        weights.fold(0.0, |e, (j, wt)| e + 0.5 * wt * point(j))
+    }
+
+    /// The reduced sums as profiles, wall quantities from the mean line.
+    fn profiles(&self, dns: &ChannelDns) -> Profiles {
+        let (ops, nu, u_mean) = (dns.ops(), dns.params().nu, &self.sums[..dns.params().ny]);
+        let dudy_wall = ops.basis().eval_deriv(&ops.interpolate(u_mean), -1.0, 1);
+        let u_tau = (nu * dudy_wall.abs()).sqrt();
+        let weighted = u_mean.iter().zip(dns.y_weights()).map(|(&u, &w)| u * w);
+        let bulk = weighted.sum::<f64>() / 2.0;
+        Profiles::from_sums(ops.points(), &self.sums, 1.0, [u_tau, u_tau / nu, bulk])
+    }
 }
 
 /// Compute instantaneous profiles (collective: all ranks must call).
 pub fn profiles(dns: &ChannelDns) -> Profiles {
-    let ny = dns.params().ny;
-    let ops = dns.ops();
-    // local accumulators: u_mean, uu, vv, ww, uv
-    let mut acc = vec![0.0f64; 5 * ny];
-    let mut vals_u = vec![C64::new(0.0, 0.0); ny];
-    let mut vals_v = vec![C64::new(0.0, 0.0); ny];
-    let mut vals_w = vec![C64::new(0.0, 0.0); ny];
-    for m in 0..dns.local_modes() {
-        if dns.is_nyquist(m) {
-            continue;
-        }
-        let r = dns.line_range(m);
-        ops.b0()
-            .matvec_complex(&dns.state().u()[r.clone()], &mut vals_u);
-        ops.b0()
-            .matvec_complex(&dns.state().v()[r.clone()], &mut vals_v);
-        ops.b0().matvec_complex(&dns.state().w()[r], &mut vals_w);
-        if dns.is_mean(m) {
-            for j in 0..ny {
-                acc[j] += vals_u[j].re;
-            }
-            continue;
-        }
-        let w = dns.mode_weight(m);
-        for j in 0..ny {
-            acc[ny + j] += w * vals_u[j].norm_sqr();
-            acc[2 * ny + j] += w * vals_v[j].norm_sqr();
-            acc[3 * ny + j] += w * vals_w[j].norm_sqr();
-            acc[4 * ny + j] += w * (vals_u[j] * vals_v[j].conj()).re;
-        }
-    }
-    // reduce across the process grid
-    let acc = dns.pfft().comm_a().allreduce(&acc, |a, b| a + b);
-    let acc = dns.pfft().comm_b().allreduce(&acc, |a, b| a + b);
-
-    let u_mean = acc[..ny].to_vec();
-    let mean_coef = ops.interpolate(&u_mean);
-    let dudy_wall = ops.basis().eval_deriv(&mean_coef, -1.0, 1);
-    let u_tau = (dns.params().nu * dudy_wall.abs()).sqrt();
-    let weights = integration_weights(ops);
-    let bulk: f64 = u_mean
-        .iter()
-        .zip(&weights)
-        .map(|(&u, &w)| u * w)
-        .sum::<f64>()
-        / 2.0;
-    Profiles {
-        y: ops.points().to_vec(),
-        u_mean,
-        uu: acc[ny..2 * ny].to_vec(),
-        vv: acc[2 * ny..3 * ny].to_vec(),
-        ww: acc[3 * ny..4 * ny].to_vec(),
-        uv: acc[4 * ny..5 * ny].to_vec(),
-        u_tau,
-        re_tau: u_tau / dns.params().nu,
-        bulk_velocity: bulk,
-    }
+    PlaneSweep::default().run(dns).reduce(dns).profiles(dns)
 }
 
 /// Maximum pointwise spectral divergence `|ikx u + dv/dy + ikz w|` over
 /// all locally-owned modes and collocation points — the continuity
 /// check; the solver's construction keeps this at rounding level.
 pub fn max_divergence(dns: &ChannelDns) -> f64 {
-    use crate::wallnormal::dy_coefficients;
-    let ny = dns.params().ny;
-    let ops = dns.ops();
-    let mut worst = 0.0f64;
-    let mut vals_u = vec![C64::new(0.0, 0.0); ny];
-    let mut vals_w = vec![C64::new(0.0, 0.0); ny];
-    let mut vals_vy = vec![C64::new(0.0, 0.0); ny];
-    for m in 0..dns.local_modes() {
-        if dns.is_nyquist(m) || dns.is_mean(m) {
-            continue;
-        }
-        let (ikx, ikz, _) = dns.mode_wavenumbers(m);
-        let r = dns.line_range(m);
-        let cvy = dy_coefficients(ops, &dns.state().v()[r.clone()]);
-        ops.b0()
-            .matvec_complex(&dns.state().u()[r.clone()], &mut vals_u);
-        ops.b0()
-            .matvec_complex(&dns.state().w()[r.clone()], &mut vals_w);
-        ops.b0().matvec_complex(&cvy, &mut vals_vy);
-        for j in 0..ny {
-            let div = ikx * vals_u[j] + vals_vy[j] + ikz * vals_w[j];
-            worst = worst.max(div.norm());
-        }
-    }
-    worst
+    PlaneSweep::default().run(dns).max_div
 }
 
 /// Total kinetic energy `(1/2) int (u^2 + v^2 + w^2) dV / (Lx Lz)`
 /// (collective).
 pub fn kinetic_energy(dns: &ChannelDns) -> f64 {
-    let p = profiles(dns);
-    let weights = integration_weights(dns.ops());
-    let mut e = 0.0;
-    for j in 0..p.y.len() {
-        e += 0.5 * weights[j] * (p.u_mean[j] * p.u_mean[j] + p.uu[j] + p.vv[j] + p.ww[j]);
-    }
-    e
+    PlaneSweep::default().run(dns).reduce(dns).energy(dns)
 }
 
 /// `true` when every locally-owned spectral coefficient of every state
@@ -316,13 +333,9 @@ impl StatsAccumulator {
         }
         assert_eq!(self.ny, ny, "stats sample grid changed mid-run");
         self.n += 1;
-        for (dst, src) in [&p.u_mean, &p.uu, &p.vv, &p.ww, &p.uv]
-            .into_iter()
-            .enumerate()
-        {
-            for j in 0..ny {
-                self.sums[dst * ny + j] += src[j];
-            }
+        let rows = [&p.u_mean, &p.uu, &p.vv, &p.ww, &p.uv];
+        for (sum, x) in self.sums.iter_mut().zip(rows.into_iter().flatten()) {
+            *sum += x;
         }
         self.u_tau_sum += p.u_tau;
         self.re_tau_sum += p.re_tau;
@@ -364,24 +377,9 @@ impl StatsAccumulator {
 
     /// The time-averaged profiles, or `None` before the first sample.
     pub fn mean(&self) -> Option<Profiles> {
-        if self.n == 0 {
-            return None;
-        }
-        let ny = self.ny;
         let inv = 1.0 / self.n as f64;
-        let scale =
-            |r: std::ops::Range<usize>| self.sums[r].iter().map(|x| x * inv).collect::<Vec<_>>();
-        Some(Profiles {
-            y: self.y.clone(),
-            u_mean: scale(0..ny),
-            uu: scale(ny..2 * ny),
-            vv: scale(2 * ny..3 * ny),
-            ww: scale(3 * ny..4 * ny),
-            uv: scale(4 * ny..5 * ny),
-            u_tau: self.u_tau_sum * inv,
-            re_tau: self.re_tau_sum * inv,
-            bulk_velocity: self.bulk_sum * inv,
-        })
+        let wall = [self.u_tau_sum, self.re_tau_sum, self.bulk_sum].map(|sum| sum * inv);
+        (self.n > 0).then(|| Profiles::from_sums(&self.y, &self.sums, inv, wall))
     }
 
     /// Serialize to the byte-exact stats section carried by the v2
@@ -440,14 +438,12 @@ impl StatsAccumulator {
         let rf = |bytes: &[u8], pos: &mut usize| -> Option<f64> {
             Some(f64::from_bits(r64(bytes, pos)?))
         };
-        let mut y = Vec::with_capacity(ny);
-        for _ in 0..ny {
-            y.push(rf(bytes, &mut pos)?);
-        }
-        let mut sums = Vec::with_capacity(5 * ny);
-        for _ in 0..5 * ny {
-            sums.push(rf(bytes, &mut pos)?);
-        }
+        let mut floats = |n: usize| {
+            (0..n)
+                .map(|_| rf(bytes, &mut pos))
+                .collect::<Option<Vec<_>>>()
+        };
+        let (y, sums) = (floats(ny)?, floats(5 * ny)?);
         let u_tau_sum = rf(bytes, &mut pos)?;
         let re_tau_sum = rf(bytes, &mut pos)?;
         let bulk_sum = rf(bytes, &mut pos)?;
@@ -500,6 +496,7 @@ pub fn log_law_u_plus(y_plus: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::C64;
 
     #[test]
     fn reichardt_limits() {
@@ -629,6 +626,135 @@ mod tests {
             warmup: 0,
         };
         assert!(dense.due(1) && dense.due(2));
+    }
+
+    /// The mode-by-mode evaluation [`PlaneSweep::run`] replaced: three
+    /// scalar `B0` matvecs per mode, folded in mode order. Returns the
+    /// local plane sums `[u_mean | uu | vv | ww | uv]`.
+    fn plane_sums_per_mode(dns: &ChannelDns) -> Vec<f64> {
+        let ny = dns.params().ny;
+        let ops = dns.ops();
+        let mut acc = vec![0.0f64; 5 * ny];
+        let mut vals_u = vec![C64::new(0.0, 0.0); ny];
+        let mut vals_v = vec![C64::new(0.0, 0.0); ny];
+        let mut vals_w = vec![C64::new(0.0, 0.0); ny];
+        for m in 0..dns.local_modes() {
+            if dns.is_nyquist(m) {
+                continue;
+            }
+            let r = dns.line_range(m);
+            ops.b0()
+                .matvec_complex(&dns.state().u()[r.clone()], &mut vals_u);
+            ops.b0()
+                .matvec_complex(&dns.state().v()[r.clone()], &mut vals_v);
+            ops.b0().matvec_complex(&dns.state().w()[r], &mut vals_w);
+            if dns.is_mean(m) {
+                for j in 0..ny {
+                    acc[j] += vals_u[j].re;
+                }
+                continue;
+            }
+            let w = dns.mode_weight(m);
+            for j in 0..ny {
+                acc[ny + j] += w * vals_u[j].norm_sqr();
+                acc[2 * ny + j] += w * vals_v[j].norm_sqr();
+                acc[3 * ny + j] += w * vals_w[j].norm_sqr();
+                acc[4 * ny + j] += w * (vals_u[j] * vals_v[j].conj()).re;
+            }
+        }
+        acc
+    }
+
+    /// The per-mode divergence [`PlaneSweep::run`] replaced: `dv/dy`
+    /// interpolated back to spline coefficients, then evaluated again.
+    fn max_divergence_per_mode(dns: &ChannelDns) -> f64 {
+        use crate::wallnormal::dy_coefficients;
+        let ny = dns.params().ny;
+        let ops = dns.ops();
+        let mut worst = 0.0f64;
+        let mut vals_u = vec![C64::new(0.0, 0.0); ny];
+        let mut vals_w = vec![C64::new(0.0, 0.0); ny];
+        let mut vals_vy = vec![C64::new(0.0, 0.0); ny];
+        for m in 0..dns.local_modes() {
+            if dns.is_nyquist(m) || dns.is_mean(m) {
+                continue;
+            }
+            let (ikx, ikz, _) = dns.mode_wavenumbers(m);
+            let r = dns.line_range(m);
+            let cvy = dy_coefficients(ops, &dns.state().v()[r.clone()]);
+            ops.b0()
+                .matvec_complex(&dns.state().u()[r.clone()], &mut vals_u);
+            ops.b0()
+                .matvec_complex(&dns.state().w()[r.clone()], &mut vals_w);
+            ops.b0().matvec_complex(&cvy, &mut vals_vy);
+            for j in 0..ny {
+                let div = ikx * vals_u[j] + vals_vy[j] + ikz * vals_w[j];
+                worst = worst.max(div.norm());
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn blockwise_sweep_equals_the_per_mode_oracle() {
+        use crate::params::Params;
+        use crate::solver::run_parallel;
+        // 1x1, a 2x2 grid, and a local kx count (nx = 20: 10) that leaves
+        // the last lane block partial; stretched collocation points
+        for params in [
+            Params::channel(16, 25, 16, 100.0),
+            Params::channel(16, 25, 16, 100.0).with_grid(2, 2),
+            Params::channel(20, 25, 12, 100.0),
+        ] {
+            let cfg = StatsConfig {
+                every: 1,
+                warmup: 0,
+            };
+            let outs = run_parallel(params.with_dt(1e-3), move |dns| {
+                dns.set_laminar(1.0);
+                dns.add_perturbation(0.3, 9);
+                dns.enable_stats(cfg);
+                let mut oracle = StatsAccumulator::new(cfg);
+                // one scratch across the steps: a reused sweep leaks nothing
+                let mut sweep = PlaneSweep::default();
+                for _ in 0..3 {
+                    dns.step();
+                    let want = plane_sums_per_mode(dns);
+                    let div = sweep.run(dns).max_div;
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&sweep.sums), bits(&want));
+                    assert!(want[dns.params().ny..].iter().any(|&x| x != 0.0));
+                    let div_want = max_divergence_per_mode(dns);
+                    assert!((div - div_want).abs() < 1e-13, "{div} vs {div_want}");
+                    assert_eq!(div.to_bits(), max_divergence(dns).to_bits());
+
+                    // the oracle's route to a sample: its sums, reduced
+                    sweep.sums = want;
+                    sweep.reduce(dns);
+                    let energy = sweep.energy(dns);
+                    assert_eq!(energy.to_bits(), kinetic_energy(dns).to_bits());
+                    let (p, got) = (sweep.profiles(dns), profiles(dns));
+                    for (a, b) in [
+                        (&p.u_mean, &got.u_mean),
+                        (&p.uu, &got.uu),
+                        (&p.vv, &got.vv),
+                        (&p.ww, &got.ww),
+                        (&p.uv, &got.uv),
+                    ] {
+                        assert_eq!(bits(a), bits(b));
+                    }
+                    assert_eq!(p.u_tau.to_bits(), got.u_tau.to_bits());
+                    assert_eq!(p.bulk_velocity.to_bits(), got.bulk_velocity.to_bits());
+                    oracle.add_profiles(&p, dns.state().steps, dns.state().time);
+                }
+                let acc = dns.stats().expect("stats on");
+                assert_eq!(acc.count(), 3);
+                assert_eq!(acc.encode(), oracle.encode());
+                let p = profiles(dns);
+                (p.u_tau, p.bulk_velocity)
+            });
+            assert!(outs.iter().all(|&o| o == outs[0] && o.0 > 0.0 && o.1 > 0.0));
+        }
     }
 
     #[test]

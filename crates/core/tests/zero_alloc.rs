@@ -19,12 +19,14 @@ thread_local! {
     // trigger lazy TLS initialisation (which may allocate)
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.with(|a| a.get()) {
             ALLOCS.with(|c| c.set(c.get() + 1));
+            BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         }
         unsafe { System.alloc(layout) }
     }
@@ -86,4 +88,84 @@ fn solver_setup_allocates_per_block_not_per_mode() {
         full.saturating_sub(base) < 2 * blocks,
         "ChannelDns::new made {full} allocations ({base} at a quarter of the modes)"
     );
+}
+
+/// `(step, allocations, bytes)` of each production loop iteration, from
+/// one `on_step` to the next, on the rank thread.
+struct IterationAllocs(std::sync::Mutex<Vec<(u64, u64, u64)>>);
+
+impl dns_core::run::RunObserver for IterationAllocs {
+    fn on_start(&self, _: &dns_core::ChannelDns, _: Option<u64>, _: usize) {
+        ARMED.with(|a| a.set(true));
+    }
+
+    fn on_step(&self, _: &dns_core::ChannelDns, ctx: dns_core::run::StepCtx) {
+        let seen = (
+            ctx.step,
+            ALLOCS.with(|c| c.replace(0)),
+            BYTES.with(|c| c.replace(0)),
+        );
+        // room for every step was reserved up front: the push is free
+        self.0.lock().expect("no panic holds it").push(seen);
+    }
+}
+
+#[test]
+fn steady_production_iteration_allocates_a_small_constant() {
+    use dns_core::run::{execute, RunConfig, RunControl, RunSpec, RunStatus};
+    let dir = std::env::temp_dir().join(format!("dns_zero_alloc_{}", std::process::id()));
+    // long enough for the flight recorder's buffer to see its first
+    // write-through (16 KiB, some 60 steps of two lines): from then on
+    // it has its final capacity
+    let (steps, warm) = (80, 64);
+    let spec = RunSpec {
+        params: dns_core::Params::channel(16, 25, 16, 100.0).with_dt(1e-3),
+        steps,
+        ckpt_every: 0,
+        ..RunSpec::default()
+    };
+    let cfg = RunConfig {
+        final_checkpoint: false,
+        health: Some(dns_core::health::MonitorConfig {
+            log: Some(dir.join("health.jsonl")),
+            ..Default::default()
+        }),
+        stats: Some(dns_core::stats::StatsConfig {
+            every: 5,
+            warmup: 0,
+        }),
+        ..RunConfig::in_dir(&dir)
+    };
+    let seen = std::sync::Arc::new(IterationAllocs(std::sync::Mutex::new(Vec::with_capacity(
+        steps as usize,
+    ))));
+    let ctl = std::sync::Arc::new(RunControl::new());
+    let outcome = execute(&spec, &cfg, ctl, seen.clone(), |_| {
+        dns_minimpi::FaultPlan::none()
+    });
+    assert_eq!(outcome.status, RunStatus::Done);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // an iteration: the verdict broadcast, the step, the sentinels (one
+    // sweep on the monitor's scratch, the reductions' own vectors), the
+    // gathered row and two recorder lines; every fifth also samples
+    let seen = seen.0.lock().unwrap();
+    let plain: Vec<_> = seen
+        .iter()
+        .filter(|(step, ..)| *step > warm && step % 5 != 0)
+        .collect();
+    assert_eq!(plain.len(), 12, "{seen:?}");
+    // 0 / 0 would mean the counter never saw this thread's iterations:
+    // the reductions' own vectors alone are a handful
+    assert!(
+        plain[0].1 > 0 && plain[0].2 > 0,
+        "counting unarmed: {seen:?}"
+    );
+    for &&(step, allocs, bytes) in &plain {
+        assert_eq!((allocs, bytes), (plain[0].1, plain[0].2), "step {step}");
+        assert!(
+            allocs <= 16 && bytes <= 8192,
+            "step {step}: {allocs} allocations, {bytes} B"
+        );
+    }
 }

@@ -8,6 +8,7 @@
 //! they are exactly the lines a post-mortem needs to be durable.
 
 use crate::schema::FlightEvent;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -79,8 +80,7 @@ impl FlightRecorder {
     /// recovery markers) flush through immediately; everything else is
     /// buffered up to the byte bound.
     pub fn record(&mut self, event: &FlightEvent) -> io::Result<()> {
-        self.buf.push_str(&event.to_json_line());
-        self.buf.push('\n');
+        writeln!(self.buf, "{event}").expect("a String takes every write");
         self.lines += 1;
         let force = matches!(
             event,

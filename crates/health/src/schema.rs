@@ -186,19 +186,22 @@ fn esc(s: &str) -> String {
 
 /// Format an f64 so that parsing it back yields the same value, without
 /// scientific-notation churn for the common magnitudes.
-fn num(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{:.1}", x)
-    } else {
-        // shortest representation that round-trips
-        format!("{x}")
-    }
+fn num(x: f64) -> impl fmt::Display {
+    fmt::from_fn(move |f| {
+        if x == x.trunc() && x.abs() < 1e15 {
+            write!(f, "{x:.1}")
+        } else {
+            // shortest representation that round-trips
+            write!(f, "{x}")
+        }
+    })
 }
 
-impl FlightEvent {
-    /// Serialise to one JSONL line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let body = match self {
+/// An event displays as its JSONL line (no trailing newline), no string between.
+impl fmt::Display for FlightEvent {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(out, "{{\"schema\":{SCHEMA_VERSION},")?;
+        match self {
             FlightEvent::RunStart {
                 attempt,
                 nx,
@@ -209,12 +212,12 @@ impl FlightEvent {
                 dt,
                 steps,
                 resumed_from,
-            } => format!(
+            } => out.write_fmt(format_args!(
                 "\"kind\":\"run_start\",\"attempt\":{attempt},\"nx\":{nx},\"ny\":{ny},\
                  \"nz\":{nz},\"pa\":{pa},\"pb\":{pb},\"dt\":{},\"steps\":{steps},\
                  \"resumed_from\":{resumed_from}",
                 num(*dt)
-            ),
+            )),
             FlightEvent::Step {
                 step,
                 rank,
@@ -227,7 +230,7 @@ impl FlightEvent {
                 busy_s,
                 msgs,
                 bytes,
-            } => format!(
+            } => out.write_fmt(format_args!(
                 "\"kind\":\"step\",\"step\":{step},\"rank\":{rank},\"wall_s\":{},\
                  \"transpose_s\":{},\"fft_s\":{},\"ns_s\":{},\"recv_wait_s\":{},\
                  \"overlap_s\":{},\"busy_s\":{},\"msgs\":{msgs},\"bytes\":{bytes}",
@@ -238,62 +241,69 @@ impl FlightEvent {
                 num(*recv_wait_s),
                 num(*overlap_s),
                 num(*busy_s),
-            ),
+            )),
             FlightEvent::Sentinel {
                 step,
                 cfl,
                 max_div,
                 energy,
                 finite,
-            } => format!(
+            } => out.write_fmt(format_args!(
                 "\"kind\":\"sentinel\",\"step\":{step},\"cfl\":{},\"max_div\":{},\
                  \"energy\":{},\"finite\":{finite}",
                 num(*cfl),
                 num(*max_div),
                 num(*energy),
-            ),
+            )),
             FlightEvent::Health(HealthEvent::Straggler {
                 step,
                 rank,
                 ratio,
                 factor,
                 consecutive,
-            }) => format!(
+            }) => out.write_fmt(format_args!(
                 "\"kind\":\"health\",\"event\":\"straggler\",\"step\":{step},\"rank\":{rank},\
                  \"ratio\":{},\"factor\":{},\"consecutive\":{consecutive}",
                 num(*ratio),
                 num(*factor),
-            ),
+            )),
             FlightEvent::Health(HealthEvent::SentinelWarn {
                 step,
                 sentinel,
                 value,
                 limit,
-            }) => format!(
+            }) => out.write_fmt(format_args!(
                 "\"kind\":\"health\",\"event\":\"sentinel_warn\",\"step\":{step},\
                  \"sentinel\":\"{}\",\"value\":{},\"limit\":{}",
                 sentinel.label(),
                 num(*value),
                 num(*limit),
-            ),
-            FlightEvent::Checkpoint { step, attempt } => {
-                format!("\"kind\":\"checkpoint\",\"step\":{step},\"attempt\":{attempt}")
-            }
+            )),
+            FlightEvent::Checkpoint { step, attempt } => out.write_fmt(format_args!(
+                "\"kind\":\"checkpoint\",\"step\":{step},\"attempt\":{attempt}"
+            )),
             FlightEvent::Recovery {
                 attempt,
                 kind,
                 detail,
-            } => format!(
+            } => out.write_fmt(format_args!(
                 "\"kind\":\"recovery\",\"attempt\":{attempt},\"event\":\"{}\",\"detail\":\"{}\"",
                 esc(kind),
                 esc(detail)
-            ),
-            FlightEvent::RunEnd { steps_run, wall_s } => format!(
+            )),
+            FlightEvent::RunEnd { steps_run, wall_s } => out.write_fmt(format_args!(
                 "\"kind\":\"run_end\",\"steps_run\":{steps_run},\"wall_s\":{}",
                 num(*wall_s)
-            ),
-        };
-        format!("{{\"schema\":{SCHEMA_VERSION},{body}}}")
+            )),
+        }?;
+        out.write_str("}")
+    }
+}
+
+impl FlightEvent {
+    /// Serialise to one JSONL line (no trailing newline).
+    pub fn to_json_line(&self) -> String {
+        self.to_string()
     }
 
     /// Parse one JSONL line back into a typed event.

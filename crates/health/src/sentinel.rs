@@ -41,7 +41,7 @@ impl Default for SentinelConfig {
 
 /// One step's collective readings (identical on every rank: each value
 /// comes out of an all-reduction).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SentinelValues {
     pub cfl: f64,
     pub max_div: f64,

@@ -495,8 +495,11 @@ impl Communicator {
     }
 
     /// All-reduce a slice of f64 element-wise with `op` (gather at rank 0,
-    /// reduce, broadcast).
+    /// reduce, broadcast; a world of one has nothing to combine).
     pub fn allreduce(&self, data: &[f64], op: fn(f64, f64) -> f64) -> Vec<f64> {
+        if self.size() == 1 {
+            return data.to_vec();
+        }
         let gathered = self.gather(0, data.to_vec());
         if self.rank == 0 {
             let parts = gathered.unwrap();
@@ -525,6 +528,9 @@ impl Communicator {
     /// All-gather: every rank contributes one vector and receives all of
     /// them, ordered by rank (`MPI_Allgather`).
     pub fn allgather<T: Clone + Send + 'static>(&self, data: Vec<T>) -> Vec<Vec<T>> {
+        if self.size() == 1 {
+            return vec![data];
+        }
         let gathered = self.gather(0, data);
         if self.rank == 0 {
             let parts = gathered.unwrap();
@@ -920,6 +926,12 @@ mod tests {
             comm.allreduce_sum(comm.rank() as f64)
         });
         assert!(got.iter().all(|&s| s == 15.0));
+        // a world of one returns its own data and sends nothing
+        let alone = run(1, |comm| {
+            let reduced = comm.allreduce(&[2.5, -1.0], f64::max);
+            (reduced, comm.stats().messages_sent)
+        });
+        assert_eq!(alone, [(vec![2.5, -1.0], 0)]);
     }
 
     #[test]
@@ -1004,6 +1016,11 @@ mod tests {
                 assert_eq!(row, &vec![r as u8; r + 1]);
             }
         }
+        // a world of one gets its own row back and sends nothing
+        let alone = run(1, |comm| {
+            (comm.allgather(vec![7u8, 9]), comm.stats().messages_sent)
+        });
+        assert_eq!(alone, [(vec![vec![7, 9]], 0)]);
     }
 
     #[test]

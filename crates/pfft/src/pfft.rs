@@ -1,6 +1,7 @@
 //! The pencil-FFT pipeline implementation.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dns_fft::{CfftPlan, Direction, Lanes, RealLayout, RfftPlan, LANES};
 use dns_minimpi::{CartComm, Communicator};
@@ -512,8 +513,8 @@ impl ParallelFft {
     /// [`LANES`] consecutive z, bring the x lines of the row's `k` fields
     /// to physical space as lane blocks in `sc.phys` — padded and c2r
     /// transformed from spectra, or gathered from physical fields — and
-    /// hand the block to `emit(sc, z0, count, row)`, which writes its part
-    /// of the row. `input` and `dst` are y-aligned (same first row).
+    /// hand the block to `emit(sc, y, z0, count, row)`, which writes its
+    /// part of row `y`. `input` and `dst` are y-aligned (same first row).
     /// `transforms` real transforms per (y, z) line are counted, once for
     /// the whole stage.
     #[allow(clippy::too_many_arguments)]
@@ -526,7 +527,7 @@ impl ParallelFft {
         dst: &mut [T],
         row_len: usize,
         serial: &mut LineScratch,
-        emit: impl Fn(&mut LineScratch, usize, usize, &mut [T]) + Send + Sync,
+        emit: impl Fn(&mut LineScratch, usize, usize, usize, &mut [T]) + Send + Sync,
     ) {
         if dst.is_empty() {
             return;
@@ -565,7 +566,7 @@ impl ParallelFft {
                             }
                         }
                     }
-                    emit(sc, z0, cnt, row);
+                    emit(sc, y, z0, cnt, row);
                 }
             },
         );
@@ -653,7 +654,11 @@ impl ParallelFft {
             out_z,
             send,
             serial,
+            courant_weights: (inv_dx, inv_dy, inv_dz),
+            courant_rate,
         } = ws;
+        assert!(inv_dy.is_empty() || inv_dy.len() == nyl);
+        let (wx, inv_dy, wz) = (*inv_dx, &inv_dy[..], *inv_dz);
         serial.ensure(NL_FIELDS, px, self.fft_len());
 
         // --- inverse leg: 3 velocity fields to the z-pencil ---
@@ -667,19 +672,38 @@ impl ParallelFft {
         // The fused x-stage body, per block of up to LANES x-lines held
         // as lane blocks: form each of the five products from the three
         // physical velocity blocks, forward transform it, and scatter the
-        // truncated, normalised spectra.
+        // truncated, normalised spectra. With Courant weights set, the `uu - vv`
+        // pass also folds the block's largest advective rate into `peak`
+        // (non-negative f64s order as their bits do; lanes past `cnt` are zero).
         let rfft = &self.rfft_x;
         let inv_px = 1.0 / px as f64;
-        let fused = |sc: &mut LineScratch, z0: usize, cnt: usize, row: &mut [C64]| {
+        let peak = AtomicU64::new(courant_rate.to_bits());
+        let fused = |sc: &mut LineScratch, y: usize, z0: usize, cnt: usize, row: &mut [C64]| {
             for (f, &(i, j, sub_vv)) in PRODUCTS.iter().enumerate() {
-                for x in 0..px {
-                    let (a, b, v) = (sc.phys[i * px + x], sc.phys[j * px + x], sc.phys[px + x]);
-                    for l in 0..LANES {
-                        let mut p = a.0[l] * b.0[l];
-                        if sub_vv {
-                            p -= v.0[l] * v.0[l];
+                if let ((0, 0, true), Some(&wy)) = ((i, j, sub_vv), inv_dy.get(y)) {
+                    // uu - vv with the rate folded in, hidden under the pass's loads
+                    let (u, vw) = sc.phys[..NL_FIELDS * px].split_at(px);
+                    let mut worst = [0.0f64; LANES];
+                    let uvw = u.iter().zip(&vw[..px]).zip(&vw[px..]);
+                    for (p, ((u, v), w)) in sc.prod[..px].iter_mut().zip(uvw) {
+                        for l in 0..LANES {
+                            let c = u.0[l].abs() * wx + v.0[l].abs() * wy + w.0[l].abs() * wz;
+                            worst[l] = if c > worst[l] { c } else { worst[l] };
                         }
-                        sc.prod[x].0[l] = p;
+                        p.0 = std::array::from_fn(|l| u.0[l] * u.0[l] - v.0[l] * v.0[l]);
+                    }
+                    let worst = worst.into_iter().fold(0.0, f64::max);
+                    peak.fetch_max(worst.to_bits(), Ordering::Relaxed);
+                } else {
+                    for x in 0..px {
+                        let (a, b, v) = (sc.phys[i * px + x], sc.phys[j * px + x], sc.phys[px + x]);
+                        for l in 0..LANES {
+                            let mut p = a.0[l] * b.0[l];
+                            if sub_vv {
+                                p -= v.0[l] * v.0[l];
+                            }
+                            sc.prod[x].0[l] = p;
+                        }
                     }
                 }
                 let d = (f * zpl + z0) * sx;
@@ -710,6 +734,7 @@ impl ParallelFft {
                 serial,
                 fused,
             );
+            *courant_rate = f64::from_bits(peak.into_inner());
             let plans = self.batch_plans(NL_PRODUCTS);
             self.transposing(|| plans.t_xz.run_with(&self.comm_a, spec_px, send, zp));
         }
@@ -763,7 +788,7 @@ impl ParallelFft {
             &mut phys,
             k * zpl * px,
             &mut serial,
-            |sc, z0, cnt, row: &mut [f64]| {
+            |sc, _, z0, cnt, row: &mut [f64]| {
                 for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
                     let lines = &mut row[(f * zpl + z0) * px..][..cnt * px];
                     for (l, line) in lines.chunks_exact_mut(px).enumerate() {
@@ -805,7 +830,7 @@ impl ParallelFft {
             &mut spec_x,
             k * zpl * sx,
             &mut serial,
-            |sc, z0, cnt, row: &mut [C64]| {
+            |sc, _, z0, cnt, row: &mut [C64]| {
                 for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
                     let d = (f * zpl + z0) * sx;
                     rfft.forward_lanes(block, &mut row[d..d + cnt * sx], sx, inv_px, &mut sc.fft);
@@ -1187,6 +1212,20 @@ mod tests {
         }
     }
 
+    /// Three spectral fields stacked `[kz_loc][3][kx_loc][ny]`, the input
+    /// layout of [`ParallelFft::nonlinear_products`].
+    fn stack_uvw(p: &ParallelFft, fields: [&[C64]; NL_FIELDS]) -> Vec<C64> {
+        let line = p.kx_block().len * p.config().ny;
+        let mut uvw = vec![C64::new(0.0, 0.0); NL_FIELDS * p.y_pencil_len()];
+        for kz in 0..p.kz_block().len {
+            for (fi, field) in fields.iter().enumerate() {
+                let (src, dst) = (kz * line, (kz * NL_FIELDS + fi) * line);
+                uvw[dst..dst + line].copy_from_slice(&field[src..src + line]);
+            }
+        }
+        uvw
+    }
+
     /// Unfused oracle for [`ParallelFft::nonlinear_products`]: separate
     /// batched transforms and full-field product formation, with the
     /// five-product combination applied afterwards.
@@ -1228,14 +1267,7 @@ mod tests {
             // fused path (twice: the second call runs on warm buffers)
             let (sxl, nzl) = (p.kx_block().len, p.kz_block().len);
             let ny = p.config().ny;
-            let mut uvw = vec![C64::new(0.0, 0.0); NL_FIELDS * p.y_pencil_len()];
-            for kz in 0..nzl {
-                for (fi, field) in [&u, &v, &w].iter().enumerate() {
-                    let src = kz * sxl * ny;
-                    let dst = ((kz * NL_FIELDS + fi) * sxl) * ny;
-                    uvw[dst..dst + sxl * ny].copy_from_slice(&field[src..src + sxl * ny]);
-                }
-            }
+            let uvw = stack_uvw(&p, [&u, &v, &w]);
             let mut ws = Workspace::new();
             let mut fused = Vec::new();
             p.nonlinear_products(&uvw, &mut fused, &mut ws);
@@ -1296,16 +1328,7 @@ mod tests {
             let p = ParallelFft::new(world, PfftConfig::customized(16, 6, 8, 2, 2));
             let f = fill_x_pencil(&p);
             let u = p.forward(&f);
-            let mut uvw = vec![C64::new(0.0, 0.0); NL_FIELDS * p.y_pencil_len()];
-            let (sxl, nzl) = (p.kx_block().len, p.kz_block().len);
-            let ny = p.config().ny;
-            for kz in 0..nzl {
-                for fi in 0..NL_FIELDS {
-                    let src = kz * sxl * ny;
-                    let dst = ((kz * NL_FIELDS + fi) * sxl) * ny;
-                    uvw[dst..dst + sxl * ny].copy_from_slice(&u[src..src + sxl * ny]);
-                }
-            }
+            let uvw = stack_uvw(&p, [&u, &u, &u]);
             let mut ws = Workspace::new();
             let mut out = Vec::new();
             p.nonlinear_products(&uvw, &mut out, &mut ws); // warm plans
@@ -1402,14 +1425,7 @@ mod tests {
                     let f: Vec<f64> = base.iter().map(|v| c * v + 0.1 * c * c).collect();
                     p.forward(&f)
                 });
-                let (sxl, nzl, ny) = (p.kx_block().len, p.kz_block().len, p.config().ny);
-                let mut uvw = vec![C64::new(0.0, 0.0); NL_FIELDS * p.y_pencil_len()];
-                for kz in 0..nzl {
-                    for (fi, field) in fields.iter().enumerate() {
-                        let (src, dst) = (kz * sxl * ny, (kz * NL_FIELDS + fi) * sxl * ny);
-                        uvw[dst..dst + sxl * ny].copy_from_slice(&field[src..src + sxl * ny]);
-                    }
-                }
+                let uvw = stack_uvw(&p, [&fields[0], &fields[1], &fields[2]]);
                 let (mut out, mut ws) = (Vec::new(), Workspace::new());
                 p.nonlinear_products(&uvw, &mut out, &mut ws);
                 p.nonlinear_products(&uvw, &mut out, &mut ws); // warm buffers
@@ -1428,6 +1444,61 @@ mod tests {
                         bits(want),
                         "threads={threads} {pa}x{pb} rank={rank}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn x_stage_courant_rate_equals_the_triple_inverse_oracle_bitwise() {
+        // nz = 20 pads to pz = 30: 30 (1x1) and 15 (2x2) local z lines,
+        // neither a multiple of the lane count; uneven 1/dy per row
+        let run = |threads: usize, pa: usize, pb: usize| {
+            mpi::run(pa * pb, move |world| {
+                let cfg = PfftConfig::customized(16, 7, 20, pa, pb)
+                    .with_dealias()
+                    .with_threads(threads);
+                let p = ParallelFft::new(world, cfg);
+                assert!(!p.zphys_block().len.is_multiple_of(LANES));
+                let base = fill_x_pencil(&p);
+                let fields = [1.0, -0.3, 0.2].map(|c| {
+                    let f: Vec<f64> = base.iter().map(|v| c * v - 0.4 * c * c).collect();
+                    p.forward(&f)
+                });
+                let uvw = stack_uvw(&p, [&fields[0], &fields[1], &fields[2]]);
+                let (inv_dx, inv_dz) = (1.0 / 0.13, 1.0 / 0.07);
+                let inv_dy: Vec<f64> = (0..p.y_block().len)
+                    .map(|yl| 1.0 / (0.01 + 0.03 * p.y_block().global(yl) as f64))
+                    .collect();
+                let (mut out, mut ws) = (Vec::new(), Workspace::new());
+                p.nonlinear_products(&uvw, &mut out, &mut ws);
+                assert_eq!(ws.courant_rate, 0.0, "no weights: no reduction");
+                ws.courant_weights = (inv_dx, inv_dy.clone(), inv_dz);
+                p.nonlinear_products(&uvw, &mut out, &mut ws);
+                let got = ws.courant_rate;
+                // the maximum is kept across calls until it is zeroed
+                ws.courant_weights = (0.5 * inv_dx, inv_dy.clone(), 0.5 * inv_dz);
+                p.nonlinear_products(&uvw, &mut out, &mut ws);
+                assert_eq!(ws.courant_rate, got);
+
+                let phys = fields.map(|f| p.inverse(&f));
+                let row = p.zphys_block().len * p.config().px();
+                let mut want = 0.0f64;
+                for (i, ((u, v), w)) in phys[0].iter().zip(&phys[1]).zip(&phys[2]).enumerate() {
+                    let c = u.abs() * inv_dx + v.abs() * inv_dy[i / row] + w.abs() * inv_dz;
+                    want = want.max(c);
+                }
+                (got, want)
+            })
+        };
+        let serial = run(1, 1, 1);
+        for (threads, pa, pb) in [(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2)] {
+            for (rank, (got, want)) in run(threads, pa, pb).into_iter().enumerate() {
+                assert!(want > 1.0, "trivial test field");
+                let case = format!("threads={threads} {pa}x{pb} rank={rank}");
+                assert_eq!(got.to_bits(), want.to_bits(), "{case}");
+                if pa * pb == 1 {
+                    assert_eq!(got.to_bits(), serial[0].0.to_bits(), "{case}");
                 }
             }
         }

@@ -32,6 +32,11 @@ pub struct Workspace {
     pub(crate) send: Vec<C64>,
     /// Per-line scratch for the serial (no thread pool) path.
     pub(crate) serial: LineScratch,
+    /// Courant weights `(1/dx, 1/dy per local y row, 1/dz)`: with rows set, the
+    /// fused x-stage folds the largest `|u|/dx + |v|/dy + |w|/dz` into `courant_rate`.
+    pub courant_weights: (f64, Vec<f64>, f64),
+    /// This rank's largest advective rate since the caller zeroed it.
+    pub courant_rate: f64,
 }
 
 impl Workspace {
