@@ -213,7 +213,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"fusion\",\n  \"host\": {},\n  \
          \"grid\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        host_json(),
+        host_json().dump(),
         o.nx,
         o.ny,
         o.nz,

@@ -534,7 +534,7 @@ fn main() {
         "{{\n  \"bench\": \"table1\",\n  \"host\": {},\n  \"bandwidth\": {},\n  \
          \"threads\": {},\n  \"classic\": [\n{}\n  ],\n  \"batched_sweep\": [\n{}\n  ],\n  \
          \"setup\": [\n{}\n  ]\n}}\n",
-        host_json(),
+        host_json().dump(),
         o.bandwidth,
         o.threads,
         classic_json.join(",\n"),

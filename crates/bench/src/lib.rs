@@ -1,11 +1,11 @@
-//! Shared infrastructure for the table/figure reproduction binaries.
+//! Shared infrastructure of the reproduction: the paper's published
+//! values ([`paper`]), text tables and the artifact host stamp
+//! ([`report`]), and the Figures 5-8 gate ([`validation`]).
 //!
-//! Every binary regenerates one table or figure of Lee, Malaya & Moser
-//! (SC'13) and prints the paper's published values next to this
-//! reproduction's numbers. Values measured on the four petascale
-//! machines come from the `dns-netmodel` performance models (see
-//! DESIGN.md's substitution table); numerical kernels additionally run
-//! for real on the host.
+//! The binaries here are the host microbenchmarks — `table1` (the
+//! paper's Table 1), `fusion` — and `dns-validate` (Figures 5-8).
+//! Tables 2-11 and section 7 come from the `dns-scaling` campaign, which
+//! cites [`paper`] beside every modelled row.
 
 #![warn(missing_docs)]
 // Indexed loops mirror the textbook statements of the numerical

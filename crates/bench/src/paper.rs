@@ -216,6 +216,11 @@ pub const TABLE11_WEAK: &[(usize, f64, f64)] = &[
     (786_432, 24.5, 25.5),
 ];
 
+/// Section 7 aggregate rates at 786,432 Mira cores: Tflops over the
+/// whole timestep, its fraction of peak, Tflops counting only on-node
+/// compute time, its fraction of peak.
+pub const SECTION7_RATES: (f64, f64, f64, f64) = (271.0, 0.027, 906.0, 0.090);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,7 @@
 //! Plain-text table rendering for the reproduction reports.
 
+use dns_json::Json;
+
 /// A simple right-aligned text table.
 pub struct Table {
     headers: Vec<String>,
@@ -79,11 +81,6 @@ pub fn secs(t: f64) -> String {
     }
 }
 
-/// Format a parallel efficiency as a percentage.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
-
 /// Cores of the host; a bench row using more threads than this is
 /// `oversubscribed` and its timings measure the scheduler.
 pub fn nproc() -> usize {
@@ -92,14 +89,14 @@ pub fn nproc() -> usize {
 
 /// The host block a `BENCH_*.json` artifact is stamped with — a timing
 /// means nothing without the machine it was taken on:
-/// `{"nproc": N, "cpu": "...", "rustc": "..."}` (`unknown` where the
+/// `{"cpu": "...", "nproc": N, "rustc": "..."}` (`unknown` where the
 /// host does not say). Asked once per process (`rustc -V` is a spawn).
-pub fn host_json() -> String {
-    static HOST: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+pub fn host_json() -> Json {
+    static HOST: std::sync::OnceLock<Json> = std::sync::OnceLock::new();
     HOST.get_or_init(|| {
         let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|t| {
             let line = t.lines().find(|l| l.starts_with("model name"))?;
-            Some(line.split(':').nth(1)?.trim().replace('"', "'"))
+            Some(line.split(':').nth(1)?.trim().to_string())
         });
         let rustc = std::process::Command::new("rustc")
             .arg("-V")
@@ -108,12 +105,11 @@ pub fn host_json() -> String {
             .filter(|o| o.status.success())
             .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
         let unknown = || "unknown".to_string();
-        format!(
-            "{{\"nproc\": {}, \"cpu\": \"{}\", \"rustc\": \"{}\"}}",
-            nproc(),
-            cpu.unwrap_or_else(unknown),
-            rustc.unwrap_or_else(unknown)
-        )
+        Json::obj()
+            .put("nproc", Json::num(nproc() as f64))
+            .put("cpu", Json::str(cpu.unwrap_or_else(unknown)))
+            .put("rustc", Json::str(rustc.unwrap_or_else(unknown)))
+            .build()
     })
     .clone()
 }
@@ -145,6 +141,5 @@ mod tests {
         assert_eq!(secs(12.34), "12.3");
         assert_eq!(secs(1.234), "1.23");
         assert_eq!(secs(0.1234), "0.123");
-        assert_eq!(pct(0.915), "91.5%");
     }
 }

@@ -14,11 +14,14 @@
 //! models (and [`dns_netmodel::eventsim`]) to extrapolate each curve to
 //! the paper's core counts, 786,432 on Mira included.
 //!
-//! Output: `BENCH_table6.json` … `BENCH_table11.json` (rows tagged
-//! `measured`, `modelled`, or `both`, each overlap row carrying
-//! `measured_s`, `modelled_s`, and `err_rel`) plus a
-//! `BENCH_scalinglab.json` campaign summary. Under `--check` the binary
-//! exits non-zero if any overlap point's model error exceeds the bound.
+//! It is also the one reproduction driver: the host kernel probes behind
+//! Tables 2, 4 and 5 ride on the same campaign, and [`tables`] writes
+//! `BENCH_table2.json` … `BENCH_table11.json` (rows tagged `measured`,
+//! `modelled`, or `both`, each overlap row carrying `measured_s`,
+//! `modelled_s`, and `err_rel`) plus a `BENCH_scalinglab.json` campaign
+//! summary with section 7 as its `conclusions`. Under `--check` the
+//! binary exits non-zero if a point the host has cores for misses the
+//! model by more than the bound, or a family has no such point.
 
 #![warn(missing_docs)]
 

@@ -1,42 +1,38 @@
-//! `dns-scaling` — the measured-vs-modelled scaling campaign.
+//! `dns-scaling` — the reproduction driver: one measured-vs-modelled
+//! campaign, every table of the paper.
 //!
 //! Runs the real stack (full RK3 steps and bare pfft cycles on minimpi)
-//! at every rank/thread configuration the host holds, harvests the
-//! telemetry counter export per point, fits the host calibration from
-//! the measured counts, extrapolates every curve to the paper's core
-//! counts through the machine models, and writes
-//! `BENCH_table6.json` … `BENCH_table11.json` plus
-//! `BENCH_scalinglab.json`.
+//! at every rank/thread configuration the host holds plus the host
+//! kernel probes, harvests the telemetry counter export per point, fits
+//! the host calibration from the measured counts, extrapolates every
+//! curve to the paper's core counts through the machine models, and
+//! writes `BENCH_table2.json` … `BENCH_table11.json` plus
+//! `BENCH_scalinglab.json` (section 7 is its `conclusions`), printing
+//! each table as text.
 //!
-//! Usage: `dns-scaling [--smoke] [--check] [--bound X] [--out-dir DIR]`
+//! Usage: `dns-scaling [--smoke] [--check] [--out-dir DIR]`
 //!
-//! Under `--check` the process exits non-zero if any overlap-region
-//! point's total-time model error exceeds the bound.
+//! Under `--check` the process exits non-zero if any gated point's
+//! total-time model error exceeds the bound, or a family has no gated
+//! point (every one of its points used more cores than the host has).
 
-use dns_scaling::{run, Bench, CampaignConfig};
+use dns_scaling::campaign::BOUND;
+use dns_scaling::tables::{rows_text, table_text, write_all};
+use dns_scaling::{run, CampaignConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut cfg = CampaignConfig::new();
-    let mut check = false;
+    let (mut smoke, mut check, mut out_dir) = (false, false, PathBuf::from("."));
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--smoke" => cfg.smoke = true,
+            "--smoke" => smoke = true,
             "--check" => check = true,
-            "--bound" => {
-                cfg.bound = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--bound needs a number");
-            }
-            "--out-dir" => {
-                cfg.out_dir = PathBuf::from(args.next().expect("--out-dir needs a path"));
-            }
+            "--out-dir" => out_dir = PathBuf::from(args.next().expect("--out-dir needs a path")),
             other => {
                 eprintln!("unknown flag: {other}");
-                eprintln!("usage: dns-scaling [--smoke] [--check] [--bound X] [--out-dir DIR]");
+                eprintln!("usage: dns-scaling [--smoke] [--check] [--out-dir DIR]");
                 return ExitCode::from(2);
             }
         }
@@ -44,80 +40,54 @@ fn main() -> ExitCode {
 
     println!(
         "== dns-scaling: measured-vs-modelled campaign ({} mode) ==",
-        if cfg.smoke { "smoke" } else { "full" }
+        if smoke { "smoke" } else { "full" }
     );
-    let c = run(cfg).expect("campaign failed");
-
-    println!("\nmeasured points ({}):", c.points.len());
-    println!(
-        "  {:<14} {:>5} {:>3} {:>11} {:>11} {:>8}",
-        "bench", "ranks", "thr", "measured_s", "modelled_s", "err_rel"
-    );
-    for p in &c.points {
-        println!(
-            "  {:<14} {:>5} {:>3} {:>11.4e} {:>11.4e} {:>7.1}%",
-            p.bench.label(),
-            p.ranks,
-            p.threads,
-            p.seconds.total(),
-            c.modelled(p).total(),
-            c.err_rel(p) * 100.0
+    let c = run(CampaignConfig { smoke, out_dir }).expect("campaign failed");
+    let files = write_all(&c).expect("write BENCH tables");
+    for (_, value) in &files {
+        if value.get("sections").is_some() {
+            println!("\n{}", table_text(value));
+            continue;
+        }
+        let block = |key| value.get(key).expect("scalinglab block");
+        println!("\n== Section 7: conclusions, quantified ==");
+        for key in ["aggregate", "sensitivity", "hybrid_vs_mpi"] {
+            let rows = block("conclusions").get(key).expect("conclusions block");
+            print!("\n{key}\n{}", rows_text(rows));
+        }
+        println!("\n== host calibration (points with cores <= nproc) and count ratios ==");
+        for key in ["rk3", "pfft"] {
+            let rates = block("calibration").get(key).expect("calibration block");
+            print!("\n{key}\n{}", rows_text(rates));
+        }
+        print!(
+            "\nmeasured / analytic\n{}",
+            rows_text(block("count_ratios"))
         );
     }
 
-    println!("\ncalibration (host):");
-    println!(
-        "  rk3:  fft {:.3e} flop/s, ns {:.3e} flop/s, stream {:.3e} B/s, residual {:.1}%",
-        c.cal_rk3.fft_flop_rate,
-        c.cal_rk3.ns_flop_rate,
-        c.cal_rk3.stream_bw,
-        c.residual(Bench::Rk3Strong).max(c.residual(Bench::Rk3Weak)) * 100.0
-    );
-    println!(
-        "  pfft: fft {:.3e} flop/s, stream {:.3e} B/s, residual {:.1}%",
-        c.cal_pfft.fft_flop_rate,
-        c.cal_pfft.stream_bw,
-        c.residual(Bench::PfftCustom)
-            .max(c.residual(Bench::PfftBaseline))
-            * 100.0
-    );
-    println!(
-        "  count ratios (measured/analytic): rk3 fft {:.3}, ns {:.3}, transpose {:.3}; pfft fft {:.3}, transpose {:.3}",
-        c.ratios.rk3_fft, c.ratios.rk3_ns, c.ratios.rk3_transpose, c.ratios.pfft_fft, c.ratios.pfft_transpose
-    );
-
-    println!("\neventsim cross-check (Mira all-to-all, Table 9 grid):");
-    for e in &c.eventsim {
-        println!(
-            "  {:>5} ranks: analytic {:.4e} s, simulated {:.4e} s (x{:.2})",
-            e.cores,
-            e.analytic_s,
-            e.sim_s,
-            if e.analytic_s > 0.0 {
-                e.sim_s / e.analytic_s
-            } else {
-                0.0
-            }
-        );
-    }
-
-    let files = dns_scaling::tables::write_all(&c).expect("write BENCH tables");
     println!("\nwrote:");
-    for f in &files {
-        println!("  {}", f.display());
+    for (path, _) in &files {
+        println!("  {}", path.display());
     }
 
     let (worst, i) = c.worst_err();
+    let gated = c.points.iter().filter(|p| !p.oversubscribed()).count();
     println!(
-        "\noverlap check: worst err_rel {:.1}% at {}_r{}_t{} (bound {:.1}%)",
+        "\noverlap check: worst err_rel {:.1}% at {} (bound {:.1}%, {gated} of {} points gated)",
         worst * 100.0,
-        c.points[i].bench.label(),
-        c.points[i].ranks,
-        c.points[i].threads,
-        c.cfg.bound * 100.0
+        c.points[i].name(),
+        BOUND * 100.0,
+        c.points.len()
     );
+    for b in c.ungated_families() {
+        eprintln!(
+            "UNGATED: every {} point is oversubscribed on this host; the gate cannot speak for it",
+            b.label()
+        );
+    }
     if check && !c.check_passes() {
-        eprintln!("CHECK FAILED: model error exceeds bound in the overlap region");
+        eprintln!("CHECK FAILED: model error exceeds the bound, or a family is ungated");
         return ExitCode::FAILURE;
     }
     if check {

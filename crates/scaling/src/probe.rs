@@ -22,15 +22,26 @@
 //! The RK3 probe owns no step loop: it is a [`RunObserver`] on
 //! [`dns_core::run::execute`], so the steps it times are the engine's
 //! steps, clocked by the engine's own [`StepCtx::wall_s`].
+//!
+//! The host rows of Tables 2, 4 and 5 come from three kernel probes
+//! below the stack probes — one banded solve, the on-node reorders, the
+//! CommA x CommB split sweep — each the fastest of N calls, not a mean.
 
+use crate::campaign::grid;
+use dns_banded::testmat::CollocationLike;
+use dns_banded::CornerLu;
 use dns_core::params::Params;
 use dns_core::run::{
     execute, InitialCondition, RunConfig, RunControl, RunObserver, RunSpec, RunStatus, StepCtx,
 };
 use dns_core::solver::{ChannelDns, PhaseTimers};
-use dns_minimpi::{Communicator, FaultPlan};
+use dns_minimpi::{CartComm, Communicator, FaultPlan};
+use dns_netmodel::dnscost::Grid;
+use dns_pencil::reorder::{reorder_blocked, reorder_naive};
+use dns_pencil::{block_len, ExchangeStrategy, RowsPlacement, TransposePlan};
 use dns_pfft::{ParallelFft, PfftConfig};
 use dns_telemetry as telemetry;
+use std::hint::black_box;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -241,6 +252,121 @@ pub fn probe_pfft_cycle(
         )
     });
     Probe::from_ranks(threads, cycles, &per_rank)
+}
+
+/// Seconds of the fastest of `reps` calls of `f`, after one untimed
+/// call. On a shared host the mean of a kernel's timings measures the
+/// neighbours; the minimum measures the kernel.
+fn fastest(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let timed = (0..reps).map(|_| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    });
+    timed.fold(f64::INFINITY, f64::min)
+}
+
+/// Table 2's host row: seconds of one bandwidth-15
+/// [`CornerLu::solve_complex`] on the N = 1024 Table 1 matrix (complex
+/// right-hand side against real factors, solved in place).
+pub fn probe_banded_solve(reps: usize) -> f64 {
+    let cfg = CollocationLike::table1(15);
+    let lu = CornerLu::factor(cfg.corner()).expect("the Table 1 matrix factors");
+    let mut rhs = cfg.rhs();
+    fastest(reps, || {
+        lu.solve_complex(&mut rhs);
+        black_box(&rhs);
+    })
+}
+
+/// Table 4's host rows at the spectral grid `g`, as `(kernel, shape,
+/// seconds of one pass)` over 16-byte elements: the reorders the solver
+/// runs on one rank — [`TransposePlan::run_with`]'s `p == 1` arm at the
+/// x<->z ([`RowsPlacement::Outer`]) and z<->y ([`RowsPlacement::Middle`])
+/// shapes `[rows, nf, nt]` that `ParallelFft` plans for `g` — beside
+/// [`reorder_naive`] and [`reorder_blocked`] at the z<->y element count
+/// (shape `[ni, nj, nk]`).
+pub fn probe_reorder(g: Grid, reps: usize) -> Vec<(&'static str, [usize; 3], f64)> {
+    let plans = [
+        (
+            "transpose_outer",
+            [g.ny, g.pz(), g.sx()],
+            RowsPlacement::Outer,
+        ),
+        (
+            "transpose_middle",
+            [g.sx(), g.ny, g.nz],
+            RowsPlacement::Middle,
+        ),
+    ];
+    let on_one_rank = dns_minimpi::run(1, move |world| {
+        plans.map(|(kernel, shape, placement)| {
+            let [rows, nf, nt] = shape;
+            let strategy = ExchangeStrategy::AllToAll;
+            let plan = TransposePlan::with_placement(&world, rows, nf, nt, strategy, placement);
+            let input = vec![[1.0f64; 2]; plan.input_len()];
+            let (mut send, mut out) = (Vec::new(), Vec::new());
+            let seconds = fastest(reps, || {
+                plan.run_with(&world, &input, &mut send, &mut out);
+                black_box(&out);
+            });
+            (kernel, shape, seconds)
+        })
+    });
+    let mut probes = on_one_rank[0].to_vec();
+    let shape @ [ni, nj, nk] = [g.ny, g.sx(), g.nz];
+    let a = vec![[1.0f64; 2]; ni * nj * nk];
+    let mut out = a.clone();
+    let naive = fastest(reps, || {
+        reorder_naive(&a, ni, nj, nk, &mut out);
+        black_box(&out);
+    });
+    probes.push(("reorder_naive", shape, naive));
+    let blocked = fastest(reps, || {
+        reorder_blocked(&a, ni, nj, nk, &mut out, 16);
+        black_box(&out);
+    });
+    probes.push(("reorder_blocked_16", shape, blocked));
+    probes
+}
+
+/// Ranks of the Table 5 functional sweep.
+pub const SPLIT_RANKS: usize = 8;
+/// Spectral grid of the Table 5 functional sweep.
+pub const SPLIT_GRID: Grid = grid(64, 32, 64);
+
+/// Table 5's host rows, `(CommA, CommB, seconds)` like the paper's: every
+/// factorisation of [`SPLIT_RANKS`] minimpi ranks, each running one x<->z
+/// exchange over CommA and one z<->y exchange over CommB of
+/// [`SPLIT_GRID`] (seconds of the pair on the slowest rank). All ranks
+/// share one memory, so the paper's preference for a node-local CommB
+/// has no analogue here; the rows exercise `CartComm::sub` and the
+/// planned exchanges end to end.
+pub fn probe_split_sweep(reps: usize) -> Vec<(usize, usize, f64)> {
+    let (nx, ny, nz) = (SPLIT_GRID.nx, SPLIT_GRID.ny, SPLIT_GRID.nz);
+    let per_rank = dns_minimpi::run(SPLIT_RANKS, move |world| {
+        [(8usize, 1usize), (4, 2), (2, 4), (1, 8)].map(|(pa, pb)| {
+            let cart = CartComm::new(world.dup(), &[pa, pb]);
+            let (comm_a, comm_b) = (cart.sub(0), cart.sub(1));
+            let nyl = block_len(ny, pb, comm_b.rank());
+            let sxl = block_len(nx / 2, pa, comm_a.rank());
+            let (all, middle) = (ExchangeStrategy::AllToAll, RowsPlacement::Middle);
+            let t_a = TransposePlan::new(&comm_a, nyl, nz, nx / 2, all);
+            let t_b = TransposePlan::with_placement(&comm_b, sxl, ny, nz, all, middle);
+            let xa = vec![1.0f64; t_a.input_len()];
+            let xb = vec![1.0f64; t_b.input_len()];
+            let (mut send, mut mid, mut up) = (Vec::new(), Vec::new(), Vec::new());
+            comm_a.barrier();
+            let mine = fastest(reps, || {
+                t_a.run_with(&comm_a, &xa, &mut send, &mut mid);
+                t_b.run_with(&comm_b, &xb, &mut send, &mut up);
+                black_box((&mid, &up));
+            });
+            (pa, pb, comm_b.allreduce_max(comm_a.allreduce_max(mine)))
+        })
+    });
+    per_rank[0].to_vec()
 }
 
 #[cfg(test)]
