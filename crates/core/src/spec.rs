@@ -31,7 +31,7 @@ pub enum InitialCondition {
     /// transition recipe the figure harnesses use for the minimal
     /// channel (the excess shear feeds the instability far more
     /// reliably than starting from the turbulent mean; see
-    /// `dns_bench::validation::minimal_channel_params`). Used by the
+    /// `dns_scaling::validation::minimal_channel_params`). Used by the
     /// `dns-validate` science gate.
     SeededTransition {
         /// Laminar profile scale factor.

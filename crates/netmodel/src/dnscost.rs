@@ -140,10 +140,9 @@ fn field_fft_bytes(g: &Grid) -> f64 {
 }
 
 /// Machine-independent workload totals for one full RK3 timestep —
-/// whole-machine flops and nominal transpose traffic. `dns-bench --bin
-/// phases` divides these by host rates calibrated at run time to turn
-/// the model into per-phase seconds comparable with a live telemetry
-/// snapshot.
+/// whole-machine flops and nominal transpose traffic. `dns-scaling`
+/// divides the counts a run measured by these (its count ratios) and
+/// scales the model's at-scale predictions by the quotients.
 #[derive(Clone, Copy, Debug)]
 pub struct StepWorkload {
     /// FFT flops per timestep (all fields, both directions, 3 substeps).

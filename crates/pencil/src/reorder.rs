@@ -21,7 +21,7 @@ pub fn reorder_naive<T: Copy>(a: &[T], ni: usize, nj: usize, nk: usize, out: &mu
 
 /// Cache-blocked variant: tiles of `bs x bs` in the (i, k) plane so both
 /// the gather and scatter sides stay within cache lines. Called by the
-/// Table 4 probe and the criterion bench only: the solver's single-rank
+/// Table 4 probe (`dns-scaling`) only: the solver's single-rank
 /// route (`TransposePlan::try_run_with`, `p == 1`) is its own strided
 /// triple loop, the naive form of this reorder.
 pub fn reorder_blocked<T: Copy>(

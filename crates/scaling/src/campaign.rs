@@ -2,10 +2,12 @@
 //! host can hold, harvest counts, fit the host calibration, and
 //! cross-check the network model with the event simulator.
 
+use crate::paper;
 use crate::probe::{
-    probe_banded_solve, probe_pfft_cycle, probe_reorder, probe_rk3, probe_split_sweep, Probe,
+    probe_fusion, probe_pfft_cycle, probe_reorder, probe_rk3, probe_split_sweep, probe_table1,
+    FusionRow, Probe, Table1,
 };
-use dns_bench::paper;
+use crate::report::nproc;
 use dns_core::params::Params;
 use dns_netmodel::calibration::{Calibration, Observation, StepCounts, StepSeconds};
 use dns_netmodel::dnscost::{self, Grid};
@@ -86,7 +88,7 @@ impl Point {
     /// counts (they feed [`CountRatios`]) and drops its timings: it is
     /// neither fitted nor gated.
     pub fn oversubscribed(&self) -> bool {
-        self.cores > dns_bench::report::nproc()
+        self.cores > nproc()
     }
 
     /// The point as a calibration observation.
@@ -162,8 +164,12 @@ pub struct Campaign {
     pub ratios: CountRatios,
     /// Event-simulator cross-checks of the network model.
     pub eventsim: Vec<EventsimCheck>,
-    /// Table 2's host row: seconds of one bandwidth-15 banded solve.
-    pub solve_s: f64,
+    /// Table 1's host rows; its bandwidth-15 corner solve is Table 2's.
+    pub table1: Table1,
+    /// The fusion ablation's grid.
+    pub fusion_grid: Grid,
+    /// The fusion ablation, one row per thread count.
+    pub fusion: Vec<FusionRow>,
     /// Table 4's host rows: `(kernel, shape, seconds)` of the on-node
     /// reorders at the strong grid.
     pub reorder: Vec<(&'static str, [usize; 3], f64)>,
@@ -448,60 +454,90 @@ fn des_cycle(m: &Machine, pa: usize, pb: usize, elems: f64, total: usize) -> f64
     2.0 * (simulate(m, &exchange(pa, pb)) + simulate(m, &exchange(pb, 1)))
 }
 
+/// The sizes of one campaign mode.
+struct Sizes {
+    /// Rank counts of the RK3 and pfft sweeps.
+    ranks: &'static [usize],
+    /// RK3 strong grid (also Tables 3 and 4's), pfft grid.
+    strong: Grid,
+    pfft: Grid,
+    /// `(warmup, timed)` RK3 steps, pfft cycles.
+    steps: (usize, usize),
+    cycles: (usize, usize),
+    /// FFT threads of the hybrid point, at most the host's cores.
+    hybrid_threads: usize,
+    /// Rank counts of the eventsim cross-checks.
+    sim_cores: &'static [usize],
+    /// Calls a kernel probe takes the fastest of.
+    reps: usize,
+    /// Table 1: batched-sweep sizes and widths, `(ny, width)` set-ups.
+    sweep_sizes: &'static [usize],
+    sweep_widths: &'static [usize],
+    setups: &'static [(usize, usize)],
+    /// The fusion ablation: grid, thread counts, calls per timing.
+    fusion: (Grid, &'static [usize], usize),
+}
+
+/// CI-sized: seconds, not minutes, but the same code paths.
+const SMOKE: Sizes = Sizes {
+    ranks: &[1, 2, 4],
+    strong: grid(32, 33, 32),
+    pfft: grid(32, 17, 32),
+    steps: (1, 2),
+    cycles: (1, 3),
+    hybrid_threads: 2,
+    sim_cores: &[512, 1024],
+    reps: 20,
+    sweep_sizes: &[128],
+    sweep_widths: &[1, 8, 32],
+    setups: &[(25, 119)],
+    fusion: (grid(32, 33, 32), &[1, 2], 10),
+};
+
+const FULL: Sizes = Sizes {
+    ranks: &[1, 2, 4, 8],
+    strong: grid(48, 49, 48),
+    pfft: grid(64, 33, 64),
+    steps: (1, 3),
+    cycles: (1, 5),
+    hybrid_threads: 4,
+    sim_cores: &[512, 1024, 2048],
+    reps: 200,
+    sweep_sizes: &[256, 1024],
+    sweep_widths: &[1, 2, 4, 8, 16, 32, 64],
+    // the 48 x 49 x 48 reference box, and a taller channel
+    setups: &[(49, 1127), (129, 1127)],
+    fusion: (grid(128, 129, 128), &[1, 2, 4], 3),
+};
+
 /// Run the full campaign: probe every configuration, archive the counts
 /// exports, fit the host calibrations, run the eventsim cross-checks and
 /// the host kernel probes. Prints one progress line per probe on stderr.
 pub fn run(cfg: CampaignConfig) -> std::io::Result<Campaign> {
     std::fs::create_dir_all(&cfg.out_dir)?;
-    // rank sweep, rk3 strong grid, pfft grid, (warmup, steps), (warmup,
-    // cycles), hybrid threads, eventsim rank counts, kernel-probe reps
-    let (rank_sweep, strong, pfft_grid, steps, cycles, hybrid_threads, sim_cores, reps) =
-        if cfg.smoke {
-            let sim = &[512, 1024][..];
-            (
-                &[1, 2, 4][..],
-                grid(32, 33, 32),
-                grid(32, 17, 32),
-                (1, 2),
-                (1, 3),
-                2,
-                sim,
-                20,
-            )
-        } else {
-            let (ranks, sim) = (&[1, 2, 4, 8][..], &[512, 1024, 2048][..]);
-            (
-                ranks,
-                grid(48, 49, 48),
-                grid(64, 33, 64),
-                (1, 3),
-                (1, 5),
-                4,
-                sim,
-                200,
-            )
-        };
+    let s = if cfg.smoke { &SMOKE } else { &FULL };
+    let (strong, steps) = (s.strong, s.steps);
 
     let mut points = Vec::new();
-    for &r in rank_sweep {
+    for &r in s.ranks {
         eprintln!("[dns-scaling] rk3 strong: {r} ranks");
         points.push(rk3_point(&cfg, Bench::Rk3Strong, strong, (r, 1), steps)?);
     }
-    for &r in rank_sweep {
+    for &r in s.ranks {
         let g = grid(16 * r, 17, 16);
         eprintln!("[dns-scaling] rk3 weak: {r} ranks, nx {}", g.nx);
         points.push(rk3_point(&cfg, Bench::Rk3Weak, g, (r, 1), steps)?);
     }
-    eprintln!("[dns-scaling] rk3 hybrid: 1 rank x {hybrid_threads} threads");
-    let hybrid = (1, hybrid_threads);
+    let hybrid = (1, s.hybrid_threads.min(nproc()));
+    eprintln!("[dns-scaling] rk3 hybrid: 1 rank x {} threads", hybrid.1);
     points.push(rk3_point(&cfg, Bench::Rk3Hybrid, strong, hybrid, steps)?);
     for (bench, kernel) in [
         (Bench::PfftCustom, "customized"),
         (Bench::PfftBaseline, "p3dfft baseline"),
     ] {
-        for &r in rank_sweep {
+        for &r in s.ranks {
             eprintln!("[dns-scaling] pfft {kernel}: {r} ranks");
-            points.push(pfft_point(&cfg, bench, pfft_grid, r, cycles)?);
+            points.push(pfft_point(&cfg, bench, s.pfft, r, s.cycles)?);
         }
     }
 
@@ -514,12 +550,14 @@ pub fn run(cfg: CampaignConfig) -> std::io::Result<Campaign> {
     let cal_rk3 = fit(true).expect("rk3 campaign produced no usable counts");
     let cal_pfft = fit(false).expect("pfft campaign produced no usable counts");
     let ratios = count_ratios(&points);
-    let eventsim = eventsim_checks(sim_cores);
+    let eventsim = eventsim_checks(s.sim_cores);
 
-    eprintln!("[dns-scaling] host kernels: banded solve, reorders, split sweep");
-    let solve_s = probe_banded_solve(10 * reps);
-    let reorder = probe_reorder(strong, reps);
-    let splits = probe_split_sweep(reps);
+    eprintln!("[dns-scaling] host kernels: banded solvers, reorders, split sweep, fusion");
+    let table1 = probe_table1(s.sweep_sizes, s.sweep_widths, s.setups, s.reps);
+    let reorder = probe_reorder(strong, s.reps);
+    let splits = probe_split_sweep(s.reps);
+    let (fusion_grid, threads, fusion_reps) = s.fusion;
+    let fusion = probe_fusion(fusion_grid, threads, fusion_reps);
     eprintln!("[dns-scaling] eventsim: Table 5 split sweeps");
     let sweep_sim = |(_, m, g, cores, rows): &SplitSweep| {
         let elems = (g.sx() * g.nz * g.ny) as f64 / *cores as f64;
@@ -535,9 +573,11 @@ pub fn run(cfg: CampaignConfig) -> std::io::Result<Campaign> {
         cal_pfft,
         ratios,
         eventsim,
-        solve_s,
+        table1,
         reorder,
         splits,
         split_sim,
+        fusion_grid,
+        fusion,
     })
 }

@@ -6,9 +6,9 @@
 //! kernel probes, harvests the telemetry counter export per point, fits
 //! the host calibration from the measured counts, extrapolates every
 //! curve to the paper's core counts through the machine models, and
-//! writes `BENCH_table2.json` … `BENCH_table11.json` plus
-//! `BENCH_scalinglab.json` (section 7 is its `conclusions`), printing
-//! each table as text.
+//! writes `BENCH_table1.json` … `BENCH_table11.json`, `BENCH_fusion.json`
+//! and `BENCH_scalinglab.json` (section 7 is its `conclusions`),
+//! printing each table as text.
 //!
 //! Usage: `dns-scaling [--smoke] [--check] [--out-dir DIR]`
 //!

@@ -23,18 +23,23 @@
 //! [`dns_core::run::execute`], so the steps it times are the engine's
 //! steps, clocked by the engine's own [`StepCtx::wall_s`].
 //!
-//! The host rows of Tables 2, 4 and 5 come from three kernel probes
-//! below the stack probes — one banded solve, the on-node reorders, the
-//! CommA x CommB split sweep — each the fastest of N calls, not a mean.
+//! The host rows of Tables 1, 2, 4 and 5 and the fusion ablation come
+//! from the kernel probes below the stack probes — the banded solvers,
+//! the nonlinear evaluation fused and unfused, the on-node reorders,
+//! the CommA x CommB split sweep — each the fastest of N calls, not a
+//! mean, and each pinned to its oracle before it is timed.
 
 use crate::campaign::grid;
+use crate::paper;
 use dns_banded::testmat::CollocationLike;
-use dns_banded::CornerLu;
+use dns_banded::{BandedLu, BatchedFactor, CornerLu, LaneBand, RhsPanel, C64, LANES};
+use dns_bspline::{tanh_breakpoints, BsplineBasis, CollocationOps};
+use dns_core::nonlinear::{self, NlTerms, NlWorkspace};
 use dns_core::params::Params;
 use dns_core::run::{
     execute, InitialCondition, RunConfig, RunControl, RunObserver, RunSpec, RunStatus, StepCtx,
 };
-use dns_core::solver::{ChannelDns, PhaseTimers};
+use dns_core::solver::{run_serial, ChannelDns, PhaseTimers};
 use dns_minimpi::{CartComm, Communicator, FaultPlan};
 use dns_netmodel::dnscost::Grid;
 use dns_pencil::reorder::{reorder_blocked, reorder_naive};
@@ -267,17 +272,306 @@ fn fastest(reps: usize, mut f: impl FnMut()) -> f64 {
     timed.fold(f64::INFINITY, f64::min)
 }
 
-/// Table 2's host row: seconds of one bandwidth-15
-/// [`CornerLu::solve_complex`] on the N = 1024 Table 1 matrix (complex
-/// right-hand side against real factors, solved in place).
-pub fn probe_banded_solve(reps: usize) -> f64 {
-    let cfg = CollocationLike::table1(15);
-    let lu = CornerLu::factor(cfg.corner()).expect("the Table 1 matrix factors");
-    let mut rhs = cfg.rhs();
-    fastest(reps, || {
-        lu.solve_complex(&mut rhs);
-        black_box(&rhs);
-    })
+/// Bandwidth of the batched sweep: the DNS operators' width.
+pub const SWEEP_BANDWIDTH: usize = 15;
+/// Threads of the batched sweep's threaded panel solve.
+pub const PANEL_THREADS: usize = 2;
+
+/// One point of Table 1's batched sweep: `width` distinct operators
+/// (same band structure, different entries — as the per-(kx,kz)
+/// Helmholtz operators of the DNS), solved one by one and as one panel.
+pub struct SweepRow {
+    /// Matrix size.
+    pub n: usize,
+    /// Right-hand sides (and operators) per panel.
+    pub width: usize,
+    /// Seconds of `width` scalar [`CornerLu::solve_complex`] calls, of
+    /// one [`BatchedFactor::solve_panel`], and of the same panel on
+    /// [`PANEL_THREADS`] threads.
+    pub seconds: [f64; 3],
+    /// Largest batched-vs-scalar relative difference (pinned < 1e-12).
+    pub max_rel_err: f64,
+    /// One operator shared by every column: `[scalar, panel]` seconds of
+    /// `width` solves ...
+    pub shared_solve_s: [f64; 2],
+    /// ... and of `width` matvecs.
+    pub shared_matvec_s: [f64; 2],
+}
+
+/// Table 1's host rows.
+pub struct Table1 {
+    /// Size of the classic rows' matrix ([`CollocationLike::table1`]'s).
+    pub n: usize,
+    /// Per bandwidth of [`paper::TABLE1`], seconds of one size-`n`
+    /// solve, `[general real-split, general complex, corner]`; the
+    /// bandwidth-15 corner solve is also Table 2's host row.
+    pub classic: Vec<(usize, [f64; 3])>,
+    /// The batched sweep, size by size, width by width.
+    pub sweep: Vec<SweepRow>,
+    /// `(ny, width, [per mode, lane-blocked])` seconds of building one
+    /// Helmholtz family's factors.
+    pub setup: Vec<(usize, usize, [f64; 2])>,
+}
+
+/// Table 1's host rows: the classic comparison at every bandwidth of
+/// [`paper::TABLE1`] (fastest of `10 * reps` solves, the operators
+/// factored once as the DNS does), the batched sweep over `sizes` x
+/// `widths` and the set-up rows at `setups` (fastest of `reps`). Every
+/// timed call refills its right-hand sides, on both sides of a
+/// comparison.
+pub fn probe_table1(
+    sizes: &[usize],
+    widths: &[usize],
+    setups: &[(usize, usize)],
+    reps: usize,
+) -> Table1 {
+    let classic = paper::TABLE1.iter().map(|&(bw, ..)| {
+        let cfg = CollocationLike::table1(bw);
+        let rhs = cfg.rhs();
+        let lu_r = BandedLu::factor(&cfg.general::<f64>()).expect("Table 1 matrix factors");
+        let lu_z = BandedLu::factor(&cfg.general::<C64>()).expect("Table 1 matrix factors");
+        let lu_c = CornerLu::factor(cfg.corner()).expect("Table 1 matrix factors");
+        let (mut buf, mut scratch) = (rhs.clone(), vec![0.0; 2 * cfg.n]);
+        let mut solve = |f: &dyn Fn(&mut [C64], &mut [f64])| {
+            fastest(10 * reps, || {
+                buf.copy_from_slice(&rhs);
+                f(&mut buf, &mut scratch);
+                black_box(&buf);
+            })
+        };
+        let seconds = [
+            solve(&|x, s| lu_r.solve_complex_split(x, s)),
+            solve(&|x, _| lu_z.solve(x)),
+            solve(&|x, _| lu_c.solve_complex(x)),
+        ];
+        (bw, seconds)
+    });
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(PANEL_THREADS)
+        .build()
+        .expect("a rayon pool");
+    let points = sizes
+        .iter()
+        .flat_map(|&n| widths.iter().map(move |&w| (n, w)));
+    let sweep = points.map(|(n, width)| sweep_point(n, width, reps, &pool));
+    let setup = setups
+        .iter()
+        .map(|&(ny, w)| (ny, w, setup_point(ny, w, reps)));
+    Table1 {
+        n: CollocationLike::table1(SWEEP_BANDWIDTH).n,
+        classic: classic.collect(),
+        sweep: sweep.collect(),
+        setup: setup.collect(),
+    }
+}
+
+fn sweep_point(n: usize, width: usize, reps: usize, pool: &rayon::ThreadPool) -> SweepRow {
+    let p = SWEEP_BANDWIDTH / 2;
+    let mats: Vec<_> = (1..=width as u64)
+        .map(|seed| CollocationLike { n, p, nc: 2, seed }.corner())
+        .collect();
+    let lus: Vec<_> = mats
+        .iter()
+        .map(|m| CornerLu::factor(m.clone()).expect("sweep matrix factors"))
+        .collect();
+    let a = mats[0].clone();
+    let batch = BatchedFactor::factor(mats).expect("sweep matrices factor");
+    // one distinct complex RHS per operator, as each mode of the DNS
+    let rhs: Vec<Vec<C64>> = (0..width).map(|m| wave(n, m)).collect();
+    let mut panel = RhsPanel::new(n, width);
+    let refill = |panel: &mut RhsPanel| {
+        for (m, col) in rhs.iter().enumerate() {
+            panel.load_col(m, col);
+        }
+    };
+    refill(&mut panel);
+    batch.solve_panel(&mut panel);
+    let mut max_rel_err = 0.0f64;
+    for (m, col) in rhs.iter().enumerate() {
+        let mut x = col.clone();
+        lus[m].solve_complex(&mut x);
+        for (j, xs) in x.iter().enumerate() {
+            let rel = (panel.at(j, m) - xs).norm() / (1.0 + xs.norm());
+            max_rel_err = max_rel_err.max(rel);
+        }
+    }
+    assert!(
+        max_rel_err < 1e-12,
+        "batched/scalar drift {max_rel_err:.3e} at n={n} width={width}"
+    );
+    // one operator shared by every column: the panel sweeps are pinned
+    // bitwise to the scalar kernels
+    let lu = &lus[0];
+    refill(&mut panel);
+    let mut y = RhsPanel::new(n, width);
+    a.matvec_panel(&panel, &mut y);
+    lu.solve_panel(&mut panel);
+    let mut want = vec![C64::new(0.0, 0.0); n];
+    for (m, col) in rhs.iter().enumerate() {
+        a.matvec_complex(col, &mut want);
+        assert_eq!(y.col_to_vec(m), want, "shared matvec, n={n} col {m}");
+        want.copy_from_slice(col);
+        lu.solve_complex(&mut want);
+        assert_eq!(panel.col_to_vec(m), want, "shared solve, n={n} col {m}");
+    }
+
+    // a scalar timing calls `f(column, out)` per column, a panel timing
+    // refills the panel and sweeps it once
+    let mut buf = want;
+    let mut per_col = |f: &dyn Fn(usize, &mut [C64])| {
+        fastest(reps, || {
+            for m in 0..width {
+                f(m, &mut buf);
+                black_box(&buf);
+            }
+        })
+    };
+    let solve = |lu: &CornerLu, m: usize, x: &mut [C64]| {
+        x.copy_from_slice(&rhs[m]);
+        lu.solve_complex(x);
+    };
+    let scalar = per_col(&|m, x| solve(&lus[m], m, x));
+    let shared_solve = per_col(&|m, x| solve(lu, m, x));
+    let shared_matvec = per_col(&|m, x| a.matvec_complex(&rhs[m], x));
+    let mut per_panel = |f: &dyn Fn(&mut RhsPanel)| {
+        fastest(reps, || {
+            refill(&mut panel);
+            f(&mut panel);
+            black_box(&panel);
+        })
+    };
+    let seconds = [
+        scalar,
+        per_panel(&|p| batch.solve_panel(p)),
+        per_panel(&|p| batch.solve_panel_threaded(p, Some(pool))),
+    ];
+    let shared_solve_s = [shared_solve, per_panel(&|p| lu.solve_panel(p))];
+    // the matvec reads the panel without writing it: one refill serves
+    refill(&mut panel);
+    let matvec_panel = fastest(reps, || {
+        a.matvec_panel(&panel, &mut y);
+        black_box(&y);
+    });
+    SweepRow {
+        n,
+        width,
+        seconds,
+        max_rel_err,
+        shared_solve_s,
+        shared_matvec_s: [shared_matvec, matvec_panel],
+    }
+}
+
+/// A smooth complex right-hand side of length `n`, the `m`-th of a set.
+fn wave(n: usize, m: usize) -> Vec<C64> {
+    let x = |i| i as f64 / n as f64 + m as f64;
+    let at = |i| C64::new((13.0 * x(i)).sin() + 0.3, (7.0 * x(i)).cos() - 0.1);
+    (0..n).map(at).collect()
+}
+
+/// `[per mode, lane-blocked]` seconds of building the substep-0
+/// Helmholtz factors `(1 + c k^2) B0 - c B2` with Dirichlet wall rows for
+/// `width` wavenumbers on an order-8 basis of `ny` functions: `combine`
+/// -> `set_boundary_row` -> [`CornerLu::factor`] per mode, vs [`LANES`]
+/// modes at a time through [`LaneBand`] into a [`BatchedFactor`]. The
+/// two sets of factors are pinned to solve bit-equal first.
+fn setup_point(ny: usize, width: usize, reps: usize) -> [f64; 2] {
+    let ops = CollocationOps::new(&BsplineBasis::new(8, &tanh_breakpoints(ny - 7, 1.9)));
+    let (n, p, c) = (ops.n(), ops.b0().kl(), 0.4 * 5e-4 / 180.0);
+    // a 24-wide kx row per kz, as the reference box owns them
+    let k2s: Vec<f64> = (1..=width)
+        .map(|m| ((m % 24) as f64).powi(2) + (2.5 * (m / 24) as f64).powi(2))
+        .collect();
+    let scalar = || -> Vec<CornerLu> {
+        let factor = |&k2: &f64| {
+            let mut m = ops.combine(1.0 + c * k2, 0.0, -c);
+            ops.set_boundary_row(&mut m, 0, -1.0, 0);
+            ops.set_boundary_row(&mut m, n - 1, 1.0, 0);
+            CornerLu::factor(m).expect("Helmholtz operator factors")
+        };
+        k2s.iter().map(factor).collect()
+    };
+    let lane = || -> BatchedFactor {
+        let mut out = BatchedFactor::zeros(n, p, p, width);
+        let mut band = LaneBand::new(n, p, p);
+        for (blk, chunk) in k2s.chunks(LANES).enumerate() {
+            let a = std::array::from_fn(|l| 1.0 + c * chunk.get(l).unwrap_or(&1.0));
+            band.assemble(ops.b0(), ops.b2(), &a, -c, ops.wall_rows());
+            band.factor().expect("Helmholtz operators factor");
+            out.set_block(blk, &band);
+        }
+        out
+    };
+    let (lus, batch) = (scalar(), lane());
+    let rhs = wave(n, 0);
+    let mut panel = RhsPanel::new(n, width);
+    (0..width).for_each(|m| panel.load_col(m, &rhs));
+    batch.solve_panel(&mut panel);
+    for (m, lu) in lus.iter().enumerate() {
+        let mut x = rhs.clone();
+        lu.solve_complex(&mut x);
+        assert_eq!(panel.col_to_vec(m), x, "lane-built factors, col {m}");
+    }
+    [
+        fastest(reps, || drop(black_box(scalar()))),
+        fastest(reps, || drop(black_box(lane()))),
+    ]
+}
+
+/// The fusion ablation at one thread count: `[unfused, fused]` seconds
+/// and telemetry `DdrBytes` of one nonlinear evaluation.
+pub struct FusionRow {
+    /// FFT threads of the one rank.
+    pub threads: usize,
+    /// Fastest-of-N seconds per evaluation.
+    pub seconds: [f64; 2],
+    /// DDR bytes per evaluation (an exact count).
+    pub ddr_bytes: [u64; 2],
+}
+
+/// The fusion ablation (DESIGN.md section 4.1) on one rank at grid `g`,
+/// per thread count: the pre-fusion reference
+/// ([`nonlinear::compute_unfused`]: six products through the batched
+/// full-field transforms) against the production pipeline
+/// ([`nonlinear::compute_into`]: five products formed in cache between
+/// the x-inverse and x-forward passes), each the fastest of `reps`.
+/// What an evaluation costs depends on the grid alone, not on the box.
+pub fn probe_fusion(g: Grid, threads: &[usize], reps: usize) -> Vec<FusionRow> {
+    let row = |&threads: &usize| {
+        let params = Params::channel(g.nx, g.ny, g.nz, 180.0).with_fft_threads(threads);
+        let (seconds, ddr_bytes) = run_serial(params, move |dns| {
+            dns.set_turbulent_mean(1.0);
+            dns.add_perturbation(0.5, 2024);
+            let (mut out, mut ws) = (NlTerms::default(), NlWorkspace::default());
+            let mut fused = || {
+                nonlinear::compute_into(dns, &mut out, &mut ws);
+                black_box(&out);
+            };
+            let unfused = || drop(black_box(nonlinear::compute_unfused(dns)));
+            let seconds = [fastest(reps, unfused), fastest(reps, &mut fused)];
+            (seconds, [ddr_of(unfused), ddr_of(fused)])
+        });
+        FusionRow {
+            threads,
+            seconds,
+            ddr_bytes,
+        }
+    };
+    threads.iter().map(row).collect()
+}
+
+/// DDR bytes of one call of `f`, per the transpose-layer counter.
+fn ddr_of(f: impl FnOnce()) -> u64 {
+    telemetry::set_level(telemetry::Level::Phases);
+    telemetry::flush_thread();
+    telemetry::reset();
+    f();
+    telemetry::flush_thread();
+    let bytes = telemetry::snapshot()
+        .total_counters()
+        .get(telemetry::Counter::DdrBytes);
+    telemetry::set_level(telemetry::Level::Off);
+    bytes
 }
 
 /// Table 4's host rows at the spectral grid `g`, as `(kernel, shape,

@@ -1,5 +1,6 @@
 //! BENCH table emitters: serialize a finished [`Campaign`] into the
-//! paper's Tables 2–11 and section 7 as machine-readable JSON.
+//! paper's Tables 1–11, the fusion ablation and section 7 as
+//! machine-readable JSON.
 //!
 //! Every table mixes row sources: `both` rows ran on the host (they
 //! carry `measured_s`, `modelled_s` — the host calibration's prediction
@@ -15,9 +16,9 @@
 //! go.
 
 use crate::campaign::{grid, split_sweeps, Bench, Campaign, Point, BOUND, MIRA_GRID};
-use crate::probe::{SPLIT_GRID, SPLIT_RANKS};
-use dns_bench::paper;
-use dns_bench::report::{host_json, nproc, Table};
+use crate::paper;
+use crate::probe::{PANEL_THREADS, SPLIT_GRID, SPLIT_RANKS, SWEEP_BANDWIDTH};
+use crate::report::{host_json, nproc, Table};
 use dns_json::{Json, ObjBuilder};
 use dns_netmodel::calibration::StepSeconds;
 use dns_netmodel::dnscost::{
@@ -126,8 +127,9 @@ fn section(
         .build()
 }
 
-/// Titles of Tables 2-11.
-const TITLES: [&str; 10] = [
+/// Titles of Tables 1-11.
+const TITLES: [&str; 11] = [
+    "Banded solve, N = 1024, complex RHS: general LU vs the corner-folded solver; batched panels",
     "Single-core N-S time-advance counters on Mira: SIMD vs no-SIMD",
     "Single-node thread scaling of the FFT and N-S advance kernels",
     "On-node reorder: Mira thread scaling (model) and the host's kernels",
@@ -141,11 +143,17 @@ const TITLES: [&str; 10] = [
 ];
 
 fn table(n: usize, sections: Vec<Json>) -> Json {
+    artifact(Json::num(n as f64), TITLES[n - 1], sections)
+}
+
+/// A table artifact; `id` is the paper's table number, or a name for a
+/// measurement the paper argues without a table.
+fn artifact(id: Json, title: &str, sections: Vec<Json>) -> Json {
     Json::obj()
         .int("schema", 1)
         .text("kind", "scaling_table")
-        .int("table", n)
-        .text("title", TITLES[n - 2])
+        .put("table", id)
+        .text("title", title)
         .put("host", host_json())
         .put("sections", Json::Arr(sections))
         .build()
@@ -209,10 +217,92 @@ fn host_section(
     section(name, "host", pts[0].grid, "mpi", rows)
 }
 
+/// `BENCH_table1.json` — the paper's Table 1 on the host: one N = 1024
+/// solve per bandwidth through the general banded LU (real factors over
+/// split complex data, and complex factors) and the corner-folded
+/// solver, beside the paper's five columns (normalised by Netlib
+/// `ZGBTRS`); then the batched multi-RHS sweep (DESIGN.md section 4.2)
+/// and the lane-blocked set-up.
+pub fn table1_json(c: &Campaign) -> Json {
+    let t = &c.table1;
+    let classic = t.classic.iter().map(|&(bw, [real, complex, corner])| {
+        let p = paper::TABLE1.iter().find(|p| p.0 == bw);
+        let p = p.expect("a bandwidth of the paper's Table 1");
+        measured_row(1)
+            .int("bandwidth", bw)
+            .int("n", t.n)
+            .real("general_real_s", real)
+            .real("general_complex_s", complex)
+            .real("custom_s", corner)
+            .real("speedup", complex / corner)
+            .real("paper_mkl_real", p.1)
+            .real("paper_mkl_complex", p.2)
+            .real("paper_custom_lonestar", p.3)
+            .real("paper_essl", p.4)
+            .real("paper_custom_mira", p.5)
+            .build()
+    });
+    let sweep = t.sweep.iter().map(|r| {
+        let [scalar, batched, threaded] = r.seconds;
+        let ([solve, solve_panel], [matvec, matvec_panel]) = (r.shared_solve_s, r.shared_matvec_s);
+        measured_row(PANEL_THREADS)
+            .int("bandwidth", SWEEP_BANDWIDTH)
+            .int("n", r.n)
+            .int("width", r.width)
+            .real("scalar_s", scalar)
+            .real("batched_s", batched)
+            .real("threaded_s", threaded)
+            .real("speedup", scalar / batched)
+            .real("threaded_speedup", scalar / threaded)
+            .real("max_rel_err", r.max_rel_err)
+            .real("shared_solve_scalar_s", solve)
+            .real("shared_solve_panel_s", solve_panel)
+            .real("shared_matvec_scalar_s", matvec)
+            .real("shared_matvec_panel_s", matvec_panel)
+            .build()
+    });
+    let setup = t.setup.iter().map(|&(ny, width, [scalar, lane])| {
+        measured_row(1)
+            .int("ny", ny)
+            .int("width", width)
+            .real("scalar_s", scalar)
+            .real("lane_s", lane)
+            .real("speedup", scalar / lane)
+            .build()
+    });
+    let sections = vec![
+        section("classic", "host", None, "serial", classic),
+        section("batched_sweep", "host", None, "threads", sweep),
+        section("setup", "host", None, "serial", setup),
+    ];
+    table(1, sections)
+}
+
+/// `BENCH_fusion.json` — DESIGN.md section 4.1's ablation: seconds and
+/// DDR bytes of one nonlinear evaluation through the unfused reference
+/// and the fused production pipeline, per thread count of one rank.
+pub fn fusion_json(c: &Campaign) -> Json {
+    let rows = c.fusion.iter().map(|r| {
+        let ([unfused, fused], [unfused_ddr, fused_ddr]) = (r.seconds, r.ddr_bytes);
+        measured_row(r.threads)
+            .int("threads", r.threads)
+            .real("unfused_s", unfused)
+            .real("fused_s", fused)
+            .real("speedup", unfused / fused)
+            .int("unfused_ddr_bytes", unfused_ddr as usize)
+            .int("fused_ddr_bytes", fused_ddr as usize)
+            .build()
+    });
+    let title = "Fused vs unfused nonlinear evaluation, one rank";
+    let rows = section("fusion", "host", c.fusion_grid, "threads", rows);
+    artifact(Json::str("fusion"), title, vec![rows])
+}
+
 /// `BENCH_table2.json` — single-core counters of the N-S time advance on
 /// Mira, SIMD vs no-SIMD: the BG/Q node model's emulation of the HPM
 /// report beside the paper's, plus the host's sustained rate on the
-/// kernel's building block, one bandwidth-15 banded solve.
+/// kernel's building block, one bandwidth-15 banded solve (Table 1's
+/// corner row).
 pub fn table2_json(c: &Campaign) -> Json {
     // The Table 2 workload at node level (16 kernel instances): counts
     // derived from the banded-solve sweep's arithmetic (three bandwidth-15
@@ -247,15 +337,17 @@ pub fn table2_json(c: &Campaign) -> Json {
     });
     // one solve: forward+back substitution over n rows x width w, complex
     // rhs against real factors: ~4 flops per stored scalar per sweep
-    let (n, w) = (1024, 15);
+    let (n, w) = (c.table1.n, SWEEP_BANDWIDTH);
     let flops = 2.0 * n as f64 * w as f64 * 4.0;
+    let corner = c.table1.classic.iter().find(|r| r.0 == w);
+    let solve_s = corner.expect("Table 1 probes bandwidth 15").1[2];
     let solve = measured_row(1)
         .text("kernel", "corner_lu_solve_complex")
         .int("n", n)
         .int("bandwidth", w)
         .real("flops", flops)
-        .real("measured_s", c.solve_s)
-        .real("measured_gflops", flops / c.solve_s / 1e9)
+        .real("measured_s", solve_s)
+        .real("measured_gflops", flops / solve_s / 1e9)
         .build();
     let solve = std::iter::once(solve);
     let host = section("host_banded_solve", "host", None, "serial", solve);
@@ -861,7 +953,8 @@ pub fn table_text(table: &Json) -> String {
 
 /// Every artifact of the campaign, `(file name, value)`.
 pub fn all(c: &Campaign) -> Vec<(String, Json)> {
-    let tables: [fn(&Campaign) -> Json; 10] = [
+    let tables: [fn(&Campaign) -> Json; 11] = [
+        table1_json,
         table2_json,
         table3_json,
         table4_json,
@@ -873,9 +966,10 @@ pub fn all(c: &Campaign) -> Vec<(String, Json)> {
         table10_json,
         table11_json,
     ];
-    let named = (tables.iter().zip(2..)).map(|(f, n)| (format!("BENCH_table{n}.json"), f(c)));
+    let named = (tables.iter().zip(1..)).map(|(f, n)| (format!("BENCH_table{n}.json"), f(c)));
+    let fusion = ("BENCH_fusion.json".to_string(), fusion_json(c));
     let lab = ("BENCH_scalinglab.json".to_string(), scalinglab_json(c));
-    named.chain([lab]).collect()
+    named.chain([fusion, lab]).collect()
 }
 
 /// Write every artifact into the campaign's out dir and return the

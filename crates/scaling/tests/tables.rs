@@ -1,16 +1,22 @@
 //! The table emitters on a hand-built campaign: fixed points and fixed
 //! probe seconds in the shape of a `--smoke` run, nothing is run. Pins
 //! the artifact schema against the output of the commit before the one
-//! writer (`golden/table6_11_leaves.txt`), the numbers of the deleted
+//! writer (`golden/table6_11_leaves.txt`) and of the first `--smoke` run
+//! that wrote Table 1 and the fusion ablation
+//! (`golden/table1_fusion_leaves.txt`), the numbers of the deleted
 //! `table2`-`table5` / `conclusions` binaries, the gate's reading of
-//! oversubscribed points, and the text renderer.
+//! oversubscribed points, and the text renderer. The one test that runs
+//! something, the kernel probes at a tiny size, is the only telemetry
+//! user in this binary (the level is process-global).
 
 use std::collections::BTreeMap;
 
 use dns_json::Json;
 use dns_netmodel::calibration::{Calibration, StepCounts, StepSeconds};
 use dns_scaling::campaign::{grid, CountRatios, EventsimCheck};
+use dns_scaling::paper;
 use dns_scaling::perfdb::flatten_metrics;
+use dns_scaling::probe::{probe_fusion, probe_table1, FusionRow, SweepRow, Table1};
 use dns_scaling::tables::{self, layout, rows_text, table_text};
 use dns_scaling::{Bench, Campaign, CampaignConfig, Point};
 
@@ -89,7 +95,7 @@ fn campaign() -> Campaign {
             pfft_transpose: 0.75,
         },
         eventsim: vec![sim(512, 32), sim(1024, 64)],
-        solve_s: 3.0e-5,
+        table1: table1(),
         reorder: vec![
             ("transpose_outer", [33, 48, 16], 2.0e-5),
             ("transpose_middle", [16, 33, 32], 2.0e-5),
@@ -98,6 +104,36 @@ fn campaign() -> Campaign {
         ],
         splits: vec![(8, 1, 5e-4), (4, 2, 5e-4), (2, 4, 5e-4), (1, 8, 4e-4)],
         split_sim: vec![vec![0.07; 6], vec![0.3; 4]],
+        fusion_grid: grid(32, 33, 32),
+        fusion: [1, 2]
+            .map(|threads| FusionRow {
+                threads,
+                seconds: [1.2e-2, 4.4e-3],
+                ddr_bytes: [12_165_120, 10_813_440],
+            })
+            .into(),
+    }
+}
+
+/// Table 1 in the shape of a `--smoke` run; the bandwidth-15 corner
+/// solve takes 3e-5 s.
+fn table1() -> Table1 {
+    let classic = paper::TABLE1
+        .iter()
+        .map(|&(bw, ..)| (bw, [4e-5, 3e-5, 1e-5 * bw as f64 / 5.0]));
+    let sweep = [1, 8, 32].map(|width| SweepRow {
+        n: 128,
+        width,
+        seconds: [3e-6, 6e-7, 1e-6].map(|s| s * width as f64),
+        max_rel_err: 0.0,
+        shared_solve_s: [3e-6 * width as f64, 5e-7 * width as f64],
+        shared_matvec_s: [1.5e-6 * width as f64, 4e-7 * width as f64],
+    });
+    Table1 {
+        n: 1024,
+        classic: classic.collect(),
+        sweep: sweep.into(),
+        setup: vec![(25, 119, [1.7e-4, 5.4e-5])],
     }
 }
 
@@ -136,9 +172,10 @@ fn every_artifact_round_trips_and_rows_carry_their_fields() {
     let c = campaign();
     let all = tables::all(&c);
     let names: Vec<&str> = all.iter().map(|(name, _)| name.as_str()).collect();
-    let tables: Vec<String> = (2..=11).map(|n| format!("BENCH_table{n}.json")).collect();
-    assert_eq!(names[..10], tables[..]);
-    assert_eq!(names[10], "BENCH_scalinglab.json");
+    let mut tables: Vec<String> = (1..=11).map(|n| format!("BENCH_table{n}.json")).collect();
+    tables.push("BENCH_fusion.json".into());
+    assert_eq!(names[..12], tables[..]);
+    assert_eq!(names[12], "BENCH_scalinglab.json");
     for (name, value) in &all {
         let mut text = String::new();
         layout(value, 0, &mut text);
@@ -151,8 +188,12 @@ fn every_artifact_round_trips_and_rows_carry_their_fields() {
             assert_eq!(row_lines, n_rows, "{name}");
         }
     }
-    for (name, table) in &all[..10] {
-        for row in sections(table).iter().flat_map(rows) {
+    for (name, table) in &all[..12] {
+        let named = sections(table).iter().flat_map(|s| {
+            let section = s.get("name").and_then(Json::as_str).unwrap();
+            rows(s).iter().map(move |r| (section, r))
+        });
+        for (section, row) in named {
             let keys = keys(row);
             let has = |k: &str| keys.iter().any(|key| *key == k);
             match row.get("source").and_then(Json::as_str) {
@@ -174,7 +215,18 @@ fn every_artifact_round_trips_and_rows_carry_their_fields() {
                         );
                     }
                 }
-                Some("measured") => assert!(has("measured_s") && has("oversubscribed")),
+                Some("measured") => {
+                    assert!(has("oversubscribed"), "{name}: {}", row.dump());
+                    match timed_keys(name, section) {
+                        Some(want) => {
+                            let mut got: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+                            got.retain(|k| k.ends_with("_s"));
+                            got.sort_unstable();
+                            assert_eq!(got, want, "{name} {section}");
+                        }
+                        None => assert!(has("measured_s"), "{name}: {}", row.dump()),
+                    }
+                }
                 Some("eventsim") => assert!(has("sim_s")),
                 other => panic!("{name}: row source {other:?}"),
             }
@@ -182,16 +234,33 @@ fn every_artifact_round_trips_and_rows_carry_their_fields() {
     }
 }
 
-#[test]
-fn tables_6_to_11_keep_the_parents_leaf_names() {
-    let c = campaign();
+/// The sorted seconds keys of a `measured` row of Table 1 or the fusion
+/// ablation, which time both sides of a comparison; every other measured
+/// row times one thing, its `measured_s`.
+fn timed_keys(artifact: &str, section: &str) -> Option<Vec<&'static str>> {
+    let keys = match (artifact, section) {
+        ("BENCH_table1.json", "classic") => "custom_s general_complex_s general_real_s",
+        ("BENCH_table1.json", "batched_sweep") => {
+            "batched_s scalar_s shared_matvec_panel_s shared_matvec_scalar_s \
+             shared_solve_panel_s shared_solve_scalar_s threaded_s"
+        }
+        ("BENCH_table1.json", "setup") => "lane_s scalar_s",
+        ("BENCH_fusion.json", "fusion") => "fused_s unfused_s",
+        _ => return None,
+    };
+    Some(keys.split_whitespace().collect())
+}
+
+/// The flattened leaves of `artifacts`, each `{stem}/{leaf}` (the stem
+/// without `BENCH_`), equal the `golden` list.
+fn assert_leaves(artifacts: &[(String, Json)], golden: &str) {
     let mut leaves = Vec::new();
-    for (value, n) in tables::all(&c)[4..10].iter().map(|t| &t.1).zip(6..) {
+    for (name, value) in artifacts {
+        let stem = name.trim_start_matches("BENCH_").trim_end_matches(".json");
         let mut flat = BTreeMap::new();
         flatten_metrics(value, "", &mut flat);
-        leaves.extend(flat.into_keys().map(|k| format!("table{n}/{k}")));
+        leaves.extend(flat.into_keys().map(|k| format!("{stem}/{k}")));
     }
-    let golden = include_str!("golden/table6_11_leaves.txt");
     let mut golden: Vec<&str> = golden.lines().collect();
     golden.sort_unstable();
     leaves.sort_unstable();
@@ -199,6 +268,75 @@ fn tables_6_to_11_keep_the_parents_leaf_names() {
     for (got, want) in leaves.iter().zip(golden) {
         assert_eq!(got, want);
     }
+}
+
+#[test]
+fn tables_6_to_11_keep_the_parents_leaf_names() {
+    let all = tables::all(&campaign());
+    assert_leaves(&all[5..11], include_str!("golden/table6_11_leaves.txt"));
+}
+
+#[test]
+fn table1_and_fusion_keep_the_smoke_runs_leaf_names() {
+    let all = tables::all(&campaign());
+    let golden = include_str!("golden/table1_fusion_leaves.txt");
+    assert_leaves(&[all[0].clone(), all[11].clone()], golden);
+}
+
+#[test]
+fn classic_rows_carry_the_paper_values_of_their_bandwidth() {
+    let t1 = tables::table1_json(&campaign());
+    let classic = section(&t1, "classic");
+    assert_eq!(classic.len(), paper::TABLE1.len());
+    for row in classic {
+        let bw = num(row, "bandwidth") as usize;
+        let p = paper::TABLE1.iter().find(|p| p.0 == bw).unwrap();
+        let published = [
+            ("paper_mkl_real", p.1),
+            ("paper_mkl_complex", p.2),
+            ("paper_custom_lonestar", p.3),
+            ("paper_essl", p.4),
+            ("paper_custom_mira", p.5),
+        ];
+        for (key, value) in published {
+            assert_eq!(num(row, key), value, "bandwidth {bw}: {key}");
+        }
+        let speedup = num(row, "general_complex_s") / num(row, "custom_s");
+        assert_eq!(num(row, "speedup"), speedup);
+    }
+}
+
+#[test]
+fn kernel_probes_hold_their_pins_and_table2_reads_table1() {
+    // the pins (batched vs scalar, shared-operator panels, lane-built
+    // factors) are asserts inside the probe, ahead of every timing
+    let mut c = campaign();
+    c.table1 = probe_table1(&[32], &[1, 9], &[(17, 9)], 1);
+    assert_eq!(c.table1.sweep.len(), 2);
+    assert!(c.table1.sweep.iter().all(|r| r.max_rel_err < 1e-12));
+    c.fusion = probe_fusion(grid(16, 17, 16), &[1, 2], 1);
+    for r in &c.fusion {
+        let [unfused, fused] = r.ddr_bytes;
+        assert!(
+            0 < fused && fused < unfused,
+            "threads {}: {unfused} {fused}",
+            r.threads
+        );
+        assert_eq!(r.ddr_bytes, c.fusion[0].ddr_bytes, "exact counts");
+    }
+    let t2 = tables::table2_json(&c);
+    let host = &section(&t2, "host_banded_solve")[0];
+    let t1 = tables::table1_json(&c);
+    let classic = section(&t1, "classic");
+    let corner = classic
+        .iter()
+        .find(|r| num(r, "bandwidth") == 15.0)
+        .unwrap();
+    let corner_s = num(corner, "custom_s");
+    assert!(corner_s > 0.0);
+    assert_eq!(num(host, "measured_s"), corner_s);
+    assert_eq!(num(host, "n"), num(corner, "n"));
+    assert_eq!(num(corner, "n"), 1024.0, "the paper's size");
 }
 
 #[test]
