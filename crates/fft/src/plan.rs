@@ -161,8 +161,7 @@ impl CfftPlan {
     /// Gather/scatter through scratch makes this correct for any stride,
     /// but the strided memory traffic is exactly why the production
     /// pipeline *reorders* pencils so transforms always run on
-    /// contiguous lines (section 4.2) — see the `fft` bench's
-    /// `strided_vs_contiguous` comparison.
+    /// contiguous lines (section 4.2).
     ///
     /// Scratch requirement: `n + scratch_len()`.
     pub fn execute_strided(

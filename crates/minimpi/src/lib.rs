@@ -11,7 +11,7 @@
 //!
 //! The crate also counts every message and byte per communicator
 //! ([`Communicator::stats`]); the network performance model in
-//! `dns-netmodel` consumes those counts to predict timings at core counts
+//! `dns_scaling::model` consumes those counts to predict timings at core counts
 //! no laptop can host.
 //!
 //! Deadlock hygiene: receives time out after [`RECV_TIMEOUT`] and panic

@@ -53,7 +53,7 @@ pub fn reorder_blocked<T: Copy>(
 }
 
 /// Bytes moved by one reorder of `n` elements of size `sz` (read + write),
-/// the quantity the DDR-traffic model in `dns-netmodel` consumes.
+/// the quantity the DDR-traffic model in `dns_scaling::model` consumes.
 pub fn reorder_bytes(n_elems: usize, sz: usize) -> u64 {
     2 * (n_elems as u64) * (sz as u64)
 }

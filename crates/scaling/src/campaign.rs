@@ -2,6 +2,11 @@
 //! host can hold, harvest counts, fit the host calibration, and
 //! cross-check the network model with the event simulator.
 
+use crate::model::calibration::Calibration;
+use crate::model::dnscost::{self, Grid, StepCounts, StepSeconds};
+use crate::model::eventsim::simulate_alltoall;
+use crate::model::machines::Machine;
+use crate::model::network::{alltoall_time, comm_pair};
 use crate::paper;
 use crate::probe::{
     probe_fusion, probe_pfft_cycle, probe_reorder, probe_rk3, probe_split_sweep, probe_table1,
@@ -9,11 +14,6 @@ use crate::probe::{
 };
 use crate::report::nproc;
 use dns_core::params::Params;
-use dns_netmodel::calibration::{Calibration, Observation, StepCounts, StepSeconds};
-use dns_netmodel::dnscost::{self, Grid};
-use dns_netmodel::eventsim::{simulate_alltoall, SimExchange};
-use dns_netmodel::machines::Machine;
-use dns_netmodel::network::{alltoall_time, AlltoallSpec};
 use dns_telemetry::{counts_json, Counter, CountsMeta, Phase};
 use std::path::PathBuf;
 
@@ -91,14 +91,9 @@ impl Point {
         self.cores > nproc()
     }
 
-    /// The point as a calibration observation.
-    pub fn observation(&self) -> Observation {
-        Observation {
-            ranks: self.ranks,
-            threads: self.threads,
-            counts: self.counts,
-            seconds: self.seconds,
-        }
+    /// The point's measured `(counts, seconds)` pair, as calibration reads it.
+    fn measured(&self) -> (StepCounts, StepSeconds) {
+        (self.counts, self.seconds)
     }
 }
 
@@ -199,7 +194,7 @@ impl Campaign {
 
     /// Total-time relative model error at a point.
     pub fn err_rel(&self, p: &Point) -> f64 {
-        self.calibration_for(p.bench).errors(&p.observation()).total
+        self.calibration_for(p.bench).err_rel(&p.counts, &p.seconds)
     }
 
     /// The worst total-time error over the gated points (`cores <=
@@ -233,11 +228,11 @@ impl Campaign {
 
     /// RMS calibration residual over one family's gated points.
     pub fn residual(&self, bench: Bench) -> f64 {
-        let obs: Vec<Observation> = self
+        let obs: Vec<_> = self
             .points
             .iter()
             .filter(|p| p.bench == bench && !p.oversubscribed())
-            .map(|p| p.observation())
+            .map(Point::measured)
             .collect();
         self.calibration_for(bench).residual(&obs)
     }
@@ -269,14 +264,6 @@ fn per_step_counts(probe: &Probe) -> StepCounts {
     }
 }
 
-fn step_seconds(probe: &Probe) -> StepSeconds {
-    StepSeconds {
-        transpose: probe.seconds_per_step.transpose,
-        fft: probe.seconds_per_step.fft,
-        ns_advance: probe.seconds_per_step.ns_advance,
-    }
-}
-
 /// Archive a probe's counts export and build its campaign [`Point`].
 fn record(cfg: &CampaignConfig, bench: Bench, grid: Grid, probe: &Probe) -> std::io::Result<Point> {
     let meta = CountsMeta {
@@ -295,7 +282,7 @@ fn record(cfg: &CampaignConfig, bench: Bench, grid: Grid, probe: &Probe) -> std:
         threads: probe.threads,
         steps: probe.steps,
         cores: probe.ranks * probe.threads,
-        seconds: step_seconds(probe),
+        seconds: probe.seconds_per_step,
         wall_s: probe.wall_s_per_step,
         counts: per_step_counts(probe),
         counts_file: String::new(),
@@ -345,11 +332,11 @@ fn count_ratios(points: &[Point]) -> CountRatios {
         let family = points.iter().filter(|p| p.bench.is_rk3() == rk3);
         let ratios: Vec<f64> = family
             .filter_map(|p| {
-                let analytic = StepCounts::from_workload(&if rk3 {
+                let analytic = if rk3 {
                     dnscost::step_workload(&p.grid)
                 } else {
                     dnscost::pfft_cycle_workload(&p.grid, p.bench == Bench::PfftCustom)
-                });
+                };
                 let (m, a) = (count(&p.counts), count(&analytic));
                 (m > 0.0 && a > 0.0).then(|| m / a)
             })
@@ -377,18 +364,6 @@ pub const fn grid(nx: usize, ny: usize, nz: usize) -> Grid {
 /// The Table 9 grid on Mira (also Tables 7, 8, 11 and section 7).
 pub const MIRA_GRID: Grid = grid(18432, 1536, 12288);
 
-/// The discrete-event simulator's seconds for the exchange `spec`.
-fn simulate(m: &Machine, spec: &AlltoallSpec) -> f64 {
-    let sim = SimExchange {
-        comm_size: spec.comm_size,
-        msg_bytes: spec.msg_bytes,
-        rank_stride: spec.rank_stride,
-        tasks_per_node: spec.tasks_per_node,
-        total_ranks: spec.total_ranks,
-    };
-    simulate_alltoall(m, &sim)
-}
-
 /// Cross-check the closed-form all-to-all model against the
 /// discrete-event simulator for the paper's Table 9 Mira grid at
 /// moderate rank counts (the simulator generates one event per message,
@@ -397,19 +372,14 @@ fn eventsim_checks(cores_list: &[usize]) -> Vec<EventsimCheck> {
     let (m, g) = (Machine::mira(), MIRA_GRID);
     let check = |&cores: &usize| {
         let (pa, pb) = dnscost::choose_grid(cores, m.cores_per_node);
+        // the CommA exchange of the padded z<->x transpose
         let e_a = (g.sx() * g.pz() * g.ny) as f64 / cores as f64;
-        let spec = AlltoallSpec {
-            comm_size: pa,
-            msg_bytes: 16.0 * e_a / pa as f64,
-            rank_stride: pb,
-            tasks_per_node: m.cores_per_node,
-            total_ranks: cores,
-        };
+        let [comm_a, _] = comm_pair(pa, pb, [e_a; 2], m.cores_per_node, cores);
         EventsimCheck {
             cores,
             comm_size: pa,
-            analytic_s: alltoall_time(&m, &spec).total(),
-            sim_s: simulate(&m, &spec),
+            analytic_s: alltoall_time(&m, &comm_a).total(),
+            sim_s: simulate_alltoall(&m, &comm_a),
         }
     };
     cores_list.iter().map(check).collect()
@@ -444,14 +414,8 @@ pub fn split_sweeps() -> [SplitSweep; 2] {
 /// `elems` complex values per rank) — the message-level cross-check of
 /// the analytic model's ordering over the splits.
 fn des_cycle(m: &Machine, pa: usize, pb: usize, elems: f64, total: usize) -> f64 {
-    let exchange = |comm_size: usize, rank_stride| AlltoallSpec {
-        comm_size,
-        msg_bytes: 16.0 * elems / comm_size as f64,
-        rank_stride,
-        tasks_per_node: m.cores_per_node,
-        total_ranks: total,
-    };
-    2.0 * (simulate(m, &exchange(pa, pb)) + simulate(m, &exchange(pb, 1)))
+    let [a, b] = comm_pair(pa, pb, [elems; 2], m.cores_per_node, total);
+    2.0 * (simulate_alltoall(m, &a) + simulate_alltoall(m, &b))
 }
 
 /// The sizes of one campaign mode.
@@ -545,7 +509,7 @@ pub fn run(cfg: CampaignConfig) -> std::io::Result<Campaign> {
     let fit = |rk3: bool| {
         let gated = points.iter().filter(|p| !p.oversubscribed());
         let family = gated.filter(|p| p.bench.is_rk3() == rk3);
-        Calibration::fit(&family.map(Point::observation).collect::<Vec<_>>())
+        Calibration::fit(&family.map(Point::measured).collect::<Vec<_>>())
     };
     let cal_rk3 = fit(true).expect("rk3 campaign produced no usable counts");
     let cal_pfft = fit(false).expect("pfft campaign produced no usable counts");

@@ -30,6 +30,7 @@
 //! mean, and each pinned to its oracle before it is timed.
 
 use crate::campaign::grid;
+use crate::model::dnscost::{Grid, StepSeconds};
 use crate::paper;
 use dns_banded::testmat::CollocationLike;
 use dns_banded::{BandedLu, BatchedFactor, CornerLu, LaneBand, RhsPanel, C64, LANES};
@@ -41,7 +42,6 @@ use dns_core::run::{
 };
 use dns_core::solver::{run_serial, ChannelDns, PhaseTimers};
 use dns_minimpi::{CartComm, Communicator, FaultPlan};
-use dns_netmodel::dnscost::Grid;
 use dns_pencil::reorder::{reorder_blocked, reorder_naive};
 use dns_pencil::{block_len, ExchangeStrategy, RowsPlacement, TransposePlan};
 use dns_pfft::{ParallelFft, PfftConfig};
@@ -64,7 +64,7 @@ pub struct Probe {
     pub wall_s_per_step: f64,
     /// Critical-path per-phase seconds per step (max over ranks of each
     /// phase accumulator). `ns_advance` is zero for pfft-cycle probes.
-    pub seconds_per_step: PhaseTimers,
+    pub seconds_per_step: StepSeconds,
     /// Telemetry snapshot of the timed window — feed to
     /// [`dns_telemetry::counts_json`] for the machine-readable export.
     pub snapshot: telemetry::Snapshot,
@@ -83,7 +83,7 @@ impl Probe {
             threads,
             steps,
             wall_s_per_step: max(|r| r.0),
-            seconds_per_step: PhaseTimers {
+            seconds_per_step: StepSeconds {
                 transpose: max(|r| r.1.transpose),
                 fft: max(|r| r.1.fft),
                 ns_advance: max(|r| r.1.ns_advance),

@@ -16,18 +16,17 @@
 //! go.
 
 use crate::campaign::{grid, split_sweeps, Bench, Campaign, Point, BOUND, MIRA_GRID};
+use crate::model::dnscost::{
+    aggregate_rates, pfft_cycle_parts, timestep_phases, Grid, Parallelism, StepSeconds,
+};
+use crate::model::machines::Machine;
+use crate::model::network::{comm_pair, pair_time};
+use crate::model::node::{hpm_single_core, KernelCounts};
+use crate::model::sensitivity::sensitivity;
 use crate::paper;
 use crate::probe::{PANEL_THREADS, SPLIT_GRID, SPLIT_RANKS, SWEEP_BANDWIDTH};
 use crate::report::{host_json, nproc, Table};
 use dns_json::{Json, ObjBuilder};
-use dns_netmodel::calibration::StepSeconds;
-use dns_netmodel::dnscost::{
-    aggregate_rates, pfft_cycle_parts, timestep_phases, Grid, Parallelism, PhaseTimes,
-};
-use dns_netmodel::machines::Machine;
-use dns_netmodel::network::transpose_cycle_time;
-use dns_netmodel::node::{hpm_single_core, KernelCounts};
-use dns_netmodel::sensitivity::sensitivity;
 use dns_pencil::reorder::reorder_bytes;
 use std::io;
 use std::path::PathBuf;
@@ -162,9 +161,15 @@ fn artifact(id: Json, title: &str, sections: Vec<Json>) -> Json {
 /// Machine-model RK3 phase prediction scaled by the campaign's measured
 /// count ratios: the transpose scales with the measured-vs-analytic
 /// byte ratio, the FFT and N-S phases with their flop ratios.
-fn scaled_step(c: &Campaign, m: &Machine, g: &Grid, cores: usize, mode: Parallelism) -> PhaseTimes {
+fn scaled_step(
+    c: &Campaign,
+    m: &Machine,
+    g: &Grid,
+    cores: usize,
+    mode: Parallelism,
+) -> StepSeconds {
     let p = timestep_phases(m, g, cores, mode);
-    PhaseTimes {
+    StepSeconds {
         transpose: p.transpose * c.ratios.rk3_transpose,
         fft: p.fft * c.ratios.rk3_fft,
         ns_advance: p.ns_advance * c.ratios.rk3_ns,
@@ -440,9 +445,10 @@ pub fn table5_json(c: &Campaign) -> Json {
     let model = sweeps.iter().zip(&c.split_sim);
     let model = model.map(|((name, m, g, total, rows), sim)| {
         let elems = (g.sx() * g.nz * g.ny) as f64 / *total as f64;
+        // two CommA + two CommB exchanges
         let cycle = |pa: usize, pb: usize| {
-            let (bytes_a, bytes_b) = (16.0 * elems / pa as f64, 16.0 * elems / pb as f64);
-            transpose_cycle_time(m, pa, pb, bytes_a, bytes_b, m.cores_per_node, *total).total()
+            let pair = comm_pair(pa, pb, [elems; 2], m.cores_per_node, *total);
+            pair_time(m, &pair).scaled(2.0).total()
         };
         let modelled: Vec<f64> = rows.iter().map(|r| cycle(r.0, r.1)).collect();
         let best_model = min_of(modelled.iter().copied());
@@ -594,7 +600,7 @@ fn curve_sections(
     c: &Campaign,
     host: Json,
     weak: bool,
-    cells: fn(ObjBuilder, PhaseTimes, [f64; 4]) -> ObjBuilder,
+    cells: fn(ObjBuilder, StepSeconds, [f64; 4]) -> ObjBuilder,
 ) -> Vec<Json> {
     let sections = curves().into_iter().map(|(name, m, g, mode, t9, t10)| {
         // a strong row is a weak row at the curve's own Nx
@@ -617,13 +623,13 @@ fn curve_sections(
 }
 
 /// Tables 7/8: the modelled and the paper's total per step.
-fn totals(row: ObjBuilder, modelled: PhaseTimes, paper: [f64; 4]) -> ObjBuilder {
+fn totals(row: ObjBuilder, modelled: StepSeconds, paper: [f64; 4]) -> ObjBuilder {
     row.pair("s", modelled.total(), paper[3])
 }
 
 /// Tables 9/10: the modelled and the paper's per-phase breakdown (the
 /// paper's total is its own column, not the sum of its rounded phases).
-fn breakdown(row: ObjBuilder, modelled: PhaseTimes, paper: [f64; 4]) -> ObjBuilder {
+fn breakdown(row: ObjBuilder, modelled: StepSeconds, paper: [f64; 4]) -> ObjBuilder {
     row.pair("transpose_s", modelled.transpose, paper[0])
         .pair("fft_s", modelled.fft, paper[1])
         .pair("ns_s", modelled.ns_advance, paper[2])

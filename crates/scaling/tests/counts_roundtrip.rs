@@ -20,7 +20,7 @@
 
 use dns_core::params::Params;
 use dns_json::parse;
-use dns_netmodel::dnscost::{step_workload, Grid};
+use dns_scaling::model::dnscost::{step_workload, Grid};
 use dns_scaling::probe::probe_rk3;
 use dns_telemetry::{counts_json, CountsMeta};
 

@@ -51,7 +51,7 @@ pub struct CountsMeta {
 }
 
 /// Seconds attributed to each phase — the measured counterpart of
-/// `dns-netmodel::dnscost::PhaseTimes`.
+/// `dns_scaling::model::dnscost::StepSeconds`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseSeconds {
     pub transpose: f64,

@@ -7,7 +7,7 @@
 //!
 //! * **RAII scoped spans** ([`span`]) tagged with a
 //!   [`Phase`] drawn from the same taxonomy as
-//!   `dns-netmodel::dnscost::PhaseTimes`, recorded per thread and merged
+//!   `dns_scaling::model::dnscost::StepSeconds`, recorded per thread and merged
 //!   into a global registry keyed by minimpi rank.
 //! * **Typed counters** ([`Counter`], [`count`]) for flops, DDR traffic,
 //!   and message/byte totals — the software analogue of the HPM counters
@@ -63,7 +63,7 @@ pub enum Level {
 }
 
 /// Phase taxonomy of the RK3 substep, mirroring
-/// `dns-netmodel::dnscost::PhaseTimes` so measured and modelled
+/// `dns_scaling::model::dnscost::StepSeconds` so measured and modelled
 /// breakdowns line up column-for-column.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]

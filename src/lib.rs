@@ -16,7 +16,6 @@
 //! | [`minimpi`] | `dns-minimpi` | thread-backed MPI semantics (communicators, collectives, Cartesian grids) |
 //! | [`pencil`] | `dns-pencil` | block decompositions, reorder kernels, distributed transposes |
 //! | [`pfft`] | `dns-pfft` | the parallel pencil FFT (customized kernel + P3DFFT-like baseline) |
-//! | [`netmodel`] | `dns-netmodel` | calibrated performance models of Mira/Lonestar/Stampede/Blue Waters |
 //! | [`core_solver`] | `dns-core` | the DNS: KMM formulation, RK3-IMEX, statistics, spectra, checkpoints |
 //!
 //! See the repository `README.md` for a tour, `DESIGN.md` for the
@@ -45,6 +44,5 @@ pub use dns_bspline as bspline;
 pub use dns_core as core_solver;
 pub use dns_fft as fft;
 pub use dns_minimpi as minimpi;
-pub use dns_netmodel as netmodel;
 pub use dns_pencil as pencil;
 pub use dns_pfft as pfft;
