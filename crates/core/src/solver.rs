@@ -1,6 +1,7 @@
 //! The channel-flow DNS driver: state, mode bookkeeping and the RK3
 //! timestep (section 2.3's steps (a)-(j)).
 
+use std::cell::Cell;
 use std::ops::Range;
 
 use dns_bspline::{integration_weights, tanh_breakpoints, BsplineBasis, CollocationOps};
@@ -108,7 +109,9 @@ pub struct ChannelDns {
     batch_build_s: f64,
     mean: MeanSolver,
     state: State,
-    ns_seconds: f64,
+    /// The N-S advance clock ([`PhaseTimers::ns_advance`]): the implicit
+    /// advance and the nonlinear evaluation's wall-normal stages.
+    ns_seconds: Cell<f64>,
     /// Quadrature weights for y integrals (flux control, diagnostics).
     y_weights: Vec<f64>,
     /// Body force currently applied by the mass-flux controller.
@@ -205,7 +208,7 @@ impl ChannelDns {
                 time: 0.0,
                 steps: 0,
             },
-            ns_seconds: 0.0,
+            ns_seconds: Cell::new(0.0),
             y_weights,
             dyn_force,
             flux_integral: dyn_force,
@@ -552,7 +555,8 @@ impl ChannelDns {
             let ns = telemetry::span("ns_advance", telemetry::Phase::NsAdvance);
             let t0 = std::time::Instant::now();
             self.advance_substep(i, &nl, &n_old, &mut scratch);
-            self.ns_seconds += t0.elapsed().as_secs_f64();
+            self.ns_seconds
+                .set(self.ns_seconds.get() + t0.elapsed().as_secs_f64());
             drop(ns);
             std::mem::swap(&mut nl, &mut n_old);
             self.state.time += (rk3::ALPHA[i] + rk3::BETA[i]) * dt;
@@ -701,6 +705,17 @@ impl ChannelDns {
         ops.b0_lu().count_solves(batch.width(), 1);
     }
 
+    /// Run `f` on the N-S advance clock, under an `NsAdvance` span: the
+    /// wall-normal stages of the nonlinear evaluation, which works on a
+    /// shared `&ChannelDns`.
+    pub(crate) fn ns_clocked(&self, name: &'static str, f: impl FnOnce()) {
+        let _span = telemetry::span(name, telemetry::Phase::NsAdvance);
+        let t0 = std::time::Instant::now();
+        f();
+        self.ns_seconds
+            .set(self.ns_seconds.get() + t0.elapsed().as_secs_f64());
+    }
+
     /// Phase timers accumulated since the last reset (transpose/FFT from
     /// the transform layer, N-S advance measured here).
     pub fn timers(&self) -> PhaseTimers {
@@ -708,14 +723,14 @@ impl ChannelDns {
         PhaseTimers {
             transpose: t.transpose,
             fft: t.fft,
-            ns_advance: self.ns_seconds,
+            ns_advance: self.ns_seconds.get(),
         }
     }
 
     /// Zero the phase timers.
     pub fn reset_timers(&mut self) {
         self.pfft.reset_timers();
-        self.ns_seconds = 0.0;
+        self.ns_seconds.set(0.0);
     }
 
     /// Replace the spectral state wholesale (checkpoint restart).

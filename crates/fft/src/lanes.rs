@@ -169,3 +169,43 @@ pub(crate) fn scatter(v: LaneC, scale: f64, dst: &mut [C64], len: usize, k: usiz
         line[k] = C64::new(v.re.0[l] * scale, v.im.0[l] * scale);
     }
 }
+
+/// Where up to [`LANES`] interleaved lines sit in a slice: element `k` of
+/// line `l` at `k * stride + l`, for `l < lines`.
+#[derive(Clone, Copy)]
+pub(crate) struct Interleaved {
+    stride: usize,
+    lines: usize,
+}
+
+impl Interleaved {
+    /// The lines of a `len`-long slice holding `modes` elements of each at
+    /// `stride`: the first `len - (modes - 1) * stride` of them.
+    pub fn of(len: usize, modes: usize, stride: usize) -> Interleaved {
+        let lines = len.wrapping_sub((modes - 1) * stride);
+        assert!(
+            (1..=LANES.min(stride)).contains(&lines),
+            "1 to min(LANES, stride) lines"
+        );
+        Interleaved { stride, lines }
+    }
+
+    /// Element `k` of every line; the lanes past the last line are zero.
+    #[inline(always)]
+    pub fn gather(self, src: &[C64], k: usize) -> LaneC {
+        let mut v = ZERO;
+        for (l, c) in src[k * self.stride..][..self.lines].iter().enumerate() {
+            v.re.0[l] = c.re;
+            v.im.0[l] = c.im;
+        }
+        v
+    }
+
+    /// Store `v * scale` as element `k` of every line.
+    #[inline(always)]
+    pub fn scatter(self, v: LaneC, scale: f64, dst: &mut [C64], k: usize) {
+        for (l, c) in dst[k * self.stride..][..self.lines].iter_mut().enumerate() {
+            *c = C64::new(v.re.0[l] * scale, v.im.0[l] * scale);
+        }
+    }
+}

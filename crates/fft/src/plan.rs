@@ -155,38 +155,6 @@ impl CfftPlan {
         }
     }
 
-    /// Execute one line stored with a stride: element `i` of the
-    /// transform lives at `data[offset + i * stride]`.
-    ///
-    /// Gather/scatter through scratch makes this correct for any stride,
-    /// but the strided memory traffic is exactly why the production
-    /// pipeline *reorders* pencils so transforms always run on
-    /// contiguous lines (section 4.2).
-    ///
-    /// Scratch requirement: `n + scratch_len()`.
-    pub fn execute_strided(
-        &self,
-        data: &mut [C64],
-        offset: usize,
-        stride: usize,
-        scratch: &mut [C64],
-    ) {
-        assert!(stride >= 1);
-        assert!(
-            offset + (self.n.max(1) - 1) * stride < data.len() || self.n == 0,
-            "strided line exceeds the buffer"
-        );
-        assert!(scratch.len() >= self.n + self.scratch_len());
-        let (line, inner) = scratch.split_at_mut(self.n);
-        for (i, l) in line.iter_mut().enumerate() {
-            *l = data[offset + i * stride];
-        }
-        self.execute(line, inner);
-        for (i, l) in line.iter().enumerate() {
-            data[offset + i * stride] = *l;
-        }
-    }
-
     /// Execute over `count` contiguous lines of length `n` stored
     /// back-to-back in `data` (the batched layout produced by the pencil
     /// reorder, where the transform direction is the fastest index),
@@ -488,29 +456,6 @@ mod tests {
         }
         plan.execute_many(&mut batch, &mut scratch);
         assert!(max_err(&batch, &singles) < 1e-12);
-    }
-
-    #[test]
-    fn strided_execution_matches_contiguous() {
-        let n = 24;
-        let stride = 5;
-        let plan = CfftPlan::new(n, Direction::Forward);
-        // a strided matrix of 5 interleaved lines
-        let mut data = random_signal(n * stride, 42);
-        let reference = data.clone();
-        let mut scratch = vec![C64::new(0.0, 0.0); n + plan.scratch_len()];
-        for line in 0..stride {
-            plan.execute_strided(&mut data, line, stride, &mut scratch);
-        }
-        // compare against gathering each line by hand
-        let mut inner = plan.make_scratch();
-        for line in 0..stride {
-            let mut gathered: Vec<C64> = (0..n).map(|i| reference[line + i * stride]).collect();
-            plan.execute(&mut gathered, &mut inner);
-            for (i, want) in gathered.iter().enumerate() {
-                assert!((data[line + i * stride] - want).norm() < 1e-13);
-            }
-        }
     }
 
     /// Smooth, odd-prime-radix (7, 49) and Bluestein (67, 2*67) lengths.

@@ -15,7 +15,7 @@
 
 use num_complex::Complex;
 
-use crate::lanes::{gather, isa_fn, scatter, Lane, LaneC, Lanes, ZERO};
+use crate::lanes::{isa_fn, Interleaved, Lane, LaneC, Lanes, ZERO};
 use crate::plan::{CfftPlan, Direction};
 use crate::radix::{add, mulw, scale, sub};
 use crate::C64;
@@ -94,33 +94,40 @@ fn split<V: Lane>(w: &[C64], z: &[Complex<V>], out: &mut [Complex<V>]) {
     }
 }
 
-/// [`merge`] of up to [`crate::LANES`] lines of `modes` coefficients, each
-/// zero-padded to the `x.len()`-long spectrum.
+/// [`merge`] of the interleaved lines `at` of `src`, `modes` coefficients
+/// each, every line zero-padded to the `x.len()`-long spectrum.
 #[inline(always)]
-fn merge_block(w: &[C64], src: &[C64], modes: usize, x: &mut [LaneC]) {
+fn merge_block(w: &[C64], src: &[C64], modes: usize, at: Interleaved, x: &mut [LaneC]) {
     for (k, v) in x[..modes].iter_mut().enumerate() {
-        *v = gather(src, modes, k);
+        *v = at.gather(src, k);
     }
     x[modes..].fill(ZERO);
     merge(w, x);
 }
 
-/// [`split`] into `out`, then scattered, scaled, into lines of
-/// `out.len()` coefficients.
+/// [`split`] into `out`, then scattered, scaled, into the interleaved
+/// lines `at` of `dst`, `out.len()` coefficients each.
 #[inline(always)]
-fn split_block(w: &[C64], z: &[LaneC], out: &mut [LaneC], scale: f64, dst: &mut [C64]) {
+fn split_block(
+    w: &[C64],
+    z: &[LaneC],
+    out: &mut [LaneC],
+    scale: f64,
+    dst: &mut [C64],
+    at: Interleaved,
+) {
     split(w, z, out);
     for (k, &v) in out.iter().enumerate() {
-        scatter(v, scale, dst, out.len(), k);
+        at.scatter(v, scale, dst, k);
     }
 }
 
 isa_fn! {
-    fn merge_lanes(w: &[C64], src: &[C64], modes: usize, x: &mut [LaneC]) = merge_block
+    fn merge_lanes(w: &[C64], src: &[C64], modes: usize, at: Interleaved, x: &mut [LaneC]) = merge_block
 }
 
 isa_fn! {
-    fn split_lanes(w: &[C64], z: &[LaneC], out: &mut [LaneC], scale: f64, dst: &mut [C64]) = split_block
+    fn split_lanes(w: &[C64], z: &[LaneC], out: &mut [LaneC], scale: f64, dst: &mut [C64], at: Interleaved) = split_block
 }
 
 impl RfftPlan {
@@ -155,11 +162,6 @@ impl RfftPlan {
     /// Never empty (length >= 2 enforced at construction).
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Chosen spectrum layout.
-    pub fn layout(&self) -> RealLayout {
-        self.layout
     }
 
     /// Number of complex coefficients produced by [`RfftPlan::forward`].
@@ -233,24 +235,28 @@ impl RfftPlan {
         }
     }
 
-    /// Multi-line synthesis, no telemetry: `src` holds up to [`crate::LANES`]
-    /// back-to-back half-complex lines of `modes <= spectrum_len()`
-    /// coefficients each; every line is zero-padded to the full spectrum
-    /// (as [`crate::dealias::pad_half`] does) and transformed, and value
-    /// `j` of line `l` lands in `output[j].0[l]`. Lanes past the last
-    /// line hold the transform of a zero line.
+    /// Multi-line synthesis, no telemetry. `src` holds up to
+    /// [`crate::LANES`] interleaved half-complex lines of
+    /// `modes <= spectrum_len()` coefficients: coefficient `k` of line `l`
+    /// is `src[k * stride + l]`, for the first
+    /// `src.len() - (modes - 1) * stride` lines (at most `stride`). Every
+    /// line is zero-padded to the full spectrum (as
+    /// [`crate::dealias::pad_half`] does) and transformed, and value `j` of
+    /// line `l` lands in `output[j].0[l]`. Lanes past the last line hold
+    /// the transform of a zero line.
     pub fn inverse_lanes(
         &self,
         src: &[C64],
         modes: usize,
+        stride: usize,
         output: &mut [Lanes],
         scratch: &mut [C64],
     ) {
         assert!((1..=self.spectrum_len()).contains(&modes));
-        assert_eq!(src.len() % modes, 0, "source must be whole lines");
         assert_eq!(output.len(), self.n);
+        let at = Interleaved::of(src.len(), modes, stride);
         let (x, b, rest) = self.inv.lane_work(scratch, self.h + 1);
-        merge_lanes(self.inv.isa, &self.w, src, modes, x);
+        merge_lanes(self.inv.isa, &self.w, src, modes, at, x);
         let (z, _) = self.inv.transform_block(x, b, rest);
         for (j, zj) in z.iter().enumerate() {
             output[2 * j] = zj.re * 2.0;
@@ -261,26 +267,28 @@ impl RfftPlan {
     /// Multi-line analysis, no telemetry: `input[j].0[l]` is value `j` of
     /// line `l`; the first `modes <= spectrum_len()` coefficients of each
     /// line (what [`crate::dealias::truncate_half`] keeps), multiplied by
-    /// `scale`, are written to the `dst.len() / modes <= LANES`
-    /// back-to-back lines of `dst`.
+    /// `scale`, are written to the interleaved lines of `dst` (coefficient
+    /// `k` of line `l` at `dst[k * stride + l]`, for the first
+    /// `dst.len() - (modes - 1) * stride` lines; nothing else is written).
     pub fn forward_lanes(
         &self,
         input: &[Lanes],
         dst: &mut [C64],
         modes: usize,
+        stride: usize,
         scale: f64,
         scratch: &mut [C64],
     ) {
         assert!((1..=self.spectrum_len()).contains(&modes));
-        assert_eq!(dst.len() % modes, 0, "destination must be whole lines");
         assert_eq!(input.len(), self.n);
+        let at = Interleaved::of(dst.len(), modes, stride);
         let (a, b, rest) = self.fwd.lane_work(scratch, self.h + 1);
         for (j, zj) in a[..self.h].iter_mut().enumerate() {
             *zj = Complex::new(input[2 * j], input[2 * j + 1]);
         }
         // the result lands in one buffer; split through the other
         let (z, free) = self.fwd.transform_block(a, b, rest);
-        split_lanes(self.fwd.isa, &self.w, z, &mut free[..modes], scale, dst);
+        split_lanes(self.fwd.isa, &self.w, z, &mut free[..modes], scale, dst, at);
     }
 }
 
@@ -397,6 +405,15 @@ mod tests {
         [RfftPlan::new(n, layout), base]
     }
 
+    /// Coefficient `k` of each line in `lines` at `k * stride + l`; the
+    /// slots between the lines hold NaN, which no lane may read.
+    fn interleave(lines: &[&[C64]], stride: usize) -> Vec<C64> {
+        let modes = lines[0].len();
+        let nan = C64::new(f64::NAN, f64::NAN);
+        let slot = |i: usize| lines.get(i % stride).map_or(nan, |line| line[i / stride]);
+        (0..(modes - 1) * stride + lines.len()).map(slot).collect()
+    }
+
     #[test]
     fn inverse_lanes_equals_single_lines_bitwise() {
         for n in LANE_LENGTHS {
@@ -408,23 +425,28 @@ mod tests {
                     for modes in [full, (2 * full / 3).max(1)] {
                         for lines in 1..=LANES {
                             let src = rand_spectra(lines * modes, (n * 31 + lines) as u64);
-                            let mut got = vec![Lanes([7.0; LANES]); n];
-                            plan.inverse_lanes(&src, modes, &mut got, &mut scratch);
-                            let mut padded = vec![C64::new(0.0, 0.0); full];
-                            let mut want = vec![0.0; n];
-                            // a lane past the last line transforms a zero line
-                            let zeros = vec![C64::new(0.0, 0.0); modes];
-                            let lines_then_zeros =
-                                src.chunks_exact(modes).chain(std::iter::repeat(&zeros[..]));
-                            for (l, line) in lines_then_zeros.take(LANES).enumerate() {
-                                pad_half(line, &mut padded);
-                                plan.inverse(&padded, &mut want, &mut scratch);
-                                for j in 0..n {
-                                    assert_eq!(
-                                        got[j].0[l].to_bits(),
-                                        want[j].to_bits(),
-                                        "n={n} {layout:?} modes={modes} lines={lines} l={l} j={j}"
-                                    );
+                            let by_line: Vec<&[C64]> = src.chunks_exact(modes).collect();
+                            for stride in [lines, lines + 3] {
+                                let mut got = vec![Lanes([7.0; LANES]); n];
+                                let inter = interleave(&by_line, stride);
+                                plan.inverse_lanes(&inter, modes, stride, &mut got, &mut scratch);
+                                let mut padded = vec![C64::new(0.0, 0.0); full];
+                                let mut want = vec![0.0; n];
+                                // a lane past the last line transforms a zero line
+                                let zeros = vec![C64::new(0.0, 0.0); modes];
+                                let lines_then_zeros =
+                                    by_line.iter().copied().chain(std::iter::repeat(&zeros[..]));
+                                for (l, line) in lines_then_zeros.take(LANES).enumerate() {
+                                    pad_half(line, &mut padded);
+                                    plan.inverse(&padded, &mut want, &mut scratch);
+                                    for j in 0..n {
+                                        assert_eq!(
+                                            got[j].0[l].to_bits(),
+                                            want[j].to_bits(),
+                                            "n={n} {layout:?} modes={modes} lines={lines} \
+                                             stride={stride} l={l} j={j}"
+                                        );
+                                    }
                                 }
                             }
                         }
@@ -448,19 +470,37 @@ mod tests {
                             let input: Vec<Lanes> = (0..n)
                                 .map(|j| Lanes(std::array::from_fn(|l| reals[l * n + j])))
                                 .collect();
-                            let mut got = vec![C64::new(9.0, 9.0); lines * modes];
-                            plan.forward_lanes(&input, &mut got, modes, scale, &mut scratch);
-                            let mut spec = vec![C64::new(0.0, 0.0); full];
-                            for (l, line) in got.chunks_exact(modes).enumerate() {
-                                plan.forward(&reals[l * n..(l + 1) * n], &mut spec, &mut scratch);
+                            for stride in [lines, lines + 3] {
+                                let sentinel = C64::new(9.0, 9.0);
+                                let mut got = vec![sentinel; (modes - 1) * stride + lines];
+                                plan.forward_lanes(
+                                    &input,
+                                    &mut got,
+                                    modes,
+                                    stride,
+                                    scale,
+                                    &mut scratch,
+                                );
+                                let mut spec = vec![C64::new(0.0, 0.0); full];
                                 let mut want = vec![C64::new(0.0, 0.0); modes];
-                                truncate_half(&spec, &mut want);
-                                for (k, (a, b)) in line.iter().zip(&want).enumerate() {
-                                    let b = b * scale;
+                                for (i, a) in got.iter().enumerate() {
+                                    let (k, l) = (i / stride, i % stride);
+                                    if l >= lines {
+                                        assert_eq!(*a, sentinel, "slot {i} between the lines");
+                                        continue;
+                                    }
+                                    plan.forward(
+                                        &reals[l * n..(l + 1) * n],
+                                        &mut spec,
+                                        &mut scratch,
+                                    );
+                                    truncate_half(&spec, &mut want);
+                                    let b = want[k] * scale;
                                     assert!(
                                         a.re.to_bits() == b.re.to_bits()
                                             && a.im.to_bits() == b.im.to_bits(),
-                                        "n={n} {layout:?} modes={modes} lines={lines} l={l} k={k}"
+                                        "n={n} {layout:?} modes={modes} lines={lines} \
+                                         stride={stride} l={l} k={k}"
                                     );
                                 }
                             }

@@ -1,10 +1,14 @@
 //! Distributed pencil transposes over a (sub-)communicator.
 //!
 //! One transpose re-orients pencils along one axis pair: the input holds
-//! `rows` independent planes of `[f_loc][t]` (axis `f` distributed, axis
-//! `t` full); the output holds `[t_loc][f]` (axis `t` distributed, axis
-//! `f` full). Pack/exchange/unpack — the exchange is all-to-all within
-//! the sub-communicator, and the unpack is the strided on-node reorder.
+//! `rows` independent planes with axis `f` distributed and axis `t` full;
+//! the output holds them with `t` distributed and `f` full. Pack /
+//! exchange / unpack: the exchange is all-to-all within the
+//! sub-communicator, and the unpack places every received block — through
+//! the cache-blocked reorder ([`reorder_blocked`]) where the two axes
+//! swap in memory, as contiguous runs where the placement keeps memory
+//! order ([`RowsPlacement::SplitFast`], [`RowsPlacement::SplitSlow`]). On
+//! one rank the unpack of the input itself is the whole transpose.
 //!
 //! Two exchange schedules are provided, mirroring the strategies the
 //! FFTW 3.3 transpose planner measures (section 4.3): a single
@@ -13,6 +17,7 @@
 //! FFTW's planning stage.
 
 use crate::decomp::Block;
+use crate::reorder::reorder_blocked;
 use dns_minimpi::Communicator;
 use dns_telemetry as telemetry;
 use dns_telemetry::{Counter, Phase};
@@ -26,15 +31,26 @@ pub enum ExchangeStrategy {
     Pairwise,
 }
 
-/// Where the untouched `rows` dimension sits in the local layout.
+/// Where the untouched `rows` dimension sits in the local layout, and
+/// whether the two transposed axes swap places in memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RowsPlacement {
-    /// Input `[rows][f_loc][t]`, output `[rows][t_loc][f]` — the x<->z
-    /// transpose layout (rows = local y count).
+    /// Input `[rows][f_loc][t]`, output `[rows][t_loc][f]`: a batch of
+    /// plane transposes (one row is the paper's `A(i,j,k) -> A(j,k,i)`
+    /// with `f = i`, `t = (j, k)`).
     Outer,
     /// Input `[f_loc][rows][t]`, output `[t_loc][rows][f]` — the z<->y
     /// transpose layout (rows = local kx count).
     Middle,
+    /// Input `[rows][f_loc][t]`, output `[rows][f][t_loc]`: memory order
+    /// is kept and only the split moves, from the slow axis to the fast
+    /// one — the z->x hop into the z-fastest x-pencil (rows = local y
+    /// count, `f` = kx, `t` = physical z). The inverse is `SplitSlow`.
+    SplitFast,
+    /// Input `[rows][t][f_loc]`, output `[rows][t_loc][f]`: the split
+    /// moves from the fast axis to the slow one — the x->z hop (`f` =
+    /// physical z, `t` = kx). The inverse is `SplitFast`.
+    SplitSlow,
 }
 
 /// A planned transpose for fixed sizes and communicator shape.
@@ -191,21 +207,19 @@ impl TransposePlan {
         self.t_block
     }
 
-    /// The inverse plan (same strategy and placement, axes swapped).
+    /// The inverse plan (same strategy, axes swapped).
     pub fn inverse(&self, comm: &Communicator) -> TransposePlan {
-        TransposePlan::with_placement(
-            comm,
-            self.rows,
-            self.nt,
-            self.nf,
-            self.strategy,
-            self.placement,
-        )
+        let placement = match self.placement {
+            RowsPlacement::SplitFast => RowsPlacement::SplitSlow,
+            RowsPlacement::SplitSlow => RowsPlacement::SplitFast,
+            same => same,
+        };
+        let (rows, nf, nt, strategy) = (self.rows, self.nt, self.nf, self.strategy);
+        TransposePlan::with_placement(comm, rows, nf, nt, strategy, placement)
     }
 
-    /// Execute the transpose. Layouts by placement:
-    /// `Outer`: `[rows][f_loc][t]` -> `[rows][t_loc][f]`;
-    /// `Middle`: `[f_loc][rows][t]` -> `[t_loc][rows][f]`.
+    /// Execute the transpose; the layouts are the placement's
+    /// ([`RowsPlacement`]).
     pub fn run<T: Copy + Default + Send + 'static>(
         &self,
         comm: &Communicator,
@@ -220,7 +234,7 @@ impl TransposePlan {
     /// [`TransposePlan::run`] with caller-owned pack (`send`) and result
     /// (`out`) buffers so steady-state callers re-run without heap
     /// allocation. On a single-rank communicator the exchange degenerates
-    /// to a pure local reorder: `input` is scattered straight into `out`
+    /// to a pure local reorder: `input` is unpacked straight into `out`
     /// and the pack buffer and communicator are never touched.
     ///
     /// # Panics
@@ -258,42 +272,17 @@ impl TransposePlan {
         assert_eq!(input.len(), self.input_len(), "input length mismatch");
         assert_eq!(comm.size(), self.p);
         let _transpose = telemetry::span("transpose", Phase::Transpose);
-        let rows = self.rows;
         let nt = self.nt;
-        // sized, not cleared: both routes below store every output element
-        // (the reorder is a bijection of the index space), so nothing
-        // stale can be read and a buffer of the right length needs no fill
-        if out.len() != self.output_len() {
-            out.clear();
-            out.resize(self.output_len(), T::default());
-        }
+        // resized, never cleared: both routes below store every output
+        // element (the transpose is a bijection of the index space), so
+        // nothing stale can be read and only a growing buffer is filled
+        out.resize(self.output_len(), T::default());
 
         if self.p == 1 {
-            // Single rank: no exchange, no pack copy — one strided pass.
-            let nf = self.nf;
-            match self.placement {
-                RowsPlacement::Outer => {
-                    for r in 0..rows {
-                        for f in 0..nf {
-                            let src = (r * nf + f) * nt;
-                            for t in 0..nt {
-                                out[(r * nt + t) * nf + f] = input[src + t];
-                            }
-                        }
-                    }
-                }
-                RowsPlacement::Middle => {
-                    for f in 0..nf {
-                        for r in 0..rows {
-                            let src = (f * rows + r) * nt;
-                            for t in 0..nt {
-                                out[(t * rows + r) * nf + f] = input[src + t];
-                            }
-                        }
-                    }
-                }
-            }
-            // one read of the input, one scattered write of the output
+            // Single rank: no exchange, no pack copy — the input is the one
+            // block there is to unpack
+            self.unpack(input, Block::of(self.nf, 1, 0), out);
+            // one read of the input, one write of the output
             telemetry::count(Counter::DdrBytes, 2 * std::mem::size_of_val(input) as u64);
             return Ok(());
         }
@@ -304,26 +293,25 @@ impl TransposePlan {
         let me = comm.rank();
         let nfl = self.f_block.len;
 
-        // pack: destination-major; block of `t` for dest d is contiguous.
-        // Both placements share the property that (slow1, slow2) iterate
-        // over rows x f_loc in layout order with t fastest.
+        // pack: destination-major; dest d's block is every input line's
+        // slice of d's `t` range. A line is `nt` values, except where `t`
+        // is the slow axis (SplitSlow): there a row is one line of `nt`
+        // runs of `f_loc` values.
         send.clear();
         send.reserve(input.len());
         let mut offsets = Vec::with_capacity(p + 1);
-        let (s1, s2) = match self.placement {
-            RowsPlacement::Outer => (rows, nfl),
-            RowsPlacement::Middle => (nfl, rows),
+        let unit = if self.placement == RowsPlacement::SplitSlow {
+            nfl
+        } else {
+            1
         };
         {
             let _pack = telemetry::span("pack", Phase::Transpose);
             for d in 0..p {
                 let tb = Block::of(nt, p, d);
                 offsets.push(send.len());
-                for a in 0..s1 {
-                    for b in 0..s2 {
-                        let base = (a * s2 + b) * nt + tb.start;
-                        send.extend_from_slice(&input[base..base + tb.len]);
-                    }
+                for line in input.chunks_exact(nt * unit) {
+                    send.extend_from_slice(&line[tb.start * unit..tb.end() * unit]);
                 }
             }
             offsets.push(send.len());
@@ -373,45 +361,49 @@ impl TransposePlan {
         }
 
         let _unpack = telemetry::span("unpack", Phase::Transpose);
-        let ntl = self.t_block.len;
-        let nf = self.nf;
         for (s, chunk) in parts.iter().enumerate() {
-            let fb = Block::of(nf, p, s);
-            debug_assert_eq!(chunk.len(), rows * fb.len * ntl);
-            match self.placement {
-                RowsPlacement::Outer => {
-                    // chunk [rows][f_s][t_loc] -> out[(r*ntl + t)*nf + f]
-                    for r in 0..rows {
-                        for f in 0..fb.len {
-                            let src = (r * fb.len + f) * ntl;
-                            let dst_col = fb.start + f;
-                            // strided scatter over t — the on-node reorder
-                            for t in 0..ntl {
-                                out[(r * ntl + t) * nf + dst_col] = chunk[src + t];
-                            }
-                        }
-                    }
-                }
-                RowsPlacement::Middle => {
-                    // chunk [f_s][rows][t_loc] -> out[(t*rows + r)*nf + f]
-                    for f in 0..fb.len {
-                        for r in 0..rows {
-                            let src = (f * rows + r) * ntl;
-                            let dst_col = fb.start + f;
-                            for t in 0..ntl {
-                                out[(t * rows + r) * nf + dst_col] = chunk[src + t];
-                            }
-                        }
-                    }
-                }
-            }
+            self.unpack(chunk, Block::of(self.nf, p, s), out);
         }
-        // the unpack reads the receive chunks once and scatters them once
+        // the unpack reads the receive chunks once and writes them once
         telemetry::count(
             Counter::DdrBytes,
-            2 * std::mem::size_of_val(out.as_slice()) as u64,
+            2 * std::mem::size_of_val(&out[..]) as u64,
         );
         Ok(())
+    }
+
+    /// Place the block from the owner of `fb` of the `f` axis into `out`:
+    /// its `f` values for this rank's `t` range, in the input's axis order.
+    fn unpack<T: Copy>(&self, chunk: &[T], fb: Block, out: &mut [T]) {
+        let (rows, ntl, nf) = (self.rows, self.t_block.len, self.nf);
+        debug_assert_eq!(chunk.len(), rows * fb.len * ntl);
+        if chunk.is_empty() {
+            return;
+        }
+        let shape = [fb.len, rows, ntl];
+        let dst = &mut out[fb.start..];
+        match self.placement {
+            RowsPlacement::Outer => {
+                reorder_blocked(chunk, [ntl, fb.len * ntl], dst, [nf, ntl * nf], shape);
+            }
+            RowsPlacement::Middle => {
+                reorder_blocked(chunk, [rows * ntl, ntl], dst, [rows * nf, nf], shape);
+            }
+            // memory order kept: every row (SplitFast) or every (row, t)
+            // pair (SplitSlow) is one contiguous run of the output
+            RowsPlacement::SplitFast => {
+                place_runs(chunk, fb.len * ntl, out, fb.start * ntl, nf * ntl)
+            }
+            RowsPlacement::SplitSlow => place_runs(chunk, fb.len, out, fb.start, nf),
+        }
+    }
+}
+
+/// Copy the consecutive `len`-long runs of `chunk` to `out`, run `i` at
+/// `start + i * stride`.
+fn place_runs<T: Copy>(chunk: &[T], len: usize, out: &mut [T], start: usize, stride: usize) {
+    for (i, run) in chunk.chunks_exact(len).enumerate() {
+        out[start + i * stride..][..len].copy_from_slice(run);
     }
 }
 
@@ -461,50 +453,66 @@ mod tests {
         }
     }
 
-    fn check_transpose(p: usize, rows: usize, nf: usize, nt: usize, strategy: ExchangeStrategy) {
-        mpi::run(p, move |comm| {
-            let plan = TransposePlan::new(&comm, rows, nf, nt, strategy);
-            let g = global(rows, nf, nt);
-            let out = plan.run(&comm, &scatter(&plan, &g));
-            assert_transposed(&plan, &out, &g);
-        });
-    }
-
     #[test]
     fn alltoall_transpose_even_sizes() {
-        check_transpose(4, 2, 8, 12, ExchangeStrategy::AllToAll);
+        check_placement(
+            4,
+            RowsPlacement::Outer,
+            ExchangeStrategy::AllToAll,
+            [2, 8, 12],
+        );
     }
 
     #[test]
     fn alltoall_transpose_uneven_sizes() {
-        check_transpose(3, 2, 7, 11, ExchangeStrategy::AllToAll);
-        check_transpose(5, 1, 9, 13, ExchangeStrategy::AllToAll);
+        check_placement(
+            3,
+            RowsPlacement::Outer,
+            ExchangeStrategy::AllToAll,
+            [2, 7, 11],
+        );
+        check_placement(
+            5,
+            RowsPlacement::Outer,
+            ExchangeStrategy::AllToAll,
+            [1, 9, 13],
+        );
     }
 
     #[test]
     fn pairwise_transpose_matches_definition() {
-        check_transpose(4, 2, 8, 12, ExchangeStrategy::Pairwise);
-        check_transpose(3, 3, 10, 5, ExchangeStrategy::Pairwise);
+        check_placement(
+            4,
+            RowsPlacement::Outer,
+            ExchangeStrategy::Pairwise,
+            [2, 8, 12],
+        );
+        check_placement(
+            3,
+            RowsPlacement::Outer,
+            ExchangeStrategy::Pairwise,
+            [3, 10, 5],
+        );
     }
 
     #[test]
     fn single_rank_transpose_is_local_reorder() {
-        check_transpose(1, 4, 6, 5, ExchangeStrategy::AllToAll);
+        check_placement(
+            1,
+            RowsPlacement::Outer,
+            ExchangeStrategy::AllToAll,
+            [4, 6, 5],
+        );
     }
 
     #[test]
     fn roundtrip_restores_input() {
-        let results = mpi::run(4, |comm| {
-            let fwd = TransposePlan::new(&comm, 3, 8, 10, ExchangeStrategy::AllToAll);
-            let inv = fwd.inverse(&comm);
-            let input: Vec<u64> = (0..fwd.input_len())
-                .map(|x| (x as u64) * 1000 + comm.rank() as u64)
-                .collect();
-            let mid = fwd.run(&comm, &input);
-            let back = inv.run(&comm, &mid);
-            back == input
-        });
-        assert!(results.into_iter().all(|ok| ok));
+        check_placement(
+            4,
+            RowsPlacement::Outer,
+            ExchangeStrategy::AllToAll,
+            [3, 8, 10],
+        );
     }
 
     #[test]
@@ -518,68 +526,127 @@ mod tests {
         assert!(results.into_iter().all(|ok| ok));
     }
 
-    fn check_transpose_middle(p: usize, rows: usize, nf: usize, nt: usize) {
-        let results = mpi::run(p, move |comm| {
-            let plan = TransposePlan::with_placement(
-                &comm,
-                rows,
-                nf,
-                nt,
-                ExchangeStrategy::AllToAll,
-                RowsPlacement::Middle,
-            );
-            let g = global(rows, nf, nt); // logical [f][r][t] here
-            let fb = plan.f_block();
-            let mut input = Vec::with_capacity(plan.input_len());
-            for f in fb.start..fb.end() {
-                for r in 0..rows {
+    /// Offset of global element `(r, f, t)` in the input of a rank owning
+    /// `fb` of the `f` axis, per [`RowsPlacement`].
+    fn input_at(
+        pl: RowsPlacement,
+        rows: usize,
+        nt: usize,
+        fb: Block,
+        [r, f, t]: [usize; 3],
+    ) -> usize {
+        let (fl, nfl) = (f - fb.start, fb.len);
+        match pl {
+            RowsPlacement::Outer | RowsPlacement::SplitFast => (r * nfl + fl) * nt + t,
+            RowsPlacement::Middle => (fl * rows + r) * nt + t,
+            RowsPlacement::SplitSlow => (r * nt + t) * nfl + fl,
+        }
+    }
+
+    /// Offset of `(r, f, t)` in the output of a rank owning `tb` of `t`.
+    fn output_at(
+        pl: RowsPlacement,
+        rows: usize,
+        nf: usize,
+        tb: Block,
+        [r, f, t]: [usize; 3],
+    ) -> usize {
+        let (tl, ntl) = (t - tb.start, tb.len);
+        match pl {
+            RowsPlacement::Outer | RowsPlacement::SplitSlow => (r * ntl + tl) * nf + f,
+            RowsPlacement::Middle => (tl * rows + r) * nf + f,
+            RowsPlacement::SplitFast => (r * nf + f) * ntl + tl,
+        }
+    }
+
+    /// Every rank's output against the placement's definition, then the
+    /// inverse plan back to the input.
+    fn check_placement(
+        p: usize,
+        pl: RowsPlacement,
+        strategy: ExchangeStrategy,
+        [rows, nf, nt]: [usize; 3],
+    ) {
+        mpi::run(p, move |comm| {
+            let plan = TransposePlan::with_placement(&comm, rows, nf, nt, strategy, pl);
+            let (fb, tb) = (plan.f_block(), plan.t_block());
+            let value = |r: usize, f: usize, t: usize| ((r * nf + f) * nt + t) as u64;
+            let mut input = vec![u64::MAX; plan.input_len()];
+            for r in 0..rows {
+                for f in fb.start..fb.end() {
                     for t in 0..nt {
-                        input.push(g[(f * rows + r) * nt + t]);
+                        input[input_at(pl, rows, nt, fb, [r, f, t])] = value(r, f, t);
                     }
                 }
             }
+            assert!(
+                !input.contains(&u64::MAX),
+                "the input layout is a bijection"
+            );
             let out = plan.run(&comm, &input);
-            let tb = plan.t_block();
-            for (tl, t) in (tb.start..tb.end()).enumerate() {
-                for r in 0..rows {
-                    for f in 0..nf {
+            for r in 0..rows {
+                for f in 0..nf {
+                    for t in tb.start..tb.end() {
                         assert_eq!(
-                            out[(tl * rows + r) * nf + f],
-                            g[(f * rows + r) * nt + t],
-                            "middle p={p} r={r} t={t} f={f}"
+                            out[output_at(pl, rows, nf, tb, [r, f, t])],
+                            value(r, f, t),
+                            "{pl:?} {strategy:?} p={p} r={r} f={f} t={t}"
                         );
                     }
                 }
             }
-            true
+            let back = plan.inverse(&comm).run(&comm, &out);
+            assert_eq!(back, input, "{pl:?} {strategy:?} p={p}: round trip");
         });
-        assert!(results.into_iter().all(|ok| ok));
     }
 
     #[test]
     fn middle_placement_matches_definition() {
-        check_transpose_middle(4, 2, 8, 12);
-        check_transpose_middle(3, 2, 7, 11);
-        check_transpose_middle(1, 3, 5, 4);
+        let all = ExchangeStrategy::AllToAll;
+        for (p, shape) in [(4, [2, 8, 12]), (3, [2, 7, 11]), (1, [3, 5, 4])] {
+            check_placement(p, RowsPlacement::Middle, all, shape);
+        }
+    }
+
+    #[test]
+    fn split_placements_match_their_definition_and_round_trip() {
+        // 11 and 13 split unevenly over 2, 3 and 5 ranks
+        for p in [1, 2, 3, 5] {
+            for strategy in [ExchangeStrategy::AllToAll, ExchangeStrategy::Pairwise] {
+                for pl in [RowsPlacement::SplitFast, RowsPlacement::SplitSlow] {
+                    check_placement(p, pl, strategy, [3, 11, 13]);
+                    check_placement(p, pl, strategy, [1, 13, 5]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_unpack_matches_the_definition_across_tile_edges() {
+        // partial tiles in f, in t and in both; on one rank the whole
+        // transpose is one unpack, on three every received block is one
+        use crate::reorder::TILE;
+        for p in [1, 3] {
+            for pl in [RowsPlacement::Outer, RowsPlacement::Middle] {
+                for (nf, nt) in [
+                    (TILE + 3, 2 * TILE + 1),
+                    (2 * TILE + 5, TILE - 1),
+                    (5, TILE),
+                ] {
+                    check_placement(p, pl, ExchangeStrategy::AllToAll, [2, nf, nt]);
+                }
+            }
+        }
     }
 
     #[test]
     fn middle_placement_roundtrip() {
-        let results = mpi::run(3, |comm| {
-            let fwd = TransposePlan::with_placement(
-                &comm,
-                4,
-                9,
-                7,
-                ExchangeStrategy::Pairwise,
-                RowsPlacement::Middle,
-            );
-            let inv = fwd.inverse(&comm);
-            let input: Vec<u64> = (0..fwd.input_len()).map(|x| x as u64 + 17).collect();
-            let back = inv.run(&comm, &fwd.run(&comm, &input));
-            back == input
-        });
-        assert!(results.into_iter().all(|ok| ok));
+        check_placement(
+            3,
+            RowsPlacement::Middle,
+            ExchangeStrategy::Pairwise,
+            [4, 9, 7],
+        );
     }
 
     #[test]

@@ -6,11 +6,17 @@
 //!
 //! ```text
 //!  x-pencil [y_loc(B)][z_loc(A)][x ]  -- real grid, x complete
-//!     | r2c FFT in x (+ 3/2 truncate)          } CommA exchange
+//!     | r2c FFT in x (+ 3/2 truncate)
+//!           [y_loc(B)][kx][z_loc(A)]   -- x spectra, z fastest
+//!     |                                        } CommA exchange
 //!  z-pencil [y_loc(B)][kx_loc(A)][z ]  -- z complete
 //!     | c2c FFT in z (+ 3/2 truncate)          } CommB exchange
 //!  y-pencil [kz_loc(B)][kx_loc(A)][y ]  -- y complete (solves live here)
 //! ```
+//!
+//! The x spectra are stored z-fastest, so the CommA exchange keeps memory
+//! order, and on one CommA rank the two middle layouts coincide: there is
+//! no exchange at all.
 //!
 //! [`ParallelFft::forward`] walks down that pipeline, [`ParallelFft::inverse`]
 //! walks back up (padding instead of truncating). The y direction is not

@@ -160,9 +160,6 @@ pub struct ParallelFft {
     strategy_b: ExchangeStrategy,
     pool: Option<rayon::ThreadPool>,
     timers: Cell<PfftTimers>,
-    /// Transpose plans for batched multi-field transforms, keyed by the
-    /// batch size (same strategies as the single-field plans).
-    batch_plans: std::cell::RefCell<std::collections::HashMap<usize, BatchPlans>>,
 }
 
 /// Transpose plans sized for a `k`-field batch.
@@ -176,7 +173,7 @@ struct BatchPlans {
 /// Where an x-stage's physical lines come from.
 #[derive(Clone, Copy)]
 enum XIn<'a> {
-    /// Spectral x lines stacked `[y][field][z][sx]`: pad + c2r.
+    /// The z-fastest x-pencil spectra `[y][field][kx][z_loc]`: pad + c2r.
     Spectra(&'a [C64]),
     /// Physical fields, each `[y][z][px]`.
     Fields(&'a [&'a [f64]]),
@@ -201,6 +198,12 @@ fn stack<T: Copy>(fields: &[&[T]], block: usize) -> Vec<T> {
         }
     }
     out
+}
+
+/// The slots of `cnt` interleaved x-pencil spectra of `sx` modes in rows
+/// of `zpl` z values (coefficient `k` of line `l` at `first + k*zpl + l`).
+fn interleaved(first: usize, sx: usize, zpl: usize, cnt: usize) -> std::ops::Range<usize> {
+    first..first + (sx - 1) * zpl + cnt
 }
 
 /// Undo [`stack`] for `k` fields.
@@ -243,8 +246,9 @@ impl ParallelFft {
             Some(s) => TransposePlan::with_placement(comm, rows, nf, nt, s, placement),
             None => TransposePlan::plan(comm, rows, nf, nt, placement),
         };
-        // x->z: CommA, rows = local y, f = physical z, t = kx spectrum
-        let strategy_a = make(&comm_a, y_block.len, pz, sx, RowsPlacement::Outer).strategy();
+        // z->x: CommA, rows = local y, f = kx spectrum, t = physical z,
+        // memory order kept (the x-pencil spectra are z-fastest)
+        let strategy_a = make(&comm_a, y_block.len, sx, pz, RowsPlacement::SplitFast).strategy();
         // z->y: CommB, rows = local kx, f = y, t = kz spectrum
         let strategy_b =
             make(&comm_b, kx_block.len, cfg.ny, cfg.nz, RowsPlacement::Middle).strategy();
@@ -259,7 +263,7 @@ impl ParallelFft {
         } else {
             None
         };
-        let pfft = ParallelFft {
+        ParallelFft {
             cfg,
             comm_a,
             comm_b,
@@ -274,55 +278,24 @@ impl ParallelFft {
             strategy_a,
             strategy_b,
             timers: Cell::new(PfftTimers::default()),
-            batch_plans: std::cell::RefCell::new(std::collections::HashMap::new()),
-        };
-        // Pre-warm the batch widths the fused nonlinear pipeline uses so
-        // the lazy-init `borrow_mut` never fires inside the RK3 hot loop
-        // (batch planning inherits strategies — no collectives involved).
-        drop(pfft.batch_plans(NL_FIELDS));
-        drop(pfft.batch_plans(NL_PRODUCTS));
-        pfft
+        }
     }
 
-    /// Plans for a `k`-field batch (constructed on first use; strategies
-    /// are inherited from the single-field planning step, so no further
-    /// collective measurement is needed).
-    fn batch_plans(&self, k: usize) -> std::cell::Ref<'_, BatchPlans> {
-        // Fast path: widths used by the fused pipeline are pre-warmed in
-        // `new`, so steady-state calls take a shared borrow only.
-        if let Ok(hit) = std::cell::Ref::filter_map(self.batch_plans.borrow(), |m| m.get(&k)) {
-            return hit;
+    /// Transpose plans for a `k`-field batch. They inherit the strategies
+    /// chosen at construction, so building them is a few integer
+    /// operations: no collective, no heap.
+    fn batch_plans(&self, k: usize) -> BatchPlans {
+        let (cfg, ry, rx) = (&self.cfg, self.y_block.len * k, self.kx_block.len * k);
+        let (a, b) = (self.strategy_a, self.strategy_b);
+        let (split, middle) = (RowsPlacement::SplitFast, RowsPlacement::Middle);
+        let t_zx = TransposePlan::with_placement(&self.comm_a, ry, cfg.sx(), cfg.pz(), a, split);
+        let t_zy = TransposePlan::with_placement(&self.comm_b, rx, cfg.ny, cfg.nz, b, middle);
+        BatchPlans {
+            t_xz: t_zx.inverse(&self.comm_a),
+            t_zx,
+            t_yz: t_zy.inverse(&self.comm_b),
+            t_zy,
         }
-        {
-            let mut map = self.batch_plans.borrow_mut();
-            map.entry(k).or_insert_with(|| {
-                let t_xz = TransposePlan::with_placement(
-                    &self.comm_a,
-                    self.y_block.len * k,
-                    self.cfg.pz(),
-                    self.cfg.sx(),
-                    self.strategy_a,
-                    RowsPlacement::Outer,
-                );
-                let t_zx = t_xz.inverse(&self.comm_a);
-                let t_zy = TransposePlan::with_placement(
-                    &self.comm_b,
-                    self.kx_block.len * k,
-                    self.cfg.ny,
-                    self.cfg.nz,
-                    self.strategy_b,
-                    RowsPlacement::Middle,
-                );
-                let t_yz = t_zy.inverse(&self.comm_b);
-                BatchPlans {
-                    t_xz,
-                    t_zx,
-                    t_zy,
-                    t_yz,
-                }
-            });
-        }
-        std::cell::Ref::map(self.batch_plans.borrow(), |m| &m[&k])
     }
 
     /// The configuration this instance was planned for.
@@ -431,8 +404,8 @@ impl ParallelFft {
     }
 
     /// One full benchmark cycle (Table 6 protocol): physical -> spectral
-    /// -> physical, i.e. four transposes and four transform passes, no y
-    /// transform.
+    /// -> physical, i.e. four transposes (two on one CommA rank, where the
+    /// x<->z hops move nothing) and four transform passes, no y transform.
     pub fn cycle(&self, xp: &[f64]) -> Vec<f64> {
         let spec = self.forward(xp);
         self.inverse(&spec)
@@ -465,6 +438,16 @@ impl ParallelFft {
                     .for_each_init(&init, |s, (l, line)| f(s, l, line));
             }),
         }
+    }
+
+    /// The CommA hop between the z-pencil spectra and the z-fastest
+    /// x-pencil spectra. On one CommA rank both are `[y][field][kx][z]`,
+    /// one layout, and the data stays where it is.
+    fn hop_a(&self, plan: &TransposePlan, spectra: Vec<C64>) -> Vec<C64> {
+        if self.cfg.pa == 1 {
+            return spectra;
+        }
+        self.transposing(|| plan.run(&self.comm_a, &spectra))
     }
 
     /// Plan scratch one line-loop worker needs (max over the plans).
@@ -551,8 +534,8 @@ impl ParallelFft {
                     for (f, phys) in sc.phys.chunks_exact_mut(px).take(k).enumerate() {
                         match input {
                             XIn::Spectra(spec) => {
-                                let s = ((y * k + f) * zpl + z0) * sx;
-                                rfft.inverse_lanes(&spec[s..s + cnt * sx], sx, phys, &mut sc.fft);
+                                let s = interleaved((y * k + f) * sx * zpl + z0, sx, zpl, cnt);
+                                rfft.inverse_lanes(&spec[s], sx, zpl, phys, &mut sc.fft);
                             }
                             XIn::Fields(fields) => {
                                 let s = (y * zpl + z0) * px;
@@ -588,9 +571,13 @@ impl ParallelFft {
     /// Per x-line group the kernel pads + c2r-inverses the three velocity
     /// lines, forms each product in cache, and immediately r2c-forwards +
     /// truncates it — three lines of `px` reals live in L1/L2 the whole
-    /// time. Line groups are threaded over the configured pool with
-    /// per-worker scratch; the serial path runs entirely out of `ws` and
-    /// performs zero heap allocations once warm (single rank).
+    /// time. The spectra it reads and writes are the z-fastest x-pencil,
+    /// which on one CommA rank is the z-pencil itself: the x-stage then
+    /// reads the inverse z-stage's output and writes the forward
+    /// z-stage's input, and only the two CommB reorders move data. Line
+    /// groups are threaded over the configured pool with per-worker
+    /// scratch; the serial path runs entirely out of `ws` and performs
+    /// zero heap allocations once warm (single rank).
     ///
     /// # Example
     ///
@@ -649,8 +636,7 @@ impl ParallelFft {
         let Workspace {
             zp_spec,
             zp,
-            spec_x,
-            spec_px,
+            zp_prod,
             out_z,
             send,
             serial,
@@ -706,44 +692,47 @@ impl ParallelFft {
                         }
                     }
                 }
-                let d = (f * zpl + z0) * sx;
-                rfft.forward_lanes(
-                    &sc.prod[..px],
-                    &mut row[d..d + cnt * sx],
-                    sx,
-                    inv_px,
-                    &mut sc.fft,
-                );
+                let d = interleaved(f * sx * zpl + z0, sx, zpl, cnt);
+                rfft.forward_lanes(&sc.prod[..px], &mut row[d], sx, zpl, inv_px, &mut sc.fft);
             }
         };
         const FUSED_TRANSFORMS: usize = NL_FIELDS + NL_PRODUCTS;
 
-        // --- x-stage: monolithic CommA transposes around one full-pencil
-        // fused kernel ---
-        {
+        // --- x-stage between the CommA hops: on one CommA rank the z-fastest
+        // x-pencil is the z-pencil, so it reads `zp`, writes the forward
+        // z-stage's input, and no hop runs ---
+        let split = cfg.pa > 1;
+        if split {
             let plans = self.batch_plans(NL_FIELDS);
-            self.transposing(|| plans.t_zx.run_with(&self.comm_a, zp, send, spec_x));
-            spec_px.resize(nyl * NL_PRODUCTS * zpl * sx, zero);
-            self.x_stage(
-                "fused_products",
-                NL_FIELDS,
-                FUSED_TRANSFORMS,
-                XIn::Spectra(spec_x),
-                spec_px,
-                NL_PRODUCTS * zpl * sx,
-                serial,
-                fused,
-            );
-            *courant_rate = f64::from_bits(peak.into_inner());
+            self.transposing(|| plans.t_zx.run_with(&self.comm_a, zp, send, zp_spec));
+        }
+        let (spec, products) = if split {
+            (&*zp_spec, &mut *zp)
+        } else {
+            (&*zp, &mut *zp_prod)
+        };
+        products.resize(nyl * NL_PRODUCTS * sx * zpl, zero);
+        self.x_stage(
+            "fused_products",
+            NL_FIELDS,
+            FUSED_TRANSFORMS,
+            XIn::Spectra(spec),
+            products,
+            NL_PRODUCTS * sx * zpl,
+            serial,
+            fused,
+        );
+        *courant_rate = f64::from_bits(peak.into_inner());
+        if split {
             let plans = self.batch_plans(NL_PRODUCTS);
-            self.transposing(|| plans.t_xz.run_with(&self.comm_a, spec_px, send, zp));
+            self.transposing(|| plans.t_xz.run_with(&self.comm_a, zp, send, zp_prod));
         }
 
         // --- forward leg: 5 product fields back to the y-pencil ---
         {
             let plans = self.batch_plans(NL_PRODUCTS);
             out_z.resize(nyl * NL_PRODUCTS * sxl * cfg.nz, zero);
-            self.z_stage(&self.zfwd, zp, out_z, serial);
+            self.z_stage(&self.zfwd, zp_prod, out_z, serial);
             self.transposing(|| plans.t_zy.run_with(&self.comm_b, out_z, send, out));
         }
     }
@@ -775,10 +764,10 @@ impl ParallelFft {
         let mut zp = vec![C64::new(0.0, 0.0); nyl * k * sxl * pz];
         self.z_stage(&self.zinv, &zp_spec, &mut zp, &mut serial);
 
-        // Outer transpose with rows = y_loc * field
-        let spec_x = self.transposing(|| plans.t_zx.run(&self.comm_a, &zp));
+        // to the z-fastest x-pencil [y_loc][field][kx][z_loc]
+        let spec_x = self.hop_a(&plans.t_zx, zp);
 
-        // [y_loc][field][z_loc][sx] -> pad + c2r in x, then unstack
+        // pad + c2r in x, then unstack
         let mut phys = vec![0.0f64; nyl * k * zpl * px];
         self.x_stage(
             "fft_x_inv",
@@ -818,9 +807,10 @@ impl ParallelFft {
         let plans = self.batch_plans(k);
         let mut serial = LineScratch::sized(k, px, self.fft_len());
 
-        // r2c in x straight from the fields into [y_loc][field][z_loc][sx],
-        // truncated to the solution modes and normalised by px
-        let mut spec_x = vec![C64::new(0.0, 0.0); nyl * k * zpl * sx];
+        // r2c in x straight from the fields into the z-fastest x-pencil
+        // [y_loc][field][kx][z_loc], truncated to the solution modes and
+        // normalised by px
+        let mut spec_x = vec![C64::new(0.0, 0.0); nyl * k * sx * zpl];
         let (rfft, inv_px) = (&self.rfft_x, 1.0 / px as f64);
         self.x_stage(
             "fft_x_fwd",
@@ -828,16 +818,16 @@ impl ParallelFft {
             k,
             XIn::Fields(fields),
             &mut spec_x,
-            k * zpl * sx,
+            k * sx * zpl,
             &mut serial,
             |sc, _, z0, cnt, row: &mut [C64]| {
                 for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
-                    let d = (f * zpl + z0) * sx;
-                    rfft.forward_lanes(block, &mut row[d..d + cnt * sx], sx, inv_px, &mut sc.fft);
+                    let d = interleaved(f * sx * zpl + z0, sx, zpl, cnt);
+                    rfft.forward_lanes(block, &mut row[d], sx, zpl, inv_px, &mut sc.fft);
                 }
             },
         );
-        let zp = self.transposing(|| plans.t_xz.run(&self.comm_a, &spec_x));
+        let zp = self.hop_a(&plans.t_xz, spec_x);
 
         // [y_loc][field][kx_loc][pz]: forward z-FFT + truncate + normalise
         let mut out_z = vec![C64::new(0.0, 0.0); nyl * k * sxl * nz];
@@ -1363,17 +1353,24 @@ mod tests {
             pad_full(src, dst);
             p.zinv.execute(dst, &mut zscratch);
         }
-        let spec_x = p.batch_plans(NL_FIELDS).t_zx.run(&p.comm_a, &zp);
+        // the z-fastest x-pencil: coefficient kx of line (y, field, z) at
+        // ((y * fields + field) * sx + kx) * zpl + z
+        let spec_x = p.hop_a(&p.batch_plans(NL_FIELDS).t_zx, zp);
+        let at =
+            |y: usize, f: usize, nf: usize, kx: usize, z: usize| ((y * nf + f) * sx + kx) * zpl + z;
 
-        let mut spec_px = vec![zero; nyl * NL_PRODUCTS * zpl * sx];
+        let mut spec_px = vec![zero; nyl * NL_PRODUCTS * sx * zpl];
+        let mut line = vec![zero; sx];
         let mut cline = vec![zero; px / 2 + 1];
         let mut phys = vec![0.0; NL_FIELDS * px];
         let mut prod = vec![0.0; px];
         for y in 0..nyl {
             for z in 0..zpl {
                 for fi in 0..NL_FIELDS {
-                    let s = ((y * NL_FIELDS + fi) * zpl + z) * sx;
-                    pad_half(&spec_x[s..s + sx], &mut cline);
+                    for (kx, c) in line.iter_mut().enumerate() {
+                        *c = spec_x[at(y, fi, NL_FIELDS, kx, z)];
+                    }
+                    pad_half(&line, &mut cline);
                     let line = &mut phys[fi * px..(fi + 1) * px];
                     p.rfft_x.inverse(&cline, line, &mut xscratch);
                 }
@@ -1385,16 +1382,15 @@ mod tests {
                         }
                     }
                     p.rfft_x.forward(&prod, &mut cline, &mut xscratch);
-                    let d = ((y * NL_PRODUCTS + f) * zpl + z) * sx;
-                    truncate_half(&cline, &mut spec_px[d..d + sx]);
-                    for v in spec_px[d..d + sx].iter_mut() {
-                        *v *= 1.0 / px as f64;
+                    truncate_half(&cline, &mut line);
+                    for (kx, c) in line.iter().enumerate() {
+                        spec_px[at(y, f, NL_PRODUCTS, kx, z)] = c * (1.0 / px as f64);
                     }
                 }
             }
         }
 
-        let zp = p.batch_plans(NL_PRODUCTS).t_xz.run(&p.comm_a, &spec_px);
+        let zp = p.hop_a(&p.batch_plans(NL_PRODUCTS).t_xz, spec_px);
         let mut out_z = vec![zero; zp.len() / pz * nz];
         let mut zline = vec![zero; pz];
         for (src, dst) in zp.chunks_exact(pz).zip(out_z.chunks_exact_mut(nz)) {

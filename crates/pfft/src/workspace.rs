@@ -18,14 +18,16 @@ use crate::C64;
 /// (buffers only ever grow).
 #[derive(Default)]
 pub struct Workspace {
-    /// z-pencil spectral staging (after the y->z transpose).
+    /// z-pencil spectral velocity lines (after the y->z transpose); across
+    /// CommA ranks also the x-pencil velocity spectra after the z->x hop.
     pub(crate) zp_spec: Vec<C64>,
-    /// z-pencil padded lines (physical z).
+    /// z-pencil padded velocity lines (physical z), which on one CommA rank
+    /// are the x-pencil spectra the fused x-stage reads; across CommA ranks
+    /// also the x-pencil product spectra before the x->z hop.
     pub(crate) zp: Vec<C64>,
-    /// x-pencil spectral velocity lines (after the z->x transpose).
-    pub(crate) spec_x: Vec<C64>,
-    /// x-pencil spectral product lines (fused kernel output).
-    pub(crate) spec_px: Vec<C64>,
+    /// z-pencil padded product lines, the forward z-stage's input: written
+    /// by the fused x-stage on one CommA rank, by the x->z hop across them.
+    pub(crate) zp_prod: Vec<C64>,
     /// z-pencil truncated product lines (after the forward z FFT).
     pub(crate) out_z: Vec<C64>,
     /// Transpose pack buffer (unused on a single rank).

@@ -575,18 +575,20 @@ fn ddr_of(f: impl FnOnce()) -> u64 {
 }
 
 /// Table 4's host rows at the spectral grid `g`, as `(kernel, shape,
-/// seconds of one pass)` over 16-byte elements: the reorders the solver
-/// runs on one rank — [`TransposePlan::run_with`]'s `p == 1` arm at the
-/// x<->z ([`RowsPlacement::Outer`]) and z<->y ([`RowsPlacement::Middle`])
-/// shapes `[rows, nf, nt]` that `ParallelFft` plans for `g` — beside
-/// [`reorder_naive`] and [`reorder_blocked`] at the z<->y element count
+/// seconds of one pass)` over 16-byte elements: the solver's two
+/// transposes as [`TransposePlan::run_with`] runs them on one rank, at
+/// the shapes `[rows, nf, nt]` that `ParallelFft` plans for `g` — the
+/// z->x hop ([`RowsPlacement::SplitFast`], a plain copy on one rank,
+/// where the solver skips it) and the z<->y reorder
+/// ([`RowsPlacement::Middle`]) — beside [`reorder_naive`] and the
+/// production kernel [`reorder_blocked`] at the z<->y element count
 /// (shape `[ni, nj, nk]`).
 pub fn probe_reorder(g: Grid, reps: usize) -> Vec<(&'static str, [usize; 3], f64)> {
     let plans = [
         (
-            "transpose_outer",
-            [g.ny, g.pz(), g.sx()],
-            RowsPlacement::Outer,
+            "transpose_split_fast",
+            [g.ny, g.sx(), g.pz()],
+            RowsPlacement::SplitFast,
         ),
         (
             "transpose_middle",
@@ -617,11 +619,12 @@ pub fn probe_reorder(g: Grid, reps: usize) -> Vec<(&'static str, [usize; 3], f64
         black_box(&out);
     });
     probes.push(("reorder_naive", shape, naive));
+    // (i, j, k) -> (j, k, i) is one plane with f = i, t = (j, k)
     let blocked = fastest(reps, || {
-        reorder_blocked(&a, ni, nj, nk, &mut out, 16);
+        reorder_blocked(&a, [nj * nk, 0], &mut out, [ni, 0], [ni, 1, nj * nk]);
         black_box(&out);
     });
-    probes.push(("reorder_blocked_16", shape, blocked));
+    probes.push(("reorder_blocked", shape, blocked));
     probes
 }
 
@@ -645,8 +648,9 @@ pub fn probe_split_sweep(reps: usize) -> Vec<(usize, usize, f64)> {
             let (comm_a, comm_b) = (cart.sub(0), cart.sub(1));
             let nyl = block_len(ny, pb, comm_b.rank());
             let sxl = block_len(nx / 2, pa, comm_a.rank());
-            let (all, middle) = (ExchangeStrategy::AllToAll, RowsPlacement::Middle);
-            let t_a = TransposePlan::new(&comm_a, nyl, nz, nx / 2, all);
+            let all = ExchangeStrategy::AllToAll;
+            let (split, middle) = (RowsPlacement::SplitFast, RowsPlacement::Middle);
+            let t_a = TransposePlan::with_placement(&comm_a, nyl, nx / 2, nz, all, split);
             let t_b = TransposePlan::with_placement(&comm_b, sxl, ny, nz, all, middle);
             let xa = vec![1.0f64; t_a.input_len()];
             let xb = vec![1.0f64; t_b.input_len()];

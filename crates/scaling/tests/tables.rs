@@ -100,10 +100,10 @@ fn campaign() -> Campaign {
         eventsim: vec![sim(512, 32), sim(1024, 64)],
         table1: table1(),
         reorder: vec![
-            ("transpose_outer", [33, 48, 16], 2.0e-5),
+            ("transpose_split_fast", [33, 16, 48], 2.0e-5),
             ("transpose_middle", [16, 33, 32], 2.0e-5),
             ("reorder_naive", [33, 16, 32], 2.0e-5),
-            ("reorder_blocked_16", [33, 16, 32], 1.0e-5),
+            ("reorder_blocked", [33, 16, 32], 1.0e-5),
         ],
         splits: vec![(8, 1, 5e-4), (4, 2, 5e-4), (2, 4, 5e-4), (1, 8, 4e-4)],
         split_sim: vec![vec![0.07; 6], vec![0.3; 4]],

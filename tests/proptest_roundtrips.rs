@@ -123,11 +123,13 @@ proptest! {
     }
 
     /// the lane-blocked real transforms (pad_half / truncate_half + scale
-    /// fused) equal the single-line ones bit for bit, both layouts
+    /// fused) on interleaved lines (coefficient k of line l at
+    /// k * stride + l) equal the single-line ones bit for bit, both layouts
     #[test]
     fn rfft_lanes_equal_single_lines_bitwise(
         h in 1usize..80,
         lines in 1usize..(LANES + 1),
+        gap in 0usize..4,
         elide in any::<bool>(),
         padded in any::<bool>(),
         seed in any::<u64>(),
@@ -137,15 +139,21 @@ proptest! {
         let plan = RfftPlan::new(n, layout);
         let full = plan.spectrum_len();
         let modes = if padded { (2 * full / 3).max(1) } else { full };
+        let stride = lines + gap;
+        let slots = (modes - 1) * stride + lines;
         let mut scratch = plan.make_scratch();
-        // synthesis
-        let src = rand_complex(lines * modes, seed);
+        // synthesis: line l is coefficient k at src[k * stride + l]
+        let src = rand_complex(slots, seed);
         let mut phys = vec![Lanes([3.0; LANES]); n];
-        plan.inverse_lanes(&src, modes, &mut phys, &mut scratch);
+        plan.inverse_lanes(&src, modes, stride, &mut phys, &mut scratch);
         let mut spec = vec![C64::new(0.0, 0.0); full];
+        let mut line = vec![C64::new(0.0, 0.0); modes];
         let mut real = vec![0.0; n];
-        for (l, s) in src.chunks_exact(modes).enumerate() {
-            pad_half(s, &mut spec);
+        for l in 0..lines {
+            for (k, c) in line.iter_mut().enumerate() {
+                *c = src[k * stride + l];
+            }
+            pad_half(&line, &mut spec);
             plan.inverse(&spec, &mut real, &mut scratch);
             for j in 0..n {
                 prop_assert!(phys[j].0[l].to_bits() == real[j].to_bits(), "inverse n={} l={} j={}", n, l, j);
@@ -153,19 +161,17 @@ proptest! {
         }
         // analysis of what came out (lanes past `lines` are zero)
         let scale = 1.0 / n as f64;
-        let mut got = vec![C64::new(9.0, 9.0); lines * modes];
-        plan.forward_lanes(&phys, &mut got, modes, scale, &mut scratch);
-        let mut want = vec![C64::new(0.0, 0.0); modes];
-        for (l, g) in got.chunks_exact(modes).enumerate() {
+        let mut got = vec![C64::new(9.0, 9.0); slots];
+        plan.forward_lanes(&phys, &mut got, modes, stride, scale, &mut scratch);
+        for l in 0..lines {
             for j in 0..n {
                 real[j] = phys[j].0[l];
             }
             plan.forward(&real, &mut spec, &mut scratch);
-            truncate_half(&spec, &mut want);
-            for v in want.iter_mut() {
-                *v *= scale;
-            }
-            prop_assert!(same_bits(g, &want), "forward n={} l={}", n, l);
+            truncate_half(&spec, &mut line);
+            let g: Vec<C64> = (0..modes).map(|k| got[k * stride + l]).collect();
+            let want: Vec<C64> = line.iter().map(|v| v * scale).collect();
+            prop_assert!(same_bits(&g, &want), "forward n={} l={}", n, l);
         }
     }
 
