@@ -29,13 +29,14 @@
 
 use std::path::PathBuf;
 
-use crate::solver::{ChannelDns, PhaseTimers};
+use crate::solver::ChannelDns;
 use crate::stats;
 use dns_health::{
     FlightEvent, FlightRecorder, SentinelAbort, SentinelConfig, SentinelValues, Sentinels,
     StragglerConfig, StragglerDetector,
 };
 use dns_minimpi::Communicator;
+use dns_telemetry::PhaseSeconds;
 
 /// What the [`StepMonitor`] watches and where it writes.
 #[derive(Clone, Debug)]
@@ -65,7 +66,7 @@ impl Default for MonitorConfig {
 
 /// Baseline snapshot the per-step deltas are measured against.
 struct Baselines {
-    timers: PhaseTimers,
+    timers: PhaseSeconds,
     recv_wait: f64,
     msgs: u64,
     bytes: u64,
@@ -150,11 +151,6 @@ impl StepMonitor {
         })
     }
 
-    /// `true` on the single rank that writes the flight recorder.
-    pub fn root(&self) -> bool {
-        self.comm.rank() == 0
-    }
-
     /// Ingest one completed step (collective). `wall_s` is the caller's
     /// wall-clock measurement around `dns.step()`. Runs the sentinels on
     /// their cadence, allgathers the per-rank rows, lets rank 0 write
@@ -166,13 +162,13 @@ impl StepMonitor {
     pub fn observe_step(&mut self, dns: &ChannelDns, wall_s: f64) -> Result<(), SentinelAbort> {
         let step = dns.state().steps;
         let (now, prev) = (Baselines::snapshot(dns, &self.comm), &self.prev);
-        let wait = now.recv_wait - prev.recv_wait;
+        let (wait, phases) = (now.recv_wait - prev.recv_wait, now.timers - prev.timers);
         // one 8-number row per rank onto the monitor's communicator
         let row = [
             wall_s,
-            now.timers.transpose - prev.timers.transpose,
-            now.timers.fft - prev.timers.fft,
-            now.timers.ns_advance - prev.timers.ns_advance,
+            phases.transpose,
+            phases.fft,
+            phases.ns_advance,
             wait,
             (wall_s - wait).max(0.0),
             (now.msgs - prev.msgs) as f64,

@@ -25,6 +25,7 @@
 use crate::solver::ChannelDns;
 use crate::C64;
 use dns_banded::{gather_lanes, scatter_lanes, LaneRow, RhsPanel, LANES};
+use dns_telemetry::Phase;
 
 /// The spectral convective-flux divergences `H_i = -d/dx_j (u_i u_j)` as
 /// values at the collocation points, for every locally-owned wavenumber
@@ -216,16 +217,16 @@ pub fn compute(dns: &ChannelDns) -> NlTerms {
 /// the batched solver's column order, every banded sweep on a one-block
 /// panel: per lane the operations, and their order, are those of the
 /// per-mode evaluation (the test module keeps it as the bitwise oracle).
-/// They run on the N-S advance clock
-/// ([`PhaseTimers::ns_advance`](crate::solver::PhaseTimers::ns_advance)),
-/// the transform pipeline between them on the transpose and FFT clocks.
+/// They are N-S advance regions on the rank's phase clock
+/// ([`ParallelFft::clock`](dns_pfft::ParallelFft::clock)), the transform
+/// pipeline between them transpose and FFT ones.
 pub fn compute_into(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWorkspace) {
     if !dns.params().nonlinear {
         out.reset(dns);
         return;
     }
     out.size(dns);
-    let _nl = dns_telemetry::span("nonlinear", dns_telemetry::Phase::Other);
+    let _nl = dns_telemetry::span("nonlinear", Phase::Other);
     let ops = dns.ops();
     let ny = ops.n();
     let pfft = dns.pfft();
@@ -259,22 +260,22 @@ pub fn compute_into(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWorkspace) {
     // coefficient lines, one B0 block matvec, scatter
     let state = dns.state();
     let fields = [state.u(), state.v(), state.w()];
-    dns.ns_clocked("b0_staging", || {
-        for modes in modes.chunks(LANES) {
-            for (fi, field) in fields.into_iter().enumerate() {
-                gather_lanes(coef, field, modes, start(1, 0));
-                ops.b0().matvec_block(coef, dy1);
-                scatter_lanes(dy1, &mut ws.uvw, modes, start(KF, fi));
-            }
+    let region = dns_telemetry::region("b0_staging", Phase::NsAdvance);
+    for modes in modes.chunks(LANES) {
+        for (fi, field) in fields.into_iter().enumerate() {
+            gather_lanes(coef, field, modes, start(1, 0));
+            ops.b0().matvec_block(coef, dy1);
+            scatter_lanes(dy1, &mut ws.uvw, modes, start(KF, fi));
         }
-        if let Some(m) = mean_mode {
-            for (fi, field) in fields.into_iter().enumerate() {
-                let dst = start(KF, fi)(m);
-                ops.b0()
-                    .matvec_complex(&field[dns.line_range(m)], &mut ws.uvw[dst..dst + ny]);
-            }
+    }
+    if let Some(m) = mean_mode {
+        for (fi, field) in fields.into_iter().enumerate() {
+            let dst = start(KF, fi)(m);
+            ops.b0()
+                .matvec_complex(&field[dns.line_range(m)], &mut ws.uvw[dst..dst + ny]);
         }
-    });
+    }
+    region.close(pfft.clock());
 
     // fused inverse-product-forward cycle: five spectral products out
     pfft.nonlinear_products(&ws.uvw, &mut ws.products, &mut ws.pfft);
@@ -292,68 +293,68 @@ pub fn compute_into(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWorkspace) {
         ops.b0_lu().solve_block(vals);
         ops.b1().matvec_block(vals, out);
     };
-    dns.ns_clocked("rhs_assembly", || {
-        for (b, modes) in modes.chunks(LANES).enumerate() {
-            for (f, blk) in [&mut *pa, puv, puw, pvw, pb].into_iter().enumerate() {
-                gather_lanes(blk, products, modes, start(KP, f));
-            }
-            // per-lane wavenumbers; zero past the last mode, where the
-            // gathered lanes are zero too
-            let (mut kxs, mut kzs) = ([0.0; LANES], [0.0; LANES]);
-            for (l, &m) in modes.iter().enumerate() {
-                let (ikx, ikz, _) = dns.mode_wavenumbers(m);
-                (kxs[l], kzs[l]) = (ikx.im, ikz.im);
-            }
-            // D(uv) and D(vw) feed both h_g and G
-            coef.copy_from_slice(puv);
-            dy_of(coef, dy1);
-            coef.copy_from_slice(pvw);
-            dy_of(coef, dy2);
-            // G lands in `coef`, where its own derivative solve wants it
-            let h_g = out.h_g.block_mut(b);
-            for j in 0..ny {
-                for l in 0..LANES {
-                    let (kx, kz) = (kxs[l], kzs[l]);
-                    let (ikx, ikz) = (C64::new(0.0, kx), C64::new(0.0, kz));
-                    let (a, uw, bb) = (pa[j].get(l), puw[j].get(l), pb[j].get(l));
-                    let (d1, d2) = (dy1[j].get(l), dy2[j].get(l));
-                    h_g[j].set(
-                        l,
-                        kx * kz * (a - bb) + (kz * kz - kx * kx) * uw - ikz * d1 + ikx * d2,
-                    );
-                    coef[j].set(
-                        l,
-                        kx * kx * a + kz * kz * bb + 2.0 * kx * kz * uw - ikx * d1 - ikz * d2,
-                    );
-                }
-            }
-            // D(G) can overwrite dy1 — h_g and G are already assembled
-            dy_of(coef, dy1);
-            let h_v = out.h_v.block_mut(b);
-            for j in 0..ny {
-                for l in 0..LANES {
-                    let (kx, kz) = (kxs[l], kzs[l]);
-                    let (ikx, ikz, k2) = (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz);
-                    let (uv, vw) = (puv[j].get(l), pvw[j].get(l));
-                    h_v[j].set(l, -dy1[j].get(l) + k2 * (ikx * uv + ikz * vw));
-                }
+    let region = dns_telemetry::region("rhs_assembly", Phase::NsAdvance);
+    for (b, modes) in modes.chunks(LANES).enumerate() {
+        for (f, blk) in [&mut *pa, puv, puw, pvw, pb].into_iter().enumerate() {
+            gather_lanes(blk, products, modes, start(KP, f));
+        }
+        // per-lane wavenumbers; zero past the last mode, where the
+        // gathered lanes are zero too
+        let (mut kxs, mut kzs) = ([0.0; LANES], [0.0; LANES]);
+        for (l, &m) in modes.iter().enumerate() {
+            let (ikx, ikz, _) = dns.mode_wavenumbers(m);
+            (kxs[l], kzs[l]) = (ikx.im, ikz.im);
+        }
+        // D(uv) and D(vw) feed both h_g and G
+        coef.copy_from_slice(puv);
+        dy_of(coef, dy1);
+        coef.copy_from_slice(pvw);
+        dy_of(coef, dy2);
+        // G lands in `coef`, where its own derivative solve wants it
+        let h_g = out.h_g.block_mut(b);
+        for j in 0..ny {
+            for l in 0..LANES {
+                let (kx, kz) = (kxs[l], kzs[l]);
+                let (ikx, ikz) = (C64::new(0.0, kx), C64::new(0.0, kz));
+                let (a, uw, bb) = (pa[j].get(l), puw[j].get(l), pb[j].get(l));
+                let (d1, d2) = (dy1[j].get(l), dy2[j].get(l));
+                h_g[j].set(
+                    l,
+                    kx * kz * (a - bb) + (kz * kz - kx * kx) * uw - ikz * d1 + ikx * d2,
+                );
+                coef[j].set(
+                    l,
+                    kx * kx * a + kz * kz * bb + 2.0 * kx * kz * uw - ikx * d1 - ikz * d2,
+                );
             }
         }
-        // three interpolation solves per regular mode, reported per stage
-        ops.b0_lu().count_solves(modes.len(), 3);
-        // the mean mode's turbulent forcing: -D(uv) and -D(vw), two lines
-        if let Some(m) = mean_mode {
-            let [d, coef] = &mut ws.mean;
-            for (f, mean_h) in [(1, &mut out.mean_hx), (3, &mut out.mean_hz)] {
-                let s = start(KP, f)(m);
-                ops.interpolate_complex_into(&products[s..s + ny], coef);
-                ops.b1().matvec_complex(coef, d);
-                for (h, d) in mean_h.iter_mut().zip(d.iter()) {
-                    *h = -d.re;
-                }
+        // D(G) can overwrite dy1 — h_g and G are already assembled
+        dy_of(coef, dy1);
+        let h_v = out.h_v.block_mut(b);
+        for j in 0..ny {
+            for l in 0..LANES {
+                let (kx, kz) = (kxs[l], kzs[l]);
+                let (ikx, ikz, k2) = (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz);
+                let (uv, vw) = (puv[j].get(l), pvw[j].get(l));
+                h_v[j].set(l, -dy1[j].get(l) + k2 * (ikx * uv + ikz * vw));
             }
         }
-    });
+    }
+    // three interpolation solves per regular mode, reported per stage
+    ops.b0_lu().count_solves(modes.len(), 3);
+    // the mean mode's turbulent forcing: -D(uv) and -D(vw), two lines
+    if let Some(m) = mean_mode {
+        let [d, coef] = &mut ws.mean;
+        for (f, mean_h) in [(1, &mut out.mean_hx), (3, &mut out.mean_hz)] {
+            let s = start(KP, f)(m);
+            ops.interpolate_complex_into(&products[s..s + ny], coef);
+            ops.b1().matvec_complex(coef, d);
+            for (h, d) in mean_h.iter_mut().zip(d.iter()) {
+                *h = -d.re;
+            }
+        }
+    }
+    region.close(pfft.clock());
 }
 
 /// The pre-fusion reference evaluation: six products through the

@@ -1,6 +1,5 @@
 //! The pencil-FFT pipeline implementation.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dns_fft::{CfftPlan, Direction, Lanes, RealLayout, RfftPlan, LANES};
@@ -8,7 +7,7 @@ use dns_minimpi::{CartComm, Communicator};
 use dns_pencil::{Block, ExchangeStrategy, RowsPlacement, TransposePlan};
 
 use dns_telemetry as telemetry;
-use dns_telemetry::Phase;
+use dns_telemetry::{Phase, PhaseClock, PhaseSeconds};
 
 use crate::workspace::{LineScratch, Workspace};
 use crate::C64;
@@ -131,16 +130,6 @@ impl PfftConfig {
     }
 }
 
-/// Accumulated phase timers (seconds), split the way Tables 9-10 split a
-/// timestep: exchange+reorder vs transform arithmetic.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PfftTimers {
-    /// Global transposes (pack + exchange + unpack).
-    pub transpose: f64,
-    /// Serial FFT arithmetic including pad/truncate.
-    pub fft: f64,
-}
-
 /// A planned parallel FFT bound to a `pa x pb` Cartesian process grid.
 pub struct ParallelFft {
     cfg: PfftConfig,
@@ -159,7 +148,9 @@ pub struct ParallelFft {
     strategy_a: ExchangeStrategy,
     strategy_b: ExchangeStrategy,
     pool: Option<rayon::ThreadPool>,
-    timers: Cell<PfftTimers>,
+    /// This rank's phase clock: every timed region of the transform
+    /// pipeline, and of the solver built on it, is closed here.
+    clock: PhaseClock,
 }
 
 /// Transpose plans sized for a `k`-field batch.
@@ -188,34 +179,10 @@ fn count_flops(lines: usize, per_line: f64) {
     }
 }
 
-/// Interleave `fields` block-wise for a batched transpose: block `o`
-/// (`block` values) of field `f` lands at block `o * k + f`.
-fn stack<T: Copy>(fields: &[&[T]], block: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(fields.len() * fields[0].len());
-    for o in 0..fields[0].len() / block.max(1) {
-        for field in fields {
-            out.extend_from_slice(&field[o * block..(o + 1) * block]);
-        }
-    }
-    out
-}
-
 /// The slots of `cnt` interleaved x-pencil spectra of `sx` modes in rows
 /// of `zpl` z values (coefficient `k` of line `l` at `first + k*zpl + l`).
 fn interleaved(first: usize, sx: usize, zpl: usize, cnt: usize) -> std::ops::Range<usize> {
     first..first + (sx - 1) * zpl + cnt
-}
-
-/// Undo [`stack`] for `k` fields.
-fn unstack<T: Copy>(stacked: Vec<T>, k: usize, block: usize) -> Vec<Vec<T>> {
-    if k == 1 {
-        return vec![stacked];
-    }
-    let mut out = vec![Vec::with_capacity(stacked.len() / k); k];
-    for (i, chunk) in stacked.chunks_exact(block.max(1)).enumerate() {
-        out[i % k].extend_from_slice(chunk);
-    }
-    out
 }
 
 impl ParallelFft {
@@ -277,7 +244,7 @@ impl ParallelFft {
             zinv: CfftPlan::new(pz, Direction::Inverse),
             strategy_a,
             strategy_b,
-            timers: Cell::new(PfftTimers::default()),
+            clock: PhaseClock::default(),
         }
     }
 
@@ -340,40 +307,23 @@ impl ParallelFft {
         self.kz_block.len * self.kx_block.len * self.cfg.ny
     }
 
-    /// Accumulated phase timers since the last [`ParallelFft::reset_timers`].
-    pub fn timers(&self) -> PfftTimers {
-        self.timers.get()
+    /// The rank's phase clock, on which callers close their own regions
+    /// ([`telemetry::region`]).
+    pub fn clock(&self) -> &PhaseClock {
+        &self.clock
     }
 
-    /// Zero the phase timers.
+    /// Seconds per phase booked on [`ParallelFft::clock`] since
+    /// construction or the last [`ParallelFft::reset_timers`]: this
+    /// pipeline's transposes and transforms (the field (un)stacking
+    /// copies count as FFT), plus whatever the caller booked there.
+    pub fn timers(&self) -> PhaseSeconds {
+        self.clock.get()
+    }
+
+    /// Zero the phase clock.
     pub fn reset_timers(&self) {
-        self.timers.set(PfftTimers::default());
-    }
-
-    /// Run `f` on the transpose clock.
-    fn transposing<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t0 = std::time::Instant::now();
-        let out = f();
-        let mut t = self.timers.get();
-        t.transpose += t0.elapsed().as_secs_f64();
-        self.timers.set(t);
-        out
-    }
-
-    /// Run a field (un)stacking copy under its span; it is booked on the
-    /// FFT clock, as the line loops it feeds are.
-    fn restacking<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let _span = telemetry::span(name, Phase::Other);
-        let t0 = std::time::Instant::now();
-        let out = f();
-        self.add_fft(t0.elapsed().as_secs_f64());
-        out
-    }
-
-    fn add_fft(&self, dt: f64) {
-        let mut t = self.timers.get();
-        t.fft += dt;
-        self.timers.set(t);
+        self.clock.set(PhaseSeconds::default());
     }
 
     /// Peak communication-buffer bytes per call, the memory figure behind
@@ -443,11 +393,45 @@ impl ParallelFft {
     /// The CommA hop between the z-pencil spectra and the z-fastest
     /// x-pencil spectra. On one CommA rank both are `[y][field][kx][z]`,
     /// one layout, and the data stays where it is.
-    fn hop_a(&self, plan: &TransposePlan, spectra: Vec<C64>) -> Vec<C64> {
+    fn hop_a(&self, name: &'static str, plan: &TransposePlan, spectra: Vec<C64>) -> Vec<C64> {
         if self.cfg.pa == 1 {
             return spectra;
         }
-        self.transposing(|| plan.run(&self.comm_a, &spectra))
+        let region = telemetry::region(name, Phase::Transpose);
+        let out = plan.run(&self.comm_a, &spectra);
+        region.close(&self.clock);
+        out
+    }
+
+    /// Interleave `fields` block-wise for a batched transpose, an FFT
+    /// region: block `o` (`block` values) of field `f` lands at block
+    /// `o * k + f`.
+    fn stack(&self, fields: &[&[C64]], block: usize) -> Vec<C64> {
+        let region = telemetry::region("stack_fields", Phase::Fft);
+        let mut out = Vec::with_capacity(fields.len() * fields[0].len());
+        for o in 0..fields[0].len() / block.max(1) {
+            for field in fields {
+                out.extend_from_slice(&field[o * block..(o + 1) * block]);
+            }
+        }
+        region.close(&self.clock);
+        out
+    }
+
+    /// Undo [`ParallelFft::stack`] for `k` fields, an FFT region.
+    fn unstack<T: Copy>(&self, stacked: Vec<T>, k: usize, block: usize) -> Vec<Vec<T>> {
+        let region = telemetry::region("unstack_fields", Phase::Fft);
+        let out = if k == 1 {
+            vec![stacked]
+        } else {
+            let mut out = vec![Vec::with_capacity(stacked.len() / k); k];
+            for (i, chunk) in stacked.chunks_exact(block.max(1)).enumerate() {
+                out[i % k].extend_from_slice(chunk);
+            }
+            out
+        };
+        region.close(&self.clock);
+        out
     }
 
     /// Plan scratch one line-loop worker needs (max over the plans).
@@ -472,8 +456,7 @@ impl ParallelFft {
         if dst.is_empty() {
             return;
         }
-        let _stage = telemetry::span(name, Phase::Fft);
-        let t0 = std::time::Instant::now();
+        let region = telemetry::region(name, Phase::Fft);
         let lines = src.len() / src_len;
         assert_eq!(dst.len(), lines * dst_len);
         count_flops(lines, dns_fft::cfft_flops(pz));
@@ -489,7 +472,7 @@ impl ParallelFft {
                 plan.execute_dealiased(from, nz, row, scale, &mut sc.fft);
             },
         );
-        self.add_fft(t0.elapsed().as_secs_f64());
+        region.close(&self.clock);
     }
 
     /// The x-stage: for each y row of `dst` and each block of up to
@@ -515,8 +498,7 @@ impl ParallelFft {
         if dst.is_empty() {
             return;
         }
-        let _stage = telemetry::span(name, Phase::Fft);
-        let t0 = std::time::Instant::now();
+        let region = telemetry::region(name, Phase::Fft);
         let (px, sx, zpl) = (self.cfg.px(), self.cfg.sx(), self.zphys_block.len);
         count_flops(
             dst.len() / row_len * zpl * transforms,
@@ -553,7 +535,7 @@ impl ParallelFft {
                 }
             },
         );
-        self.add_fft(t0.elapsed().as_secs_f64());
+        region.close(&self.clock);
     }
 
     /// The fused nonlinear cycle (section 4.1, Tables 2-4): inverse
@@ -650,7 +632,9 @@ impl ParallelFft {
         // --- inverse leg: 3 velocity fields to the z-pencil ---
         {
             let plans = self.batch_plans(NL_FIELDS);
-            self.transposing(|| plans.t_yz.run_with(&self.comm_b, uvw, send, zp_spec));
+            let region = telemetry::region("transpose_yz", Phase::Transpose);
+            plans.t_yz.run_with(&self.comm_b, uvw, send, zp_spec);
+            region.close(&self.clock);
             zp.resize(nyl * NL_FIELDS * sxl * pz, zero);
             self.z_stage(&self.zinv, zp_spec, zp, serial);
         }
@@ -704,7 +688,9 @@ impl ParallelFft {
         let split = cfg.pa > 1;
         if split {
             let plans = self.batch_plans(NL_FIELDS);
-            self.transposing(|| plans.t_zx.run_with(&self.comm_a, zp, send, zp_spec));
+            let region = telemetry::region("transpose_zx", Phase::Transpose);
+            plans.t_zx.run_with(&self.comm_a, zp, send, zp_spec);
+            region.close(&self.clock);
         }
         let (spec, products) = if split {
             (&*zp_spec, &mut *zp)
@@ -725,7 +711,9 @@ impl ParallelFft {
         *courant_rate = f64::from_bits(peak.into_inner());
         if split {
             let plans = self.batch_plans(NL_PRODUCTS);
-            self.transposing(|| plans.t_xz.run_with(&self.comm_a, zp, send, zp_prod));
+            let region = telemetry::region("transpose_xz", Phase::Transpose);
+            plans.t_xz.run_with(&self.comm_a, zp, send, zp_prod);
+            region.close(&self.clock);
         }
 
         // --- forward leg: 5 product fields back to the y-pencil ---
@@ -733,7 +721,9 @@ impl ParallelFft {
             let plans = self.batch_plans(NL_PRODUCTS);
             out_z.resize(nyl * NL_PRODUCTS * sxl * cfg.nz, zero);
             self.z_stage(&self.zfwd, zp_prod, out_z, serial);
-            self.transposing(|| plans.t_zy.run_with(&self.comm_b, out_z, send, out));
+            let region = telemetry::region("transpose_zy", Phase::Transpose);
+            plans.t_zy.run_with(&self.comm_b, out_z, send, out);
+            region.close(&self.clock);
         }
     }
 
@@ -757,15 +747,17 @@ impl ParallelFft {
 
         // stack as [kz_loc][field][kx_loc][ny] so the Middle transpose
         // sees rows = k * kx_loc
-        let stacked = self.restacking("stack_fields", || stack(fields, sxl * ny));
-        let zp_spec = self.transposing(|| plans.t_yz.run(&self.comm_b, &stacked));
+        let stacked = self.stack(fields, sxl * ny);
+        let region = telemetry::region("transpose_yz", Phase::Transpose);
+        let zp_spec = plans.t_yz.run(&self.comm_b, &stacked);
+        region.close(&self.clock);
 
         // [y_loc][field][kx_loc][nz] -> pad+inverse FFT in z
         let mut zp = vec![C64::new(0.0, 0.0); nyl * k * sxl * pz];
         self.z_stage(&self.zinv, &zp_spec, &mut zp, &mut serial);
 
         // to the z-fastest x-pencil [y_loc][field][kx][z_loc]
-        let spec_x = self.hop_a(&plans.t_zx, zp);
+        let spec_x = self.hop_a("transpose_zx", &plans.t_zx, zp);
 
         // pad + c2r in x, then unstack
         let mut phys = vec![0.0f64; nyl * k * zpl * px];
@@ -788,7 +780,7 @@ impl ParallelFft {
                 }
             },
         );
-        self.restacking("unstack_fields", || unstack(phys, k, zpl * px))
+        self.unstack(phys, k, zpl * px)
     }
 
     /// Batched forward: `k` physical fields to spectral space through
@@ -827,15 +819,17 @@ impl ParallelFft {
                 }
             },
         );
-        let zp = self.hop_a(&plans.t_xz, spec_x);
+        let zp = self.hop_a("transpose_xz", &plans.t_xz, spec_x);
 
         // [y_loc][field][kx_loc][pz]: forward z-FFT + truncate + normalise
         let mut out_z = vec![C64::new(0.0, 0.0); nyl * k * sxl * nz];
         self.z_stage(&self.zfwd, &zp, &mut out_z, &mut serial);
-        let yp = self.transposing(|| plans.t_zy.run(&self.comm_b, &out_z));
+        let region = telemetry::region("transpose_zy", Phase::Transpose);
+        let yp = plans.t_zy.run(&self.comm_b, &out_z);
+        region.close(&self.clock);
 
         // [kz_loc][field][kx_loc][ny] -> unstack
-        self.restacking("unstack_fields", || unstack(yp, k, sxl * ny))
+        self.unstack(yp, k, sxl * ny)
     }
 
     /// Signed spanwise wavenumber of global kz index `g` (FFT ordering;
@@ -1355,7 +1349,7 @@ mod tests {
         }
         // the z-fastest x-pencil: coefficient kx of line (y, field, z) at
         // ((y * fields + field) * sx + kx) * zpl + z
-        let spec_x = p.hop_a(&p.batch_plans(NL_FIELDS).t_zx, zp);
+        let spec_x = p.hop_a("transpose_zx", &p.batch_plans(NL_FIELDS).t_zx, zp);
         let at =
             |y: usize, f: usize, nf: usize, kx: usize, z: usize| ((y * nf + f) * sx + kx) * zpl + z;
 
@@ -1390,7 +1384,7 @@ mod tests {
             }
         }
 
-        let zp = p.hop_a(&p.batch_plans(NL_PRODUCTS).t_xz, spec_px);
+        let zp = p.hop_a("transpose_xz", &p.batch_plans(NL_PRODUCTS).t_xz, spec_px);
         let mut out_z = vec![zero; zp.len() / pz * nz];
         let mut zline = vec![zero; pz];
         for (src, dst) in zp.chunks_exact(pz).zip(out_z.chunks_exact_mut(nz)) {

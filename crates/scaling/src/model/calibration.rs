@@ -10,7 +10,8 @@
 //! the fitted model reproduces every measured point within a stated
 //! bound.
 
-use crate::model::dnscost::{StepCounts, StepSeconds};
+use crate::model::dnscost::StepCounts;
+use dns_telemetry::PhaseSeconds;
 
 /// `|modelled - measured| / measured`, zero when nothing was measured.
 fn rel_err(measured: f64, modelled: f64) -> f64 {
@@ -39,7 +40,7 @@ impl Calibration {
     /// Fit pooled host rates from one or more measured `(counts,
     /// seconds)` pairs. Returns `None` when no phase has both nonzero
     /// counts and nonzero measured time (nothing to fit).
-    pub fn fit(obs: &[(StepCounts, StepSeconds)]) -> Option<Calibration> {
+    pub fn fit(obs: &[(StepCounts, PhaseSeconds)]) -> Option<Calibration> {
         let mut flops_fft = 0.0;
         let mut s_fft = 0.0;
         let mut flops_ns = 0.0;
@@ -76,25 +77,26 @@ impl Calibration {
     /// Predict per-phase seconds for a workload with the given counts.
     /// A phase whose rate could not be fitted (zero) predicts zero
     /// seconds for it.
-    pub fn predict(&self, counts: &StepCounts) -> StepSeconds {
+    pub fn predict(&self, counts: &StepCounts) -> PhaseSeconds {
         let over = |work: f64, rate: f64| if rate > 0.0 { work / rate } else { 0.0 };
-        StepSeconds {
+        PhaseSeconds {
             transpose: over(counts.transpose_bytes, self.stream_bw),
             fft: over(counts.fft_flops, self.fft_flop_rate),
             ns_advance: over(counts.ns_flops, self.ns_flop_rate),
+            other: 0.0,
         }
     }
 
     /// Relative error of the predicted total time at one measured point
     /// — the quantity the `--check` gate bounds.
-    pub fn err_rel(&self, counts: &StepCounts, seconds: &StepSeconds) -> f64 {
+    pub fn err_rel(&self, counts: &StepCounts, seconds: &PhaseSeconds) -> f64 {
         rel_err(seconds.total(), self.predict(counts).total())
     }
 
     /// Root-mean-square of [`Calibration::err_rel`] over a curve's
     /// points — the per-curve calibration residual reported in
     /// `BENCH_scalinglab.json`.
-    pub fn residual(&self, obs: &[(StepCounts, StepSeconds)]) -> f64 {
+    pub fn residual(&self, obs: &[(StepCounts, PhaseSeconds)]) -> f64 {
         if obs.is_empty() {
             return 0.0;
         }
@@ -113,17 +115,18 @@ impl Calibration {
 mod tests {
     use super::*;
 
-    fn obs(scale: f64, noise: f64) -> (StepCounts, StepSeconds) {
+    fn obs(scale: f64, noise: f64) -> (StepCounts, PhaseSeconds) {
         // synthetic host: 1 Gflop/s fft, 0.5 Gflop/s ns, 4 GB/s stream
         let counts = StepCounts {
             fft_flops: 2.0e8 * scale,
             ns_flops: 1.0e8 * scale,
             transpose_bytes: 8.0e8 * scale,
         };
-        let seconds = StepSeconds {
+        let seconds = PhaseSeconds {
             transpose: counts.transpose_bytes / 4.0e9 * noise,
             fft: counts.fft_flops / 1.0e9 * noise,
             ns_advance: counts.ns_flops / 0.5e9 * noise,
+            other: 0.0,
         };
         (counts, seconds)
     }

@@ -13,6 +13,7 @@ use crate::model::machines::Machine;
 use crate::model::network::{comm_pair, pair_time, CommCost};
 use crate::model::node::{kernel_time, stream_time, KernelCounts};
 use dns_fft::{cfft_flops, rfft_flops};
+use dns_telemetry::PhaseSeconds;
 
 /// Solution grid (Fourier modes in x/z, B-spline points in y).
 #[derive(Clone, Copy, Debug)]
@@ -83,26 +84,6 @@ pub struct StepCounts {
     pub ns_flops: f64,
     /// DRAM bytes the transposes stream (pack/unpack/reorder).
     pub transpose_bytes: f64,
-}
-
-/// Per-phase seconds of one workload unit: measured on the host, or
-/// predicted (the columns of Tables 9 and 10).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StepSeconds {
-    /// Global transposes: pack + exchange + unpack (the paper's
-    /// "Transpose" column).
-    pub transpose: f64,
-    /// FFTs including dealias pad/truncate and the fused products.
-    pub fft: f64,
-    /// Navier-Stokes advance (banded solves in y).
-    pub ns_advance: f64,
-}
-
-impl StepSeconds {
-    /// Total of the three phases.
-    pub fn total(&self) -> f64 {
-        self.transpose + self.fft + self.ns_advance
-    }
 }
 
 /// Choose the CommA x CommB factorisation the way the production code
@@ -205,13 +186,14 @@ pub fn timestep_node(m: &Machine, g: &Grid, cores: usize) -> (f64, f64) {
 }
 
 /// Full prediction of one RK3 timestep (a row of Table 9/10).
-pub fn timestep_phases(m: &Machine, g: &Grid, cores: usize, mode: Parallelism) -> StepSeconds {
+pub fn timestep_phases(m: &Machine, g: &Grid, cores: usize, mode: Parallelism) -> PhaseSeconds {
     let (t_fft, t_ns) = timestep_node(m, g, cores);
     let transpose = timestep_transpose(m, g, cores, mode);
-    StepSeconds {
+    PhaseSeconds {
         transpose: transpose.total(),
         fft: t_fft,
         ns_advance: t_ns,
+        other: 0.0,
     }
 }
 

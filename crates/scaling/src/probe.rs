@@ -30,7 +30,7 @@
 //! mean, and each pinned to its oracle before it is timed.
 
 use crate::campaign::grid;
-use crate::model::dnscost::{Grid, StepSeconds};
+use crate::model::dnscost::Grid;
 use crate::paper;
 use dns_banded::testmat::CollocationLike;
 use dns_banded::{BandedLu, BatchedFactor, CornerLu, LaneBand, RhsPanel, C64, LANES};
@@ -40,12 +40,12 @@ use dns_core::params::Params;
 use dns_core::run::{
     execute, InitialCondition, RunConfig, RunControl, RunObserver, RunSpec, RunStatus, StepCtx,
 };
-use dns_core::solver::{run_serial, ChannelDns, PhaseTimers};
+use dns_core::solver::{run_serial, ChannelDns};
 use dns_minimpi::{CartComm, Communicator, FaultPlan};
 use dns_pencil::reorder::{reorder_blocked, reorder_naive};
 use dns_pencil::{block_len, ExchangeStrategy, RowsPlacement, TransposePlan};
 use dns_pfft::{ParallelFft, PfftConfig};
-use dns_telemetry as telemetry;
+use dns_telemetry::{self as telemetry, PhaseSeconds};
 use std::hint::black_box;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -64,7 +64,7 @@ pub struct Probe {
     pub wall_s_per_step: f64,
     /// Critical-path per-phase seconds per step (max over ranks of each
     /// phase accumulator). `ns_advance` is zero for pfft-cycle probes.
-    pub seconds_per_step: StepSeconds,
+    pub seconds_per_step: PhaseSeconds,
     /// Telemetry snapshot of the timed window — feed to
     /// [`dns_telemetry::counts_json`] for the machine-readable export.
     pub snapshot: telemetry::Snapshot,
@@ -74,20 +74,17 @@ impl Probe {
     /// Fold the per-rank `(wall, phase)` seconds of a `steps`-long window
     /// into critical-path per-step numbers, and snapshot the registry
     /// (the ranks' world has wound down, so every thread has flushed).
-    fn from_ranks(threads: usize, steps: usize, per_rank: &[(f64, PhaseTimers)]) -> Probe {
-        let max = |f: fn(&(f64, PhaseTimers)) -> f64| {
-            per_rank.iter().map(f).fold(0.0, f64::max) / steps as f64
-        };
+    fn from_ranks(threads: usize, steps: usize, per_rank: &[(f64, PhaseSeconds)]) -> Probe {
+        let per_step = |s: f64| s / steps as f64;
+        let phases = per_rank.iter().map(|r| r.1);
         Probe {
             ranks: per_rank.len(),
             threads,
             steps,
-            wall_s_per_step: max(|r| r.0),
-            seconds_per_step: StepSeconds {
-                transpose: max(|r| r.1.transpose),
-                fft: max(|r| r.1.fft),
-                ns_advance: max(|r| r.1.ns_advance),
-            },
+            wall_s_per_step: per_step(per_rank.iter().map(|r| r.0).fold(0.0, f64::max)),
+            seconds_per_step: phases
+                .fold(PhaseSeconds::default(), PhaseSeconds::max)
+                .map(per_step),
             snapshot: telemetry::snapshot(),
         }
     }
@@ -115,7 +112,7 @@ fn fence(a: &Communicator, b: &Communicator, level: telemetry::Level) {
 struct Rk3Window {
     open_at: u64,
     close_at: u64,
-    per_rank: Mutex<Vec<(f64, PhaseTimers)>>,
+    per_rank: Mutex<Vec<(f64, PhaseSeconds)>>,
 }
 
 impl Rk3Window {
@@ -139,11 +136,7 @@ impl Rk3Window {
         }
         slot.0 += wall_s;
         if step == self.close_at {
-            slot.1 = PhaseTimers {
-                transpose: now.transpose - slot.1.transpose,
-                fft: now.fft - slot.1.fft,
-                ns_advance: now.ns_advance - slot.1.ns_advance,
-            };
+            slot.1 = now - slot.1;
         }
     }
 }
@@ -177,7 +170,7 @@ pub fn probe_rk3(params: Params, warmup: usize, steps: usize) -> Probe {
     let window = Arc::new(Rk3Window {
         open_at: warmup as u64,
         close_at: (warmup + steps) as u64,
-        per_rank: Mutex::new(vec![(0.0, PhaseTimers::default()); ranks]),
+        per_rank: Mutex::new(vec![(0.0, PhaseSeconds::default()); ranks]),
     });
     let spec = RunSpec {
         name: "probe_rk3".to_string(),
@@ -246,15 +239,7 @@ pub fn probe_pfft_cycle(
         }
         let wall = t0.elapsed().as_secs_f64();
         fence(p.comm_a(), p.comm_b(), telemetry::Level::Off);
-        let t = p.timers();
-        (
-            wall,
-            PhaseTimers {
-                transpose: t.transpose,
-                fft: t.fft,
-                ns_advance: 0.0,
-            },
-        )
+        (wall, p.timers())
     });
     Probe::from_ranks(threads, cycles, &per_rank)
 }

@@ -17,7 +17,7 @@
 
 use crate::campaign::{grid, split_sweeps, Bench, Campaign, Point, BOUND, MIRA_GRID};
 use crate::model::dnscost::{
-    aggregate_rates, pfft_cycle_parts, timestep_phases, Grid, Parallelism, StepSeconds,
+    aggregate_rates, pfft_cycle_parts, timestep_phases, Grid, Parallelism,
 };
 use crate::model::machines::Machine;
 use crate::model::network::{comm_pair, pair_time};
@@ -28,6 +28,7 @@ use crate::probe::{PANEL_THREADS, SPLIT_GRID, SPLIT_RANKS, SWEEP_BANDWIDTH};
 use crate::report::{host_json, nproc, Table};
 use dns_json::{Json, ObjBuilder};
 use dns_pencil::reorder::reorder_bytes;
+use dns_telemetry::PhaseSeconds;
 use std::io;
 use std::path::PathBuf;
 
@@ -39,7 +40,7 @@ trait Fields {
     fn flag(self, key: &str, v: bool) -> Self;
     fn text(self, key: &str, v: &str) -> Self;
     /// `t` as `{prefix}_transpose_s / _fft_s / _ns_s` and the total `{prefix}_s`.
-    fn phases(self, prefix: &str, t: StepSeconds) -> Self;
+    fn phases(self, prefix: &str, t: PhaseSeconds) -> Self;
     /// `modelled_{what}` with the paper's value beside it as `paper_{what}`.
     fn pair(
         self,
@@ -62,7 +63,7 @@ impl Fields for ObjBuilder {
     fn text(self, key: &str, v: &str) -> Self {
         self.put(key, Json::str(v))
     }
-    fn phases(self, prefix: &str, t: StepSeconds) -> Self {
+    fn phases(self, prefix: &str, t: PhaseSeconds) -> Self {
         self.real(&format!("{prefix}_transpose_s"), t.transpose)
             .real(&format!("{prefix}_fft_s"), t.fft)
             .real(&format!("{prefix}_ns_s"), t.ns_advance)
@@ -167,12 +168,13 @@ fn scaled_step(
     g: &Grid,
     cores: usize,
     mode: Parallelism,
-) -> StepSeconds {
+) -> PhaseSeconds {
     let p = timestep_phases(m, g, cores, mode);
-    StepSeconds {
+    PhaseSeconds {
         transpose: p.transpose * c.ratios.rk3_transpose,
         fft: p.fft * c.ratios.rk3_fft,
         ns_advance: p.ns_advance * c.ratios.rk3_ns,
+        ..p
     }
 }
 
@@ -600,7 +602,7 @@ fn curve_sections(
     c: &Campaign,
     host: Json,
     weak: bool,
-    cells: fn(ObjBuilder, StepSeconds, [f64; 4]) -> ObjBuilder,
+    cells: fn(ObjBuilder, PhaseSeconds, [f64; 4]) -> ObjBuilder,
 ) -> Vec<Json> {
     let sections = curves().into_iter().map(|(name, m, g, mode, t9, t10)| {
         // a strong row is a weak row at the curve's own Nx
@@ -623,13 +625,13 @@ fn curve_sections(
 }
 
 /// Tables 7/8: the modelled and the paper's total per step.
-fn totals(row: ObjBuilder, modelled: StepSeconds, paper: [f64; 4]) -> ObjBuilder {
+fn totals(row: ObjBuilder, modelled: PhaseSeconds, paper: [f64; 4]) -> ObjBuilder {
     row.pair("s", modelled.total(), paper[3])
 }
 
 /// Tables 9/10: the modelled and the paper's per-phase breakdown (the
 /// paper's total is its own column, not the sum of its rounded phases).
-fn breakdown(row: ObjBuilder, modelled: StepSeconds, paper: [f64; 4]) -> ObjBuilder {
+fn breakdown(row: ObjBuilder, modelled: PhaseSeconds, paper: [f64; 4]) -> ObjBuilder {
     row.pair("transpose_s", modelled.transpose, paper[0])
         .pair("fft_s", modelled.fft, paper[1])
         .pair("ns_s", modelled.ns_advance, paper[2])
@@ -787,7 +789,7 @@ fn conclusions() -> Json {
 /// and section 7's `conclusions`.
 pub fn scalinglab_json(c: &Campaign) -> Json {
     let (worst, worst_i) = c.worst_err();
-    let seconds = |s: StepSeconds| {
+    let seconds = |s: PhaseSeconds| {
         Json::obj()
             .real("transpose_s", s.transpose)
             .real("fft_s", s.fft)

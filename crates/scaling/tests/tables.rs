@@ -16,12 +16,13 @@ use std::collections::BTreeMap;
 use dns_json::Json;
 use dns_scaling::campaign::{grid, CountRatios, EventsimCheck};
 use dns_scaling::model::calibration::Calibration;
-use dns_scaling::model::dnscost::{StepCounts, StepSeconds};
+use dns_scaling::model::dnscost::StepCounts;
 use dns_scaling::paper;
 use dns_scaling::perfdb::flatten_metrics;
 use dns_scaling::probe::{probe_fusion, probe_table1, FusionRow, SweepRow, Table1};
 use dns_scaling::tables::{self, layout, rows_text, table_text};
 use dns_scaling::{Bench, Campaign, CampaignConfig, Point};
+use dns_telemetry::PhaseSeconds;
 
 /// More cores than any host has.
 const TOO_MANY: usize = 1 << 20;
@@ -40,10 +41,11 @@ fn point(bench: Bench, ranks: usize, threads: usize, total_s: f64) -> Point {
         threads,
         steps: 2,
         cores: ranks * threads,
-        seconds: StepSeconds {
+        seconds: PhaseSeconds {
             transpose: 0.3 * total_s,
             fft: (0.7 - ns) * total_s,
             ns_advance: ns * total_s,
+            other: 0.0,
         },
         wall_s: 1.1 * total_s,
         counts: StepCounts {

@@ -1,6 +1,8 @@
 //! Exporters over [`Snapshot`]: phase aggregation, human table, the
 //! versioned counts JSON, and Chrome trace-event output.
 
+use std::ops::{Index, IndexMut, Sub};
+
 use crate::{Counter, CounterSet, Phase, RankSnapshot, Snapshot, NUM_PHASES};
 
 /// Version stamp of the machine-readable counts schema emitted by
@@ -50,37 +52,76 @@ pub struct CountsMeta {
     pub steps: usize,
 }
 
-/// Seconds attributed to each phase — the measured counterpart of
-/// `dns_scaling::model::dnscost::StepSeconds`.
+/// Seconds per [`Phase`], indexed by it: the one per-phase seconds type
+/// of the workspace — a rank's [`PhaseClock`](crate::PhaseClock), a
+/// span snapshot's attribution, a measured or modelled row of Tables
+/// 9-10 (where `other` stays 0).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseSeconds {
+    /// Global transposes: pack + exchange + unpack.
     pub transpose: f64,
+    /// FFTs including dealias pad/truncate and the fused products.
     pub fft: f64,
+    /// Navier-Stokes advance (banded solves in y).
     pub ns_advance: f64,
+    /// Everything else.
     pub other: f64,
 }
 
 impl PhaseSeconds {
+    fn from_fn(f: impl Fn(Phase) -> f64) -> Self {
+        PhaseSeconds {
+            transpose: f(Phase::Transpose),
+            fft: f(Phase::Fft),
+            ns_advance: f(Phase::NsAdvance),
+            other: f(Phase::Other),
+        }
+    }
+
     pub fn total(&self) -> f64 {
         self.transpose + self.fft + self.ns_advance + self.other
     }
 
-    pub fn get(&self, phase: Phase) -> f64 {
-        match phase {
-            Phase::Transpose => self.transpose,
-            Phase::Fft => self.fft,
-            Phase::NsAdvance => self.ns_advance,
-            Phase::Other => self.other,
-        }
+    /// `f` of every phase.
+    pub fn map(self, f: impl Fn(f64) -> f64) -> Self {
+        Self::from_fn(|p| f(self[p]))
     }
 
-    fn from_table(t: [f64; NUM_PHASES]) -> Self {
-        PhaseSeconds {
-            transpose: t[Phase::Transpose as usize],
-            fft: t[Phase::Fft as usize],
-            ns_advance: t[Phase::NsAdvance as usize],
-            other: t[Phase::Other as usize],
+    /// Per-phase maximum (the critical path over ranks).
+    pub fn max(self, other: Self) -> Self {
+        Self::from_fn(|p| self[p].max(other[p]))
+    }
+}
+
+impl Index<Phase> for PhaseSeconds {
+    type Output = f64;
+
+    fn index(&self, phase: Phase) -> &f64 {
+        match phase {
+            Phase::Transpose => &self.transpose,
+            Phase::Fft => &self.fft,
+            Phase::NsAdvance => &self.ns_advance,
+            Phase::Other => &self.other,
         }
+    }
+}
+
+impl IndexMut<Phase> for PhaseSeconds {
+    fn index_mut(&mut self, phase: Phase) -> &mut f64 {
+        match phase {
+            Phase::Transpose => &mut self.transpose,
+            Phase::Fft => &mut self.fft,
+            Phase::NsAdvance => &mut self.ns_advance,
+            Phase::Other => &mut self.other,
+        }
+    }
+}
+
+impl Sub for PhaseSeconds {
+    type Output = Self;
+
+    fn sub(self, rhs: Self) -> Self {
+        Self::from_fn(|p| self[p] - rhs[p])
     }
 }
 
@@ -97,7 +138,7 @@ impl PhaseSeconds {
 /// from different sessions onto one rank key can overlap imperfectly;
 /// the sweep degrades gracefully (an overlapping span is treated as
 /// nested until its end).
-fn phase_exclusive_seconds(rank: &RankSnapshot) -> [f64; NUM_PHASES] {
+fn phase_exclusive_seconds(rank: &RankSnapshot) -> PhaseSeconds {
     let mut spans: Vec<&crate::SpanRecord> = rank.spans.iter().collect();
     // start-ordered, outer (longer) span first at equal starts
     spans.sort_by(|a, b| {
@@ -105,7 +146,7 @@ fn phase_exclusive_seconds(rank: &RankSnapshot) -> [f64; NUM_PHASES] {
             .total_cmp(&b.start_us)
             .then(b.dur_us.total_cmp(&a.dur_us))
     });
-    let mut out = [0.0f64; NUM_PHASES];
+    let mut out = PhaseSeconds::default();
     // (end_us, phase) of the currently open spans, innermost last
     let mut stack: Vec<(f64, Phase)> = Vec::new();
     // time up to which attribution is settled
@@ -119,14 +160,14 @@ fn phase_exclusive_seconds(rank: &RankSnapshot) -> [f64; NUM_PHASES] {
                 break;
             }
             if end > cursor {
-                out[phase as usize] += end - cursor;
+                out[phase] += end - cursor;
                 cursor = end;
             }
             stack.pop();
         }
         if let Some(&(_, phase)) = stack.last() {
             if start > cursor {
-                out[phase as usize] += start - cursor;
+                out[phase] += start - cursor;
             }
         }
         cursor = cursor.max(start);
@@ -134,7 +175,7 @@ fn phase_exclusive_seconds(rank: &RankSnapshot) -> [f64; NUM_PHASES] {
     }
     while let Some((end, phase)) = stack.pop() {
         if end > cursor {
-            out[phase as usize] += end - cursor;
+            out[phase] += end - cursor;
             cursor = end;
         }
     }
@@ -146,7 +187,7 @@ impl Snapshot {
     pub fn phase_seconds_per_rank(&self) -> Vec<(Option<usize>, PhaseSeconds)> {
         self.ranks
             .iter()
-            .map(|r| (r.rank, PhaseSeconds::from_table(phase_exclusive_seconds(r))))
+            .map(|r| (r.rank, phase_exclusive_seconds(r)))
             .collect()
     }
 
@@ -154,22 +195,19 @@ impl Snapshot {
     /// the unranked driver track is only used when no ranks exist (serial
     /// runs), so hybrid runs aren't skewed by the idle driver.
     pub fn phase_seconds_mean(&self) -> PhaseSeconds {
-        self.aggregate_phases(|sums, n| sums.map(|s| s / n as f64))
+        let per = self.relevant_phases();
+        let n = per.len().max(1) as f64;
+        PhaseSeconds::from_fn(|p| per.iter().map(|s| s[p]).sum::<f64>() / n)
     }
 
     /// Max (critical-path) phase seconds across rank tracks.
     pub fn phase_seconds_max(&self) -> PhaseSeconds {
-        let per = self.relevant_phase_tables();
-        let mut out = [0.0f64; NUM_PHASES];
-        for t in per {
-            for (o, v) in out.iter_mut().zip(t) {
-                *o = o.max(v);
-            }
-        }
-        PhaseSeconds::from_table(out)
+        let per = self.relevant_phases();
+        per.into_iter()
+            .fold(PhaseSeconds::default(), PhaseSeconds::max)
     }
 
-    fn relevant_phase_tables(&self) -> Vec<[f64; NUM_PHASES]> {
+    fn relevant_phases(&self) -> Vec<PhaseSeconds> {
         let ranked: Vec<_> = self.ranks.iter().filter(|r| r.rank.is_some()).collect();
         let pick: Vec<&RankSnapshot> = if ranked.is_empty() {
             self.ranks.iter().collect()
@@ -177,24 +215,6 @@ impl Snapshot {
             ranked
         };
         pick.into_iter().map(phase_exclusive_seconds).collect()
-    }
-
-    fn aggregate_phases(
-        &self,
-        finish: impl Fn([f64; NUM_PHASES], usize) -> [f64; NUM_PHASES],
-    ) -> PhaseSeconds {
-        let per = self.relevant_phase_tables();
-        if per.is_empty() {
-            return PhaseSeconds::default();
-        }
-        let n = per.len();
-        let mut sums = [0.0f64; NUM_PHASES];
-        for t in per {
-            for (s, v) in sums.iter_mut().zip(t) {
-                *s += v;
-            }
-        }
-        PhaseSeconds::from_table(finish(sums, n))
     }
 
     // -- Chrome trace-event format ------------------------------------------
@@ -345,7 +365,7 @@ fn phase_seconds_json(ps: &PhaseSeconds) -> String {
         if j > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\":{:.9}", p.label(), ps.get(*p)));
+        out.push_str(&format!("\"{}\":{:.9}", p.label(), ps[*p]));
     }
     out.push('}');
     out
@@ -398,7 +418,7 @@ pub fn counts_json(snap: &Snapshot, meta: &CountsMeta) -> String {
             .rank
             .map(|x| x.to_string())
             .unwrap_or_else(|| "null".into());
-        let ps = PhaseSeconds::from_table(phase_exclusive_seconds(r));
+        let ps = phase_exclusive_seconds(r);
         out.push_str(&format!(
             "\n{{\"rank\":{rank},\"phase_seconds\":{},\"phase_counters\":{},\
              \"counters\":{}}}",

@@ -5,10 +5,11 @@
 //! the shared measurement substrate for that accounting across every crate
 //! in the workspace:
 //!
-//! * **RAII scoped spans** ([`span`]) tagged with a
-//!   [`Phase`] drawn from the same taxonomy as
-//!   `dns_scaling::model::dnscost::StepSeconds`, recorded per thread and merged
-//!   into a global registry keyed by minimpi rank.
+//! * **RAII scoped spans** ([`span`]) tagged with a [`Phase`], recorded
+//!   per thread and merged into a global registry keyed by minimpi rank.
+//! * **One phase clock**: a [`region`] closed on a rank's [`PhaseClock`]
+//!   books its seconds into one [`PhaseSeconds`] at every level and, at
+//!   [`Level::Phases`], is also the span of the same duration.
 //! * **Typed counters** ([`Counter`], [`count`]) for flops, DDR traffic,
 //!   and message/byte totals — the software analogue of the HPM counters
 //!   behind the paper's Table 2.
@@ -41,11 +42,11 @@ pub mod prom;
 pub use export::{counts_json, CountsMeta, PhaseSeconds, COUNTS_SCHEMA_VERSION};
 pub use hist::{fmt_seconds, Histogram};
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{LazyLock, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How much the stack records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,9 +63,8 @@ pub enum Level {
     Phases = 2,
 }
 
-/// Phase taxonomy of the RK3 substep, mirroring
-/// `dns_scaling::model::dnscost::StepSeconds` so measured and modelled
-/// breakdowns line up column-for-column.
+/// Phase taxonomy of the RK3 substep: the columns of the paper's
+/// Tables 9-10, measured and modelled alike ([`PhaseSeconds`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum Phase {
@@ -333,10 +333,6 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_us() -> f64 {
-    epoch().elapsed().as_secs_f64() * 1e6
-}
-
 /// Switch collection on or off. Setting any level other than `Off` also
 /// pins the epoch, so timestamps in a session share one origin.
 pub fn set_level(level: Level) {
@@ -370,24 +366,19 @@ pub fn enabled() -> bool {
 pub struct Span {
     name: &'static str,
     phase: Phase,
-    start_us: f64,
-    active: bool,
-}
-
-impl Span {
-    const INACTIVE: Span = Span {
-        name: "",
-        phase: Phase::Other,
-        start_us: 0.0,
-        active: false,
-    };
+    /// `None` while collection is below [`Level::Phases`].
+    start: Option<Instant>,
 }
 
 /// Open a phase-level span. Near-free when collection is [`Level::Off`].
 #[inline]
 pub fn span(name: &'static str, phase: Phase) -> Span {
     if LEVEL.load(Ordering::Relaxed) < Level::Phases as u8 {
-        return Span::INACTIVE;
+        return Span {
+            name,
+            phase,
+            start: None,
+        };
     }
     open_span(name, phase)
 }
@@ -402,17 +393,17 @@ fn open_span(name: &'static str, phase: Phase) -> Span {
     Span {
         name,
         phase,
-        start_us: now_us(),
-        active: true,
+        start: Some(Instant::now()),
     }
 }
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.active {
+impl Span {
+    /// Record the span as lasting `dur` from its start (once).
+    fn finish(&mut self, dur: Duration) {
+        let Some(start) = self.start.take() else {
             return;
-        }
-        let dur_us = now_us() - self.start_us;
+        };
+        let start_us = start.saturating_duration_since(epoch()).as_secs_f64() * 1e6;
         BUF.with(|b| {
             let mut b = b.borrow_mut();
             b.depth = b.depth.saturating_sub(1);
@@ -422,14 +413,61 @@ impl Drop for Span {
                 b.data.spans.push(SpanRecord {
                     name: self.name,
                     phase: self.phase,
-                    start_us: self.start_us,
-                    dur_us,
+                    start_us,
+                    dur_us: dur.as_secs_f64() * 1e6,
                     depth,
                 });
             } else {
                 b.data.dropped += 1;
             }
         });
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some(start) = self.start {
+            self.finish(start.elapsed());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// the phase clock
+// ---------------------------------------------------------------------------
+
+/// A rank's always-on phase accumulator: the seconds of every [`Region`]
+/// closed on it, per phase.
+pub type PhaseClock = Cell<PhaseSeconds>;
+
+/// An open phase region: one [`Instant`] read at [`region`], one at
+/// [`Region::close`]. It holds no borrow, so a region can enclose calls
+/// that take the clock's owner by `&mut`.
+#[must_use = "a region is booked only when closed on a PhaseClock"]
+pub struct Region {
+    span: Span,
+    start: Instant,
+}
+
+/// Open a region of `phase`; see [`Region::close`].
+#[inline]
+pub fn region(name: &'static str, phase: Phase) -> Region {
+    let span = span(name, phase);
+    Region {
+        start: span.start.unwrap_or_else(Instant::now),
+        span,
+    }
+}
+
+impl Region {
+    /// Book the region's seconds on `clock`, at every level; at
+    /// [`Level::Phases`] it is also the span of exactly those seconds.
+    pub fn close(mut self, clock: &PhaseClock) {
+        let dur = self.start.elapsed();
+        let mut s = clock.get();
+        s[self.span.phase] += dur.as_secs_f64();
+        clock.set(s);
+        self.span.finish(dur);
     }
 }
 
