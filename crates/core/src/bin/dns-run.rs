@@ -11,10 +11,12 @@
 //! Runs the simulation, prints live statistics, writes profile/spectra
 //! CSVs and (optionally) checkpoints and a Chrome trace of the run.
 //!
-//! The binary is a thin front end over [`dns_core::run`]: two flag tables
-//! ([`spec::SPEC_FLAGS`], shared with `dns-cli submit`, and [`RUN_FLAGS`])
-//! parse straight onto [`Cli`] — a [`RunSpec`], a [`RunConfig`] and what
-//! only this front end reads — which also hooks the engine's step loop
+//! The binary is a thin front end over [`dns_core::run`]: its
+//! [`Command`] (the run-description rows
+//! [`SPEC_FLAGS`](dns_core::spec::SPEC_FLAGS), shared with `dns-cli
+//! submit`, then [`RUN_FLAGS`]) parses straight onto [`Cli`] — a
+//! [`RunSpec`], a [`RunConfig`] and what only this front end reads —
+//! which also hooks the engine's step loop
 //! for live statistics and data products ([`RunObserver`]), and
 //! [`dns_core::run::execute`] drives the supervised RK3 loop — the same
 //! engine the `dns-server` campaign scheduler runs jobs through.
@@ -32,13 +34,13 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use dns_core::flags::{parsed, put, Command, Flag};
 use dns_core::health::MonitorConfig;
 use dns_core::run::{
     execute, ResumePolicy, RunConfig, RunControl, RunObserver, RunSpec, RunStatus, RunSummary,
     StepCtx,
 };
 use dns_core::solver::ChannelDns;
-use dns_core::spec::{self, parsed, put, Flag};
 use dns_core::stats::{profiles, StatsConfig};
 use dns_core::{io, spectra};
 use dns_minimpi::FaultPlan;
@@ -66,7 +68,8 @@ struct Cli {
 }
 
 /// The flags that are not part of the run description (those are
-/// [`spec::SPEC_FLAGS`]); parsing and `--help` both read this table.
+/// [`SPEC_FLAGS`](dns_core::spec::SPEC_FLAGS)); parsing and `--help` both
+/// read this table.
 #[rustfmt::skip] // a table: one row per flag, not one line per field
 const RUN_FLAGS: &[Flag<Cli>] = &[
     Flag("--stats-every", "N", "print running statistics every N steps (default 100)",
@@ -115,19 +118,18 @@ const RUN_FLAGS: &[Flag<Cli>] = &[
         |c, v| put(&mut c.slow_ms, v)),
     Flag("--metrics-every", "N", "print a telemetry phase/counter report every N steps",
         |c, v| put(&mut c.metrics_every, v)),
-    Flag("--help", "", "print this help and exit",
-        |_, _| { print!("{}", help()); std::process::exit(0) }),
 ];
 
-fn help() -> String {
-    format!(
-        "dns-run: spectral DNS of turbulent channel flow (Kim-Moin-Moser box by default)\n\n\
-         usage: dns-run [flags]\n\nflags:\n{}",
-        spec::usage(RUN_FLAGS)
-    )
-}
+const COMMAND: Command<Cli> = Command {
+    name: "dns-run",
+    about: "dns-run: spectral DNS of turbulent channel flow (Kim-Moin-Moser box by default)\n\n\
+            usage: dns-run [flags]\n\nflags:\n",
+    flags: RUN_FLAGS,
+    spec: Some(|c| &mut c.spec),
+};
 
-fn parse_args(argv: &[String]) -> Result<Cli, String> {
+/// `dns-run`'s defaults, which the flags then edit.
+fn defaults() -> Cli {
     let mut c = Cli {
         spec: RunSpec {
             name: "dns-run".into(),
@@ -156,7 +158,11 @@ fn parse_args(argv: &[String]) -> Result<Cli, String> {
     c.spec.params.lx = 2.0;
     c.spec.params.lz = 0.8;
     c.spec.params.grid_stretch = 1.9;
-    spec::apply(&argv[1..], &mut c, RUN_FLAGS, |c| &mut c.spec)?;
+    c
+}
+
+/// Check the parsed flags together and derive what several decide.
+fn finish(mut c: Cli) -> Result<Cli, String> {
     let p = &c.spec.params;
     p.check()?;
     if c.stats_every == 0 {
@@ -316,14 +322,7 @@ impl RunObserver for Cli {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let c = match parse_args(&argv) {
-        Ok(c) => Arc::new(c),
-        Err(e) => {
-            eprintln!("dns-run: {e}\n(run dns-run --help for the flag reference)");
-            std::process::exit(2);
-        }
-    };
+    let c = Arc::new(COMMAND.parse(defaults(), finish));
     if let Err(e) = std::fs::create_dir_all(&c.out) {
         eprintln!(
             "dns-run: cannot create output directory {}: {e}",
@@ -415,63 +414,6 @@ fn main() {
             "wrote {} ({} spans; load it in https://ui.perfetto.dev)",
             path.display(),
             snap.span_count()
-        );
-    }
-}
-
-#[cfg(test)]
-mod docs {
-    //! Parsing and `--help` read the same tables, so they cannot drift
-    //! from each other; what still can is the prose around them.
-    use super::help;
-
-    const README: &str = include_str!("../../../../README.md");
-    const CI: &str = include_str!("../../../../.github/workflows/ci.yml");
-    const SKILL: &str = include_str!("../../../../.claude/skills/verify/SKILL.md");
-
-    /// The `--flags` of every shell command in `doc` after a word ending
-    /// in `program` (backslash continuations joined, cut at `#`, `|`, `;`).
-    fn flags_after(doc: &str, program: &str) -> Vec<String> {
-        let joined = doc.replace("\\\n", " ");
-        let mut flags = Vec::new();
-        for line in joined.lines() {
-            let mut words = line
-                .split_whitespace()
-                .skip_while(|w| !w.ends_with(program));
-            words.next();
-            flags.extend(
-                words
-                    .take_while(|w| !["#", "|", ";", "&&"].contains(w))
-                    .map(|w| w.trim_end_matches(|c: char| !c.is_ascii_alphanumeric()))
-                    .filter(|w| w.starts_with("--") && w.len() > 2)
-                    .map(String::from),
-            );
-        }
-        flags
-    }
-
-    #[test]
-    fn documented_command_lines_only_use_table_rows() {
-        let help = help();
-        for doc in [README, CI, SKILL] {
-            let flags = flags_after(doc, "dns-run");
-            assert!(!flags.is_empty(), "the scan lost a file's dns-run examples");
-            for flag in flags {
-                assert!(
-                    help.contains(&format!("  {flag} "))
-                        || help.contains(&format!("(also {flag})")),
-                    "a documented command passes {flag}, which dns-run does not accept"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn readme_flag_table_is_the_help_text() {
-        let block = format!("<!-- dns-run --help -->\n```text\n{}```\n", help());
-        assert!(
-            README.contains(&block),
-            "README.md's dns-run flag table is stale; it should read:\n{block}"
         );
     }
 }

@@ -54,6 +54,7 @@
 #![allow(clippy::type_complexity)]
 
 pub mod checkpoint;
+pub mod flags;
 pub mod health;
 pub mod io;
 #[deny(missing_docs)]

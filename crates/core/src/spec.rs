@@ -1,12 +1,11 @@
 //! The one description of a run: [`RunSpec`] (what to simulate), its
 //! digest, JSON form and validation, and [`SPEC_FLAGS`] — the single
 //! table saying how each field is spelled on a command line. `dns-run`
-//! and `dns-cli submit` both parse through [`apply`] and print their help
-//! through [`usage`], so a new run option is one struct field, its codec
-//! line and one table row.
+//! and `dns-cli submit` both take these rows through their
+//! [`Command`](crate::flags::Command), so a new run option is one struct
+//! field, its codec line and one table row.
 
-use std::fmt::Write as _;
-
+use crate::flags::{parsed, put, Flag};
 use crate::params::{mix, Forcing, Params};
 use dns_json::Json;
 
@@ -365,33 +364,6 @@ impl RunSpec {
         Ok(spec)
     }
 }
-// ---------------------------------------------------------------------------
-// command-line spelling
-// ---------------------------------------------------------------------------
-
-/// One command-line flag of a `T`, written as a table row: the flag as
-/// typed (`--nx`), its value placeholder for the help (empty: the flag
-/// takes no value), the help text, and the setter that stores the value
-/// on the target (a flag without one is handed itself).
-pub struct Flag<T>(
-    pub &'static str,
-    pub &'static str,
-    pub &'static str,
-    pub fn(&mut T, &str) -> Result<(), String>,
-);
-
-/// Parse one flag value.
-pub fn parsed<V: std::str::FromStr>(v: &str) -> Result<V, String> {
-    v.parse().map_err(|_| format!("cannot parse {v:?}"))
-}
-
-/// Parse one flag value into `slot`.
-pub fn put<V: std::str::FromStr>(slot: &mut V, v: &str) -> Result<(), String> {
-    parsed(v).map(|x| *slot = x)
-}
-
-/// Older spellings [`apply`] still accepts: `(alias, table name)`.
-const ALIASES: &[(&str, &str)] = &[("--ckpt-every", "--checkpoint-every"), ("-h", "--help")];
 
 /// How every [`RunSpec`] field a command line can set is spelled — shared
 /// by `dns-run` and `dns-cli submit` (quoted defaults are `dns-run`'s).
@@ -444,51 +416,6 @@ pub const SPEC_FLAGS: &[Flag<RunSpec>] = &[
     Flag("--laminar-ic", "", "start from the laminar profile instead",
         |s, _| { s.ic = InitialCondition::Laminar { scale: 1.0 }; Ok(()) }),
 ];
-
-/// The only argv loop: set every flag of `argv` on `target`, looking each
-/// up in `own` and then in [`SPEC_FLAGS`] (which edit `spec_of(target)`).
-pub fn apply<T>(
-    argv: &[String],
-    target: &mut T,
-    own: &[Flag<T>],
-    spec_of: fn(&mut T) -> &mut RunSpec,
-) -> Result<(), String> {
-    let mut args = argv.iter();
-    while let Some(arg) = args.next() {
-        let alias = ALIASES.iter().find(|a| a.0 == arg);
-        let name = alias.map_or(arg.as_str(), |a| a.1);
-        let mut value = |placeholder: &str| match placeholder {
-            "" => Ok(arg),
-            _ => args.next().ok_or(format!("{arg} needs a value")),
-        };
-        let set = if let Some(f) = own.iter().find(|f| f.0 == name) {
-            (f.3)(target, value(f.1)?)
-        } else if let Some(f) = SPEC_FLAGS.iter().find(|f| f.0 == name) {
-            (f.3)(spec_of(target), value(f.1)?)
-        } else {
-            return Err(format!("unknown argument {arg}"));
-        };
-        set.map_err(|e| format!("{arg}: {e}"))?;
-    }
-    Ok(())
-}
-
-/// The only help renderer: one line per row of [`SPEC_FLAGS`], then of `own`.
-pub fn usage<T>(own: &[Flag<T>]) -> String {
-    fn rows<T>(out: &mut String, flags: &[Flag<T>]) {
-        for Flag(name, value, help, _) in flags {
-            let _ = write!(out, "  {:<24} {help}", format!("{name} {value}"));
-            for (alias, _) in ALIASES.iter().filter(|a| a.1 == *name) {
-                let _ = write!(out, " (also {alias})");
-            }
-            out.push('\n');
-        }
-    }
-    let mut out = String::new();
-    rows(&mut out, SPEC_FLAGS);
-    rows(&mut out, own);
-    out
-}
 
 #[cfg(test)]
 mod tests {
@@ -650,8 +577,16 @@ mod tests {
         }
     }
 
-    fn argv(line: &str) -> Vec<String> {
-        line.split_whitespace().map(String::from).collect()
+    /// Set the run-description flags of `line` on `spec`.
+    fn apply(line: &str, spec: &mut RunSpec) -> Result<bool, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let rows = crate::flags::Command {
+            name: "spec",
+            about: "",
+            flags: &[],
+            spec: Some(|s| s),
+        };
+        rows.apply(&argv, spec)
     }
 
     #[test]
@@ -673,7 +608,7 @@ mod tests {
         let line = "--nx 48 --ny 49 --nz 24 --re 120 --lx 3 --lz 1.5 --dt 2e-4 --stretch 1.7 \
                     --threads 0 --grid 2x3 --steps 77 --ckpt-every 11 --flux 0.7 --laminar-ic";
         for spec in [&mut run, &mut cli] {
-            apply(&argv(line), spec, &[], |s| s).unwrap();
+            apply(line, spec).unwrap();
         }
         assert_eq!(
             (run.name.as_str(), cli.name.as_str()),
@@ -693,10 +628,8 @@ mod tests {
         // a flag not given leaves the base alone; the newest spelling wins
         let mut spec = tiny_spec();
         apply(
-            &argv("--gradient 2 --turbulent-ic 0.1 --checkpoint-every 3"),
+            "--gradient 2 --turbulent-ic 0.1 --checkpoint-every 3",
             &mut spec,
-            &[],
-            |s| s,
         )
         .unwrap();
         assert_eq!(spec.params.forcing, Forcing::PressureGradient(2.0));
@@ -708,30 +641,5 @@ mod tests {
             }
         );
         assert_eq!((spec.params.nx, spec.steps, spec.ckpt_every), (16, 4, 3));
-    }
-
-    #[test]
-    fn argv_errors_name_the_flag_as_typed() {
-        let mut spec = tiny_spec();
-        let mut err = |line: &str| apply(&argv(line), &mut spec, &[], |s| s).unwrap_err();
-        assert_eq!(err("--bogus 1"), "unknown argument --bogus");
-        assert_eq!(err("--nx"), "--nx needs a value");
-        assert_eq!(err("--ckpt-every x"), "--ckpt-every: cannot parse \"x\"");
-        assert_eq!(err("--grid 2"), "--grid: expected PAxPB, got \"2\"");
-        assert!(err("--spec /no/such/spec.json").starts_with("--spec: cannot read /no/such"));
-    }
-
-    #[test]
-    fn usage_lists_every_row_once_and_names_the_aliases() {
-        let own = [Flag::<RunSpec>("--own", "X", "a caller's row", |_, _| {
-            Ok(())
-        })];
-        let text = usage(&own);
-        assert_eq!(text.lines().count(), SPEC_FLAGS.len() + 1);
-        for Flag(name, ..) in SPEC_FLAGS {
-            assert_eq!(text.matches(&format!("  {name} ")).count(), 1, "{name}");
-        }
-        assert!(text.ends_with("  --own X                  a caller's row\n"));
-        assert!(text.contains("(default off) (also --ckpt-every)\n"));
     }
 }

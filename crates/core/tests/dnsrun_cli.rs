@@ -1,18 +1,23 @@
 //! The `dns-run` command line, driven through the built binary: the help
 //! is the flag tables, every argument error is a `dns-run:` line with
-//! exit code 2 (never a panic), and `--spec` loads the whole spec.
+//! exit code 2 (never a panic), the documents pass only real flags, and
+//! `--spec` loads the whole spec.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::Output;
 
 use dns_core::spec::{InitialCondition, RunSpec, SPEC_FLAGS};
 use dns_core::Params;
 
+mod common {
+    pub mod cli;
+}
+use common::cli;
+
+const BIN: &str = env!("CARGO_BIN_EXE_dns-run");
+
 fn dns_run(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_dns-run"))
-        .args(args)
-        .output()
-        .expect("spawn dns-run")
+    cli::run(BIN, args)
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -64,23 +69,29 @@ const FLAGS: [&str; 36] = [
 
 #[test]
 fn help_lists_every_row_of_both_tables_once() {
-    for spelling in ["--help", "-h"] {
-        let out = dns_run(&[spelling]);
-        assert_eq!(out.status.code(), Some(0));
-        let help = String::from_utf8(out.stdout).unwrap();
-        let mut listed: Vec<&str> = help
-            .lines()
-            .filter_map(|l| l.strip_prefix("  --"))
-            .map(|l| &l[..l.find(' ').unwrap_or(l.len())])
-            .collect();
-        // the shared rows come first, in table order
-        for (row, name) in SPEC_FLAGS.iter().zip(&listed) {
-            assert_eq!(row.0, format!("--{name}"));
-        }
-        listed.sort_unstable();
-        let want: Vec<&str> = FLAGS.iter().map(|f| &f[2..]).collect();
-        assert_eq!(listed, want);
+    let help = cli::help(BIN);
+    let mut listed = cli::rows(&help);
+    // the shared rows come first, in table order
+    for (row, name) in SPEC_FLAGS.iter().zip(&listed) {
+        assert_eq!(row.0, format!("--{name}"));
     }
+    listed.sort_unstable();
+    let want: Vec<&str> = FLAGS.iter().map(|f| &f[2..]).collect();
+    assert_eq!(listed, want);
+}
+
+#[test]
+fn documented_command_lines_only_use_table_rows() {
+    cli::documented_lines_use_rows("dns-run", &cli::help(BIN));
+}
+
+#[test]
+fn readme_flag_table_is_the_help_text() {
+    let block = format!("<!-- dns-run --help -->\n```text\n{}```\n", cli::help(BIN));
+    assert!(
+        cli::DOCS[0].1.contains(&block),
+        "README.md's dns-run flag table is stale; it should read:\n{block}"
+    );
 }
 
 #[test]
@@ -111,14 +122,7 @@ fn argument_errors_exit_2_with_a_message_and_never_panic() {
         ),
     ];
     for (args, message) in cases {
-        let out = dns_run(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("dns-run: "), "{args:?}: {stderr}");
-        assert!(stderr.contains(message), "{args:?}: {stderr}");
-        assert!(stderr.contains("(run dns-run --help"), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} started a run");
+        cli::refused(BIN, "dns-run", args, message);
     }
 }
 

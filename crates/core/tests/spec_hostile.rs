@@ -3,7 +3,8 @@
 //! generator mutates valid input; the decoder and the flag loop may
 //! refuse it with a typed error, but they may never panic.
 
-use dns_core::spec::{apply, InitialCondition, RunSpec, SpecError};
+use dns_core::flags::Command;
+use dns_core::spec::{InitialCondition, RunSpec, SpecError};
 use dns_core::{Forcing, Params};
 use dns_json::Json;
 
@@ -281,6 +282,12 @@ fn no_mutated_argv_panics_the_flag_loop() {
         std::fs::write(&path, line).unwrap();
         files.push(path.display().to_string());
     }
+    let rows = Command {
+        name: "spec",
+        about: "",
+        flags: &[],
+        spec: Some(|s| s),
+    };
     let (mut ok, mut refused) = (0, 0);
     for _ in 0..10_000 {
         let mut argv = Vec::new();
@@ -294,8 +301,8 @@ fn no_mutated_argv_panics_the_flag_loop() {
             }
         }
         let mut spec = RunSpec::default();
-        match apply(&argv, &mut spec, &[], |s| s) {
-            Ok(()) => {
+        match rows.apply(&argv, &mut spec) {
+            Ok(_) => {
                 // whatever landed is checkable without panicking either
                 let _ = spec.validate();
                 let _ = spec.to_json();

@@ -13,27 +13,11 @@
 
 use std::path::PathBuf;
 
+use dns_core::flags::{on, parsed, put, Command, Flag};
 use dns_scaling::perfdb::{self, ingest_bench_file, PerfDb, DEFAULT_WINDOW};
 
-const USAGE: &str = "\
-dns-perfdb: append-only cross-commit perf store over BENCH_*.json
-
-usage:
-  dns-perfdb ingest --commit SHA [--db FILE] BENCH.json [BENCH.json ...]
-  dns-perfdb check  [--db FILE] [--commit SHA] [--window N] [--report FILE]
-  dns-perfdb report [--db FILE] [--commit SHA] [--window N] [--report FILE]
-
-`check` is `report` plus a nonzero exit when any metric regressed.
-`--check` after `report` flags is accepted as an alias for `check`.
-
-flags:
-  --db FILE        store path (default target/perfdb.jsonl)
-  --commit SHA     commit key (ingest: required; check: default newest)
-  --window N       rolling baseline width in prior commits (default 5)
-  --report FILE    where to write the JSON report (default PERFDB_report.json)
-";
-
 struct Opts {
+    cmd: String,
     db: PathBuf,
     commit: Option<String>,
     window: usize,
@@ -42,8 +26,61 @@ struct Opts {
     check: bool,
 }
 
-fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts {
+#[rustfmt::skip] // a table: one row per flag, not one line per field
+const FLAGS: &[Flag<Opts>] = &[
+    Flag("COMMAND", "[BENCH.json ...]",
+        "ingest, check or report; the words after it are ingest's artifacts",
+        |o, v| {
+            match o.cmd.is_empty() {
+                true => o.cmd = v.into(),
+                false => o.files.push(v.into()),
+            }
+            Ok(())
+        }),
+    Flag("--db", "FILE", "store path (default target/perfdb.jsonl)",
+        |o, v| put(&mut o.db, v)),
+    Flag("--commit", "SHA", "commit key (ingest: required; check: default newest)",
+        |o, v| parsed(v).map(|sha| o.commit = Some(sha))),
+    Flag("--window", "N", "rolling baseline width in prior commits (default 5)",
+        |o, v| put(&mut o.window, v)),
+    Flag("--report", "FILE", "where to write the JSON report (default PERFDB_report.json)",
+        |o, v| put(&mut o.report, v)),
+    Flag("--check", "", "with report: exit nonzero on a regression, as check does",
+        |o, _| on(&mut o.check)),
+];
+
+const COMMAND: Command<Opts> = Command {
+    name: "dns-perfdb",
+    about: "\
+dns-perfdb: append-only cross-commit perf store over BENCH_*.json
+
+usage:
+  dns-perfdb ingest --commit SHA [--db FILE] BENCH.json [BENCH.json ...]
+  dns-perfdb check  [--db FILE] [--commit SHA] [--window N] [--report FILE]
+  dns-perfdb report [--db FILE] [--commit SHA] [--window N] [--report FILE]
+
+`check` is `report` plus a nonzero exit when any metric regressed.
+
+flags:
+",
+    flags: FLAGS,
+    spec: None,
+};
+
+fn finish(o: Opts) -> Result<Opts, String> {
+    match (o.cmd.as_str(), o.files.first()) {
+        ("", _) => Err("missing command: ingest, check or report".into()),
+        ("ingest", _) if o.commit.is_none() => Err("ingest requires --commit".into()),
+        ("ingest", None) => Err("ingest requires at least one BENCH_*.json".into()),
+        ("check" | "report", Some(f)) => Err(format!("unexpected argument {}", f.display())),
+        ("ingest" | "check" | "report", _) => Ok(o),
+        (other, _) => Err(format!("unknown command {other}")),
+    }
+}
+
+fn main() {
+    let opts = Opts {
+        cmd: String::new(),
         db: PathBuf::from("target/perfdb.jsonl"),
         commit: None,
         window: DEFAULT_WINDOW,
@@ -51,82 +88,18 @@ fn parse_opts(args: &[String]) -> Opts {
         files: Vec::new(),
         check: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--db" => {
-                i += 1;
-                o.db = PathBuf::from(need(args, i, "--db"));
-            }
-            "--commit" => {
-                i += 1;
-                o.commit = Some(need(args, i, "--commit").to_string());
-            }
-            "--window" => {
-                i += 1;
-                o.window = need(args, i, "--window").parse().unwrap_or_else(|_| {
-                    eprintln!("dns-perfdb: --window: not a number");
-                    std::process::exit(2);
-                });
-            }
-            "--report" => {
-                i += 1;
-                o.report = PathBuf::from(need(args, i, "--report"));
-            }
-            "--check" => o.check = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("dns-perfdb: unknown flag {flag}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-            file => o.files.push(PathBuf::from(file)),
-        }
-        i += 1;
-    }
-    o
-}
-
-fn need<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
-    args.get(i).map(String::as_str).unwrap_or_else(|| {
-        eprintln!("dns-perfdb: {flag} needs a value");
-        std::process::exit(2);
-    })
-}
-
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().map(String::as_str) else {
-        eprint!("{USAGE}");
-        std::process::exit(2);
-    };
-    let opts = parse_opts(&argv[1..]);
-    match cmd {
+    let opts = COMMAND.parse(opts, finish);
+    match opts.cmd.as_str() {
         "ingest" => ingest(opts),
-        "check" => gate(opts, true),
-        "report" => {
-            let force = opts.check;
+        _ => {
+            let force = opts.check || opts.cmd == "check";
             gate(opts, force)
-        }
-        "--help" | "-h" | "help" => print!("{USAGE}"),
-        other => {
-            eprintln!("dns-perfdb: unknown command {other}\n\n{USAGE}");
-            std::process::exit(2);
         }
     }
 }
 
 fn ingest(opts: Opts) {
-    let Some(commit) = opts.commit else {
-        eprintln!("dns-perfdb: ingest requires --commit");
-        std::process::exit(2);
-    };
-    if opts.files.is_empty() {
-        eprintln!("dns-perfdb: ingest requires at least one BENCH_*.json");
-        std::process::exit(2);
-    }
+    let commit = opts.commit.expect("finish requires --commit for ingest");
     let mut db = PerfDb::load(&opts.db).unwrap_or_else(die);
     for f in &opts.files {
         let rec = ingest_bench_file(&commit, f).unwrap_or_else(die);

@@ -26,6 +26,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use dns_core::flags::{on, parsed, put, Command, Flag};
 use dns_core::run::{
     execute, InitialCondition, ResumePolicy, RunConfig, RunControl, RunObserver, RunSpec,
     RunStatus, RunSummary,
@@ -48,118 +49,52 @@ struct Args {
     out: PathBuf,
 }
 
-/// One command-line flag (same self-documenting table pattern as
-/// `dns-run`: `--help` is generated from it, and the flag-drift tests
-/// below pin the parser arms to it).
-struct Flag {
-    name: &'static str,
-    value: Option<&'static str>,
-    help: &'static str,
+/// The flags as given: the window sizes default by `--smoke`, which may
+/// come after them.
+struct Given {
+    args: Args,
+    steps: Option<usize>,
+    warmup: Option<usize>,
+    sample_every: Option<usize>,
 }
 
-const FLAGS: &[Flag] = &[
-    Flag {
-        name: "--smoke",
-        value: None,
-        help: "CI-sized averaging window with the smoke tolerance set (~5 min)",
-    },
-    Flag {
-        name: "--check",
-        value: None,
-        help: "exit nonzero when any profile check fails the gate",
-    },
-    Flag {
-        name: "--laminar",
-        value: None,
-        help: "negative control: forcing off, fluctuation-free start — the gate must fail",
-    },
-    Flag {
-        name: "--steps",
-        value: Some("N"),
-        help: "total timesteps (default 9000; 4500 with --smoke)",
-    },
-    Flag {
-        name: "--warmup",
-        value: Some("N"),
-        help: "steps discarded before averaging (default 5000; 2800 with --smoke)",
-    },
-    Flag {
-        name: "--sample-every",
-        value: Some("N"),
-        help: "statistics sampling cadence in steps (default 10; 5 with --smoke)",
-    },
-    Flag {
-        name: "--out",
-        value: Some("FILE"),
-        help: "result artifact path (default BENCH_validation.json)",
-    },
-    Flag {
-        name: "--help",
-        value: None,
-        help: "print this help",
-    },
+#[rustfmt::skip] // a table: one row per flag, not one line per field
+const FLAGS: &[Flag<Given>] = &[
+    Flag("--smoke", "", "CI-sized averaging window with the smoke tolerance set (~5 min)",
+        |g, _| on(&mut g.args.smoke)),
+    Flag("--check", "", "exit nonzero when any profile check fails the gate",
+        |g, _| on(&mut g.args.check)),
+    Flag("--laminar", "",
+        "negative control: forcing off, fluctuation-free start — the gate must fail",
+        |g, _| on(&mut g.args.laminar)),
+    Flag("--steps", "N", "total timesteps (default 9000; 4500 with --smoke)",
+        |g, v| parsed(v).map(|n| g.steps = Some(n))),
+    Flag("--warmup", "N", "steps discarded before averaging (default 5000; 2800 with --smoke)",
+        |g, v| parsed(v).map(|n| g.warmup = Some(n))),
+    Flag("--sample-every", "N",
+        "statistics sampling cadence in steps (default 10; 5 with --smoke)",
+        |g, v| parsed(v).map(|n| g.sample_every = Some(n))),
+    Flag("--out", "FILE", "result artifact path (default BENCH_validation.json)",
+        |g, v| put(&mut g.args.out, v)),
 ];
 
-fn usage() -> String {
-    let mut out = String::from(
-        "dns-validate: turbulence-statistics validation gate (figures 5-8)\n\nflags:\n",
-    );
-    for f in FLAGS {
-        let left = match f.value {
-            Some(v) => format!("{} {v}", f.name),
-            None => f.name.to_string(),
-        };
-        out.push_str(&format!("  {left:<24} {}\n", f.help));
-    }
-    out
-}
+const COMMAND: Command<Given> = Command {
+    name: "dns-validate",
+    about: "dns-validate: turbulence-statistics validation gate (figures 5-8)\n\n\
+            usage: dns-validate [flags]\n\nflags:\n",
+    flags: FLAGS,
+    spec: None,
+};
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        steps: 0,
-        warmup: 0,
-        sample_every: 0,
-        smoke: false,
-        check: false,
-        laminar: false,
-        out: PathBuf::from("BENCH_validation.json"),
-    };
-    let (mut steps, mut warmup, mut sample_every) = (None, None, None);
-    let mut i = 0usize;
-    let num = |flag: &str, v: &str| -> Result<usize, String> {
-        v.parse().map_err(|_| format!("{flag} takes an integer"))
-    };
-    while i < argv.len() {
-        let flag = argv[i].clone();
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match argv[i].as_str() {
-            "--smoke" => args.smoke = true,
-            "--check" => args.check = true,
-            "--laminar" => args.laminar = true,
-            "--steps" => steps = Some(num(&flag, &take(&mut i)?)?),
-            "--warmup" => warmup = Some(num(&flag, &take(&mut i)?)?),
-            "--sample-every" => sample_every = Some(num(&flag, &take(&mut i)?)?),
-            "--out" => args.out = PathBuf::from(take(&mut i)?),
-            "--help" | "-h" => {
-                print!("{}", usage());
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-        i += 1;
-    }
+fn finish(g: Given) -> Result<Args, String> {
+    let mut args = g.args;
     // The minimal channel transitions between steps ~1800 and ~2600
     // (see the u_tau history in BENCH_validation.json): the warmup must
     // clear both the laminar spin-up and the post-transition overshoot,
     // or the window averages a transient instead of turbulence.
-    args.steps = steps.unwrap_or(if args.smoke { 4500 } else { 9000 });
-    args.warmup = warmup.unwrap_or(if args.smoke { 2800 } else { 5000 });
-    args.sample_every = sample_every.unwrap_or(if args.smoke { 5 } else { 10 });
+    args.steps = g.steps.unwrap_or(if args.smoke { 4500 } else { 9000 });
+    args.warmup = g.warmup.unwrap_or(if args.smoke { 2800 } else { 5000 });
+    args.sample_every = g.sample_every.unwrap_or(if args.smoke { 5 } else { 10 });
     if args.warmup >= args.steps {
         return Err("--warmup must be smaller than --steps".into());
     }
@@ -347,14 +282,21 @@ fn rows_json(rows: &[[f64; 6]]) -> Json {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let a = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("dns-validate: {e}\n\n{}", usage());
-            std::process::exit(2);
-        }
+    let given = Given {
+        args: Args {
+            steps: 0,
+            warmup: 0,
+            sample_every: 0,
+            smoke: false,
+            check: false,
+            laminar: false,
+            out: PathBuf::from("BENCH_validation.json"),
+        },
+        steps: None,
+        warmup: None,
+        sample_every: None,
     };
+    let a = COMMAND.parse(given, finish);
 
     println!(
         "dns-validate: minimal channel, {} steps (warmup {}, sample every {}){}",
@@ -470,87 +412,5 @@ fn main() {
         if a.check {
             std::process::exit(1);
         }
-    }
-}
-
-#[cfg(test)]
-mod flag_drift {
-    //! Same three-view pin as `dns-run`: the parser's match arms, the
-    //! FLAGS table (and the `--help` generated from it), and the README/
-    //! EXPERIMENTS examples must agree on the flag set.
-    use super::{usage, FLAGS};
-
-    const SRC: &str = include_str!("dns-validate.rs");
-    const README: &str = include_str!("../../../../README.md");
-
-    fn parser_arm_flags() -> Vec<&'static str> {
-        let mut v = Vec::new();
-        for line in SRC.lines() {
-            let t = line.trim_start();
-            if !t.starts_with("\"--") || !t.contains("=>") {
-                continue;
-            }
-            let rest = &t[1..];
-            if let Some(end) = rest.find('"') {
-                v.push(&rest[..end]);
-            }
-        }
-        v
-    }
-
-    #[test]
-    fn every_parsed_flag_is_documented_in_help() {
-        let arms = parser_arm_flags();
-        assert!(arms.len() >= 7, "arm scan looks broken: {arms:?}");
-        let help = usage();
-        for flag in &arms {
-            assert!(
-                FLAGS.iter().any(|f| f.name == *flag),
-                "parser accepts {flag} but the FLAGS table does not list it"
-            );
-            assert!(
-                help.contains(&format!("{flag} ")) || help.contains(&format!("{flag}\n")),
-                "parser accepts {flag} but --help does not mention it"
-            );
-        }
-    }
-
-    #[test]
-    fn every_documented_flag_has_a_parser_arm() {
-        let arms = parser_arm_flags();
-        for f in FLAGS {
-            assert!(
-                arms.contains(&f.name),
-                "--help documents {} but the parser has no arm for it",
-                f.name
-            );
-        }
-    }
-
-    #[test]
-    fn readme_examples_only_use_real_flags() {
-        let mut found = false;
-        for line in README.lines() {
-            let t = line.trim();
-            if !t.contains("dns-validate") {
-                continue;
-            }
-            let Some((_, tail)) = t.split_once("dns-validate") else {
-                continue;
-            };
-            for tok in tail.split_whitespace() {
-                let flag = tok.strip_suffix(';').unwrap_or(tok);
-                // skip cargo's bare `--` argument separator
-                if !flag.starts_with("--") || flag == "--" {
-                    continue;
-                }
-                found = true;
-                assert!(FLAGS.iter().any(|f| f.name == flag), "README: {flag}");
-            }
-        }
-        assert!(
-            found,
-            "README shows no dns-validate flags — update this scan"
-        );
     }
 }

@@ -10,39 +10,60 @@
 //! and `BENCH_scalinglab.json` (section 7 is its `conclusions`),
 //! printing each table as text.
 //!
-//! Usage: `dns-scaling [--smoke] [--check] [--out-dir DIR]`
+//! Usage: `dns-scaling [--smoke] [--check] [--out-dir DIR]` (`--help`
+//! prints the flag table).
 //!
 //! Under `--check` the process exits non-zero if any gated point's
 //! total-time model error exceeds the bound, or a family has no gated
 //! point (every one of its points used more cores than the host has).
 
+use dns_core::flags::{on, put, Command, Flag};
 use dns_scaling::campaign::BOUND;
 use dns_scaling::tables::{rows_text, table_text, write_all};
 use dns_scaling::{run, CampaignConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+struct Args {
+    cfg: CampaignConfig,
+    check: bool,
+}
+
+#[rustfmt::skip] // a table: one row per flag, not one line per field
+const FLAGS: &[Flag<Args>] = &[
+    Flag("--smoke", "", "CI-sized grids, rank counts and steps (~8 s)",
+        |a, _| on(&mut a.cfg.smoke)),
+    Flag("--check", "",
+        "exit nonzero when a gated point's model error exceeds the bound or a family is ungated",
+        |a, _| on(&mut a.check)),
+    Flag("--out-dir", "DIR", "where the BENCH_*.json and counts_*.json go (default .)",
+        |a, v| put(&mut a.cfg.out_dir, v)),
+];
+
+const COMMAND: Command<Args> = Command {
+    name: "dns-scaling",
+    about: "dns-scaling: the measured-vs-modelled campaign behind every table of the paper\n\n\
+            usage: dns-scaling [flags]\n\nflags:\n",
+    flags: FLAGS,
+    spec: None,
+};
+
 fn main() -> ExitCode {
-    let (mut smoke, mut check, mut out_dir) = (false, false, PathBuf::from("."));
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = true,
-            "--out-dir" => out_dir = PathBuf::from(args.next().expect("--out-dir needs a path")),
-            other => {
-                eprintln!("unknown flag: {other}");
-                eprintln!("usage: dns-scaling [--smoke] [--check] [--out-dir DIR]");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let args = Args {
+        cfg: CampaignConfig {
+            smoke: false,
+            out_dir: PathBuf::from("."),
+        },
+        check: false,
+    };
+    let Args { cfg, check } = COMMAND.parse(args, Ok);
+    let smoke = cfg.smoke;
 
     println!(
         "== dns-scaling: measured-vs-modelled campaign ({} mode) ==",
         if smoke { "smoke" } else { "full" }
     );
-    let c = run(CampaignConfig { smoke, out_dir }).expect("campaign failed");
+    let c = run(cfg).expect("campaign failed");
     let files = write_all(&c).expect("write BENCH tables");
     for (_, value) in &files {
         if value.get("sections").is_some() {

@@ -18,33 +18,12 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dns_core::spec::{self, put, Flag, RunSpec};
+use dns_core::flags::{parsed, put, Command, Flag};
+use dns_core::spec::RunSpec;
 use dns_core::Params;
 use dns_json::Json;
 use dns_server::proto::{JobRow, Request, TenantRow};
 use dns_telemetry::fmt_seconds;
-
-const USAGE: &str = "\
-dns-cli: client for the dns-server campaign daemon
-
-usage: dns-cli <command> [flags]
-
-commands:
-  submit                   queue a run (from --spec FILE.json or inline flags)
-  status                   show the queue (and the queue-wait percentiles)
-  tenants                  per-tenant fairness table: waits, core-seconds, Jain index
-  watch ID                 stream a job's health JSONL until it finishes
-                           (typed preemption/resume events; auto-resubscribes)
-  cancel ID                cancel a job
-  drain                    checkpoint everything running, stop scheduling
-  undrain                  lift a drain
-  ping                     liveness probe
-  shutdown                 stop the daemon
-
-connection flags (all commands):
-  --server HOST:PORT       daemon address (default: read DATA_DIR/addr)
-  --data-dir DIR           where the daemon keeps its addr file (default target/dns-server)
-";
 
 fn fail(msg: &str) -> ! {
     eprintln!("dns-cli: {msg}");
@@ -102,54 +81,41 @@ impl Client {
     }
 }
 
-/// Shared connection flags, stripped out of the argument list before the
-/// per-command parsing sees it.
-fn split_conn_flags(args: &mut Vec<String>) -> String {
-    // every `flag VALUE` pair leaves the list; the last one given wins
-    let mut take = |flag: &str| {
-        let mut value = None;
-        while let Some(i) = args.iter().position(|a| a == flag) {
-            args.remove(i);
-            if i >= args.len() {
-                fail(&format!("{flag} needs a value"));
-            }
-            value = Some(args.remove(i));
-        }
-        value
-    };
-    let server = take("--server");
-    let data_dir = PathBuf::from(take("--data-dir").unwrap_or("target/dns-server".into()));
-    server.unwrap_or_else(|| {
-        let addr_file = data_dir.join("addr");
-        std::fs::read_to_string(&addr_file)
-            .map(|s| s.trim().to_string())
-            .unwrap_or_else(|e| {
-                fail(&format!(
-                    "no --server given and cannot read {}: {e} (is the daemon running?)",
-                    addr_file.display()
-                ))
-            })
-    })
-}
-
-/// What `dns-cli submit` sends: the run and who queues it how urgently.
-struct Submit {
+/// What the command line decides: the connection, the command with its
+/// job id, and what `submit` sends.
+struct Cli {
+    server: Option<String>,
+    data_dir: PathBuf,
+    words: Vec<String>,
     spec: RunSpec,
     tenant: String,
     priority: u8,
 }
 
-/// The submit flags that are not part of the run description (those are
-/// [`spec::SPEC_FLAGS`]).
+/// The rows besides the run description (those are
+/// [`SPEC_FLAGS`](dns_core::spec::SPEC_FLAGS), read by `submit`).
 #[rustfmt::skip] // a table: one row per flag, not one line per field
-const SUBMIT_FLAGS: &[Flag<Submit>] = &[
-    Flag("--name", "NAME", "display name (default cli-run)", |s, v| put(&mut s.spec.name, v)),
-    Flag("--tenant", "T", "owning tenant (default 'default')", |s, v| put(&mut s.tenant, v)),
-    Flag("--priority", "P", "higher runs first (default 10)", |s, v| put(&mut s.priority, v)),
+const FLAGS: &[Flag<Cli>] = &[
+    Flag("--name", "NAME", "display name (default cli-run)", |c, v| put(&mut c.spec.name, v)),
+    Flag("--tenant", "T", "owning tenant (default 'default')", |c, v| put(&mut c.tenant, v)),
+    Flag("--priority", "P", "higher runs first (default 10)", |c, v| put(&mut c.priority, v)),
+    Flag("--server", "HOST:PORT", "daemon address, any command (default: read DATA_DIR/addr)",
+        |c, v| parsed(v).map(|addr| c.server = Some(addr))),
+    Flag("--data-dir", "DIR",
+        "where the daemon keeps its addr file, any command (default target/dns-server)",
+        |c, v| put(&mut c.data_dir, v)),
+    Flag("COMMAND", "[ID]", "one of the commands above; watch and cancel take a job ID",
+        |c, v| {
+            c.words.push(v.into());
+            Ok(())
+        }),
 ];
 
-fn submit_base() -> Submit {
-    Submit {
+fn base() -> Cli {
+    Cli {
+        server: None,
+        data_dir: PathBuf::from("target/dns-server"),
+        words: Vec::new(),
         spec: RunSpec {
             name: "cli-run".into(),
             params: Params::channel(16, 25, 16, 80.0).with_dt(1e-3),
@@ -162,33 +128,81 @@ fn submit_base() -> Submit {
     }
 }
 
-/// The submit section of `--help`: the base spec in its own words, then
-/// the shared flag rows and the three above.
-fn submit_usage() -> String {
+/// What `--help` prints above the rows: the commands, then the base spec
+/// `submit` starts from in its own words.
+fn about() -> String {
     format!(
-        "\nsubmit flags (where a default quoted below is dns-run's, submit starts from\n\
-         {}):\n{}",
-        submit_base().spec,
-        spec::usage(SUBMIT_FLAGS)
+        "\
+dns-cli: client for the dns-server campaign daemon
+
+usage: dns-cli COMMAND [ID] [flags]
+
+commands:
+  submit                   queue a run (from --spec FILE.json or inline flags)
+  status                   show the queue (and the queue-wait percentiles)
+  tenants                  per-tenant fairness table: waits, core-seconds, Jain index
+  watch ID                 stream a job's health JSONL until it finishes
+                           (typed preemption/resume events; auto-resubscribes)
+  cancel ID                cancel a job
+  drain                    checkpoint everything running, stop scheduling
+  undrain                  lift a drain
+  ping                     liveness probe
+  shutdown                 stop the daemon
+
+flags (the run-description rows and --name/--tenant/--priority are submit's;
+where a default quoted below is dns-run's, submit starts from
+{}):
+",
+        base().spec
     )
 }
 
-fn parse_submit(args: &[String]) -> Submit {
-    let mut submit = submit_base();
-    spec::apply(args, &mut submit, SUBMIT_FLAGS, |s| &mut s.spec)
-        .unwrap_or_else(|e| fail(&format!("submit: {e}")));
-    if let Err(e) = submit.spec.validate() {
-        fail(&e.to_string());
+/// The request the command words and flags ask for.
+fn request(c: &mut Cli) -> Result<Request, String> {
+    let (cmd, rest) = c.words.split_first().ok_or("missing command")?;
+    let id = || -> Result<u64, String> {
+        let id = rest.first().ok_or(format!("{cmd} needs a job id"))?;
+        id.parse().map_err(|_| format!("{cmd}: bad job id {id:?}"))
+    };
+    let req = match cmd.as_str() {
+        "submit" => {
+            c.spec.validate().map_err(|e| e.to_string())?;
+            Request::Submit {
+                spec: c.spec.clone(),
+                tenant: c.tenant.clone(),
+                priority: c.priority,
+            }
+        }
+        "status" => Request::Status,
+        "tenants" => Request::Tenants,
+        "watch" => Request::Watch { id: id()? },
+        "cancel" => Request::Cancel { id: id()? },
+        "drain" => Request::Drain,
+        "undrain" => Request::Undrain,
+        "ping" => Request::Ping,
+        "shutdown" => Request::Shutdown,
+        other => return Err(format!("unknown command {other}")),
+    };
+    let words = 1 + matches!(req, Request::Watch { .. } | Request::Cancel { .. }) as usize;
+    match c.words.get(words) {
+        Some(extra) => Err(format!("unexpected argument {extra}")),
+        None => Ok(req),
     }
-    submit
 }
 
-fn take_id(args: &[String], cmd: &str) -> u64 {
-    let id = args
-        .first()
-        .unwrap_or_else(|| fail(&format!("{cmd} needs a job id")));
-    id.parse()
-        .unwrap_or_else(|_| fail(&format!("{cmd}: bad job id {id:?}")))
+/// The daemon's address: `--server`, else the file it wrote on start-up.
+fn address(c: &Cli) -> String {
+    c.server.clone().unwrap_or_else(|| {
+        let addr_file = c.data_dir.join("addr");
+        std::fs::read_to_string(&addr_file)
+            .map(|s| s.trim().to_string())
+            .unwrap_or_else(|e| {
+                fail(&format!(
+                    "no --server given and cannot read {}: {e} (is the daemon running?)",
+                    addr_file.display()
+                ))
+            })
+    })
 }
 
 fn print_status(v: &Json) {
@@ -301,141 +315,50 @@ fn stream_watch(client: &mut Client, id: u64) -> WatchEnd {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        print!("{USAGE}{}", submit_usage());
-        return;
-    }
-    // strip connection flags before taking the command, so
-    // `dns-cli --data-dir DIR status` and `dns-cli status --data-dir DIR`
-    // both work
-    let addr = split_conn_flags(&mut args);
-    if args.is_empty() {
-        fail("missing command (run dns-cli --help)");
-    }
-    let cmd = args.remove(0);
+    let about = about();
+    let command = Command {
+        name: "dns-cli",
+        about: &about,
+        flags: FLAGS,
+        spec: Some(|c| &mut c.spec),
+    };
+    let (c, req) = command.parse(base(), |mut c| {
+        let req = request(&mut c)?;
+        Ok((c, req))
+    });
+    let addr = address(&c);
     let mut client = Client::connect(&addr);
-    match cmd.as_str() {
-        "submit" => {
-            let Submit {
-                spec,
-                tenant,
-                priority,
-            } = parse_submit(&args);
-            let v = client.call(&Request::Submit {
-                spec,
-                tenant,
-                priority,
-            });
-            let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
-            println!("submitted job {id}");
-        }
-        "status" => {
-            let v = client.call(&Request::Status);
-            print_status(&v);
-        }
-        "tenants" => {
-            let v = client.call(&Request::Tenants);
-            print_tenants(&v);
-        }
-        "watch" => {
-            let id = take_id(&args, "watch");
-            // from here the server streams health JSONL lines (plus
-            // typed watch_event lines), then a done marker, then closes.
-            // A drop without the marker is NOT the end of the job —
-            // resubscribe until the server reports a terminal state.
-            let mut session = Some(client);
-            loop {
-                let mut c = session.take().unwrap_or_else(|| Client::connect(&addr));
-                c.call(&Request::Watch { id });
-                match stream_watch(&mut c, id) {
-                    WatchEnd::Done => break,
-                    WatchEnd::Dropped => {
-                        eprintln!("dns-cli: watch stream for job {id} dropped; resubscribing");
-                        std::thread::sleep(Duration::from_millis(300));
-                    }
+    if let Request::Watch { id } = req {
+        // from here the server streams health JSONL lines (plus typed
+        // watch_event lines), then a done marker, then closes. A drop
+        // without the marker is NOT the end of the job — resubscribe
+        // until the server reports a terminal state.
+        let mut session = Some(client);
+        loop {
+            let mut c = session.take().unwrap_or_else(|| Client::connect(&addr));
+            c.call(&req);
+            match stream_watch(&mut c, id) {
+                WatchEnd::Done => return,
+                WatchEnd::Dropped => {
+                    eprintln!("dns-cli: watch stream for job {id} dropped; resubscribing");
+                    std::thread::sleep(Duration::from_millis(300));
                 }
             }
         }
-        "cancel" => {
-            let id = take_id(&args, "cancel");
-            client.call(&Request::Cancel { id });
-            println!("cancel requested for job {id}");
-        }
-        "drain" => {
-            client.call(&Request::Drain);
-            println!("draining: running jobs are checkpointing");
-        }
-        "undrain" => {
-            client.call(&Request::Undrain);
-            println!("scheduling resumed");
-        }
-        "ping" => {
-            client.call(&Request::Ping);
-            println!("ok");
-        }
-        "shutdown" => {
-            client.call(&Request::Shutdown);
-            println!("server shutting down");
-        }
-        other => fail(&format!("unknown command {other}\n\n{USAGE}")),
     }
-}
-
-#[cfg(test)]
-mod docs {
-    //! `submit` parses and prints its help from the flag tables; what can
-    //! still drift is the prose that quotes them.
-    use super::{submit_usage, USAGE};
-
-    const README: &str = include_str!("../../../../README.md");
-    const CI: &str = include_str!("../../../../.github/workflows/ci.yml");
-    const SKILL: &str = include_str!("../../../../.claude/skills/verify/SKILL.md");
-
-    /// The `--flags` following the word `submit` on every shell line of
-    /// `doc` (backslash continuations joined, cut at `#`, `|`, `;`).
-    fn submit_flags(doc: &str) -> Vec<String> {
-        let joined = doc.replace("\\\n", " ");
-        let mut flags = Vec::new();
-        for line in joined.lines() {
-            let mut words = line.split_whitespace().skip_while(|w| *w != "submit");
-            words.next();
-            flags.extend(
-                words
-                    .take_while(|w| !["#", "|", ";", "&&"].contains(w))
-                    .map(|w| w.trim_end_matches(|c: char| !c.is_ascii_alphanumeric()))
-                    .filter(|w| w.starts_with("--") && w.len() > 2)
-                    .map(String::from),
-            );
+    let v = client.call(&req);
+    match req {
+        Request::Submit { .. } => {
+            let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
+            println!("submitted job {id}");
         }
-        flags
-    }
-
-    #[test]
-    fn documented_submit_lines_only_use_table_rows() {
-        let help = format!("{USAGE}{}", submit_usage());
-        for doc in [README, CI, SKILL] {
-            let flags = submit_flags(doc);
-            assert!(!flags.is_empty(), "the scan lost a file's submit examples");
-            for flag in flags {
-                assert!(
-                    help.contains(&format!("  {flag} "))
-                        || help.contains(&format!("(also {flag})")),
-                    "a documented command passes {flag}, which dns-cli submit does not accept"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn readme_submit_flag_table_is_the_help_text() {
-        let block = format!(
-            "<!-- dns-cli submit flags -->\n```text{}```\n",
-            submit_usage()
-        );
-        assert!(
-            README.contains(&block),
-            "README.md's dns-cli submit flag table is stale; it should read:\n{block}"
-        );
+        Request::Status => print_status(&v),
+        Request::Tenants => print_tenants(&v),
+        Request::Cancel { id } => println!("cancel requested for job {id}"),
+        Request::Drain => println!("draining: running jobs are checkpointing"),
+        Request::Undrain => println!("scheduling resumed"),
+        Request::Ping => println!("ok"),
+        Request::Shutdown => println!("server shutting down"),
+        Request::Watch { .. } => unreachable!("watch streams above"),
     }
 }

@@ -1,4 +1,4 @@
-//! The campaign daemon binary: a thin flag parser over
+//! The campaign daemon binary: a flag table over
 //! [`dns_server::daemon::serve`].
 //!
 //! ```text
@@ -14,63 +14,41 @@
 
 use std::time::Duration;
 
+use dns_core::flags::{parsed, put, Command, Flag};
 use dns_server::daemon::{serve, ServerConfig};
 
-const USAGE: &str = "\
-dns-server: multi-tenant campaign server for the channel DNS
+#[rustfmt::skip] // a table: one row per flag, not one line per field
+const FLAGS: &[Flag<ServerConfig>] = &[
+    Flag("--addr", "HOST:PORT", "listen address (default 127.0.0.1:0 = any free port)",
+        |c, v| put(&mut c.addr, v)),
+    Flag("--http-addr", "HOST:PORT",
+        "HTTP facade address: /metrics, /api/v1/* (default 127.0.0.1:0)",
+        |c, v| put(&mut c.http_addr, v)),
+    Flag("--data-dir", "DIR", "journal, addr file, and job state root (default target/dns-server)",
+        |c, v| put(&mut c.data_dir, v)),
+    Flag("--cores", "N", "total cores jobs may occupy at once (default 4)",
+        |c, v| put(&mut c.total_cores, v)),
+    Flag("--tenant-quota", "N", "max cores one tenant may occupy at once (default: no quota)",
+        |c, v| parsed(v).map(|n| c.tenant_quota = Some(n))),
+    Flag("--tick-ms", "MS", "poll-loop tick (default 3)",
+        |c, v| parsed(v).map(|ms| c.tick = Duration::from_millis(ms))),
+];
 
-usage: dns-server [flags]
-
-flags:
-  --addr HOST:PORT         listen address (default 127.0.0.1:0 = any free port)
-  --http-addr HOST:PORT    HTTP facade address: /metrics, /api/v1/* (default 127.0.0.1:0)
-  --data-dir DIR           journal, addr file, and job state root (default target/dns-server)
-  --cores N                total cores jobs may occupy at once (default 4)
-  --tenant-quota N         max cores one tenant may occupy at once (default: no quota)
-  --tick-ms MS             poll-loop tick (default 3)
-  --help                   print this help and exit
-";
+const COMMAND: Command<ServerConfig> = Command {
+    name: "dns-server",
+    about: "dns-server: multi-tenant campaign server for the channel DNS\n\n\
+            usage: dns-server [flags]\n\nflags:\n",
+    flags: FLAGS,
+    spec: None,
+};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut cfg = ServerConfig::new("target/dns-server");
-    let mut i = 1;
-    let take = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("dns-server: {} needs a value", argv[*i - 1]);
-            std::process::exit(2);
-        })
-    };
-    fn num<T: std::str::FromStr>(flag: &str, v: String) -> T {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("dns-server: {flag}: cannot parse {v:?}");
-            std::process::exit(2);
-        })
-    }
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => cfg.addr = take(&mut i),
-            "--http-addr" => cfg.http_addr = take(&mut i),
-            "--data-dir" => cfg.data_dir = take(&mut i).into(),
-            "--cores" => cfg.total_cores = num("--cores", take(&mut i)),
-            "--tenant-quota" => cfg.tenant_quota = Some(num("--tenant-quota", take(&mut i))),
-            "--tick-ms" => cfg.tick = Duration::from_millis(num("--tick-ms", take(&mut i))),
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("dns-server: unknown argument {other}\n\n{USAGE}");
-                std::process::exit(2);
-            }
+    let cfg = COMMAND.parse(ServerConfig::new("target/dns-server"), |cfg| {
+        match cfg.total_cores {
+            0 => Err("--cores must be positive".into()),
+            _ => Ok(cfg),
         }
-        i += 1;
-    }
-    if cfg.total_cores == 0 {
-        eprintln!("dns-server: --cores must be positive");
-        std::process::exit(2);
-    }
+    });
     if let Err(e) = serve(cfg) {
         eprintln!("dns-server: {e}");
         std::process::exit(1);
