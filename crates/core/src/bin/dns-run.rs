@@ -122,7 +122,7 @@ const RUN_FLAGS: &[Flag<Cli>] = &[
 
 const COMMAND: Command<Cli> = Command {
     name: "dns-run",
-    about: "dns-run: spectral DNS of turbulent channel flow (Kim-Moin-Moser box by default)\n\n\
+    about: "spectral DNS of turbulent channel flow (Kim-Moin-Moser box by default)\n\n\
             usage: dns-run [flags]\n\nflags:\n",
     flags: RUN_FLAGS,
     spec: Some(|c| &mut c.spec),

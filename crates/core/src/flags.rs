@@ -45,9 +45,9 @@ const HELP: Flag<()> = Flag("--help", "", "print this help and exit", |_, _| Ok(
 
 /// One binary's command line.
 pub struct Command<'a, T> {
-    /// The binary's name: the prefix of every argument error.
+    /// The binary's name, which starts its help and every argument error.
     pub name: &'a str,
-    /// What `--help` prints above the rows, their heading included.
+    /// What `--help` prints after `NAME: ` above the rows (and their heading).
     pub about: &'a str,
     /// The binary's own rows.
     pub flags: &'a [Flag<T>],
@@ -89,7 +89,7 @@ impl<T> Command<'_, T> {
         Ok(false)
     }
 
-    /// The only help renderer: `about`, then one line per row — the
+    /// The only help renderer: `NAME: about`, then one line per row — the
     /// run-description rows first when the command takes them — and the
     /// `--help` row last.
     pub fn help(&self) -> String {
@@ -102,7 +102,7 @@ impl<T> Command<'_, T> {
                 out.push('\n');
             }
         }
-        let mut out = self.about.to_string();
+        let mut out = format!("{}: {}", self.name, self.about);
         if self.spec.is_some() {
             rows(&mut out, SPEC_FLAGS);
         }
@@ -160,7 +160,7 @@ mod tests {
     fn command(spec: bool) -> Command<'static, Target> {
         Command {
             name: "demo",
-            about: "demo: a test command\n\nflags:\n",
+            about: "a test command\n\nflags:\n",
             flags: ROWS,
             spec: spec.then_some(|t: &mut Target| &mut t.spec),
         }

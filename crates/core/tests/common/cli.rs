@@ -104,17 +104,26 @@ pub fn documented_flags(doc: &str, program: &str) -> Vec<String> {
 }
 
 /// Every flag a documented `program` command line passes is a row of
-/// `help` (or an alias it names), and the documents show at least one.
-pub fn documented_lines_use_rows(program: &str, help: &str) {
-    let mut seen = 0;
+/// `help` (or an alias it names), and each document of `showing` yields
+/// at least one such flag, so a scan that loses a file's examples fails.
+pub fn documented_lines_use_rows(program: &str, help: &str, showing: &[&str]) {
+    for name in showing {
+        assert!(
+            DOCS.iter().any(|(doc, _)| doc == name),
+            "{name} is not a scanned document"
+        );
+    }
     for (doc, text) in DOCS {
-        for flag in documented_flags(text, program) {
-            seen += 1;
+        let flags = documented_flags(text, program);
+        assert!(
+            !flags.is_empty() || !showing.contains(&doc),
+            "the scan lost {doc}'s {program} examples"
+        );
+        for flag in flags {
             assert!(
                 help.contains(&format!("  {flag} ")) || help.contains(&format!("(also {flag})")),
                 "{doc}: a {program} command line passes {flag}, which is not a row of its help"
             );
         }
     }
-    assert!(seen > 0, "the scan found no {program} command line");
 }

@@ -52,7 +52,7 @@ const FLAGS: &[Flag<Opts>] = &[
 const COMMAND: Command<Opts> = Command {
     name: "dns-perfdb",
     about: "\
-dns-perfdb: append-only cross-commit perf store over BENCH_*.json
+append-only cross-commit perf store over BENCH_*.json
 
 usage:
   dns-perfdb ingest --commit SHA [--db FILE] BENCH.json [BENCH.json ...]

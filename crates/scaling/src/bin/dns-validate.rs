@@ -80,7 +80,7 @@ const FLAGS: &[Flag<Given>] = &[
 
 const COMMAND: Command<Given> = Command {
     name: "dns-validate",
-    about: "dns-validate: turbulence-statistics validation gate (figures 5-8)\n\n\
+    about: "turbulence-statistics validation gate (figures 5-8)\n\n\
             usage: dns-validate [flags]\n\nflags:\n",
     flags: FLAGS,
     spec: None,

@@ -42,7 +42,7 @@ const FLAGS: &[Flag<Args>] = &[
 
 const COMMAND: Command<Args> = Command {
     name: "dns-scaling",
-    about: "dns-scaling: the measured-vs-modelled campaign behind every table of the paper\n\n\
+    about: "the measured-vs-modelled campaign behind every table of the paper\n\n\
             usage: dns-scaling [flags]\n\nflags:\n",
     flags: FLAGS,
     spec: None,

@@ -90,15 +90,25 @@ struct Cli {
     spec: RunSpec,
     tenant: String,
     priority: u8,
+    submit_rows: bool,
+}
+
+/// `c`, noted as given a row only `submit` reads (`submit_rows`).
+fn submitting(c: &mut Cli) -> &mut Cli {
+    c.submit_rows = true;
+    c
 }
 
 /// The rows besides the run description (those are
 /// [`SPEC_FLAGS`](dns_core::spec::SPEC_FLAGS), read by `submit`).
 #[rustfmt::skip] // a table: one row per flag, not one line per field
 const FLAGS: &[Flag<Cli>] = &[
-    Flag("--name", "NAME", "display name (default cli-run)", |c, v| put(&mut c.spec.name, v)),
-    Flag("--tenant", "T", "owning tenant (default 'default')", |c, v| put(&mut c.tenant, v)),
-    Flag("--priority", "P", "higher runs first (default 10)", |c, v| put(&mut c.priority, v)),
+    Flag("--name", "NAME", "display name (default cli-run)",
+        |c, v| put(&mut submitting(c).spec.name, v)),
+    Flag("--tenant", "T", "owning tenant (default 'default')",
+        |c, v| put(&mut submitting(c).tenant, v)),
+    Flag("--priority", "P", "higher runs first (default 10)",
+        |c, v| put(&mut submitting(c).priority, v)),
     Flag("--server", "HOST:PORT", "daemon address, any command (default: read DATA_DIR/addr)",
         |c, v| parsed(v).map(|addr| c.server = Some(addr))),
     Flag("--data-dir", "DIR",
@@ -125,6 +135,7 @@ fn base() -> Cli {
         },
         tenant: "default".into(),
         priority: 10,
+        submit_rows: false,
     }
 }
 
@@ -133,7 +144,7 @@ fn base() -> Cli {
 fn about() -> String {
     format!(
         "\
-dns-cli: client for the dns-server campaign daemon
+client for the dns-server campaign daemon
 
 usage: dns-cli COMMAND [ID] [flags]
 
@@ -183,6 +194,9 @@ fn request(c: &mut Cli) -> Result<Request, String> {
         "shutdown" => Request::Shutdown,
         other => return Err(format!("unknown command {other}")),
     };
+    if c.submit_rows && !matches!(req, Request::Submit { .. }) {
+        return Err(format!("{cmd} takes none of submit's flags"));
+    }
     let words = 1 + matches!(req, Request::Watch { .. } | Request::Cancel { .. }) as usize;
     match c.words.get(words) {
         Some(extra) => Err(format!("unexpected argument {extra}")),
@@ -320,7 +334,7 @@ fn main() {
         name: "dns-cli",
         about: &about,
         flags: FLAGS,
-        spec: Some(|c| &mut c.spec),
+        spec: Some(|c| &mut submitting(c).spec),
     };
     let (c, req) = command.parse(base(), |mut c| {
         let req = request(&mut c)?;

@@ -36,7 +36,7 @@ const FLAGS: &[Flag<ServerConfig>] = &[
 
 const COMMAND: Command<ServerConfig> = Command {
     name: "dns-server",
-    about: "dns-server: multi-tenant campaign server for the channel DNS\n\n\
+    about: "multi-tenant campaign server for the channel DNS\n\n\
             usage: dns-server [flags]\n\nflags:\n",
     flags: FLAGS,
     spec: None,

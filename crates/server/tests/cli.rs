@@ -36,10 +36,11 @@ fn each_help_lists_its_rows() {
 
 #[test]
 fn documented_command_lines_only_use_table_rows() {
-    cli::documented_lines_use_rows("dns-server", &cli::help(SERVER));
+    let showing = ["README.md", "ci.yml", "SKILL.md"];
+    cli::documented_lines_use_rows("dns-server", &cli::help(SERVER), &showing);
     // `cli` is the documents' shell wrapper around dns-cli
     for program in ["dns-cli", "cli"] {
-        cli::documented_lines_use_rows(program, &cli::help(CLIENT));
+        cli::documented_lines_use_rows(program, &cli::help(CLIENT), &showing);
     }
 }
 
@@ -57,7 +58,7 @@ fn readme_flag_table_is_the_help_text() {
 
 #[test]
 fn argument_errors_exit_2_with_a_message_and_never_panic() {
-    let cases: [(&str, &str, &[&str], &str); 12] = [
+    let cases: [(&str, &str, &[&str], &str); 14] = [
         (
             SERVER,
             "dns-server",
@@ -87,6 +88,18 @@ fn argument_errors_exit_2_with_a_message_and_never_panic() {
             "dns-cli",
             &["status", "--bogus"],
             "unknown argument --bogus",
+        ),
+        (
+            CLIENT,
+            "dns-cli",
+            &["status", "--nx", "32"],
+            "status takes none of submit's flags",
+        ),
+        (
+            CLIENT,
+            "dns-cli",
+            &["--tenant", "acme", "watch", "1"],
+            "watch takes none of submit's flags",
         ),
         (
             CLIENT,
