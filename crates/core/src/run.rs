@@ -217,6 +217,12 @@ pub trait RunObserver: Send + Sync {
     fn on_finish(&self, dns: &ChannelDns, summary: RunSummary) {
         let _ = (dns, summary);
     }
+    /// Once per [`execute`], on the run thread, as its last act: the
+    /// world has wound down, `status` is final and every file the run
+    /// writes is complete. The campaign daemon wakes on it.
+    fn on_exit(&self, status: RunStatus) {
+        let _ = status;
+    }
 }
 
 impl RunObserver for () {}
@@ -289,6 +295,7 @@ where
     let spec = spec.clone();
     let body_cfg = cfg.clone();
     let body_ctl = Arc::clone(&ctl);
+    let body_observer = Arc::clone(&observer);
     let report = supervise(
         SupervisorConfig {
             ranks,
@@ -296,7 +303,9 @@ where
             recv_timeout: cfg.recv_timeout,
         },
         plan_for,
-        move |world, attempt| attempt_body(world, attempt, &spec, &body_cfg, &body_ctl, &*observer),
+        move |world, attempt| {
+            attempt_body(world, attempt, &spec, &body_cfg, &body_ctl, &*body_observer)
+        },
     );
     let status = match &report.results {
         Some(exits) => match exits[0] {
@@ -324,12 +333,14 @@ where
             }
         }
     }
-    RunOutcome {
+    let outcome = RunOutcome {
         status,
         steps_done: ctl.current_step(),
         restarts: report.restarts,
         events: report.events,
-    }
+    };
+    observer.on_exit(status);
+    outcome
 }
 
 /// One supervised attempt: build the solver, restore state per the
@@ -613,16 +624,15 @@ impl RunHandle {
         self.ctl.current_step()
     }
 
-    /// Whether the background thread has wound down (the run is paused,
-    /// done, failed, or cancelled — not stepping). A finished thread is
-    /// joined here: `is_finished` turns true before the OS thread exits,
-    /// and a run launched in that gap is handed the wrong allocator
-    /// arena and strands the exiting run's heap (+7 MB of peak RSS).
-    pub fn settle(&mut self) -> bool {
-        if self.thread.as_ref().is_some_and(|t| t.is_finished()) {
-            self.reap();
-        }
-        self.thread.is_none()
+    /// Join the background thread once its observer has seen
+    /// [`RunObserver::on_exit`]: the thread is past its last act, so
+    /// this waits only for the OS thread to go. An owner that launches
+    /// runs one after another settles the exited one first — a run
+    /// launched while the old thread is still exiting is handed the
+    /// wrong allocator arena and strands the exiting run's heap (+7 MB
+    /// of peak RSS).
+    pub fn settle(&mut self) {
+        self.reap();
     }
 
     /// Join the background thread and keep its outcome as a segment.

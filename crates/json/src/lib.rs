@@ -409,12 +409,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // advance one UTF-8 scalar
+                    // copy the whole run up to the next quote or backslash:
+                    // both are ASCII, so in input that came from a `&str`
+                    // the run starts and ends on a char boundary
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -543,5 +549,43 @@ mod tests {
     #[test]
     fn escape_matches_writer() {
         assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+    }
+
+    /// Plain runs, multi-byte chars, every character the writer escapes
+    /// (quote, backslash, named and `\u` control escapes) and DEL, which
+    /// it does not.
+    const PALETTE: [&str; 16] = [
+        "a",
+        "plain run ",
+        "é",
+        "ß",
+        "€",
+        "日本",
+        "🦀",
+        "\"",
+        "\\",
+        "/",
+        "\n",
+        "\r",
+        "\t",
+        "\u{1}",
+        "\u{1f}",
+        "\u{7f}",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn strings_round_trip_through_dump(
+            picks in proptest::collection::vec(0usize..PALETTE.len(), 0..40)
+        ) {
+            let s: String = picks.iter().map(|&i| PALETTE[i]).collect();
+            let text = Json::str(&s).dump();
+            proptest::prop_assert_eq!(parse(&text).unwrap(), Json::Str(s.clone()));
+            // inside a document, next to other keys, too
+            let doc = Json::obj().put("k", Json::str(&s)).put("z", Json::Null).build();
+            proptest::prop_assert_eq!(parse(&doc.dump()).unwrap(), doc);
+        }
     }
 }

@@ -12,8 +12,6 @@
 //! announced in `DATA_DIR/http_addr` — point a browser or Prometheus
 //! scraper at it.
 
-use std::time::Duration;
-
 use dns_core::flags::{parsed, put, Command, Flag};
 use dns_server::daemon::{serve, ServerConfig};
 
@@ -30,8 +28,6 @@ const FLAGS: &[Flag<ServerConfig>] = &[
         |c, v| put(&mut c.total_cores, v)),
     Flag("--tenant-quota", "N", "max cores one tenant may occupy at once (default: no quota)",
         |c, v| parsed(v).map(|n| c.tenant_quota = Some(n))),
-    Flag("--tick-ms", "MS", "poll-loop tick (default 3)",
-        |c, v| parsed(v).map(|ms| c.tick = Duration::from_millis(ms))),
 ];
 
 const COMMAND: Command<ServerConfig> = Command {

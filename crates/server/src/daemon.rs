@@ -1,18 +1,32 @@
-//! The campaign daemon: a single-threaded nonblocking poll loop that
-//! accepts newline-delimited JSON requests on a local TCP socket,
-//! journals every scheduling transition before acting on it, and drives
-//! jobs through [`dns_core::run::RunHandle`] worlds in-process.
+//! The campaign daemon: one event loop that answers newline-delimited
+//! JSON requests on a local TCP socket, journals every scheduling
+//! transition before acting on it, and drives jobs through
+//! [`dns_core::run::RunHandle`] worlds in-process.
 //!
-//! One tick of the loop:
+//! All daemon state lives on the thread that calls [`serve`], which
+//! blocks on one channel of events and never wakes on a timer:
 //!
-//! 1. accept new connections (nonblocking),
-//! 2. read and answer complete request lines,
-//! 3. pump job lifecycles — confirm settled pauses as preemptions,
-//!    settle completions/failures/cancellations, then ask the scheduler
-//!    to [`plan`](crate::scheduler::Scheduler::plan) and execute the
-//!    resulting starts/preempts/resumes,
-//! 4. pump `watch` subscriptions with freshly appended health JSONL,
-//! 5. flush pending response bytes.
+//! * one thread per listener blocks in `accept` and gives each new
+//!   connection a thread of its own;
+//! * a connection thread does that connection's blocking I/O and nothing
+//!   else: it reads a request line (or an HTTP head), sends it to the
+//!   loop with a reply channel, and writes whatever comes back. A
+//!   `watch` or SSE stream keeps writing until the loop drops its end,
+//!   so a slow or stalled client blocks only its own thread;
+//! * each job's world reports every root-rank step, and its own exit,
+//!   through a [`RunObserver`].
+//!
+//! One pass of the loop, per wake-up:
+//!
+//! 1. bill delivered core-seconds up to now, so `/metrics` and
+//!    `/api/v1/tenants` see them;
+//! 2. handle the event and drain the rest: answer requests, and confirm
+//!    the worlds that exited — a settled pause becomes a preemption,
+//!    completions, failures and cancellations become terminal;
+//! 3. ask the scheduler to [`plan`](crate::scheduler::Scheduler::plan)
+//!    and execute the resulting starts/preempts/resumes;
+//! 4. send the `watch` and SSE followers of every job that stepped,
+//!    exited or changed state its freshly appended health JSONL.
 //!
 //! On startup the daemon replays its journal: every job that was queued,
 //! running, or checkpointing when the last process died is re-admitted
@@ -20,23 +34,28 @@
 //! checkpoint generation — or their initial condition if none landed)
 //! and a `recovery.json` artifact records what was recovered.
 
-use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use dns_core::health::MonitorConfig;
-use dns_core::run::{ResumePolicy, RunConfig, RunHandle, RunSpec, RunStatus};
+use dns_core::run::{ResumePolicy, RunConfig, RunHandle, RunObserver, RunSpec, RunStatus, StepCtx};
+use dns_core::ChannelDns;
 use dns_health::sse;
 use dns_health::{SentinelConfig, StragglerConfig};
 use dns_json::Json;
 use dns_telemetry::{count, count_tenant, Counter};
 
-use crate::http::{self, HttpConn, Parse, Route};
+use crate::http::{self, Route};
 use crate::journal::{replay, Journal, Record};
 use crate::metrics::{self, MetricsView};
-use crate::proto::{err_line, ok_line, JobRow, Request};
+use crate::proto::{err_line, ok_line, JobRow, Request, MAX_LINE_BYTES};
 use crate::scheduler::{Action, JobId, JobState, Scheduler, SchedulerConfig};
 use crate::tenants::{hist_json, TenantTable};
 
@@ -56,8 +75,6 @@ pub struct ServerConfig {
     pub total_cores: usize,
     /// Max cores one tenant may occupy at once.
     pub tenant_quota: Option<usize>,
-    /// Poll-loop tick.
-    pub tick: Duration,
 }
 
 impl ServerConfig {
@@ -69,8 +86,62 @@ impl ServerConfig {
             data_dir: data_dir.into(),
             total_cores: 4,
             tenant_quota: None,
-            tick: Duration::from_millis(3),
         }
+    }
+}
+
+/// What wakes the serve loop.
+enum Event {
+    /// A line-protocol request; its reply lines go back on the sender.
+    Line(Box<Request>, Sender<Vec<u8>>),
+    /// A routed HTTP GET; the response bytes go back on the sender.
+    Http(Route, Sender<Vec<u8>>),
+    /// A listener handed a new connection to its own thread.
+    Opened(Conn),
+    /// A listener's `accept` failed: the daemon stops with this error.
+    AcceptFailed(std::io::Error),
+    /// A job's root rank completed a step.
+    Stepped(JobId),
+    /// A job's run thread is past its last act.
+    Exited(JobId),
+}
+
+/// A connection thread as the loop keeps it: a handle on its socket, to
+/// unblock the thread's read at shutdown, and the thread to join.
+struct Conn {
+    stream: TcpStream,
+    thread: JoinHandle<()>,
+}
+
+/// A `watch` (line protocol) or SSE (facade) subscriber following one
+/// job's health log.
+struct Follower {
+    id: JobId,
+    sse: bool,
+    /// Bytes of the health log already sent.
+    offset: u64,
+    /// Scheduler state of the job at the last pump, so state transitions
+    /// surface as typed `watch_event` lines instead of the stream
+    /// silently going quiet across a preemption.
+    state: Option<JobState>,
+    out: Sender<Vec<u8>>,
+}
+
+/// Wakes the serve loop from inside job `id`'s world.
+struct JobWake {
+    id: JobId,
+    events: Sender<Event>,
+}
+
+impl RunObserver for JobWake {
+    fn on_step(&self, _: &ChannelDns, ctx: StepCtx) {
+        if ctx.root {
+            let _ = self.events.send(Event::Stepped(self.id));
+        }
+    }
+
+    fn on_exit(&self, _: RunStatus) {
+        let _ = self.events.send(Event::Exited(self.id));
     }
 }
 
@@ -102,18 +173,18 @@ struct JobRun {
     last_step: u64,
 }
 
-struct Conn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    watch: Option<JobId>,
-    watch_offset: u64,
-    /// Scheduler state of the watched job at the last pump, so state
-    /// transitions surface as typed `watch_event` lines instead of the
-    /// stream silently going quiet across a preemption.
-    watch_state: Option<JobState>,
-    /// Close once the outbuf drains.
-    closing: bool,
+impl JobRun {
+    fn new(spec: RunSpec, last_step: u64) -> JobRun {
+        JobRun {
+            spec,
+            handle: None,
+            waiting_since: Instant::now(),
+            first_launch: None,
+            pending: Pending::None,
+            launches: 0,
+            last_step,
+        }
+    }
 }
 
 struct Server {
@@ -122,7 +193,16 @@ struct Server {
     journal: Journal,
     jobs: BTreeMap<JobId, JobRun>,
     tenants: TenantTable,
+    /// The loop's own channel, cloned into every job's [`JobWake`].
+    events: Sender<Event>,
+    followers: Vec<Follower>,
+    conns: Vec<Conn>,
+    /// Jobs whose followers have news this pass: they stepped, exited or
+    /// gained a follower.
+    touched: BTreeSet<JobId>,
     shutdown: bool,
+    /// Why the daemon stops, when it was not asked to.
+    failed: Option<std::io::Error>,
 }
 
 impl Server {
@@ -156,62 +236,73 @@ impl Server {
         }
     }
 
-    fn handle_request(&mut self, req: Request, conn: &mut Conn) {
-        match req {
-            Request::Ping => conn.push_line(&ok_line(&[])),
+    /// The observer that wakes this loop from job `id`'s world.
+    fn wake(&self, id: JobId) -> Arc<dyn RunObserver> {
+        Arc::new(JobWake {
+            id,
+            events: self.events.clone(),
+        })
+    }
+
+    fn handle(&mut self, event: Event) {
+        match event {
+            Event::Line(req, reply) => self.handle_request(*req, reply),
+            Event::Http(Route::JobHealth(id), reply) if self.scheduler.job(id).is_some() => {
+                // stream: head now, events as the log grows
+                let _ = reply.send(http::sse_head());
+                self.follow(id, true, reply);
+            }
+            Event::Http(route, reply) => {
+                let _ = reply.send(self.http_response(route));
+            }
+            Event::Opened(conn) => {
+                for ended in self.conns.extract_if(.., |c| c.thread.is_finished()) {
+                    let _ = ended.thread.join();
+                }
+                self.conns.push(conn);
+            }
+            Event::AcceptFailed(e) => {
+                self.failed = Some(e);
+                self.shutdown = true;
+            }
+            Event::Stepped(id) => {
+                if let Some(run) = self.jobs.get_mut(&id) {
+                    if let Some(h) = run.handle.as_ref() {
+                        run.last_step = run.last_step.max(h.current_step());
+                    }
+                }
+                self.touched.insert(id);
+            }
+            Event::Exited(id) => {
+                self.exited(id);
+                self.touched.insert(id);
+            }
+        }
+    }
+
+    fn follow(&mut self, id: JobId, sse: bool, out: Sender<Vec<u8>>) {
+        self.followers.push(Follower {
+            id,
+            sse,
+            offset: 0,
+            state: None,
+            out,
+        });
+        self.touched.insert(id);
+    }
+
+    fn handle_request(&mut self, req: Request, reply: Sender<Vec<u8>>) {
+        let answer = match req {
+            Request::Ping => ok_line(&[]),
             Request::Submit {
                 spec,
                 tenant,
                 priority,
-            } => {
-                if let Err(e) = spec.validate() {
-                    conn.push_line(&err_line(&format!("invalid spec: {e}")));
-                    return;
-                }
-                let cores = spec.cores();
-                match self.scheduler.submit(&tenant, priority, cores) {
-                    Ok(id) => {
-                        let job = self.scheduler.job(id).unwrap();
-                        let rec = Record::Submitted {
-                            id,
-                            tenant: tenant.clone(),
-                            priority,
-                            cores,
-                            seq: job.seq,
-                            spec: spec.clone(),
-                        };
-                        if let Err(e) = self.journal.append(&rec) {
-                            conn.push_line(&err_line(&format!("journal write failed: {e}")));
-                            self.scheduler.cancelled(id);
-                            return;
-                        }
-                        self.jobs.insert(
-                            id,
-                            JobRun {
-                                spec,
-                                handle: None,
-                                waiting_since: Instant::now(),
-                                first_launch: None,
-                                pending: Pending::None,
-                                launches: 0,
-                                last_step: 0,
-                            },
-                        );
-                        count(Counter::JobsSubmitted, 1);
-                        count_tenant(&tenant, Counter::JobsSubmitted, 1);
-                        self.tenants.entry(&tenant).submitted += 1;
-                        conn.push_line(&ok_line(&[("id", Json::num(id as f64))]));
-                    }
-                    Err(e) => conn.push_line(&err_line(&e.to_string())),
-                }
-            }
-            Request::Status => {
-                let pairs = self.status_pairs();
-                conn.push_line(&ok_line(&pairs));
-            }
+            } => self.submit(spec, tenant, priority),
+            Request::Status => ok_line(&self.status_pairs()),
             Request::Tenants => {
                 let v = self.tenants.to_json();
-                conn.push_line(&ok_line(&[
+                ok_line(&[
                     (
                         "tenants",
                         v.get("tenants").cloned().unwrap_or(Json::Arr(vec![])),
@@ -220,136 +311,159 @@ impl Server {
                         "jain_fairness",
                         v.get("jain_fairness").cloned().unwrap_or(Json::num(1.0)),
                     ),
-                ]));
+                ])
             }
-            Request::Watch { id } => match self.scheduler.job(id) {
-                Some(_) => {
-                    conn.push_line(&ok_line(&[("watching", Json::num(id as f64))]));
-                    conn.watch = Some(id);
-                    conn.watch_offset = 0;
-                }
-                None => conn.push_line(&err_line(&format!("no job {id}"))),
-            },
-            Request::Cancel { id } => {
-                let Some(job) = self.scheduler.job(id) else {
-                    conn.push_line(&err_line(&format!("no job {id}")));
-                    return;
-                };
-                if job.state.is_terminal() {
-                    conn.push_line(&err_line(&format!(
-                        "job {id} is already {}",
-                        job.state.label()
-                    )));
+            Request::Watch { id } => {
+                if self.scheduler.job(id).is_none() {
+                    err_line(&format!("no job {id}"))
+                } else {
+                    let ok = ok_line(&[("watching", Json::num(id as f64))]);
+                    let _ = reply.send(line(&ok));
+                    self.follow(id, false, reply);
                     return;
                 }
-                match job.state {
-                    JobState::Queued | JobState::Preempted => {
-                        self.scheduler.cancelled(id);
-                        let _ = self.journal.append(&Record::Cancelled { id });
-                        if let Some(run) = self.jobs.get_mut(&id) {
-                            // a preempted world has already wound down
-                            run.handle = None;
-                        }
-                        self.note_terminal(id);
-                        conn.push_line(&ok_line(&[("cancelled", Json::num(id as f64))]));
-                    }
-                    _ => {
-                        // Running or Preempting: stop the world first;
-                        // the pump confirms and frees the cores when it
-                        // settles
-                        if let Some(run) = self.jobs.get_mut(&id) {
-                            if let Some(h) = run.handle.as_mut() {
-                                h.cancel();
-                            }
-                            run.pending = Pending::Cancel;
-                        }
-                        conn.push_line(&ok_line(&[("cancelling", Json::num(id as f64))]));
-                    }
-                }
             }
+            Request::Cancel { id } => self.cancel(id),
             Request::Drain => {
                 self.scheduler.drain();
                 let _ = self.journal.append(&Record::Drain);
-                conn.push_line(&ok_line(&[("draining", Json::Bool(true))]));
+                ok_line(&[("draining", Json::Bool(true))])
             }
             Request::Undrain => {
                 self.scheduler.resume_scheduling();
                 let _ = self.journal.append(&Record::Undrain);
-                conn.push_line(&ok_line(&[("draining", Json::Bool(false))]));
+                ok_line(&[("draining", Json::Bool(false))])
             }
             Request::Shutdown => {
                 self.shutdown = true;
-                conn.push_line(&ok_line(&[("shutting_down", Json::Bool(true))]));
+                ok_line(&[("shutting_down", Json::Bool(true))])
+            }
+        };
+        let _ = reply.send(line(&answer));
+    }
+
+    fn submit(&mut self, spec: RunSpec, tenant: String, priority: u8) -> String {
+        if let Err(e) = spec.validate() {
+            return err_line(&format!("invalid spec: {e}"));
+        }
+        let cores = spec.cores();
+        let id = match self.scheduler.submit(&tenant, priority, cores) {
+            Ok(id) => id,
+            Err(e) => return err_line(&e.to_string()),
+        };
+        let rec = Record::Submitted {
+            id,
+            tenant: tenant.clone(),
+            priority,
+            cores,
+            seq: self.scheduler.job(id).unwrap().seq,
+            spec: spec.clone(),
+        };
+        if let Err(e) = self.journal.append(&rec) {
+            self.scheduler.cancelled(id);
+            return err_line(&format!("journal write failed: {e}"));
+        }
+        self.jobs.insert(id, JobRun::new(spec, 0));
+        count(Counter::JobsSubmitted, 1);
+        count_tenant(&tenant, Counter::JobsSubmitted, 1);
+        self.tenants.entry(&tenant).submitted += 1;
+        ok_line(&[("id", Json::num(id as f64))])
+    }
+
+    fn cancel(&mut self, id: JobId) -> String {
+        let Some(job) = self.scheduler.job(id) else {
+            return err_line(&format!("no job {id}"));
+        };
+        if job.state.is_terminal() {
+            return err_line(&format!("job {id} is already {}", job.state.label()));
+        }
+        match job.state {
+            JobState::Queued | JobState::Preempted => {
+                self.scheduler.cancelled(id);
+                let _ = self.journal.append(&Record::Cancelled { id });
+                if let Some(run) = self.jobs.get_mut(&id) {
+                    // a preempted world has already wound down
+                    run.handle = None;
+                }
+                self.note_terminal(id);
+                ok_line(&[("cancelled", Json::num(id as f64))])
+            }
+            _ => {
+                // Running or Preempting: stop the world first; its exit
+                // confirms and frees the cores
+                if let Some(run) = self.jobs.get_mut(&id) {
+                    if let Some(h) = run.handle.as_mut() {
+                        h.cancel();
+                    }
+                    run.pending = Pending::Cancel;
+                }
+                ok_line(&[("cancelling", Json::num(id as f64))])
             }
         }
     }
 
-    /// Settle any worlds that have wound down, then plan and execute.
-    fn pump_jobs(&mut self) {
-        // 1. interpret settled handles
-        let ids: Vec<JobId> = self.jobs.keys().copied().collect();
-        for id in ids {
-            let (status, settled, step) = {
-                let run = self.jobs.get_mut(&id).unwrap();
-                let Some(h) = run.handle.as_mut() else {
-                    continue;
-                };
-                run.last_step = run.last_step.max(h.current_step());
-                (h.status(), h.settle(), h.current_step())
+    /// Job `id`'s world wound down: join its thread (before anything
+    /// else launches — DESIGN.md §10.2) and confirm how it ended.
+    fn exited(&mut self, id: JobId) {
+        let (status, step) = {
+            let Some(run) = self.jobs.get_mut(&id) else {
+                return;
             };
-            if !settled {
-                continue;
+            let Some(h) = run.handle.as_mut() else {
+                return;
+            };
+            h.settle();
+            if run.pending == Pending::Cancel && h.status() == RunStatus::Paused {
+                // the cancel arrived while the pause checkpoint was being
+                // written: honour it rather than park the job
+                h.cancel();
             }
-            match status {
-                RunStatus::Running => {}
-                RunStatus::Paused => {
-                    // the preemption (or drain) checkpoint committed
-                    if self.scheduler.job(id).map(|j| j.state) == Some(JobState::Preempting) {
-                        self.scheduler.preempted(id);
-                        let _ = self.journal.append(&Record::Preempted { id, step });
-                        count(Counter::JobsPreempted, 1);
-                        let tenant = self.tenant_of(id);
-                        count_tenant(&tenant, Counter::JobsPreempted, 1);
-                        self.tenants.entry(&tenant).preemptions += 1;
-                        let run = self.jobs.get_mut(&id).unwrap();
-                        run.pending = Pending::None;
-                        // the re-queue wait clock starts now
-                        run.waiting_since = Instant::now();
-                    }
+            run.pending = Pending::None;
+            run.last_step = run.last_step.max(h.current_step());
+            (h.status(), run.last_step)
+        };
+        match status {
+            RunStatus::Running => {}
+            RunStatus::Paused => {
+                // the preemption (or drain) checkpoint committed
+                if self.scheduler.job(id).map(|j| j.state) == Some(JobState::Preempting) {
+                    self.scheduler.preempted(id);
+                    let _ = self.journal.append(&Record::Preempted { id, step });
+                    count(Counter::JobsPreempted, 1);
+                    let tenant = self.tenant_of(id);
+                    count_tenant(&tenant, Counter::JobsPreempted, 1);
+                    self.tenants.entry(&tenant).preemptions += 1;
+                    // the re-queue wait clock starts now
+                    self.jobs.get_mut(&id).unwrap().waiting_since = Instant::now();
                 }
-                RunStatus::Done | RunStatus::Failed => {
-                    let ok = status == RunStatus::Done;
-                    let outcome = {
-                        let run = self.jobs.get_mut(&id).unwrap();
-                        run.pending = Pending::None;
-                        run.handle.take().unwrap().join()
-                    };
-                    self.jobs.get_mut(&id).unwrap().last_step = step.max(outcome.steps_done);
-                    self.scheduler.finished(id, ok);
-                    let rec = if ok {
+            }
+            RunStatus::Done | RunStatus::Failed | RunStatus::Cancelled => {
+                let run = self.jobs.get_mut(&id).unwrap();
+                let outcome = run.handle.take().unwrap().join();
+                run.last_step = step.max(outcome.steps_done);
+                let rec = match status {
+                    RunStatus::Done => {
+                        self.scheduler.finished(id, true);
                         Record::Done { id }
-                    } else {
+                    }
+                    RunStatus::Failed => {
+                        self.scheduler.finished(id, false);
                         Record::Failed { id }
-                    };
-                    let _ = self.journal.append(&rec);
-                    self.note_terminal(id);
-                    self.write_outcome(id, &outcome);
-                }
-                RunStatus::Cancelled => {
-                    let outcome = {
-                        let run = self.jobs.get_mut(&id).unwrap();
-                        run.pending = Pending::None;
-                        run.handle.take().unwrap().join()
-                    };
-                    self.jobs.get_mut(&id).unwrap().last_step = step.max(outcome.steps_done);
-                    self.scheduler.cancelled(id);
-                    let _ = self.journal.append(&Record::Cancelled { id });
-                    self.note_terminal(id);
-                    self.write_outcome(id, &outcome);
-                }
+                    }
+                    _ => {
+                        self.scheduler.cancelled(id);
+                        Record::Cancelled { id }
+                    }
+                };
+                let _ = self.journal.append(&rec);
+                self.note_terminal(id);
+                self.write_outcome(id, &outcome);
             }
         }
-        // 2. plan and execute
+    }
+
+    /// Ask the scheduler what to do now and do it.
+    fn plan(&mut self) {
         for action in self.scheduler.plan() {
             match action {
                 Action::Start(id) => self.launch(id, false),
@@ -373,6 +487,7 @@ impl Server {
         let dir = self.job_dir(id);
         let _ = std::fs::create_dir_all(&dir);
         let tenant = self.tenant_of(id);
+        let wake = self.wake(id);
         let run = self.jobs.get_mut(&id).expect("launch: unknown job");
         // queue wait: submission (fresh start) or preemption (resume)
         // until this handover — the satellite the ROADMAP flagged:
@@ -398,7 +513,7 @@ impl Server {
         if resume {
             if let Some(h) = run.handle.as_mut() {
                 // the paused world is still in-process; relaunch it
-                h.resume().expect("resume a paused handle");
+                h.resume_observed(wake).expect("resume a paused handle");
                 run.launches += 1;
                 return;
             }
@@ -414,7 +529,7 @@ impl Server {
         let attempt_base = if run.launches > 0 || resume { 1 } else { 0 };
         let cfg = self.run_config(id, policy, attempt_base);
         let run = self.jobs.get_mut(&id).unwrap();
-        run.handle = Some(RunHandle::spawn(run.spec.clone(), cfg));
+        run.handle = Some(RunHandle::spawn_observed(run.spec.clone(), cfg, wake));
         run.launches += 1;
         run.pending = Pending::None;
     }
@@ -467,8 +582,9 @@ impl Server {
         }
     }
 
-    /// Integrate delivered core-seconds over one tick: every job holding
-    /// cores (running or still checkpointing out) bills its tenant.
+    /// Bill `dt_secs` of delivered core-seconds, the time since the last
+    /// pass: every job holding cores (running or still checkpointing out)
+    /// bills its tenant. Between passes the scheduler state is constant.
     fn account_cores(&mut self, dt_secs: f64) {
         if dt_secs <= 0.0 {
             return;
@@ -574,191 +690,263 @@ impl Server {
         })
     }
 
-    /// Answer a browser/scraper connection once its request head is
-    /// complete. Never blocks: partial heads simply stay buffered.
-    fn handle_http(&mut self, conn: &mut HttpConn) {
-        if conn.responded {
-            return;
-        }
-        let commit = |conn: &mut HttpConn, bytes: Vec<u8>| {
-            conn.outbuf.extend_from_slice(&bytes);
-            conn.responded = true;
-            conn.closing = true;
-        };
-        match http::parse_request(&conn.inbuf) {
-            Parse::Incomplete => {}
-            Parse::TooLarge => commit(
-                conn,
-                http::error_response(431, "Request Header Fields Too Large"),
+    /// The whole response to a routed GET (the SSE route of a known job
+    /// is a stream, set up in [`Server::handle`]).
+    fn http_response(&self, route: Route) -> Vec<u8> {
+        let json = |v: Json| http::response(200, "OK", "application/json", &(v.dump() + "\n"));
+        match route {
+            Route::Metrics => http::response(
+                200,
+                "OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                &self.metrics_body(),
             ),
-            Parse::Bad => commit(conn, http::error_response(400, "Bad Request")),
-            Parse::NotGet => commit(conn, http::error_response(405, "Method Not Allowed")),
-            Parse::Get { path } => match http::route(&path) {
-                Route::Metrics => commit(
-                    conn,
-                    http::response(
-                        200,
-                        "OK",
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        &self.metrics_body(),
-                    ),
-                ),
-                Route::Jobs => {
-                    let body = Self::pairs_to_json(self.status_pairs()).dump() + "\n";
-                    commit(conn, http::response(200, "OK", "application/json", &body));
-                }
-                Route::Tenants => {
-                    let body = self.tenants.to_json().dump() + "\n";
-                    commit(conn, http::response(200, "OK", "application/json", &body));
-                }
-                Route::Queue => {
-                    let body = self.queue_json().dump() + "\n";
-                    commit(conn, http::response(200, "OK", "application/json", &body));
-                }
-                Route::JobHealth(id) => {
-                    if self.scheduler.job(id).is_none() {
-                        commit(conn, http::error_response(404, "Not Found"));
-                    } else {
-                        // stream: head now, events as the log grows
-                        conn.outbuf.extend_from_slice(&http::sse_head());
-                        conn.responded = true;
-                        conn.sse = Some((id, 0));
-                    }
-                }
-                Route::NotFound => commit(conn, http::error_response(404, "Not Found")),
-            },
+            Route::Jobs => json(Self::pairs_to_json(self.status_pairs())),
+            Route::Tenants => json(self.tenants.to_json()),
+            Route::Queue => json(self.queue_json()),
+            Route::JobHealth(_) | Route::NotFound => http::error_response(404, "Not Found"),
         }
     }
 
-    /// Follow a health log for an SSE subscriber: frame freshly appended
-    /// complete lines as `data:` events; emit a named `done` event and
-    /// close once the job is terminal.
-    fn pump_http_sse(&mut self, conn: &mut HttpConn) {
-        let Some((id, offset)) = conn.sse else { return };
-        let path = self.health_log(id);
-        let mut new_offset = offset;
-        if let Ok(bytes) = std::fs::read(&path) {
-            if bytes.len() as u64 > offset {
-                let new = &bytes[offset as usize..];
-                if let Some(last_nl) = new.iter().rposition(|&b| b == b'\n') {
-                    let chunk = String::from_utf8_lossy(&new[..=last_nl]);
-                    conn.outbuf
-                        .extend_from_slice(sse::sse_data(&chunk).as_bytes());
-                    new_offset = offset + last_nl as u64 + 1;
-                }
-            }
-        }
-        conn.sse = Some((id, new_offset));
-        if let Some(s) = self.scheduler.job(id).map(|j| j.state) {
-            if s.is_terminal() {
-                let payload = Json::obj()
-                    .put("state", Json::str(s.label()))
-                    .build()
-                    .dump();
-                conn.outbuf
-                    .extend_from_slice(sse::sse_event("done", &payload).as_bytes());
-                conn.sse = None;
-                conn.closing = true;
-            }
-        }
+    /// Pump the followers of the jobs this pass touched or moved; drop
+    /// the streams that ended.
+    fn pump_followers(&mut self) {
+        let mut followers = std::mem::take(&mut self.followers);
+        followers.retain_mut(|f| self.pump_follower(f));
+        self.followers = followers;
+        self.touched.clear();
     }
 
-    /// Send a watcher any freshly appended complete health-log lines;
-    /// close the stream with a `done` marker once the job is terminal
-    /// and fully drained.
-    fn pump_watch(&mut self, conn: &mut Conn) {
-        let Some(id) = conn.watch else { return };
-        let path = self.health_log(id);
-        if let Ok(bytes) = std::fs::read(&path) {
-            let len = bytes.len() as u64;
-            if len > conn.watch_offset {
-                let new = &bytes[conn.watch_offset as usize..];
-                // forward only complete lines; a torn tail waits for the
-                // next tick
-                if let Some(last_nl) = new.iter().rposition(|&b| b == b'\n') {
-                    conn.outbuf.extend_from_slice(&new[..=last_nl]);
-                    conn.watch_offset += last_nl as u64 + 1;
-                }
+    /// One follower's news: freshly appended complete health-log lines
+    /// (framed as SSE `data:` events on the facade), a typed
+    /// `watch_event` line when the scheduler moved the job, and the
+    /// `done` marker once it is terminal. False once the stream ended or
+    /// its connection is gone.
+    fn pump_follower(&self, f: &mut Follower) -> bool {
+        let Some(state) = self.scheduler.job(f.id).map(|j| j.state) else {
+            return false;
+        };
+        let prev = f.state.replace(state);
+        if prev == Some(state) && !self.touched.contains(&f.id) {
+            return true;
+        }
+        let mut out = Vec::new();
+        if let Some(lines) = tail_lines(&self.health_log(f.id), &mut f.offset) {
+            if f.sse {
+                out.extend_from_slice(sse::sse_data(&String::from_utf8_lossy(&lines)).as_bytes());
+            } else {
+                out.extend(lines);
             }
         }
-        let state = self.scheduler.job(id).map(|j| j.state);
-        if let Some(s) = state {
-            // surface scheduler transitions as typed events so a watcher
-            // can tell "preempted, will resume" from "stream went quiet"
-            let prev = conn.watch_state.replace(s);
-            if prev.is_some() && prev != Some(s) {
-                let event = match s {
-                    JobState::Preempting => Some("preempting"),
-                    JobState::Preempted => Some("preempted"),
-                    JobState::Running if prev == Some(JobState::Preempted) => Some("resumed"),
-                    _ => None,
-                };
-                if let Some(ev) = event {
-                    let line = Json::obj()
-                        .put("watch_event", Json::str(ev))
-                        .put("id", Json::num(id as f64))
-                        .put("state", Json::str(s.label()))
-                        .build()
-                        .dump();
-                    conn.push_line(&line);
+        // surface scheduler transitions as typed events so a watcher can
+        // tell "preempted, will resume" from "stream went quiet"
+        let event = match state {
+            _ if f.sse || prev.is_none() || prev == Some(state) => None,
+            JobState::Preempting => Some("preempting"),
+            JobState::Preempted => Some("preempted"),
+            JobState::Running if prev == Some(JobState::Preempted) => Some("resumed"),
+            _ => None,
+        };
+        if let Some(ev) = event {
+            let watch_event = Json::obj()
+                .put("watch_event", Json::str(ev))
+                .put("id", Json::num(f.id as f64))
+                .put("state", Json::str(state.label()))
+                .build();
+            out.extend(line(&watch_event.dump()));
+        }
+        if state.is_terminal() {
+            let done = Json::obj().put("state", Json::str(state.label()));
+            if f.sse {
+                let payload = done.build().dump();
+                out.extend_from_slice(sse::sse_event("done", &payload).as_bytes());
+            } else {
+                out.extend(line(&done.put("done", Json::Bool(true)).build().dump()));
+            }
+        }
+        (out.is_empty() || f.out.send(out).is_ok()) && !state.is_terminal()
+    }
+
+    /// Wind down after the loop: stop the worlds still stepping, wake
+    /// and join the acceptors, then unblock and join every connection
+    /// thread. A world stopped here leaves no journal record: the journal
+    /// still shows it live, so a restart resumes it from its last
+    /// committed checkpoint, exactly as after a crash.
+    fn stop(
+        mut self,
+        events: Receiver<Event>,
+        acceptors: Vec<JoinHandle<()>>,
+        stopping: &AtomicBool,
+        addrs: [SocketAddr; 2],
+    ) -> std::io::Result<()> {
+        for run in self.jobs.values_mut() {
+            if let Some(mut h) = run.handle.take() {
+                h.cancel();
+                h.join();
+            }
+        }
+        stopping.store(true, Ordering::SeqCst);
+        for mut addr in addrs {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(addr);
+        }
+        for acceptor in acceptors {
+            let _ = acceptor.join();
+        }
+        // the acceptors' last connections; requests still queued are
+        // dropped with the channel, which ends their reply streams
+        for event in events.try_iter() {
+            if let Event::Opened(conn) = event {
+                self.conns.push(conn);
+            }
+        }
+        drop(events);
+        self.followers.clear();
+        for conn in &self.conns {
+            let _ = conn.stream.shutdown(Shutdown::Read);
+        }
+        for conn in self.conns.drain(..) {
+            let _ = conn.thread.join();
+        }
+        self.failed.map_or(Ok(()), Err)
+    }
+}
+
+fn line(text: &str) -> Vec<u8> {
+    format!("{text}\n").into_bytes()
+}
+
+/// The complete lines appended to the file at `path` past `*offset`,
+/// advancing the offset over them. Reads only the new bytes; a torn
+/// last line waits for the next call.
+fn tail_lines(path: &Path, offset: &mut u64) -> Option<Vec<u8>> {
+    let mut file = std::fs::File::open(path).ok()?;
+    file.seek(SeekFrom::Start(*offset)).ok()?;
+    let mut new = Vec::new();
+    file.read_to_end(&mut new).ok()?;
+    let complete = new.iter().rposition(|&b| b == b'\n')? + 1;
+    new.truncate(complete);
+    *offset += complete as u64;
+    Some(new)
+}
+
+/// Hand the loop one request and write everything it sends back, until
+/// it drops its end; false once the loop or the peer is gone.
+fn ask(
+    events: &Sender<Event>,
+    stream: &mut TcpStream,
+    event: impl FnOnce(Sender<Vec<u8>>) -> Event,
+) -> bool {
+    let (reply, replies) = mpsc::channel();
+    events.send(event(reply)).is_ok() && replies.iter().all(|b| stream.write_all(&b).is_ok())
+}
+
+/// A line-protocol connection's thread: one request line at a time,
+/// parsed here, answered by the loop. A `watch` stream ends the
+/// connection when it ends; a line over [`MAX_LINE_BYTES`] is refused
+/// and ends it too.
+fn serve_lines(mut stream: TcpStream, events: Sender<Event>) {
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(read_half);
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    loop {
+        let mut bytes = Vec::new();
+        match (&mut reader).take(cap).read_until(b'\n', &mut bytes) {
+            Ok(n) if n > 0 && bytes.ends_with(b"\n") => {}
+            Ok(n) if n as u64 == cap => {
+                let refusal = err_line(&format!("request line over {MAX_LINE_BYTES} bytes"));
+                let _ = stream.write_all(&line(&refusal));
+                // the refusal, then FIN; what the client still sends is
+                // read and dropped until it closes
+                let _ = stream.shutdown(Shutdown::Write);
+                let _ = std::io::copy(&mut reader, &mut std::io::sink());
+                return;
+            }
+            // the peer hung up, possibly mid-line
+            _ => return,
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if text.trim().is_empty() {
+            continue;
+        }
+        let req = match Request::from_line(&text) {
+            Ok(req) => req,
+            Err(e) => {
+                if stream.write_all(&line(&err_line(&e))).is_err() {
+                    return;
                 }
+                continue;
             }
-            if s.is_terminal() {
-                let done = Json::obj()
-                    .put("done", Json::Bool(true))
-                    .put("state", Json::str(s.label()))
-                    .build()
-                    .dump();
-                conn.push_line(&done);
-                conn.watch = None;
-                conn.closing = true;
-            }
+        };
+        let watch = matches!(req, Request::Watch { .. });
+        if !ask(&events, &mut stream, |reply| {
+            Event::Line(Box::new(req), reply)
+        }) || watch
+        {
+            return;
         }
     }
 }
 
-impl Conn {
-    fn push_line(&mut self, line: &str) {
-        self.outbuf.extend_from_slice(line.as_bytes());
-        self.outbuf.push(b'\n');
+/// An HTTP connection's thread: one request head, answered by the loop
+/// (an SSE stream until the loop drops its end), then close.
+fn serve_http(mut stream: TcpStream, events: Sender<Event>) {
+    if let Some(route) = http::read_request(&mut stream) {
+        ask(&events, &mut stream, |reply| Event::Http(route, reply));
     }
+    http::close(stream);
+}
 
-    /// Read what's available; returns false when the peer hung up.
-    fn pump_read(&mut self) -> bool {
-        let mut buf = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => return false,
-                Ok(n) => self.inbuf.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-    }
-
-    /// Pop one complete request line from the input buffer.
-    fn next_line(&mut self) -> Option<String> {
-        let nl = self.inbuf.iter().position(|&b| b == b'\n')?;
-        let line: Vec<u8> = self.inbuf.drain(..=nl).collect();
-        Some(String::from_utf8_lossy(&line[..nl]).into_owned())
-    }
-
-    /// Write what the socket will take; returns false on a dead peer.
-    fn pump_write(&mut self) -> bool {
-        while !self.outbuf.is_empty() {
-            match self.stream.write(&self.outbuf) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.outbuf.drain(..n);
+/// Accept connections on `listener` until the daemon stops, giving each
+/// one a thread running `serve_conn`.
+fn spawn_acceptor(
+    listener: TcpListener,
+    serve_conn: fn(TcpStream, Sender<Event>),
+    events: Sender<Event>,
+    stopping: Arc<AtomicBool>,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("dns-server-accept".into())
+        .spawn(move || loop {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    continue
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
+                Err(e) => {
+                    let _ = events.send(Event::AcceptFailed(e));
+                    return;
+                }
+            };
+            if stopping.load(Ordering::SeqCst) {
+                return;
             }
-        }
-        true
-    }
+            let Ok(handle) = stream.try_clone() else {
+                continue;
+            };
+            let conn_events = events.clone();
+            let thread = std::thread::Builder::new()
+                .name("dns-server-conn".into())
+                .spawn(move || serve_conn(stream, conn_events));
+            if let Ok(thread) = thread {
+                let _ = events.send(Event::Opened(Conn {
+                    stream: handle,
+                    thread,
+                }));
+            }
+        })
 }
 
 /// Write the post-replay recovery artifact (only when something was
@@ -793,7 +981,9 @@ fn write_recovery_artifact(dir: &Path, rep: &crate::journal::Replay) {
 }
 
 /// Run the daemon until a `shutdown` request. Blocks the calling
-/// thread; returns after the final response bytes flush.
+/// thread; returns once every thread it started has exited. Worlds
+/// still stepping at shutdown are stopped without a journal record, so
+/// a restart resumes them from their last committed checkpoint.
 pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
     std::fs::create_dir_all(&cfg.data_dir)?;
     let journal_path = cfg.data_dir.join("queue.jsonl");
@@ -807,18 +997,7 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
     let mut jobs: BTreeMap<JobId, JobRun> = BTreeMap::new();
     for r in &rep.jobs {
         scheduler.restore(r.job.clone());
-        jobs.insert(
-            r.job.id,
-            JobRun {
-                spec: r.spec.clone(),
-                handle: None,
-                waiting_since: Instant::now(),
-                first_launch: None,
-                pending: Pending::None,
-                launches: 0,
-                last_step: r.last_step,
-            },
-        );
+        jobs.insert(r.job.id, JobRun::new(r.spec.clone(), r.last_step));
     }
     if rep.draining {
         scheduler.drain();
@@ -839,10 +1018,8 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
     }
 
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let http_listener = TcpListener::bind(&cfg.http_addr)?;
-    http_listener.set_nonblocking(true)?;
     let http_local = http_listener.local_addr()?;
     // announce the ports (port 0 resolves here) on stdout and on disk
     println!("dns-server: listening on {local}");
@@ -855,104 +1032,74 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
     std::fs::write(&http_tmp, format!("{http_local}\n"))?;
     std::fs::rename(&http_tmp, cfg.data_dir.join("http_addr"))?;
 
+    let (events, inbox) = mpsc::channel();
+    let stopping = Arc::new(AtomicBool::new(false));
     let mut server = Server {
         scheduler,
         journal: Journal::open(&journal_path)?,
         jobs,
         tenants: TenantTable::new(),
+        events: events.clone(),
+        followers: Vec::new(),
+        conns: Vec::new(),
+        touched: BTreeSet::new(),
         shutdown: false,
+        failed: None,
         cfg,
     };
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut hconns: Vec<HttpConn> = Vec::new();
-    let mut last_tick = Instant::now();
-    loop {
-        // 1. accept
-        if !server.shutdown {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(true)?;
-                        conns.push(Conn {
-                            stream,
-                            inbuf: Vec::new(),
-                            outbuf: Vec::new(),
-                            watch: None,
-                            watch_offset: 0,
-                            watch_state: None,
-                            closing: false,
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) => return Err(e),
-                }
-            }
-            loop {
-                match http_listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(true)?;
-                        hconns.push(HttpConn::new(stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        // 2. read + answer
-        for conn in conns.iter_mut() {
-            if conn.closing {
-                continue;
-            }
-            if !conn.pump_read() {
-                conn.closing = true;
-            }
-            while let Some(line) = conn.next_line() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match Request::from_line(&line) {
-                    Ok(req) => server.handle_request(req, conn),
-                    Err(e) => conn.push_line(&err_line(&e)),
-                }
-            }
-        }
-        // 2b. http: read, answer complete requests (never blocks on a
-        // partial head — the slowloris case just stays buffered)
-        for hc in hconns.iter_mut() {
-            if hc.closing {
-                continue;
-            }
-            if !hc.pump_read() {
-                hc.closing = true;
-            }
-            server.handle_http(hc);
-        }
-        // 3. jobs
-        server.pump_jobs();
-        // 3b. fairness ledger: bill this tick's core-seconds
+    let acceptors = vec![
+        spawn_acceptor(listener, serve_lines, events.clone(), Arc::clone(&stopping))?,
+        spawn_acceptor(http_listener, serve_http, events, Arc::clone(&stopping))?,
+    ];
+    // recovered jobs start without waiting for a request
+    server.plan();
+    let mut billed = Instant::now();
+    while !server.shutdown {
+        let Ok(event) = inbox.recv() else { break };
         let now = Instant::now();
-        server.account_cores(now.duration_since(last_tick).as_secs_f64());
-        last_tick = now;
-        // 4. watchers (line-protocol and SSE)
-        for conn in conns.iter_mut() {
-            server.pump_watch(conn);
+        server.account_cores(now.duration_since(billed).as_secs_f64());
+        billed = now;
+        server.handle(event);
+        while let Ok(event) = inbox.try_recv() {
+            server.handle(event);
         }
-        for hc in hconns.iter_mut() {
-            server.pump_http_sse(hc);
+        if !server.shutdown {
+            server.plan();
         }
-        // 5. flush, reap dead connections
-        conns.retain_mut(|c| {
-            let alive = c.pump_write();
-            alive && !(c.closing && c.outbuf.is_empty())
-        });
-        hconns.retain_mut(|c| {
-            let alive = c.pump_write();
-            alive && !(c.closing && c.outbuf.is_empty())
-        });
-        if server.shutdown && conns.iter().all(|c| c.outbuf.is_empty()) {
-            break;
-        }
-        std::thread::sleep(server.cfg.tick);
+        server.pump_followers();
     }
-    Ok(())
+    server.stop(inbox, acceptors, &stopping, [local, http_local])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tail_forwards_complete_lines_and_holds_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("dns-tail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("health.jsonl");
+        let mut offset = 0;
+        assert_eq!(tail_lines(&path, &mut offset), None, "no file yet");
+        std::fs::write(&path, "{\"a\":1}\n{\"b\":2}\n{\"c\":").unwrap();
+        assert_eq!(
+            tail_lines(&path, &mut offset).as_deref(),
+            Some(&b"{\"a\":1}\n{\"b\":2}\n"[..])
+        );
+        assert_eq!(offset, 16);
+        assert_eq!(tail_lines(&path, &mut offset), None, "the torn line waits");
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(b"3}\n{\"d\"").unwrap();
+        assert_eq!(
+            tail_lines(&path, &mut offset).as_deref(),
+            Some(&b"{\"c\":3}\n"[..])
+        );
+        assert_eq!(offset, 24);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

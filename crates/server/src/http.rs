@@ -1,12 +1,14 @@
 //! The hand-rolled HTTP/1.1 facade of the campaign daemon.
 //!
-//! `dns-server` speaks two protocols on two sockets, both pumped by the
-//! same single-threaded nonblocking poll loop: the newline-delimited
-//! JSON line protocol (`proto.rs`) for `dns-cli`, and this minimal
-//! HTTP/1.1 endpoint for browsers and Prometheus scrapers. No HTTP
-//! library — the grammar we accept is deliberately tiny (GET only, one
-//! request per connection, `Connection: close` semantics) and built on
-//! `std::net` like everything else in the daemon.
+//! `dns-server` speaks two protocols on two sockets, both answered by
+//! the same event loop: the newline-delimited JSON line protocol
+//! (`proto.rs`) for `dns-cli`, and this minimal HTTP/1.1 endpoint for
+//! browsers and Prometheus scrapers. No HTTP library — the grammar we
+//! accept is deliberately tiny (GET only, one request per connection,
+//! `Connection: close` semantics) and built on `std::net` like
+//! everything else in the daemon. Each connection's blocking reads and
+//! writes run on its own thread ([`read_request`], [`close`]); the loop
+//! only routes and renders.
 //!
 //! Endpoint grammar (DESIGN.md §10):
 //!
@@ -20,13 +22,14 @@
 //!
 //! Robustness rules, each locked by `tests/http_facade.rs`:
 //! * a request is parsed only once its header block is complete —
-//!   partial headers (slowloris) just wait, consuming no loop time;
+//!   partial headers (slowloris) block only their own connection's
+//!   thread, never the loop;
 //! * header blocks over [`MAX_HEADER_BYTES`] are refused with `431`;
 //! * non-GET methods get `405`, unparseable request lines `400`,
 //!   unknown paths `404`. Every response closes the connection.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 
 use crate::scheduler::JobId;
 
@@ -168,61 +171,41 @@ pub fn sse_head() -> Vec<u8> {
     .to_vec()
 }
 
-/// One browser/scraper connection in the poll loop. The daemon owns the
-/// routing; this type owns the nonblocking byte pumps and the SSE
-/// follow state.
-pub struct HttpConn {
-    pub(crate) stream: TcpStream,
-    pub(crate) inbuf: Vec<u8>,
-    pub(crate) outbuf: Vec<u8>,
-    /// `Some((job, byte_offset))` while following a health log as SSE.
-    pub(crate) sse: Option<(JobId, u64)>,
-    /// A response has been committed; further request bytes are ignored.
-    pub(crate) responded: bool,
-    /// Close once the outbuf drains.
-    pub(crate) closing: bool,
+/// Read one request head from a browser/scraper connection, blocking on
+/// the connection's own thread until the head is complete. The typed
+/// refusals (400, 405, 431) are written here; `Some` is a GET's route,
+/// for the daemon to answer. `None` also when the peer hangs up first.
+pub fn read_request(stream: &mut TcpStream) -> Option<Route> {
+    let mut head = Vec::new();
+    let mut buf = [0u8; 4096];
+    let refusal = loop {
+        match parse_request(&head) {
+            Parse::Incomplete => {}
+            Parse::Get { path } => return Some(route(&path)),
+            Parse::TooLarge => break error_response(431, "Request Header Fields Too Large"),
+            Parse::Bad => break error_response(400, "Bad Request"),
+            Parse::NotGet => break error_response(405, "Method Not Allowed"),
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return None,
+            Ok(n) => head.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return None,
+        }
+    };
+    let _ = stream.write_all(&refusal);
+    None
 }
 
-impl HttpConn {
-    pub(crate) fn new(stream: TcpStream) -> HttpConn {
-        HttpConn {
-            stream,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            sse: None,
-            responded: false,
-            closing: false,
-        }
-    }
-
-    /// Read what's available; returns false when the peer hung up.
-    pub(crate) fn pump_read(&mut self) -> bool {
+/// End a connection after its response: send FIN behind the response
+/// bytes, then discard what the peer had already sent (an oversized
+/// head's tail), so the close is not a reset that destroys the response
+/// in flight.
+pub fn close(stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
         let mut buf = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => return false,
-                Ok(n) => self.inbuf.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-    }
-
-    /// Write what the socket will take; returns false on a dead peer.
-    pub(crate) fn pump_write(&mut self) -> bool {
-        while !self.outbuf.is_empty() {
-            match self.stream.write(&self.outbuf) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.outbuf.drain(..n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        true
+        while matches!((&stream).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 

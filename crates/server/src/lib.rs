@@ -5,8 +5,9 @@
 //! a local TCP socket ([`proto`]); a deterministic scheduler packs them
 //! onto a configurable core budget with per-tenant quotas and priorities
 //! ([`scheduler`]); every transition is CRC-sealed in an append-only
-//! journal before it is acted on ([`journal`]); and a single-threaded
-//! poll loop executes runs in-process through supervised
+//! journal before it is acted on ([`journal`]); and one event loop,
+//! which wakes only on a request, a connection, a job's step or a
+//! world's exit, executes runs in-process through supervised
 //! [`dns_core::run::RunHandle`] worlds ([`daemon`]).
 //!
 //! The headline move is **preemptive checkpoint/restore scheduling**: a
@@ -19,7 +20,7 @@
 //! (`tests/server_chaos.rs` proves it the hard way).
 //!
 //! The daemon also carries the **observability plane** (PR 9): a
-//! hand-rolled HTTP/1.1 facade ([`http`]) in the same poll loop serving
+//! hand-rolled HTTP/1.1 facade ([`http`]) answered by the same loop, serving
 //! Prometheus text (`/metrics`, rendered by [`metrics`]), canonical-JSON
 //! queue/tenant views, and live health streams as Server-Sent Events;
 //! plus a per-tenant fairness ledger ([`tenants`]) of queue-wait and

@@ -9,6 +9,11 @@ use dns_json::Json;
 
 use crate::scheduler::JobId;
 
+/// Refuse a request line longer than this (newline excluded) with a
+/// typed `{"ok":false}` and close the connection: the bound on what one
+/// client can make the daemon buffer.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// One client request.
 // Submit carries the whole spec inline by design — requests are decoded,
 // handled, and dropped, never stored in bulk

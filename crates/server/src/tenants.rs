@@ -15,7 +15,7 @@
 //!
 //! `J = 1` is perfectly even delivery; `J = 1/n` is one tenant hogging
 //! everything. The daemon feeds this table at scheduling events (launch,
-//! preempt, tick) and the facade surfaces it through `/metrics`,
+//! preempt, every pass of its loop) and the facade surfaces it through `/metrics`,
 //! `/api/v1/tenants`, and the `dns-cli tenants` table.
 
 use std::collections::BTreeMap;
@@ -41,7 +41,7 @@ pub struct TenantStats {
     /// Jobs that reached a terminal state (done/failed/cancelled).
     pub finished: u64,
     /// CPU-seconds actually delivered: Σ cores × wall-seconds running,
-    /// integrated tick-by-tick while jobs hold cores.
+    /// integrated pass by pass of the daemon loop while jobs hold cores.
     pub core_seconds: f64,
 }
 

@@ -20,7 +20,6 @@ fn each_help_lists_its_rows() {
             "data-dir",
             "cores",
             "tenant-quota",
-            "tick-ms",
             "help"
         ]
     );
@@ -58,7 +57,7 @@ fn readme_flag_table_is_the_help_text() {
 
 #[test]
 fn argument_errors_exit_2_with_a_message_and_never_panic() {
-    let cases: [(&str, &str, &[&str], &str); 14] = [
+    let cases: [(&str, &str, &[&str], &str); 13] = [
         (
             SERVER,
             "dns-server",
@@ -71,12 +70,6 @@ fn argument_errors_exit_2_with_a_message_and_never_panic() {
             "dns-server",
             &["--cores", "0"],
             "--cores must be positive",
-        ),
-        (
-            SERVER,
-            "dns-server",
-            &["--tick-ms", "soon"],
-            "--tick-ms: cannot parse",
         ),
         (CLIENT, "dns-cli", &[], "missing command"),
         (CLIENT, "dns-cli", &["launch"], "unknown command launch"),

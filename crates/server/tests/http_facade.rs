@@ -153,7 +153,6 @@ fn wait_for<F: FnMut() -> bool>(what: &str, timeout: Duration, mut f: F) {
 fn boot(data_dir: &Path, cores: usize) -> (String, String) {
     let mut cfg = ServerConfig::new(data_dir);
     cfg.total_cores = cores;
-    cfg.tick = Duration::from_millis(2);
     std::thread::spawn(move || {
         serve(cfg).expect("serve");
     });

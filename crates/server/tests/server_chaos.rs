@@ -74,14 +74,7 @@ fn start_server(data_dir: &Path) -> (Child, String) {
     let addr_file = data_dir.join("addr");
     let _ = std::fs::remove_file(&addr_file);
     let child = Command::new(env!("CARGO_BIN_EXE_dns-server"))
-        .args([
-            "--data-dir",
-            data_dir.to_str().unwrap(),
-            "--cores",
-            "2",
-            "--tick-ms",
-            "2",
-        ])
+        .args(["--data-dir", data_dir.to_str().unwrap(), "--cores", "2"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
