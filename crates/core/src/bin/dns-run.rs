@@ -377,7 +377,7 @@ fn main() {
         );
     }
     if let Some(path) = &c.recovery_log {
-        if let Err(e) = std::fs::write(path, events_to_json(&outcome.events)) {
+        if let Err(e) = std::fs::write(path, events_to_json(&outcome.events).dump() + "\n") {
             eprintln!("dns-run: cannot write recovery log {}: {e}", path.display());
         } else {
             println!("wrote recovery log {}", path.display());

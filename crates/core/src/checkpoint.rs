@@ -182,13 +182,6 @@ pub struct RankCkpt {
     pub bytes: u64,
 }
 
-/// Per-rank checkpoint path: `<stem>.r<a>x<b>.ckpt`.
-pub fn rank_path(stem: &Path, dns: &ChannelDns) -> PathBuf {
-    let a = dns.pfft().comm_a().rank();
-    let b = dns.pfft().comm_b().rank();
-    stem.with_extension(format!("r{a}x{b}.ckpt"))
-}
-
 fn gen_rank_path(stem: &Path, step: u64, a: usize, b: usize) -> PathBuf {
     stem.with_extension(format!("s{step}.r{a}x{b}.ckpt"))
 }
@@ -273,11 +266,6 @@ fn save_to(dns: &ChannelDns, path: &Path) -> Result<RankCkpt, CheckpointError> {
         crc,
         bytes: buf.len() as u64,
     })
-}
-
-/// Write this rank's state to `<stem>.r<a>x<b>.ckpt` (atomic).
-pub fn save(dns: &ChannelDns, stem: &Path) -> Result<RankCkpt, CheckpointError> {
-    save_to(dns, &rank_path(stem, dns))
 }
 
 struct Cursor<'a> {
@@ -410,19 +398,6 @@ fn decode(dns: &mut ChannelDns, path: &Path, buf: &[u8]) -> Result<(), Checkpoin
         dns.restore_stats(acc);
     }
     Ok(())
-}
-
-/// Load this rank's state from `path`, validating CRC and every header
-/// field against the running configuration.
-fn load_from(dns: &mut ChannelDns, path: &Path) -> Result<(), CheckpointError> {
-    let buf = std::fs::read(path)?;
-    decode(dns, path, &buf)
-}
-
-/// Load this rank's state from `<stem>.r<a>x<b>.ckpt`.
-pub fn load(dns: &mut ChannelDns, stem: &Path) -> Result<(), CheckpointError> {
-    let path = rank_path(stem, dns);
-    load_from(dns, &path)
 }
 
 /// How many checkpoint generations [`save_with_manifest`] retains.
@@ -710,6 +685,22 @@ mod tests {
         dir
     }
 
+    /// This rank's record under `stem`, outside the manifest layer: the
+    /// codec tests write and read single records.
+    fn record(stem: &Path, dns: &ChannelDns) -> PathBuf {
+        let (a, b) = (dns.pfft().comm_a().rank(), dns.pfft().comm_b().rank());
+        stem.with_extension(format!("r{a}x{b}.ckpt"))
+    }
+
+    fn save(dns: &ChannelDns, stem: &Path) -> Result<RankCkpt, CheckpointError> {
+        save_to(dns, &record(stem, dns))
+    }
+
+    fn load(dns: &mut ChannelDns, stem: &Path) -> Result<(), CheckpointError> {
+        let path = record(stem, dns);
+        decode(dns, &path, &std::fs::read(&path)?)
+    }
+
     #[test]
     fn checkpoint_roundtrip_resumes_bit_identically() {
         let stem = test_dir("dns_ckpt_test").join("state");
@@ -858,7 +849,7 @@ mod tests {
         // truncation likewise
         let stem4 = stem.clone();
         crate::solver::run_serial(Params::channel(16, 25, 16, 80.0), move |dns| {
-            let path = rank_path(&stem4, dns);
+            let path = record(&stem4, dns);
             let bytes = std::fs::read(&path).unwrap();
             std::fs::write(&path, &bytes[..bytes.len() - 100]).unwrap();
             match load(dns, &stem4).unwrap_err() {

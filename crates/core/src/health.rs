@@ -215,8 +215,6 @@ impl StepMonitor {
                     fft_s: row[2],
                     ns_s: row[3],
                     recv_wait_s: row[4],
-                    // the exchange is blocking: nothing is hidden
-                    overlap_s: 0.0,
                     busy_s: row[5],
                     msgs: row[6] as u64,
                     bytes: row[7] as u64,

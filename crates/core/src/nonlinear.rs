@@ -14,7 +14,7 @@
 //! h_v = -d/dy (dH_x/dx + dH_z/dz) + (dxx + dzz) H_y
 //! ```
 //!
-//! The production path ([`compute`]/[`compute_into`]) runs the fused
+//! The production path ([`compute_into`]) runs the fused
 //! five-product pipeline of section 4.1 (`pfft::nonlinear_products`):
 //! `vv` only enters `h_g`/`h_v` through the differences `A = uu - vv`
 //! and `B = ww - vv` (the `d/dy(vv)` contributions of `H_y` and of
@@ -198,15 +198,6 @@ pub fn quadratic_h(dns: &ChannelDns) -> HFields {
         }
     }
     h
-}
-
-/// Evaluate the nonlinear terms for the current state of `dns`
-/// (convenience wrapper around [`compute_into`] that allocates fresh
-/// buffers; the timestep loop reuses persistent ones).
-pub fn compute(dns: &ChannelDns) -> NlTerms {
-    let mut out = NlTerms::default();
-    compute_into(dns, &mut out, &mut NlWorkspace::default());
-    out
 }
 
 /// Evaluate the nonlinear terms through the fused five-product pipeline,
@@ -521,7 +512,8 @@ mod tests {
     }
 
     fn worst_mismatch(dns: &ChannelDns) -> f64 {
-        let fused = compute(dns);
+        let mut fused = NlTerms::default();
+        compute_into(dns, &mut fused, &mut NlWorkspace::default());
         let oracle = compute_unfused(dns);
         let (f_g, o_g) = (cols(&fused.h_g), cols(&oracle.h_g));
         let (f_v, o_v) = (cols(&fused.h_v), cols(&oracle.h_v));

@@ -253,19 +253,12 @@ enum BodyExit {
     Cancelled,
 }
 
-/// Restore from `stem`'s newest committed manifest, falling back to a
-/// plain (manifest-less) per-rank checkpoint. `None` when there is
-/// nothing to restore — the caller starts from initial conditions.
+/// Restore from `stem`'s newest committed manifest. `None` when there is
+/// none — the caller starts from initial conditions.
 fn try_restore(dns: &mut ChannelDns, stem: &Path) -> Option<u64> {
     match checkpoint::load_latest(dns, stem) {
         Ok(step) => Some(step),
-        Err(checkpoint::CheckpointError::NoManifest { .. }) => match checkpoint::load(dns, stem) {
-            Ok(()) => Some(dns.state().steps),
-            Err(checkpoint::CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                None
-            }
-            Err(e) => panic!("cannot resume from {}: {e}", stem.display()),
-        },
+        Err(checkpoint::CheckpointError::NoManifest { .. }) => None,
         Err(e) => panic!("cannot resume from {}: {e}", stem.display()),
     }
 }

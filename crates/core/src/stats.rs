@@ -349,32 +349,6 @@ impl StatsAccumulator {
         });
     }
 
-    /// Merge another accumulator's samples into this one (e.g. windows
-    /// gathered by separate runs of the same grid). Histories
-    /// concatenate; sums add.
-    ///
-    /// # Panics
-    /// If both accumulators are non-empty on different grids.
-    pub fn merge(&mut self, other: &StatsAccumulator) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            self.ny = other.ny;
-            self.y = other.y.clone();
-            self.sums = vec![0.0; 5 * other.ny];
-        }
-        assert_eq!(self.ny, other.ny, "cannot merge stats across grids");
-        self.n += other.n;
-        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
-            *a += b;
-        }
-        self.u_tau_sum += other.u_tau_sum;
-        self.re_tau_sum += other.re_tau_sum;
-        self.bulk_sum += other.bulk_sum;
-        self.history.extend_from_slice(&other.history);
-    }
-
     /// The time-averaged profiles, or `None` before the first sample.
     pub fn mean(&self) -> Option<Profiles> {
         let inv = 1.0 / self.n as f64;
@@ -544,37 +518,6 @@ mod tests {
         assert_eq!(acc.history().len(), 2);
         assert_eq!(acc.history()[1].step, 8);
         assert!((acc.history()[1].u_tau - 3.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn accumulator_merge_matches_single_pass() {
-        let snaps = [1.0, 2.0, 5.0, 7.0];
-        let cfg = StatsConfig {
-            every: 1,
-            warmup: 0,
-        };
-        let mut whole = StatsAccumulator::new(cfg);
-        let mut first = StatsAccumulator::new(cfg);
-        let mut second = StatsAccumulator::new(cfg);
-        for (i, &s) in snaps.iter().enumerate() {
-            whole.add_profiles(&toy_profiles(s), i as u64, i as f64);
-            let half = if i < 2 { &mut first } else { &mut second };
-            half.add_profiles(&toy_profiles(s), i as u64, i as f64);
-        }
-        first.merge(&second);
-        // summation association differs ((a+b)+(c+d) vs sequential), so
-        // the windows agree to rounding, not bitwise
-        assert_eq!(first.count(), whole.count());
-        let (fm, wm) = (first.mean().unwrap(), whole.mean().unwrap());
-        for (a, b) in fm.u_mean.iter().zip(&wm.u_mean) {
-            assert!((a - b).abs() < 1e-14);
-        }
-        assert!((fm.u_tau - wm.u_tau).abs() < 1e-14);
-        assert_eq!(first.history(), whole.history());
-        // merging into an empty accumulator is an exact clone, bitwise
-        let mut empty = StatsAccumulator::new(cfg);
-        empty.merge(&whole);
-        assert_eq!(empty.encode(), whole.encode());
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //! * **physics sentinels** ([`Sentinels`]) with warn/abort thresholds
 //!   on CFL, divergence, energy, and finiteness, failing a diverging
 //!   run fast with a typed [`SentinelAbort`];
-//! * an offline **replay/report** ([`report::Replay`], the `dns-report`
-//!   binary) rendering histograms, imbalance heat rows and the health
-//!   timeline.
+//! * an offline **replay/report** ([`report::Replay`], which `dns-core`'s
+//!   `dns-report` binary prints) rendering histograms, imbalance heat
+//!   rows and the health timeline.
+//!
+//! The JSON it writes and reads goes through `dns-json`, like every
+//! other file of the stack.
 //!
 //! The crate holds no process-global state: everything a run records
 //! lives on that run's monitor and in its JSONL file, so concurrent
 //! runs in one process (the campaign daemon) never share a counter.
 
-pub mod json;
 pub mod recorder;
 pub mod report;
 pub mod schema;

@@ -11,7 +11,7 @@ use crate::schema::FlightEvent;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Default buffered-bytes bound before a write-through.
 pub const DEFAULT_FLUSH_BYTES: usize = 16 * 1024;
@@ -19,10 +19,7 @@ pub const DEFAULT_FLUSH_BYTES: usize = 16 * 1024;
 /// An append-only JSONL writer for [`FlightEvent`]s.
 pub struct FlightRecorder {
     file: File,
-    path: PathBuf,
     buf: String,
-    flush_bytes: usize,
-    lines: u64,
 }
 
 impl FlightRecorder {
@@ -38,7 +35,7 @@ impl FlightRecorder {
     }
 
     fn open(path: impl AsRef<Path>, append: bool) -> io::Result<FlightRecorder> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
@@ -49,31 +46,11 @@ impl FlightRecorder {
             .append(append)
             .write(true)
             .truncate(!append)
-            .open(&path)?;
+            .open(path)?;
         Ok(FlightRecorder {
             file,
-            path,
             buf: String::new(),
-            flush_bytes: DEFAULT_FLUSH_BYTES,
-            lines: 0,
         })
-    }
-
-    /// Override the buffered-bytes bound (tests use tiny bounds to
-    /// exercise incremental write-through).
-    pub fn with_flush_bytes(mut self, bytes: usize) -> FlightRecorder {
-        self.flush_bytes = bytes.max(1);
-        self
-    }
-
-    /// Path the recorder writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Lines recorded (buffered or written) since opening.
-    pub fn lines(&self) -> u64 {
-        self.lines
     }
 
     /// Record one event. Durability-critical kinds (checkpoints and
@@ -81,12 +58,11 @@ impl FlightRecorder {
     /// buffered up to the byte bound.
     pub fn record(&mut self, event: &FlightEvent) -> io::Result<()> {
         writeln!(self.buf, "{event}").expect("a String takes every write");
-        self.lines += 1;
         let force = matches!(
             event,
             FlightEvent::Checkpoint { .. } | FlightEvent::Recovery { .. }
         );
-        if force || self.buf.len() >= self.flush_bytes {
+        if force || self.buf.len() >= DEFAULT_FLUSH_BYTES {
             self.flush()?;
         }
         Ok(())
@@ -115,7 +91,7 @@ mod tests {
     use super::*;
     use crate::schema::parse_jsonl;
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!("dns_health_{name}.jsonl"));
         let _ = std::fs::remove_file(&p);
         p
@@ -130,7 +106,6 @@ mod tests {
             fft_s: 0.003,
             ns_s: 0.002,
             recv_wait_s: 0.001,
-            overlap_s: 0.0005,
             busy_s: 0.009,
             msgs: 4,
             bytes: 1024,
@@ -140,19 +115,24 @@ mod tests {
     #[test]
     fn buffers_until_bound_then_writes_through() {
         let path = tmp("bound");
-        let mut rec = FlightRecorder::create(&path).unwrap().with_flush_bytes(400);
-        rec.record(&step(0)).unwrap();
-        // one ~150-byte line: still buffered
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
-        for s in 1..4 {
-            rec.record(&step(s)).unwrap();
+        let mut rec = FlightRecorder::create(&path).unwrap();
+        // identical lines, so the bound falls after a known count
+        let line = step(1).to_json_line().len() + 1;
+        let below = DEFAULT_FLUSH_BYTES.div_ceil(line) - 1;
+        for _ in 0..below {
+            rec.record(&step(1)).unwrap();
         }
-        // bound crossed: earlier lines are on disk without an explicit flush
-        let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert!(!on_disk.is_empty(), "bound crossed but nothing written");
+        // just under the bound: everything is still buffered
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        rec.record(&step(1)).unwrap();
+        // bound crossed: every line is on disk without an explicit flush
+        let on_disk = parse_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(on_disk.len(), below + 1, "bound crossed but not written");
+        rec.record(&step(1)).unwrap();
         drop(rec);
         let all = parse_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(all.len(), 4, "drop must flush the tail");
+        assert_eq!(all.len(), below + 2, "drop must flush the tail");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -183,7 +163,6 @@ mod tests {
         {
             let mut rec = FlightRecorder::append(&path).unwrap();
             rec.record(&step(1)).unwrap();
-            assert_eq!(rec.lines(), 1);
         }
         let events = parse_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(events.len(), 2);

@@ -310,7 +310,6 @@ mod tests {
                     fft_s: 0.003,
                     ns_s: 0.002,
                     recv_wait_s: 0.042 - busy,
-                    overlap_s: 0.0,
                     busy_s: busy,
                     msgs: 12,
                     bytes: 4096,

@@ -1,25 +1,29 @@
 //! The versioned flight-recorder event schema.
 //!
 //! One JSON object per line (JSONL). Every line carries
-//! `"schema": 1` and a `"kind"` discriminator; per-kind fields are
+//! `"schema": 3` and a `"kind"` discriminator; per-kind fields are
 //! inlined flat, mirroring the recovery-log convention in
-//! `dns-resilience`. The golden-file test pins the byte-level format;
+//! `dns-resilience`. Numbers and strings are written through
+//! [`dns_json::Num`] and [`dns_json::Quoted`], straight into the
+//! recorder's buffer (no tree per line). The golden-file test pins the
+//! byte-level format;
 //! [`FlightEvent::parse_line`] is the exact inverse of
 //! [`FlightEvent::to_json_line`], so a recorder file replays into the
 //! same typed timeline that produced it.
 
-use crate::json::{parse, Json};
+use dns_json::{parse, Json, Num, Quoted};
 use std::fmt;
 
 /// Schema version stamped on every line. Bump on any incompatible field
 /// change and teach [`FlightEvent::parse_line`] the old versions.
 ///
-/// v2 added `overlap_s` to `step` (seconds of communication hidden
-/// behind computation by the since-removed pipelined transposes; the
-/// blocking exchange writes `0.0`); v1 lines parse with
-/// `overlap_s = 0.0` — a v1 recorder predates the overlap clock, so
-/// zero is the faithful reading, not a guess.
-pub const SCHEMA_VERSION: u64 = 2;
+/// v3 writes numbers the way every other file of the stack does
+/// (integral values without `.0`, non-finite ones as `null`, which reads
+/// back as NaN) and drops
+/// `step`'s `overlap_s`, which the blocking exchange always wrote as
+/// `0.0`. v2 (with `overlap_s`) and v1 (without it) still parse; the
+/// field is ignored.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Which physics quantity a sentinel event is about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,11 +134,6 @@ pub enum FlightEvent {
         ns_s: f64,
         /// Seconds blocked in receives during the step.
         recv_wait_s: f64,
-        /// Seconds of communication hidden behind computation during the
-        /// step: nonzero only in schema-v2 recordings of the removed
-        /// pipelined x-stage; 0.0 under the blocking exchange and in
-        /// schema-v1 recordings.
-        overlap_s: f64,
         /// `wall_s - recv_wait_s`: the straggler-detection signal.
         busy_s: f64,
         /// Messages sent on the pencil communicators during the step.
@@ -168,35 +167,6 @@ pub enum FlightEvent {
     RunEnd { steps_run: u64, wall_s: f64 },
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format an f64 so that parsing it back yields the same value, without
-/// scientific-notation churn for the common magnitudes.
-fn num(x: f64) -> impl fmt::Display {
-    fmt::from_fn(move |f| {
-        if x == x.trunc() && x.abs() < 1e15 {
-            write!(f, "{x:.1}")
-        } else {
-            // shortest representation that round-trips
-            write!(f, "{x}")
-        }
-    })
-}
-
 /// An event displays as its JSONL line (no trailing newline), no string between.
 impl fmt::Display for FlightEvent {
     fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -216,7 +186,7 @@ impl fmt::Display for FlightEvent {
                 "\"kind\":\"run_start\",\"attempt\":{attempt},\"nx\":{nx},\"ny\":{ny},\
                  \"nz\":{nz},\"pa\":{pa},\"pb\":{pb},\"dt\":{},\"steps\":{steps},\
                  \"resumed_from\":{resumed_from}",
-                num(*dt)
+                Num(*dt)
             )),
             FlightEvent::Step {
                 step,
@@ -226,21 +196,19 @@ impl fmt::Display for FlightEvent {
                 fft_s,
                 ns_s,
                 recv_wait_s,
-                overlap_s,
                 busy_s,
                 msgs,
                 bytes,
             } => out.write_fmt(format_args!(
                 "\"kind\":\"step\",\"step\":{step},\"rank\":{rank},\"wall_s\":{},\
                  \"transpose_s\":{},\"fft_s\":{},\"ns_s\":{},\"recv_wait_s\":{},\
-                 \"overlap_s\":{},\"busy_s\":{},\"msgs\":{msgs},\"bytes\":{bytes}",
-                num(*wall_s),
-                num(*transpose_s),
-                num(*fft_s),
-                num(*ns_s),
-                num(*recv_wait_s),
-                num(*overlap_s),
-                num(*busy_s),
+                 \"busy_s\":{},\"msgs\":{msgs},\"bytes\":{bytes}",
+                Num(*wall_s),
+                Num(*transpose_s),
+                Num(*fft_s),
+                Num(*ns_s),
+                Num(*recv_wait_s),
+                Num(*busy_s),
             )),
             FlightEvent::Sentinel {
                 step,
@@ -251,9 +219,9 @@ impl fmt::Display for FlightEvent {
             } => out.write_fmt(format_args!(
                 "\"kind\":\"sentinel\",\"step\":{step},\"cfl\":{},\"max_div\":{},\
                  \"energy\":{},\"finite\":{finite}",
-                num(*cfl),
-                num(*max_div),
-                num(*energy),
+                Num(*cfl),
+                Num(*max_div),
+                Num(*energy),
             )),
             FlightEvent::Health(HealthEvent::Straggler {
                 step,
@@ -264,8 +232,8 @@ impl fmt::Display for FlightEvent {
             }) => out.write_fmt(format_args!(
                 "\"kind\":\"health\",\"event\":\"straggler\",\"step\":{step},\"rank\":{rank},\
                  \"ratio\":{},\"factor\":{},\"consecutive\":{consecutive}",
-                num(*ratio),
-                num(*factor),
+                Num(*ratio),
+                Num(*factor),
             )),
             FlightEvent::Health(HealthEvent::SentinelWarn {
                 step,
@@ -274,10 +242,10 @@ impl fmt::Display for FlightEvent {
                 limit,
             }) => out.write_fmt(format_args!(
                 "\"kind\":\"health\",\"event\":\"sentinel_warn\",\"step\":{step},\
-                 \"sentinel\":\"{}\",\"value\":{},\"limit\":{}",
-                sentinel.label(),
-                num(*value),
-                num(*limit),
+                 \"sentinel\":{},\"value\":{},\"limit\":{}",
+                Quoted(sentinel.label()),
+                Num(*value),
+                Num(*limit),
             )),
             FlightEvent::Checkpoint { step, attempt } => out.write_fmt(format_args!(
                 "\"kind\":\"checkpoint\",\"step\":{step},\"attempt\":{attempt}"
@@ -287,13 +255,13 @@ impl fmt::Display for FlightEvent {
                 kind,
                 detail,
             } => out.write_fmt(format_args!(
-                "\"kind\":\"recovery\",\"attempt\":{attempt},\"event\":\"{}\",\"detail\":\"{}\"",
-                esc(kind),
-                esc(detail)
+                "\"kind\":\"recovery\",\"attempt\":{attempt},\"event\":{},\"detail\":{}",
+                Quoted(kind),
+                Quoted(detail)
             )),
             FlightEvent::RunEnd { steps_run, wall_s } => out.write_fmt(format_args!(
                 "\"kind\":\"run_end\",\"steps_run\":{steps_run},\"wall_s\":{}",
-                num(*wall_s)
+                Num(*wall_s)
             )),
         }?;
         out.write_str("}")
@@ -313,18 +281,23 @@ impl FlightEvent {
             .get("schema")
             .and_then(Json::as_u64)
             .ok_or("missing schema field")?;
-        // v1 is read back-compatibly (its `step` lines simply predate
-        // `overlap_s`); anything newer than this build is refused
+        // v1 and v2 are read back-compatibly (they differ from v3 only
+        // in number spelling and v2's `overlap_s`, which is ignored);
+        // anything newer than this build is refused
         if schema == 0 || schema > SCHEMA_VERSION {
             return Err(format!(
                 "unsupported schema version {schema} (expected <= {SCHEMA_VERSION})"
             ));
         }
         let kind = v.get("kind").and_then(Json::as_str).ok_or("missing kind")?;
+        // a non-finite value (a diverged run's sentinel) is written `null`
         let f = |k: &str| -> Result<f64, String> {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing number field {k:?} in {kind}"))
+            match v.get(k) {
+                Some(Json::Null) => Ok(f64::NAN),
+                x => x
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| format!("missing number field {k:?} in {kind}")),
+            }
         };
         let u = |k: &str| -> Result<u64, String> {
             v.get(k)
@@ -357,9 +330,6 @@ impl FlightEvent {
                 fft_s: f("fft_s")?,
                 ns_s: f("ns_s")?,
                 recv_wait_s: f("recv_wait_s")?,
-                // absent in v1 recordings: those predate the overlap
-                // clock, so zero is the faithful reading
-                overlap_s: if schema >= 2 { f("overlap_s")? } else { 0.0 },
                 busy_s: f("busy_s")?,
                 msgs: u("msgs")?,
                 bytes: u("bytes")?,
@@ -447,7 +417,6 @@ mod tests {
                 fft_s: 0.003,
                 ns_s: 0.002,
                 recv_wait_s: 0.001,
-                overlap_s: 0.0005,
                 busy_s: 0.0113,
                 msgs: 48,
                 bytes: 65536,
@@ -492,25 +461,47 @@ mod tests {
     fn every_event_round_trips() {
         for ev in samples() {
             let line = ev.to_json_line();
-            assert!(line.contains("\"schema\":2"), "{line}");
+            assert!(line.starts_with("{\"schema\":3,"), "{line}");
             let back = FlightEvent::parse_line(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
             assert_eq!(back, ev, "round-trip mismatch for {line}");
         }
     }
 
     #[test]
-    fn v1_step_lines_parse_with_zero_overlap() {
-        // a line exactly as a schema-1 recorder wrote it: no overlap_s
-        let line = "{\"schema\":1,\"kind\":\"step\",\"step\":1,\"rank\":2,\"wall_s\":0.0123,\
-                    \"transpose_s\":0.004,\"fft_s\":0.003,\"ns_s\":0.002,\"recv_wait_s\":0.001,\
-                    \"busy_s\":0.0113,\"msgs\":48,\"bytes\":65536}";
-        match FlightEvent::parse_line(line).unwrap() {
-            FlightEvent::Step {
-                overlap_s, busy_s, ..
-            } => {
-                assert_eq!(overlap_s, 0.0);
-                assert_eq!(busy_s, 0.0113);
-            }
+    fn v1_and_v2_step_lines_still_parse() {
+        // lines exactly as the schema-1 and schema-2 recorders wrote them:
+        // v1 without overlap_s, v2 with it (ignored) and `.0` on integers
+        let v1 = "{\"schema\":1,\"kind\":\"step\",\"step\":1,\"rank\":2,\"wall_s\":0.0123,\
+                  \"transpose_s\":0.004,\"fft_s\":0.003,\"ns_s\":0.002,\"recv_wait_s\":0.001,\
+                  \"busy_s\":0.0113,\"msgs\":48,\"bytes\":65536}";
+        let v2 = "{\"schema\":2,\"kind\":\"step\",\"step\":1,\"rank\":2,\"wall_s\":0.0123,\
+                  \"transpose_s\":0.004,\"fft_s\":0.003,\"ns_s\":0.002,\"recv_wait_s\":0.001,\
+                  \"overlap_s\":0.0,\"busy_s\":0.0113,\"msgs\":48,\"bytes\":65536}";
+        for line in [v1, v2] {
+            assert_eq!(
+                FlightEvent::parse_line(line).unwrap(),
+                samples()[1],
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_readings_write_null_and_read_nan() {
+        let e = FlightEvent::Sentinel {
+            step: 9,
+            cfl: f64::INFINITY,
+            max_div: f64::NAN,
+            energy: 1.0,
+            finite: false,
+        };
+        let line = e.to_json_line();
+        assert!(
+            line.contains("\"cfl\":null,\"max_div\":null,\"energy\":1,"),
+            "{line}"
+        );
+        match FlightEvent::parse_line(&line).unwrap() {
+            FlightEvent::Sentinel { cfl, max_div, .. } => assert!(cfl.is_nan() && max_div.is_nan()),
             other => panic!("parsed wrong kind: {other:?}"),
         }
     }
@@ -528,10 +519,10 @@ mod tests {
     #[test]
     fn future_schema_versions_are_rejected() {
         let err = FlightEvent::parse_line(
-            "{\"schema\":3,\"kind\":\"run_end\",\"steps_run\":1,\"wall_s\":0.5}",
+            "{\"schema\":4,\"kind\":\"run_end\",\"steps_run\":1,\"wall_s\":0.5}",
         )
         .unwrap_err();
-        assert!(err.contains("unsupported schema version 3"), "{err}");
+        assert!(err.contains("unsupported schema version 4"), "{err}");
     }
 
     #[test]
@@ -546,5 +537,123 @@ mod tests {
         assert!(msg.contains("step 7"));
         assert!(msg.contains("divergence"));
         assert!(msg.contains("abort threshold"));
+    }
+
+    /// Numbers the writer must spell so they parse back bit for bit:
+    /// integral values, both zeros, values past 2^53 and the extremes.
+    /// The last slot is filled with a random draw.
+    const NUMS: [f64; 12] = [
+        0.0,
+        -0.0,
+        1.0,
+        -3.0,
+        0.1,
+        1.5e-12,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        1e17,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        f64::NAN,
+    ];
+
+    /// Recovery-detail pieces: plain text, every escaped character class
+    /// (quote, backslash, named and `\u` control escapes) and multi-byte.
+    const TEXT: [&str; 9] = [
+        "rank 0: ", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "é🦀",
+    ];
+
+    fn event(kind: usize, x: &[f64], n: &[u64], text: &str) -> FlightEvent {
+        match kind {
+            0 => FlightEvent::RunStart {
+                attempt: n[0] as usize,
+                nx: n[1] as usize,
+                ny: n[2] as usize,
+                nz: n[3] as usize,
+                pa: n[0] as usize,
+                pb: n[1] as usize,
+                dt: x[0],
+                steps: n[2],
+                resumed_from: n[3],
+            },
+            1 => FlightEvent::Step {
+                step: n[0],
+                rank: n[1] as usize,
+                wall_s: x[0],
+                transpose_s: x[1],
+                fft_s: x[2],
+                ns_s: x[3],
+                recv_wait_s: x[4],
+                busy_s: x[5],
+                msgs: n[2],
+                bytes: n[3],
+            },
+            2 => FlightEvent::Sentinel {
+                step: n[0],
+                cfl: x[0],
+                max_div: x[1],
+                energy: x[2],
+                finite: n[1].is_multiple_of(2),
+            },
+            3 => FlightEvent::Health(HealthEvent::Straggler {
+                step: n[0],
+                rank: n[1] as usize,
+                ratio: x[0],
+                factor: x[1],
+                consecutive: n[2] as u32,
+            }),
+            4 => FlightEvent::Health(HealthEvent::SentinelWarn {
+                step: n[0],
+                sentinel: [
+                    SentinelKind::Cfl,
+                    SentinelKind::Divergence,
+                    SentinelKind::Energy,
+                    SentinelKind::Finite,
+                ][n[1] as usize % 4],
+                value: x[0],
+                limit: x[1],
+            }),
+            5 => FlightEvent::Checkpoint {
+                step: n[0],
+                attempt: n[1] as usize,
+            },
+            6 => FlightEvent::Recovery {
+                attempt: n[0] as usize,
+                kind: text.chars().rev().collect(),
+                detail: text.to_string(),
+            },
+            _ => FlightEvent::RunEnd {
+                steps_run: n[0],
+                wall_s: x[0],
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn every_event_kind_round_trips_through_its_line(
+            kind in 0usize..8,
+            picks in proptest::collection::vec(0usize..NUMS.len(), 6..7),
+            random in proptest::prelude::any::<f64>(),
+            n in proptest::collection::vec(0u64..1 << 53, 4..5),
+            words in proptest::collection::vec(0usize..TEXT.len(), 0..12)
+        ) {
+            // NaN has no JSON spelling (it writes `null`): the last slot
+            // stands for a random finite value instead
+            let x: Vec<f64> = picks
+                .iter()
+                .map(|&i| if NUMS[i].is_nan() { random } else { NUMS[i] })
+                .collect();
+            let text: String = words.iter().map(|&i| TEXT[i]).collect();
+            let e = event(kind, &x, &n, &text);
+            let line = e.to_json_line();
+            let back = FlightEvent::parse_line(&line).map_err(proptest::TestCaseError::fail)?;
+            // `Debug` spells every float in shortest round-trip form, so
+            // it also sees the sign of a zero, which `==` cannot
+            proptest::prop_assert_eq!(format!("{back:?}"), format!("{e:?}"));
+            proptest::prop_assert_eq!(back, e);
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! every later `dns-report` invocation (possibly from a different build),
 //! so drift must be deliberate: bump [`dns_health::SCHEMA_VERSION`] and
 //! regenerate with
-//! `UPDATE_GOLDEN=1 cargo test -p dns-health --test flight_recorder_golden`.
+//! `UPDATE_GOLDEN=1 cargo test -p dns-health --test flight_recorder_golden`,
+//! keeping the previous file as a fixture the new reader must still read
+//! (`flight_v2.jsonl`: a schema-2 recorder's bytes for the same timeline).
 
 use dns_health::schema::{parse_jsonl, FlightEvent, HealthEvent, SentinelKind};
 
@@ -32,7 +34,6 @@ fn fixture() -> Vec<FlightEvent> {
             fft_s: 0.0032,
             ns_s: 0.0021,
             recv_wait_s: 0.0009,
-            overlap_s: 0.0018,
             busy_s: 0.0116,
             msgs: 48,
             bytes: 65536,
@@ -45,7 +46,6 @@ fn fixture() -> Vec<FlightEvent> {
             fft_s: 0.004,
             ns_s: 0.003,
             recv_wait_s: 0.005,
-            overlap_s: 0.0,
             busy_s: 0.008,
             msgs: 48,
             bytes: 65536,
@@ -124,9 +124,20 @@ fn every_golden_line_is_schema_stamped() {
     let text = std::fs::read_to_string(path).expect("golden file present");
     for (i, line) in text.lines().enumerate() {
         assert!(
-            line.starts_with("{\"schema\":2,"),
+            line.starts_with("{\"schema\":3,"),
             "line {} lacks the schema stamp: {line}",
             i + 1
         );
     }
+}
+
+/// Data dirs and `dns-report` inputs written before schema 3 still read:
+/// the v2 file (its `overlap_s` ignored, integral floats spelt `1.0`)
+/// replays to the same timeline.
+#[test]
+fn schema_2_golden_file_replays_to_the_same_timeline() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/flight_v2.jsonl");
+    let text = std::fs::read_to_string(path).expect("v2 golden file present");
+    assert!(text.lines().all(|l| l.starts_with("{\"schema\":2,")));
+    assert_eq!(parse_jsonl(&text).expect("v2 file must parse"), fixture());
 }

@@ -1,12 +1,16 @@
 //! # dns-json — the shared hand-rolled JSON layer
 //!
-//! The workspace vendors no serde; every line protocol in the stack
-//! (health flight-recorder replay, the campaign server's request/response
-//! wire format, run-spec files, the queue journal) hand-rolls its JSON.
-//! This crate is the one shared implementation: a dynamic [`Json`] value,
-//! a recursive-descent [`parse`]r (promoted verbatim from `dns-health`,
-//! which re-exports it for compatibility), and the matching deterministic
-//! serializer [`Json::dump`] the reader did not previously have.
+//! The workspace vendors no serde. This crate is the one place that
+//! knows how JSON is read and written: a dynamic [`Json`] value, a
+//! recursive-descent [`parse`]r, the matching deterministic serializer
+//! [`Json::dump`], and the two adapters that serializer writes through,
+//! [`Num`] (a number) and [`Quoted`] (an escaped, quoted string). Every
+//! line protocol in the stack uses them: the campaign server's wire
+//! format, run-spec files and queue journal build [`Json`] values; the
+//! writers that stream fixed-order lines without a tree (the health
+//! flight recorder, the telemetry counts and trace exports) format
+//! through `Num` and `Quoted` directly, so no file the stack writes can
+//! drift from what [`parse`] reads back.
 //!
 //! Determinism matters more than speed here: object keys live in a
 //! [`BTreeMap`], so a value always serializes to the same bytes — which
@@ -18,7 +22,7 @@
 #![deny(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -125,12 +129,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => out.push_str(&fmt_f64(*n)),
-            Json::Str(s) => {
-                out.push('"');
-                escape_into(s, out);
-                out.push('"');
-            }
+            Json::Num(n) => push(out, Num(*n)),
+            Json::Str(s) => push(out, Quoted(s)),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -147,15 +147,19 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    escape_into(k, out);
-                    out.push_str("\":");
+                    push(out, Quoted(k));
+                    out.push(':');
                     v.write_into(out);
                 }
                 out.push('}');
             }
         }
     }
+}
+
+/// Append an adapter's rendering to a `String` (which takes every write).
+fn push(out: &mut String, v: impl fmt::Display) {
+    let _ = write!(out, "{v}");
 }
 
 /// Incremental object construction for the writer side.
@@ -189,44 +193,67 @@ impl ObjBuilder {
     }
 }
 
-/// Render an `f64` the way the serializer does: exact integers in the
-/// `±2^53` range without a fractional part, everything else in Rust's
-/// shortest round-trip decimal form, non-finite values as `null`.
-pub fn fmt_f64(n: f64) -> String {
-    if !n.is_finite() {
-        return "null".into();
-    }
-    if n == 0.0 && n.is_sign_negative() {
-        // the integer fast path below would drop the sign bit
-        return "-0.0".into();
-    }
-    if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
+/// A number as the serializer writes it: exact integers in the `±2^53`
+/// range without a fractional part, everything else in Rust's shortest
+/// round-trip decimal form, non-finite values as `null`.
+///
+/// ```
+/// use dns_json::Num;
+/// assert_eq!(format!("{} {} {}", Num(2.0), Num(0.125), Num(f64::NAN)), "2 0.125 null");
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Num(pub f64);
 
-/// JSON string escaping (the same rules every writer in the workspace
-/// uses: the two mandatory escapes plus readable control-character forms,
-/// `\u` for the rest of C0).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(s, &mut out);
-    out
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let n = self.0;
+        if !n.is_finite() {
+            f.write_str("null")
+        } else if n == 0.0 && n.is_sign_negative() {
+            // the integer form below would drop the sign bit
+            f.write_str("-0.0")
+        } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
+            write!(f, "{}", n as i64)
+        } else {
+            write!(f, "{n}")
         }
+    }
+}
+
+/// A string as the serializer writes it, quotes included: the two
+/// mandatory escapes plus readable control-character forms, `\u` for the
+/// rest of C0.
+///
+/// ```
+/// use dns_json::Quoted;
+/// assert_eq!(Quoted("a\"b\n\u{1}").to_string(), r#""a\"b\n\u0001""#);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        // every escaped character is ASCII, so the runs between them
+        // start and end on char boundaries
+        let mut run = 0;
+        for (i, b) in self.0.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            f.write_str(&self.0[run..i])?;
+            run = i + 1;
+            match b {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                c => write!(f, "\\u{c:04x}")?,
+            }
+        }
+        f.write_str(&self.0[run..])?;
+        f.write_char('"')
     }
 }
 
@@ -526,12 +553,13 @@ mod tests {
             std::f64::consts::PI,
             f64::MIN_POSITIVE,
         ] {
-            let text = fmt_f64(x);
+            let text = Num(x).to_string();
             let back = parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} -> {text} -> {back}");
         }
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
+        assert_eq!(Num(f64::NAN).to_string(), "null");
+        assert_eq!(Num(f64::INFINITY).to_string(), "null");
+        assert_eq!(Json::Num(-0.0).dump(), "-0.0");
     }
 
     #[test]
@@ -547,8 +575,10 @@ mod tests {
     }
 
     #[test]
-    fn escape_matches_writer() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+    fn quoted_matches_writer() {
+        let s = "a\"b\\c\nd\u{1}é";
+        assert_eq!(Quoted(s).to_string(), "\"a\\\"b\\\\c\\nd\\u0001é\"");
+        assert_eq!(Quoted(s).to_string(), Json::str(s).dump());
     }
 
     /// Plain runs, multi-byte chars, every character the writer escapes

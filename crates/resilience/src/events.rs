@@ -3,9 +3,11 @@
 //! outcome. Exported as JSON so CI can archive it as an artifact and a
 //! human can reconstruct the failure timeline without re-running.
 //!
-//! The JSON is hand-rolled (the container vendors no serde); the schema
-//! is deliberately flat: `{"events": [{"attempt": n, "kind": "...",
-//! ...}, ...]}` with per-kind fields inlined.
+//! The document is a [`dns_json::Json`] value; the schema is deliberately
+//! flat: `{"events": [{"attempt": n, "kind": "...", ...}, ...]}` with
+//! per-kind fields inlined.
+
+use dns_json::Json;
 
 /// What happened, attached to the attempt during which it happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,66 +39,37 @@ pub struct RecoveryEvent {
     pub kind: EventKind,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl RecoveryEvent {
-    fn to_json(&self) -> String {
-        let mut s = format!("{{\"attempt\":{}", self.attempt);
-        match &self.kind {
+    fn to_json(&self) -> Json {
+        let obj = Json::obj().put("attempt", Json::num(self.attempt as f64));
+        let (kind, obj) = match &self.kind {
             EventKind::AttemptStarted { from } => {
-                s.push_str(&format!(
-                    ",\"kind\":\"attempt_started\",\"from\":\"{}\"",
-                    json_escape(from)
-                ));
+                ("attempt_started", obj.put("from", Json::str(from)))
             }
             EventKind::WorldFailed { failures } => {
-                s.push_str(",\"kind\":\"world_failed\",\"failures\":[");
-                for (i, (rank, msg)) in failures.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"rank\":{rank},\"message\":\"{}\"}}",
-                        json_escape(msg)
-                    ));
-                }
-                s.push(']');
+                let failures = failures.iter().map(|(rank, msg)| {
+                    Json::obj()
+                        .put("rank", Json::num(*rank as f64))
+                        .put("message", Json::str(msg))
+                        .build()
+                });
+                (
+                    "world_failed",
+                    obj.put("failures", Json::Arr(failures.collect())),
+                )
             }
-            EventKind::RestartIssued => s.push_str(",\"kind\":\"restart_issued\""),
-            EventKind::Converged => s.push_str(",\"kind\":\"converged\""),
-            EventKind::GaveUp => s.push_str(",\"kind\":\"gave_up\""),
-        }
-        s.push('}');
-        s
+            EventKind::RestartIssued => ("restart_issued", obj),
+            EventKind::Converged => ("converged", obj),
+            EventKind::GaveUp => ("gave_up", obj),
+        };
+        obj.put("kind", Json::str(kind)).build()
     }
 }
 
-/// Serialise a timeline to a JSON document.
-pub fn events_to_json(events: &[RecoveryEvent]) -> String {
-    let mut s = String::from("{\"events\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str("  ");
-        s.push_str(&e.to_json());
-    }
-    s.push_str("\n]}\n");
-    s
+/// The timeline as a JSON document, `{"events":[...]}`.
+pub fn events_to_json(events: &[RecoveryEvent]) -> Json {
+    let events = events.iter().map(RecoveryEvent::to_json).collect();
+    Json::obj().put("events", Json::Arr(events)).build()
 }
 
 #[cfg(test)]
@@ -123,17 +96,13 @@ mod tests {
                 kind: EventKind::Converged,
             },
         ];
-        let json = events_to_json(&events);
-        assert!(json.contains("\"kind\":\"attempt_started\""));
-        assert!(json.contains("\"from\":\"fresh\""));
-        assert!(json.contains("\\\"crashed\\\"\\nat op 7"));
-        assert!(json.contains("\"rank\":2"));
-        assert!(json.contains("\"kind\":\"converged\""));
-        // crude balance check on the hand-rolled serializer
+        let json = events_to_json(&events).dump();
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in {json}"
+            json,
+            "{\"events\":[{\"attempt\":0,\"from\":\"fresh\",\"kind\":\"attempt_started\"},\
+             {\"attempt\":0,\"failures\":[{\"message\":\"injected fault: rank 2 \\\"crashed\\\"\\nat op 7\",\
+             \"rank\":2}],\"kind\":\"world_failed\"},{\"attempt\":1,\"kind\":\"converged\"}]}"
         );
+        assert_eq!(dns_json::parse(&json).unwrap(), events_to_json(&events));
     }
 }

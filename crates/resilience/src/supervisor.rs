@@ -82,7 +82,7 @@ impl<R> Report<R> {
 
     /// The timeline as a JSON document (see [`events_to_json`]).
     pub fn events_json(&self) -> String {
-        events_to_json(&self.events)
+        events_to_json(&self.events).dump()
     }
 }
 

@@ -553,8 +553,7 @@ impl Server {
             .put("restarts", Json::num(outcome.restarts as u32))
             .put(
                 "recovery_events",
-                dns_json::parse(&dns_resilience::events_to_json(&outcome.events))
-                    .unwrap_or(Json::Arr(vec![])),
+                dns_resilience::events_to_json(&outcome.events),
             )
             .build()
             .dump();

@@ -1,7 +1,10 @@
 //! Exporters over [`Snapshot`]: phase aggregation, human table, the
 //! versioned counts JSON, and Chrome trace-event output.
 
+use std::fmt::Write as _;
 use std::ops::{Index, IndexMut, Sub};
+
+use dns_json::Quoted;
 
 use crate::{Counter, CounterSet, Phase, RankSnapshot, Snapshot, NUM_PHASES};
 
@@ -242,21 +245,23 @@ impl Snapshot {
                 Some(rank) => (rank, format!("rank {rank}")),
                 None => (driver_tid, "driver".to_string()),
             };
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(&label)
-            ));
+                 \"args\":{{\"name\":{}}}}}",
+                Quoted(&label)
+            );
             for s in &r.spans {
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\
+                let _ = write!(
+                    out,
+                    ",\n{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{:.3},\
                      \"dur\":{:.3},\"pid\":0,\"tid\":{tid},\"args\":{{\"depth\":{}}}}}",
-                    escape_json(s.name),
-                    s.phase.label(),
+                    Quoted(s.name),
+                    Quoted(s.phase.label()),
                     s.start_us,
                     s.dur_us,
                     s.depth
-                ));
+                );
             }
         }
         out.push_str("\n]}\n");
@@ -398,18 +403,19 @@ fn phase_seconds_json(ps: &PhaseSeconds) -> String {
 /// do.
 pub fn counts_json(snap: &Snapshot, meta: &CountsMeta) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{{\"schema\":{COUNTS_SCHEMA_VERSION},\"kind\":\"counts\",\"meta\":{{\
-         \"bench\":\"{}\",\"nx\":{},\"ny\":{},\"nz\":{},\"ranks\":{},\
+         \"bench\":{},\"nx\":{},\"ny\":{},\"nz\":{},\"ranks\":{},\
          \"threads\":{},\"steps\":{}}},\n\"ranks\":[",
-        escape_json(&meta.bench),
+        Quoted(&meta.bench),
         meta.nx,
         meta.ny,
         meta.nz,
         meta.ranks,
         meta.threads,
         meta.steps
-    ));
+    );
     for (i, r) in snap.ranks.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -439,25 +445,9 @@ pub fn counts_json(snap: &Snapshot, meta: &CountsMeta) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\":{}", escape_json(name), counters_json(set)));
+        let _ = write!(out, "{}:{}", Quoted(name), counters_json(set));
     }
     out.push_str("}}\n");
-    out
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

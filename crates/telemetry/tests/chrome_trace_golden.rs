@@ -102,7 +102,7 @@ fn chrome_trace_shape_invariants() {
         "driver track after the highest rank"
     );
     // escaping: the decision text never reaches the trace, but span names
-    // pass through escape_json — no raw control characters or quotes
+    // pass through dns_json::Quoted — no raw control characters or quotes
     assert!(!out.contains('\u{0}'));
     // timestamps are µs with fixed 3-decimal formatting
     assert!(out.contains("\"ts\":425.500") || out.contains("\"dur\":425.500"));

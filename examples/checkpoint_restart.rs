@@ -36,18 +36,18 @@ fn main() {
         for _ in 0..5 {
             dns.step();
         }
-        checkpoint::save(dns, &stem2).expect("save");
+        let manifest = checkpoint::save_with_manifest(dns, &stem2).expect("save");
         println!(
             "checkpointed at step {} -> {}",
             dns.state().steps,
-            checkpoint::rank_path(&stem2, dns).display()
+            manifest.expect("rank (0,0) writes the manifest").display()
         );
     });
 
     // part 2: fresh solver, resume, 5 more steps
     let stem3 = stem.clone();
     let restarted = run_serial(params, move |dns| {
-        checkpoint::load(dns, &stem3).expect("load");
+        checkpoint::load_latest(dns, &stem3).expect("load");
         println!(
             "resumed at step {} (t = {:.4})",
             dns.state().steps,
