@@ -154,7 +154,7 @@ impl ChannelDns {
             .iter()
             .map(|&m| {
                 let kx = params.alpha() * kxb.global(m % kxb.len) as f64;
-                let kz = params.beta() * signed(kzb.global(m / kxb.len), params.nz) as f64;
+                let kz = params.beta() * pfft.kz_signed(kzb.global(m / kxb.len)) as f64;
                 kx * kx + kz * kz
             })
             .collect();
@@ -319,7 +319,7 @@ impl ChannelDns {
         let kx_g = self.pfft.kx_block().global(m % kxlen);
         let kz_g = self.pfft.kz_block().global(m / kxlen);
         let kx = self.params.alpha() * kx_g as f64;
-        let kz = self.params.beta() * signed(kz_g, self.params.nz) as f64;
+        let kz = self.params.beta() * self.pfft.kz_signed(kz_g) as f64;
         (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz)
     }
 
@@ -367,15 +367,7 @@ impl ChannelDns {
             .iter()
             .map(|&y| scale * f * (1.0 - y * y) / (2.0 * nu))
             .collect();
-        let coef = self.ops.interpolate(&prof);
-        for m in 0..self.local_modes() {
-            if self.is_mean(m) {
-                let r = self.line_range(m);
-                for (slot, &c) in self.state.u[r].iter_mut().zip(&coef) {
-                    *slot = C64::new(c, 0.0);
-                }
-            }
-        }
+        self.set_mean_u(&prof);
     }
 
     /// Set the mean flow to the Reichardt composite turbulent profile
@@ -394,15 +386,7 @@ impl ChannelDns {
                 u_tau * crate::stats::reichardt_u_plus(y_plus)
             })
             .collect();
-        let coef = self.ops.interpolate(&prof);
-        for m in 0..self.local_modes() {
-            if self.is_mean(m) {
-                let r = self.line_range(m);
-                for (slot, &c) in self.state.u[r].iter_mut().zip(&coef) {
-                    *slot = C64::new(c, 0.0);
-                }
-            }
-        }
+        self.set_mean_u(&prof);
     }
 
     /// Add divergence-free perturbations in the low wavenumbers:
@@ -419,7 +403,6 @@ impl ChannelDns {
         let shape_o: Vec<f64> = self.ops.points().iter().map(|&y| 1.0 - y * y).collect();
         let cv_shape = self.ops.interpolate(&shape_v);
         let co_shape = self.ops.interpolate(&shape_o);
-        let nz = self.params.nz;
         let kxlen = self.pfft.kx_block().len;
         for m in 0..self.local_modes() {
             if !matches!(self.modes[m], ModeKind::Batched) {
@@ -427,7 +410,7 @@ impl ChannelDns {
             }
             let kx_g = self.pfft.kx_block().global(m % kxlen);
             let kz_g = self.pfft.kz_block().global(m / kxlen);
-            let kzs = signed(kz_g, nz);
+            let kzs = self.pfft.kz_signed(kz_g);
             if kx_g > 3 || kzs.unsigned_abs() as usize > 3 {
                 continue;
             }
@@ -451,19 +434,7 @@ impl ChannelDns {
                 self.state.v[r.start + j] += amplitude * rv * cv_shape[j];
                 self.state.omega_y[r.start + j] += amplitude * ro * co_shape[j];
             }
-            // phi = (D2 - k^2) v, interpolated back to coefficients
-            let (_, _, k2) = self.mode_wavenumbers(m);
-            let cv = &self.state.v[r.clone()];
-            let mut vals = vec![C64::new(0.0, 0.0); ny];
-            let mut b0v = vec![C64::new(0.0, 0.0); ny];
-            self.ops.b2().matvec_complex(cv, &mut vals);
-            self.ops.b0().matvec_complex(cv, &mut b0v);
-            for j in 0..ny {
-                vals[j] -= k2 * b0v[j];
-            }
-            let cphi = self.ops.interpolate_complex(&vals);
-            self.state.phi[r.clone()].copy_from_slice(&cphi);
-            self.recover_uw(m);
+            self.derive_phi_uw(m);
         }
     }
 
@@ -477,14 +448,13 @@ impl ChannelDns {
         assert_eq!(c_v.len(), ny);
         assert_eq!(c_omega.len(), ny);
         let kxlen = self.pfft.kx_block().len;
-        let nz = self.params.nz;
         for m in 0..self.local_modes() {
             if !matches!(self.modes[m], ModeKind::Batched) {
                 continue;
             }
             let kx_g = self.pfft.kx_block().global(m % kxlen);
             let kz_g = self.pfft.kz_block().global(m / kxlen);
-            if kx_g != kx || signed(kz_g, nz) != kz_signed {
+            if kx_g != kx || self.pfft.kz_signed(kz_g) != kz_signed {
                 continue;
             }
             let r = self.line_range(m);
@@ -492,20 +462,41 @@ impl ChannelDns {
                 self.state.v[r.start + j] += c_v[j];
                 self.state.omega_y[r.start + j] += c_omega[j];
             }
-            // phi = (D2 - k^2) v, interpolated back to coefficients
-            let (_, _, k2) = self.mode_wavenumbers(m);
-            let cv = &self.state.v[r.clone()];
-            let mut vals = vec![C64::new(0.0, 0.0); ny];
-            let mut b0v = vec![C64::new(0.0, 0.0); ny];
-            self.ops.b2().matvec_complex(cv, &mut vals);
-            self.ops.b0().matvec_complex(cv, &mut b0v);
-            for j in 0..ny {
-                vals[j] -= k2 * b0v[j];
-            }
-            let cphi = self.ops.interpolate_complex(&vals);
-            self.state.phi[r.clone()].copy_from_slice(&cphi);
-            self.recover_uw(m);
+            self.derive_phi_uw(m);
         }
+    }
+
+    /// Set the mean-flow line of `u` (on the rank owning kx = kz = 0) to
+    /// the interpolant of `prof` at the collocation points.
+    fn set_mean_u(&mut self, prof: &[f64]) {
+        let coef = self.ops.interpolate(prof);
+        for m in 0..self.local_modes() {
+            if self.is_mean(m) {
+                let r = self.line_range(m);
+                for (slot, &c) in self.state.u[r].iter_mut().zip(&coef) {
+                    *slot = C64::new(c, 0.0);
+                }
+            }
+        }
+    }
+
+    /// Derive mode `m`'s `phi = (D2 - k^2) v` from its `v`, interpolated
+    /// back to coefficients, then recover its `u`, `w`.
+    fn derive_phi_uw(&mut self, m: usize) {
+        let ny = self.params.ny;
+        let r = self.line_range(m);
+        let (_, _, k2) = self.mode_wavenumbers(m);
+        let cv = &self.state.v[r.clone()];
+        let mut vals = vec![C64::new(0.0, 0.0); ny];
+        let mut b0v = vec![C64::new(0.0, 0.0); ny];
+        self.ops.b2().matvec_complex(cv, &mut vals);
+        self.ops.b0().matvec_complex(cv, &mut b0v);
+        for j in 0..ny {
+            vals[j] -= k2 * b0v[j];
+        }
+        let cphi = self.ops.interpolate_complex(&vals);
+        self.state.phi[r].copy_from_slice(&cphi);
+        self.recover_uw(m);
     }
 
     /// Recompute `u`, `w` of mode `m` from `v` and `omega_y` (continuity
@@ -767,17 +758,6 @@ fn batch_order(modes: &[ModeKind], kxlen: usize, kz_start: usize, nz: usize) -> 
     order.iter().for_each(|&m| placed[m] = true);
     order.extend((0..modes.len()).filter(|&m| regular(m) && !placed[m]));
     order
-}
-
-/// Signed spanwise wavenumber index of FFT-ordered slot `g`.
-fn signed(g: usize, nz: usize) -> i64 {
-    if g < nz / 2 {
-        g as i64
-    } else if g == nz / 2 {
-        0
-    } else {
-        g as i64 - nz as i64
-    }
 }
 
 /// Deterministic unit-magnitude-ish complex amplitude from a hash.

@@ -117,60 +117,6 @@ pub fn spanwise_u_spectrum_at(dns: &ChannelDns, y_index: usize) -> Vec<f64> {
     dns.pfft().comm_b().allreduce(&acc, |a, b| a + b)
 }
 
-/// Two-dimensional energy spectrum `E_uu(kx, |kz|)` of `u` at one
-/// collocation index (collective) — the kx-kz spectral maps that later
-/// became the signature figures of the Lee-Moser dataset. Returned
-/// row-major as `[kx][|kz|]` with extents `(nx/2, nz/2)`.
-pub fn spectrum_2d_at(dns: &ChannelDns, y_index: usize) -> (usize, usize, Vec<f64>) {
-    let ny = dns.params().ny;
-    assert!(y_index < ny);
-    let (sx, hz) = (dns.params().nx / 2, dns.params().nz / 2);
-    let mut acc = vec![0.0f64; sx * hz];
-    let mut vals = vec![C64::new(0.0, 0.0); ny];
-    let kxlen = dns.pfft().kx_block().len;
-    let ops = dns.ops();
-    for m in 0..dns.local_modes() {
-        if dns.is_nyquist(m) || dns.is_mean(m) {
-            continue;
-        }
-        let kx = dns.pfft().kx_block().global(m % kxlen);
-        let kz_g = dns.pfft().kz_block().global(m / kxlen);
-        let kz_abs = if kz_g <= hz {
-            kz_g
-        } else {
-            dns.params().nz - kz_g
-        };
-        if kz_abs >= hz || kx >= sx {
-            continue;
-        }
-        let w = dns.mode_weight(m);
-        let r = dns.line_range(m);
-        ops.b0().matvec_complex(&dns.state().u()[r], &mut vals);
-        acc[kx * hz + kz_abs] += w * vals[y_index].norm_sqr();
-    }
-    let acc = dns.pfft().comm_a().allreduce(&acc, |a, b| a + b);
-    let acc = dns.pfft().comm_b().allreduce(&acc, |a, b| a + b);
-    (sx, hz, acc)
-}
-
-/// Spanwise two-point correlation `R_uu(dz; y)` at one collocation
-/// index, from the inverse transform of the spanwise spectrum. The first
-/// zero crossing / minimum locates the near-wall streak spacing.
-pub fn spanwise_correlation_at(dns: &ChannelDns, y_index: usize) -> Vec<f64> {
-    let spec = spanwise_u_spectrum_at(dns, y_index);
-    let nz = dns.params().nz;
-    // R(dz_m) = sum_k E(k) cos(2 pi k m / nz) (folded spectrum is the
-    // cosine-series coefficient set of the even correlation)
-    (0..nz / 2)
-        .map(|m| {
-            spec.iter()
-                .enumerate()
-                .map(|(k, &e)| e * (std::f64::consts::TAU * (k * m) as f64 / nz as f64).cos())
-                .sum()
-        })
-        .collect()
-}
-
 impl Spectra {
     /// Total fluctuation energy recovered from either spectrum direction
     /// (they must agree — a Parseval-style consistency check).
@@ -239,62 +185,6 @@ mod tests {
             (total - want).abs() < 1e-12 * want.max(1e-30),
             "{total} vs {want}"
         );
-    }
-
-    #[test]
-    fn spectrum_2d_marginals_match_the_1d_spectra() {
-        let p = Params::channel(16, 25, 16, 80.0).with_dt(1e-3);
-        let (two_d, one_d, prof) = run_serial(p, |dns| {
-            dns.set_laminar(0.5);
-            dns.add_perturbation(0.4, 37);
-            for _ in 0..2 {
-                dns.step();
-            }
-            let yj = dns.params().ny / 2;
-            (
-                spectrum_2d_at(dns, yj),
-                spanwise_u_spectrum_at(dns, yj),
-                profiles(dns),
-            )
-        });
-        let (sx, hz, e2) = two_d;
-        // summing the 2D map over kx recovers the spanwise spectrum
-        for kz in 0..hz {
-            let marg: f64 = (0..sx).map(|kx| e2[kx * hz + kz]).sum();
-            assert!(
-                (marg - one_d[kz]).abs() < 1e-12 * one_d[kz].max(1e-30),
-                "kz={kz}: {marg} vs {}",
-                one_d[kz]
-            );
-        }
-        // and the full sum is the local variance
-        let total: f64 = e2.iter().sum();
-        let want = prof.uu[prof.uu.len() / 2];
-        assert!((total - want).abs() < 1e-12 * want.max(1e-30));
-    }
-
-    #[test]
-    fn correlation_at_zero_separation_is_the_variance() {
-        let p = Params::channel(16, 25, 16, 80.0).with_dt(1e-3);
-        let (corr, prof) = run_serial(p, |dns| {
-            dns.set_laminar(0.5);
-            dns.add_perturbation(0.4, 77);
-            for _ in 0..3 {
-                dns.step();
-            }
-            let yj = dns.params().ny / 3;
-            (spanwise_correlation_at(dns, yj), profiles(dns))
-        });
-        let want = prof.uu[prof.uu.len() / 3];
-        assert!(
-            (corr[0] - want).abs() < 1e-12 * want.max(1e-30),
-            "{} vs {want}",
-            corr[0]
-        );
-        // |R(dz)| <= R(0) for every separation
-        for (m, &r) in corr.iter().enumerate() {
-            assert!(r.abs() <= corr[0] * (1.0 + 1e-12), "m={m}");
-        }
     }
 
     #[test]

@@ -170,6 +170,15 @@ enum XIn<'a> {
     Fields(&'a [&'a [f64]]),
 }
 
+/// A CommA hop of `k` stacked fields (see [`ParallelFft::x_pencil`]).
+#[derive(Clone, Copy)]
+enum Hop {
+    /// z-pencil -> z-fastest x-pencil, ending the inverse leg.
+    Zx(usize),
+    /// z-fastest x-pencil -> z-pencil, starting the forward leg.
+    Xz(usize),
+}
+
 /// One flop increment for a whole batch of `lines` transforms of nominal
 /// cost `per_line` (truncated per line, as the single-line entries count).
 fn count_flops(lines: usize, per_line: f64) {
@@ -390,19 +399,6 @@ impl ParallelFft {
         }
     }
 
-    /// The CommA hop between the z-pencil spectra and the z-fastest
-    /// x-pencil spectra. On one CommA rank both are `[y][field][kx][z]`,
-    /// one layout, and the data stays where it is.
-    fn hop_a(&self, name: &'static str, plan: &TransposePlan, spectra: Vec<C64>) -> Vec<C64> {
-        if self.cfg.pa == 1 {
-            return spectra;
-        }
-        let region = telemetry::region(name, Phase::Transpose);
-        let out = plan.run(&self.comm_a, &spectra);
-        region.close(&self.clock);
-        out
-    }
-
     /// Interleave `fields` block-wise for a batched transpose, an FFT
     /// region: block `o` (`block` values) of field `f` lands at block
     /// `o * k + f`.
@@ -446,7 +442,7 @@ impl ParallelFft {
     /// [`LANES`] lines per transform pass, one y row per work item. An
     /// inverse plan zero-pads `nz -> pz`; a forward plan truncates
     /// `pz -> nz` and normalises by `pz`. Flops are counted once for the
-    /// whole stage.
+    /// whole stage. `serial` is sized by the transform.
     fn z_stage(&self, plan: &CfftPlan, src: &[C64], dst: &mut [C64], serial: &mut LineScratch) {
         let (nz, pz, nyl) = (self.cfg.nz, self.cfg.pz(), self.y_block.len);
         let (name, src_len, dst_len, scale) = match plan.direction() {
@@ -482,7 +478,7 @@ impl ParallelFft {
     /// hand the block to `emit(sc, y, z0, count, row)`, which writes its
     /// part of row `y`. `input` and `dst` are y-aligned (same first row).
     /// `transforms` real transforms per (y, z) line are counted, once for
-    /// the whole stage.
+    /// the whole stage. `serial` is sized by the transform.
     #[allow(clippy::too_many_arguments)]
     fn x_stage<T: Send>(
         &self,
@@ -538,6 +534,72 @@ impl ParallelFft {
         region.close(&self.clock);
     }
 
+    /// Where the x-stage works in `ws` once `hop`, if any, has run: `(the
+    /// x-pencil spectra it reads, the buffer it writes, the line scratch)`.
+    /// The one place that knows the `pa == 1` rule: on one CommA rank the
+    /// z-fastest x-pencil *is* the z-pencil (both `[y][field][kx][z]`), so
+    /// no hop runs and the x-stage reads the inverse z-stage's output `zp`
+    /// and writes the forward z-stage's input `zp_prod`. Across CommA ranks
+    /// [`Hop::Zx`] moves `zp` into `zp_spec`, the x-stage reads `zp_spec`
+    /// and writes `zp`, and [`Hop::Xz`] moves `zp` into `zp_prod`.
+    fn x_pencil<'w>(
+        &self,
+        hop: Option<Hop>,
+        ws: &'w mut Workspace,
+    ) -> (&'w [C64], &'w mut Vec<C64>, &'w mut LineScratch) {
+        let Workspace {
+            zp_spec,
+            zp,
+            zp_prod,
+            send,
+            serial,
+            ..
+        } = ws;
+        if self.cfg.pa == 1 {
+            return (zp, zp_prod, serial);
+        }
+        let (name, plan, to) = match hop {
+            Some(Hop::Zx(k)) => ("transpose_zx", self.batch_plans(k).t_zx, &mut *zp_spec),
+            Some(Hop::Xz(k)) => ("transpose_xz", self.batch_plans(k).t_xz, &mut *zp_prod),
+            None => return (zp_spec, zp, serial),
+        };
+        let region = telemetry::region(name, Phase::Transpose);
+        plan.run_with(&self.comm_a, zp, send, to);
+        region.close(&self.clock);
+        (zp_spec, zp, serial)
+    }
+
+    /// The inverse leg: `k` spectral fields stacked as
+    /// `[kz_loc][field][kx_loc][ny]` (so the Middle transpose sees rows =
+    /// `k * kx_loc`) through the CommB transpose, the padded inverse
+    /// z-stage and the CommA hop, leaving the z-fastest x-pencil spectra
+    /// `[y_loc][field][kx][z_loc]` where [`ParallelFft::x_pencil`] reads
+    /// them.
+    fn inverse_leg(&self, k: usize, stacked: &[C64], ws: &mut Workspace) {
+        let region = telemetry::region("transpose_yz", Phase::Transpose);
+        let plan = self.batch_plans(k).t_yz;
+        plan.run_with(&self.comm_b, stacked, &mut ws.send, &mut ws.zp_spec);
+        region.close(&self.clock);
+        let len = self.y_block.len * k * self.kx_block.len * self.cfg.pz();
+        ws.zp.resize(len, C64::new(0.0, 0.0));
+        self.z_stage(&self.zinv, &ws.zp_spec, &mut ws.zp, &mut ws.serial);
+        self.x_pencil(Some(Hop::Zx(k)), ws);
+    }
+
+    /// The forward leg: the `k` x-pencil spectra the x-stage wrote through
+    /// the CommA hop, the truncating forward z-stage and the CommB
+    /// transpose into `out`, stacked as `[kz_loc][field][kx_loc][ny]`.
+    fn forward_leg(&self, k: usize, ws: &mut Workspace, out: &mut Vec<C64>) {
+        self.x_pencil(Some(Hop::Xz(k)), ws);
+        let len = self.y_block.len * k * self.kx_block.len * self.cfg.nz;
+        ws.out_z.resize(len, C64::new(0.0, 0.0));
+        self.z_stage(&self.zfwd, &ws.zp_prod, &mut ws.out_z, &mut ws.serial);
+        let region = telemetry::region("transpose_zy", Phase::Transpose);
+        let plan = self.batch_plans(k).t_zy;
+        plan.run_with(&self.comm_b, &ws.out_z, &mut ws.send, out);
+        region.close(&self.clock);
+    }
+
     /// The fused nonlinear cycle (section 4.1, Tables 2-4): inverse
     /// transforms of u/v/w, quadratic products, and forward transforms of
     /// the products, with the x-stage fused per cache-sized line group so
@@ -550,16 +612,15 @@ impl ParallelFft {
     /// accounting: `uu - vv`, `uv`, `uw`, `vw`, `ww - vv`
     /// (see [`NL_PRODUCTS`]).
     ///
-    /// Per x-line group the kernel pads + c2r-inverses the three velocity
-    /// lines, forms each product in cache, and immediately r2c-forwards +
-    /// truncates it — three lines of `px` reals live in L1/L2 the whole
-    /// time. The spectra it reads and writes are the z-fastest x-pencil,
-    /// which on one CommA rank is the z-pencil itself: the x-stage then
-    /// reads the inverse z-stage's output and writes the forward
-    /// z-stage's input, and only the two CommB reorders move data. Line
-    /// groups are threaded over the configured pool with per-worker
-    /// scratch; the serial path runs entirely out of `ws` and performs
-    /// zero heap allocations once warm (single rank).
+    /// It is the inverse leg over three fields, the fused x-stage and the
+    /// forward leg over five. Per x-line group the kernel pads +
+    /// c2r-inverses the three velocity lines, forms each product in
+    /// cache, and immediately r2c-forwards + truncates it — three lines of
+    /// `px` reals live in L1/L2 the whole time. On one CommA rank no CommA
+    /// hop runs and only the two CommB reorders move data. Line groups are
+    /// threaded over the configured pool with per-worker scratch; the
+    /// serial path runs entirely out of `ws` and performs zero heap
+    /// allocations once warm (single rank).
     ///
     /// # Example
     ///
@@ -611,33 +672,13 @@ impl ParallelFft {
     pub fn nonlinear_products(&self, uvw: &[C64], out: &mut Vec<C64>, ws: &mut Workspace) {
         assert_eq!(uvw.len(), NL_FIELDS * self.y_pencil_len());
         let _fused = telemetry::span("nonlinear_products", Phase::Other);
-        let cfg = &self.cfg;
-        let (px, pz, sx) = (cfg.px(), cfg.pz(), cfg.sx());
-        let (sxl, nyl, zpl) = (self.kx_block.len, self.y_block.len, self.zphys_block.len);
-        let zero = C64::new(0.0, 0.0);
-        let Workspace {
-            zp_spec,
-            zp,
-            zp_prod,
-            out_z,
-            send,
-            serial,
-            courant_weights: (inv_dx, inv_dy, inv_dz),
-            courant_rate,
-        } = ws;
-        assert!(inv_dy.is_empty() || inv_dy.len() == nyl);
-        let (wx, inv_dy, wz) = (*inv_dx, &inv_dy[..], *inv_dz);
-        serial.ensure(NL_FIELDS, px, self.fft_len());
-
-        // --- inverse leg: 3 velocity fields to the z-pencil ---
-        {
-            let plans = self.batch_plans(NL_FIELDS);
-            let region = telemetry::region("transpose_yz", Phase::Transpose);
-            plans.t_yz.run_with(&self.comm_b, uvw, send, zp_spec);
-            region.close(&self.clock);
-            zp.resize(nyl * NL_FIELDS * sxl * pz, zero);
-            self.z_stage(&self.zinv, zp_spec, zp, serial);
-        }
+        let (px, sx) = (self.cfg.px(), self.cfg.sx());
+        let (nyl, zpl) = (self.y_block.len, self.zphys_block.len);
+        // every transform sizes the line scratch before any pipeline buffer:
+        // the other order made glibc fault fresh pages on every batch call
+        // and keep one more 4 MB buffer resident over repeated launches
+        ws.serial.ensure(NL_FIELDS, px, self.fft_len());
+        self.inverse_leg(NL_FIELDS, uvw, ws);
 
         // The fused x-stage body, per block of up to LANES x-lines held
         // as lane blocks: form each of the five products from the three
@@ -645,9 +686,11 @@ impl ParallelFft {
         // truncated, normalised spectra. With Courant weights set, the `uu - vv`
         // pass also folds the block's largest advective rate into `peak`
         // (non-negative f64s order as their bits do; lanes past `cnt` are zero).
+        let (wx, inv_dy, wz) = std::mem::take(&mut ws.courant_weights);
+        assert!(inv_dy.is_empty() || inv_dy.len() == nyl);
         let rfft = &self.rfft_x;
         let inv_px = 1.0 / px as f64;
-        let peak = AtomicU64::new(courant_rate.to_bits());
+        let peak = AtomicU64::new(ws.courant_rate.to_bits());
         let fused = |sc: &mut LineScratch, y: usize, z0: usize, cnt: usize, row: &mut [C64]| {
             for (f, &(i, j, sub_vv)) in PRODUCTS.iter().enumerate() {
                 if let ((0, 0, true), Some(&wy)) = ((i, j, sub_vv), inv_dy.get(y)) {
@@ -681,23 +724,8 @@ impl ParallelFft {
             }
         };
         const FUSED_TRANSFORMS: usize = NL_FIELDS + NL_PRODUCTS;
-
-        // --- x-stage between the CommA hops: on one CommA rank the z-fastest
-        // x-pencil is the z-pencil, so it reads `zp`, writes the forward
-        // z-stage's input, and no hop runs ---
-        let split = cfg.pa > 1;
-        if split {
-            let plans = self.batch_plans(NL_FIELDS);
-            let region = telemetry::region("transpose_zx", Phase::Transpose);
-            plans.t_zx.run_with(&self.comm_a, zp, send, zp_spec);
-            region.close(&self.clock);
-        }
-        let (spec, products) = if split {
-            (&*zp_spec, &mut *zp)
-        } else {
-            (&*zp, &mut *zp_prod)
-        };
-        products.resize(nyl * NL_PRODUCTS * sx * zpl, zero);
+        let (spec, products, serial) = self.x_pencil(None, ws);
+        products.resize(nyl * NL_PRODUCTS * sx * zpl, C64::new(0.0, 0.0));
         self.x_stage(
             "fused_products",
             NL_FIELDS,
@@ -708,23 +736,9 @@ impl ParallelFft {
             serial,
             fused,
         );
-        *courant_rate = f64::from_bits(peak.into_inner());
-        if split {
-            let plans = self.batch_plans(NL_PRODUCTS);
-            let region = telemetry::region("transpose_xz", Phase::Transpose);
-            plans.t_xz.run_with(&self.comm_a, zp, send, zp_prod);
-            region.close(&self.clock);
-        }
-
-        // --- forward leg: 5 product fields back to the y-pencil ---
-        {
-            let plans = self.batch_plans(NL_PRODUCTS);
-            out_z.resize(nyl * NL_PRODUCTS * sxl * cfg.nz, zero);
-            self.z_stage(&self.zfwd, zp_prod, out_z, serial);
-            let region = telemetry::region("transpose_zy", Phase::Transpose);
-            plans.t_zy.run_with(&self.comm_b, out_z, send, out);
-            region.close(&self.clock);
-        }
+        ws.courant_weights = (wx, inv_dy, wz);
+        ws.courant_rate = f64::from_bits(peak.into_inner());
+        self.forward_leg(NL_PRODUCTS, ws, out);
     }
 
     /// Batched inverse: transform `k` spectral fields to physical space
@@ -740,35 +754,23 @@ impl ParallelFft {
             assert_eq!(f.len(), self.y_pencil_len());
         }
         let _pfft = telemetry::span("pfft_inverse_batch", Phase::Other);
-        let (px, pz, ny) = (self.cfg.px(), self.cfg.pz(), self.cfg.ny);
-        let (sxl, nyl, zpl) = (self.kx_block.len, self.y_block.len, self.zphys_block.len);
-        let plans = self.batch_plans(k);
-        let mut serial = LineScratch::sized(k, px, self.fft_len());
-
-        // stack as [kz_loc][field][kx_loc][ny] so the Middle transpose
-        // sees rows = k * kx_loc
-        let stacked = self.stack(fields, sxl * ny);
-        let region = telemetry::region("transpose_yz", Phase::Transpose);
-        let zp_spec = plans.t_yz.run(&self.comm_b, &stacked);
-        region.close(&self.clock);
-
-        // [y_loc][field][kx_loc][nz] -> pad+inverse FFT in z
-        let mut zp = vec![C64::new(0.0, 0.0); nyl * k * sxl * pz];
-        self.z_stage(&self.zinv, &zp_spec, &mut zp, &mut serial);
-
-        // to the z-fastest x-pencil [y_loc][field][kx][z_loc]
-        let spec_x = self.hop_a("transpose_zx", &plans.t_zx, zp);
+        let (px, nyl, zpl) = (self.cfg.px(), self.y_block.len, self.zphys_block.len);
+        let mut ws = Workspace::new();
+        ws.serial.ensure(k, px, self.fft_len());
+        let stacked = self.stack(fields, self.kx_block.len * self.cfg.ny);
+        self.inverse_leg(k, &stacked, &mut ws);
 
         // pad + c2r in x, then unstack
+        let (spec, _, serial) = self.x_pencil(None, &mut ws);
         let mut phys = vec![0.0f64; nyl * k * zpl * px];
         self.x_stage(
             "fft_x_inv",
             k,
             k,
-            XIn::Spectra(&spec_x),
+            XIn::Spectra(spec),
             &mut phys,
             k * zpl * px,
-            &mut serial,
+            serial,
             |sc, _, z0, cnt, row: &mut [f64]| {
                 for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
                     let lines = &mut row[(f * zpl + z0) * px..][..cnt * px];
@@ -794,24 +796,24 @@ impl ParallelFft {
             assert_eq!(f.len(), self.x_pencil_len());
         }
         let _pfft = telemetry::span("pfft_forward_batch", Phase::Other);
-        let (px, sx, ny, nz) = (self.cfg.px(), self.cfg.sx(), self.cfg.ny, self.cfg.nz);
-        let (sxl, nyl, zpl) = (self.kx_block.len, self.y_block.len, self.zphys_block.len);
-        let plans = self.batch_plans(k);
-        let mut serial = LineScratch::sized(k, px, self.fft_len());
+        let (px, sx, zpl) = (self.cfg.px(), self.cfg.sx(), self.zphys_block.len);
+        let mut ws = Workspace::new();
+        ws.serial.ensure(k, px, self.fft_len());
 
         // r2c in x straight from the fields into the z-fastest x-pencil
         // [y_loc][field][kx][z_loc], truncated to the solution modes and
         // normalised by px
-        let mut spec_x = vec![C64::new(0.0, 0.0); nyl * k * sx * zpl];
+        let (_, spec_x, serial) = self.x_pencil(None, &mut ws);
+        spec_x.resize(self.y_block.len * k * sx * zpl, C64::new(0.0, 0.0));
         let (rfft, inv_px) = (&self.rfft_x, 1.0 / px as f64);
         self.x_stage(
             "fft_x_fwd",
             k,
             k,
             XIn::Fields(fields),
-            &mut spec_x,
+            spec_x,
             k * sx * zpl,
-            &mut serial,
+            serial,
             |sc, _, z0, cnt, row: &mut [C64]| {
                 for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
                     let d = interleaved(f * sx * zpl + z0, sx, zpl, cnt);
@@ -819,17 +821,9 @@ impl ParallelFft {
                 }
             },
         );
-        let zp = self.hop_a("transpose_xz", &plans.t_xz, spec_x);
-
-        // [y_loc][field][kx_loc][pz]: forward z-FFT + truncate + normalise
-        let mut out_z = vec![C64::new(0.0, 0.0); nyl * k * sxl * nz];
-        self.z_stage(&self.zfwd, &zp, &mut out_z, &mut serial);
-        let region = telemetry::region("transpose_zy", Phase::Transpose);
-        let yp = plans.t_zy.run(&self.comm_b, &out_z);
-        region.close(&self.clock);
-
-        // [kz_loc][field][kx_loc][ny] -> unstack
-        self.unstack(yp, k, sxl * ny)
+        let mut yp = Vec::new();
+        self.forward_leg(k, &mut ws, &mut yp);
+        self.unstack(yp, k, self.kx_block.len * self.cfg.ny)
     }
 
     /// Signed spanwise wavenumber of global kz index `g` (FFT ordering;
@@ -1349,7 +1343,8 @@ mod tests {
         }
         // the z-fastest x-pencil: coefficient kx of line (y, field, z) at
         // ((y * fields + field) * sx + kx) * zpl + z
-        let spec_x = p.hop_a("transpose_zx", &p.batch_plans(NL_FIELDS).t_zx, zp);
+        // (on one CommA rank the hop is a plain copy)
+        let spec_x = p.batch_plans(NL_FIELDS).t_zx.run(&p.comm_a, &zp);
         let at =
             |y: usize, f: usize, nf: usize, kx: usize, z: usize| ((y * nf + f) * sx + kx) * zpl + z;
 
@@ -1384,7 +1379,7 @@ mod tests {
             }
         }
 
-        let zp = p.hop_a("transpose_xz", &p.batch_plans(NL_PRODUCTS).t_xz, spec_px);
+        let zp = p.batch_plans(NL_PRODUCTS).t_xz.run(&p.comm_a, &spec_px);
         let mut out_z = vec![zero; zp.len() / pz * nz];
         let mut zline = vec![zero; pz];
         for (src, dst) in zp.chunks_exact(pz).zip(out_z.chunks_exact_mut(nz)) {

@@ -1,11 +1,12 @@
-//! Reusable buffers for the fused nonlinear pipeline.
+//! Reusable buffers for the pencil pipeline.
 //!
-//! The fused path ([`crate::ParallelFft::nonlinear_products`]) runs the
-//! same buffer shapes every call, so a steady-state RK3 substep must not
-//! touch the heap. All fields start empty and are sized on first use;
-//! from the second call on every `resize` is a no-op and the pipeline is
-//! allocation-free on a single rank (multi-rank exchanges still allocate
-//! inside the message layer).
+//! Every transform of [`crate::ParallelFft`] runs the same two legs on a
+//! [`Workspace`]. The fused path ([`crate::ParallelFft::nonlinear_products`])
+//! reuses the caller's, whose buffers start empty and are sized on first
+//! use, so from the second call on no `resize` allocates and a steady-state
+//! RK3 substep is allocation-free on a single rank (multi-rank exchanges
+//! still allocate inside the message layer). The batch transforms use a
+//! fresh one per call.
 
 use dns_fft::Lanes;
 
@@ -18,17 +19,17 @@ use crate::C64;
 /// (buffers only ever grow).
 #[derive(Default)]
 pub struct Workspace {
-    /// z-pencil spectral velocity lines (after the y->z transpose); across
-    /// CommA ranks also the x-pencil velocity spectra after the z->x hop.
+    /// z-pencil spectral lines (after the y->z transpose); across CommA
+    /// ranks also the x-pencil spectra after the z->x hop.
     pub(crate) zp_spec: Vec<C64>,
-    /// z-pencil padded velocity lines (physical z), which on one CommA rank
-    /// are the x-pencil spectra the fused x-stage reads; across CommA ranks
-    /// also the x-pencil product spectra before the x->z hop.
+    /// z-pencil padded lines (physical z), which on one CommA rank are the
+    /// x-pencil spectra the x-stage reads; across CommA ranks also the
+    /// x-pencil spectra the x-stage writes, before the x->z hop.
     pub(crate) zp: Vec<C64>,
-    /// z-pencil padded product lines, the forward z-stage's input: written
-    /// by the fused x-stage on one CommA rank, by the x->z hop across them.
+    /// z-pencil padded lines, the forward z-stage's input: written by the
+    /// x-stage on one CommA rank, by the x->z hop across them.
     pub(crate) zp_prod: Vec<C64>,
-    /// z-pencil truncated product lines (after the forward z FFT).
+    /// z-pencil truncated lines (after the forward z FFT).
     pub(crate) out_z: Vec<C64>,
     /// Transpose pack buffer (unused on a single rank).
     pub(crate) send: Vec<C64>,
@@ -77,7 +78,7 @@ impl LineScratch {
         }
     }
 
-    /// A fresh, fully sized scratch (threaded workers, unfused calls).
+    /// A fresh, fully sized scratch (threaded workers).
     pub fn sized(fields: usize, px: usize, fft_len: usize) -> LineScratch {
         let mut s = LineScratch::default();
         s.ensure(fields, px, fft_len);

@@ -128,7 +128,7 @@ impl Record {
             "submitted" => Record::Submitted {
                 id: id()?,
                 tenant: v.get("tenant")?.as_str()?.to_string(),
-                priority: v.get("priority")?.as_u64()? as u8,
+                priority: u8::try_from(v.get("priority")?.as_u64()?).ok()?,
                 cores: v.get("cores")?.as_u64()? as usize,
                 seq: v.get("seq")?.as_u64()?,
                 spec: RunSpec::from_json(&v.get("spec")?.dump()).ok()?,

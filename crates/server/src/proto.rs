@@ -97,14 +97,15 @@ impl Request {
                 let spec_v = v.get("spec").ok_or("submit: missing spec")?;
                 let spec =
                     RunSpec::from_json(&spec_v.dump()).map_err(|e| format!("submit: {e}"))?;
+                // an absent key takes the default; a present one must be valid
+                let tenant = v.get("tenant").map_or(Some("default"), Json::as_str);
+                let priority = v
+                    .get("priority")
+                    .map_or(Some(10), |p| u8::try_from(p.as_u64()?).ok());
                 Ok(Request::Submit {
                     spec,
-                    tenant: v
-                        .get("tenant")
-                        .and_then(Json::as_str)
-                        .unwrap_or("default")
-                        .to_string(),
-                    priority: v.get("priority").and_then(Json::as_u64).unwrap_or(10) as u8,
+                    tenant: tenant.ok_or("submit: tenant must be a string")?.to_string(),
+                    priority: priority.ok_or("submit: priority must be an integer in 0..=255")?,
                 })
             }
             Some("status") => Ok(Request::Status),
@@ -180,7 +181,7 @@ impl JobRow {
             id: v.get("id")?.as_u64()?,
             name: v.get("name")?.as_str()?.to_string(),
             tenant: v.get("tenant")?.as_str()?.to_string(),
-            priority: v.get("priority")?.as_u64()? as u8,
+            priority: u8::try_from(v.get("priority")?.as_u64()?).ok()?,
             cores: v.get("cores")?.as_u64()? as usize,
             state: v.get("state")?.as_str()?.to_string(),
             step: v.get("step")?.as_u64()?,
@@ -237,19 +238,30 @@ mod tests {
     use dns_core::run::InitialCondition;
     use dns_core::Params;
 
-    #[test]
-    fn requests_round_trip() {
-        let spec = RunSpec {
+    fn spec() -> RunSpec {
+        RunSpec {
             name: "rt".into(),
             params: Params::channel(16, 25, 16, 50.0).with_dt(1e-3),
             steps: 8,
             ckpt_every: 2,
             ic: InitialCondition::Laminar { scale: 1.0 },
-        };
+        }
+    }
+
+    /// A submit line for `spec()` with `extra` appended after the spec.
+    fn submit_line(extra: &str) -> String {
+        format!(
+            "{{\"cmd\":\"submit\",\"spec\":{}{extra}}}",
+            spec().to_json()
+        )
+    }
+
+    #[test]
+    fn requests_round_trip() {
         let reqs = [
             Request::Ping,
             Request::Submit {
-                spec,
+                spec: spec(),
                 tenant: "acme".into(),
                 priority: 7,
             },
@@ -275,6 +287,61 @@ mod tests {
         // protocol layer, before it ever reaches the scheduler
         let bad = "{\"cmd\":\"submit\",\"spec\":{\"kind\":\"run_spec\"}}";
         assert!(Request::from_line(bad).is_err());
+    }
+
+    #[test]
+    fn submit_refuses_a_present_but_invalid_priority_or_tenant() {
+        for (extra, error) in [
+            (",\"priority\":300", "priority"),
+            (",\"priority\":-1", "priority"),
+            (",\"priority\":2.5", "priority"),
+            (",\"priority\":\"high\"", "priority"),
+            (",\"priority\":null", "priority"),
+            (",\"tenant\":7", "tenant"),
+            (",\"tenant\":null", "tenant"),
+        ] {
+            let got = Request::from_line(&submit_line(extra));
+            assert!(
+                got.as_ref().is_err_and(|e| e.contains(error)),
+                "{extra}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn submit_keeps_the_defaults_for_absent_keys() {
+        let want = |tenant: &str, priority| Request::Submit {
+            spec: spec(),
+            tenant: tenant.into(),
+            priority,
+        };
+        let cases = [
+            ("", want("default", 10)),
+            (",\"priority\":255", want("default", 255)),
+            (",\"tenant\":\"ops\",\"priority\":0", want("ops", 0)),
+        ];
+        for (extra, want) in cases {
+            assert_eq!(Request::from_line(&submit_line(extra)), Ok(want), "{extra}");
+        }
+    }
+
+    #[test]
+    fn rows_refuse_a_priority_past_u8() {
+        let row = JobRow {
+            id: 4,
+            name: "n".into(),
+            tenant: "t".into(),
+            priority: 3,
+            cores: 2,
+            state: "running".into(),
+            step: 17,
+            steps: 40,
+        };
+        let line = row
+            .to_json()
+            .dump()
+            .replace("\"priority\":3", "\"priority\":259");
+        assert_eq!(JobRow::from_json(&dns_json::parse(&line).unwrap()), None);
     }
 
     #[test]
