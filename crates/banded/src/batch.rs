@@ -24,7 +24,7 @@
 //! The three block sweeps are one kernel family: per output row the
 //! [`LANES`] real and [`LANES`] imaginary lanes live in registers across
 //! the whole band and are stored once, each sweep written as one body
-//! compiled for the build target and for AVX (selected at run time). Per
+//! compiled for the build target and for AVX2 (`dns_fft::isa_fn!`). Per
 //! lane the arithmetic sequence is identical to the scalar kernels (same
 //! sweep order, multiply then add/subtract, never fused, same
 //! reciprocal-multiply division), so the shared-operator sweeps equal
@@ -80,63 +80,29 @@
 //! }
 //! ```
 
+use dns_fft::isa_fn;
+use dns_fft::lanes::{fan_out, Isa, LaneRow, LANES};
+
 use crate::corner::{CornerBanded, CornerLu};
 use crate::laneband::LaneBand;
 use crate::{LinalgError, C64};
 
-/// Number of right-hand sides per panel block: one cache line of `f64`s,
-/// and the natural vector width for the lane-wise inner loops (AVX-512
-/// fills one register, AVX2/NEON unroll by two/four with no remainder).
-pub const LANES: usize = 8;
-
-/// One row of a lane block: element `j` of [`LANES`] complex columns,
-/// real parts then imaginary parts, two cache lines.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[repr(C, align(64))]
-pub struct LaneRow {
-    /// Real parts, one per lane.
-    pub re: [f64; LANES],
-    /// Imaginary parts, one per lane.
-    pub im: [f64; LANES],
+/// `acc -= f * x` with one real factor per lane: multiply, then subtract
+/// (never fused), the scalar kernels' rounding.
+#[inline(always)]
+pub(crate) fn sub_mul(acc: &mut LaneRow, f: &[f64; LANES], x: &LaneRow) {
+    for l in 0..LANES {
+        acc.re[l] -= f[l] * x.re[l];
+        acc.im[l] -= f[l] * x.im[l];
+    }
 }
 
-impl LaneRow {
-    /// All lanes zero.
-    pub const ZERO: LaneRow = LaneRow {
-        re: [0.0; LANES],
-        im: [0.0; LANES],
-    };
-
-    /// Lane `l` as a complex number.
-    #[inline(always)]
-    pub fn get(&self, l: usize) -> C64 {
-        C64::new(self.re[l], self.im[l])
-    }
-
-    /// Store `v` in lane `l`.
-    #[inline(always)]
-    pub fn set(&mut self, l: usize, v: C64) {
-        self.re[l] = v.re;
-        self.im[l] = v.im;
-    }
-
-    /// `self -= f * x` with one real factor per lane: multiply, then
-    /// subtract (never fused), the scalar kernels' rounding.
-    #[inline(always)]
-    fn sub_mul(&mut self, f: &[f64; LANES], x: &LaneRow) {
-        for l in 0..LANES {
-            self.re[l] -= f[l] * x.re[l];
-            self.im[l] -= f[l] * x.im[l];
-        }
-    }
-
-    /// `self *= f`, lane by lane.
-    #[inline(always)]
-    fn scale(&mut self, f: &[f64; LANES]) {
-        for l in 0..LANES {
-            self.re[l] *= f[l];
-            self.im[l] *= f[l];
-        }
+/// `acc *= f`, lane by lane.
+#[inline(always)]
+fn scale(acc: &mut LaneRow, f: &[f64; LANES]) {
+    for l in 0..LANES {
+        acc.re[l] *= f[l];
+        acc.im[l] *= f[l];
     }
 }
 
@@ -276,30 +242,6 @@ pub fn scatter_lanes(
     }
 }
 
-/// Define `$name(args..)` as the runtime-selected instantiation of the
-/// `#[inline(always)]` block sweep `$body`: the same body compiled once
-/// for the build target and once with AVX enabled. FMA is deliberately
-/// not enabled (and Rust never contracts `a * b + c` on its own), so both
-/// instantiations round identically, and identically to the scalar
-/// kernels whose operations they repeat lane by lane.
-macro_rules! isa_fn {
-    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) = $body:path) => {
-        $(#[$doc])*
-        fn $name($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx") {
-                #[target_feature(enable = "avx")]
-                unsafe fn wide($($arg: $ty),*) {
-                    $body($($arg),*)
-                }
-                // SAFETY: AVX support was just detected on this CPU.
-                return unsafe { wide($($arg),*) };
-            }
-            $body($($arg),*)
-        }
-    };
-}
-
 /// `width` corner-banded LU factorisations packed lane-wise for
 /// multi-RHS sweeps.
 ///
@@ -342,6 +284,8 @@ pub struct BatchedFactor {
     udata: Vec<[f64; LANES]>,
     /// Packed reciprocal diagonals, `blocks * n` slots.
     idata: Vec<[f64; LANES]>,
+    /// Instruction set of the sweeps, detected once here.
+    isa: Isa,
 }
 
 /// One block's three factor streams.
@@ -377,7 +321,7 @@ fn solve_lanes_body(f: FactorBlock<'_>, rhs: &mut [LaneRow]) {
         l = rest;
         let mut a = rhs[i];
         for (fk, xk) in fs.iter().zip(&rhs[ci..i]) {
-            a.sub_mul(fk, xk);
+            sub_mul(&mut a, fk, xk);
         }
         rhs[i] = a;
     }
@@ -391,15 +335,15 @@ fn solve_lanes_body(f: FactorBlock<'_>, rhs: &mut [LaneRow]) {
         u = rest;
         let mut a = rhs[i];
         for (fj, xj) in fs.iter().zip(&rhs[i + 1..=jend]) {
-            a.sub_mul(fj, xj);
+            sub_mul(&mut a, fj, xj);
         }
-        a.scale(&f.inv[i]);
+        scale(&mut a, &f.inv[i]);
         rhs[i] = a;
     }
 }
 
 isa_fn! {
-    /// [`solve_lanes_body`] under the widest instruction set of this CPU.
+    /// [`solve_lanes_body`] under `isa`.
     fn solve_lanes(f: FactorBlock<'_>, rhs: &mut [LaneRow]) = solve_lanes_body
 }
 
@@ -429,6 +373,7 @@ impl BatchedFactor {
             ldata: vec![[0.0; LANES]; blocks * lstride],
             udata: vec![[0.0; LANES]; blocks * ustride],
             idata: vec![[1.0; LANES]; blocks * n],
+            isa: Isa::detect(),
         }
     }
 
@@ -499,19 +444,14 @@ impl BatchedFactor {
     /// If the panel shape does not match (`p.n() != n` or
     /// `p.width() != width`).
     pub fn solve_panel(&self, p: &mut RhsPanel) {
-        self.check_panel(p);
-        self.count_solves(self.width, 1);
-        // (`max`: the empty batch has no rows to chunk by)
-        for (blk, rhs) in p.rows_mut().chunks_exact_mut(self.n.max(1)).enumerate() {
-            self.solve_block(blk, rhs);
-        }
+        self.solve_panel_threaded(p, 1);
     }
 
     /// [`solve_panel`](Self::solve_panel) on the `n` rows of block `blk`,
     /// uncounted: a caller that walks blocks itself reports each stage
     /// once through [`count_solves`](Self::count_solves).
     pub fn solve_block(&self, blk: usize, rhs: &mut [LaneRow]) {
-        solve_lanes(self.block(blk), rhs);
+        solve_lanes(self.isa, self.block(blk), rhs);
     }
 
     /// Telemetry of `stages` stages of `width` solves each (the panel's
@@ -525,29 +465,23 @@ impl BatchedFactor {
         (self.ldata.len() + self.udata.len() + self.idata.len()) * size_of::<[f64; LANES]>()
     }
 
-    /// [`BatchedFactor::solve_panel`] with the blocks fanned out over a
-    /// rayon pool. Falls back to the serial sweep for `None`.
-    pub fn solve_panel_threaded(&self, p: &mut RhsPanel, pool: Option<&rayon::ThreadPool>) {
-        let Some(pool) = pool else {
-            return self.solve_panel(p);
-        };
-        self.check_panel(p);
-        self.count_solves(self.width, 1);
-        pool.install(|| {
-            use rayon::prelude::*;
-            p.rows_mut()
-                .par_chunks_exact_mut(self.n.max(1))
-                .enumerate()
-                .for_each(|(blk, rhs)| self.solve_block(blk, rhs));
-        });
-    }
-
-    fn check_panel(&self, p: &RhsPanel) {
+    /// [`BatchedFactor::solve_panel`] with the blocks fanned out over
+    /// `threads` workers ([`fan_out`]; one thread is the serial sweep).
+    pub fn solve_panel_threaded(&self, p: &mut RhsPanel, threads: usize) {
         assert_eq!(p.width(), self.width, "panel width must match the batch");
         // the empty batch fits a zero-width panel of any height
         assert!(
             self.width == 0 || p.n() == self.n,
             "panel rows must match the operators"
+        );
+        self.count_solves(self.width, 1);
+        // (`max`: the empty batch has no rows to chunk by)
+        fan_out(
+            threads,
+            p.rows_mut(),
+            self.n.max(1),
+            || (),
+            |(), blk, rhs| self.solve_block(blk, rhs),
         );
     }
 
@@ -602,7 +536,7 @@ fn solve_shared_body(m: &CornerBanded, rhs: &mut [LaneRow]) {
         let fs = &d[i * w..][k0 - ci..i - ci];
         let mut a = rhs[i];
         for (&f, xk) in fs.iter().zip(&rhs[k0..i]) {
-            a.sub_mul(&[f; LANES], xk);
+            sub_mul(&mut a, &[f; LANES], xk);
         }
         rhs[i] = a;
     }
@@ -612,15 +546,15 @@ fn solve_shared_body(m: &CornerBanded, rhs: &mut [LaneRow]) {
         let row = &d[i * w..][..w];
         let mut a = rhs[i];
         for (&f, xj) in row[i - ci + 1..].iter().zip(&rhs[i + 1..=jend]) {
-            a.sub_mul(&[f; LANES], xj);
+            sub_mul(&mut a, &[f; LANES], xj);
         }
-        a.scale(&[1.0 / row[i - ci]; LANES]);
+        scale(&mut a, &[1.0 / row[i - ci]; LANES]);
         rhs[i] = a;
     }
 }
 
 isa_fn! {
-    /// [`solve_shared_body`] under the widest instruction set of this CPU.
+    /// [`solve_shared_body`] under `isa`.
     fn solve_shared(m: &CornerBanded, rhs: &mut [LaneRow]) = solve_shared_body
 }
 
@@ -651,7 +585,7 @@ fn matvec_shared_body(m: &CornerBanded, x: &[LaneRow], y: &mut [LaneRow]) {
 }
 
 isa_fn! {
-    /// [`matvec_shared_body`] under the widest instruction set of this CPU.
+    /// [`matvec_shared_body`] under `isa`.
     fn matvec_shared(m: &CornerBanded, x: &[LaneRow], y: &mut [LaneRow]) = matvec_shared_body
 }
 
@@ -672,7 +606,7 @@ impl CornerLu {
     /// uncounted: a caller that walks blocks itself reports each stage
     /// once through [`count_solves`](Self::count_solves).
     pub fn solve_block(&self, rhs: &mut [LaneRow]) {
-        solve_shared(self.factors(), rhs);
+        solve_shared(self.factors().isa, self.factors(), rhs);
     }
 
     /// Telemetry of `stages` stages of `width` shared-operator solves.
@@ -696,7 +630,7 @@ impl CornerBanded {
 
     /// [`matvec_panel`](Self::matvec_panel) on the `n` rows of one block.
     pub fn matvec_block(&self, x: &[LaneRow], y: &mut [LaneRow]) {
-        matvec_shared(self, x, y);
+        matvec_shared(self.isa, self, x, y);
     }
 }
 
@@ -784,7 +718,7 @@ pub(crate) mod tests {
         // a zero-width panel of any height fits it
         let mut p = RhsPanel::new(9, 0);
         batch.solve_panel(&mut p);
-        batch.solve_panel_threaded(&mut p, None);
+        batch.solve_panel_threaded(&mut p, 1);
         assert_eq!(BatchedFactor::zeros(9, 1, 1, 0).bytes(), 0);
     }
 
@@ -841,11 +775,7 @@ pub(crate) mod tests {
         }
         let mut threaded = serial.clone();
         batch.solve_panel(&mut serial);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .unwrap();
-        batch.solve_panel_threaded(&mut threaded, Some(&pool));
+        batch.solve_panel_threaded(&mut threaded, 3);
         for r in 0..width {
             for (a, b) in serial.col_to_vec(r).iter().zip(threaded.col_to_vec(r)) {
                 assert_eq!(*a, b, "threaded sweep must be bitwise identical");
@@ -922,8 +852,14 @@ pub(crate) mod tests {
         });
     }
 
+    /// The bits of every lane of a panel.
+    fn bits(p: &RhsPanel) -> Vec<u64> {
+        let parts = p.data.iter().flat_map(|r| r.re.0.iter().chain(&r.im.0));
+        parts.map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn per_lane_bodies_agree_across_instruction_sets() {
+    fn dispatched_sweeps_agree_across_instruction_sets() {
         let base = CollocationLike {
             n: 64,
             p: 7,
@@ -932,13 +868,24 @@ pub(crate) mod tests {
         };
         let width = 2 * LANES + 3;
         let batch = BatchedFactor::factor(shifted_ops(&base, width)).unwrap();
-        let (mut panel, _) = panel_of(base.n, width);
-        let mut plain = panel.clone();
-        for (blk, rhs) in plain.rows_mut().chunks_exact_mut(base.n).enumerate() {
-            solve_lanes_body(batch.block(blk), rhs);
-        }
-        batch.solve_panel(&mut panel);
-        assert_eq!(plain.data, panel.data);
+        let a = base.corner();
+        let lu = CornerLu::factor(a.clone()).unwrap();
+        let (x, _) = panel_of(base.n, width);
+        let run = |isa: Isa| {
+            let (mut per_lane, mut shared) = (x.clone(), x.clone());
+            let mut y = RhsPanel::new(base.n, width);
+            for b in 0..x.blocks() {
+                solve_lanes(isa, batch.block(b), per_lane.block_mut(b));
+                solve_shared(isa, lu.factors(), shared.block_mut(b));
+                matvec_shared(isa, &a, x.block(b), y.block_mut(b));
+            }
+            [per_lane, shared, y].map(|p| bits(&p))
+        };
+        let [per_lane, shared, matvec] = run(Isa::BASELINE);
+        let [want_per_lane, want_shared, want_matvec] = run(Isa::detect());
+        assert_eq!(per_lane, want_per_lane, "per-lane-factor solve");
+        assert_eq!(shared, want_shared, "shared-operator solve");
+        assert_eq!(matvec, want_matvec, "shared-operator matvec");
     }
 
     #[test]

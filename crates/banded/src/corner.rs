@@ -22,6 +22,8 @@
 //! windows (the corner windows absorb it), which is the structural
 //! insight behind the format.
 
+use dns_fft::lanes::Isa;
+
 use crate::{LinalgError, C64};
 
 /// Real matrix in corner-folded band storage.
@@ -33,6 +35,8 @@ pub struct CornerBanded {
     nc_top: usize,
     nc_bot: usize,
     data: Vec<f64>,
+    /// Instruction set of the panel sweeps, detected once here.
+    pub(crate) isa: Isa,
 }
 
 impl CornerBanded {
@@ -55,6 +59,7 @@ impl CornerBanded {
             nc_top,
             nc_bot,
             data: vec![0.0; n * w],
+            isa: Isa::detect(),
         }
     }
 

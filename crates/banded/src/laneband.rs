@@ -6,7 +6,10 @@
 //! [`CornerLu::solve`](crate::CornerLu::solve)) operation for operation,
 //! so nothing downstream can tell which route built its factors.
 
-use crate::batch::{LaneRow, LANES};
+use dns_fft::isa_fn;
+use dns_fft::lanes::{Isa, LaneRow, LANES};
+
+use crate::batch::sub_mul;
 use crate::corner::{CornerBanded, TINY};
 use crate::LinalgError;
 
@@ -21,6 +24,8 @@ pub struct LaneBand {
     /// Bottom corner rows: the widest any lane declares.
     nc_bot: usize,
     data: Vec<[f64; LANES]>,
+    /// Instruction set of the elimination and the solve.
+    isa: Isa,
 }
 
 impl LaneBand {
@@ -37,6 +42,7 @@ impl LaneBand {
             ku,
             nc_bot: 0,
             data: vec![[0.0; LANES]; n * w],
+            isa: Isa::detect(),
         }
     }
 
@@ -123,7 +129,7 @@ impl LaneBand {
     /// the step the scalar kernel would (the lowest lane's, if several).
     pub fn factor(&mut self) -> Result<(), LinalgError> {
         let mut bad = [usize::MAX; LANES];
-        factor_lanes(self, &mut bad);
+        factor_lanes(self.isa, self, &mut bad);
         match bad.iter().find(|&&k| k != usize::MAX) {
             Some(&k) => Err(LinalgError::SingularAt(k)),
             None => Ok(()),
@@ -141,7 +147,7 @@ impl LaneBand {
     /// If `rhs` is not `n` rows long.
     pub fn solve(&self, rhs: &mut [LaneRow]) {
         assert_eq!(rhs.len(), self.n, "block rows must match the operators");
-        solve_lanes(self, rhs);
+        solve_lanes(self.isa, self, rhs);
     }
 }
 
@@ -232,11 +238,7 @@ fn solve_lanes_body(f: &LaneBand, rhs: &mut [LaneRow]) {
         let (ci, row) = (f.col_start(i), f.row(i));
         let mut a = rhs[i];
         for j in i + 1..=(ci + w - 1).min(n - 1) {
-            let (u, x) = (&row[j - ci], &rhs[j]);
-            for l in 0..LANES {
-                a.re[l] -= u[l] * x.re[l];
-                a.im[l] -= u[l] * x.im[l];
-            }
+            sub_mul(&mut a, &row[j - ci], &rhs[j]);
         }
         for l in 0..LANES {
             a.re[l] /= row[i - ci][l];
@@ -247,12 +249,12 @@ fn solve_lanes_body(f: &LaneBand, rhs: &mut [LaneRow]) {
 }
 
 isa_fn! {
-    /// [`factor_lanes_body`] under the widest instruction set of this CPU.
+    /// [`factor_lanes_body`] under `isa`.
     fn factor_lanes(f: &mut LaneBand, bad: &mut [usize; LANES]) = factor_lanes_body
 }
 
 isa_fn! {
-    /// [`solve_lanes_body`] under the widest instruction set of this CPU.
+    /// [`solve_lanes_body`] under `isa`.
     fn solve_lanes(f: &LaneBand, rhs: &mut [LaneRow]) = solve_lanes_body
 }
 
@@ -350,8 +352,9 @@ mod tests {
                         })
                         .collect();
                     let want = crate::batch::tests::pack(&lus.iter().collect::<Vec<_>>());
-                    let plain = lane_route(&fam, &a, -0.3, factor_lanes_body);
-                    let wide = lane_route(&fam, &a, -0.3, factor_lanes);
+                    let under =
+                        |isa| lane_route(&fam, &a, -0.3, |f, bad| factor_lanes(isa, f, bad));
+                    let (plain, wide) = (under(Isa::BASELINE), under(Isa::detect()));
                     assert!(want.same_streams(&plain), "p={p} nc={nc} width={width}");
                     assert!(
                         want.same_streams(&wide),
@@ -423,7 +426,7 @@ mod tests {
                     panel.load_col(l, &col(l));
                 }
                 let mut plain = panel.clone();
-                solve_lanes_body(&band, plain.block_mut(0));
+                solve_lanes(Isa::BASELINE, &band, plain.block_mut(0));
                 band.solve(panel.block_mut(0));
                 for l in 0..LANES {
                     let lu = CornerLu::factor(scalar_operator(&b0, &b2, a[l], 0.2, &walls));
@@ -444,7 +447,7 @@ mod tests {
                             want,
                             "lane {l} row {j}"
                         );
-                        assert_eq!((alt.re.to_bits(), alt.im.to_bits()), want, "plain body");
+                        assert_eq!((alt.re.to_bits(), alt.im.to_bits()), want, "baseline");
                     }
                 }
             }

@@ -48,7 +48,6 @@
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::type_complexity)]
 
-#[macro_use]
 pub mod batch;
 pub mod corner;
 pub mod dense;
@@ -57,9 +56,10 @@ pub mod laneband;
 pub mod scalar;
 pub mod testmat;
 
-pub use batch::{gather_lanes, scatter_lanes, BatchedFactor, LaneRow, RhsPanel, LANES};
+pub use batch::{gather_lanes, scatter_lanes, BatchedFactor, RhsPanel};
 pub use corner::{CornerBanded, CornerLu};
 pub use dense::DenseLu;
+pub use dns_fft::lanes::{LaneRow, LANES};
 pub use general::{BandedLu, BandedMatrix};
 pub use laneband::LaneBand;
 

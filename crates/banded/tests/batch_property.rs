@@ -89,7 +89,7 @@ proptest! {
         }
         let mut threaded = panel.clone();
         batch.solve_panel(&mut panel);
-        batch.solve_panel_threaded(&mut threaded, Some(&pool()));
+        batch.solve_panel_threaded(&mut threaded, 2);
 
         for (m, col) in rhs.iter().enumerate() {
             let mut x = col.clone();
@@ -212,11 +212,4 @@ proptest! {
             prop_assert_eq!(divided.col_to_vec(m), want);
         }
     }
-}
-
-fn pool() -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("build thread pool")
 }

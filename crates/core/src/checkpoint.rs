@@ -182,16 +182,24 @@ pub struct RankCkpt {
     pub bytes: u64,
 }
 
+/// `stem` with `suffix` appended to its whole file name, so a dot in the
+/// stem (`run.a`, `run.b`) never reads as an extension to replace.
+fn suffixed(stem: &Path, suffix: &str) -> PathBuf {
+    let mut name = stem.as_os_str().to_owned();
+    name.push(suffix);
+    name.into()
+}
+
 fn gen_rank_path(stem: &Path, step: u64, a: usize, b: usize) -> PathBuf {
-    stem.with_extension(format!("s{step}.r{a}x{b}.ckpt"))
+    suffixed(stem, &format!(".s{step}.r{a}x{b}.ckpt"))
 }
 
 fn manifest_path(stem: &Path, step: u64) -> PathBuf {
-    stem.with_extension(format!("s{step}.manifest"))
+    suffixed(stem, &format!(".s{step}.manifest"))
 }
 
 fn latest_path(stem: &Path) -> PathBuf {
-    stem.with_extension("latest")
+    suffixed(stem, ".latest")
 }
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
@@ -494,7 +502,7 @@ fn write_manifest(
 /// newest. Failures are ignored: pruning is hygiene, not correctness.
 fn prune_generations(stem: &Path, current_step: u64) {
     let Some(dir) = stem.parent() else { return };
-    let Some(base) = stem.file_stem().and_then(|s| s.to_str()) else {
+    let Some(base) = stem.file_name().and_then(|s| s.to_str()) else {
         return;
     };
     let Ok(listing) = std::fs::read_dir(dir) else {
@@ -918,6 +926,29 @@ mod tests {
             dns.state().steps
         });
         assert!(steps.iter().all(|&s| s == 3));
+    }
+
+    #[test]
+    fn stems_with_a_dot_keep_their_own_generations() {
+        let dir = test_dir("dns_ckpt_dotted");
+        let p = Params::channel(16, 25, 16, 80.0).with_dt(1e-3);
+        // run.a commits steps 1-3, then run.b steps 1-4 (pruning its own)
+        for (name, steps) in [("run.a", 3), ("run.b", 4)] {
+            let stem = dir.join(name);
+            crate::solver::run_serial(p.clone(), move |dns| {
+                dns.set_laminar(0.5);
+                for _ in 0..steps {
+                    dns.step();
+                    save_with_manifest(dns, &stem).unwrap();
+                }
+            });
+        }
+        for (name, steps) in [("run.a", 3), ("run.b", 4)] {
+            let stem = dir.join(name);
+            let restored =
+                crate::solver::run_serial(p.clone(), move |dns| load_latest(dns, &stem).unwrap());
+            assert_eq!(restored, steps, "{name}");
+        }
     }
 
     #[test]

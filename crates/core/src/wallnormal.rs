@@ -285,8 +285,8 @@ impl BatchNormalSolver {
                 // imaginary, then their induced v columns
                 let c_phi = &mut g.c_phi[fb * n..][..n];
                 let c_v = &mut g.c_v[fb * n..][..n];
-                c_phi[0].re = [1.0; LANES];
-                c_phi[n - 1].im = [1.0; LANES];
+                c_phi[0].re.0 = [1.0; LANES];
+                c_phi[n - 1].im.0 = [1.0; LANES];
                 hband.solve(c_phi);
                 b0.matvec_block(c_phi, c_v);
                 c_v[0] = LaneRow::ZERO;

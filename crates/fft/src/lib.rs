@@ -17,8 +17,8 @@
 //!   no bit-reversal pass. Other lengths fall back to Bluestein's chirp-z
 //!   algorithm, so every length is supported.
 //! * Each radix butterfly is stated once, generic over the value type.
-//!   `f64` gives the single-line transform; [`Lanes`] gives the same
-//!   butterfly on [`LANES`] lines at once, with the lane index innermost,
+//!   `C64` gives the single-line transform; [`lanes::LaneRow`] gives the
+//!   same butterfly on [`LANES`] lines at once, with the lane index innermost,
 //!   which is what the compiler vectorises (a single short line has
 //!   nothing to vectorise at Stockham stride 1). The multi-line entries —
 //!   [`CfftPlan::execute_many`], [`CfftPlan::execute_dealiased`],
@@ -28,6 +28,9 @@
 //!   instantiation of the same code where the CPU has it (no FMA). Every
 //!   lane performs the single-line operations in the single-line order, so
 //!   blocked and per-line results are bitwise equal.
+//! * [`lanes`] is the stack's on-node kernel substrate: the lane row, the
+//!   ISA switch ([`lanes::Isa`], [`isa_fn!`]) `dns-banded` runs under too,
+//!   and [`lanes::fan_out`], the one thread fan-out.
 //! * The real transform packs `n` reals into an `n/2` complex transform
 //!   (`n` even), the classic halving trick. Per the paper (section 4.4),
 //!   the Nyquist coefficient can be elided: turbulence codes zero it
@@ -61,13 +64,13 @@
 mod bluestein;
 pub mod dealias;
 pub mod dft;
-mod lanes;
+pub mod lanes;
 mod plan;
 mod radix;
 mod real;
 
 pub use lanes::{Lanes, LANES};
-pub use plan::{CfftPlan, Direction, PlanCache};
+pub use plan::{CfftPlan, Direction};
 pub use real::{RealLayout, RfftPlan};
 
 /// Complex double-precision scalar used throughout the DNS stack.

@@ -1,12 +1,8 @@
 //! Complex FFT plans: factorisation, twiddle precomputation, execution.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use crate::bluestein::Bluestein;
-use crate::lanes::{
-    gather, isa_fn, lane_blocks, scatter, Isa, LaneC, Lanes, LANES, SCRATCH_SLACK, ZERO,
-};
+use crate::isa_fn;
+use crate::lanes::{gather, lane_blocks, scatter, Isa, LaneRow, LANES, SCRATCH_SLACK};
 use crate::radix::{factorize, stockham, Stage};
 use crate::C64;
 
@@ -52,7 +48,7 @@ pub struct CfftPlan {
 
 isa_fn! {
     /// [`stockham`] on lane blocks under the plan's instruction set.
-    fn stockham_lanes(stages: &[Stage], first: &mut [LaneC], second: &mut [LaneC]) = stockham::<Lanes>
+    fn stockham_lanes(stages: &[Stage], first: &mut [LaneRow], second: &mut [LaneRow]) = stockham::<LaneRow>
 }
 
 impl CfftPlan {
@@ -189,7 +185,7 @@ impl CfftPlan {
         &self,
         scratch: &'a mut [C64],
         len: usize,
-    ) -> (&'a mut [LaneC], &'a mut [LaneC], &'a mut [C64]) {
+    ) -> (&'a mut [LaneRow], &'a mut [LaneRow], &'a mut [C64]) {
         let (blocks, rest) = lane_blocks(scratch, 2 * len);
         let (a, b) = blocks.split_at_mut(len);
         (a, b, rest)
@@ -202,10 +198,10 @@ impl CfftPlan {
     /// transform in `rest` — the same operations, so the same bits.
     pub(crate) fn transform_block<'a>(
         &self,
-        a: &'a mut [LaneC],
-        b: &'a mut [LaneC],
+        a: &'a mut [LaneRow],
+        b: &'a mut [LaneRow],
         rest: &mut [C64],
-    ) -> (&'a [LaneC], &'a mut [LaneC]) {
+    ) -> (&'a [LaneRow], &'a mut [LaneRow]) {
         let n = self.n;
         match &self.alg {
             Algorithm::Identity => (&a[..n], b),
@@ -221,11 +217,11 @@ impl CfftPlan {
                 let (line, inner) = rest.split_at_mut(n);
                 for l in 0..LANES {
                     for (v, x) in line.iter_mut().zip(a.iter()) {
-                        *v = C64::new(x.re.0[l], x.im.0[l]);
+                        *v = x.get(l);
                     }
                     self.execute_inner(line, inner);
                     for (v, x) in line.iter().zip(a.iter_mut()) {
-                        (x.re.0[l], x.im.0[l]) = (v.re, v.im);
+                        x.set(l, *v);
                     }
                 }
                 (&a[..n], b)
@@ -280,7 +276,7 @@ impl CfftPlan {
         {
             if pad {
                 // pad_full: zeros between the two halves, source Nyquist dropped
-                a[half..=n - half].fill(ZERO);
+                a[half..=n - half].fill(LaneRow::ZERO);
                 for j in kept() {
                     a[wide(j)] = gather(s, modes, j);
                 }
@@ -296,41 +292,12 @@ impl CfftPlan {
                 }
             } else {
                 // truncate_full: the destination Nyquist slot is zero
-                scatter(ZERO, 1.0, d, modes, half);
+                scatter(LaneRow::ZERO, 1.0, d, modes, half);
                 for j in kept() {
                     scatter(out[wide(j)], scale, d, modes, j);
                 }
             }
         }
-    }
-}
-
-/// A cache of complex plans keyed by `(n, direction)`, the analogue of
-/// FFTW's plan reuse. Cloning the cache shares the underlying plans.
-#[derive(Default, Clone)]
-pub struct PlanCache {
-    plans: Arc<parking_lot_free::Mutex<HashMap<(usize, Direction), Arc<CfftPlan>>>>,
-}
-
-/// Minimal internal mutex shim so this crate keeps zero non-numeric
-/// dependencies; `std::sync::Mutex` is fine for a create-once cache.
-mod parking_lot_free {
-    pub use std::sync::Mutex;
-}
-
-impl PlanCache {
-    /// Create an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fetch (or create and memoise) the plan for `(n, direction)`.
-    pub fn plan(&self, n: usize, direction: Direction) -> Arc<CfftPlan> {
-        let mut guard = self.plans.lock().expect("plan cache poisoned");
-        guard
-            .entry((n, direction))
-            .or_insert_with(|| Arc::new(CfftPlan::new(n, direction)))
-            .clone()
     }
 }
 
@@ -566,15 +533,5 @@ mod tests {
                 assert_eq!(bits(&a), bits(&b), "n={n} {dir:?}");
             }
         }
-    }
-
-    #[test]
-    fn plan_cache_reuses_plans() {
-        let cache = PlanCache::new();
-        let a = cache.plan(64, Direction::Forward);
-        let b = cache.plan(64, Direction::Forward);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = cache.plan(64, Direction::Inverse);
-        assert!(!Arc::ptr_eq(&a, &c));
     }
 }

@@ -11,43 +11,41 @@
 //! ```
 //!
 //! The twiddles `w^(k*p)` are precomputed per stage (`tw[p*r + k]`). Each
-//! radix is stated once, generic over the [`Lane`] value type: `f64` gives
-//! the single-line transform, [`crate::Lanes`] the same butterfly on
-//! [`crate::LANES`] lines at once. The complex arithmetic is spelled out
+//! radix is stated once, generic over the [`Cx`] value type: `C64` gives
+//! the single-line transform, [`crate::lanes::LaneRow`] the same butterfly
+//! on [`crate::LANES`] lines at once. The complex arithmetic is spelled out
 //! on the parts so both instantiations perform the same real operations
 //! in the same order.
 
-use num_complex::Complex;
-
-use crate::lanes::Lane;
+use crate::lanes::Cx;
 use crate::C64;
 
 #[inline(always)]
-pub(crate) fn add<V: Lane>(a: Complex<V>, b: Complex<V>) -> Complex<V> {
-    Complex::new(a.re + b.re, a.im + b.im)
+pub(crate) fn add<C: Cx>(a: C, b: C) -> C {
+    C::new(a.re() + b.re(), a.im() + b.im())
 }
 
 #[inline(always)]
-pub(crate) fn sub<V: Lane>(a: Complex<V>, b: Complex<V>) -> Complex<V> {
-    Complex::new(a.re - b.re, a.im - b.im)
+pub(crate) fn sub<C: Cx>(a: C, b: C) -> C {
+    C::new(a.re() - b.re(), a.im() - b.im())
 }
 
 /// `a * s` for a real scalar `s`.
 #[inline(always)]
-pub(crate) fn scale<V: Lane>(a: Complex<V>, s: f64) -> Complex<V> {
-    Complex::new(a.re * s, a.im * s)
+pub(crate) fn scale<C: Cx>(a: C, s: f64) -> C {
+    C::new(a.re() * s, a.im() * s)
 }
 
 /// `a * w` for a complex scalar `w` shared by all lanes.
 #[inline(always)]
-pub(crate) fn mulw<V: Lane>(a: Complex<V>, w: C64) -> Complex<V> {
-    Complex::new(a.re * w.re - a.im * w.im, a.re * w.im + a.im * w.re)
+pub(crate) fn mulw<C: Cx>(a: C, w: C64) -> C {
+    C::new(a.re() * w.re - a.im() * w.im, a.re() * w.im + a.im() * w.re)
 }
 
 /// `i * s * a` for a real scalar `s`.
 #[inline(always)]
-fn rot90<V: Lane>(a: Complex<V>, s: f64) -> Complex<V> {
-    Complex::new(a.im * -s, a.re * s)
+fn rot90<C: Cx>(a: C, s: f64) -> C {
+    C::new(a.im() * -s, a.re() * s)
 }
 
 /// One Stockham stage: radix, sub-transform count, and twiddle table.
@@ -93,7 +91,7 @@ impl Stage {
     /// Apply this stage, reading `x` and writing `y` (both of length
     /// `s * radix * m`).
     #[inline(always)]
-    pub fn apply<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
+    pub fn apply<C: Cx>(&self, s: usize, x: &[C], y: &mut [C]) {
         match self.radix {
             2 => self.apply_r2(s, x, y),
             3 => self.apply_r3(s, x, y),
@@ -104,7 +102,7 @@ impl Stage {
     }
 
     #[inline(always)]
-    fn apply_r2<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
+    fn apply_r2<C: Cx>(&self, s: usize, x: &[C], y: &mut [C]) {
         let m = self.m;
         for p in 0..m {
             let w = self.tw[p * 2 + 1];
@@ -121,7 +119,7 @@ impl Stage {
     }
 
     #[inline(always)]
-    fn apply_r3<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
+    fn apply_r3<C: Cx>(&self, s: usize, x: &[C], y: &mut [C]) {
         let m = self.m;
         // omega[1] = (-1/2, sign*-sqrt(3)/2); write the radix-3 DFT in the
         // standard two-constant form.
@@ -144,7 +142,7 @@ impl Stage {
     }
 
     #[inline(always)]
-    fn apply_r4<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
+    fn apply_r4<C: Cx>(&self, s: usize, x: &[C], y: &mut [C]) {
         let m = self.m;
         // sign = -1 forward: multiply by -i is (im, -re); encode via
         // omega[1] = (0, sign).
@@ -171,7 +169,7 @@ impl Stage {
     }
 
     #[inline(always)]
-    fn apply_r5<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
+    fn apply_r5<C: Cx>(&self, s: usize, x: &[C], y: &mut [C]) {
         let m = self.m;
         let w5 = &self.omega;
         for p in 0..m {
@@ -196,10 +194,10 @@ impl Stage {
     /// Generic O(r^2) butterfly for odd prime radices up to
     /// [`MAX_DIRECT_PRIME`].
     #[inline(always)]
-    fn apply_generic<V: Lane>(&self, s: usize, x: &[Complex<V>], y: &mut [Complex<V>]) {
+    fn apply_generic<C: Cx>(&self, s: usize, x: &[C], y: &mut [C]) {
         let r = self.radix;
         let m = self.m;
-        let mut u = [Complex::new(V::ZERO, V::ZERO); MAX_DIRECT_PRIME];
+        let mut u = [C::ZERO; MAX_DIRECT_PRIME];
         for p in 0..m {
             let twp = &self.tw[p * r..p * r + r];
             for q in 0..s {
@@ -223,11 +221,7 @@ impl Stage {
 /// odd one. The list encodes the recursion `fft0(n, s, x, y) -> stage ->
 /// fft0(m, r*s, y, x)`.
 #[inline(always)]
-pub(crate) fn stockham<V: Lane>(
-    stages: &[Stage],
-    first: &mut [Complex<V>],
-    second: &mut [Complex<V>],
-) {
+pub(crate) fn stockham<C: Cx>(stages: &[Stage], first: &mut [C], second: &mut [C]) {
     let (mut x, mut y) = (first, second);
     let mut s = 1usize;
     for st in stages {

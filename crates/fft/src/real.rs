@@ -13,9 +13,8 @@
 //!   not representable in the dealiased Fourier basis of the solution, so
 //!   it is neither stored nor communicated; the inverse treats it as zero.
 
-use num_complex::Complex;
-
-use crate::lanes::{isa_fn, Interleaved, Lane, LaneC, Lanes, ZERO};
+use crate::isa_fn;
+use crate::lanes::{Cx, Interleaved, LaneRow, Lanes};
 use crate::plan::{CfftPlan, Direction};
 use crate::radix::{add, mulw, scale, sub};
 use crate::C64;
@@ -43,19 +42,19 @@ pub struct RfftPlan {
 }
 
 #[inline(always)]
-fn conj<V: Lane>(a: Complex<V>) -> Complex<V> {
-    Complex::new(a.re, -a.im)
+fn conj<C: Cx>(a: C) -> C {
+    C::new(a.re(), -a.im())
 }
 
 /// `Z[k] = E[k] + i*O[k]` from `X[k]`, `X[h-k]` and `w^k`, with
 /// `E[k] = (X[k] + conj(X[h-k]))/2` and
 /// `O[k] = (X[k] - conj(X[h-k]))/2 * conj(w^k)`.
 #[inline(always)]
-fn merge_one<V: Lane>(xk: Complex<V>, xhk: Complex<V>, wk: C64) -> Complex<V> {
+fn merge_one<C: Cx>(xk: C, xhk: C, wk: C64) -> C {
     let xc = conj(xhk);
     let e = scale(add(xk, xc), 0.5);
     let o = mulw(scale(sub(xk, xc), 0.5), wk.conj());
-    add(e, Complex::new(-o.im, o.re))
+    add(e, C::new(-o.im(), o.re()))
 }
 
 /// Synthesis pre-pass, in place: `x` holds the half-complex spectrum
@@ -64,10 +63,10 @@ fn merge_one<V: Lane>(xk: Complex<V>, xhk: Complex<V>, wk: C64) -> Complex<V> {
 /// entries (conjugate symmetry of E and O, and `conj(w^(h-k)) = -w^k`).
 /// `k` and `h - k` are read together before either is overwritten.
 #[inline(always)]
-fn merge<V: Lane>(w: &[C64], x: &mut [Complex<V>]) {
+fn merge<C: Cx>(w: &[C64], x: &mut [C]) {
     let h = x.len() - 1;
-    let (x0, nyq) = (x[0].re, x[h].re);
-    x[0] = Complex::new((x0 + nyq) * 0.5, (x0 - nyq) * 0.5);
+    let (x0, nyq) = (x[0].re(), x[h].re());
+    x[0] = C::new((x0 + nyq) * 0.5, (x0 - nyq) * 0.5);
     for k in 1..=h / 2 {
         let (xa, xb) = (x[k], x[h - k]);
         x[k] = merge_one(xa, xb, w[k]);
@@ -79,29 +78,29 @@ fn merge<V: Lane>(w: &[C64], x: &mut [Complex<V>]) {
 /// `X[k] = E[k] + w^k * O[k]` from the packed transform `z`, with
 /// `E[k] = (Z[k] + conj(Z[h-k]))/2`, `O[k] = (Z[k] - conj(Z[h-k]))/(2i)`.
 #[inline(always)]
-fn split<V: Lane>(w: &[C64], z: &[Complex<V>], out: &mut [Complex<V>]) {
+fn split<C: Cx>(w: &[C64], z: &[C], out: &mut [C]) {
     let h = z.len();
-    out[0] = Complex::new(z[0].re + z[0].im, V::ZERO);
+    out[0] = C::new(z[0].re() + z[0].im(), C::ZERO.im());
     for k in 1..h.min(out.len()) {
         let zc = conj(z[h - k]);
         let e = scale(add(z[k], zc), 0.5);
         // w^k * (o / i) == -i * w^k * o
         let rot = mulw(scale(sub(z[k], zc), 0.5), w[k]);
-        out[k] = add(e, Complex::new(rot.im, -rot.re));
+        out[k] = add(e, C::new(rot.im(), -rot.re()));
     }
     if out.len() > h {
-        out[h] = Complex::new(z[0].re - z[0].im, V::ZERO);
+        out[h] = C::new(z[0].re() - z[0].im(), C::ZERO.im());
     }
 }
 
 /// [`merge`] of the interleaved lines `at` of `src`, `modes` coefficients
 /// each, every line zero-padded to the `x.len()`-long spectrum.
 #[inline(always)]
-fn merge_block(w: &[C64], src: &[C64], modes: usize, at: Interleaved, x: &mut [LaneC]) {
+fn merge_block(w: &[C64], src: &[C64], modes: usize, at: Interleaved, x: &mut [LaneRow]) {
     for (k, v) in x[..modes].iter_mut().enumerate() {
         *v = at.gather(src, k);
     }
-    x[modes..].fill(ZERO);
+    x[modes..].fill(LaneRow::ZERO);
     merge(w, x);
 }
 
@@ -110,8 +109,8 @@ fn merge_block(w: &[C64], src: &[C64], modes: usize, at: Interleaved, x: &mut [L
 #[inline(always)]
 fn split_block(
     w: &[C64],
-    z: &[LaneC],
-    out: &mut [LaneC],
+    z: &[LaneRow],
+    out: &mut [LaneRow],
     scale: f64,
     dst: &mut [C64],
     at: Interleaved,
@@ -123,11 +122,11 @@ fn split_block(
 }
 
 isa_fn! {
-    fn merge_lanes(w: &[C64], src: &[C64], modes: usize, at: Interleaved, x: &mut [LaneC]) = merge_block
+    fn merge_lanes(w: &[C64], src: &[C64], modes: usize, at: Interleaved, x: &mut [LaneRow]) = merge_block
 }
 
 isa_fn! {
-    fn split_lanes(w: &[C64], z: &[LaneC], out: &mut [LaneC], scale: f64, dst: &mut [C64], at: Interleaved) = split_block
+    fn split_lanes(w: &[C64], z: &[LaneRow], out: &mut [LaneRow], scale: f64, dst: &mut [C64], at: Interleaved) = split_block
 }
 
 impl RfftPlan {
@@ -284,7 +283,10 @@ impl RfftPlan {
         let at = Interleaved::of(dst.len(), modes, stride);
         let (a, b, rest) = self.fwd.lane_work(scratch, self.h + 1);
         for (j, zj) in a[..self.h].iter_mut().enumerate() {
-            *zj = Complex::new(input[2 * j], input[2 * j + 1]);
+            *zj = LaneRow {
+                re: input[2 * j],
+                im: input[2 * j + 1],
+            };
         }
         // the result lands in one buffer; split through the other
         let (z, free) = self.fwd.transform_block(a, b, rest);

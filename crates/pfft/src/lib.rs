@@ -31,7 +31,7 @@
 //! | Nyquist mode of the x spectrum | elided | stored and transposed |
 //! | transpose schedule | planned (measured) | fixed alltoall |
 //! | communication buffers | reused, 1x | allocated per call, 3x |
-//! | threading | caller-side (rayon over lines) | none |
+//! | threading | on-node threads over lines (`dns_fft::lanes::fan_out`) | none |
 
 #![deny(missing_docs)]
 // Indexed loops mirror the textbook statements of the numerical

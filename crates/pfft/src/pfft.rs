@@ -2,6 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dns_fft::lanes::fan_out;
 use dns_fft::{CfftPlan, Direction, Lanes, RealLayout, RfftPlan, LANES};
 use dns_minimpi::{CartComm, Communicator};
 use dns_pencil::{Block, ExchangeStrategy, RowsPlacement, TransposePlan};
@@ -147,7 +148,6 @@ pub struct ParallelFft {
     /// CommA and CommB hops; every batch width inherits them.
     strategy_a: ExchangeStrategy,
     strategy_b: ExchangeStrategy,
-    pool: Option<rayon::ThreadPool>,
     /// This rank's phase clock: every timed region of the transform
     /// pipeline, and of the solver built on it, is closed here.
     clock: PhaseClock,
@@ -229,16 +229,6 @@ impl ParallelFft {
         let strategy_b =
             make(&comm_b, kx_block.len, cfg.ny, cfg.nz, RowsPlacement::Middle).strategy();
 
-        let pool = if cfg.threads > 1 {
-            Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(cfg.threads)
-                    .build()
-                    .expect("build FFT thread pool"),
-            )
-        } else {
-            None
-        };
         ParallelFft {
             cfg,
             comm_a,
@@ -247,7 +237,6 @@ impl ParallelFft {
             zphys_block,
             kx_block,
             kz_block,
-            pool,
             rfft_x: RfftPlan::new(px, RealLayout::WithNyquist),
             zfwd: CfftPlan::new(pz, Direction::Forward),
             zinv: CfftPlan::new(pz, Direction::Inverse),
@@ -371,31 +360,25 @@ impl ParallelFft {
     }
 
     /// Apply `f(state, row_index, row)` to every `chunk`-sized output row,
-    /// serially or on the configured thread pool (the OpenMP-style
-    /// threading of section 4.2: rows are independent). The serial path
-    /// reuses the caller's persistent `serial` scratch (zero
+    /// serially or fanned out over the configured threads (the
+    /// OpenMP-style threading of section 4.2: rows are independent). The
+    /// serial path reuses the caller's persistent `serial` scratch (zero
     /// allocations); threaded workers each build their own via `init`
-    /// (rayon `for_each_init` semantics — once per worker, not per row).
-    fn for_lines_init<S: Send, T: Send>(
+    /// (once per worker, not per row: [`fan_out`]).
+    fn for_lines_init<S, T: Send>(
         &self,
         data: &mut [T],
         chunk: usize,
         serial: &mut S,
-        init: impl Fn() -> S + Send + Sync,
-        f: impl Fn(&mut S, usize, &mut [T]) + Send + Sync,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, usize, &mut [T]) + Sync,
     ) {
-        match &self.pool {
-            None => {
-                for (l, line) in data.chunks_exact_mut(chunk).enumerate() {
-                    f(serial, l, line);
-                }
+        if self.cfg.threads > 1 {
+            fan_out(self.cfg.threads, data, chunk, init, f);
+        } else {
+            for (l, line) in data.chunks_exact_mut(chunk).enumerate() {
+                f(serial, l, line);
             }
-            Some(pool) => pool.install(|| {
-                use rayon::prelude::*;
-                data.par_chunks_exact_mut(chunk)
-                    .enumerate()
-                    .for_each_init(&init, |s, (l, line)| f(s, l, line));
-            }),
         }
     }
 
@@ -618,7 +601,7 @@ impl ParallelFft {
     /// cache, and immediately r2c-forwards + truncates it — three lines of
     /// `px` reals live in L1/L2 the whole time. On one CommA rank no CommA
     /// hop runs and only the two CommB reorders move data. Line groups are
-    /// threaded over the configured pool with per-worker scratch; the
+    /// threaded over the configured threads with per-worker scratch; the
     /// serial path runs entirely out of `ws` and performs zero heap
     /// allocations once warm (single rank).
     ///

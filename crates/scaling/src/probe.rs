@@ -16,7 +16,7 @@
 //!
 //! Flipping the global level at a barrier (rather than resetting
 //! mid-run) keeps warmup work out of the counters even when it ran on
-//! rayon pool threads, whose buffers cannot be flushed from the rank
+//! fan-out worker threads, whose buffers cannot be flushed from the rank
 //! thread.
 //!
 //! The RK3 probe owns no step loop: it is a [`RunObserver`] on
@@ -331,14 +331,10 @@ pub fn probe_table1(
         ];
         (bw, seconds)
     });
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(PANEL_THREADS)
-        .build()
-        .expect("a rayon pool");
     let points = sizes
         .iter()
         .flat_map(|&n| widths.iter().map(move |&w| (n, w)));
-    let sweep = points.map(|(n, width)| sweep_point(n, width, reps, &pool));
+    let sweep = points.map(|(n, width)| sweep_point(n, width, reps));
     let setup = setups
         .iter()
         .map(|&(ny, w)| (ny, w, setup_point(ny, w, reps)));
@@ -350,7 +346,7 @@ pub fn probe_table1(
     }
 }
 
-fn sweep_point(n: usize, width: usize, reps: usize, pool: &rayon::ThreadPool) -> SweepRow {
+fn sweep_point(n: usize, width: usize, reps: usize) -> SweepRow {
     let p = SWEEP_BANDWIDTH / 2;
     let mats: Vec<_> = (1..=width as u64)
         .map(|seed| CollocationLike { n, p, nc: 2, seed }.corner())
@@ -428,7 +424,7 @@ fn sweep_point(n: usize, width: usize, reps: usize, pool: &rayon::ThreadPool) ->
     let seconds = [
         scalar,
         per_panel(&|p| batch.solve_panel(p)),
-        per_panel(&|p| batch.solve_panel_threaded(p, Some(pool))),
+        per_panel(&|p| batch.solve_panel_threaded(p, PANEL_THREADS)),
     ];
     let shared_solve_s = [shared_solve, per_panel(&|p| lu.solve_panel(p))];
     // the matvec reads the panel without writing it: one refill serves

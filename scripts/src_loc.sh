@@ -1,6 +1,8 @@
 #!/bin/sh
 # Non-test source size: for every crates/*/src/**/*.rs, the lines before
-# the file's first `#[cfg(test)]` (the whole file when it has none).
+# the file's test module, a `#[cfg(test)]` line followed by `mod NAME {`
+# (the whole file when it has none). A `#[cfg(test)]` on any other item
+# is counted with the source around it.
 # Prints a per-crate table and the total. With a CEILING argument, exits
 # 1 when the total exceeds it; `--json FILE` also writes the table as a
 # BENCH-shaped artifact for `dns-perfdb ingest` (every leaf is neutral).
@@ -14,8 +16,9 @@ while [ $# -gt 0 ]; do
 done
 cd "$(dirname "$0")/.."
 table=$(find crates -path '*/src/*' -name '*.rs' | sort | while read -r f; do
-    awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } { n++ }
-        END { split(f, p, "/"); print p[2], n + 0 }' "$f"
+    awk -v f="$f" 'held { held = 0; if (/^ *(pub(\([a-z]+\))? )?mod [a-z_0-9]+ \{/) exit; n++ }
+        /^ *#\[cfg\(test\)\] *$/ { held = 1; next } { n++ }
+        END { split(f, p, "/"); print p[2], n + held }' "$f"
 done | awk '{ c[$1] += $2; t += $2 }
     END { for (k in c) printf "%-12s %6d\n", k, c[k]; printf "%-12s %6d\n", "~total", t }' |
     sort | sed 's/^~total/total /')
