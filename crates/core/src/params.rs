@@ -140,6 +140,11 @@ impl Params {
         if counts.iter().any(|&n| n > u32::MAX as usize) {
             return Err("modes, process grid and threads must each fit in 32 bits".into());
         }
+        // every rank owns a non-empty block of each axis a transpose splits
+        let (pa, pb) = (self.pa, self.pb);
+        if self.nx / 2 < pa || self.nz.saturating_mul(3) / 2 < pa || self.ny < pb || self.nz < pb {
+            return Err(format!("{pa}x{pb} grid leaves a rank an empty pencil"));
+        }
         Ok(())
     }
 

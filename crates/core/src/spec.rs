@@ -528,6 +528,13 @@ mod tests {
         let mut spec = tiny_spec();
         spec.params.ny = 8;
         assert!(spec.validate().is_err());
+        // process grids the pencils cannot split
+        for (pa, pb) in [(16, 1), (1, 32)] {
+            let mut spec = tiny_spec();
+            spec.params = spec.params.with_grid(pa, pb);
+            let refused = matches!(spec.validate(), Err(SpecError::Invalid(_)));
+            assert!(refused, "{pa}x{pb} accepted");
+        }
         assert!(tiny_spec().validate().is_ok());
     }
 

@@ -238,8 +238,9 @@ fn assert_op_fault_recovers_bitwise(reference: &[Vec<u64>], plan: FaultPlan, lab
 }
 
 /// Steps of the operation-level chaos runs. On the 2x2 grid every rank
-/// consumes between 200 and 300 transport ops over them (about 34 to
-/// plan, 36 per step — 12 transposes — and three checkpoints).
+/// consumes between 300 and 330 transport ops over them (6 to set up, 18
+/// on rank 0; 48 per step — 12 transposes of 4 ops — and three
+/// checkpoints).
 const OP_TOTAL: u64 = 6;
 
 fn op_reference() -> Vec<Vec<u64>> {
@@ -269,11 +270,10 @@ fn transport_level_chaos_recovers_bitwise() {
 #[test]
 fn crash_inside_the_x_stage_exchange_recovers_bitwise() {
     // One substep's transposes are CommB, CommA, CommA, CommB — the middle
-    // pair is the x-stage — at 2 (pairwise) or 4 (all-to-all) transport
-    // ops each on a 2-rank sub-communicator, so 24 consecutive crash ops
-    // span a whole substep whichever schedule the planner picked: some
-    // land on the x-stage's sends, some on its receives, with the peer's
-    // blocks already queued.
+    // pair is the x-stage — at 4 transport ops each (two sends, two
+    // receives) on a 2-rank sub-communicator, so 24 consecutive crash ops
+    // span a whole substep: some land on the x-stage's sends, some on its
+    // receives, with the peer's blocks already queued.
     let reference = op_reference();
     for op in 100..124 {
         let plan = FaultPlan::none().crash_at_op(2, op);

@@ -552,14 +552,27 @@ impl Communicator {
     /// All-to-all: rank `i` sends `send[j]` to rank `j`; returns the
     /// vector received from each rank. This is the pattern of the global
     /// transpose (`MPI_alltoall`).
+    ///
+    /// # Panics
+    /// If a receive fails, as [`recv`](Self::recv) does.
     pub fn alltoall<T: Send + 'static>(&self, send: Vec<Vec<T>>) -> Vec<Vec<T>> {
+        self.alltoall_checked(send)
+            .unwrap_or_else(|e| panic!("rank {}: alltoall failed: {e}", self.ctx.me))
+    }
+
+    /// [`alltoall`](Self::alltoall) returning the first failed receive as
+    /// a typed [`CommError`]; the receives after it are not attempted.
+    pub fn alltoall_checked<T: Send + 'static>(
+        &self,
+        send: Vec<Vec<T>>,
+    ) -> Result<Vec<Vec<T>>, CommError> {
         const TAG: u64 = u64::MAX - 4;
         assert_eq!(send.len(), self.size());
         for (dest, data) in send.into_iter().enumerate() {
             self.send(dest, TAG, data);
         }
         (0..self.size())
-            .map(|src| self.recv::<T>(src, TAG))
+            .map(|src| self.recv_checked::<T>(src, TAG))
             .collect()
     }
 

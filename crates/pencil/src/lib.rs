@@ -10,8 +10,7 @@
 //! * [`decomp`] — 1D block decompositions (uneven sizes supported).
 //! * [`reorder`] — on-node transpose kernels, naive and cache-blocked.
 //! * [`transpose`] — the distributed transpose plan over a communicator,
-//!   with both exchange strategies the FFTW planner would choose between
-//!   (`MPI_alltoall` vs pairwise `MPI_sendrecv`).
+//!   exchanging through one `MPI_alltoall`.
 
 #![deny(missing_docs)]
 // Indexed loops mirror the textbook statements of the numerical
@@ -25,4 +24,4 @@ pub mod reorder;
 pub mod transpose;
 
 pub use decomp::{block_len, block_start, Block};
-pub use transpose::{ExchangeStrategy, RowsPlacement, TransposePlan};
+pub use transpose::{RowsPlacement, TransposePlan};

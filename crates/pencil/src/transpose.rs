@@ -3,33 +3,24 @@
 //! One transpose re-orients pencils along one axis pair: the input holds
 //! `rows` independent planes with axis `f` distributed and axis `t` full;
 //! the output holds them with `t` distributed and `f` full. Pack /
-//! exchange / unpack: the exchange is all-to-all within the
-//! sub-communicator, and the unpack places every received block — through
-//! the cache-blocked reorder ([`reorder_blocked`]) where the two axes
-//! swap in memory, as contiguous runs where the placement keeps memory
-//! order ([`RowsPlacement::SplitFast`], [`RowsPlacement::SplitSlow`]). On
-//! one rank the unpack of the input itself is the whole transpose.
+//! exchange / unpack: the exchange is one all-to-all within the
+//! sub-communicator ([`Communicator::alltoall_checked`]), and the unpack
+//! places every received block — through the cache-blocked reorder
+//! ([`reorder_blocked`]) where the two axes swap in memory, as contiguous
+//! runs where the placement keeps memory order
+//! ([`RowsPlacement::SplitFast`], [`RowsPlacement::SplitSlow`]). On one
+//! rank the unpack of the input itself is the whole transpose.
 //!
-//! Two exchange schedules are provided, mirroring the strategies the
-//! FFTW 3.3 transpose planner measures (section 4.3): a single
-//! `alltoallv` and a pairwise `sendrecv` rotation. [`TransposePlan::plan`]
-//! times both on the live communicator and keeps the winner, exactly like
-//! FFTW's planning stage.
+//! There is one exchange schedule: on the eager transport every block is
+//! queued when it is posted, so any other (FFTW's pairwise `sendrecv`
+//! rotation, section 4.3) would post the same messages. What a fixed
+//! schedule costs on a real wire is the machine model's to price.
 
 use crate::decomp::Block;
 use crate::reorder::reorder_blocked;
 use dns_minimpi::Communicator;
 use dns_telemetry as telemetry;
 use dns_telemetry::{Counter, Phase};
-
-/// Message schedule for the exchange phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExchangeStrategy {
-    /// One `alltoallv` (what FFTW usually picks for CommB on Mira).
-    AllToAll,
-    /// `p - 1` rounds of pairwise `sendrecv` with rotating partner.
-    Pairwise,
-}
 
 /// Where the untouched `rows` dimension sits in the local layout, and
 /// whether the two transposed axes swap places in memory.
@@ -62,17 +53,21 @@ pub struct TransposePlan {
     p: usize,
     f_block: Block,
     t_block: Block,
-    strategy: ExchangeStrategy,
     placement: RowsPlacement,
 }
 
 impl TransposePlan {
-    /// Create a plan with an explicit strategy and rows-outer layout.
+    /// Plan a transpose on `comm`: a few integer operations, no message.
     ///
     /// * `rows` — slow, untouched local dimension (product of everything
     ///   not taking part in this transpose);
     /// * `nf` — global length of the input-distributed axis;
-    /// * `nt` — global length of the input-full axis.
+    /// * `nt` — global length of the input-full axis;
+    /// * `placement` — where `rows` sits in the local layouts.
+    ///
+    /// # Panics
+    /// If `nf` or `nt` is shorter than the communicator: some rank would
+    /// own an empty block of it.
     ///
     /// # Example
     ///
@@ -80,10 +75,10 @@ impl TransposePlan {
     /// back by the inverse plan:
     ///
     /// ```
-    /// use dns_pencil::{ExchangeStrategy, TransposePlan};
+    /// use dns_pencil::{RowsPlacement, TransposePlan};
     ///
     /// let ok = dns_minimpi::run(2, |world| {
-    ///     let plan = TransposePlan::new(&world, 1, 4, 4, ExchangeStrategy::AllToAll);
+    ///     let plan = TransposePlan::plan(&world, 1, 4, 4, RowsPlacement::Outer);
     ///     // input [f_loc][t]: entry (f, t) holds f*4 + t
     ///     let f0 = plan.f_block().start;
     ///     let input: Vec<f64> = (0..plan.input_len())
@@ -98,23 +93,11 @@ impl TransposePlan {
     /// });
     /// assert!(ok.into_iter().all(|b| b));
     /// ```
-    pub fn new(
+    pub fn plan(
         comm: &Communicator,
         rows: usize,
         nf: usize,
         nt: usize,
-        strategy: ExchangeStrategy,
-    ) -> Self {
-        Self::with_placement(comm, rows, nf, nt, strategy, RowsPlacement::Outer)
-    }
-
-    /// Create a plan with an explicit layout placement.
-    pub fn with_placement(
-        comm: &Communicator,
-        rows: usize,
-        nf: usize,
-        nt: usize,
-        strategy: ExchangeStrategy,
         placement: RowsPlacement,
     ) -> Self {
         let p = comm.size();
@@ -130,61 +113,8 @@ impl TransposePlan {
             p,
             f_block: Block::of(nf, p, rank),
             t_block: Block::of(nt, p, rank),
-            strategy,
             placement,
         }
-    }
-
-    /// FFTW-style planning: run both strategies on a synthetic buffer,
-    /// keep the faster (collectively agreed through an all-reduce so all
-    /// ranks pick the same winner).
-    pub fn plan(
-        comm: &Communicator,
-        rows: usize,
-        nf: usize,
-        nt: usize,
-        placement: RowsPlacement,
-    ) -> Self {
-        let mut best = ExchangeStrategy::AllToAll;
-        let mut best_time = f64::INFINITY;
-        let mut timings = [0.0f64; 2];
-        for (i, strategy) in [ExchangeStrategy::AllToAll, ExchangeStrategy::Pairwise]
-            .into_iter()
-            .enumerate()
-        {
-            let plan = TransposePlan::with_placement(comm, rows, nf, nt, strategy, placement);
-            let input = vec![0.0f64; plan.input_len()];
-            comm.barrier();
-            let t0 = std::time::Instant::now();
-            let _ = plan.run(comm, &input);
-            let dt = comm.allreduce_max(t0.elapsed().as_secs_f64());
-            timings[i] = dt;
-            if dt < best_time {
-                best_time = dt;
-                best = strategy;
-            }
-        }
-        if comm.rank() == 0 && telemetry::enabled() {
-            let (win, lose) = match best {
-                ExchangeStrategy::AllToAll => (timings[0], timings[1]),
-                ExchangeStrategy::Pairwise => (timings[1], timings[0]),
-            };
-            telemetry::decision(
-                "transpose.plan",
-                format!(
-                    "{best:?} won for rows={rows} nf={nf} nt={nt} p={}: \
-                     {win:.3e} s vs {lose:.3e} s ({:.2}x)",
-                    comm.size(),
-                    lose / win.max(1e-12),
-                ),
-            );
-        }
-        TransposePlan::with_placement(comm, rows, nf, nt, best, placement)
-    }
-
-    /// The strategy this plan uses.
-    pub fn strategy(&self) -> ExchangeStrategy {
-        self.strategy
     }
 
     /// Expected input length: `rows * f_block.len * nt`.
@@ -207,15 +137,14 @@ impl TransposePlan {
         self.t_block
     }
 
-    /// The inverse plan (same strategy, axes swapped).
+    /// The inverse plan (axes swapped).
     pub fn inverse(&self, comm: &Communicator) -> TransposePlan {
         let placement = match self.placement {
             RowsPlacement::SplitFast => RowsPlacement::SplitSlow,
             RowsPlacement::SplitSlow => RowsPlacement::SplitFast,
             same => same,
         };
-        let (rows, nf, nt, strategy) = (self.rows, self.nt, self.nf, self.strategy);
-        TransposePlan::with_placement(comm, rows, nf, nt, strategy, placement)
+        TransposePlan::plan(comm, self.rows, self.nt, self.nf, placement)
     }
 
     /// Execute the transpose; the layouts are the placement's
@@ -225,8 +154,7 @@ impl TransposePlan {
         comm: &Communicator,
         input: &[T],
     ) -> Vec<T> {
-        let mut send = Vec::new();
-        let mut out = Vec::new();
+        let (mut send, mut out) = (Vec::new(), Vec::new());
         self.run_with(comm, input, &mut send, &mut out);
         out
     }
@@ -250,10 +178,7 @@ impl TransposePlan {
         out: &mut Vec<T>,
     ) {
         if let Err(e) = self.try_run_with(comm, input, send, out) {
-            panic!(
-                "transpose exchange failed ({:?} over {} ranks): {e}",
-                self.strategy, self.p
-            );
+            panic!("transpose exchange failed over {} ranks: {e}", self.p);
         }
     }
 
@@ -287,11 +212,8 @@ impl TransposePlan {
             return Ok(());
         }
 
-        // Multi-rank: pack -> sends in destination order -> receives in
-        // source order -> unpack in source order.
+        // Multi-rank: pack -> all-to-all -> unpack in source order.
         let p = self.p;
-        let me = comm.rank();
-        let nfl = self.f_block.len;
 
         // pack: destination-major; dest d's block is every input line's
         // slice of d's `t` range. A line is `nt` values, except where `t`
@@ -301,7 +223,7 @@ impl TransposePlan {
         send.reserve(input.len());
         let mut offsets = Vec::with_capacity(p + 1);
         let unit = if self.placement == RowsPlacement::SplitSlow {
-            nfl
+            self.f_block.len
         } else {
             1
         };
@@ -318,47 +240,21 @@ impl TransposePlan {
             // the pack streams the input once and writes it once
             telemetry::count(Counter::DdrBytes, 2 * std::mem::size_of_val(input) as u64);
         }
-        let block = |d: usize| send[offsets[d]..offsets[d + 1]].to_vec();
 
-        let mut parts: Vec<Vec<T>> = Vec::with_capacity(p);
-        {
+        let parts = {
             let _exchange = telemetry::span("exchange", Phase::Transpose);
-            match self.strategy {
-                // the schedule of `Communicator::alltoall`: every block,
-                // self included, goes through the transport
-                ExchangeStrategy::AllToAll => {
-                    for d in 0..p {
-                        comm.send(d, A2A_TAG, block(d));
-                    }
-                }
-                // rotating partners, one tag per round; all rounds are sent
-                // up front (the buffering transport makes that safe) and
-                // the self block never touches the wire
-                ExchangeStrategy::Pairwise => {
-                    for round in 1..p {
-                        let to = (me + round) % p;
-                        comm.send(to, PAIRWISE_TAG + round as u64, block(to));
-                    }
-                }
-            }
+            let blocks = offsets.windows(2).map(|w| send[w[0]..w[1]].to_vec());
             // the rank thread's wait clock is monotone, so its delta across
-            // the receive loop is exactly this exchange's blocked share
+            // the exchange is exactly its blocked share
             let wait0 = comm.recv_wait_seconds();
-            for s in 0..p {
-                parts.push(match self.strategy {
-                    ExchangeStrategy::AllToAll => comm.recv_checked(s, A2A_TAG)?,
-                    ExchangeStrategy::Pairwise if s == me => block(me),
-                    ExchangeStrategy::Pairwise => {
-                        comm.recv_checked(s, PAIRWISE_TAG + ((me + p - s) % p) as u64)?
-                    }
-                });
-            }
+            let parts = comm.alltoall_checked(blocks.collect())?;
             telemetry::count_phase(
                 Phase::Transpose,
                 Counter::ExchangeWaitUs,
                 ((comm.recv_wait_seconds() - wait0) * 1e6) as u64,
             );
-        }
+            parts
+        };
 
         let _unpack = telemetry::span("unpack", Phase::Transpose);
         for (s, chunk) in parts.iter().enumerate() {
@@ -407,13 +303,6 @@ fn place_runs<T: Copy>(chunk: &[T], len: usize, out: &mut [T], start: usize, str
     }
 }
 
-/// Tag of the all-to-all schedule's messages. One tag for every exchange:
-/// matching is FIFO per `(source, communicator, tag)`, and a rank finishes
-/// one exchange before it starts the next.
-const A2A_TAG: u64 = 0x7051_0000;
-/// Tag base of the pairwise schedule: `PAIRWISE_TAG + round`.
-const PAIRWISE_TAG: u64 = 0x7052_0000;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,75 +344,24 @@ mod tests {
 
     #[test]
     fn alltoall_transpose_even_sizes() {
-        check_placement(
-            4,
-            RowsPlacement::Outer,
-            ExchangeStrategy::AllToAll,
-            [2, 8, 12],
-        );
+        check_placement(4, RowsPlacement::Outer, [2, 8, 12]);
     }
 
     #[test]
     fn alltoall_transpose_uneven_sizes() {
-        check_placement(
-            3,
-            RowsPlacement::Outer,
-            ExchangeStrategy::AllToAll,
-            [2, 7, 11],
-        );
-        check_placement(
-            5,
-            RowsPlacement::Outer,
-            ExchangeStrategy::AllToAll,
-            [1, 9, 13],
-        );
-    }
-
-    #[test]
-    fn pairwise_transpose_matches_definition() {
-        check_placement(
-            4,
-            RowsPlacement::Outer,
-            ExchangeStrategy::Pairwise,
-            [2, 8, 12],
-        );
-        check_placement(
-            3,
-            RowsPlacement::Outer,
-            ExchangeStrategy::Pairwise,
-            [3, 10, 5],
-        );
+        check_placement(3, RowsPlacement::Outer, [2, 7, 11]);
+        check_placement(5, RowsPlacement::Outer, [1, 9, 13]);
+        check_placement(3, RowsPlacement::Outer, [3, 10, 5]);
     }
 
     #[test]
     fn single_rank_transpose_is_local_reorder() {
-        check_placement(
-            1,
-            RowsPlacement::Outer,
-            ExchangeStrategy::AllToAll,
-            [4, 6, 5],
-        );
+        check_placement(1, RowsPlacement::Outer, [4, 6, 5]);
     }
 
     #[test]
     fn roundtrip_restores_input() {
-        check_placement(
-            4,
-            RowsPlacement::Outer,
-            ExchangeStrategy::AllToAll,
-            [3, 8, 10],
-        );
-    }
-
-    #[test]
-    fn planner_selects_a_strategy_and_runs() {
-        let results = mpi::run(2, |comm| {
-            let plan = TransposePlan::plan(&comm, 2, 4, 6, RowsPlacement::Outer);
-            let input = vec![1.5f64; plan.input_len()];
-            let out = plan.run(&comm, &input);
-            out.len() == plan.output_len() && out.iter().all(|&v| v == 1.5)
-        });
-        assert!(results.into_iter().all(|ok| ok));
+        check_placement(4, RowsPlacement::Outer, [3, 8, 10]);
     }
 
     /// Offset of global element `(r, f, t)` in the input of a rank owning
@@ -561,14 +399,9 @@ mod tests {
 
     /// Every rank's output against the placement's definition, then the
     /// inverse plan back to the input.
-    fn check_placement(
-        p: usize,
-        pl: RowsPlacement,
-        strategy: ExchangeStrategy,
-        [rows, nf, nt]: [usize; 3],
-    ) {
+    fn check_placement(p: usize, pl: RowsPlacement, [rows, nf, nt]: [usize; 3]) {
         mpi::run(p, move |comm| {
-            let plan = TransposePlan::with_placement(&comm, rows, nf, nt, strategy, pl);
+            let plan = TransposePlan::plan(&comm, rows, nf, nt, pl);
             let (fb, tb) = (plan.f_block(), plan.t_block());
             let value = |r: usize, f: usize, t: usize| ((r * nf + f) * nt + t) as u64;
             let mut input = vec![u64::MAX; plan.input_len()];
@@ -590,21 +423,20 @@ mod tests {
                         assert_eq!(
                             out[output_at(pl, rows, nf, tb, [r, f, t])],
                             value(r, f, t),
-                            "{pl:?} {strategy:?} p={p} r={r} f={f} t={t}"
+                            "{pl:?} p={p} r={r} f={f} t={t}"
                         );
                     }
                 }
             }
             let back = plan.inverse(&comm).run(&comm, &out);
-            assert_eq!(back, input, "{pl:?} {strategy:?} p={p}: round trip");
+            assert_eq!(back, input, "{pl:?} p={p}: round trip");
         });
     }
 
     #[test]
     fn middle_placement_matches_definition() {
-        let all = ExchangeStrategy::AllToAll;
         for (p, shape) in [(4, [2, 8, 12]), (3, [2, 7, 11]), (1, [3, 5, 4])] {
-            check_placement(p, RowsPlacement::Middle, all, shape);
+            check_placement(p, RowsPlacement::Middle, shape);
         }
     }
 
@@ -612,11 +444,9 @@ mod tests {
     fn split_placements_match_their_definition_and_round_trip() {
         // 11 and 13 split unevenly over 2, 3 and 5 ranks
         for p in [1, 2, 3, 5] {
-            for strategy in [ExchangeStrategy::AllToAll, ExchangeStrategy::Pairwise] {
-                for pl in [RowsPlacement::SplitFast, RowsPlacement::SplitSlow] {
-                    check_placement(p, pl, strategy, [3, 11, 13]);
-                    check_placement(p, pl, strategy, [1, 13, 5]);
-                }
+            for pl in [RowsPlacement::SplitFast, RowsPlacement::SplitSlow] {
+                check_placement(p, pl, [3, 11, 13]);
+                check_placement(p, pl, [1, 13, 5]);
             }
         }
     }
@@ -633,7 +463,7 @@ mod tests {
                     (2 * TILE + 5, TILE - 1),
                     (5, TILE),
                 ] {
-                    check_placement(p, pl, ExchangeStrategy::AllToAll, [2, nf, nt]);
+                    check_placement(p, pl, [2, nf, nt]);
                 }
             }
         }
@@ -641,24 +471,14 @@ mod tests {
 
     #[test]
     fn middle_placement_roundtrip() {
-        check_placement(
-            3,
-            RowsPlacement::Middle,
-            ExchangeStrategy::Pairwise,
-            [4, 9, 7],
-        );
+        check_placement(3, RowsPlacement::Middle, [4, 9, 7]);
     }
 
     #[test]
     fn dead_rank_surfaces_as_typed_error_not_hang() {
         // rank 1 dies on its very first transport operation, or on one
         // that falls into its second exchange (the first then delivers)
-        for (strategy, crash_op) in [
-            (ExchangeStrategy::AllToAll, 0),
-            (ExchangeStrategy::Pairwise, 0),
-            (ExchangeStrategy::AllToAll, 4),
-            (ExchangeStrategy::Pairwise, 2),
-        ] {
+        for crash_op in [0, 4] {
             let out = mpi::run_result(
                 2,
                 mpi::RunOptions {
@@ -666,7 +486,7 @@ mod tests {
                     fault_plan: mpi::FaultPlan::none().crash_at_op(1, crash_op),
                 },
                 move |comm| {
-                    let plan = TransposePlan::new(&comm, 1, 4, 4, strategy);
+                    let plan = TransposePlan::plan(&comm, 1, 4, 4, RowsPlacement::Outer);
                     let input = vec![0.0f64; plan.input_len()];
                     let (mut send, mut result) = (Vec::new(), Vec::new());
                     let first = plan.try_run_with(&comm, &input, &mut send, &mut result);
@@ -688,7 +508,7 @@ mod tests {
             assert_eq!(
                 failure.ranks(),
                 vec![1],
-                "{strategy:?} op {crash_op}: {:?}",
+                "op {crash_op}: {:?}",
                 failure.messages()
             );
         }
@@ -696,45 +516,39 @@ mod tests {
 
     #[test]
     fn back_to_back_exchanges_on_one_communicator_do_not_cross_match() {
-        // Every exchange uses the same tags, so two consecutive ones are
+        // Every exchange uses the same tag, so two consecutive ones are
         // kept apart by FIFO matching per (source, tag) alone. Rank 0 is
-        // delayed on its first receive of exchange A, so its peers have
-        // finished A and queued their B blocks behind their A blocks by
-        // the time it starts receiving.
-        for strategy in [ExchangeStrategy::AllToAll, ExchangeStrategy::Pairwise] {
-            let p = 3;
-            let first_recv_op = match strategy {
-                ExchangeStrategy::AllToAll => p,
-                ExchangeStrategy::Pairwise => p - 1,
-            } as u64;
-            let opts = mpi::RunOptions {
-                recv_timeout: std::time::Duration::from_secs(5),
-                fault_plan: mpi::FaultPlan::none().delay_at_op(
-                    0,
-                    first_recv_op,
-                    std::time::Duration::from_millis(30),
-                ),
-            };
-            mpi::run_result(p, opts, move |comm| {
-                let (rows, nf, nt) = (2, 6, 9);
-                let plan = TransposePlan::new(&comm, rows, nf, nt, strategy);
-                let ga = global(rows, nf, nt);
-                let gb: Vec<u64> = ga.iter().map(|x| x + 1_000_000).collect();
-                let (mut send, mut got_a, mut got_b) = (Vec::new(), Vec::new(), Vec::new());
-                plan.run_with(&comm, &scatter(&plan, &ga), &mut send, &mut got_a);
-                plan.run_with(&comm, &scatter(&plan, &gb), &mut send, &mut got_b);
-                assert_transposed(&plan, &got_a, &ga);
-                assert_transposed(&plan, &got_b, &gb);
-            })
-            .unwrap_or_else(|f| panic!("{strategy:?}: {:?}", f.messages()));
-        }
+        // delayed on its first receive of exchange A (after its `p`
+        // sends), so its peers have finished A and queued their B blocks
+        // behind their A blocks by the time it starts receiving.
+        let p = 3;
+        let opts = mpi::RunOptions {
+            recv_timeout: std::time::Duration::from_secs(5),
+            fault_plan: mpi::FaultPlan::none().delay_at_op(
+                0,
+                p as u64,
+                std::time::Duration::from_millis(30),
+            ),
+        };
+        mpi::run_result(p, opts, move |comm| {
+            let (rows, nf, nt) = (2, 6, 9);
+            let plan = TransposePlan::plan(&comm, rows, nf, nt, RowsPlacement::Outer);
+            let ga = global(rows, nf, nt);
+            let gb: Vec<u64> = ga.iter().map(|x| x + 1_000_000).collect();
+            let (mut send, mut got_a, mut got_b) = (Vec::new(), Vec::new(), Vec::new());
+            plan.run_with(&comm, &scatter(&plan, &ga), &mut send, &mut got_a);
+            plan.run_with(&comm, &scatter(&plan, &gb), &mut send, &mut got_b);
+            assert_transposed(&plan, &got_a, &ga);
+            assert_transposed(&plan, &got_b, &gb);
+        })
+        .unwrap_or_else(|f| panic!("{:?}", f.messages()));
     }
 
     #[test]
     fn traffic_counters_reflect_off_rank_bytes() {
         let results = mpi::run(2, |comm| {
             comm.reset_stats();
-            let plan = TransposePlan::new(&comm, 1, 4, 4, ExchangeStrategy::AllToAll);
+            let plan = TransposePlan::plan(&comm, 1, 4, 4, RowsPlacement::Outer);
             let input = vec![0.0f64; plan.input_len()];
             let _ = plan.run(&comm, &input);
             comm.stats()

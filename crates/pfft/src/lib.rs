@@ -29,9 +29,12 @@
 //! | | customized | P3DFFT-like baseline |
 //! |---|---|---|
 //! | Nyquist mode of the x spectrum | elided | stored and transposed |
-//! | transpose schedule | planned (measured) | fixed alltoall |
 //! | communication buffers | reused, 1x | allocated per call, 3x |
 //! | threading | on-node threads over lines (`dns_fft::lanes::fan_out`) | none |
+//!
+//! Both exchange through the same all-to-all: on minimpi's eager
+//! transport a planned and a fixed schedule post the same messages, and
+//! the machine model prices the fixed one (`baseline_comm_penalty`).
 
 #![deny(missing_docs)]
 // Indexed loops mirror the textbook statements of the numerical

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dns_fft::lanes::fan_out;
 use dns_fft::{CfftPlan, Direction, Lanes, RealLayout, RfftPlan, LANES};
 use dns_minimpi::{CartComm, Communicator};
-use dns_pencil::{Block, ExchangeStrategy, RowsPlacement, TransposePlan};
+use dns_pencil::{Block, RowsPlacement, TransposePlan};
 
 use dns_telemetry as telemetry;
 use dns_telemetry::{Phase, PhaseClock, PhaseSeconds};
@@ -53,17 +53,14 @@ pub struct PfftConfig {
     /// Drop the Nyquist mode of the x spectrum (customized kernel: true;
     /// P3DFFT-like baseline: false).
     pub elide_nyquist: bool,
-    /// Fixed exchange schedule, or `None` to measure both at plan time
-    /// (FFTW-style planning; the baseline uses `Some(AllToAll)`).
-    pub strategy: Option<ExchangeStrategy>,
     /// On-node worker threads for the serial-FFT line loops (the paper's
     /// OpenMP threading, section 4.2). 1 = serial; P3DFFT has none.
     pub threads: usize,
 }
 
 impl PfftConfig {
-    /// The customized kernel of the paper (planned transposes, Nyquist
-    /// elision, dealiasing as requested).
+    /// The customized kernel of the paper (Nyquist elision, dealiasing
+    /// as requested, on-node threads).
     pub fn customized(nx: usize, ny: usize, nz: usize, pa: usize, pb: usize) -> Self {
         PfftConfig {
             nx,
@@ -73,14 +70,13 @@ impl PfftConfig {
             pb,
             dealias: false,
             elide_nyquist: true,
-            strategy: None,
             threads: 1,
         }
     }
 
-    /// The P3DFFT-equivalent baseline of section 4.4: Nyquist kept, fixed
-    /// alltoall, no dealiasing support (P3DFFT 2.5.1 has none), no
-    /// threading.
+    /// The P3DFFT-equivalent baseline of section 4.4: Nyquist kept, no
+    /// dealiasing support (P3DFFT 2.5.1 has none), no threading. Its
+    /// transposes are the customized kernel's (see the crate docs).
     pub fn p3dfft_baseline(nx: usize, ny: usize, nz: usize, pa: usize, pb: usize) -> Self {
         PfftConfig {
             nx,
@@ -90,7 +86,6 @@ impl PfftConfig {
             pb,
             dealias: false,
             elide_nyquist: false,
-            strategy: Some(ExchangeStrategy::AllToAll),
             threads: 1,
         }
     }
@@ -144,10 +139,6 @@ pub struct ParallelFft {
     rfft_x: RfftPlan,
     zfwd: CfftPlan,
     zinv: CfftPlan,
-    /// Exchange schedules chosen (or measured) at construction for the
-    /// CommA and CommB hops; every batch width inherits them.
-    strategy_a: ExchangeStrategy,
-    strategy_b: ExchangeStrategy,
     /// This rank's phase clock: every timed region of the transform
     /// pipeline, and of the solver built on it, is closed here.
     clock: PhaseClock,
@@ -209,25 +200,18 @@ impl ParallelFft {
                 "3/2-rule grids must keep the padded sizes even"
             );
         }
-        let cart = CartComm::new(world, &[cfg.pa, cfg.pb]);
+        // every rank owns a non-empty block of each axis a transpose splits
+        let (px, pz, sx) = (cfg.px(), cfg.pz(), cfg.sx());
+        let (pa, pb) = (cfg.pa, cfg.pb);
+        let fits = sx >= pa && pz >= pa && cfg.ny >= pb && cfg.nz >= pb;
+        assert!(fits, "{pa}x{pb} grid leaves a rank an empty pencil");
+        let cart = CartComm::new(world, &[pa, pb]);
         let comm_a = cart.sub(0);
         let comm_b = cart.sub(1);
-        let (px, pz, sx) = (cfg.px(), cfg.pz(), cfg.sx());
-        let y_block = Block::of(cfg.ny, cfg.pb, comm_b.rank());
-        let zphys_block = Block::of(pz, cfg.pa, comm_a.rank());
-        let kx_block = Block::of(sx, cfg.pa, comm_a.rank());
-        let kz_block = Block::of(cfg.nz, cfg.pb, comm_b.rank());
-
-        let make = |comm: &Communicator, rows, nf, nt, placement| match cfg.strategy {
-            Some(s) => TransposePlan::with_placement(comm, rows, nf, nt, s, placement),
-            None => TransposePlan::plan(comm, rows, nf, nt, placement),
-        };
-        // z->x: CommA, rows = local y, f = kx spectrum, t = physical z,
-        // memory order kept (the x-pencil spectra are z-fastest)
-        let strategy_a = make(&comm_a, y_block.len, sx, pz, RowsPlacement::SplitFast).strategy();
-        // z->y: CommB, rows = local kx, f = y, t = kz spectrum
-        let strategy_b =
-            make(&comm_b, kx_block.len, cfg.ny, cfg.nz, RowsPlacement::Middle).strategy();
+        let y_block = Block::of(cfg.ny, pb, comm_b.rank());
+        let zphys_block = Block::of(pz, pa, comm_a.rank());
+        let kx_block = Block::of(sx, pa, comm_a.rank());
+        let kz_block = Block::of(cfg.nz, pb, comm_b.rank());
 
         ParallelFft {
             cfg,
@@ -240,21 +224,21 @@ impl ParallelFft {
             rfft_x: RfftPlan::new(px, RealLayout::WithNyquist),
             zfwd: CfftPlan::new(pz, Direction::Forward),
             zinv: CfftPlan::new(pz, Direction::Inverse),
-            strategy_a,
-            strategy_b,
             clock: PhaseClock::default(),
         }
     }
 
-    /// Transpose plans for a `k`-field batch. They inherit the strategies
-    /// chosen at construction, so building them is a few integer
-    /// operations: no collective, no heap.
+    /// Transpose plans for a `k`-field batch: a few integer operations,
+    /// no message, no heap.
     fn batch_plans(&self, k: usize) -> BatchPlans {
         let (cfg, ry, rx) = (&self.cfg, self.y_block.len * k, self.kx_block.len * k);
-        let (a, b) = (self.strategy_a, self.strategy_b);
-        let (split, middle) = (RowsPlacement::SplitFast, RowsPlacement::Middle);
-        let t_zx = TransposePlan::with_placement(&self.comm_a, ry, cfg.sx(), cfg.pz(), a, split);
-        let t_zy = TransposePlan::with_placement(&self.comm_b, rx, cfg.ny, cfg.nz, b, middle);
+        // z->x: CommA, rows = local y, f = kx spectrum, t = physical z,
+        // memory order kept (the x-pencil spectra are z-fastest)
+        let split = RowsPlacement::SplitFast;
+        let t_zx = TransposePlan::plan(&self.comm_a, ry, cfg.sx(), cfg.pz(), split);
+        // z->y: CommB, rows = local kx, f = y, t = kz spectrum
+        let middle = RowsPlacement::Middle;
+        let t_zy = TransposePlan::plan(&self.comm_b, rx, cfg.ny, cfg.nz, middle);
         BatchPlans {
             t_xz: t_zx.inverse(&self.comm_a),
             t_zx,
@@ -1080,6 +1064,35 @@ mod tests {
             p.buffer_bytes()
         });
         assert!(results[0] > 2 * results_custom[0]);
+    }
+
+    #[test]
+    fn planning_sends_nothing() {
+        for (pa, pb) in [(2, 1), (1, 2), (2, 2)] {
+            let stats = mpi::run(pa * pb, move |world| {
+                let cfg = PfftConfig::customized(16, 9, 16, pa, pb).with_dealias();
+                let p = ParallelFft::new(world, cfg);
+                [p.comm_a().stats(), p.comm_b().stats()]
+            });
+            for (rank, s) in stats.iter().enumerate() {
+                let quiet = [mpi::CommStats::default(); 2];
+                assert_eq!(s, &quiet, "{pa}x{pb} rank {rank}: [CommA, CommB]");
+            }
+        }
+    }
+
+    #[test]
+    fn impossible_decompositions_are_refused_at_construction() {
+        // 8 x-modes cannot split over 16 CommA ranks
+        let msgs = mpi::run(16, |world| {
+            let cfg = PfftConfig::customized(16, 9, 16, 16, 1);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ParallelFft::new(world, cfg);
+            }));
+            let err = err.expect_err("a 16x1 grid at nx = 16 must be refused");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        });
+        assert!(msgs.iter().all(|m| m.contains("empty pencil")), "{msgs:?}");
     }
 
     #[test]

@@ -43,7 +43,7 @@ use dns_core::run::{
 use dns_core::solver::{run_serial, ChannelDns};
 use dns_minimpi::{CartComm, Communicator, FaultPlan};
 use dns_pencil::reorder::{reorder_blocked, reorder_naive};
-use dns_pencil::{block_len, ExchangeStrategy, RowsPlacement, TransposePlan};
+use dns_pencil::{block_len, RowsPlacement, TransposePlan};
 use dns_pfft::{ParallelFft, PfftConfig};
 use dns_telemetry::{self as telemetry, PhaseSeconds};
 use std::hint::black_box;
@@ -580,8 +580,7 @@ pub fn probe_reorder(g: Grid, reps: usize) -> Vec<(&'static str, [usize; 3], f64
     let on_one_rank = dns_minimpi::run(1, move |world| {
         plans.map(|(kernel, shape, placement)| {
             let [rows, nf, nt] = shape;
-            let strategy = ExchangeStrategy::AllToAll;
-            let plan = TransposePlan::with_placement(&world, rows, nf, nt, strategy, placement);
+            let plan = TransposePlan::plan(&world, rows, nf, nt, placement);
             let input = vec![[1.0f64; 2]; plan.input_len()];
             let (mut send, mut out) = (Vec::new(), Vec::new());
             let seconds = fastest(reps, || {
@@ -620,7 +619,7 @@ pub const SPLIT_GRID: Grid = grid(64, 32, 64);
 /// [`SPLIT_GRID`] (seconds of the pair on the slowest rank). All ranks
 /// share one memory, so the paper's preference for a node-local CommB
 /// has no analogue here; the rows exercise `CartComm::sub` and the
-/// planned exchanges end to end.
+/// exchanges end to end.
 pub fn probe_split_sweep(reps: usize) -> Vec<(usize, usize, f64)> {
     let (nx, ny, nz) = (SPLIT_GRID.nx, SPLIT_GRID.ny, SPLIT_GRID.nz);
     let per_rank = dns_minimpi::run(SPLIT_RANKS, move |world| {
@@ -629,10 +628,9 @@ pub fn probe_split_sweep(reps: usize) -> Vec<(usize, usize, f64)> {
             let (comm_a, comm_b) = (cart.sub(0), cart.sub(1));
             let nyl = block_len(ny, pb, comm_b.rank());
             let sxl = block_len(nx / 2, pa, comm_a.rank());
-            let all = ExchangeStrategy::AllToAll;
             let (split, middle) = (RowsPlacement::SplitFast, RowsPlacement::Middle);
-            let t_a = TransposePlan::with_placement(&comm_a, nyl, nx / 2, nz, all, split);
-            let t_b = TransposePlan::with_placement(&comm_b, sxl, ny, nz, all, middle);
+            let t_a = TransposePlan::plan(&comm_a, nyl, nx / 2, nz, split);
+            let t_b = TransposePlan::plan(&comm_b, sxl, ny, nz, middle);
             let xa = vec![1.0f64; t_a.input_len()];
             let xb = vec![1.0f64; t_b.input_len()];
             let (mut send, mut mid, mut up) = (Vec::new(), Vec::new(), Vec::new());

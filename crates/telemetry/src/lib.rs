@@ -256,8 +256,8 @@ pub struct SpanRecord {
     pub depth: u16,
 }
 
-/// One planner/strategy decision worth surfacing in reports, e.g. which
-/// transpose exchange strategy won an auto-tuning race and by how much.
+/// One planning decision worth surfacing in reports, e.g. how many
+/// factor blocks the wall-normal set-up built and what they cost.
 #[derive(Clone, Debug)]
 pub struct Decision {
     pub topic: &'static str,
@@ -522,8 +522,8 @@ pub fn count_tenant(tenant: &str, counter: Counter, n: u64) {
     map.entry(tenant.to_string()).or_default().add(counter, n);
 }
 
-/// Record a planner/strategy decision (e.g. "alltoall beat pairwise by
-/// 1.31x"). Recorded at any enabled level.
+/// Record a planning decision (e.g. `wallnormal.plan`: "62 panel blocks
+/// on 32 factor blocks, ..."). Recorded at any enabled level.
 pub fn decision(topic: &'static str, text: impl Into<String>) {
     if !enabled() {
         return;

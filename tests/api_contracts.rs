@@ -6,7 +6,7 @@ use channel_dns::core_solver::Params;
 use channel_dns::fft::dealias::pad_full;
 use channel_dns::fft::{RealLayout, RfftPlan, C64};
 use channel_dns::minimpi;
-use channel_dns::pencil::{ExchangeStrategy, TransposePlan};
+use channel_dns::pencil::{RowsPlacement, TransposePlan};
 use channel_dns::pfft::{ParallelFft, PfftConfig};
 
 fn panics<F: FnOnce() + std::panic::UnwindSafe>(f: F) -> String {
@@ -69,7 +69,7 @@ fn transpose_plans_need_enough_work_per_rank() {
     let results = minimpi::run(4, |world| {
         let msg = panics(std::panic::AssertUnwindSafe(|| {
             // nf = 2 < 4 ranks: impossible decomposition
-            TransposePlan::new(&world, 1, 2, 8, ExchangeStrategy::AllToAll);
+            TransposePlan::plan(&world, 1, 2, 8, RowsPlacement::Outer);
         }));
         msg.contains("at least the communicator size")
     });

@@ -6,7 +6,7 @@ use channel_dns::bspline::{tanh_breakpoints, BsplineBasis, CollocationOps};
 use channel_dns::core_solver::wallnormal::ModeSolver;
 use channel_dns::fft::C64;
 use channel_dns::minimpi;
-use channel_dns::pencil::{ExchangeStrategy, RowsPlacement, TransposePlan};
+use channel_dns::pencil::{RowsPlacement, TransposePlan};
 use channel_dns::pfft::{ParallelFft, PfftConfig};
 
 /// Solve the 3D Helmholtz problem `laplacian(u) - c u = f` in the
@@ -154,16 +154,9 @@ fn pencil_cycle_over_both_communicators_is_identity() {
         let nyl = channel_dns::pencil::block_len(ny, 2, comm_b.rank());
         let sxl = channel_dns::pencil::block_len(nx, 3, comm_a.rank());
         // y-pencil [kz_loc][kx_loc][y] -> z-pencil [y_loc][kx_loc][kz]
-        let t_yz = TransposePlan::with_placement(
-            &comm_b,
-            sxl,
-            nz,
-            ny,
-            ExchangeStrategy::Pairwise,
-            RowsPlacement::Middle,
-        );
+        let t_yz = TransposePlan::plan(&comm_b, sxl, nz, ny, RowsPlacement::Middle);
         // z-pencil [y_loc][kx_loc][z] -> x-pencil [y_loc][z_loc][x]
-        let t_zx = TransposePlan::new(&comm_a, nyl, nx, nz, ExchangeStrategy::AllToAll);
+        let t_zx = TransposePlan::plan(&comm_a, nyl, nx, nz, RowsPlacement::Outer);
         let field: Vec<f64> = (0..t_yz.input_len())
             .map(|i| (i as f64 * 0.73).sin() + me as f64)
             .collect();
