@@ -273,42 +273,85 @@ pub(crate) fn scatter(v: LaneRow, scale: f64, dst: &mut [C64], len: usize, k: us
     }
 }
 
-/// Where up to [`LANES`] interleaved lines sit in a slice: element `k` of
-/// line `l` at `k * stride + l`, for `l < lines`.
-#[derive(Clone, Copy)]
-pub(crate) struct Interleaved {
+/// Up to [`LANES`] lines' spectra stored lane-blocked over the
+/// coefficient index, the layout the pencil transposes leave: the
+/// coefficients come in consecutive runs of lengths `runs`, each run
+/// stored as whole blocks (a run of `len` takes `len.div_ceil(LANES)` of
+/// them; the pad lanes of its last one are written zero, never read), and
+/// lane `l` of a run's
+/// block `b` is the run's coefficient `LANES * b + l`. Line `i`'s entry of
+/// block `b` (counted over all runs) is at `b * stride + i`, for
+/// `i < lines`.
+#[derive(Clone, Copy, Debug)]
+pub struct LaneSpectra<'a> {
+    runs: &'a [usize],
     stride: usize,
     lines: usize,
 }
 
-impl Interleaved {
-    /// The lines of a `len`-long slice holding `modes` elements of each at
-    /// `stride`: the first `len - (modes - 1) * stride` of them.
-    pub fn of(len: usize, modes: usize, stride: usize) -> Interleaved {
-        let lines = len.wrapping_sub((modes - 1) * stride);
+impl<'a> LaneSpectra<'a> {
+    /// `lines` lines whose blocks sit `stride` entries apart, holding the
+    /// coefficient runs `runs`.
+    ///
+    /// # Panics
+    /// Unless `1 <= lines <= min(LANES, stride)` and every run is
+    /// non-empty.
+    pub fn new(runs: &'a [usize], stride: usize, lines: usize) -> LaneSpectra<'a> {
         assert!(
             (1..=LANES.min(stride)).contains(&lines),
             "1 to min(LANES, stride) lines"
         );
-        Interleaved { stride, lines }
+        assert!(runs.iter().all(|&len| len > 0), "empty coefficient run");
+        LaneSpectra {
+            runs,
+            stride,
+            lines,
+        }
     }
 
-    /// Element `k` of every line; the lanes past the last line are zero.
-    #[inline(always)]
-    pub fn gather(self, src: &[C64], k: usize) -> LaneRow {
-        let mut v = LaneRow::ZERO;
-        for (l, &c) in src[k * self.stride..][..self.lines].iter().enumerate() {
-            v.set(l, c);
-        }
-        v
+    /// Coefficients per line: the sum of the runs.
+    pub fn modes(&self) -> usize {
+        self.runs.iter().sum()
     }
 
-    /// Store `v * scale` as element `k` of every line.
-    #[inline(always)]
-    pub fn scatter(self, v: LaneRow, scale: f64, dst: &mut [C64], k: usize) {
-        for (l, c) in dst[k * self.stride..][..self.lines].iter_mut().enumerate() {
-            *c = C64::new(v.re[l] * scale, v.im[l] * scale);
+    /// Entries a slice must hold for the last block's last line.
+    pub fn span(&self) -> usize {
+        let blocks: usize = self.runs.iter().map(|len| len.div_ceil(LANES)).sum();
+        (blocks - 1) * self.stride + self.lines
+    }
+
+    /// Where coefficient `k` sits: the entry of line 0 in its block, and
+    /// its lane.
+    pub fn slot(&self, k: usize) -> (usize, usize) {
+        let (mut block, mut first) = (0, 0);
+        for &len in self.runs {
+            if k < first + len {
+                let c = k - first;
+                return ((block + c / LANES) * self.stride, c % LANES);
+            }
+            block += len.div_ceil(LANES);
+            first += len;
         }
+        panic!("coefficient {k} past the {first} stored");
+    }
+
+    /// `f(first entry, first coefficient, coefficients)` for every block.
+    #[inline(always)]
+    pub(crate) fn each_block(self, mut f: impl FnMut(usize, usize, usize)) {
+        let (mut block, mut first) = (0, 0);
+        for &len in self.runs {
+            for c in (0..len).step_by(LANES) {
+                f(block * self.stride, first + c, LANES.min(len - c));
+                block += 1;
+            }
+            first += len;
+        }
+    }
+
+    /// Lines per block.
+    #[inline(always)]
+    pub(crate) fn lines(&self) -> usize {
+        self.lines
     }
 }
 

@@ -20,14 +20,18 @@
 //!   `C64` gives the single-line transform; [`lanes::LaneRow`] gives the
 //!   same butterfly on [`LANES`] lines at once, with the lane index innermost,
 //!   which is what the compiler vectorises (a single short line has
-//!   nothing to vectorise at Stockham stride 1). The multi-line entries —
-//!   [`CfftPlan::execute_many`], [`CfftPlan::execute_dealiased`],
-//!   [`RfftPlan::inverse_lanes`], [`RfftPlan::forward_lanes`] — gather
-//!   lines into such blocks, fuse the 3/2-rule pad / truncate and the
-//!   normalisation into the gather and scatter, and run an AVX2
-//!   instantiation of the same code where the CPU has it (no FMA). Every
-//!   lane performs the single-line operations in the single-line order, so
-//!   blocked and per-line results are bitwise equal.
+//!   nothing to vectorise at Stockham stride 1). The multi-line entries
+//!   run an AVX2 instantiation of the same code where the CPU has it (no
+//!   FMA). [`CfftPlan::execute_many`] gathers `C64` lines into such
+//!   blocks and scatters them back; [`CfftPlan::execute_dealiased`] takes
+//!   lines that are already lane-blocked (a run of [`LaneRow`]s, lane `l`
+//!   one line), and [`RfftPlan::inverse_lanes`] /
+//!   [`RfftPlan::forward_lanes`] read and write spectra lane-blocked over
+//!   the coefficient index ([`LaneSpectra`]: one 8 x 8 transposition per
+//!   block turns coefficient lanes into line lanes). The 3/2-rule pad /
+//!   truncate and the normalisation ride the copies into and out of the
+//!   lane scratch. Every lane performs the single-line operations in the
+//!   single-line order, so blocked and per-line results are bitwise equal.
 //! * [`lanes`] is the stack's on-node kernel substrate: the lane row, the
 //!   ISA switch ([`lanes::Isa`], [`isa_fn!`]) `dns-banded` runs under too,
 //!   and [`lanes::fan_out`], the one thread fan-out.
@@ -69,7 +73,7 @@ mod plan;
 mod radix;
 mod real;
 
-pub use lanes::{Lanes, LANES};
+pub use lanes::{LaneRow, LaneSpectra, Lanes, LANES};
 pub use plan::{CfftPlan, Direction};
 pub use real::{RealLayout, RfftPlan};
 

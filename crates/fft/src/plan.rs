@@ -3,7 +3,7 @@
 use crate::bluestein::Bluestein;
 use crate::isa_fn;
 use crate::lanes::{gather, lane_blocks, scatter, Isa, LaneRow, LANES, SCRATCH_SLACK};
-use crate::radix::{factorize, stockham, Stage};
+use crate::radix::{factorize, scale, stockham, Stage};
 use crate::C64;
 
 /// Transform direction. Forward uses the `exp(-2*pi*i*jk/n)` kernel;
@@ -229,24 +229,25 @@ impl CfftPlan {
         }
     }
 
-    /// Multi-line transform with the 3/2-rule spectrum handling fused
-    /// into its gather and scatter, [`LANES`] lines per pass, no
-    /// telemetry (callers account for their whole batch).
+    /// Multi-line transform of lane-blocked lines with the 3/2-rule
+    /// spectrum handling fused into the copies in and out of the lane
+    /// scratch, no telemetry (callers account for their whole batch).
     ///
-    /// `modes` is the dealiased spectrum length (`modes <= n`, both
-    /// even). An **inverse** plan reads lines of `modes` coefficients
-    /// from `src`, zero-pads each to `n` exactly as
+    /// Each line is a run of [`LaneRow`]s holding element `k` of
+    /// [`LANES`] independent lines. `modes` is the dealiased spectrum
+    /// length (`modes <= n`, both even). An **inverse** plan reads lines of
+    /// `modes` coefficients from `src`, zero-pads each to `n` exactly as
     /// [`crate::dealias::pad_full`] does, and writes whole lines of `n`
     /// values to `dst`. A **forward** plan reads whole lines of `n` values
     /// and writes the `modes` coefficients
     /// [`crate::dealias::truncate_full`] keeps. Every stored value is
-    /// multiplied by `scale` (`1.0` is exact).
+    /// multiplied by `by` (`1.0` is exact).
     pub fn execute_dealiased(
         &self,
-        src: &[C64],
+        src: &[LaneRow],
         modes: usize,
-        dst: &mut [C64],
-        scale: f64,
+        dst: &mut [LaneRow],
+        by: f64,
         scratch: &mut [C64],
     ) {
         let n = self.n;
@@ -263,38 +264,32 @@ impl CfftPlan {
             "line counts differ"
         );
         assert_eq!(dst.len() % dst_len, 0, "destination must be whole lines");
-        // index of dealiased coefficient `j != modes / 2` in the
-        // length-`n` spectrum: non-negative wavenumbers in front, negative
-        // ones at the tail
+        // dealiased coefficient `j != modes / 2` sits at `j` in the
+        // length-`n` spectrum when `j < half`, at `j + n - modes` past it:
+        // non-negative wavenumbers in front, negative ones at the tail
         let half = modes / 2;
-        let wide = |j: usize| if j < half { j } else { j + n - modes };
-        let kept = || (0..modes).filter(|&j| j != half);
         let (a, b, rest) = self.lane_work(scratch, n);
-        for (s, d) in src
-            .chunks(LANES * src_len)
-            .zip(dst.chunks_mut(LANES * dst_len))
-        {
+        for (s, d) in src.chunks_exact(src_len).zip(dst.chunks_exact_mut(dst_len)) {
             if pad {
                 // pad_full: zeros between the two halves, source Nyquist dropped
+                a[..half].copy_from_slice(&s[..half]);
                 a[half..=n - half].fill(LaneRow::ZERO);
-                for j in kept() {
-                    a[wide(j)] = gather(s, modes, j);
-                }
+                a[n - half + 1..n].copy_from_slice(&s[half + 1..]);
             } else {
-                for (k, v) in a.iter_mut().enumerate() {
-                    *v = gather(s, n, k);
-                }
+                a[..n].copy_from_slice(s);
             }
             let (out, _) = self.transform_block(a, b, rest);
             if pad {
-                for (k, &v) in out.iter().enumerate() {
-                    scatter(v, scale, d, n, k);
+                for (d, &v) in d.iter_mut().zip(out) {
+                    *d = scale(v, by);
                 }
             } else {
                 // truncate_full: the destination Nyquist slot is zero
-                scatter(LaneRow::ZERO, 1.0, d, modes, half);
-                for j in kept() {
-                    scatter(out[wide(j)], scale, d, modes, j);
+                let (front, back) = d.split_at_mut(half);
+                back[0] = LaneRow::ZERO;
+                let kept = front.iter_mut().chain(&mut back[1..]);
+                for (d, &v) in kept.zip(out[..half].iter().chain(&out[n - half + 1..])) {
+                    *d = scale(v, by);
                 }
             }
         }
@@ -432,6 +427,11 @@ mod tests {
         v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     }
 
+    fn row_bits(v: &[LaneRow]) -> Vec<(u64, u64)> {
+        let lanes = v.iter().flat_map(|r| (0..LANES).map(|l| r.get(l)));
+        bits(&lanes.collect::<Vec<_>>())
+    }
+
     #[test]
     fn execute_many_equals_single_lines_bitwise() {
         for n in LANE_LENGTHS {
@@ -480,6 +480,20 @@ mod tests {
         out
     }
 
+    /// `lines` back-to-back lines of `len` values as lane-blocked lines:
+    /// lane `l` of blocked line `b` is line `LANES * b + l`, pad lanes zero.
+    fn block_lines(src: &[C64], len: usize) -> Vec<LaneRow> {
+        let lines = src.len() / len;
+        let mut out = vec![LaneRow::ZERO; lines.div_ceil(LANES) * len];
+        for (i, line) in src.chunks_exact(len).enumerate() {
+            let (b, l) = (i / LANES, i % LANES);
+            for (v, &c) in out[b * len..(b + 1) * len].iter_mut().zip(line) {
+                v.set(l, c);
+            }
+        }
+        out
+    }
+
     #[test]
     fn execute_dealiased_equals_pad_transform_truncate_bitwise() {
         for n in LANE_LENGTHS.into_iter().filter(|n| n % 2 == 0) {
@@ -500,13 +514,16 @@ mod tests {
                         Direction::Forward => (n, modes),
                     };
                     for lines in 1..=3 * LANES + 1 {
-                        let src = random_signal(lines * src_len, (n * 977 + lines) as u64);
-                        let mut dst = vec![C64::new(9.0, 9.0); lines * dst_len];
-                        plan.execute_dealiased(&src, modes, &mut dst, scale, &mut scratch);
+                        // the pad lanes of the last block hold zero lines
+                        let mut src = random_signal(lines * src_len, (n * 977 + lines) as u64);
+                        src.resize(lines.div_ceil(LANES) * LANES * src_len, C64::new(0.0, 0.0));
                         let want = dealiased_reference(&plan, &src, modes, scale);
+                        let mut dst = vec![LaneRow::ZERO; want.len() / LANES];
+                        let (src, want) = (block_lines(&src, src_len), block_lines(&want, dst_len));
+                        plan.execute_dealiased(&src, modes, &mut dst, scale, &mut scratch);
                         assert_eq!(
-                            bits(&dst),
-                            bits(&want),
+                            row_bits(&dst),
+                            row_bits(&want),
                             "n={n} modes={modes} {dir:?} lines={lines}"
                         );
                     }

@@ -14,7 +14,7 @@
 //!   it is neither stored nor communicated; the inverse treats it as zero.
 
 use crate::isa_fn;
-use crate::lanes::{Cx, Interleaved, LaneRow, Lanes};
+use crate::lanes::{Cx, Isa, LaneRow, LaneSpectra, Lanes, LANES};
 use crate::plan::{CfftPlan, Direction};
 use crate::radix::{add, mulw, scale, sub};
 use crate::C64;
@@ -93,40 +93,59 @@ fn split<C: Cx>(w: &[C64], z: &[C], out: &mut [C]) {
     }
 }
 
-/// [`merge`] of the interleaved lines `at` of `src`, `modes` coefficients
-/// each, every line zero-padded to the `x.len()`-long spectrum.
+/// [`merge`] of the lane-blocked spectra `at` of `src`, every line
+/// zero-padded to the `x.len()`-long spectrum. Each block's rows are an
+/// 8 x 8 transposition away from the blocked lines: coefficient `k + l`
+/// of line `i` is lane `l` of the block's row `i`.
 #[inline(always)]
-fn merge_block(w: &[C64], src: &[C64], modes: usize, at: Interleaved, x: &mut [LaneRow]) {
-    for (k, v) in x[..modes].iter_mut().enumerate() {
-        *v = at.gather(src, k);
-    }
-    x[modes..].fill(LaneRow::ZERO);
+fn merge_block(w: &[C64], src: &[LaneRow], at: LaneSpectra, x: &mut [LaneRow]) {
+    let lines = at.lines();
+    at.each_block(|row, k, n| {
+        let mut rows = [LaneRow::ZERO; LANES];
+        rows[..lines].copy_from_slice(&src[row..row + lines]);
+        for (l, v) in x[k..k + n].iter_mut().enumerate() {
+            *v = LaneRow {
+                re: Lanes(std::array::from_fn(|i| rows[i].re[l])),
+                im: Lanes(std::array::from_fn(|i| rows[i].im[l])),
+            };
+        }
+    });
+    x[at.modes()..].fill(LaneRow::ZERO);
     merge(w, x);
 }
 
-/// [`split`] into `out`, then scattered, scaled, into the interleaved
-/// lines `at` of `dst`, `out.len()` coefficients each.
+/// [`split`] into `out`, then transposed back into the lane-blocked
+/// spectra `at` of `dst`, scaled; every row of a block is written whole,
+/// its lanes past the run's end zero.
 #[inline(always)]
 fn split_block(
     w: &[C64],
     z: &[LaneRow],
     out: &mut [LaneRow],
     scale: f64,
-    dst: &mut [C64],
-    at: Interleaved,
+    dst: &mut [LaneRow],
+    at: LaneSpectra,
 ) {
     split(w, z, out);
-    for (k, &v) in out.iter().enumerate() {
-        at.scatter(v, scale, dst, k);
-    }
+    let lines = at.lines();
+    at.each_block(|row, k, n| {
+        let mut coefs = [LaneRow::ZERO; LANES];
+        coefs[..n].copy_from_slice(&out[k..k + n]);
+        for (i, v) in dst[row..row + lines].iter_mut().enumerate() {
+            *v = LaneRow {
+                re: Lanes(std::array::from_fn(|l| coefs[l].re[i] * scale)),
+                im: Lanes(std::array::from_fn(|l| coefs[l].im[i] * scale)),
+            };
+        }
+    });
 }
 
 isa_fn! {
-    fn merge_lanes(w: &[C64], src: &[C64], modes: usize, at: Interleaved, x: &mut [LaneRow]) = merge_block
+    fn merge_lanes(w: &[C64], src: &[LaneRow], at: LaneSpectra, x: &mut [LaneRow]) = merge_block
 }
 
 isa_fn! {
-    fn split_lanes(w: &[C64], z: &[LaneRow], out: &mut [LaneRow], scale: f64, dst: &mut [C64], at: Interleaved) = split_block
+    fn split_lanes(w: &[C64], z: &[LaneRow], out: &mut [LaneRow], scale: f64, dst: &mut [LaneRow], at: LaneSpectra) = split_block
 }
 
 impl RfftPlan {
@@ -234,28 +253,24 @@ impl RfftPlan {
         }
     }
 
-    /// Multi-line synthesis, no telemetry. `src` holds up to
-    /// [`crate::LANES`] interleaved half-complex lines of
-    /// `modes <= spectrum_len()` coefficients: coefficient `k` of line `l`
-    /// is `src[k * stride + l]`, for the first
-    /// `src.len() - (modes - 1) * stride` lines (at most `stride`). Every
-    /// line is zero-padded to the full spectrum (as
-    /// [`crate::dealias::pad_half`] does) and transformed, and value `j` of
-    /// line `l` lands in `output[j].0[l]`. Lanes past the last line hold
-    /// the transform of a zero line.
+    /// Multi-line synthesis, no telemetry: the lane-blocked half-complex
+    /// lines `at` of `src` ([`LaneSpectra`], `modes <= spectrum_len()`
+    /// coefficients each) are zero-padded to the full spectrum (as
+    /// [`crate::dealias::pad_half`] does) and transformed, and value `j`
+    /// of line `i` lands in `output[j].0[i]`. Lanes past the last line
+    /// hold the transform of a zero line.
     pub fn inverse_lanes(
         &self,
-        src: &[C64],
-        modes: usize,
-        stride: usize,
+        src: &[LaneRow],
+        at: LaneSpectra,
         output: &mut [Lanes],
         scratch: &mut [C64],
     ) {
-        assert!((1..=self.spectrum_len()).contains(&modes));
+        assert!((1..=self.spectrum_len()).contains(&at.modes()));
+        assert!(src.len() >= at.span(), "source too short for its blocks");
         assert_eq!(output.len(), self.n);
-        let at = Interleaved::of(src.len(), modes, stride);
         let (x, b, rest) = self.inv.lane_work(scratch, self.h + 1);
-        merge_lanes(self.inv.isa, &self.w, src, modes, at, x);
+        merge_lanes(self.inv.isa, &self.w, src, at, x);
         let (z, _) = self.inv.transform_block(x, b, rest);
         for (j, zj) in z.iter().enumerate() {
             output[2 * j] = zj.re * 2.0;
@@ -263,24 +278,27 @@ impl RfftPlan {
         }
     }
 
-    /// Multi-line analysis, no telemetry: `input[j].0[l]` is value `j` of
-    /// line `l`; the first `modes <= spectrum_len()` coefficients of each
+    /// Multi-line analysis, no telemetry: `input[j].0[i]` is value `j` of
+    /// line `i`; the first `modes <= spectrum_len()` coefficients of each
     /// line (what [`crate::dealias::truncate_half`] keeps), multiplied by
-    /// `scale`, are written to the interleaved lines of `dst` (coefficient
-    /// `k` of line `l` at `dst[k * stride + l]`, for the first
-    /// `dst.len() - (modes - 1) * stride` lines; nothing else is written).
+    /// `scale`, are written to the lane-blocked lines `at` of `dst`
+    /// ([`LaneSpectra`]). The rows of those lines' blocks are written
+    /// whole, pad lanes zero; nothing else is written.
     pub fn forward_lanes(
         &self,
         input: &[Lanes],
-        dst: &mut [C64],
-        modes: usize,
-        stride: usize,
+        dst: &mut [LaneRow],
+        at: LaneSpectra,
         scale: f64,
         scratch: &mut [C64],
     ) {
+        let modes = at.modes();
         assert!((1..=self.spectrum_len()).contains(&modes));
+        assert!(
+            dst.len() >= at.span(),
+            "destination too short for its blocks"
+        );
         assert_eq!(input.len(), self.n);
-        let at = Interleaved::of(dst.len(), modes, stride);
         let (a, b, rest) = self.fwd.lane_work(scratch, self.h + 1);
         for (j, zj) in a[..self.h].iter_mut().enumerate() {
             *zj = LaneRow {
@@ -291,6 +309,13 @@ impl RfftPlan {
         // the result lands in one buffer; split through the other
         let (z, free) = self.fwd.transform_block(a, b, rest);
         split_lanes(self.fwd.isa, &self.w, z, &mut free[..modes], scale, dst, at);
+    }
+
+    /// Instruction set of the multi-line kernels, detected when the plan
+    /// was built: callers fusing their own lane loops around these
+    /// transforms dispatch on it too.
+    pub fn isa(&self) -> Isa {
+        self.fwd.isa
     }
 }
 
@@ -407,13 +432,33 @@ mod tests {
         [RfftPlan::new(n, layout), base]
     }
 
-    /// Coefficient `k` of each line in `lines` at `k * stride + l`; the
-    /// slots between the lines hold NaN, which no lane may read.
-    fn interleave(lines: &[&[C64]], stride: usize) -> Vec<C64> {
-        let modes = lines[0].len();
-        let nan = C64::new(f64::NAN, f64::NAN);
-        let slot = |i: usize| lines.get(i % stride).map_or(nan, |line| line[i / stride]);
-        (0..(modes - 1) * stride + lines.len()).map(slot).collect()
+    /// One coefficient run, and the same coefficients in three uneven
+    /// runs (as three ranks would own them) where there are enough.
+    fn run_splits(modes: usize) -> Vec<Vec<usize>> {
+        let mut splits = vec![vec![modes]];
+        if modes >= 3 {
+            let third = modes / 3;
+            splits.push(vec![modes - 2 * third, third, third]);
+        }
+        splits
+    }
+
+    /// The lines `lines` stored lane-blocked as `at` describes; every
+    /// other slot (pad lanes, rows between the lines) holds NaN, which no
+    /// lane may read.
+    fn block_lines(lines: &[&[C64]], at: LaneSpectra) -> Vec<LaneRow> {
+        let nan = LaneRow {
+            re: Lanes([f64::NAN; LANES]),
+            im: Lanes([f64::NAN; LANES]),
+        };
+        let mut v = vec![nan; at.span()];
+        for (i, line) in lines.iter().enumerate() {
+            for (k, &c) in line.iter().enumerate() {
+                let (row, l) = at.slot(k);
+                v[row + i].set(l, c);
+            }
+        }
+        v
     }
 
     #[test]
@@ -428,10 +473,14 @@ mod tests {
                         for lines in 1..=LANES {
                             let src = rand_spectra(lines * modes, (n * 31 + lines) as u64);
                             let by_line: Vec<&[C64]> = src.chunks_exact(modes).collect();
-                            for stride in [lines, lines + 3] {
+                            for (runs, stride) in run_splits(modes)
+                                .iter()
+                                .flat_map(|r| [(r, lines), (r, lines + 3)])
+                            {
+                                let at = LaneSpectra::new(runs, stride, lines);
                                 let mut got = vec![Lanes([7.0; LANES]); n];
-                                let inter = interleave(&by_line, stride);
-                                plan.inverse_lanes(&inter, modes, stride, &mut got, &mut scratch);
+                                let blocked = block_lines(&by_line, at);
+                                plan.inverse_lanes(&blocked, at, &mut got, &mut scratch);
                                 let mut padded = vec![C64::new(0.0, 0.0); full];
                                 let mut want = vec![0.0; n];
                                 // a lane past the last line transforms a zero line
@@ -446,7 +495,7 @@ mod tests {
                                             got[j].0[l].to_bits(),
                                             want[j].to_bits(),
                                             "n={n} {layout:?} modes={modes} lines={lines} \
-                                             stride={stride} l={l} j={j}"
+                                             runs={runs:?} stride={stride} l={l} j={j}"
                                         );
                                     }
                                 }
@@ -472,38 +521,53 @@ mod tests {
                             let input: Vec<Lanes> = (0..n)
                                 .map(|j| Lanes(std::array::from_fn(|l| reals[l * n + j])))
                                 .collect();
-                            for stride in [lines, lines + 3] {
-                                let sentinel = C64::new(9.0, 9.0);
-                                let mut got = vec![sentinel; (modes - 1) * stride + lines];
-                                plan.forward_lanes(
-                                    &input,
-                                    &mut got,
-                                    modes,
-                                    stride,
-                                    scale,
-                                    &mut scratch,
-                                );
+                            for (runs, stride) in run_splits(modes)
+                                .iter()
+                                .flat_map(|r| [(r, lines), (r, lines + 3)])
+                            {
+                                let at = LaneSpectra::new(runs, stride, lines);
+                                let sentinel = LaneRow {
+                                    re: Lanes([9.0; LANES]),
+                                    im: Lanes([9.0; LANES]),
+                                };
+                                let mut got = vec![sentinel; at.span()];
+                                plan.forward_lanes(&input, &mut got, at, scale, &mut scratch);
                                 let mut spec = vec![C64::new(0.0, 0.0); full];
                                 let mut want = vec![C64::new(0.0, 0.0); modes];
-                                for (i, a) in got.iter().enumerate() {
-                                    let (k, l) = (i / stride, i % stride);
-                                    if l >= lines {
-                                        assert_eq!(*a, sentinel, "slot {i} between the lines");
-                                        continue;
-                                    }
+                                let mut written = vec![false; at.span() * LANES];
+                                for l in 0..lines {
                                     plan.forward(
                                         &reals[l * n..(l + 1) * n],
                                         &mut spec,
                                         &mut scratch,
                                     );
                                     truncate_half(&spec, &mut want);
-                                    let b = want[k] * scale;
-                                    assert!(
-                                        a.re.to_bits() == b.re.to_bits()
-                                            && a.im.to_bits() == b.im.to_bits(),
-                                        "n={n} {layout:?} modes={modes} lines={lines} \
-                                         stride={stride} l={l} k={k}"
-                                    );
+                                    for (k, &w) in want.iter().enumerate() {
+                                        let (row, lane) = at.slot(k);
+                                        let (a, b) = (got[row + l].get(lane), w * scale);
+                                        written[(row + l) * LANES + lane] = true;
+                                        assert!(
+                                            a.re.to_bits() == b.re.to_bits()
+                                                && a.im.to_bits() == b.im.to_bits(),
+                                            "n={n} {layout:?} modes={modes} lines={lines} \
+                                             runs={runs:?} stride={stride} l={l} k={k}"
+                                        );
+                                    }
+                                }
+                                // the lines' rows are written whole, pad lanes
+                                // zero; the rows between them are untouched
+                                for (i, row) in got.iter().enumerate() {
+                                    for lane in 0..LANES {
+                                        if written[i * LANES + lane] {
+                                            continue;
+                                        }
+                                        let want = if i % stride < lines { 0.0 } else { 9.0 };
+                                        assert_eq!(
+                                            row.get(lane),
+                                            C64::new(want, want),
+                                            "slot {i}.{lane}"
+                                        );
+                                    }
                                 }
                             }
                         }

@@ -8,8 +8,11 @@
 //! places every received block — through the cache-blocked reorder
 //! ([`reorder_blocked`]) where the two axes swap in memory, as contiguous
 //! runs where the placement keeps memory order
-//! ([`RowsPlacement::SplitFast`], [`RowsPlacement::SplitSlow`]). On one
-//! rank the unpack of the input itself is the whole transpose.
+//! ([`RowsPlacement::SplitFast`], [`RowsPlacement::SplitSlow`]), or
+//! through [`reorder_into_lanes`] / [`reorder_from_lanes`] where one side
+//! is lane-blocked ([`TransposePlan::run_into_lanes`],
+//! [`TransposePlan::run_from_lanes`]). On one rank the unpack of the
+//! input itself is the whole transpose.
 //!
 //! There is one exchange schedule: on the eager transport every block is
 //! queued when it is posted, so any other (FFTW's pairwise `sendrecv`
@@ -17,7 +20,8 @@
 //! schedule costs on a real wire is the machine model's to price.
 
 use crate::decomp::Block;
-use crate::reorder::reorder_blocked;
+use crate::reorder::{reorder_blocked, reorder_from_lanes, reorder_into_lanes};
+use dns_fft::{LaneRow, C64, LANES};
 use dns_minimpi::Communicator;
 use dns_telemetry as telemetry;
 use dns_telemetry::{Counter, Phase};
@@ -177,9 +181,7 @@ impl TransposePlan {
         send: &mut Vec<T>,
         out: &mut Vec<T>,
     ) {
-        if let Err(e) = self.try_run_with(comm, input, send, out) {
-            panic!("transpose exchange failed over {} ranks: {e}", self.p);
-        }
+        self.checked(self.try_run_with(comm, input, send, out));
     }
 
     /// [`run_with`](Self::run_with) with typed failure reporting: a dead
@@ -195,18 +197,123 @@ impl TransposePlan {
         out: &mut Vec<T>,
     ) -> Result<(), dns_minimpi::CommError> {
         assert_eq!(input.len(), self.input_len(), "input length mismatch");
+        let len = self.output_len();
+        self.exchange(comm, input, send, out, len, |c, fb, o| {
+            self.unpack(c, fb, o)
+        })
+    }
+
+    /// The [`RowsPlacement::Middle`] transpose with its output
+    /// lane-blocked, the y->z transpose into the z-pencil: the plan's
+    /// `rows` are `groups` runs of `lines` lines, the input is `C64
+    /// [f_loc][rows][t]` and the output `LaneRow [t_loc][blocks][f]`, where
+    /// lane `l` of group `g`'s block `b` is the group's line `LANES * b +
+    /// l` ([`reorder_into_lanes`]; pad lanes zero). The exchange carries
+    /// the input's `C64`s.
+    ///
+    /// # Panics
+    /// As [`run_with`](Self::run_with), or if the plan is not `Middle` or
+    /// its rows are not whole groups.
+    pub fn run_into_lanes(
+        &self,
+        comm: &Communicator,
+        lines: usize,
+        input: &[C64],
+        send: &mut Vec<C64>,
+        out: &mut Vec<LaneRow>,
+    ) {
+        let groups = self.lane_groups(lines);
+        assert_eq!(input.len(), self.input_len(), "input length mismatch");
+        let (ntl, nf) = (self.t_block.len, self.nf);
+        let rows = groups * lines.div_ceil(LANES);
+        let len = ntl * rows * nf;
+        let unpack = |chunk: &[C64], fb: Block, out: &mut [LaneRow]| {
+            let (src, dst) = ([self.rows * ntl, ntl], [rows * nf, nf]);
+            let shape = [fb.len, groups, lines, ntl];
+            reorder_into_lanes(chunk, src, &mut out[fb.start..], dst, shape);
+        };
+        self.checked(self.exchange(comm, input, send, out, len, unpack));
+    }
+
+    /// The inverse of [`run_into_lanes`](Self::run_into_lanes) on the
+    /// same kind of plan, the z->y transpose out of the z-pencil: input
+    /// `LaneRow [f_loc][blocks][t]`, output `C64 [t_loc][rows][f]`
+    /// ([`reorder_from_lanes`]; pad lanes are not read). The exchange
+    /// carries the input's `LaneRow`s.
+    ///
+    /// # Panics
+    /// As [`run_into_lanes`](Self::run_into_lanes).
+    pub fn run_from_lanes(
+        &self,
+        comm: &Communicator,
+        lines: usize,
+        input: &[LaneRow],
+        send: &mut Vec<LaneRow>,
+        out: &mut Vec<C64>,
+    ) {
+        let groups = self.lane_groups(lines);
+        let rows = groups * lines.div_ceil(LANES);
+        assert_eq!(
+            input.len(),
+            rows * self.f_block.len * self.nt,
+            "input length mismatch"
+        );
+        let (ntl, nf) = (self.t_block.len, self.nf);
+        let unpack = |chunk: &[LaneRow], fb: Block, out: &mut [C64]| {
+            let (src, dst) = ([rows * ntl, ntl], [self.rows * nf, nf]);
+            let shape = [fb.len, groups, lines, ntl];
+            reorder_from_lanes(chunk, src, &mut out[fb.start..], dst, shape);
+        };
+        let len = self.output_len();
+        self.checked(self.exchange(comm, input, send, out, len, unpack));
+    }
+
+    /// Groups of `lines` rows in a `Middle` plan.
+    fn lane_groups(&self, lines: usize) -> usize {
+        assert_eq!(
+            self.placement,
+            RowsPlacement::Middle,
+            "lane blocks need Middle"
+        );
+        assert!(
+            lines > 0 && self.rows.is_multiple_of(lines),
+            "rows must be whole groups of {lines} lines"
+        );
+        self.rows / lines
+    }
+
+    /// Panic on a failed exchange (see [`run_with`](Self::run_with)).
+    fn checked(&self, result: Result<(), dns_minimpi::CommError>) {
+        if let Err(e) = result {
+            panic!("transpose exchange failed over {} ranks: {e}", self.p);
+        }
+    }
+
+    /// Pack -> all-to-all -> unpack: `out` is sized to `out_len`, and
+    /// `unpack(chunk, fb, out)` places the block received from the owner of
+    /// `fb` of the `f` axis. On one rank the input itself is the one block.
+    fn exchange<T: Copy + Send + 'static, U: Copy + Default>(
+        &self,
+        comm: &Communicator,
+        input: &[T],
+        send: &mut Vec<T>,
+        out: &mut Vec<U>,
+        out_len: usize,
+        unpack: impl Fn(&[T], Block, &mut [U]),
+    ) -> Result<(), dns_minimpi::CommError> {
         assert_eq!(comm.size(), self.p);
         let _transpose = telemetry::span("transpose", Phase::Transpose);
         let nt = self.nt;
-        // resized, never cleared: both routes below store every output
-        // element (the transpose is a bijection of the index space), so
-        // nothing stale can be read and only a growing buffer is filled
-        out.resize(self.output_len(), T::default());
+        // resized, never cleared: every unpack stores every output
+        // element (the transpose is a bijection of the index space, pad
+        // lanes included), so nothing stale can be read and only a
+        // growing buffer is filled
+        out.resize(out_len, U::default());
 
         if self.p == 1 {
             // Single rank: no exchange, no pack copy — the input is the one
             // block there is to unpack
-            self.unpack(input, Block::of(self.nf, 1, 0), out);
+            unpack(input, Block::of(self.nf, 1, 0), out);
             // one read of the input, one write of the output
             telemetry::count(Counter::DdrBytes, 2 * std::mem::size_of_val(input) as u64);
             return Ok(());
@@ -258,7 +365,7 @@ impl TransposePlan {
 
         let _unpack = telemetry::span("unpack", Phase::Transpose);
         for (s, chunk) in parts.iter().enumerate() {
-            self.unpack(chunk, Block::of(self.nf, p, s), out);
+            unpack(chunk, Block::of(self.nf, p, s), out);
         }
         // the unpack reads the receive chunks once and writes them once
         telemetry::count(
@@ -465,6 +572,57 @@ mod tests {
                 ] {
                     check_placement(p, pl, [2, nf, nt]);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_transposes_match_their_definition_and_round_trip() {
+        // 3 lines (one padded block per group), 8 (one full block) and
+        // 11 (a full and a padded one); nf and nt split unevenly
+        for p in [1, 2, 3] {
+            for lines in [3, LANES, LANES + 3] {
+                mpi::run(p, move |comm| {
+                    let (groups, nf, nt) = (2, 7, 5);
+                    let rows = groups * lines;
+                    let plan = TransposePlan::plan(&comm, rows, nf, nt, RowsPlacement::Middle);
+                    let (fb, tb) = (plan.f_block(), plan.t_block());
+                    let value = |r: usize, f: usize, t: usize| {
+                        C64::new(((r * nf + f) * nt + t) as f64, r as f64)
+                    };
+                    // input `[f_loc][rows][t]`
+                    let mut input = Vec::with_capacity(plan.input_len());
+                    for f in fb.start..fb.end() {
+                        for r in 0..rows {
+                            input.extend((0..nt).map(|t| value(r, f, t)));
+                        }
+                    }
+                    let (mut send, mut lanes) = (Vec::new(), Vec::new());
+                    plan.run_into_lanes(&comm, lines, &input, &mut send, &mut lanes);
+                    // output `[t_loc][blocks][f]`, lane `l` of group `g`'s
+                    // block `b` its line `LANES * b + l`
+                    let nb = lines.div_ceil(LANES);
+                    assert_eq!(lanes.len(), tb.len * groups * nb * nf);
+                    for (tl, t) in (tb.start..tb.end()).enumerate() {
+                        for g in 0..groups {
+                            for f in 0..nf {
+                                for i in 0..nb * LANES {
+                                    let got = lanes[((tl * groups + g) * nb + i / LANES) * nf + f];
+                                    let want = if i < lines {
+                                        value(g * lines + i, f, t)
+                                    } else {
+                                        C64::new(0.0, 0.0)
+                                    };
+                                    assert_eq!(got.get(i % LANES), want, "p={p} lines={lines}");
+                                }
+                            }
+                        }
+                    }
+                    let inverse = plan.inverse(&comm);
+                    let (mut send, mut back) = (Vec::new(), Vec::new());
+                    inverse.run_from_lanes(&comm, lines, &lanes, &mut send, &mut back);
+                    assert_eq!(back, input, "p={p} lines={lines}: round trip");
+                });
             }
         }
     }

@@ -7,16 +7,22 @@
 //! ```text
 //!  x-pencil [y_loc(B)][z_loc(A)][x ]  -- real grid, x complete
 //!     | r2c FFT in x (+ 3/2 truncate)
-//!           [y_loc(B)][kx][z_loc(A)]   -- x spectra, z fastest
+//!           [y_loc(B)][kx_blk][z_loc(A)]   -- x spectra, z fastest
 //!     |                                        } CommA exchange
-//!  z-pencil [y_loc(B)][kx_loc(A)][z ]  -- z complete
+//!  z-pencil [y_loc(B)][kx_blk(A)][z ]  -- z complete
 //!     | c2c FFT in z (+ 3/2 truncate)          } CommB exchange
 //!  y-pencil [kz_loc(B)][kx_loc(A)][y ]  -- y complete (solves live here)
 //! ```
 //!
 //! The x spectra are stored z-fastest, so the CommA exchange keeps memory
 //! order, and on one CommA rank the two middle layouts coincide: there is
-//! no exchange at all.
+//! no exchange at all. Both middle layouts are lane-blocked over kx: an
+//! entry is a `dns_fft::LaneRow` whose lane `l` of block `b` is local kx
+//! `8b + l` (zero pad lanes past a rank's last kx), so the z- and
+//! x-stages read and write whole lane rows. The CommB transposes are the
+//! only place `C64` lines and lane rows convert
+//! (`dns_pencil::TransposePlan::{run_into_lanes, run_from_lanes}`); the
+//! y-pencil, which every caller sees, stays `C64` lines.
 //!
 //! [`ParallelFft::forward`] walks down that pipeline, [`ParallelFft::inverse`]
 //! walks back up (padding instead of truncating). The y direction is not
@@ -31,6 +37,7 @@
 //! | Nyquist mode of the x spectrum | elided | stored and transposed |
 //! | communication buffers | reused, 1x | allocated per call, 3x |
 //! | threading | on-node threads over lines (`dns_fft::lanes::fan_out`) | none |
+//! | z-pencil / x-pencil spectra | lane rows, pad lanes per rank | the same |
 //!
 //! Both exchange through the same all-to-all: on minimpi's eager
 //! transport a planned and a fixed schedule post the same messages, and

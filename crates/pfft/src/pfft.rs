@@ -3,7 +3,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dns_fft::lanes::fan_out;
-use dns_fft::{CfftPlan, Direction, Lanes, RealLayout, RfftPlan, LANES};
+use dns_fft::{
+    isa_fn, CfftPlan, Direction, LaneRow, LaneSpectra, Lanes, RealLayout, RfftPlan, LANES,
+};
 use dns_minimpi::{CartComm, Communicator};
 use dns_pencil::{Block, RowsPlacement, TransposePlan};
 
@@ -136,6 +138,9 @@ pub struct ParallelFft {
     zphys_block: Block,
     kx_block: Block,
     kz_block: Block,
+    /// Every CommA rank's kx count: the coefficient runs of the
+    /// lane-blocked x-pencil spectra ([`LaneSpectra`]).
+    kx_runs: Vec<usize>,
     rfft_x: RfftPlan,
     zfwd: CfftPlan,
     zinv: CfftPlan,
@@ -155,8 +160,9 @@ struct BatchPlans {
 /// Where an x-stage's physical lines come from.
 #[derive(Clone, Copy)]
 enum XIn<'a> {
-    /// The z-fastest x-pencil spectra `[y][field][kx][z_loc]`: pad + c2r.
-    Spectra(&'a [C64]),
+    /// The lane-blocked x-pencil spectra `[y][field][kx_block][z_loc]`:
+    /// pad + c2r.
+    Spectra(&'a [LaneRow]),
     /// Physical fields, each `[y][z][px]`.
     Fields(&'a [&'a [f64]]),
 }
@@ -179,10 +185,48 @@ fn count_flops(lines: usize, per_line: f64) {
     }
 }
 
-/// The slots of `cnt` interleaved x-pencil spectra of `sx` modes in rows
-/// of `zpl` z values (coefficient `k` of line `l` at `first + k*zpl + l`).
-fn interleaved(first: usize, sx: usize, zpl: usize, cnt: usize) -> std::ops::Range<usize> {
-    first..first + (sx - 1) * zpl + cnt
+/// `uu - vv` of one lane block of `uvw` (`u`, `v`, `w` back to back, each
+/// `prod.len()` long) into `prod`, and the block's largest advective rate
+/// `|u| wx + |v| wy + |w| wz` into `peak`, computed under the pass's loads
+/// (non-negative f64s order as their bits do; lanes past the block's lines
+/// are zero).
+#[inline(always)]
+fn courant_body(uvw: &[Lanes], wx: f64, wy: f64, wz: f64, prod: &mut [Lanes], peak: &mut f64) {
+    let px = prod.len();
+    let (u, v, w) = (&uvw[..px], &uvw[px..2 * px], &uvw[2 * px..3 * px]);
+    let mut worst = [0.0f64; LANES];
+    for (p, ((u, v), w)) in prod.iter_mut().zip(u.iter().zip(v).zip(w)) {
+        for l in 0..LANES {
+            let c = u.0[l].abs() * wx + v.0[l].abs() * wy + w.0[l].abs() * wz;
+            worst[l] = if c > worst[l] { c } else { worst[l] };
+        }
+        p.0 = std::array::from_fn(|l| u.0[l] * u.0[l] - v.0[l] * v.0[l]);
+    }
+    *peak = worst.into_iter().fold(0.0, f64::max);
+}
+
+/// `a * b`, minus `v * v` with `sub_vv`, of one lane block into `prod`.
+#[inline(always)]
+fn product_body(a: &[Lanes], b: &[Lanes], v: &[Lanes], sub_vv: bool, prod: &mut [Lanes]) {
+    for (p, ((a, b), v)) in prod.iter_mut().zip(a.iter().zip(b).zip(v)) {
+        p.0 = std::array::from_fn(|l| {
+            let mut x = a.0[l] * b.0[l];
+            if sub_vv {
+                x -= v.0[l] * v.0[l];
+            }
+            x
+        });
+    }
+}
+
+isa_fn! {
+    /// [`courant_body`] under the transforms' instruction set.
+    fn courant_product(uvw: &[Lanes], wx: f64, wy: f64, wz: f64, prod: &mut [Lanes], peak: &mut f64) = courant_body
+}
+
+isa_fn! {
+    /// [`product_body`] under the transforms' instruction set.
+    fn product(a: &[Lanes], b: &[Lanes], v: &[Lanes], sub_vv: bool, prod: &mut [Lanes]) = product_body
 }
 
 impl ParallelFft {
@@ -212,6 +256,7 @@ impl ParallelFft {
         let zphys_block = Block::of(pz, pa, comm_a.rank());
         let kx_block = Block::of(sx, pa, comm_a.rank());
         let kz_block = Block::of(cfg.nz, pb, comm_b.rank());
+        let kx_runs = (0..pa).map(|r| Block::of(sx, pa, r).len).collect();
 
         ParallelFft {
             cfg,
@@ -221,6 +266,7 @@ impl ParallelFft {
             zphys_block,
             kx_block,
             kz_block,
+            kx_runs,
             rfft_x: RfftPlan::new(px, RealLayout::WithNyquist),
             zfwd: CfftPlan::new(pz, Direction::Forward),
             zinv: CfftPlan::new(pz, Direction::Inverse),
@@ -232,11 +278,15 @@ impl ParallelFft {
     /// no message, no heap.
     fn batch_plans(&self, k: usize) -> BatchPlans {
         let (cfg, ry, rx) = (&self.cfg, self.y_block.len * k, self.kx_block.len * k);
-        // z->x: CommA, rows = local y, f = kx spectrum, t = physical z,
-        // memory order kept (the x-pencil spectra are z-fastest)
+        // z->x: CommA in lane rows, rows = local y, f = kx block, t =
+        // physical z, memory order kept (the x-pencil spectra are
+        // z-fastest); the balanced split of the global block count gives
+        // every rank exactly its own blocks (DESIGN.md §4.1)
         let split = RowsPlacement::SplitFast;
-        let t_zx = TransposePlan::plan(&self.comm_a, ry, cfg.sx(), cfg.pz(), split);
-        // z->y: CommB, rows = local kx, f = y, t = kz spectrum
+        let t_zx = TransposePlan::plan(&self.comm_a, ry, self.kx_blocks(), cfg.pz(), split);
+        debug_assert_eq!(t_zx.f_block().len, self.kx_block.len.div_ceil(LANES));
+        // z->y: CommB, rows = local kx (in C64 lines), f = y, t = kz
+        // spectrum; the z-pencil side is lane-blocked over kx
         let middle = RowsPlacement::Middle;
         let t_zy = TransposePlan::plan(&self.comm_b, rx, cfg.ny, cfg.nz, middle);
         BatchPlans {
@@ -277,6 +327,12 @@ impl ParallelFft {
     /// This rank's kz block (y-pencil layout).
     pub fn kz_block(&self) -> Block {
         self.kz_block
+    }
+
+    /// Lane blocks of kx over all CommA ranks: each rank's kx block padded
+    /// to whole [`LANES`]-wide blocks.
+    fn kx_blocks(&self) -> usize {
+        self.kx_runs.iter().map(|len| len.div_ceil(LANES)).sum()
     }
 
     /// Local length of a real x-pencil field.
@@ -405,12 +461,19 @@ impl ParallelFft {
             .max(self.zfwd.scratch_len())
     }
 
-    /// The z-stage: every z line of `src` through `plan` into `dst`,
-    /// [`LANES`] lines per transform pass, one y row per work item. An
-    /// inverse plan zero-pads `nz -> pz`; a forward plan truncates
-    /// `pz -> nz` and normalises by `pz`. Flops are counted once for the
-    /// whole stage. `serial` is sized by the transform.
-    fn z_stage(&self, plan: &CfftPlan, src: &[C64], dst: &mut [C64], serial: &mut LineScratch) {
+    /// The z-stage: every lane-blocked z line of `src` (the z-pencil,
+    /// [`LANES`] kx per line) through `plan` into `dst`, one y row per
+    /// work item. An inverse plan zero-pads `nz -> pz`; a forward plan
+    /// truncates `pz -> nz` and normalises by `pz`. Flops are counted once
+    /// for the whole stage, per kx line (pad lanes are not counted).
+    /// `serial` is sized by the transform.
+    fn z_stage(
+        &self,
+        plan: &CfftPlan,
+        src: &[LaneRow],
+        dst: &mut [LaneRow],
+        serial: &mut LineScratch,
+    ) {
         let (nz, pz, nyl) = (self.cfg.nz, self.cfg.pz(), self.y_block.len);
         let (name, src_len, dst_len, scale) = match plan.direction() {
             Direction::Inverse => ("fft_z_inv", nz, pz, 1.0),
@@ -420,10 +483,10 @@ impl ParallelFft {
             return;
         }
         let region = telemetry::region(name, Phase::Fft);
-        let lines = src.len() / src_len;
-        assert_eq!(dst.len(), lines * dst_len);
-        count_flops(lines, dns_fft::cfft_flops(pz));
-        let (src_row, dst_row) = (lines / nyl * src_len, lines / nyl * dst_len);
+        let (blocks, kxl) = (src.len() / src_len, self.kx_block.len);
+        assert_eq!(dst.len(), blocks * dst_len);
+        count_flops(blocks / kxl.div_ceil(LANES) * kxl, dns_fft::cfft_flops(pz));
+        let (src_row, dst_row) = (blocks / nyl * src_len, blocks / nyl * dst_len);
         let fft_len = self.fft_len();
         self.for_lines_init(
             dst,
@@ -462,12 +525,12 @@ impl ParallelFft {
             return;
         }
         let region = telemetry::region(name, Phase::Fft);
-        let (px, sx, zpl) = (self.cfg.px(), self.cfg.sx(), self.zphys_block.len);
+        let (px, zpl, nbx) = (self.cfg.px(), self.zphys_block.len, self.kx_blocks());
         count_flops(
             dst.len() / row_len * zpl * transforms,
             dns_fft::rfft_flops(px),
         );
-        let (rfft, fft_len) = (&self.rfft_x, self.fft_len());
+        let (rfft, fft_len, runs) = (&self.rfft_x, self.fft_len(), &self.kx_runs[..]);
         self.for_lines_init(
             dst,
             row_len,
@@ -479,8 +542,9 @@ impl ParallelFft {
                     for (f, phys) in sc.phys.chunks_exact_mut(px).take(k).enumerate() {
                         match input {
                             XIn::Spectra(spec) => {
-                                let s = interleaved((y * k + f) * sx * zpl + z0, sx, zpl, cnt);
-                                rfft.inverse_lanes(&spec[s], sx, zpl, phys, &mut sc.fft);
+                                let at = LaneSpectra::new(runs, zpl, cnt);
+                                let s = &spec[(y * k + f) * nbx * zpl + z0..];
+                                rfft.inverse_lanes(s, at, phys, &mut sc.fft);
                             }
                             XIn::Fields(fields) => {
                                 let s = (y * zpl + z0) * px;
@@ -504,7 +568,8 @@ impl ParallelFft {
     /// Where the x-stage works in `ws` once `hop`, if any, has run: `(the
     /// x-pencil spectra it reads, the buffer it writes, the line scratch)`.
     /// The one place that knows the `pa == 1` rule: on one CommA rank the
-    /// z-fastest x-pencil *is* the z-pencil (both `[y][field][kx][z]`), so
+    /// z-fastest x-pencil *is* the z-pencil (both `[y][field][kx_block][z]`
+    /// lane rows), so
     /// no hop runs and the x-stage reads the inverse z-stage's output `zp`
     /// and writes the forward z-stage's input `zp_prod`. Across CommA ranks
     /// [`Hop::Zx`] moves `zp` into `zp_spec`, the x-stage reads `zp_spec`
@@ -513,7 +578,7 @@ impl ParallelFft {
         &self,
         hop: Option<Hop>,
         ws: &'w mut Workspace,
-    ) -> (&'w [C64], &'w mut Vec<C64>, &'w mut LineScratch) {
+    ) -> (&'w [LaneRow], &'w mut Vec<LaneRow>, &'w mut LineScratch) {
         let Workspace {
             zp_spec,
             zp,
@@ -538,17 +603,23 @@ impl ParallelFft {
 
     /// The inverse leg: `k` spectral fields stacked as
     /// `[kz_loc][field][kx_loc][ny]` (so the Middle transpose sees rows =
-    /// `k * kx_loc`) through the CommB transpose, the padded inverse
-    /// z-stage and the CommA hop, leaving the z-fastest x-pencil spectra
-    /// `[y_loc][field][kx][z_loc]` where [`ParallelFft::x_pencil`] reads
-    /// them.
+    /// `k * kx_loc`) through the CommB transpose into the lane-blocked
+    /// z-pencil, the padded inverse z-stage and the CommA hop, leaving the
+    /// z-fastest x-pencil spectra `[y_loc][field][kx_block][z_loc]` where
+    /// [`ParallelFft::x_pencil`] reads them.
     fn inverse_leg(&self, k: usize, stacked: &[C64], ws: &mut Workspace) {
         let region = telemetry::region("transpose_yz", Phase::Transpose);
-        let plan = self.batch_plans(k).t_yz;
-        plan.run_with(&self.comm_b, stacked, &mut ws.send, &mut ws.zp_spec);
+        let (plan, kxl) = (self.batch_plans(k).t_yz, self.kx_block.len);
+        plan.run_into_lanes(
+            &self.comm_b,
+            kxl,
+            stacked,
+            &mut ws.send_lines,
+            &mut ws.zp_spec,
+        );
         region.close(&self.clock);
-        let len = self.y_block.len * k * self.kx_block.len * self.cfg.pz();
-        ws.zp.resize(len, C64::new(0.0, 0.0));
+        let len = self.y_block.len * k * kxl.div_ceil(LANES) * self.cfg.pz();
+        ws.zp.resize(len, LaneRow::ZERO);
         self.z_stage(&self.zinv, &ws.zp_spec, &mut ws.zp, &mut ws.serial);
         self.x_pencil(Some(Hop::Zx(k)), ws);
     }
@@ -558,12 +629,13 @@ impl ParallelFft {
     /// transpose into `out`, stacked as `[kz_loc][field][kx_loc][ny]`.
     fn forward_leg(&self, k: usize, ws: &mut Workspace, out: &mut Vec<C64>) {
         self.x_pencil(Some(Hop::Xz(k)), ws);
-        let len = self.y_block.len * k * self.kx_block.len * self.cfg.nz;
-        ws.out_z.resize(len, C64::new(0.0, 0.0));
+        let kxl = self.kx_block.len;
+        let len = self.y_block.len * k * kxl.div_ceil(LANES) * self.cfg.nz;
+        ws.out_z.resize(len, LaneRow::ZERO);
         self.z_stage(&self.zfwd, &ws.zp_prod, &mut ws.out_z, &mut ws.serial);
         let region = telemetry::region("transpose_zy", Phase::Transpose);
         let plan = self.batch_plans(k).t_zy;
-        plan.run_with(&self.comm_b, &ws.out_z, &mut ws.send, out);
+        plan.run_from_lanes(&self.comm_b, kxl, &ws.out_z, &mut ws.send, out);
         region.close(&self.clock);
     }
 
@@ -639,8 +711,8 @@ impl ParallelFft {
     pub fn nonlinear_products(&self, uvw: &[C64], out: &mut Vec<C64>, ws: &mut Workspace) {
         assert_eq!(uvw.len(), NL_FIELDS * self.y_pencil_len());
         let _fused = telemetry::span("nonlinear_products", Phase::Other);
-        let (px, sx) = (self.cfg.px(), self.cfg.sx());
-        let (nyl, zpl) = (self.y_block.len, self.zphys_block.len);
+        let (px, zpl, nbx) = (self.cfg.px(), self.zphys_block.len, self.kx_blocks());
+        let nyl = self.y_block.len;
         // every transform sizes the line scratch before any pipeline buffer:
         // the other order made glibc fault fresh pages on every batch call
         // and keep one more 4 MB buffer resident over repeated launches
@@ -649,57 +721,41 @@ impl ParallelFft {
 
         // The fused x-stage body, per block of up to LANES x-lines held
         // as lane blocks: form each of the five products from the three
-        // physical velocity blocks, forward transform it, and scatter the
-        // truncated, normalised spectra. With Courant weights set, the `uu - vv`
-        // pass also folds the block's largest advective rate into `peak`
-        // (non-negative f64s order as their bits do; lanes past `cnt` are zero).
+        // physical velocity blocks, forward transform it, and store the
+        // truncated, normalised spectra lane-blocked. With Courant weights
+        // set, the `uu - vv` pass also folds the block's largest advective
+        // rate into `peak`.
         let (wx, inv_dy, wz) = std::mem::take(&mut ws.courant_weights);
         assert!(inv_dy.is_empty() || inv_dy.len() == nyl);
-        let rfft = &self.rfft_x;
+        let (rfft, isa, runs) = (&self.rfft_x, self.rfft_x.isa(), &self.kx_runs[..]);
         let inv_px = 1.0 / px as f64;
         let peak = AtomicU64::new(ws.courant_rate.to_bits());
-        let fused = |sc: &mut LineScratch, y: usize, z0: usize, cnt: usize, row: &mut [C64]| {
+        let fused = |sc: &mut LineScratch, y: usize, z0: usize, cnt: usize, row: &mut [LaneRow]| {
+            let (phys, prod) = (&sc.phys[..NL_FIELDS * px], &mut sc.prod[..px]);
+            let field = |i: usize| &phys[i * px..(i + 1) * px];
+            let at = LaneSpectra::new(runs, zpl, cnt);
             for (f, &(i, j, sub_vv)) in PRODUCTS.iter().enumerate() {
                 if let ((0, 0, true), Some(&wy)) = ((i, j, sub_vv), inv_dy.get(y)) {
-                    // uu - vv with the rate folded in, hidden under the pass's loads
-                    let (u, vw) = sc.phys[..NL_FIELDS * px].split_at(px);
-                    let mut worst = [0.0f64; LANES];
-                    let uvw = u.iter().zip(&vw[..px]).zip(&vw[px..]);
-                    for (p, ((u, v), w)) in sc.prod[..px].iter_mut().zip(uvw) {
-                        for l in 0..LANES {
-                            let c = u.0[l].abs() * wx + v.0[l].abs() * wy + w.0[l].abs() * wz;
-                            worst[l] = if c > worst[l] { c } else { worst[l] };
-                        }
-                        p.0 = std::array::from_fn(|l| u.0[l] * u.0[l] - v.0[l] * v.0[l]);
-                    }
-                    let worst = worst.into_iter().fold(0.0, f64::max);
+                    let mut worst = 0.0;
+                    courant_product(isa, phys, wx, wy, wz, prod, &mut worst);
                     peak.fetch_max(worst.to_bits(), Ordering::Relaxed);
                 } else {
-                    for x in 0..px {
-                        let (a, b, v) = (sc.phys[i * px + x], sc.phys[j * px + x], sc.phys[px + x]);
-                        for l in 0..LANES {
-                            let mut p = a.0[l] * b.0[l];
-                            if sub_vv {
-                                p -= v.0[l] * v.0[l];
-                            }
-                            sc.prod[x].0[l] = p;
-                        }
-                    }
+                    product(isa, field(i), field(j), field(1), sub_vv, prod);
                 }
-                let d = interleaved(f * sx * zpl + z0, sx, zpl, cnt);
-                rfft.forward_lanes(&sc.prod[..px], &mut row[d], sx, zpl, inv_px, &mut sc.fft);
+                let d = &mut row[f * nbx * zpl + z0..];
+                rfft.forward_lanes(prod, d, at, inv_px, &mut sc.fft);
             }
         };
         const FUSED_TRANSFORMS: usize = NL_FIELDS + NL_PRODUCTS;
         let (spec, products, serial) = self.x_pencil(None, ws);
-        products.resize(nyl * NL_PRODUCTS * sx * zpl, C64::new(0.0, 0.0));
+        products.resize(nyl * NL_PRODUCTS * nbx * zpl, LaneRow::ZERO);
         self.x_stage(
             "fused_products",
             NL_FIELDS,
             FUSED_TRANSFORMS,
             XIn::Spectra(spec),
             products,
-            NL_PRODUCTS * sx * zpl,
+            NL_PRODUCTS * nbx * zpl,
             serial,
             fused,
         );
@@ -763,28 +819,29 @@ impl ParallelFft {
             assert_eq!(f.len(), self.x_pencil_len());
         }
         let _pfft = telemetry::span("pfft_forward_batch", Phase::Other);
-        let (px, sx, zpl) = (self.cfg.px(), self.cfg.sx(), self.zphys_block.len);
+        let (px, zpl, nbx) = (self.cfg.px(), self.zphys_block.len, self.kx_blocks());
         let mut ws = Workspace::new();
         ws.serial.ensure(k, px, self.fft_len());
 
         // r2c in x straight from the fields into the z-fastest x-pencil
-        // [y_loc][field][kx][z_loc], truncated to the solution modes and
-        // normalised by px
+        // [y_loc][field][kx_block][z_loc], truncated to the solution modes
+        // and normalised by px
         let (_, spec_x, serial) = self.x_pencil(None, &mut ws);
-        spec_x.resize(self.y_block.len * k * sx * zpl, C64::new(0.0, 0.0));
-        let (rfft, inv_px) = (&self.rfft_x, 1.0 / px as f64);
+        spec_x.resize(self.y_block.len * k * nbx * zpl, LaneRow::ZERO);
+        let (rfft, inv_px, runs) = (&self.rfft_x, 1.0 / px as f64, &self.kx_runs[..]);
         self.x_stage(
             "fft_x_fwd",
             k,
             k,
             XIn::Fields(fields),
             spec_x,
-            k * sx * zpl,
+            k * nbx * zpl,
             serial,
-            |sc, _, z0, cnt, row: &mut [C64]| {
+            |sc, _, z0, cnt, row: &mut [LaneRow]| {
+                let at = LaneSpectra::new(runs, zpl, cnt);
                 for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
-                    let d = interleaved(f * sx * zpl + z0, sx, zpl, cnt);
-                    rfft.forward_lanes(block, &mut row[d], sx, zpl, inv_px, &mut sc.fft);
+                    let d = &mut row[f * nbx * zpl + z0..];
+                    rfft.forward_lanes(block, d, at, inv_px, &mut sc.fft);
                 }
             },
         );
@@ -1321,17 +1378,20 @@ mod tests {
 
     /// Per-line reference for [`ParallelFft::nonlinear_products`]: the
     /// same schedule with every line loop written out on the single-line
-    /// transform API.
+    /// transform API and every pencil stored as `C64` lines.
     fn products_per_line(p: &ParallelFft, uvw: &[C64]) -> Vec<C64> {
         use dns_fft::dealias::{pad_full, pad_half, truncate_full, truncate_half};
         let cfg = &p.cfg;
         let (px, pz, sx, nz) = (cfg.px(), cfg.pz(), cfg.sx(), cfg.nz);
-        let (nyl, zpl) = (p.y_block.len, p.zphys_block.len);
+        let (nyl, zpl, kxl) = (p.y_block.len, p.zphys_block.len, p.kx_block.len);
         let zero = C64::new(0.0, 0.0);
         let mut zscratch = p.zinv.make_scratch();
         let mut xscratch = p.rfft_x.make_scratch();
+        let (split, middle) = (RowsPlacement::SplitFast, RowsPlacement::Middle);
+        let t_zx = |k: usize| TransposePlan::plan(&p.comm_a, nyl * k, sx, pz, split);
+        let t_zy = |k: usize| TransposePlan::plan(&p.comm_b, k * kxl, cfg.ny, nz, middle);
 
-        let zp_spec = p.batch_plans(NL_FIELDS).t_yz.run(&p.comm_b, uvw);
+        let zp_spec = t_zy(NL_FIELDS).inverse(&p.comm_b).run(&p.comm_b, uvw);
         let mut zp = vec![zero; zp_spec.len() / nz * pz];
         for (src, dst) in zp_spec.chunks_exact(nz).zip(zp.chunks_exact_mut(pz)) {
             pad_full(src, dst);
@@ -1340,7 +1400,7 @@ mod tests {
         // the z-fastest x-pencil: coefficient kx of line (y, field, z) at
         // ((y * fields + field) * sx + kx) * zpl + z
         // (on one CommA rank the hop is a plain copy)
-        let spec_x = p.batch_plans(NL_FIELDS).t_zx.run(&p.comm_a, &zp);
+        let spec_x = t_zx(NL_FIELDS).run(&p.comm_a, &zp);
         let at =
             |y: usize, f: usize, nf: usize, kx: usize, z: usize| ((y * nf + f) * sx + kx) * zpl + z;
 
@@ -1375,7 +1435,9 @@ mod tests {
             }
         }
 
-        let zp = p.batch_plans(NL_PRODUCTS).t_xz.run(&p.comm_a, &spec_px);
+        let zp = t_zx(NL_PRODUCTS)
+            .inverse(&p.comm_a)
+            .run(&p.comm_a, &spec_px);
         let mut out_z = vec![zero; zp.len() / pz * nz];
         let mut zline = vec![zero; pz];
         for (src, dst) in zp.chunks_exact(pz).zip(out_z.chunks_exact_mut(nz)) {
@@ -1386,7 +1448,7 @@ mod tests {
             }
             truncate_full(&zline, dst);
         }
-        p.batch_plans(NL_PRODUCTS).t_zy.run(&p.comm_b, &out_z)
+        t_zy(NL_PRODUCTS).run(&p.comm_b, &out_z)
     }
 
     #[test]
@@ -1482,6 +1544,75 @@ mod tests {
                     assert_eq!(got.to_bits(), serial[0].0.to_bits(), "{case}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn kx_lane_blocks_split_as_the_kx_axis_does() {
+        // the CommA hop splits the global count of kx blocks with the
+        // balanced split: every rank must get exactly its own blocks
+        for sx in 1..=64 {
+            for pa in 1..=sx {
+                let blocks = |r: usize| Block::of(sx, pa, r).len.div_ceil(LANES);
+                let total: usize = (0..pa).map(blocks).sum();
+                let mut start = 0;
+                for r in 0..pa {
+                    let hop = Block::of(total, pa, r);
+                    assert_eq!(
+                        (hop.start, hop.len),
+                        (start, blocks(r)),
+                        "sx={sx} pa={pa} r={r}"
+                    );
+                    start += blocks(r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pad_lanes_stay_zero_through_the_fused_cycle() {
+        // sx = 8 over 2 and 4 CommA ranks: 4 and 2 kx per rank, so every
+        // lane row of the z-pencil (and of the x-pencil, one block per
+        // rank) carries 4 and 6 pad lanes
+        for pa in [2, 4] {
+            mpi::run(pa, move |world| {
+                let cfg = PfftConfig::customized(16, 7, 20, pa, 1).with_dealias();
+                let p = ParallelFft::new(world, cfg);
+                let kxl = p.kx_block().len;
+                assert_eq!(kxl, 8 / pa);
+                let base = fill_x_pencil(&p);
+                let fields = [1.0, 0.3, -0.2].map(|c| {
+                    let f: Vec<f64> = base.iter().map(|v| c * v + 0.1).collect();
+                    p.forward(&f)
+                });
+                let uvw = stack_uvw(&p, [&fields[0], &fields[1], &fields[2]]);
+                let (mut out, mut ws) = (Vec::new(), Workspace::new());
+                for call in 0..2 {
+                    p.nonlinear_products(&uvw, &mut out, &mut ws);
+                    let buffers = [
+                        ("zp_spec", &ws.zp_spec),
+                        ("zp", &ws.zp),
+                        ("zp_prod", &ws.zp_prod),
+                        ("out_z", &ws.out_z),
+                    ];
+                    for (name, rows) in buffers {
+                        // the test fields reach kx 4 in the products, so
+                        // only the rank owning kx 0 is sure to see them
+                        let mut live = rows.iter().flat_map(|r| (0..kxl).map(|l| r.get(l)));
+                        let first = p.kx_block().start == 0;
+                        assert!(!first || live.any(|c| c.norm() > 1e-3), "{name}: trivial");
+                        for (i, row) in rows.iter().enumerate() {
+                            for l in kxl..LANES {
+                                assert_eq!(
+                                    row.get(l),
+                                    C64::new(0.0, 0.0),
+                                    "{pa}x1 call {call} {name} row {i} lane {l}"
+                                );
+                            }
+                        }
+                    }
+                }
+            });
         }
     }
 

@@ -1,14 +1,17 @@
 //! Reusable buffers for the pencil pipeline.
 //!
 //! Every transform of [`crate::ParallelFft`] runs the same two legs on a
-//! [`Workspace`]. The fused path ([`crate::ParallelFft::nonlinear_products`])
+//! [`Workspace`]. Every buffer past the CommB transpose holds lane rows
+//! ([`LaneRow`]): the z-pencil `[y_loc][field][kx_block][z]`, lane `l` of
+//! block `b` local kx `8b + l`, pad lanes zero; the x-pencil spectra
+//! `[y_loc][field][kx_block][z_loc]`, one run of blocks per CommA rank. The fused path ([`crate::ParallelFft::nonlinear_products`])
 //! reuses the caller's, whose buffers start empty and are sized on first
 //! use, so from the second call on no `resize` allocates and a steady-state
 //! RK3 substep is allocation-free on a single rank (multi-rank exchanges
 //! still allocate inside the message layer). The batch transforms use a
 //! fresh one per call.
 
-use dns_fft::Lanes;
+use dns_fft::{LaneRow, Lanes};
 
 use crate::C64;
 
@@ -21,18 +24,22 @@ use crate::C64;
 pub struct Workspace {
     /// z-pencil spectral lines (after the y->z transpose); across CommA
     /// ranks also the x-pencil spectra after the z->x hop.
-    pub(crate) zp_spec: Vec<C64>,
+    pub(crate) zp_spec: Vec<LaneRow>,
     /// z-pencil padded lines (physical z), which on one CommA rank are the
     /// x-pencil spectra the x-stage reads; across CommA ranks also the
     /// x-pencil spectra the x-stage writes, before the x->z hop.
-    pub(crate) zp: Vec<C64>,
+    pub(crate) zp: Vec<LaneRow>,
     /// z-pencil padded lines, the forward z-stage's input: written by the
     /// x-stage on one CommA rank, by the x->z hop across them.
-    pub(crate) zp_prod: Vec<C64>,
+    pub(crate) zp_prod: Vec<LaneRow>,
     /// z-pencil truncated lines (after the forward z FFT).
-    pub(crate) out_z: Vec<C64>,
-    /// Transpose pack buffer (unused on a single rank).
-    pub(crate) send: Vec<C64>,
+    pub(crate) out_z: Vec<LaneRow>,
+    /// Pack buffer of the lane-row exchanges: the z->y transpose and the
+    /// CommA hops (unused on a single rank).
+    pub(crate) send: Vec<LaneRow>,
+    /// Pack buffer of the y->z transpose, which carries the y-pencil's
+    /// `C64` lines (unused on a single rank).
+    pub(crate) send_lines: Vec<C64>,
     /// Per-line scratch for the serial (no thread pool) path.
     pub(crate) serial: LineScratch,
     /// Courant weights `(1/dx, 1/dy per local y row, 1/dz)`: with rows set, the

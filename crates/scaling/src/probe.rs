@@ -556,14 +556,14 @@ fn ddr_of(f: impl FnOnce()) -> u64 {
 }
 
 /// Table 4's host rows at the spectral grid `g`, as `(kernel, shape,
-/// seconds of one pass)` over 16-byte elements: the solver's two
-/// transposes as [`TransposePlan::run_with`] runs them on one rank, at
-/// the shapes `[rows, nf, nt]` that `ParallelFft` plans for `g` — the
-/// z->x hop ([`RowsPlacement::SplitFast`], a plain copy on one rank,
-/// where the solver skips it) and the z<->y reorder
-/// ([`RowsPlacement::Middle`]) — beside [`reorder_naive`] and the
-/// production kernel [`reorder_blocked`] at the z<->y element count
-/// (shape `[ni, nj, nk]`).
+/// seconds of one pass)` over 16-byte elements: two transposes as
+/// [`TransposePlan::run_with`] runs them on one rank, at the shapes
+/// `[rows, nf, nt]` of `g`'s pencils — the z->x hop
+/// ([`RowsPlacement::SplitFast`], a plain copy on one rank, where the
+/// solver skips it) and the z<->y reorder ([`RowsPlacement::Middle`],
+/// element for element what the solver's lane-blocked CommB transposes
+/// move) — beside [`reorder_naive`] and [`reorder_blocked`] at the z<->y
+/// element count (shape `[ni, nj, nk]`).
 pub fn probe_reorder(g: Grid, reps: usize) -> Vec<(&'static str, [usize; 3], f64)> {
     let plans = [
         (

@@ -4,7 +4,9 @@ use channel_dns::banded::testmat::CollocationLike;
 use channel_dns::banded::{BandedLu, BandedMatrix, CornerBanded, CornerLu, DenseLu};
 use channel_dns::bspline::{tanh_breakpoints, BsplineBasis, CollocationOps};
 use channel_dns::fft::dealias::{pad_full, pad_half, truncate_full, truncate_half};
-use channel_dns::fft::{CfftPlan, Direction, Lanes, RealLayout, RfftPlan, C64, LANES};
+use channel_dns::fft::{
+    CfftPlan, Direction, LaneRow, LaneSpectra, Lanes, RealLayout, RfftPlan, C64, LANES,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -117,19 +119,29 @@ proptest! {
             }
             (plan, src)
         };
-        let mut got = vec![C64::new(9.0, 9.0); want.len()];
+        // lane l of blocked line b is line LANES * b + l; the pad lanes of
+        // the last block are zero lines, whose transform is zero
+        let dst_len = want.len() / lines;
+        let nine = LaneRow { re: Lanes([9.0; LANES]), im: Lanes([9.0; LANES]) };
+        let mut got = vec![nine; lines.div_ceil(LANES) * dst_len];
+        let src = to_lane_lines(&src, src.len() / lines);
         plan.execute_dealiased(&src, modes, &mut got, scale, &mut plan.make_scratch());
-        prop_assert!(same_bits(&got, &want), "n={} modes={} lines={} inverse={}", n, modes, lines, inverse);
+        let got = from_lane_lines(&got, dst_len);
+        let (got, pad) = got.split_at(want.len());
+        prop_assert!(same_bits(got, &want), "n={} modes={} lines={} inverse={}", n, modes, lines, inverse);
+        prop_assert!(pad.iter().all(|c| *c == C64::new(0.0, 0.0)), "pad lanes stay zero");
     }
 
     /// the lane-blocked real transforms (pad_half / truncate_half + scale
-    /// fused) on interleaved lines (coefficient k of line l at
-    /// k * stride + l) equal the single-line ones bit for bit, both layouts
+    /// fused) on lane-blocked spectra (coefficient k of line i in lane
+    /// k % LANES of its run's block, up to three runs as three ranks would
+    /// own them) equal the single-line ones bit for bit, both layouts
     #[test]
     fn rfft_lanes_equal_single_lines_bitwise(
         h in 1usize..80,
         lines in 1usize..(LANES + 1),
         gap in 0usize..4,
+        parts in 1usize..4,
         elide in any::<bool>(),
         padded in any::<bool>(),
         seed in any::<u64>(),
@@ -139,21 +151,26 @@ proptest! {
         let plan = RfftPlan::new(n, layout);
         let full = plan.spectrum_len();
         let modes = if padded { (2 * full / 3).max(1) } else { full };
-        let stride = lines + gap;
-        let slots = (modes - 1) * stride + lines;
+        let parts = parts.min(modes);
+        let runs: Vec<usize> = (0..parts).map(|r| modes / parts + usize::from(r < modes % parts)).collect();
+        let at = LaneSpectra::new(&runs, lines + gap, lines);
         let mut scratch = plan.make_scratch();
-        // synthesis: line l is coefficient k at src[k * stride + l]
-        let src = rand_complex(slots, seed);
-        let mut phys = vec![Lanes([3.0; LANES]); n];
-        plan.inverse_lanes(&src, modes, stride, &mut phys, &mut scratch);
-        let mut spec = vec![C64::new(0.0, 0.0); full];
-        let mut line = vec![C64::new(0.0, 0.0); modes];
-        let mut real = vec![0.0; n];
-        for l in 0..lines {
-            for (k, c) in line.iter_mut().enumerate() {
-                *c = src[k * stride + l];
+        // synthesis: every slot no line owns holds NaN, which no lane may read
+        let coefs = rand_complex(lines * modes, seed);
+        let nan = LaneRow { re: Lanes([f64::NAN; LANES]), im: Lanes([f64::NAN; LANES]) };
+        let mut src = vec![nan; at.span()];
+        for (i, line) in coefs.chunks_exact(modes).enumerate() {
+            for (k, &c) in line.iter().enumerate() {
+                let (row, l) = at.slot(k);
+                src[row + i].set(l, c);
             }
-            pad_half(&line, &mut spec);
+        }
+        let mut phys = vec![Lanes([3.0; LANES]); n];
+        plan.inverse_lanes(&src, at, &mut phys, &mut scratch);
+        let mut spec = vec![C64::new(0.0, 0.0); full];
+        let mut real = vec![0.0; n];
+        for (l, line) in coefs.chunks_exact(modes).enumerate() {
+            pad_half(line, &mut spec);
             plan.inverse(&spec, &mut real, &mut scratch);
             for j in 0..n {
                 prop_assert!(phys[j].0[l].to_bits() == real[j].to_bits(), "inverse n={} l={} j={}", n, l, j);
@@ -161,15 +178,16 @@ proptest! {
         }
         // analysis of what came out (lanes past `lines` are zero)
         let scale = 1.0 / n as f64;
-        let mut got = vec![C64::new(9.0, 9.0); slots];
-        plan.forward_lanes(&phys, &mut got, modes, stride, scale, &mut scratch);
+        let mut got = vec![nan; at.span()];
+        plan.forward_lanes(&phys, &mut got, at, scale, &mut scratch);
+        let mut line = vec![C64::new(0.0, 0.0); modes];
         for l in 0..lines {
             for j in 0..n {
                 real[j] = phys[j].0[l];
             }
             plan.forward(&real, &mut spec, &mut scratch);
             truncate_half(&spec, &mut line);
-            let g: Vec<C64> = (0..modes).map(|k| got[k * stride + l]).collect();
+            let g: Vec<C64> = (0..modes).map(|k| { let (row, lane) = at.slot(k); got[row + l].get(lane) }).collect();
             let want: Vec<C64> = line.iter().map(|v| v * scale).collect();
             prop_assert!(same_bits(&g, &want), "forward n={} l={}", n, l);
         }
@@ -304,6 +322,28 @@ proptest! {
         let s: f64 = vals.iter().sum();
         prop_assert!((s - 1.0).abs() < 1e-12);
     }
+}
+
+/// Back-to-back lines of `len` values as lane-blocked lines: lane `l` of
+/// blocked line `b` is line `LANES * b + l`, the lanes past the last line
+/// zero.
+fn to_lane_lines(src: &[C64], len: usize) -> Vec<LaneRow> {
+    let lines = src.len() / len;
+    let mut out = vec![LaneRow::ZERO; lines.div_ceil(LANES) * len];
+    for (i, line) in src.chunks_exact(len).enumerate() {
+        for (v, &c) in out[i / LANES * len..][..len].iter_mut().zip(line) {
+            v.set(i % LANES, c);
+        }
+    }
+    out
+}
+
+/// Every lane of lane-blocked lines of `len` rows, as lines in lane order.
+fn from_lane_lines(src: &[LaneRow], len: usize) -> Vec<C64> {
+    let lines = src.chunks_exact(len);
+    lines
+        .flat_map(|block| (0..LANES).flat_map(move |l| block.iter().map(move |v| v.get(l))))
+        .collect()
 }
 
 fn same_bits(a: &[C64], b: &[C64]) -> bool {
