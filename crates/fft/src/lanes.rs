@@ -310,29 +310,14 @@ impl<'a> LaneSpectra<'a> {
     }
 
     /// Coefficients per line: the sum of the runs.
-    pub fn modes(&self) -> usize {
+    pub(crate) fn modes(&self) -> usize {
         self.runs.iter().sum()
     }
 
     /// Entries a slice must hold for the last block's last line.
-    pub fn span(&self) -> usize {
+    pub(crate) fn span(&self) -> usize {
         let blocks: usize = self.runs.iter().map(|len| len.div_ceil(LANES)).sum();
         (blocks - 1) * self.stride + self.lines
-    }
-
-    /// Where coefficient `k` sits: the entry of line 0 in its block, and
-    /// its lane.
-    pub fn slot(&self, k: usize) -> (usize, usize) {
-        let (mut block, mut first) = (0, 0);
-        for &len in self.runs {
-            if k < first + len {
-                let c = k - first;
-                return ((block + c / LANES) * self.stride, c % LANES);
-            }
-            block += len.div_ceil(LANES);
-            first += len;
-        }
-        panic!("coefficient {k} past the {first} stored");
     }
 
     /// `f(first entry, first coefficient, coefficients)` for every block.

@@ -443,10 +443,30 @@ mod tests {
         splits
     }
 
-    /// The lines `lines` stored lane-blocked as `at` describes; every
-    /// other slot (pad lanes, rows between the lines) holds NaN, which no
-    /// lane may read.
-    fn block_lines(lines: &[&[C64]], at: LaneSpectra) -> Vec<LaneRow> {
+    /// Where coefficient `k` of runs `runs` with blocks `stride` entries
+    /// apart sits: the entry of line 0 in its block, and its lane.
+    fn slot(runs: &[usize], stride: usize, k: usize) -> (usize, usize) {
+        let (mut block, mut first) = (0, 0);
+        for &len in runs {
+            if k < first + len {
+                let c = k - first;
+                return ((block + c / LANES) * stride, c % LANES);
+            }
+            block += len.div_ceil(LANES);
+            first += len;
+        }
+        panic!("coefficient {k} past the {first} stored");
+    }
+
+    /// The lines `lines` stored lane-blocked as `at` (runs `runs`, blocks
+    /// `stride` apart) describes; every other slot (pad lanes, rows
+    /// between the lines) holds NaN, which no lane may read.
+    fn block_lines(
+        lines: &[&[C64]],
+        at: LaneSpectra,
+        runs: &[usize],
+        stride: usize,
+    ) -> Vec<LaneRow> {
         let nan = LaneRow {
             re: Lanes([f64::NAN; LANES]),
             im: Lanes([f64::NAN; LANES]),
@@ -454,7 +474,7 @@ mod tests {
         let mut v = vec![nan; at.span()];
         for (i, line) in lines.iter().enumerate() {
             for (k, &c) in line.iter().enumerate() {
-                let (row, l) = at.slot(k);
+                let (row, l) = slot(runs, stride, k);
                 v[row + i].set(l, c);
             }
         }
@@ -479,7 +499,7 @@ mod tests {
                             {
                                 let at = LaneSpectra::new(runs, stride, lines);
                                 let mut got = vec![Lanes([7.0; LANES]); n];
-                                let blocked = block_lines(&by_line, at);
+                                let blocked = block_lines(&by_line, at, runs, stride);
                                 plan.inverse_lanes(&blocked, at, &mut got, &mut scratch);
                                 let mut padded = vec![C64::new(0.0, 0.0); full];
                                 let mut want = vec![0.0; n];
@@ -543,7 +563,7 @@ mod tests {
                                     );
                                     truncate_half(&spec, &mut want);
                                     for (k, &w) in want.iter().enumerate() {
-                                        let (row, lane) = at.slot(k);
+                                        let (row, lane) = slot(runs, stride, k);
                                         let (a, b) = (got[row + l].get(lane), w * scale);
                                         written[(row + l) * LANES + lane] = true;
                                         assert!(

@@ -163,11 +163,14 @@ impl TransposePlan {
         out
     }
 
-    /// [`TransposePlan::run`] with caller-owned pack (`send`) and result
-    /// (`out`) buffers so steady-state callers re-run without heap
-    /// allocation. On a single-rank communicator the exchange degenerates
-    /// to a pure local reorder: `input` is unpacked straight into `out`
-    /// and the pack buffer and communicator are never touched.
+    /// [`TransposePlan::run`] with caller-owned message (`send`) and
+    /// result (`out`) buffers so steady-state callers re-run without
+    /// allocating them: each destination's block is packed straight into
+    /// one of the `send` buffers, and the blocks the exchange receives are
+    /// kept there for the next call. On a single-rank communicator the
+    /// exchange degenerates to a pure local reorder: `input` is unpacked
+    /// straight into `out` and `send` and the communicator are never
+    /// touched.
     ///
     /// # Panics
     /// If the exchange fails (peer rank dead, receive timeout) — the
@@ -178,7 +181,7 @@ impl TransposePlan {
         &self,
         comm: &Communicator,
         input: &[T],
-        send: &mut Vec<T>,
+        send: &mut Vec<Vec<T>>,
         out: &mut Vec<T>,
     ) {
         self.checked(self.try_run_with(comm, input, send, out));
@@ -193,7 +196,7 @@ impl TransposePlan {
         &self,
         comm: &Communicator,
         input: &[T],
-        send: &mut Vec<T>,
+        send: &mut Vec<Vec<T>>,
         out: &mut Vec<T>,
     ) -> Result<(), dns_minimpi::CommError> {
         assert_eq!(input.len(), self.input_len(), "input length mismatch");
@@ -219,20 +222,10 @@ impl TransposePlan {
         comm: &Communicator,
         lines: usize,
         input: &[C64],
-        send: &mut Vec<C64>,
+        send: &mut Vec<Vec<C64>>,
         out: &mut Vec<LaneRow>,
     ) {
-        let groups = self.lane_groups(lines);
-        assert_eq!(input.len(), self.input_len(), "input length mismatch");
-        let (ntl, nf) = (self.t_block.len, self.nf);
-        let rows = groups * lines.div_ceil(LANES);
-        let len = ntl * rows * nf;
-        let unpack = |chunk: &[C64], fb: Block, out: &mut [LaneRow]| {
-            let (src, dst) = ([self.rows * ntl, ntl], [rows * nf, nf]);
-            let shape = [fb.len, groups, lines, ntl];
-            reorder_into_lanes(chunk, src, &mut out[fb.start..], dst, shape);
-        };
-        self.checked(self.exchange(comm, input, send, out, len, unpack));
+        self.run_lanes(comm, lines, true, input, send, out, reorder_into_lanes);
     }
 
     /// The inverse of [`run_into_lanes`](Self::run_into_lanes) on the
@@ -248,38 +241,46 @@ impl TransposePlan {
         comm: &Communicator,
         lines: usize,
         input: &[LaneRow],
-        send: &mut Vec<LaneRow>,
+        send: &mut Vec<Vec<LaneRow>>,
         out: &mut Vec<C64>,
     ) {
-        let groups = self.lane_groups(lines);
-        let rows = groups * lines.div_ceil(LANES);
-        assert_eq!(
-            input.len(),
-            rows * self.f_block.len * self.nt,
-            "input length mismatch"
-        );
-        let (ntl, nf) = (self.t_block.len, self.nf);
-        let unpack = |chunk: &[LaneRow], fb: Block, out: &mut [C64]| {
-            let (src, dst) = ([rows * ntl, ntl], [self.rows * nf, nf]);
-            let shape = [fb.len, groups, lines, ntl];
-            reorder_from_lanes(chunk, src, &mut out[fb.start..], dst, shape);
-        };
-        let len = self.output_len();
-        self.checked(self.exchange(comm, input, send, out, len, unpack));
+        self.run_lanes(comm, lines, false, input, send, out, reorder_from_lanes);
     }
 
-    /// Groups of `lines` rows in a `Middle` plan.
-    fn lane_groups(&self, lines: usize) -> usize {
-        assert_eq!(
-            self.placement,
-            RowsPlacement::Middle,
-            "lane blocks need Middle"
-        );
-        assert!(
-            lines > 0 && self.rows.is_multiple_of(lines),
-            "rows must be whole groups of {lines} lines"
-        );
-        self.rows / lines
+    /// The `Middle` transpose of `lines`-line groups with its output
+    /// (`into`) or its input lane-blocked, unpacked by `reorder` (the
+    /// matching lane-blocking reorder).
+    #[allow(clippy::too_many_arguments)]
+    fn run_lanes<T: Copy + Send + 'static, U: Copy + Default>(
+        &self,
+        comm: &Communicator,
+        lines: usize,
+        into: bool,
+        input: &[T],
+        send: &mut Vec<Vec<T>>,
+        out: &mut Vec<U>,
+        reorder: fn(&[T], [usize; 2], &mut [U], [usize; 2], [usize; 4]),
+    ) {
+        let middle = self.placement == RowsPlacement::Middle;
+        let whole = lines > 0 && self.rows.is_multiple_of(lines);
+        assert!(middle && whole, "lane blocks need Middle, whole groups");
+        let groups = self.rows / lines;
+        let (lined, blocked) = (self.rows, groups * lines.div_ceil(LANES));
+        let [rows_in, rows_out] = if into {
+            [lined, blocked]
+        } else {
+            [blocked, lined]
+        };
+        let (ntl, nf) = (self.t_block.len, self.nf);
+        let input_len = rows_in * self.f_block.len * self.nt;
+        assert_eq!(input.len(), input_len, "input length mismatch");
+        let unpack = |chunk: &[T], fb: Block, out: &mut [U]| {
+            let (src, dst) = ([rows_in * ntl, ntl], [rows_out * nf, nf]);
+            let shape = [fb.len, groups, lines, ntl];
+            reorder(chunk, src, &mut out[fb.start..], dst, shape);
+        };
+        let len = ntl * rows_out * nf;
+        self.checked(self.exchange(comm, input, send, out, len, unpack));
     }
 
     /// Panic on a failed exchange (see [`run_with`](Self::run_with)).
@@ -296,7 +297,7 @@ impl TransposePlan {
         &self,
         comm: &Communicator,
         input: &[T],
-        send: &mut Vec<T>,
+        send: &mut Vec<Vec<T>>,
         out: &mut Vec<U>,
         out_len: usize,
         unpack: impl Fn(&[T], Block, &mut [U]),
@@ -314,47 +315,45 @@ impl TransposePlan {
             // Single rank: no exchange, no pack copy — the input is the one
             // block there is to unpack
             unpack(input, Block::of(self.nf, 1, 0), out);
-            // one read of the input, one write of the output
-            telemetry::count(Counter::DdrBytes, 2 * std::mem::size_of_val(input) as u64);
+            // one read of the input, one write of the output (their sizes
+            // differ by the pad lanes where one side is lane-blocked)
+            let moved = std::mem::size_of_val(input) + std::mem::size_of_val(&out[..]);
+            telemetry::count(Counter::DdrBytes, moved as u64);
             return Ok(());
         }
 
         // Multi-rank: pack -> all-to-all -> unpack in source order.
         let p = self.p;
-
-        // pack: destination-major; dest d's block is every input line's
-        // slice of d's `t` range. A line is `nt` values, except where `t`
-        // is the slow axis (SplitSlow): there a row is one line of `nt`
-        // runs of `f_loc` values.
-        send.clear();
-        send.reserve(input.len());
-        let mut offsets = Vec::with_capacity(p + 1);
+        // pack: dest d's block is every input line's slice of d's `t`
+        // range. A line is `nt` values, except where `t` is the slow axis
+        // (SplitSlow): there a row is one line of `nt` runs of `f_loc`
+        // values. Each block is packed straight into its message, reusing
+        // a buffer the previous exchange received.
         let unit = if self.placement == RowsPlacement::SplitSlow {
             self.f_block.len
         } else {
             1
         };
+        send.resize_with(p, Vec::new);
         {
             let _pack = telemetry::span("pack", Phase::Transpose);
-            for d in 0..p {
+            for (d, block) in send.iter_mut().enumerate() {
                 let tb = Block::of(nt, p, d);
-                offsets.push(send.len());
+                block.clear();
                 for line in input.chunks_exact(nt * unit) {
-                    send.extend_from_slice(&line[tb.start * unit..tb.end() * unit]);
+                    block.extend_from_slice(&line[tb.start * unit..tb.end() * unit]);
                 }
             }
-            offsets.push(send.len());
             // the pack streams the input once and writes it once
             telemetry::count(Counter::DdrBytes, 2 * std::mem::size_of_val(input) as u64);
         }
 
         let parts = {
             let _exchange = telemetry::span("exchange", Phase::Transpose);
-            let blocks = offsets.windows(2).map(|w| send[w[0]..w[1]].to_vec());
             // the rank thread's wait clock is monotone, so its delta across
             // the exchange is exactly its blocked share
             let wait0 = comm.recv_wait_seconds();
-            let parts = comm.alltoall_checked(blocks.collect())?;
+            let parts = comm.alltoall_checked(std::mem::take(send))?;
             telemetry::count_phase(
                 Phase::Transpose,
                 Counter::ExchangeWaitUs,
@@ -364,14 +363,16 @@ impl TransposePlan {
         };
 
         let _unpack = telemetry::span("unpack", Phase::Transpose);
+        let mut moved = std::mem::size_of_val(&out[..]);
         for (s, chunk) in parts.iter().enumerate() {
             unpack(chunk, Block::of(self.nf, p, s), out);
+            moved += std::mem::size_of_val(&chunk[..]);
         }
-        // the unpack reads the receive chunks once and writes them once
-        telemetry::count(
-            Counter::DdrBytes,
-            2 * std::mem::size_of_val(&out[..]) as u64,
-        );
+        // the unpack reads the receive chunks once and writes the output
+        // once
+        telemetry::count(Counter::DdrBytes, moved as u64);
+        // the received blocks carry the next exchange's messages
+        *send = parts;
         Ok(())
     }
 

@@ -366,10 +366,14 @@ impl ParallelFft {
 
     /// Peak communication-buffer bytes per call, the memory figure behind
     /// the "N/A: inadequate memory" entries of Table 6: P3DFFT keeps a 3x
-    /// input-size buffer, the customized kernel 1x.
+    /// input-size buffer, the customized kernel 1x. The input is one real
+    /// x-pencil field and one spectral field, the latter counted in the
+    /// lane rows it travels in past the CommB transpose: the y-pencil's
+    /// size with this rank's kx padded to whole [`LANES`] blocks.
     pub fn buffer_bytes(&self) -> usize {
+        let blocks = self.kz_block.len * self.cfg.ny * self.kx_block.len.div_ceil(LANES);
         let base = self.x_pencil_len() * std::mem::size_of::<f64>()
-            + self.y_pencil_len() * std::mem::size_of::<C64>();
+            + blocks * std::mem::size_of::<LaneRow>();
         if self.cfg.elide_nyquist {
             base
         } else {

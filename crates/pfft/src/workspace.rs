@@ -4,12 +4,13 @@
 //! [`Workspace`]. Every buffer past the CommB transpose holds lane rows
 //! ([`LaneRow`]): the z-pencil `[y_loc][field][kx_block][z]`, lane `l` of
 //! block `b` local kx `8b + l`, pad lanes zero; the x-pencil spectra
-//! `[y_loc][field][kx_block][z_loc]`, one run of blocks per CommA rank. The fused path ([`crate::ParallelFft::nonlinear_products`])
-//! reuses the caller's, whose buffers start empty and are sized on first
-//! use, so from the second call on no `resize` allocates and a steady-state
-//! RK3 substep is allocation-free on a single rank (multi-rank exchanges
-//! still allocate inside the message layer). The batch transforms use a
-//! fresh one per call.
+//! `[y_loc][field][kx_block][z_loc]`, one run of blocks per CommA rank.
+//! The fused path ([`crate::ParallelFft::nonlinear_products`]) reuses the
+//! caller's, whose buffers start empty and are sized on first use, so from
+//! the second call on no `resize` allocates and a steady-state RK3 substep
+//! is allocation-free on a single rank (across ranks the exchanges reuse
+//! their message buffers, and only the message layer's envelopes
+//! allocate). The batch transforms use a fresh one per call.
 
 use dns_fft::{LaneRow, Lanes};
 
@@ -34,12 +35,12 @@ pub struct Workspace {
     pub(crate) zp_prod: Vec<LaneRow>,
     /// z-pencil truncated lines (after the forward z FFT).
     pub(crate) out_z: Vec<LaneRow>,
-    /// Pack buffer of the lane-row exchanges: the z->y transpose and the
-    /// CommA hops (unused on a single rank).
-    pub(crate) send: Vec<LaneRow>,
-    /// Pack buffer of the y->z transpose, which carries the y-pencil's
-    /// `C64` lines (unused on a single rank).
-    pub(crate) send_lines: Vec<C64>,
+    /// Message buffers of the lane-row exchanges: the z->y transpose and
+    /// the CommA hops (unused on a single rank).
+    pub(crate) send: Vec<Vec<LaneRow>>,
+    /// Message buffers of the y->z transpose, which carries the
+    /// y-pencil's `C64` lines (unused on a single rank).
+    pub(crate) send_lines: Vec<Vec<C64>>,
     /// Per-line scratch for the serial (no thread pool) path.
     pub(crate) serial: LineScratch,
     /// Courant weights `(1/dx, 1/dy per local y row, 1/dz)`: with rows set, the

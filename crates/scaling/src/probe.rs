@@ -41,10 +41,11 @@ use dns_core::run::{
     execute, InitialCondition, RunConfig, RunControl, RunObserver, RunSpec, RunStatus, StepCtx,
 };
 use dns_core::solver::{run_serial, ChannelDns};
+use dns_fft::LaneRow;
 use dns_minimpi::{CartComm, Communicator, FaultPlan};
 use dns_pencil::reorder::{reorder_blocked, reorder_naive};
 use dns_pencil::{block_len, RowsPlacement, TransposePlan};
-use dns_pfft::{ParallelFft, PfftConfig};
+use dns_pfft::{ParallelFft, PfftConfig, NL_FIELDS, NL_PRODUCTS};
 use dns_telemetry::{self as telemetry, PhaseSeconds};
 use std::hint::black_box;
 use std::path::Path;
@@ -556,39 +557,50 @@ fn ddr_of(f: impl FnOnce()) -> u64 {
 }
 
 /// Table 4's host rows at the spectral grid `g`, as `(kernel, shape,
-/// seconds of one pass)` over 16-byte elements: two transposes as
-/// [`TransposePlan::run_with`] runs them on one rank, at the shapes
-/// `[rows, nf, nt]` of `g`'s pencils — the z->x hop
-/// ([`RowsPlacement::SplitFast`], a plain copy on one rank, where the
-/// solver skips it) and the z<->y reorder ([`RowsPlacement::Middle`],
-/// element for element what the solver's lane-blocked CommB transposes
-/// move) — beside [`reorder_naive`] and [`reorder_blocked`] at the z<->y
-/// element count (shape `[ni, nj, nk]`).
+/// seconds of one pass)`: the solver's transposes on one rank, at the
+/// shapes `[rows, nf, nt]` of `g`'s pencils — the z->x hop
+/// ([`RowsPlacement::SplitFast`] through [`TransposePlan::run_with`], a
+/// plain copy on one rank, where the solver skips it), and the two CommB
+/// transposes as [`ParallelFft::nonlinear_products`] runs them: the three
+/// velocity fields into the lane-blocked z-pencil
+/// ([`TransposePlan::run_into_lanes`]) and the five products out of it
+/// ([`TransposePlan::run_from_lanes`]), `rows` counting the fields' kx
+/// lines — beside [`reorder_naive`] and [`reorder_blocked`] at one
+/// field's z<->y element count (shape `[ni, nj, nk]`). Shapes count
+/// 16-byte elements; the lane-blocked side also moves the pad lanes of a
+/// kx count that is not a multiple of [`LANES`].
 pub fn probe_reorder(g: Grid, reps: usize) -> Vec<(&'static str, [usize; 3], f64)> {
-    let plans = [
-        (
-            "transpose_split_fast",
-            [g.ny, g.sx(), g.pz()],
-            RowsPlacement::SplitFast,
-        ),
-        (
-            "transpose_middle",
-            [g.sx(), g.ny, g.nz],
-            RowsPlacement::Middle,
-        ),
-    ];
+    let (sx, ny, nz, pz) = (g.sx(), g.ny, g.nz, g.pz());
     let on_one_rank = dns_minimpi::run(1, move |world| {
-        plans.map(|(kernel, shape, placement)| {
-            let [rows, nf, nt] = shape;
-            let plan = TransposePlan::plan(&world, rows, nf, nt, placement);
-            let input = vec![[1.0f64; 2]; plan.input_len()];
-            let (mut send, mut out) = (Vec::new(), Vec::new());
-            let seconds = fastest(reps, || {
-                plan.run_with(&world, &input, &mut send, &mut out);
-                black_box(&out);
-            });
-            (kernel, shape, seconds)
-        })
+        let hop = TransposePlan::plan(&world, ny, sx, pz, RowsPlacement::SplitFast);
+        let input = vec![[1.0f64; 2]; hop.input_len()];
+        let (mut send, mut out) = (Vec::new(), Vec::new());
+        let split = fastest(reps, || {
+            hop.run_with(&world, &input, &mut send, &mut out);
+            black_box(&out);
+        });
+        // the CommB plans of the nonlinear step: z->y over rows = fields
+        // x kx lines, f = y, t = kz; y->z its inverse
+        let zy_of = |k| TransposePlan::plan(&world, k * sx, ny, nz, RowsPlacement::Middle);
+        let yz = zy_of(NL_FIELDS).inverse(&world);
+        let lines = vec![C64::new(1.0, 0.0); yz.input_len()];
+        let (mut send, mut lanes) = (Vec::new(), Vec::new());
+        let into = fastest(reps, || {
+            yz.run_into_lanes(&world, sx, &lines, &mut send, &mut lanes);
+            black_box(&lanes);
+        });
+        let zy = zy_of(NL_PRODUCTS);
+        let rows = vec![LaneRow::ZERO; NL_PRODUCTS * sx.div_ceil(LANES) * ny * nz];
+        let (mut send, mut out) = (Vec::new(), Vec::new());
+        let from = fastest(reps, || {
+            zy.run_from_lanes(&world, sx, &rows, &mut send, &mut out);
+            black_box(&out);
+        });
+        [
+            ("transpose_split_fast", [ny, sx, pz], split),
+            ("transpose_yz_lanes", [NL_FIELDS * sx, nz, ny], into),
+            ("transpose_zy_lanes", [NL_PRODUCTS * sx, ny, nz], from),
+        ]
     });
     let mut probes = on_one_rank[0].to_vec();
     let shape @ [ni, nj, nk] = [g.ny, g.sx(), g.nz];

@@ -103,7 +103,8 @@ fn campaign() -> Campaign {
         table1: table1(),
         reorder: vec![
             ("transpose_split_fast", [33, 16, 48], 2.0e-5),
-            ("transpose_middle", [16, 33, 32], 2.0e-5),
+            ("transpose_yz_lanes", [48, 32, 33], 2.0e-5),
+            ("transpose_zy_lanes", [80, 33, 32], 2.0e-5),
             ("reorder_naive", [33, 16, 32], 2.0e-5),
             ("reorder_blocked", [33, 16, 32], 1.0e-5),
         ],

@@ -153,15 +153,30 @@ proptest! {
         let modes = if padded { (2 * full / 3).max(1) } else { full };
         let parts = parts.min(modes);
         let runs: Vec<usize> = (0..parts).map(|r| modes / parts + usize::from(r < modes % parts)).collect();
-        let at = LaneSpectra::new(&runs, lines + gap, lines);
+        let stride = lines + gap;
+        let at = LaneSpectra::new(&runs, stride, lines);
+        // coefficient `k` of every line: the run it is in, its block and lane
+        let slot = |k: usize| {
+            let (mut block, mut first) = (0, 0);
+            for &len in &runs {
+                if k < first + len {
+                    return ((block + (k - first) / LANES) * stride, (k - first) % LANES);
+                }
+                block += len.div_ceil(LANES);
+                first += len;
+            }
+            unreachable!("coefficient {k} past the {first} stored")
+        };
+        let blocks: usize = runs.iter().map(|len| len.div_ceil(LANES)).sum();
+        let span = (blocks - 1) * stride + lines;
         let mut scratch = plan.make_scratch();
         // synthesis: every slot no line owns holds NaN, which no lane may read
         let coefs = rand_complex(lines * modes, seed);
         let nan = LaneRow { re: Lanes([f64::NAN; LANES]), im: Lanes([f64::NAN; LANES]) };
-        let mut src = vec![nan; at.span()];
+        let mut src = vec![nan; span];
         for (i, line) in coefs.chunks_exact(modes).enumerate() {
             for (k, &c) in line.iter().enumerate() {
-                let (row, l) = at.slot(k);
+                let (row, l) = slot(k);
                 src[row + i].set(l, c);
             }
         }
@@ -178,7 +193,7 @@ proptest! {
         }
         // analysis of what came out (lanes past `lines` are zero)
         let scale = 1.0 / n as f64;
-        let mut got = vec![nan; at.span()];
+        let mut got = vec![nan; span];
         plan.forward_lanes(&phys, &mut got, at, scale, &mut scratch);
         let mut line = vec![C64::new(0.0, 0.0); modes];
         for l in 0..lines {
@@ -187,7 +202,7 @@ proptest! {
             }
             plan.forward(&real, &mut spec, &mut scratch);
             truncate_half(&spec, &mut line);
-            let g: Vec<C64> = (0..modes).map(|k| { let (row, lane) = at.slot(k); got[row + l].get(lane) }).collect();
+            let g: Vec<C64> = (0..modes).map(|k| { let (row, lane) = slot(k); got[row + l].get(lane) }).collect();
             let want: Vec<C64> = line.iter().map(|v| v * scale).collect();
             prop_assert!(same_bits(&g, &want), "forward n={} l={}", n, l);
         }
