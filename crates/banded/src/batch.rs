@@ -72,8 +72,7 @@
 //!     let lu = CornerLu::factor(op).unwrap();
 //!     let mut want: Vec<C64> = (0..n).map(|j| C64::new(j as f64, 1.0)).collect();
 //!     lu.solve_complex(&mut want);
-//!     let mut got = vec![C64::new(0.0, 0.0); n];
-//!     panel.store_col(r, &mut got);
+//!     let got = panel.col_to_vec(r);
 //!     for (g, w) in got.iter().zip(&want) {
 //!         assert!((g - w).norm() < 1e-12);
 //!     }
@@ -193,19 +192,10 @@ impl RhsPanel {
         }
     }
 
-    /// Gather column `r` back into a length-`n` complex vector.
-    pub fn store_col(&self, r: usize, dst: &mut [C64]) {
-        assert_eq!(dst.len(), self.n);
-        for (row, v) in self.block(r / LANES).iter().zip(dst) {
-            *v = row.get(r % LANES);
-        }
-    }
-
     /// Column `r` as a fresh vector (tests/diagnostics).
     pub fn col_to_vec(&self, r: usize) -> Vec<C64> {
-        let mut v = vec![C64::new(0.0, 0.0); self.n];
-        self.store_col(r, &mut v);
-        v
+        let l = r % LANES;
+        self.block(r / LANES).iter().map(|row| row.get(l)).collect()
     }
 }
 

@@ -258,6 +258,8 @@ fn encode(dns: &ChannelDns) -> Vec<u8> {
 /// Write `bytes` to `path` atomically: a `.tmp` sibling first, then a
 /// rename. A crash between the two leaves only the sibling behind; the
 /// real name either holds the previous complete file or the new one.
+/// Neither is synced to disk: atomic against process death, not power
+/// loss (see [`save_with_manifest`]).
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, bytes)?;
@@ -385,6 +387,17 @@ fn decode(dns: &mut ChannelDns, path: &Path, buf: &[u8]) -> Result<(), Checkpoin
             }
         })?),
     };
+    // a section with samples must be on the run's grid, or the next
+    // sample would panic instead of this restore failing typed
+    if let Some(ny) = stats.as_ref().and_then(|acc| acc.sample_ny()) {
+        if ny != p.ny {
+            return Err(CheckpointError::Mismatch {
+                what: "stats grid ny",
+                found: ny as u64,
+                expected: p.ny as u64,
+            });
+        }
+    }
     let mut fields = Vec::with_capacity(5);
     for _ in 0..5 {
         let mut f = Vec::with_capacity(len);
@@ -416,9 +429,14 @@ const KEEP_GENERATIONS: usize = 2;
 /// manifest, and flips the `<stem>.latest` pointer (the commit point).
 /// Returns the manifest path on grid rank (0,0), `None` elsewhere.
 ///
-/// No rank returns before the manifest is durable, so a crash *after*
-/// this call can always restart from the generation it wrote; a crash
-/// *during* it leaves the previous `.latest` target intact.
+/// No rank returns before the pointer flip has been written, so a crash
+/// *after* this call can always restart from the generation it wrote; a
+/// crash *during* it leaves the previous `.latest` target intact.
+///
+/// The crash this covers is process death (a panic, `SIGKILL`): every
+/// file is complete in the page cache before its rename, and the kernel
+/// writes it out after the process is gone. Nothing is `fsync`ed, so
+/// durability against power loss or a kernel crash is not claimed.
 pub fn save_with_manifest(
     dns: &ChannelDns,
     stem: &Path,
@@ -450,7 +468,7 @@ pub fn save_with_manifest(
             prune_generations(stem, step);
             manifest = Some(path);
         }
-        // holds the a == 0 row until the pointer flip is durable
+        // holds the a == 0 row until the pointer flip is written
         comm_b.barrier();
     }
     // holds every column until its a == 0 member has passed the flip
@@ -653,11 +671,14 @@ pub fn load_latest(dns: &mut ChannelDns, stem: &Path) -> Result<u64, CheckpointE
 
     let rpath = gen_rank_path(stem, step, a as usize, b as usize);
     let buf = std::fs::read(&rpath)?;
+    if buf.len() < 4 {
+        return Err(CheckpointError::NotACheckpoint { path: rpath });
+    }
     if buf.len() as u64 != want_bytes {
         return Err(CheckpointError::Corrupt {
             path: rpath,
             stored: want_crc,
-            computed: crc32(&buf[..buf.len().saturating_sub(4)]),
+            computed: crc32(&buf[..buf.len() - 4]),
         });
     }
     let record_crc = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
@@ -949,6 +970,75 @@ mod tests {
                 crate::solver::run_serial(p.clone(), move |dns| load_latest(dns, &stem).unwrap());
             assert_eq!(restored, steps, "{name}");
         }
+    }
+
+    #[test]
+    fn a_record_shorter_than_its_crc_is_typed() {
+        let stem = test_dir("dns_ckpt_short").join("state");
+        crate::solver::run_serial(Params::channel(16, 25, 16, 80.0), move |dns| {
+            let mpath = save_with_manifest(dns, &stem).unwrap().unwrap();
+            std::fs::write(gen_rank_path(&stem, 0, 0, 0), [0u8; 2]).unwrap();
+            // the manifest's entry claims those 2 bytes under a valid crc
+            let mut text = String::new();
+            for line in std::fs::read_to_string(&mpath).unwrap().lines() {
+                match line.strip_prefix("rank ") {
+                    Some(entry) => {
+                        let (head, _) = entry.rsplit_once(' ').unwrap();
+                        text.push_str(&format!("rank {head} 2\n"));
+                    }
+                    None if line.starts_with("crc ") => {}
+                    None => text.push_str(&format!("{line}\n")),
+                }
+            }
+            text.push_str(&format!("crc {:08x}\n", crc32(text.as_bytes())));
+            std::fs::write(&mpath, text).unwrap();
+            match load_latest(dns, &stem).unwrap_err() {
+                CheckpointError::NotACheckpoint { .. } => {}
+                other => panic!("expected NotACheckpoint, got {other}"),
+            }
+        });
+    }
+
+    #[test]
+    fn stats_on_another_grid_are_rejected_with_typed_error() {
+        use crate::stats::{Profiles, StatsAccumulator, StatsConfig};
+        // one sample on a 3-point grid, spliced into a 25-point record
+        let mut acc = StatsAccumulator::new(StatsConfig {
+            every: 1,
+            warmup: 0,
+        });
+        let line = vec![0.0; 3];
+        let profiles = Profiles {
+            y: line.clone(),
+            u_mean: line.clone(),
+            uu: line.clone(),
+            vv: line.clone(),
+            ww: line.clone(),
+            uv: line,
+            u_tau: 1.0,
+            re_tau: 80.0,
+            bulk_velocity: 1.0,
+        };
+        acc.add_profiles(&profiles, 1, 1e-3);
+        let section = acc.encode();
+        let stem = test_dir("dns_ckpt_stats_grid").join("state");
+        crate::solver::run_serial(Params::channel(16, 25, 16, 80.0), move |dns| {
+            let receipt = save(dns, &stem).unwrap();
+            let mut bytes = std::fs::read(&receipt.path).unwrap();
+            bytes.truncate(bytes.len() - 4);
+            bytes.extend_from_slice(&section);
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            std::fs::write(&receipt.path, &bytes).unwrap();
+            match load(dns, &stem).unwrap_err() {
+                CheckpointError::Mismatch {
+                    what,
+                    found,
+                    expected,
+                } => assert_eq!((what, found, expected), ("stats grid ny", 3, 25)),
+                other => panic!("expected Mismatch, got {other}"),
+            }
+        });
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod moser;
 pub mod nonlinear;
 pub mod orrsommerfeld;
 pub mod params;
-pub mod pressure;
 pub mod rk3;
 pub mod run;
 pub mod solver;

@@ -29,15 +29,14 @@ use dns_telemetry::Phase;
 
 /// The spectral convective-flux divergences `H_i = -d/dx_j (u_i u_j)` as
 /// values at the collocation points, for every locally-owned wavenumber
-/// (y-pencil layout). Shared by the `omega_y`/`phi` right-hand sides and
-/// the pressure Poisson solve.
-pub struct HFields {
+/// (y-pencil layout), as [`compute_unfused`] assembles them.
+struct HFields {
     /// Streamwise component `H_x`.
-    pub hx: Vec<C64>,
+    hx: Vec<C64>,
     /// Wall-normal component `H_y`.
-    pub hy: Vec<C64>,
+    hy: Vec<C64>,
     /// Spanwise component `H_z`.
-    pub hz: Vec<C64>,
+    hz: Vec<C64>,
 }
 
 /// Nonlinear right-hand sides, as *values at the y collocation points*:
@@ -113,9 +112,8 @@ pub struct NlWorkspace {
 
 /// Evaluate the convective-flux divergences `H_i` for the current state
 /// (the physical-space pipeline: steps (a)-(h) of section 2.3). This is
-/// the unfused six-product path, kept as the correctness oracle and for
-/// the pressure diagnostics, which need all three `H_i` fields.
-pub fn quadratic_h(dns: &ChannelDns) -> HFields {
+/// the unfused six-product path of the [`compute_unfused`] oracle.
+fn quadratic_h(dns: &ChannelDns) -> HFields {
     let ops = dns.ops();
     let ny = ops.n();
     let pfft = dns.pfft();

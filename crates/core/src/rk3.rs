@@ -21,11 +21,6 @@ pub const GAMMA: [f64; 3] = [8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0];
 /// Weights on the previous substep's nonlinear term.
 pub const ZETA: [f64; 3] = [0.0, -17.0 / 60.0, -5.0 / 12.0];
 
-/// Fraction of `dt` elapsed at the end of substep `i`.
-pub fn substep_time_fraction(i: usize) -> f64 {
-    (0..=i).map(|j| ALPHA[j] + BETA[j]).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,7 +37,6 @@ mod tests {
         // the three substeps sum to one full step
         let total: f64 = (0..3).map(|i| ALPHA[i] + BETA[i]).sum();
         assert!((total - 1.0).abs() < 1e-15);
-        assert!((substep_time_fraction(2) - 1.0).abs() < 1e-15);
     }
 
     fn integrate(l: f64, dt: f64, steps: usize) -> f64 {

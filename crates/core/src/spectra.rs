@@ -117,16 +117,6 @@ pub fn spanwise_u_spectrum_at(dns: &ChannelDns, y_index: usize) -> Vec<f64> {
     dns.pfft().comm_b().allreduce(&acc, |a, b| a + b)
 }
 
-impl Spectra {
-    /// Total fluctuation energy recovered from either spectrum direction
-    /// (they must agree — a Parseval-style consistency check).
-    pub fn total_from_kx(&self) -> f64 {
-        self.euu_kx.iter().sum::<f64>()
-            + self.evv_kx.iter().sum::<f64>()
-            + self.eww_kx.iter().sum::<f64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +148,10 @@ mod tests {
             .zip(&weights)
             .map(|(((a, b), c), &w)| w * (a + b + c))
             .sum();
-        let total_spec = spec.total_from_kx();
+        let total_spec: f64 = [&spec.euu_kx, &spec.evv_kx, &spec.eww_kx]
+            .iter()
+            .map(|e| e.iter().sum::<f64>())
+            .sum();
         assert!(
             (total_prof - total_spec).abs() < 1e-10 * total_prof.max(1e-30),
             "{total_prof} vs {total_spec}"

@@ -307,6 +307,12 @@ impl StatsAccumulator {
         self.n
     }
 
+    /// Wall-normal points of the accumulated samples, or `None` before
+    /// the first sample (the next one then sets the grid).
+    pub(crate) fn sample_ny(&self) -> Option<usize> {
+        (self.n > 0).then_some(self.ny)
+    }
+
     /// The per-sample `(step, u_tau, Re_tau, bulk)` time series, in
     /// sampling order across all resume boundaries.
     pub fn history(&self) -> &[HistorySample] {

@@ -14,8 +14,8 @@ use dns_banded::{BatchedFactor, CornerBanded, CornerLu, LaneBand, LaneRow, RhsPa
 use dns_bspline::CollocationOps;
 
 /// Dot product of one stored row of a banded operator with a complex
-/// coefficient vector (used for boundary-derivative evaluation).
-pub fn row_dot_complex(m: &CornerBanded, row: usize, c: &[C64]) -> C64 {
+/// coefficient vector: [`ModeSolver`]'s residual wall slopes.
+fn row_dot_complex(m: &CornerBanded, row: usize, c: &[C64]) -> C64 {
     let ci = m.col_start(row);
     let mut s = C64::new(0.0, 0.0);
     for j in ci..(ci + m.width()).min(c.len()) {

@@ -321,7 +321,7 @@ fn pfft_point(
 ) -> std::io::Result<Point> {
     let (pa, pb) = host_grid(ranks);
     let custom = bench == Bench::PfftCustom;
-    let probe = probe_pfft_cycle(g.nx, g.ny, g.nz, pa, pb, 1, custom, warmup, cycles);
+    let probe = probe_pfft_cycle(g.nx, g.ny, g.nz, pa, pb, custom, warmup, cycles);
     record(cfg, bench, g, &probe)
 }
 

@@ -203,8 +203,8 @@ pub fn probe_rk3(params: Params, warmup: usize, steps: usize) -> Probe {
 
 /// Run `cycles` timed forward+inverse pfft cycles after `warmup`
 /// untimed ones. `customized` selects the paper's kernel
-/// ([`PfftConfig::customized`]) vs the P3DFFT-style baseline; the
-/// probe's `ns_advance` phase is always zero.
+/// ([`PfftConfig::customized`]) vs the P3DFFT-style baseline, both on
+/// one thread per rank; the probe's `ns_advance` phase is always zero.
 #[allow(clippy::too_many_arguments)]
 pub fn probe_pfft_cycle(
     nx: usize,
@@ -212,7 +212,6 @@ pub fn probe_pfft_cycle(
     nz: usize,
     pa: usize,
     pb: usize,
-    threads: usize,
     customized: bool,
     warmup: usize,
     cycles: usize,
@@ -222,9 +221,9 @@ pub fn probe_pfft_cycle(
     telemetry::reset();
     let per_rank = dns_minimpi::run(pa * pb, move |world| {
         let cfg = if customized {
-            PfftConfig::customized(nx, ny, nz, pa, pb).with_threads(threads)
+            PfftConfig::customized(nx, ny, nz, pa, pb)
         } else {
-            PfftConfig::p3dfft_baseline(nx, ny, nz, pa, pb).with_threads(threads)
+            PfftConfig::p3dfft_baseline(nx, ny, nz, pa, pb)
         };
         let p = ParallelFft::new(world, cfg);
         let n = p.x_pencil_len();
@@ -242,7 +241,7 @@ pub fn probe_pfft_cycle(
         fence(p.comm_a(), p.comm_b(), telemetry::Level::Off);
         (wall, p.timers())
     });
-    Probe::from_ranks(threads, cycles, &per_rank)
+    Probe::from_ranks(1, cycles, &per_rank)
 }
 
 /// Seconds of the fastest of `reps` calls of `f`, after one untimed
@@ -679,7 +678,7 @@ mod tests {
 
     #[test]
     fn pfft_probe_counts_fft_flops_and_transpose_bytes() {
-        let probe = probe_pfft_cycle(16, 9, 16, 2, 1, 1, true, 1, 2);
+        let probe = probe_pfft_cycle(16, 9, 16, 2, 1, true, 1, 2);
         assert_eq!(probe.ranks, 2);
         assert!(probe.wall_s_per_step > 0.0);
         assert!(probe.seconds_per_step.ns_advance == 0.0);
