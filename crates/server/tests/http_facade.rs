@@ -4,7 +4,10 @@
 //!
 //! * **Golden byte-lock** — `/metrics` is a pure function of a
 //!   [`MetricsView`], so a fixed view must render byte-identically to
-//!   `tests/golden/metrics.prom` (regenerate with `UPDATE_GOLDEN=1`).
+//!   `tests/golden/metrics.prom` (regenerate with `UPDATE_GOLDEN=1`);
+//!   the job-table replies of a fixed, drained daemon (`status`,
+//!   `/api/v1/jobs`, `/api/v1/queue`) are locked the same way in
+//!   `tests/golden/job_table.txt`.
 //! * **Protocol robustness** — garbage, wrong methods, unknown routes,
 //!   oversized headers, and a slowloris client that trickles its request
 //!   one byte at a time: none of them may stall the single-threaded poll
@@ -29,8 +32,28 @@ use dns_telemetry::{Counter, CounterSet, Snapshot};
 
 // ---------------------------------------------------------------- golden
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metrics.prom")
+fn golden(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+/// `body` must equal the golden file `name` byte for byte
+/// (`UPDATE_GOLDEN=1` rewrites it instead).
+fn assert_golden(name: &str, body: &str) {
+    let path = golden(name);
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, body).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .expect("golden file missing: run with UPDATE_GOLDEN=1 to create");
+    assert_eq!(
+        body, golden,
+        "reply drifted from tests/golden/{name}; \
+         if intentional, regenerate with UPDATE_GOLDEN=1"
+    );
 }
 
 /// A fixed, fully-populated view: two tenants with different delivery,
@@ -92,19 +115,7 @@ fn fixture_body() -> String {
 fn metrics_body_is_byte_locked_against_golden() {
     let body = fixture_body();
     assert_eq!(body, fixture_body(), "render must be deterministic");
-    let path = golden_path();
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &body).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .expect("golden file missing: run with UPDATE_GOLDEN=1 to create");
-    assert_eq!(
-        body, golden,
-        "metrics body drifted from tests/golden/metrics.prom; \
-         if intentional, regenerate with UPDATE_GOLDEN=1"
-    );
+    assert_golden("metrics.prom", &body);
 }
 
 // ------------------------------------------------------------- e2e rig
@@ -197,6 +208,60 @@ fn tiny_spec(name: &str, steps: u64) -> RunSpec {
 }
 
 // ---------------------------------------------------------------- tests
+
+/// A drained daemon holds still: six jobs over three tenants (one name
+/// with a quote, a backslash, a control character and non-ASCII text),
+/// one of them cancelled, none launched, so every byte of its job-table
+/// replies is fixed. They are locked in `tests/golden/job_table.txt`,
+/// one per line: the `status` reply, the `/api/v1/jobs` body, the
+/// `/api/v1/queue` body and the `tenants` reply.
+#[test]
+fn job_table_replies_are_byte_locked_against_golden() {
+    let base = std::env::temp_dir().join(format!("dns-http-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (addr, http) = boot(&base.join("server"), 3);
+    let mut c = Client::connect(&addr);
+    c.call(&Request::Drain);
+    let names = [
+        "alpha",
+        "q\"uote\\slash\u{7}bell ünï 日本",
+        "gamma",
+        "delta",
+        "eps",
+        "zeta",
+    ];
+    let tenants = ["acme", "beta", "gamma"];
+    for (i, name) in names.iter().enumerate() {
+        c.call(&Request::Submit {
+            spec: tiny_spec(name, 10 + i as u64),
+            tenant: tenants[i % 3].into(),
+            priority: (3 * i % 7) as u8,
+        });
+    }
+    c.call(&Request::Cancel { id: 4 });
+
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let mut ask = |req: Request| {
+        raw.write_all(format!("{}\n", req.to_line()).as_bytes())
+            .unwrap();
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+        line
+    };
+    let (status, tenants) = (ask(Request::Status), ask(Request::Tenants));
+    let body = |path| {
+        let (head, _, body) = get(&http, path);
+        assert_eq!(head, "HTTP/1.1 200 OK");
+        String::from_utf8(body).unwrap()
+    };
+    let (jobs, queue) = (body("/api/v1/jobs"), body("/api/v1/queue"));
+    // the facade's job table is the status line without its `ok` key
+    assert_eq!(jobs, status.replacen("\"ok\":true,", "", 1));
+    assert_golden("job_table.txt", &format!("{status}{jobs}{queue}{tenants}"));
+    c.call(&Request::Shutdown);
+    let _ = std::fs::remove_dir_all(&base);
+}
 
 #[test]
 fn facade_routes_malformed_requests_and_slowloris() {
