@@ -5,12 +5,20 @@
 //! recursive-descent [`parse`]r, the matching deterministic serializer
 //! [`Json::dump`], and the two adapters that serializer writes through,
 //! [`Num`] (a number) and [`Quoted`] (an escaped, quoted string). Every
-//! line protocol in the stack uses them: the campaign server's wire
-//! format, run-spec files and queue journal build [`Json`] values; the
-//! writers that stream fixed-order lines without a tree (the health
-//! flight recorder, the telemetry counts and trace exports) format
-//! through `Num` and `Quoted` directly, so no file the stack writes can
-//! drift from what [`parse`] reads back.
+//! line protocol in the stack uses them: the campaign server's requests,
+//! run-spec files and queue journal build [`Json`] values; the writers
+//! that stream fixed-order lines without a tree (the health flight
+//! recorder, the telemetry counts and trace exports, and the campaign
+//! daemon's job table behind `status`, `/api/v1/jobs` and
+//! `/api/v1/queue`) format through `Num` and `Quoted` directly, so no
+//! file or reply the stack writes can drift from what [`parse`] reads
+//! back.
+//!
+//! [`parse`] recurses once per `[` or `{`, so it refuses a document that
+//! nests deeper than [`MAX_DEPTH`] (128) with a [`JsonError`] instead of
+//! running its thread out of stack: the daemon parses request lines of
+//! up to 1 MiB from any client. The deepest document the stack writes
+//! nests 6 levels (`BENCH_table4.json`).
 //!
 //! Determinism matters more than speed here: object keys live in a
 //! [`BTreeMap`], so a value always serializes to the same bytes — which
@@ -274,14 +282,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse a complete JSON document; trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document; trailing non-whitespace, and nesting
+/// deeper than [`MAX_DEPTH`], are errors.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters"));
@@ -330,10 +342,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// The value at `pos`, inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_word("true", Json::Bool(true)),
             Some(b'f') => self.eat_word("false", Json::Bool(false)),
@@ -343,7 +359,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -357,7 +373,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             map.insert(key, val);
             self.skip_ws();
             match self.peek() {
@@ -371,7 +387,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'[')?;
         let mut out = Vec::new();
         self.skip_ws();
@@ -381,7 +397,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            out.push(self.value()?);
+            out.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -503,6 +519,25 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(parse(&("{\"a\":".repeat(MAX_DEPTH + 1) + "1")).is_err());
+        // a 1 MiB line of `[` on a thread with the default 2 MiB stack,
+        // as the daemon's connection threads parse their requests: an
+        // error, not a stack overflow that aborts the process
+        let got = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse(&"[".repeat(1 << 20)).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(got);
     }
 
     #[test]

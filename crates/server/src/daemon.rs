@@ -35,6 +35,7 @@
 //! and a `recovery.json` artifact records what was recovered.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -49,15 +50,15 @@ use dns_core::run::{ResumePolicy, RunConfig, RunHandle, RunObserver, RunSpec, Ru
 use dns_core::ChannelDns;
 use dns_health::sse;
 use dns_health::{SentinelConfig, StragglerConfig};
-use dns_json::Json;
+use dns_json::{Json, Num, Quoted};
 use dns_telemetry::{count, count_tenant, Counter};
 
 use crate::http::{self, Route};
 use crate::journal::{replay, Journal, Record};
 use crate::metrics::{self, MetricsView};
-use crate::proto::{err_line, ok_line, JobRow, Request, MAX_LINE_BYTES};
-use crate::scheduler::{Action, JobId, JobState, Scheduler, SchedulerConfig};
-use crate::tenants::{hist_json, TenantTable};
+use crate::proto::{err_line, ok_line, Request, MAX_LINE_BYTES};
+use crate::scheduler::{Action, Job, JobId, JobState, Scheduler, SchedulerConfig};
+use crate::tenants::TenantTable;
 
 /// Daemon configuration (see `dns-server --help` for the flag view).
 #[derive(Clone, Debug)]
@@ -125,6 +126,20 @@ struct Follower {
     /// silently going quiet across a preemption.
     state: Option<JobState>,
     out: Sender<Vec<u8>>,
+}
+
+/// The documents of the job table, written by [`Server::job_table`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Table {
+    /// The `status` reply: `draining`, `free_cores`, every job's row
+    /// under `jobs`, `ok`, the cluster-wide `queue_wait` summary and
+    /// `total_cores`.
+    Status,
+    /// `GET /api/v1/jobs`: the `status` reply without its `ok`.
+    Jobs,
+    /// `GET /api/v1/queue`: the jobs waiting for cores, in scheduler
+    /// order, with the core counts and the drain flag.
+    Queue,
 }
 
 /// Wakes the serve loop from inside job `id`'s world.
@@ -293,31 +308,22 @@ impl Server {
 
     fn handle_request(&mut self, req: Request, reply: Sender<Vec<u8>>) {
         let answer = match req {
-            Request::Ping => ok_line(&[]),
+            Request::Ping => ok_line::<&str>([]),
             Request::Submit {
                 spec,
                 tenant,
                 priority,
             } => self.submit(spec, tenant, priority),
-            Request::Status => ok_line(&self.status_pairs()),
-            Request::Tenants => {
-                let v = self.tenants.to_json();
-                ok_line(&[
-                    (
-                        "tenants",
-                        v.get("tenants").cloned().unwrap_or(Json::Arr(vec![])),
-                    ),
-                    (
-                        "jain_fairness",
-                        v.get("jain_fairness").cloned().unwrap_or(Json::num(1.0)),
-                    ),
-                ])
-            }
+            Request::Status => self.job_table(Table::Status),
+            Request::Tenants => match self.tenants.to_json() {
+                Json::Obj(fields) => ok_line(fields),
+                _ => unreachable!("the tenant ledger is an object"),
+            },
             Request::Watch { id } => {
                 if self.scheduler.job(id).is_none() {
                     err_line(&format!("no job {id}"))
                 } else {
-                    let ok = ok_line(&[("watching", Json::num(id as f64))]);
+                    let ok = ok_line([("watching", Json::num(id as f64))]);
                     let _ = reply.send(line(&ok));
                     self.follow(id, false, reply);
                     return;
@@ -327,16 +333,16 @@ impl Server {
             Request::Drain => {
                 self.scheduler.drain();
                 let _ = self.journal.append(&Record::Drain);
-                ok_line(&[("draining", Json::Bool(true))])
+                ok_line([("draining", Json::Bool(true))])
             }
             Request::Undrain => {
                 self.scheduler.resume_scheduling();
                 let _ = self.journal.append(&Record::Undrain);
-                ok_line(&[("draining", Json::Bool(false))])
+                ok_line([("draining", Json::Bool(false))])
             }
             Request::Shutdown => {
                 self.shutdown = true;
-                ok_line(&[("shutting_down", Json::Bool(true))])
+                ok_line([("shutting_down", Json::Bool(true))])
             }
         };
         let _ = reply.send(line(&answer));
@@ -367,7 +373,7 @@ impl Server {
         count(Counter::JobsSubmitted, 1);
         count_tenant(&tenant, Counter::JobsSubmitted, 1);
         self.tenants.entry(&tenant).submitted += 1;
-        ok_line(&[("id", Json::num(id as f64))])
+        ok_line([("id", Json::num(id as f64))])
     }
 
     fn cancel(&mut self, id: JobId) -> String {
@@ -386,7 +392,7 @@ impl Server {
                     run.handle = None;
                 }
                 self.note_terminal(id);
-                ok_line(&[("cancelled", Json::num(id as f64))])
+                ok_line([("cancelled", Json::num(id as f64))])
             }
             _ => {
                 // Running or Preempting: stop the world first; its exit
@@ -397,7 +403,7 @@ impl Server {
                     }
                     run.pending = Pending::Cancel;
                 }
-                ok_line(&[("cancelling", Json::num(id as f64))])
+                ok_line([("cancelling", Json::num(id as f64))])
             }
         }
     }
@@ -599,66 +605,83 @@ impl Server {
         }
     }
 
-    /// The `status` response fields, shared verbatim between the line
-    /// protocol (`ok_line`) and `GET /api/v1/jobs`.
-    fn status_pairs(&self) -> Vec<(&'static str, Json)> {
-        let rows: Vec<Json> = self
+    /// `table` as one JSON object, keys in sorted order (`Json::dump`'s),
+    /// written straight into one string, each row borrowing its name,
+    /// tenant and state label: no tree is built.
+    fn job_table(&self, table: Table) -> String {
+        let queue = table == Table::Queue;
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"draining\":{},\"free_cores\":{},\"{}\":[",
+            self.scheduler.draining(),
+            Num(self.scheduler.free_cores() as f64),
+            if queue { "queue" } else { "jobs" },
+        );
+        let rows = self
             .scheduler
             .jobs()
-            .map(|j| {
-                let run = self.jobs.get(&j.id);
-                JobRow {
-                    id: j.id,
-                    name: run.map(|r| r.spec.name.clone()).unwrap_or_default(),
-                    tenant: j.tenant.clone(),
-                    priority: j.priority,
-                    cores: j.cores,
-                    state: j.state.label().to_string(),
-                    step: run.map(|r| r.last_step).unwrap_or(0),
-                    steps: run.map(|r| r.spec.steps).unwrap_or(0),
-                }
-                .to_json()
-            })
-            .collect();
-        vec![
-            ("jobs", Json::Arr(rows)),
-            ("free_cores", Json::num(self.scheduler.free_cores() as u32)),
-            ("total_cores", Json::num(self.cfg.total_cores as u32)),
-            ("draining", Json::Bool(self.scheduler.draining())),
-            ("queue_wait", hist_json(&self.tenants.queue_wait_all())),
-        ]
-    }
-
-    fn pairs_to_json(pairs: Vec<(&'static str, Json)>) -> Json {
-        let mut b = Json::obj();
-        for (k, v) in pairs {
-            b = b.put(k, v);
+            .filter(|j| !queue || matches!(j.state, JobState::Queued | JobState::Preempted));
+        for (i, j) in rows.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            self.write_row(&mut out, j, !queue);
         }
-        b.build()
+        out.push(']');
+        if !queue {
+            if table == Table::Status {
+                out.push_str(",\"ok\":true");
+            }
+            let h = self.tenants.queue_wait_all();
+            let _ = write!(
+                out,
+                ",\"queue_wait\":{{\"count\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
+                Num(h.count() as f64),
+                Num(h.max()),
+                Num(h.quantile(0.50)),
+                Num(h.quantile(0.90)),
+                Num(h.quantile(0.99)),
+            );
+        }
+        let _ = write!(
+            out,
+            ",\"total_cores\":{}}}",
+            Num(self.cfg.total_cores as f64)
+        );
+        out
     }
 
-    /// `GET /api/v1/queue`: jobs waiting for cores, in scheduler order.
-    fn queue_json(&self) -> Json {
-        let waiting: Vec<Json> = self
-            .scheduler
-            .jobs()
-            .filter(|j| matches!(j.state, JobState::Queued | JobState::Preempted))
-            .map(|j| {
-                Json::obj()
-                    .put("id", Json::num(j.id as f64))
-                    .put("tenant", Json::str(&j.tenant))
-                    .put("priority", Json::num(j.priority as u32))
-                    .put("cores", Json::num(j.cores as u32))
-                    .put("state", Json::str(j.state.label()))
-                    .build()
-            })
-            .collect();
-        Json::obj()
-            .put("queue", Json::Arr(waiting))
-            .put("free_cores", Json::num(self.scheduler.free_cores() as u32))
-            .put("total_cores", Json::num(self.cfg.total_cores as u32))
-            .put("draining", Json::Bool(self.scheduler.draining()))
-            .build()
+    /// One job-table row: `cores`, `id`, `priority`, `state` and
+    /// `tenant`, and with `full` (the `jobs` rows, not the `queue` ones)
+    /// `name`, `step` and `steps` from the daemon's side of the job.
+    fn write_row(&self, out: &mut String, j: &Job, full: bool) {
+        let run = self.jobs.get(&j.id);
+        let _ = write!(
+            out,
+            "{{\"cores\":{},\"id\":{}",
+            Num(j.cores as f64),
+            Num(j.id as f64)
+        );
+        if full {
+            let name = run.map_or("", |r| r.spec.name.as_str());
+            let _ = write!(out, ",\"name\":{}", Quoted(name));
+        }
+        let _ = write!(
+            out,
+            ",\"priority\":{},\"state\":{}",
+            Num(j.priority.into()),
+            Quoted(j.state.label())
+        );
+        if full {
+            let _ = write!(
+                out,
+                ",\"step\":{},\"steps\":{}",
+                Num(run.map_or(0, |r| r.last_step) as f64),
+                Num(run.map_or(0, |r| r.spec.steps) as f64)
+            );
+        }
+        let _ = write!(out, ",\"tenant\":{}}}", Quoted(&j.tenant));
     }
 
     /// Assemble the `/metrics` body from live state via the pure
@@ -692,7 +715,7 @@ impl Server {
     /// The whole response to a routed GET (the SSE route of a known job
     /// is a stream, set up in [`Server::handle`]).
     fn http_response(&self, route: Route) -> Vec<u8> {
-        let json = |v: Json| http::response(200, "OK", "application/json", &(v.dump() + "\n"));
+        let json = |body: String| http::response(200, "OK", "application/json", &(body + "\n"));
         match route {
             Route::Metrics => http::response(
                 200,
@@ -700,9 +723,9 @@ impl Server {
                 "text/plain; version=0.0.4; charset=utf-8",
                 &self.metrics_body(),
             ),
-            Route::Jobs => json(Self::pairs_to_json(self.status_pairs())),
-            Route::Tenants => json(self.tenants.to_json()),
-            Route::Queue => json(self.queue_json()),
+            Route::Jobs => json(self.job_table(Table::Jobs)),
+            Route::Tenants => json(self.tenants.to_json().dump()),
+            Route::Queue => json(self.job_table(Table::Queue)),
             Route::JobHealth(_) | Route::NotFound => http::error_response(404, "Not Found"),
         }
     }
@@ -1073,6 +1096,177 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::JobRow;
+    use crate::tenants::hist_json;
+    use dns_core::run::InitialCondition;
+    use dns_core::Params;
+
+    /// The job table as a `Json` tree: the byte-equality oracle of
+    /// [`Server::job_table`].
+    fn status_pairs(s: &Server) -> Vec<(&'static str, Json)> {
+        let rows: Vec<Json> = s
+            .scheduler
+            .jobs()
+            .map(|j| {
+                let run = s.jobs.get(&j.id);
+                JobRow {
+                    id: j.id,
+                    name: run.map(|r| r.spec.name.clone()).unwrap_or_default(),
+                    tenant: j.tenant.clone(),
+                    priority: j.priority,
+                    cores: j.cores,
+                    state: j.state.label().to_string(),
+                    step: run.map(|r| r.last_step).unwrap_or(0),
+                    steps: run.map(|r| r.spec.steps).unwrap_or(0),
+                }
+                .to_json()
+            })
+            .collect();
+        vec![
+            ("jobs", Json::Arr(rows)),
+            ("free_cores", Json::num(s.scheduler.free_cores() as u32)),
+            ("total_cores", Json::num(s.cfg.total_cores as u32)),
+            ("draining", Json::Bool(s.scheduler.draining())),
+            ("queue_wait", hist_json(&s.tenants.queue_wait_all())),
+        ]
+    }
+
+    fn pairs_to_json(pairs: Vec<(&'static str, Json)>) -> Json {
+        let mut b = Json::obj();
+        for (k, v) in pairs {
+            b = b.put(k, v);
+        }
+        b.build()
+    }
+
+    /// `GET /api/v1/queue` as a tree (oracle, as above).
+    fn queue_json(s: &Server) -> Json {
+        let waiting: Vec<Json> = s
+            .scheduler
+            .jobs()
+            .filter(|j| matches!(j.state, JobState::Queued | JobState::Preempted))
+            .map(|j| {
+                Json::obj()
+                    .put("id", Json::num(j.id as f64))
+                    .put("tenant", Json::str(&j.tenant))
+                    .put("priority", Json::num(j.priority as u32))
+                    .put("cores", Json::num(j.cores as u32))
+                    .put("state", Json::str(j.state.label()))
+                    .build()
+            })
+            .collect();
+        Json::obj()
+            .put("queue", Json::Arr(waiting))
+            .put("free_cores", Json::num(s.scheduler.free_cores() as u32))
+            .put("total_cores", Json::num(s.cfg.total_cores as u32))
+            .put("draining", Json::Bool(s.scheduler.draining()))
+            .build()
+    }
+
+    fn spec(name: &str, steps: u64) -> RunSpec {
+        RunSpec {
+            name: name.into(),
+            params: Params::channel(16, 25, 16, 50.0).with_dt(1e-3),
+            steps,
+            ckpt_every: 0,
+            ic: InitialCondition::Laminar { scale: 1.0 },
+        }
+    }
+
+    /// A server over a table holding every job state, ids above 2^32,
+    /// names that need escaping and one job the daemon has no run for.
+    fn every_state_server(dir: &Path) -> Server {
+        let mut scheduler = Scheduler::new(SchedulerConfig {
+            total_cores: 4,
+            tenant_quota: None,
+        });
+        let mut jobs = BTreeMap::new();
+        let a = scheduler.submit("acme", 1, 2).unwrap();
+        let b = scheduler.submit("beta", 1, 2).unwrap();
+        scheduler.plan();
+        let c = scheduler.submit("acme", 9, 2).unwrap();
+        scheduler.plan();
+        jobs.insert(a, JobRun::new(spec("a \"quoted\" run", 40), 17));
+        jobs.insert(
+            b,
+            JobRun::new(spec("back\\slash\ttab", 1 << 40), (1 << 33) + 5),
+        );
+        jobs.insert(c, JobRun::new(spec("ünï 日本 \u{1}", 8), 0));
+        let states = [
+            JobState::Queued,
+            JobState::Preempted,
+            JobState::Done,
+            JobState::Failed,
+            JobState::Cancelled,
+        ];
+        for (k, state) in states.into_iter().enumerate() {
+            let id = (1u64 << 33) + 3 * k as u64;
+            scheduler.restore(Job {
+                id,
+                tenant: ["gamma", "dé\"lta"][k % 2].into(),
+                priority: 250 - k as u8,
+                cores: k + 1,
+                seq: 100 + k as u64,
+                state,
+            });
+            // the last restored job has no run on the daemon's side
+            if k + 1 < states.len() {
+                jobs.insert(
+                    id,
+                    JobRun::new(spec(&format!("r{k}"), 30 + k as u64), 7 * k as u64),
+                );
+            }
+        }
+        let mut cfg = ServerConfig::new(dir);
+        cfg.total_cores = 4;
+        Server {
+            scheduler,
+            journal: Journal::open(&dir.join("queue.jsonl")).unwrap(),
+            jobs,
+            tenants: TenantTable::new(),
+            events: mpsc::channel().0,
+            followers: Vec::new(),
+            conns: Vec::new(),
+            touched: BTreeSet::new(),
+            shutdown: false,
+            failed: None,
+            cfg,
+        }
+    }
+
+    #[test]
+    fn streamed_job_table_equals_the_tree_oracle() {
+        let dir = std::env::temp_dir().join(format!("dns-table-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = every_state_server(&dir);
+        let labels: BTreeSet<&str> = s.scheduler.jobs().map(|j| j.state.label()).collect();
+        assert_eq!(labels.len(), 7, "every state is covered: {labels:?}");
+        assert!(s.scheduler.jobs().any(|j| j.id > u64::from(u32::MAX)));
+        for waits in [&[][..], &[0.0123, 1.5, 0.25, 7e-4, 3.0][..]] {
+            for &w in waits {
+                s.tenants.entry("acme").queue_wait.record(w);
+            }
+            for draining in [false, true] {
+                if draining {
+                    s.scheduler.drain();
+                } else {
+                    s.scheduler.resume_scheduling();
+                }
+                assert_eq!(s.job_table(Table::Status), ok_line(status_pairs(&s)));
+                assert_eq!(
+                    s.job_table(Table::Jobs),
+                    pairs_to_json(status_pairs(&s)).dump()
+                );
+                assert_eq!(s.job_table(Table::Queue), queue_json(&s).dump());
+            }
+        }
+        let h = s.tenants.queue_wait_all();
+        assert!(
+            h.count() == 5 && h.quantile(0.5).fract() != 0.0,
+            "non-integer quantiles"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn tail_forwards_complete_lines_and_holds_a_torn_tail() {

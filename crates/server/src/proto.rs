@@ -121,11 +121,12 @@ impl Request {
     }
 }
 
-/// `{"ok":true,...}` response line with optional extra fields.
-pub fn ok_line(extra: &[(&str, Json)]) -> String {
+/// `{"ok":true,...}` response line with optional extra fields, moved
+/// into the reply.
+pub fn ok_line<K: Into<String>>(extra: impl IntoIterator<Item = (K, Json)>) -> String {
     let mut b = Json::obj().put("ok", Json::Bool(true));
     for (k, v) in extra {
-        b = b.put(*k, v.clone());
+        b = b.put(k, v);
     }
     b.build().dump()
 }
@@ -161,21 +162,8 @@ pub struct JobRow {
 }
 
 impl JobRow {
-    /// Encode as the JSON object embedded in a status response.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .put("id", Json::num(self.id as f64))
-            .put("name", Json::str(&self.name))
-            .put("tenant", Json::str(&self.tenant))
-            .put("priority", Json::num(self.priority as u32))
-            .put("cores", Json::num(self.cores as u32))
-            .put("state", Json::str(&self.state))
-            .put("step", Json::num(self.step as f64))
-            .put("steps", Json::num(self.steps as f64))
-            .build()
-    }
-
-    /// Decode one row from a status response.
+    /// Decode one row from a status response (the daemon writes it
+    /// without a tree: `daemon::Server::job_table`).
     pub fn from_json(v: &Json) -> Option<JobRow> {
         Some(JobRow {
             id: v.get("id")?.as_u64()?,
@@ -245,6 +233,23 @@ mod tests {
             steps: 8,
             ckpt_every: 2,
             ic: InitialCondition::Laminar { scale: 1.0 },
+        }
+    }
+
+    impl JobRow {
+        /// A row as a `Json` tree: the oracle of the daemon's row
+        /// writer.
+        pub(crate) fn to_json(&self) -> Json {
+            Json::obj()
+                .put("id", Json::num(self.id as f64))
+                .put("name", Json::str(&self.name))
+                .put("tenant", Json::str(&self.tenant))
+                .put("priority", Json::num(self.priority as u32))
+                .put("cores", Json::num(self.cores as u32))
+                .put("state", Json::str(&self.state))
+                .put("step", Json::num(self.step as f64))
+                .put("steps", Json::num(self.steps as f64))
+                .build()
         }
     }
 

@@ -228,3 +228,28 @@ fn sigkilled_server_recovers_every_run_from_the_journal() {
     }
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// A request line nested 100 000 deep gets a typed refusal, and the
+/// daemon answers the next request: parsing it must not run the
+/// connection thread out of stack, which aborts the whole process.
+#[test]
+fn a_deeply_nested_request_line_is_refused_and_the_daemon_lives_on() {
+    let base: PathBuf =
+        std::env::temp_dir().join(format!("dns-server-nested-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let data_dir = base.join("server");
+    std::fs::create_dir_all(&data_dir).unwrap();
+    let (mut child, addr) = start_server(&data_dir);
+    let mut c = Client::connect(&addr);
+    let depth = 100_000;
+    let nested = "[".repeat(depth) + &"]".repeat(depth) + "\n";
+    c.writer.write_all(nested.as_bytes()).expect("send");
+    let mut line = String::new();
+    c.reader.read_line(&mut line).expect("recv");
+    let v = dns_json::parse(line.trim_end()).expect("a reply line");
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{line}");
+    c.call(&Request::Ping);
+    c.call(&Request::Shutdown);
+    assert!(child.wait().expect("reap server").success());
+    let _ = std::fs::remove_dir_all(&base);
+}
