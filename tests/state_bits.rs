@@ -1,7 +1,8 @@
 //! Golden bits of the transform pipeline and of the solver state: the
-//! fused nonlinear products on four process grids and an FNV-1a digest
-//! of the prognostic state after five RK3 steps on two, each rank's
-//! output pinned bit for bit (`golden/state_bits.txt`, one
+//! fused nonlinear products on four process grids and FNV-1a digests
+//! of the prognostic state — after five RK3 steps at 32x33x32 on two
+//! grids, and on one rank at the wall-normal sizes 17, 25 and 49 — each
+//! rank's output pinned bit for bit (`golden/state_bits.txt`, one
 //! `name = digest` line per rank). A layout or kernel change that only
 //! moves data must leave every line unedited.
 
@@ -53,14 +54,14 @@ fn products(pa: usize, pb: usize) -> Vec<u64> {
     })
 }
 
-/// Per-rank digests of `u, v, w, omega_y, phi` after five steps from a
-/// perturbed laminar profile at 32x33x32 on a `pa x pb` grid.
-fn state(pa: usize, pb: usize) -> Vec<u64> {
-    let params = Params::channel(32, 33, 32, 180.0).with_grid(pa, pb);
-    run_parallel(params, |dns| {
+/// Per-rank digests of `u, v, w, omega_y, phi` after `steps` steps from
+/// a perturbed laminar profile at `nx x ny x nz` on a `pa x pb` grid.
+fn state([nx, ny, nz]: [usize; 3], steps: usize, pa: usize, pb: usize) -> Vec<u64> {
+    let params = Params::channel(nx, ny, nz, 180.0).with_grid(pa, pb);
+    run_parallel(params, move |dns| {
         dns.set_laminar(1.0);
         dns.add_perturbation(0.3, 9);
-        for _ in 0..5 {
+        for _ in 0..steps {
             dns.step();
         }
         let s = dns.state();
@@ -79,10 +80,20 @@ fn products_and_state_equal_the_golden_bits() {
             ));
         }
     }
-    for (pa, pb) in [(1, 1), (2, 1)] {
-        for (rank, h) in state(pa, pb).into_iter().enumerate() {
+    // 32x33x32 on two grids; then one rank at ny = 17, 25 and 49, the
+    // wall-normal sizes whose collocation bands differ
+    let cases = [
+        ([32, 33, 32], 5, 1, 1),
+        ([32, 33, 32], 5, 2, 1),
+        ([16, 17, 16], 5, 1, 1),
+        ([16, 25, 16], 5, 1, 1),
+        ([48, 49, 48], 2, 1, 1),
+    ];
+    for (size, steps, pa, pb) in cases {
+        let [nx, ny, nz] = size;
+        for (rank, h) in state(size, steps, pa, pb).into_iter().enumerate() {
             got.push(format!(
-                "state 32x33x32 5 steps {pa}x{pb} rank {rank} = {h:016x}"
+                "state {nx}x{ny}x{nz} {steps} steps {pa}x{pb} rank {rank} = {h:016x}"
             ));
         }
     }
