@@ -342,17 +342,12 @@ impl BatchedFactor {
     /// allocated once, their blocks then filled by
     /// [`set_block`](Self::set_block). Zero width is a valid, empty batch.
     pub fn zeros(n: usize, kl: usize, ku: usize, width: usize) -> Self {
-        let w = kl + ku + 1;
         let blocks = width.div_ceil(LANES);
-        // stream lengths: row i contributes its sub-diagonal window to L
-        // and its super-diagonal window to U
-        let (mut lstride, mut ustride) = (0, 0);
-        assert!(width == 0 || n >= w, "matrix smaller than its bandwidth");
-        for i in 0..n {
-            let ci = i.saturating_sub(kl).min(n.saturating_sub(w));
-            lstride += i - ci;
-            ustride += (ci + w - 1).min(n - 1) - i;
-        }
+        assert!(
+            width == 0 || n > kl + ku,
+            "matrix smaller than its bandwidth"
+        );
+        let (lstride, ustride) = stream_lens(n, kl, ku);
         BatchedFactor {
             n,
             kl,
@@ -447,7 +442,7 @@ impl BatchedFactor {
     /// Telemetry of `stages` stages of `width` solves each (the panel's
     /// width: blocks may be swept more than once per stage).
     pub fn count_solves(&self, width: usize, stages: usize) {
-        count_solves(self.n, self.kl, self.ku, width, stages);
+        count_solves(self.n, (self.lstride, self.ustride), width, stages);
     }
 
     /// Bytes held by the three streams.
@@ -486,20 +481,37 @@ impl BatchedFactor {
     }
 }
 
+/// Slots of one `(n, kl, ku)` factor's forward and backward sweep
+/// streams: row `i` holds `i - col_start(i)` multipliers and
+/// `jend(i) - i` upper entries.
+pub(crate) fn stream_lens(n: usize, kl: usize, ku: usize) -> (usize, usize) {
+    let w = kl + ku + 1;
+    (0..n).fold((0, 0), |(l, u), i| {
+        let ci = i.saturating_sub(kl).min(n.saturating_sub(w));
+        (l + i - ci, u + (ci + w - 1).min(n - 1) - i)
+    })
+}
+
+/// Flops of one real solve against factors with `lens` stream slots:
+/// a multiply and a subtract per slot, a multiply per row.
+pub(crate) fn solve_flops(n: usize, (lstride, ustride): (usize, usize)) -> u64 {
+    (2 * (lstride + ustride) + n) as u64
+}
+
 /// Telemetry of `stages` stages of `width` complex solves each against
-/// real `(n, kl, ku)` factors: counted per stage, never per block.
-fn count_solves(n: usize, kl: usize, ku: usize, width: usize, stages: usize) {
+/// real factors of `n` rows and `lens` stream slots: counted per stage,
+/// never per block.
+fn count_solves(n: usize, lens: (usize, usize), width: usize, stages: usize) {
     // (a zero-width stage is no panel: an empty batch counts nothing)
     if dns_telemetry::enabled() && width > 0 {
         use dns_telemetry::{count_phase, Counter, Phase};
-        let per_row = 2 * kl + 2 * (kl + ku) + 1;
         count_phase(Phase::NsAdvance, Counter::SolvePanels, stages as u64);
         count_phase(Phase::NsAdvance, Counter::SolveRhs, (stages * width) as u64);
         // complex RHS against real factors: two real solves per column
         count_phase(
             Phase::NsAdvance,
             Counter::Flops,
-            2 * (stages * n * per_row * width) as u64,
+            2 * (stages * width) as u64 * solve_flops(n, lens),
         );
     }
 }
@@ -602,7 +614,7 @@ impl CornerLu {
     /// Telemetry of `stages` stages of `width` shared-operator solves.
     pub fn count_solves(&self, width: usize, stages: usize) {
         let m = self.factors();
-        count_solves(m.n(), m.kl(), m.ku(), width, stages);
+        count_solves(m.n(), stream_lens(m.n(), m.kl(), m.ku()), width, stages);
     }
 }
 

@@ -295,11 +295,11 @@ impl CornerLu {
         &self.m
     }
 
-    /// Nominal flop count of one real solve (forward + backward sweep
-    /// multiply-adds per row).
+    /// Flop count of one real solve: the sweeps' stored slots, as the
+    /// batched sweeps count them.
     fn solve_flops(&self) -> u64 {
-        let per_row = 2 * self.m.kl + 2 * (self.m.kl + self.m.ku) + 1;
-        (self.m.n * per_row) as u64
+        let m = &self.m;
+        crate::batch::solve_flops(m.n, crate::batch::stream_lens(m.n, m.kl, m.ku))
     }
 }
 
