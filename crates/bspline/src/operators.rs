@@ -3,9 +3,14 @@
 //! Applying B-spline collocation to the two-point boundary-value problems
 //! of the time advance (paper eqs. 3-4) needs the matrices
 //! `B0[i][j] = B_j(xi_i)`, `B1[i][j] = B_j'(xi_i)`, `B2[i][j] = B_j''(xi_i)`.
-//! All three are banded with half-bandwidth `order - 1` (total bandwidth
-//! `2*order - 1`, which for order 8 is the 15 of Table 1) and are stored
-//! directly in the corner-folded format consumed by the custom solver.
+//! A Greville row reaches at most `order - 1` columns to either side,
+//! which bounds the total bandwidth by `2*order - 1` — the 15 of Table 1
+//! for order 8. The operators are stored directly in the corner-folded
+//! format consumed by the custom solver, at the band the basis actually
+//! has: the smallest half-bandwidth `k` whose corner-anchored windows
+//! hold every row, the few wider rows next to each wall folded into the
+//! corner slots. At order 8 that is `k = 4` (9 slots per row) on the
+//! channel's tanh grids from `ny = 25` up, `k = 5` at `ny = 17`.
 
 use crate::basis::BsplineBasis;
 use dns_banded::{CornerBanded, CornerLu, C64};
@@ -25,20 +30,22 @@ pub struct CollocationOps {
 }
 
 impl CollocationOps {
-    /// Assemble the operators for a basis at its Greville points.
+    /// Assemble the operators for a basis at its Greville points, in the
+    /// band the basis derives (see the module docs).
     pub fn new(basis: &BsplineBasis) -> Self {
         let points = basis.greville();
         let n = basis.len();
         let p = basis.degree();
-        let mut b0 = CornerBanded::zeros(n, p, p, 0, 0);
-        let mut b1 = CornerBanded::zeros(n, p, p, 0, 0);
-        let mut b2 = CornerBanded::zeros(n, p, p, 0, 0);
+        let (k, nc_top, nc_bot) = band_geometry(basis, &points);
+        let mut b0 = CornerBanded::zeros(n, k, k, nc_top, nc_bot);
+        let mut b1 = b0.clone();
+        let mut b2 = b0.clone();
         for (i, &x) in points.iter().enumerate() {
             let (first, ders) = basis.eval_derivs(x, 2);
             for j in 0..=p {
                 let col = first + j;
-                // Greville collocation keeps |i - col| <= p; the set()
-                // below panics if that invariant is ever violated.
+                // the set() below panics if an entry falls outside the
+                // derived band
                 if ders[0][j] != 0.0 {
                     b0.set(i, col, ders[0][j]);
                 }
@@ -135,13 +142,13 @@ impl CollocationOps {
     }
 
     /// Collocation matrix of the `d`-th derivative, `Bd[i][j] =
-    /// B_j^(d)(xi_i)`, in corner-folded storage (`d` up to the spline
-    /// degree; the Orr-Sommerfeld operator needs `d = 4`).
+    /// B_j^(d)(xi_i)`, in the corner-folded band of `B0` (`d` up to the
+    /// spline degree; the Orr-Sommerfeld operator needs `d = 4`).
     pub fn deriv_matrix(&self, d: usize) -> CornerBanded {
-        let n = self.n();
         let p = self.basis.degree();
         assert!(d <= p, "derivative order {d} exceeds the spline degree {p}");
-        let mut m = CornerBanded::zeros(n, p, p, 0, 0);
+        let b = &self.b0;
+        let mut m = CornerBanded::zeros(self.n(), b.kl(), b.ku(), b.nc_top(), b.nc_bot());
         for (i, &x) in self.points.iter().enumerate() {
             let (first, ders) = self.basis.eval_derivs(x, d);
             for (j, &v) in ders[d].iter().enumerate() {
@@ -184,6 +191,49 @@ impl CollocationOps {
     }
 }
 
+/// The corner-folded band `(k, nc_top, nc_bot)` of a basis's collocation
+/// operators at `points`: the smallest half-bandwidth `k >= ceil(p/2)`
+/// (`kl = ku = k`) whose corner-anchored windows hold the nonzeros of
+/// every derivative at every point, with at most `k` wide rows at each
+/// end; else `k = p` (a Greville row never reaches past `p` columns from
+/// its diagonal) with no corner rows.
+fn band_geometry(basis: &BsplineBasis, points: &[f64]) -> (usize, usize, usize) {
+    let (n, p) = (basis.len(), basis.degree());
+    // each row's first and last nonzero column over all derivatives
+    let spans: Vec<(usize, usize)> = points
+        .iter()
+        .map(|&x| {
+            let (first, ders) = basis.eval_derivs(x, p);
+            let nonzero = |j: &usize| ders.iter().any(|d| d[*j] != 0.0);
+            let lo = (0..=p).find(nonzero).unwrap_or(0);
+            let hi = (0..=p).rev().find(nonzero).unwrap_or(0);
+            (first + lo, first + hi)
+        })
+        .collect();
+    let fits = |k: usize| {
+        let w = 2 * k + 1;
+        if n < w {
+            return None;
+        }
+        let (mut nc_top, mut nc_bot) = (0, 0);
+        for (i, &(lo, hi)) in spans.iter().enumerate() {
+            let ci = i.saturating_sub(k).min(n - w);
+            if lo < ci || hi >= ci + w {
+                return None;
+            }
+            // past the plain band: a row of a corner-anchored window
+            if hi > i + k {
+                nc_top = i + 1;
+            }
+            if lo + k < i {
+                nc_bot = nc_bot.max(n - i);
+            }
+        }
+        (nc_top <= k && nc_bot <= k).then_some((k, nc_top, nc_bot))
+    };
+    (p.div_ceil(2)..p).find_map(fits).unwrap_or((p, 0, 0))
+}
+
 /// Row `row`'s stored window (in the geometry of `shape`) of the
 /// collocation row of the `deriv`-th derivative at `x`.
 fn boundary_window(
@@ -209,8 +259,9 @@ fn boundary_window(
 pub fn integration_weights(ops: &CollocationOps) -> Vec<f64> {
     let n = ops.n();
     let p = ops.basis().degree();
-    // transpose of B0 in corner-folded storage (band is symmetric in
-    // width, so the same geometry holds)
+    // transpose of B0 in the plain (p, p) band: the wide entries of B0's
+    // corner rows become wide *columns* here, which the corner-folded
+    // format does not fold
     let mut bt = CornerBanded::zeros(n, p, p, 0, 0);
     for i in 0..n {
         let ci = bt.col_start(i);

@@ -116,9 +116,11 @@ impl Params {
         if self.spline_order < 4 {
             return Err(format!("spline order {} < 4", self.spline_order));
         }
-        if self.ny < self.spline_order.saturating_add(2) {
+        // the (p, p) band of the integration weights' B0^T system needs
+        // n >= 2p + 1 rows
+        if self.ny < self.spline_order.saturating_mul(2) - 1 {
             return Err(format!(
-                "ny too small: {} < spline order {} + 2",
+                "ny too small: {} < 2 * spline order {} - 1",
                 self.ny, self.spline_order
             ));
         }

@@ -214,14 +214,21 @@ impl ChannelDns {
 
     /// What the wall-normal set-up built and cost on this rank: panel
     /// blocks, the distinct factor blocks behind them, their resident
-    /// bytes and the build seconds (also the `wallnormal.plan` telemetry
-    /// decision record).
+    /// bytes, the band they were factored in (`kl`, `ku` and the corner
+    /// rows at the top and bottom) and the build seconds (also the
+    /// `wallnormal.plan` telemetry decision record).
     pub fn wallnormal_plan(&self) -> String {
+        let band = self.ops.b0();
         format!(
-            "{} panel blocks on {} factor blocks, {:.1} MB of factors + Green's, built in {:.3e} s",
+            "{} panel blocks on {} factor blocks, {:.1} MB of factors + Green's \
+             (band kl {} ku {}, {} + {} corner rows), built in {:.3e} s",
             self.batch.blocks(),
             self.batch.factor_blocks(),
             self.batch.factor_bytes() as f64 / 1e6,
+            band.kl(),
+            band.ku(),
+            band.nc_top(),
+            band.nc_bot(),
             self.batch_build_s,
         )
     }

@@ -525,9 +525,13 @@ mod tests {
         let mut spec = tiny_spec();
         spec.steps = 0;
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
-        let mut spec = tiny_spec();
-        spec.params.ny = 8;
-        assert!(spec.validate().is_err());
+        // below 2 * order - 1 the collocation band does not fit
+        for ny in [8, 10, 12, 14] {
+            let mut spec = tiny_spec();
+            spec.params.ny = ny;
+            let refused = matches!(spec.validate(), Err(SpecError::Invalid(_)));
+            assert!(refused, "ny = {ny} accepted");
+        }
         // process grids the pencils cannot split
         for (pa, pb) in [(16, 1), (1, 32)] {
             let mut spec = tiny_spec();

@@ -243,8 +243,7 @@ impl BatchNormalSolver {
     /// [`ModeSolver::new`] — so the factors, Green's columns and `minv`
     /// are that oracle's, bit for bit.
     pub fn new(ops: &CollocationOps, k2s: &[f64], nu: f64, dt: f64) -> BatchNormalSolver {
-        let n = ops.n();
-        let p = ops.b0().kl();
+        let (n, kl, ku) = (ops.n(), ops.b0().kl(), ops.b0().ku());
         let mut k2 = Vec::new();
         let mut seen = BTreeMap::new();
         let fblock: Vec<usize> = k2s
@@ -260,15 +259,15 @@ impl BatchNormalSolver {
             .collect();
         let fwidth = k2.len() * LANES;
         let mut helm: [BatchedFactor; 3] =
-            std::array::from_fn(|_| BatchedFactor::zeros(n, p, p, fwidth));
-        let mut pois = BatchedFactor::zeros(n, p, p, fwidth);
+            std::array::from_fn(|_| BatchedFactor::zeros(n, kl, ku, fwidth));
+        let mut pois = BatchedFactor::zeros(n, kl, ku, fwidth);
         let mut greens: [BatchGreens; 3] = std::array::from_fn(|_| BatchGreens {
             c_phi: vec![LaneRow::ZERO; k2.len() * n],
             c_v: vec![LaneRow::ZERO; k2.len() * n],
             minv: vec![[[0.0; 2]; 2]; fwidth],
         });
         let (b0, b1, b2, walls) = (ops.b0(), ops.b1(), ops.b2(), ops.wall_rows());
-        let (mut hband, mut pband) = (LaneBand::new(n, p, p), LaneBand::new(n, p, p));
+        let (mut hband, mut pband) = (LaneBand::new(n, kl, ku), LaneBand::new(n, kl, ku));
         for (fb, k2) in k2.iter().enumerate() {
             // B2 - k^2 B0 with Dirichlet rows
             pband.assemble(b0, b2, &k2.map(|k2| -k2), 1.0, walls);

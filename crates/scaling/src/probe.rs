@@ -458,7 +458,8 @@ fn wave(n: usize, m: usize) -> Vec<C64> {
 /// two sets of factors are pinned to solve bit-equal first.
 fn setup_point(ny: usize, width: usize, reps: usize) -> [f64; 2] {
     let ops = CollocationOps::new(&BsplineBasis::new(8, &tanh_breakpoints(ny - 7, 1.9)));
-    let (n, p, c) = (ops.n(), ops.b0().kl(), 0.4 * 5e-4 / 180.0);
+    let (n, kl, ku) = (ops.n(), ops.b0().kl(), ops.b0().ku());
+    let c = 0.4 * 5e-4 / 180.0;
     // a 24-wide kx row per kz, as the reference box owns them
     let k2s: Vec<f64> = (1..=width)
         .map(|m| ((m % 24) as f64).powi(2) + (2.5 * (m / 24) as f64).powi(2))
@@ -473,8 +474,8 @@ fn setup_point(ny: usize, width: usize, reps: usize) -> [f64; 2] {
         k2s.iter().map(factor).collect()
     };
     let lane = || -> BatchedFactor {
-        let mut out = BatchedFactor::zeros(n, p, p, width);
-        let mut band = LaneBand::new(n, p, p);
+        let mut out = BatchedFactor::zeros(n, kl, ku, width);
+        let mut band = LaneBand::new(n, kl, ku);
         for (blk, chunk) in k2s.chunks(LANES).enumerate() {
             let a = std::array::from_fn(|l| 1.0 + c * chunk.get(l).unwrap_or(&1.0));
             band.assemble(ops.b0(), ops.b2(), &a, -c, ops.wall_rows());
