@@ -21,6 +21,12 @@
 //! unpivoted elimination provably creates no fill outside the stored
 //! windows (the corner windows absorb it), which is the structural
 //! insight behind the format.
+//!
+//! The DNS's collocation operators use the fold: a Greville row of the
+//! order-8 basis reaches 3-4 columns to each side in the interior and
+//! 5-6 only in the rows next to each wall, so `dns-bspline` stores them
+//! at `kl = ku = 4` with 3-4 corner rows at each end — 9 slots per row
+//! where the plain band needs `kl = ku = 7`, Table 1's bandwidth 15.
 
 use dns_fft::lanes::Isa;
 
@@ -226,8 +232,9 @@ impl CornerLu {
     pub fn factor(mut m: CornerBanded) -> Result<Self, LinalgError> {
         let (kl, ku) = (m.kl, m.ku);
         // Constant-propagated monomorphic kernels for the bandwidths the
-        // DNS actually uses (B-spline orders 2..8 give kl = ku = 1..7);
-        // this is the Rust rendition of the paper's hand-unrolled loops.
+        // DNS actually uses (the folded order-8 operators have kl = ku = 4
+        // or 5, the plain order-2..8 bands 1..7); this is the Rust
+        // rendition of the paper's hand-unrolled loops.
         let r = match (kl, ku) {
             (1, 1) => factor_kernel(&mut m, 1, 1),
             (2, 2) => factor_kernel(&mut m, 2, 2),
