@@ -69,7 +69,7 @@ static ALLOCATOR: PeakAlloc = PeakAlloc;
 
 /// The measured peak: a change that holds more fails here, and one that
 /// holds less lowers it to its own value.
-const CEILING: isize = 13_346_088;
+const CEILING: isize = 9_966_888;
 
 #[test]
 fn set_up_and_three_steps_hold_at_most_the_pinned_peak() {

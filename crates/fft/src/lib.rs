@@ -23,9 +23,9 @@
 //!   nothing to vectorise at Stockham stride 1). The multi-line entries
 //!   run an AVX2 instantiation of the same code where the CPU has it (no
 //!   FMA). [`CfftPlan::execute_many`] gathers `C64` lines into such
-//!   blocks and scatters them back; [`CfftPlan::execute_dealiased`] takes
-//!   lines that are already lane-blocked (a run of [`LaneRow`]s, lane `l`
-//!   one line), and [`RfftPlan::inverse_lanes`] /
+//!   blocks and scatters them back; [`CfftPlan::execute_dealiased`]
+//!   transforms in place lines that are already lane-blocked (a run of
+//!   [`LaneRow`]s, lane `l` one line), and [`RfftPlan::inverse_lanes`] /
 //!   [`RfftPlan::forward_lanes`] read and write spectra lane-blocked over
 //!   the coefficient index ([`LaneSpectra`]: one 8 x 8 transposition per
 //!   block turns coefficient lanes into line lanes). The 3/2-rule pad /

@@ -229,24 +229,24 @@ impl CfftPlan {
         }
     }
 
-    /// Multi-line transform of lane-blocked lines with the 3/2-rule
-    /// spectrum handling fused into the copies in and out of the lane
-    /// scratch, no telemetry (callers account for their whole batch).
+    /// Multi-line transform of lane-blocked lines in place, with the
+    /// 3/2-rule spectrum handling fused into the copies in and out of the
+    /// lane scratch, no telemetry (callers account for their whole batch).
     ///
-    /// Each line is a run of [`LaneRow`]s holding element `k` of
-    /// [`LANES`] independent lines. `modes` is the dealiased spectrum
-    /// length (`modes <= n`, both even). An **inverse** plan reads lines of
-    /// `modes` coefficients from `src`, zero-pads each to `n` exactly as
-    /// [`crate::dealias::pad_full`] does, and writes whole lines of `n`
-    /// values to `dst`. A **forward** plan reads whole lines of `n` values
-    /// and writes the `modes` coefficients
-    /// [`crate::dealias::truncate_full`] keeps. Every stored value is
+    /// `lines` holds whole lines of `n` [`LaneRow`]s, entry `k` of a line
+    /// holding element `k` of [`LANES`] independent lines. `modes` is the
+    /// dealiased spectrum length (`modes <= n`, both even). An **inverse**
+    /// plan reads the first `modes` slots of each line as coefficients,
+    /// zero-pads them to `n` exactly as [`crate::dealias::pad_full`] does
+    /// and overwrites the whole line; the slots past `modes` are never
+    /// read. A **forward** plan reads the whole line and writes the `modes`
+    /// coefficients [`crate::dealias::truncate_full`] keeps into its first
+    /// `modes` slots, leaving the rest as they were. Every stored value is
     /// multiplied by `by` (`1.0` is exact).
     pub fn execute_dealiased(
         &self,
-        src: &[LaneRow],
+        lines: &mut [LaneRow],
         modes: usize,
-        dst: &mut [LaneRow],
         by: f64,
         scratch: &mut [C64],
     ) {
@@ -255,37 +255,30 @@ impl CfftPlan {
             (2..=n).contains(&modes) && modes.is_multiple_of(2) && n.is_multiple_of(2),
             "bad dealiased sizes {modes} / {n}"
         );
+        assert_eq!(lines.len() % n, 0, "lines must be whole");
         let pad = self.direction == Direction::Inverse;
-        let (src_len, dst_len) = if pad { (modes, n) } else { (n, modes) };
-        assert_eq!(src.len() % src_len, 0, "source must be whole lines");
-        assert_eq!(
-            src.len() / src_len,
-            dst.len() / dst_len,
-            "line counts differ"
-        );
-        assert_eq!(dst.len() % dst_len, 0, "destination must be whole lines");
         // dealiased coefficient `j != modes / 2` sits at `j` in the
         // length-`n` spectrum when `j < half`, at `j + n - modes` past it:
         // non-negative wavenumbers in front, negative ones at the tail
         let half = modes / 2;
         let (a, b, rest) = self.lane_work(scratch, n);
-        for (s, d) in src.chunks_exact(src_len).zip(dst.chunks_exact_mut(dst_len)) {
+        for line in lines.chunks_exact_mut(n) {
             if pad {
                 // pad_full: zeros between the two halves, source Nyquist dropped
-                a[..half].copy_from_slice(&s[..half]);
+                a[..half].copy_from_slice(&line[..half]);
                 a[half..=n - half].fill(LaneRow::ZERO);
-                a[n - half + 1..n].copy_from_slice(&s[half + 1..]);
+                a[n - half + 1..n].copy_from_slice(&line[half + 1..modes]);
             } else {
-                a[..n].copy_from_slice(s);
+                a[..n].copy_from_slice(line);
             }
             let (out, _) = self.transform_block(a, b, rest);
             if pad {
-                for (d, &v) in d.iter_mut().zip(out) {
+                for (d, &v) in line.iter_mut().zip(out) {
                     *d = scale(v, by);
                 }
             } else {
                 // truncate_full: the destination Nyquist slot is zero
-                let (front, back) = d.split_at_mut(half);
+                let (front, back) = line[..modes].split_at_mut(half);
                 back[0] = LaneRow::ZERO;
                 let kept = front.iter_mut().chain(&mut back[1..]);
                 for (d, &v) in kept.zip(out[..half].iter().chain(&out[n - half + 1..])) {
@@ -301,6 +294,7 @@ mod tests {
     use super::*;
     use crate::dealias::{pad_full, truncate_full};
     use crate::dft::dft;
+    use crate::lanes::Lanes;
 
     fn max_err(a: &[C64], b: &[C64]) -> f64 {
         a.iter()
@@ -518,9 +512,23 @@ mod tests {
                         let mut src = random_signal(lines * src_len, (n * 977 + lines) as u64);
                         src.resize(lines.div_ceil(LANES) * LANES * src_len, C64::new(0.0, 0.0));
                         let want = dealiased_reference(&plan, &src, modes, scale);
-                        let mut dst = vec![LaneRow::ZERO; want.len() / LANES];
                         let (src, want) = (block_lines(&src, src_len), block_lines(&want, dst_len));
-                        plan.execute_dealiased(&src, modes, &mut dst, scale, &mut scratch);
+                        // each source line at the front of a whole line,
+                        // the slots past it NaN: they must never be read
+                        let nan = LaneRow {
+                            re: Lanes([f64::NAN; LANES]),
+                            im: Lanes([f64::NAN; LANES]),
+                        };
+                        let mut buf = vec![nan; src.len() / src_len * n];
+                        for (line, s) in buf.chunks_exact_mut(n).zip(src.chunks_exact(src_len)) {
+                            line[..src_len].copy_from_slice(s);
+                        }
+                        plan.execute_dealiased(&mut buf, modes, scale, &mut scratch);
+                        let dst: Vec<LaneRow> = buf
+                            .chunks_exact(n)
+                            .flat_map(|l| &l[..dst_len])
+                            .copied()
+                            .collect();
                         assert_eq!(
                             row_bits(&dst),
                             row_bits(&want),

@@ -24,4 +24,4 @@ pub mod reorder;
 pub mod transpose;
 
 pub use decomp::{block_len, block_start, Block};
-pub use transpose::{RowsPlacement, TransposePlan};
+pub use transpose::{Room, RowsPlacement, TransposePlan};

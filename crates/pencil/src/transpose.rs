@@ -199,40 +199,95 @@ impl TransposePlan {
         send: &mut Vec<Vec<T>>,
         out: &mut Vec<T>,
     ) -> Result<(), dns_minimpi::CommError> {
-        assert_eq!(input.len(), self.input_len(), "input length mismatch");
-        let len = self.output_len();
-        self.exchange(comm, input, send, out, len, |c, fb, o| {
-            self.unpack(c, fb, o)
+        // resized, never cleared: every unpack stores every output element
+        // (the transpose is a bijection of the index space), so nothing
+        // stale can be read and only a growing buffer is filled
+        out.resize(self.output_len(), T::default());
+        let sides = self.sides(self.rows, self.rows);
+        self.exchange(comm, input, sides, send, out, |c, src, fb, o| {
+            self.unpack(c, src, fb, o, sides[1])
         })
+    }
+
+    /// [`run_with`](Self::run_with) of a split placement between two
+    /// buffers with room for more rows than the plan carries, into a
+    /// caller-sized `out`: the plan's rows are planes of `k` rows, and on
+    /// both sides every plane has room for `cap` rows (`dns-pfft`'s z- and
+    /// x-pencils, `[y][cap fields][...]`, carrying `k` fields). Only the
+    /// plan's rows are read and written; `out` holds `rows / k` planes.
+    ///
+    /// # Panics
+    /// As [`run_with`](Self::run_with), or if the placement does not keep
+    /// memory order, `k` does not divide the rows or exceeds `cap`.
+    pub fn run_in_planes<T: Copy + Send + 'static>(
+        &self,
+        comm: &Communicator,
+        [k, cap]: [usize; 2],
+        input: &[T],
+        send: &mut Vec<Vec<T>>,
+        out: &mut [T],
+    ) {
+        let split = matches!(
+            self.placement,
+            RowsPlacement::SplitFast | RowsPlacement::SplitSlow
+        );
+        let whole = k > 0 && self.rows.is_multiple_of(k) && k <= cap;
+        assert!(
+            split && whole,
+            "planes need a split placement, whole planes"
+        );
+        let planes = |s: Side| Side {
+            planes: self.rows / k,
+            lines: k,
+            plane: cap * s.len,
+            ..s
+        };
+        let sides = self.sides(self.rows, self.rows).map(planes);
+        let result = self.exchange(comm, input, sides, send, out, |c, src, fb, o| {
+            self.unpack(c, src, fb, o, sides[1])
+        });
+        self.checked(result);
     }
 
     /// The [`RowsPlacement::Middle`] transpose with its output
     /// lane-blocked, the y->z transpose into the z-pencil: the plan's
     /// `rows` are `groups` runs of `lines` lines, the input is `C64
-    /// [f_loc][rows][t]` and the output `LaneRow [t_loc][blocks][f]`, where
-    /// lane `l` of group `g`'s block `b` is the group's line `LANES * b +
-    /// l` ([`reorder_into_lanes`]; pad lanes zero). The exchange carries
-    /// the input's `C64`s.
+    /// [f_loc][rows][t]` and the output `LaneRow [t_loc][room.fields][nb][room.line]`
+    /// with `nb = lines.div_ceil(LANES)` blocks per group: group `g` is
+    /// field `g` of every plane, and lane `l` of its block `b` holds its
+    /// line `LANES * b + l` in the first `f` slots ([`reorder_into_lanes`];
+    /// pad lanes zero). Nothing else of the caller-sized `out` is written.
+    /// The exchange carries the input's `C64`s.
     ///
     /// # Panics
-    /// As [`run_with`](Self::run_with), or if the plan is not `Middle` or
-    /// its rows are not whole groups.
+    /// As [`run_with`](Self::run_with), or if the plan is not `Middle`,
+    /// its rows are not whole groups, or they do not fit `room`.
     pub fn run_into_lanes(
         &self,
         comm: &Communicator,
         lines: usize,
         input: &[C64],
         send: &mut Vec<Vec<C64>>,
-        out: &mut Vec<LaneRow>,
+        out: &mut [LaneRow],
+        room: Room,
     ) {
-        self.run_lanes(comm, lines, true, input, send, out, reorder_into_lanes);
+        let (groups, blocked) = self.lane_groups(lines, room);
+        let mut sides = self.sides(self.rows, blocked);
+        sides[1] = room.hold(sides[1], lines);
+        let unpack = |c: &[C64], src: Side, fb: Block, o: &mut [LaneRow]| {
+            let (dst, shape) = (sides[1], [fb.len, groups, lines, self.t_block.len]);
+            let (from, to) = ([src.plane, src.line], [dst.plane, dst.line]);
+            reorder_into_lanes(c, from, &mut o[fb.start..], to, shape);
+        };
+        self.checked(self.exchange(comm, input, sides, send, out, unpack));
     }
 
     /// The inverse of [`run_into_lanes`](Self::run_into_lanes) on the
     /// same kind of plan, the z->y transpose out of the z-pencil: input
-    /// `LaneRow [f_loc][blocks][t]`, output `C64 [t_loc][rows][f]`
-    /// ([`reorder_from_lanes`]; pad lanes are not read). The exchange
-    /// carries the input's `LaneRow`s.
+    /// `LaneRow [f_loc][room.fields][nb][room.line]`, of which it reads the
+    /// plan's groups and the first `t` slots of their lines, output `C64
+    /// [t_loc][rows][f]` ([`reorder_from_lanes`]; pad lanes are not read).
+    /// The exchange carries the input's `LaneRow`s.
     ///
     /// # Panics
     /// As [`run_into_lanes`](Self::run_into_lanes).
@@ -241,46 +296,35 @@ impl TransposePlan {
         comm: &Communicator,
         lines: usize,
         input: &[LaneRow],
+        room: Room,
         send: &mut Vec<Vec<LaneRow>>,
         out: &mut Vec<C64>,
     ) {
-        self.run_lanes(comm, lines, false, input, send, out, reorder_from_lanes);
+        let (groups, blocked) = self.lane_groups(lines, room);
+        let mut sides = self.sides(blocked, self.rows);
+        sides[0] = room.hold(sides[0], lines);
+        out.resize(sides[1].buffer(), C64::default());
+        let unpack = |c: &[LaneRow], src: Side, fb: Block, o: &mut [C64]| {
+            let (dst, shape) = (sides[1], [fb.len, groups, lines, self.t_block.len]);
+            let (from, to) = ([src.plane, src.line], [dst.plane, dst.line]);
+            reorder_from_lanes(c, from, &mut o[fb.start..], to, shape);
+        };
+        self.checked(self.exchange(comm, input, sides, send, out, unpack));
     }
 
-    /// The `Middle` transpose of `lines`-line groups with its output
-    /// (`into`) or its input lane-blocked, unpacked by `reorder` (the
-    /// matching lane-blocking reorder).
-    #[allow(clippy::too_many_arguments)]
-    fn run_lanes<T: Copy + Send + 'static, U: Copy + Default>(
-        &self,
-        comm: &Communicator,
-        lines: usize,
-        into: bool,
-        input: &[T],
-        send: &mut Vec<Vec<T>>,
-        out: &mut Vec<U>,
-        reorder: fn(&[T], [usize; 2], &mut [U], [usize; 2], [usize; 4]),
-    ) {
+    /// `(groups, lane rows)` of a lane transpose of `lines`-line groups,
+    /// checked against the plan and the buffer's `room`.
+    fn lane_groups(&self, lines: usize, room: Room) -> (usize, usize) {
         let middle = self.placement == RowsPlacement::Middle;
         let whole = lines > 0 && self.rows.is_multiple_of(lines);
         assert!(middle && whole, "lane blocks need Middle, whole groups");
         let groups = self.rows / lines;
-        let (lined, blocked) = (self.rows, groups * lines.div_ceil(LANES));
-        let [rows_in, rows_out] = if into {
-            [lined, blocked]
-        } else {
-            [blocked, lined]
-        };
-        let (ntl, nf) = (self.t_block.len, self.nf);
-        let input_len = rows_in * self.f_block.len * self.nt;
-        assert_eq!(input.len(), input_len, "input length mismatch");
-        let unpack = |chunk: &[T], fb: Block, out: &mut [U]| {
-            let (src, dst) = ([rows_in * ntl, ntl], [rows_out * nf, nf]);
-            let shape = [fb.len, groups, lines, ntl];
-            reorder(chunk, src, &mut out[fb.start..], dst, shape);
-        };
-        let len = ntl * rows_out * nf;
-        self.checked(self.exchange(comm, input, send, out, len, unpack));
+        assert!(
+            groups <= room.fields,
+            "{groups} fields in room for {}",
+            room.fields
+        );
+        (groups, groups * lines.div_ceil(LANES))
     }
 
     /// Panic on a failed exchange (see [`run_with`](Self::run_with)).
@@ -290,35 +334,60 @@ impl TransposePlan {
         }
     }
 
-    /// Pack -> all-to-all -> unpack: `out` is sized to `out_len`, and
-    /// `unpack(chunk, fb, out)` places the block received from the owner of
-    /// `fb` of the `f` axis. On one rank the input itself is the one block.
-    fn exchange<T: Copy + Send + 'static, U: Copy + Default>(
+    /// One side of this plan, compact: `rows` rows (in the side's own
+    /// unit), `split` values of the distributed axis and `full` of the
+    /// other, laid out as the placement says ([`RowsPlacement`]). A side's
+    /// lines are what the pack cuts: their fastest axis is `t` on the
+    /// input, whole rows where memory order is kept.
+    fn side(&self, rows: usize, split: usize, full: usize) -> Side {
+        match self.placement {
+            RowsPlacement::Outer => Side::compact(rows, split, full),
+            RowsPlacement::Middle => Side::compact(split, rows, full),
+            RowsPlacement::SplitFast | RowsPlacement::SplitSlow => {
+                Side::compact(1, rows, split * full)
+            }
+        }
+    }
+
+    /// This rank's compact input and output sides for `rows_in` input
+    /// and `rows_out` output rows (they differ where one side is
+    /// lane-blocked).
+    fn sides(&self, rows_in: usize, rows_out: usize) -> [Side; 2] {
+        [
+            self.side(rows_in, self.f_block.len, self.nt),
+            self.side(rows_out, self.t_block.len, self.nf),
+        ]
+    }
+
+    /// Pack -> all-to-all -> unpack from `input` (laid out as `inp`) into
+    /// `out` (as `outp`): `unpack(chunk, side, fb, out)` places the block
+    /// received from the owner of `fb` of the `f` axis, laid out as `side`.
+    /// On one rank the input itself is the one block. Only the values of
+    /// the two sides are read, written and counted.
+    fn exchange<T: Copy + Send + 'static, U: Copy>(
         &self,
         comm: &Communicator,
         input: &[T],
+        [inp, outp]: [Side; 2],
         send: &mut Vec<Vec<T>>,
-        out: &mut Vec<U>,
-        out_len: usize,
-        unpack: impl Fn(&[T], Block, &mut [U]),
+        out: &mut [U],
+        unpack: impl Fn(&[T], Side, Block, &mut [U]),
     ) -> Result<(), dns_minimpi::CommError> {
         assert_eq!(comm.size(), self.p);
+        assert_eq!(input.len(), inp.buffer(), "input length mismatch");
+        assert_eq!(out.len(), outp.buffer(), "output length mismatch");
         let _transpose = telemetry::span("transpose", Phase::Transpose);
-        let nt = self.nt;
-        // resized, never cleared: every unpack stores every output
-        // element (the transpose is a bijection of the index space, pad
-        // lanes included), so nothing stale can be read and only a
-        // growing buffer is filled
-        out.resize(out_len, U::default());
+        let (nt, ntl) = (self.nt, self.t_block.len);
+        // one write of the output's values (their size differs from the
+        // input's by the pad lanes where one side is lane-blocked)
+        let written = outp.values() * std::mem::size_of::<U>();
 
         if self.p == 1 {
             // Single rank: no exchange, no pack copy — the input is the one
             // block there is to unpack
-            unpack(input, Block::of(self.nf, 1, 0), out);
-            // one read of the input, one write of the output (their sizes
-            // differ by the pad lanes where one side is lane-blocked)
-            let moved = std::mem::size_of_val(input) + std::mem::size_of_val(&out[..]);
-            telemetry::count(Counter::DdrBytes, moved as u64);
+            unpack(input, inp, Block::of(self.nf, 1, 0), out);
+            let read = inp.values() * std::mem::size_of::<T>();
+            telemetry::count(Counter::DdrBytes, (read + written) as u64);
             return Ok(());
         }
 
@@ -340,12 +409,15 @@ impl TransposePlan {
             for (d, block) in send.iter_mut().enumerate() {
                 let tb = Block::of(nt, p, d);
                 block.clear();
-                for line in input.chunks_exact(nt * unit) {
-                    block.extend_from_slice(&line[tb.start * unit..tb.end() * unit]);
+                for at in inp.starts() {
+                    for line in input[at..at + inp.len].chunks_exact(nt * unit) {
+                        block.extend_from_slice(&line[tb.start * unit..tb.end() * unit]);
+                    }
                 }
             }
             // the pack streams the input once and writes it once
-            telemetry::count(Counter::DdrBytes, 2 * std::mem::size_of_val(input) as u64);
+            let values = inp.values() * std::mem::size_of::<T>();
+            telemetry::count(Counter::DdrBytes, 2 * values as u64);
         }
 
         let parts = {
@@ -363,9 +435,17 @@ impl TransposePlan {
         };
 
         let _unpack = telemetry::span("unpack", Phase::Transpose);
-        let mut moved = std::mem::size_of_val(&out[..]);
+        let mut moved = written;
+        // a block holds its source's input lines cut to this rank's `t`
+        // range, back to back: the compact side of the same rows
+        let rows = match self.placement {
+            RowsPlacement::Outer => inp.planes,
+            RowsPlacement::Middle => inp.lines,
+            RowsPlacement::SplitFast | RowsPlacement::SplitSlow => inp.planes * inp.lines,
+        };
         for (s, chunk) in parts.iter().enumerate() {
-            unpack(chunk, Block::of(self.nf, p, s), out);
+            let fb = Block::of(self.nf, p, s);
+            unpack(chunk, self.side(rows, fb.len, ntl), fb, out);
             moved += std::mem::size_of_val(&chunk[..]);
         }
         // the unpack reads the receive chunks once and writes the output
@@ -376,44 +456,124 @@ impl TransposePlan {
         Ok(())
     }
 
-    /// Place the block from the owner of `fb` of the `f` axis into `out`:
-    /// its `f` values for this rank's `t` range, in the input's axis order.
-    fn unpack<T: Copy>(&self, chunk: &[T], fb: Block, out: &mut [T]) {
+    /// Place the block from the owner of `fb` of the `f` axis, laid out as
+    /// `src`, into `out` (laid out as `dst`): its `f` values for this
+    /// rank's `t` range, in the input's axis order.
+    fn unpack<T: Copy>(&self, chunk: &[T], src: Side, fb: Block, out: &mut [T], dst: Side) {
         let (rows, ntl, nf) = (self.rows, self.t_block.len, self.nf);
-        debug_assert_eq!(chunk.len(), rows * fb.len * ntl);
+        debug_assert_eq!(chunk.len(), src.buffer());
         if chunk.is_empty() {
             return;
         }
         let shape = [fb.len, rows, ntl];
-        let dst = &mut out[fb.start..];
         match self.placement {
             RowsPlacement::Outer => {
-                reorder_blocked(chunk, [ntl, fb.len * ntl], dst, [nf, ntl * nf], shape);
+                let (from, to) = ([src.line, src.plane], [dst.line, dst.plane]);
+                reorder_blocked(chunk, from, &mut out[fb.start..], to, shape);
             }
             RowsPlacement::Middle => {
-                reorder_blocked(chunk, [rows * ntl, ntl], dst, [rows * nf, nf], shape);
+                let (from, to) = ([src.plane, src.line], [dst.plane, dst.line]);
+                reorder_blocked(chunk, from, &mut out[fb.start..], to, shape);
             }
             // memory order kept: every row (SplitFast) or every (row, t)
             // pair (SplitSlow) is one contiguous run of the output
             RowsPlacement::SplitFast => {
-                place_runs(chunk, fb.len * ntl, out, fb.start * ntl, nf * ntl)
+                for (s, d) in src.starts().zip(dst.starts()) {
+                    out[d + fb.start * ntl..][..src.len].copy_from_slice(&chunk[s..][..src.len]);
+                }
             }
-            RowsPlacement::SplitSlow => place_runs(chunk, fb.len, out, fb.start, nf),
+            RowsPlacement::SplitSlow => {
+                for (s, d) in src.starts().zip(dst.starts()) {
+                    for (t, run) in chunk[s..s + src.len].chunks_exact(fb.len).enumerate() {
+                        out[d + t * nf + fb.start..][..fb.len].copy_from_slice(run);
+                    }
+                }
+            }
         }
     }
 }
 
-/// Copy the consecutive `len`-long runs of `chunk` to `out`, run `i` at
-/// `start + i * stride`.
-fn place_runs<T: Copy>(chunk: &[T], len: usize, out: &mut [T], start: usize, stride: usize) {
-    for (i, run) in chunk.chunks_exact(len).enumerate() {
-        out[start + i * stride..][..len].copy_from_slice(run);
+/// Room a lane-row pencil buffer keeps past what one transpose carries,
+/// so that one buffer serves transforms of different field counts
+/// (`dns-pfft`'s z-pencil `[y][fields][kx_block][pz]`, holding 3 or 5
+/// fields of `nz` coefficients): every plane (one local y row) has room
+/// for `fields` fields, every line for `line` values. A lane transpose
+/// reads or writes only the fields it carries and the leading values of
+/// their lines.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Room {
+    /// Fields a plane has room for.
+    pub fields: usize,
+    /// Values a line has room for.
+    pub line: usize,
+}
+
+impl Room {
+    /// The lane-blocked `Middle` side `side` (planes of `groups * nb`
+    /// lines) inside this room, for groups of `lines` lines.
+    fn hold(self, side: Side, lines: usize) -> Side {
+        assert!(
+            side.len <= self.line,
+            "{}-value lines in room for {}",
+            side.len,
+            self.line
+        );
+        let line = self.line;
+        let plane = self.fields * lines.div_ceil(LANES) * line;
+        Side {
+            plane,
+            line,
+            ..side
+        }
+    }
+}
+
+/// Where one side of a transpose lies in its buffer: `planes` planes
+/// `plane` apart, each of `lines` lines `line` apart, of which the first
+/// `len` values are the side's. The rest of a plane and of a line is
+/// neither read nor written.
+#[derive(Clone, Copy, Debug)]
+struct Side {
+    planes: usize,
+    lines: usize,
+    plane: usize,
+    line: usize,
+    len: usize,
+}
+
+impl Side {
+    /// `planes` planes of `lines` lines of `len` values, back to back.
+    fn compact(planes: usize, lines: usize, len: usize) -> Side {
+        Side {
+            planes,
+            lines,
+            plane: lines * len,
+            line: len,
+            len,
+        }
+    }
+
+    /// The first value of every line, in order.
+    fn starts(self) -> impl Iterator<Item = usize> {
+        (0..self.planes)
+            .flat_map(move |p| (0..self.lines).map(move |l| p * self.plane + l * self.line))
+    }
+
+    /// Values of the side.
+    fn values(self) -> usize {
+        self.planes * self.lines * self.len
+    }
+
+    /// Length of the buffer the side lies in.
+    fn buffer(self) -> usize {
+        self.planes * self.plane
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_fft::Lanes;
     use dns_minimpi as mpi;
 
     /// Build the global `[rows][f][t]` tensor with recognisable entries.
@@ -580,7 +740,10 @@ mod tests {
     #[test]
     fn lane_transposes_match_their_definition_and_round_trip() {
         // 3 lines (one padded block per group), 8 (one full block) and
-        // 11 (a full and a padded one); nf and nt split unevenly
+        // 11 (a full and a padded one); nf and nt split unevenly; the lane
+        // side lies in a buffer with room for one more group and two more
+        // values per line, and that room holds NaN: it must be neither
+        // written by the transpose nor read by its inverse
         for p in [1, 2, 3] {
             for lines in [3, LANES, LANES + 3] {
                 mpi::run(p, move |comm| {
@@ -598,31 +761,74 @@ mod tests {
                             input.extend((0..nt).map(|t| value(r, f, t)));
                         }
                     }
-                    let (mut send, mut lanes) = (Vec::new(), Vec::new());
-                    plan.run_into_lanes(&comm, lines, &input, &mut send, &mut lanes);
-                    // output `[t_loc][blocks][f]`, lane `l` of group `g`'s
-                    // block `b` its line `LANES * b + l`
                     let nb = lines.div_ceil(LANES);
-                    assert_eq!(lanes.len(), tb.len * groups * nb * nf);
-                    for (tl, t) in (tb.start..tb.end()).enumerate() {
-                        for g in 0..groups {
-                            for f in 0..nf {
-                                for i in 0..nb * LANES {
-                                    let got = lanes[((tl * groups + g) * nb + i / LANES) * nf + f];
-                                    let want = if i < lines {
-                                        value(g * lines + i, f, t)
-                                    } else {
-                                        C64::new(0.0, 0.0)
-                                    };
-                                    assert_eq!(got.get(i % LANES), want, "p={p} lines={lines}");
-                                }
+                    let room = Room {
+                        fields: groups + 1,
+                        line: nf + 2,
+                    };
+                    let nan = LaneRow {
+                        re: Lanes([f64::NAN; LANES]),
+                        im: Lanes([f64::NAN; LANES]),
+                    };
+                    let plane = room.fields * nb * room.line;
+                    let mut lanes = vec![nan; tb.len * plane];
+                    let mut send = Vec::new();
+                    plan.run_into_lanes(&comm, lines, &input, &mut send, &mut lanes, room);
+                    // output `[t_loc][fields][nb][line]`, lane `l` of group
+                    // `g`'s block `b` its line `LANES * b + l`, in the first
+                    // `nf` values
+                    for (i, row) in lanes.iter().enumerate() {
+                        let (tl, g) = (i / plane, i % plane / (nb * room.line));
+                        let (b, f) = (i / room.line % nb, i % room.line);
+                        for l in 0..LANES {
+                            let got = row.get(l);
+                            let line = LANES * b + l;
+                            if g >= groups || f >= nf {
+                                assert!(got.re.is_nan() && got.im.is_nan(), "room written");
+                            } else if line < lines {
+                                let want = value(g * lines + line, f, tb.global(tl));
+                                assert_eq!(got, want, "p={p} lines={lines}");
+                            } else {
+                                assert_eq!(got, C64::new(0.0, 0.0), "pad lane");
                             }
                         }
                     }
                     let inverse = plan.inverse(&comm);
                     let (mut send, mut back) = (Vec::new(), Vec::new());
-                    inverse.run_from_lanes(&comm, lines, &lanes, &mut send, &mut back);
+                    inverse.run_from_lanes(&comm, lines, &lanes, room, &mut send, &mut back);
                     assert_eq!(back, input, "p={p} lines={lines}: round trip");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn split_hops_in_planes_touch_only_their_rows() {
+        // three planes of two rows each, in buffers with room for three
+        // rows per plane whose room holds u64::MAX: the result must be the
+        // compact transpose's rows, placed plane by plane, room untouched
+        let (planes, k, cap, nf, nt) = (3, 2, 3, 11, 13);
+        for p in [1, 2, 3] {
+            for pl in [RowsPlacement::SplitFast, RowsPlacement::SplitSlow] {
+                mpi::run(p, move |comm| {
+                    let plan = TransposePlan::plan(&comm, planes * k, nf, nt, pl);
+                    let rank = comm.rank() as u64;
+                    let compact: Vec<u64> = (0..plan.input_len() as u64)
+                        .map(|i| i + 1000 * rank)
+                        .collect();
+                    let want = plan.run(&comm, &compact);
+                    let spread = |v: &[u64]| {
+                        let row = v.len() / (planes * k);
+                        let mut out = vec![u64::MAX; planes * cap * row];
+                        for (r, run) in v.chunks_exact(row).enumerate() {
+                            out[(r / k * cap + r % k) * row..][..row].copy_from_slice(run);
+                        }
+                        out
+                    };
+                    let mut out = spread(&vec![u64::MAX; want.len()]);
+                    let input = spread(&compact);
+                    plan.run_in_planes(&comm, [k, cap], &input, &mut Vec::new(), &mut out);
+                    assert_eq!(out, spread(&want), "{pl:?} p={p}");
                 });
             }
         }

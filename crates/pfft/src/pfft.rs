@@ -7,12 +7,12 @@ use dns_fft::{
     isa_fn, CfftPlan, Direction, LaneRow, LaneSpectra, Lanes, RealLayout, RfftPlan, LANES,
 };
 use dns_minimpi::{CartComm, Communicator};
-use dns_pencil::{Block, RowsPlacement, TransposePlan};
+use dns_pencil::{Block, Room, RowsPlacement, TransposePlan};
 
 use dns_telemetry as telemetry;
 use dns_telemetry::{Phase, PhaseClock, PhaseSeconds};
 
-use crate::workspace::{LineScratch, Workspace};
+use crate::workspace::{grown, LineScratch, Workspace};
 use crate::C64;
 
 /// Velocity fields entering the fused nonlinear pipeline (u, v, w).
@@ -157,23 +157,13 @@ struct BatchPlans {
     t_yz: TransposePlan,
 }
 
-/// Where an x-stage's physical lines come from.
-#[derive(Clone, Copy)]
-enum XIn<'a> {
-    /// The lane-blocked x-pencil spectra `[y][field][kx_block][z_loc]`:
-    /// pad + c2r.
-    Spectra(&'a [LaneRow]),
-    /// Physical fields, each `[y][z][px]`.
-    Fields(&'a [&'a [f64]]),
-}
-
-/// A CommA hop of `k` stacked fields (see [`ParallelFft::x_pencil`]).
+/// A CommA hop of `k` stacked fields (see [`ParallelFft::hop`]).
 #[derive(Clone, Copy)]
 enum Hop {
     /// z-pencil -> z-fastest x-pencil, ending the inverse leg.
-    Zx(usize),
+    Zx,
     /// z-fastest x-pencil -> z-pencil, starting the forward leg.
-    Xz(usize),
+    Xz,
 }
 
 /// One flop increment for a whole batch of `lines` transforms of nominal
@@ -227,6 +217,22 @@ isa_fn! {
 isa_fn! {
     /// [`product_body`] under the transforms' instruction set.
     fn product(a: &[Lanes], b: &[Lanes], v: &[Lanes], sub_vv: bool, prod: &mut [Lanes]) = product_body
+}
+
+/// Pad + c2r the x lines `at` of `k` fields into `sc.phys`, field `f`'s
+/// lane-blocked x-pencil spectra starting at `spec[f * field..]`.
+fn spectra_to_phys(
+    rfft: &RfftPlan,
+    spec: &[LaneRow],
+    field: usize,
+    k: usize,
+    at: LaneSpectra,
+    sc: &mut LineScratch,
+) {
+    let px = rfft.len();
+    for (f, phys) in sc.phys.chunks_exact_mut(px).take(k).enumerate() {
+        rfft.inverse_lanes(&spec[f * field..], at, phys, &mut sc.fft);
+    }
 }
 
 impl ParallelFft {
@@ -364,12 +370,15 @@ impl ParallelFft {
         self.clock.set(PhaseSeconds::default());
     }
 
-    /// Peak communication-buffer bytes per call, the memory figure behind
-    /// the "N/A: inadequate memory" entries of Table 6: P3DFFT keeps a 3x
-    /// input-size buffer, the customized kernel 1x. The input is one real
-    /// x-pencil field and one spectral field, the latter counted in the
-    /// lane rows it travels in past the CommB transpose: the y-pencil's
-    /// size with this rank's kx padded to whole [`LANES`] blocks.
+    /// Communication-buffer bytes per call by formula, the memory figure
+    /// behind the "N/A: inadequate memory" entries of Table 6: P3DFFT is
+    /// charged a 3x input-size buffer, the customized kernel 1x. The input
+    /// is one real x-pencil field and one spectral field, the latter
+    /// counted in the lane rows it travels in past the CommB transpose:
+    /// the y-pencil's size with this rank's kx padded to whole [`LANES`]
+    /// blocks. This is not a measurement: what a [`Workspace`] actually
+    /// holds is [`Workspace::bytes`], and what the fused cycle grows it to
+    /// is [`ParallelFft::workspace_bytes`].
     pub fn buffer_bytes(&self) -> usize {
         let blocks = self.kz_block.len * self.cfg.ny * self.kx_block.len.div_ceil(LANES);
         let base = self.x_pencil_len() * std::mem::size_of::<f64>()
@@ -379,6 +388,54 @@ impl ParallelFft {
         } else {
             3 * base
         }
+    }
+
+    /// Lane rows of the z-pencil with room for `c` fields,
+    /// `[y_loc][c][kx_block][pz]`.
+    fn zp_len(&self, c: usize) -> usize {
+        self.y_block.len * c * self.kx_block.len.div_ceil(LANES) * self.cfg.pz()
+    }
+
+    /// Lane rows of the x-pencil with room for `c` fields,
+    /// `[y_loc][c][kx_block][z_loc]` (on one CommA rank the z-pencil's).
+    fn xp_len(&self, c: usize) -> usize {
+        self.y_block.len * c * self.kx_blocks() * self.zphys_block.len
+    }
+
+    /// Bytes of pencil buffers the fused cycle
+    /// ([`ParallelFft::nonlinear_products`]) grows a [`Workspace`] to: the
+    /// z-pencil with room for the five products and, across CommA ranks,
+    /// the x-pencil likewise. Computed from the plan; nothing is allocated.
+    pub fn workspace_bytes(&self) -> usize {
+        let x = if self.cfg.pa > 1 {
+            self.xp_len(NL_PRODUCTS)
+        } else {
+            0
+        };
+        (self.zp_len(NL_PRODUCTS) + x) * std::mem::size_of::<LaneRow>()
+    }
+
+    /// [`ParallelFft::workspace_bytes`] as the `pfft.workspace` telemetry
+    /// decision states it: each pencil buffer's megabytes and shape.
+    pub fn workspace_plan(&self) -> String {
+        let row = std::mem::size_of::<LaneRow>();
+        let nyl = self.y_block.len;
+        let pencil = |name: &str, len: usize, z: usize, blocks: usize| {
+            format!(
+                "{name} {:.1} MB ({NL_PRODUCTS} fields x {z} z x {blocks} kx blocks x {nyl} y)",
+                (len * row) as f64 / 1e6
+            )
+        };
+        let nbl = self.kx_block.len.div_ceil(LANES);
+        let z = pencil("z-pencil", self.zp_len(NL_PRODUCTS), self.cfg.pz(), nbl);
+        if self.cfg.pa == 1 {
+            return z;
+        }
+        let (zpl, nbx) = (self.zphys_block.len, self.kx_blocks());
+        format!(
+            "{z} + {}",
+            pencil("x-pencil", self.xp_len(NL_PRODUCTS), zpl, nbx)
+        )
     }
 
     /// Physical x-pencil (real `[y_loc][z_loc][px]`) to spectral y-pencil
@@ -465,52 +522,38 @@ impl ParallelFft {
             .max(self.zfwd.scratch_len())
     }
 
-    /// The z-stage: every lane-blocked z line of `src` (the z-pencil,
-    /// [`LANES`] kx per line) through `plan` into `dst`, one y row per
-    /// work item. An inverse plan zero-pads `nz -> pz`; a forward plan
-    /// truncates `pz -> nz` and normalises by `pz`. Flops are counted once
-    /// for the whole stage, per kx line (pad lanes are not counted).
-    /// `serial` is sized by the transform.
-    fn z_stage(
-        &self,
-        plan: &CfftPlan,
-        src: &[LaneRow],
-        dst: &mut [LaneRow],
-        serial: &mut LineScratch,
-    ) {
+    /// The z-stage, in place: every lane-blocked z line of the first `k`
+    /// fields of each y row of the z-pencil `zp` (room for `zp.len()` /
+    /// `nyl` lane rows per row, [`LANES`] kx per line) through `plan`. An
+    /// inverse plan zero-pads the first `nz` values of each line to `pz`;
+    /// a forward plan truncates `pz -> nz` into the first `nz` and
+    /// normalises by `pz`. Flops are counted once for the whole stage, per
+    /// kx line (pad lanes are not counted). `serial` is sized by the
+    /// transform.
+    fn z_stage(&self, plan: &CfftPlan, k: usize, zp: &mut [LaneRow], serial: &mut LineScratch) {
         let (nz, pz, nyl) = (self.cfg.nz, self.cfg.pz(), self.y_block.len);
-        let (name, src_len, dst_len, scale) = match plan.direction() {
-            Direction::Inverse => ("fft_z_inv", nz, pz, 1.0),
-            Direction::Forward => ("fft_z_fwd", pz, nz, 1.0 / pz as f64),
+        let (name, scale) = match plan.direction() {
+            Direction::Inverse => ("fft_z_inv", 1.0),
+            Direction::Forward => ("fft_z_fwd", 1.0 / pz as f64),
         };
-        if dst.is_empty() {
-            return;
-        }
         let region = telemetry::region(name, Phase::Fft);
-        let (blocks, kxl) = (src.len() / src_len, self.kx_block.len);
-        assert_eq!(dst.len(), blocks * dst_len);
-        count_flops(blocks / kxl.div_ceil(LANES) * kxl, dns_fft::cfft_flops(pz));
-        let (src_row, dst_row) = (blocks / nyl * src_len, blocks / nyl * dst_len);
-        let fft_len = self.fft_len();
+        let kxl = self.kx_block.len;
+        count_flops(nyl * k * kxl, dns_fft::cfft_flops(pz));
+        let (lines, fft_len) = (k * kxl.div_ceil(LANES) * pz, self.fft_len());
         self.for_lines_init(
-            dst,
-            dst_row,
+            zp,
+            zp.len() / nyl,
             serial,
             || LineScratch::sized(0, 0, fft_len),
-            |sc, y, row| {
-                let from = &src[y * src_row..(y + 1) * src_row];
-                plan.execute_dealiased(from, nz, row, scale, &mut sc.fft);
-            },
+            |sc, _, row| plan.execute_dealiased(&mut row[..lines], nz, scale, &mut sc.fft),
         );
         region.close(&self.clock);
     }
 
-    /// The x-stage: for each y row of `dst` and each block of up to
-    /// [`LANES`] consecutive z, bring the x lines of the row's `k` fields
-    /// to physical space as lane blocks in `sc.phys` — padded and c2r
-    /// transformed from spectra, or gathered from physical fields — and
-    /// hand the block to `emit(sc, y, z0, count, row)`, which writes its
-    /// part of row `y`. `input` and `dst` are y-aligned (same first row).
+    /// The x-stage: for each y row of `rows` (`row_len` long) and each
+    /// block of up to [`LANES`] consecutive z, `body(sc, y, z0, count,
+    /// row)` brings the x lines of the row's `k` fields to physical space
+    /// as lane blocks in `sc.phys` and writes its part of row `y`.
     /// `transforms` real transforms per (y, z) line are counted, once for
     /// the whole stage. `serial` is sized by the transform.
     #[allow(clippy::too_many_arguments)]
@@ -519,127 +562,107 @@ impl ParallelFft {
         name: &'static str,
         k: usize,
         transforms: usize,
-        input: XIn<'_>,
-        dst: &mut [T],
+        rows: &mut [T],
         row_len: usize,
         serial: &mut LineScratch,
-        emit: impl Fn(&mut LineScratch, usize, usize, usize, &mut [T]) + Send + Sync,
+        body: impl Fn(&mut LineScratch, usize, usize, usize, &mut [T]) + Send + Sync,
     ) {
-        if dst.is_empty() {
-            return;
-        }
         let region = telemetry::region(name, Phase::Fft);
-        let (px, zpl, nbx) = (self.cfg.px(), self.zphys_block.len, self.kx_blocks());
+        let (px, zpl) = (self.cfg.px(), self.zphys_block.len);
         count_flops(
-            dst.len() / row_len * zpl * transforms,
+            rows.len() / row_len * zpl * transforms,
             dns_fft::rfft_flops(px),
         );
-        let (rfft, fft_len, runs) = (&self.rfft_x, self.fft_len(), &self.kx_runs[..]);
+        let fft_len = self.fft_len();
         self.for_lines_init(
-            dst,
+            rows,
             row_len,
             serial,
             || LineScratch::sized(k, px, fft_len),
             |sc, y, row| {
                 for z0 in (0..zpl).step_by(LANES) {
-                    let cnt = LANES.min(zpl - z0);
-                    for (f, phys) in sc.phys.chunks_exact_mut(px).take(k).enumerate() {
-                        match input {
-                            XIn::Spectra(spec) => {
-                                let at = LaneSpectra::new(runs, zpl, cnt);
-                                let s = &spec[(y * k + f) * nbx * zpl + z0..];
-                                rfft.inverse_lanes(s, at, phys, &mut sc.fft);
-                            }
-                            XIn::Fields(fields) => {
-                                let s = (y * zpl + z0) * px;
-                                let lines = &fields[f][s..s + cnt * px];
-                                for (x, v) in phys.iter_mut().enumerate() {
-                                    *v = Lanes::default();
-                                    for (l, line) in lines.chunks_exact(px).enumerate() {
-                                        v.0[l] = line[x];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    emit(sc, y, z0, cnt, row);
+                    body(sc, y, z0, LANES.min(zpl - z0), row);
                 }
             },
         );
         region.close(&self.clock);
     }
 
-    /// Where the x-stage works in `ws` once `hop`, if any, has run: `(the
-    /// x-pencil spectra it reads, the buffer it writes, the line scratch)`.
-    /// The one place that knows the `pa == 1` rule: on one CommA rank the
-    /// z-fastest x-pencil *is* the z-pencil (both `[y][field][kx_block][z]`
-    /// lane rows), so
-    /// no hop runs and the x-stage reads the inverse z-stage's output `zp`
-    /// and writes the forward z-stage's input `zp_prod`. Across CommA ranks
-    /// [`Hop::Zx`] moves `zp` into `zp_spec`, the x-stage reads `zp_spec`
-    /// and writes `zp`, and [`Hop::Xz`] moves `zp` into `zp_prod`.
+    /// The x-pencil of `ws` with room for `c` fields,
+    /// `[y][c][kx_block][z_loc]`, and the line scratch. The one place that
+    /// knows the `pa == 1` rule: on one CommA rank the z-fastest x-pencil
+    /// *is* the z-pencil (both `[y][field][kx_block][z]` lane rows with
+    /// `z_loc = pz`), so the x-stage runs on the z-pencil and no hop runs.
     fn x_pencil<'w>(
         &self,
-        hop: Option<Hop>,
+        c: usize,
         ws: &'w mut Workspace,
-    ) -> (&'w [LaneRow], &'w mut Vec<LaneRow>, &'w mut LineScratch) {
-        let Workspace {
-            zp_spec,
-            zp,
-            zp_prod,
-            send,
-            serial,
-            ..
-        } = ws;
-        if self.cfg.pa == 1 {
-            return (zp, zp_prod, serial);
-        }
-        let (name, plan, to) = match hop {
-            Some(Hop::Zx(k)) => ("transpose_zx", self.batch_plans(k).t_zx, &mut *zp_spec),
-            Some(Hop::Xz(k)) => ("transpose_xz", self.batch_plans(k).t_xz, &mut *zp_prod),
-            None => return (zp_spec, zp, serial),
-        };
-        let region = telemetry::region(name, Phase::Transpose);
-        plan.run_with(&self.comm_a, zp, send, to);
-        region.close(&self.clock);
-        (zp_spec, zp, serial)
+    ) -> (&'w mut [LaneRow], &'w mut LineScratch) {
+        let Workspace { zp, xp, serial, .. } = ws;
+        let buf = if self.cfg.pa == 1 { zp } else { xp };
+        (grown(buf, self.xp_len(c)), serial)
     }
 
-    /// The inverse leg: `k` spectral fields stacked as
-    /// `[kz_loc][field][kx_loc][ny]` (so the Middle transpose sees rows =
-    /// `k * kx_loc`) through the CommB transpose into the lane-blocked
-    /// z-pencil, the padded inverse z-stage and the CommA hop, leaving the
+    /// The CommA hop of `k` fields between the z-pencil and the x-pencil,
+    /// both with room for `c` (a no-op on one CommA rank, see
+    /// [`ParallelFft::x_pencil`]).
+    fn hop(&self, hop: Hop, k: usize, c: usize, ws: &mut Workspace) {
+        if self.cfg.pa == 1 {
+            return;
+        }
+        let plans = self.batch_plans(k);
+        let Workspace { zp, xp, send, .. } = ws;
+        let (zp, xp) = (grown(zp, self.zp_len(c)), grown(xp, self.xp_len(c)));
+        let (comm, fields) = (&self.comm_a, [k, c]);
+        match hop {
+            Hop::Zx => {
+                let region = telemetry::region("transpose_zx", Phase::Transpose);
+                plans.t_zx.run_in_planes(comm, fields, zp, send, xp);
+                region.close(&self.clock);
+            }
+            Hop::Xz => {
+                let region = telemetry::region("transpose_xz", Phase::Transpose);
+                plans.t_xz.run_in_planes(comm, fields, xp, send, zp);
+                region.close(&self.clock);
+            }
+        }
+    }
+
+    /// The inverse leg of `k` fields into pencils with room for `c`: the
+    /// spectral fields stacked as `[kz_loc][field][kx_loc][ny]` (so the
+    /// Middle transpose sees rows = `k * kx_loc`) through the CommB
+    /// transpose into the first `nz` values of the z-pencil's lines, the
+    /// padded inverse z-stage in place and the CommA hop, leaving the
     /// z-fastest x-pencil spectra `[y_loc][field][kx_block][z_loc]` where
-    /// [`ParallelFft::x_pencil`] reads them.
-    fn inverse_leg(&self, k: usize, stacked: &[C64], ws: &mut Workspace) {
+    /// [`ParallelFft::x_pencil`] hands them out.
+    fn inverse_leg(&self, k: usize, c: usize, stacked: &[C64], ws: &mut Workspace) {
         let region = telemetry::region("transpose_yz", Phase::Transpose);
         let (plan, kxl) = (self.batch_plans(k).t_yz, self.kx_block.len);
-        plan.run_into_lanes(
-            &self.comm_b,
-            kxl,
-            stacked,
-            &mut ws.send_lines,
-            &mut ws.zp_spec,
-        );
+        let room = Room {
+            fields: c,
+            line: self.cfg.pz(),
+        };
+        let zp = grown(&mut ws.zp, self.zp_len(c));
+        plan.run_into_lanes(&self.comm_b, kxl, stacked, &mut ws.send_lines, zp, room);
         region.close(&self.clock);
-        let len = self.y_block.len * k * kxl.div_ceil(LANES) * self.cfg.pz();
-        ws.zp.resize(len, LaneRow::ZERO);
-        self.z_stage(&self.zinv, &ws.zp_spec, &mut ws.zp, &mut ws.serial);
-        self.x_pencil(Some(Hop::Zx(k)), ws);
+        self.z_stage(&self.zinv, k, zp, &mut ws.serial);
+        self.hop(Hop::Zx, k, c, ws);
     }
 
     /// The forward leg: the `k` x-pencil spectra the x-stage wrote through
-    /// the CommA hop, the truncating forward z-stage and the CommB
-    /// transpose into `out`, stacked as `[kz_loc][field][kx_loc][ny]`.
+    /// the CommA hop, the truncating forward z-stage in place and the
+    /// CommB transpose into `out`, stacked as `[kz_loc][field][kx_loc][ny]`.
     fn forward_leg(&self, k: usize, ws: &mut Workspace, out: &mut Vec<C64>) {
-        self.x_pencil(Some(Hop::Xz(k)), ws);
-        let kxl = self.kx_block.len;
-        let len = self.y_block.len * k * kxl.div_ceil(LANES) * self.cfg.nz;
-        ws.out_z.resize(len, LaneRow::ZERO);
-        self.z_stage(&self.zfwd, &ws.zp_prod, &mut ws.out_z, &mut ws.serial);
+        self.hop(Hop::Xz, k, k, ws);
+        let zp = &mut ws.zp[..self.zp_len(k)];
+        self.z_stage(&self.zfwd, k, zp, &mut ws.serial);
         let region = telemetry::region("transpose_zy", Phase::Transpose);
-        let plan = self.batch_plans(k).t_zy;
-        plan.run_from_lanes(&self.comm_b, kxl, &ws.out_z, &mut ws.send, out);
+        let (plan, kxl) = (self.batch_plans(k).t_zy, self.kx_block.len);
+        let room = Room {
+            fields: k,
+            line: self.cfg.pz(),
+        };
+        plan.run_from_lanes(&self.comm_b, kxl, zp, room, &mut ws.send, out);
         region.close(&self.clock);
     }
 
@@ -721,45 +744,45 @@ impl ParallelFft {
         // the other order made glibc fault fresh pages on every batch call
         // and keep one more 4 MB buffer resident over repeated launches
         ws.serial.ensure(NL_FIELDS, px, self.fft_len());
-        self.inverse_leg(NL_FIELDS, uvw, ws);
+        self.inverse_leg(NL_FIELDS, NL_PRODUCTS, uvw, ws);
 
-        // The fused x-stage body, per block of up to LANES x-lines held
-        // as lane blocks: form each of the five products from the three
-        // physical velocity blocks, forward transform it, and store the
-        // truncated, normalised spectra lane-blocked. With Courant weights
-        // set, the `uu - vv` pass also folds the block's largest advective
-        // rate into `peak`.
+        // The fused x-stage body, in place per block of up to LANES
+        // x-lines of a y row: bring the three velocity lines to physical
+        // space as lane blocks, form each of the five products from them,
+        // forward transform it, and store the truncated, normalised spectra
+        // lane-blocked over the same z columns of the row, the velocities'
+        // first. With Courant weights set, the `uu - vv` pass also folds
+        // the block's largest advective rate into `peak`.
         let (wx, inv_dy, wz) = std::mem::take(&mut ws.courant_weights);
         assert!(inv_dy.is_empty() || inv_dy.len() == nyl);
         let (rfft, isa, runs) = (&self.rfft_x, self.rfft_x.isa(), &self.kx_runs[..]);
-        let inv_px = 1.0 / px as f64;
+        let (inv_px, field) = (1.0 / px as f64, nbx * zpl);
         let peak = AtomicU64::new(ws.courant_rate.to_bits());
         let fused = |sc: &mut LineScratch, y: usize, z0: usize, cnt: usize, row: &mut [LaneRow]| {
-            let (phys, prod) = (&sc.phys[..NL_FIELDS * px], &mut sc.prod[..px]);
-            let field = |i: usize| &phys[i * px..(i + 1) * px];
             let at = LaneSpectra::new(runs, zpl, cnt);
+            spectra_to_phys(rfft, &row[z0..], field, NL_FIELDS, at, sc);
+            let (phys, prod) = (&sc.phys[..NL_FIELDS * px], &mut sc.prod[..px]);
+            let field_of = |i: usize| &phys[i * px..(i + 1) * px];
             for (f, &(i, j, sub_vv)) in PRODUCTS.iter().enumerate() {
                 if let ((0, 0, true), Some(&wy)) = ((i, j, sub_vv), inv_dy.get(y)) {
                     let mut worst = 0.0;
                     courant_product(isa, phys, wx, wy, wz, prod, &mut worst);
                     peak.fetch_max(worst.to_bits(), Ordering::Relaxed);
                 } else {
-                    product(isa, field(i), field(j), field(1), sub_vv, prod);
+                    product(isa, field_of(i), field_of(j), field_of(1), sub_vv, prod);
                 }
-                let d = &mut row[f * nbx * zpl + z0..];
+                let d = &mut row[f * field + z0..];
                 rfft.forward_lanes(prod, d, at, inv_px, &mut sc.fft);
             }
         };
         const FUSED_TRANSFORMS: usize = NL_FIELDS + NL_PRODUCTS;
-        let (spec, products, serial) = self.x_pencil(None, ws);
-        products.resize(nyl * NL_PRODUCTS * nbx * zpl, LaneRow::ZERO);
+        let (xp, serial) = self.x_pencil(NL_PRODUCTS, ws);
         self.x_stage(
             "fused_products",
             NL_FIELDS,
             FUSED_TRANSFORMS,
-            XIn::Spectra(spec),
-            products,
-            NL_PRODUCTS * nbx * zpl,
+            xp,
+            NL_PRODUCTS * field,
             serial,
             fused,
         );
@@ -785,20 +808,23 @@ impl ParallelFft {
         let mut ws = Workspace::new();
         ws.serial.ensure(k, px, self.fft_len());
         let stacked = self.stack(fields, self.kx_block.len * self.cfg.ny);
-        self.inverse_leg(k, &stacked, &mut ws);
+        self.inverse_leg(k, k, &stacked, &mut ws);
 
         // pad + c2r in x, then unstack
-        let (spec, _, serial) = self.x_pencil(None, &mut ws);
+        let (spec, serial) = self.x_pencil(k, &mut ws);
+        let (spec, rfft, runs) = (&*spec, &self.rfft_x, &self.kx_runs[..]);
+        let field = self.kx_blocks() * zpl;
         let mut phys = vec![0.0f64; nyl * k * zpl * px];
         self.x_stage(
             "fft_x_inv",
             k,
             k,
-            XIn::Spectra(spec),
             &mut phys,
             k * zpl * px,
             serial,
-            |sc, _, z0, cnt, row: &mut [f64]| {
+            |sc, y, z0, cnt, row: &mut [f64]| {
+                let at = LaneSpectra::new(runs, zpl, cnt);
+                spectra_to_phys(rfft, &spec[y * k * field + z0..], field, k, at, sc);
                 for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
                     let lines = &mut row[(f * zpl + z0) * px..][..cnt * px];
                     for (l, line) in lines.chunks_exact_mut(px).enumerate() {
@@ -830,18 +856,26 @@ impl ParallelFft {
         // r2c in x straight from the fields into the z-fastest x-pencil
         // [y_loc][field][kx_block][z_loc], truncated to the solution modes
         // and normalised by px
-        let (_, spec_x, serial) = self.x_pencil(None, &mut ws);
-        spec_x.resize(self.y_block.len * k * nbx * zpl, LaneRow::ZERO);
+        let (spec_x, serial) = self.x_pencil(k, &mut ws);
         let (rfft, inv_px, runs) = (&self.rfft_x, 1.0 / px as f64, &self.kx_runs[..]);
         self.x_stage(
             "fft_x_fwd",
             k,
             k,
-            XIn::Fields(fields),
             spec_x,
             k * nbx * zpl,
             serial,
-            |sc, _, z0, cnt, row: &mut [LaneRow]| {
+            |sc, y, z0, cnt, row: &mut [LaneRow]| {
+                let s = (y * zpl + z0) * px;
+                for (phys, field) in sc.phys.chunks_exact_mut(px).zip(fields) {
+                    let lines = &field[s..s + cnt * px];
+                    for (x, v) in phys.iter_mut().enumerate() {
+                        *v = Lanes::default();
+                        for (l, line) in lines.chunks_exact(px).enumerate() {
+                            v.0[l] = line[x];
+                        }
+                    }
+                }
                 let at = LaneSpectra::new(runs, zpl, cnt);
                 for (f, block) in sc.phys.chunks_exact(px).take(k).enumerate() {
                     let d = &mut row[f * nbx * zpl + z0..];
@@ -1593,12 +1627,7 @@ mod tests {
                 let (mut out, mut ws) = (Vec::new(), Workspace::new());
                 for call in 0..2 {
                     p.nonlinear_products(&uvw, &mut out, &mut ws);
-                    let buffers = [
-                        ("zp_spec", &ws.zp_spec),
-                        ("zp", &ws.zp),
-                        ("zp_prod", &ws.zp_prod),
-                        ("out_z", &ws.out_z),
-                    ];
+                    let buffers = [("zp", &ws.zp), ("xp", &ws.xp)];
                     for (name, rows) in buffers {
                         // the test fields reach kx 4 in the products, so
                         // only the rank owning kx 0 is sure to see them
@@ -1617,6 +1646,61 @@ mod tests {
                     }
                 }
             });
+        }
+    }
+
+    #[test]
+    fn a_reused_workspace_gives_a_fresh_workspace_bits() {
+        // X then Y on one workspace must give Y's bits on a fresh one: no
+        // call reads a slot it did not write (the pz - nz tail of a line,
+        // a pad lane, a plane past its fields). nz = 20 pads to pz = 30;
+        // nx = 16 leaves 8 kx per rank on one CommA rank and 4 on two,
+        // nx = 20 and 40 leave 10 per rank
+        let run = |nx: usize, threads: usize, pa: usize, pb: usize| {
+            mpi::run(pa * pb, move |world| {
+                let cfg = PfftConfig::customized(nx, 7, 20, pa, pb)
+                    .with_dealias()
+                    .with_threads(threads);
+                let p = ParallelFft::new(world, cfg);
+                let base = fill_x_pencil(&p);
+                let uvw_of = |c: f64| {
+                    let fields = [1.0, 0.3, -0.2].map(|a| {
+                        let f: Vec<f64> = base.iter().map(|v| c * a * v + 0.1 * a).collect();
+                        p.forward(&f)
+                    });
+                    stack_uvw(&p, [&fields[0], &fields[1], &fields[2]])
+                };
+                let (x, y) = (uvw_of(1e3), uvw_of(0.7));
+                let (mut reused, mut ws) = (Vec::new(), Workspace::new());
+                p.nonlinear_products(&x, &mut reused, &mut ws);
+                p.nonlinear_products(&y, &mut reused, &mut ws);
+                assert_eq!(ws.bytes(), p.workspace_bytes(), "grown as planned");
+                let mut fresh = Vec::new();
+                p.nonlinear_products(&y, &mut fresh, &mut Workspace::new());
+                let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+                    v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+                };
+                (bits(&reused), bits(&fresh))
+            })
+        };
+        let cases = [
+            (16, 1, 1, 1),
+            (16, 1, 2, 1),
+            (16, 1, 1, 2),
+            (16, 1, 2, 2),
+            (16, 2, 1, 1),
+            (16, 2, 2, 2),
+            (20, 1, 1, 1),
+            (40, 1, 2, 1),
+            (20, 1, 1, 2),
+            (40, 1, 2, 2),
+            (20, 2, 1, 1),
+        ];
+        for (nx, threads, pa, pb) in cases {
+            for (rank, (got, want)) in run(nx, threads, pa, pb).iter().enumerate() {
+                let case = format!("nx={nx} threads={threads} {pa}x{pb} rank={rank}");
+                assert!(got == want, "{case}: a reused workspace changed the bits");
+            }
         }
     }
 

@@ -1,14 +1,19 @@
 //! Reusable buffers for the pencil pipeline.
 //!
 //! Every transform of [`crate::ParallelFft`] runs the same two legs on a
-//! [`Workspace`]. Every buffer past the CommB transpose holds lane rows
-//! ([`LaneRow`]): the z-pencil `[y_loc][field][kx_block][z]`, lane `l` of
-//! block `b` local kx `8b + l`, pad lanes zero; the x-pencil spectra
-//! `[y_loc][field][kx_block][z_loc]`, one run of blocks per CommA rank.
-//! The fused path ([`crate::ParallelFft::nonlinear_products`]) reuses the
-//! caller's, whose buffers start empty and are sized on first use, so from
-//! the second call on no `resize` allocates and a steady-state RK3 substep
-//! is allocation-free on a single rank (across ranks the exchanges reuse
+//! [`Workspace`], and every stage past the CommB transpose runs in place
+//! on one lane-row ([`LaneRow`]) z-pencil `[y_loc][C][kx_block][pz]`:
+//! lane `l` of block `b` is local kx `8b + l` (pad lanes zero), `C` is the
+//! call's larger field count (5 for the fused cycle, `k` for a `k`-field
+//! batch) and every z line has the padded length `pz`, of which the
+//! spectral stages use the first `nz`. On one CommA rank the z-fastest
+//! x-pencil *is* that buffer; across CommA ranks the x-pencil
+//! `[y_loc][C][kx_block][z_loc]` (one run of blocks per CommA rank) is the
+//! one other. The buffers start empty and only ever grow, so the fused
+//! path ([`crate::ParallelFft::nonlinear_products`]), which reuses the
+//! caller's workspace, fills a buffer once, when it grows; from the second
+//! call on no `resize` runs and a steady-state RK3 substep is
+//! allocation-free on a single rank (across ranks the exchanges reuse
 //! their message buffers, and only the message layer's envelopes
 //! allocate). The batch transforms use a fresh one per call.
 
@@ -16,25 +21,21 @@ use dns_fft::{LaneRow, Lanes};
 
 use crate::C64;
 
-/// Intermediate full-pencil buffers plus the serial-path line scratch.
+/// The pipeline's pencil buffers plus the serial-path line scratch.
 ///
 /// One `Workspace` belongs to one [`crate::ParallelFft`]-shaped problem;
 /// it can be shared across calls and across differently-sized transforms
-/// (buffers only ever grow).
+/// (buffers only ever grow, and a call reads only what it wrote).
 #[derive(Default)]
 pub struct Workspace {
-    /// z-pencil spectral lines (after the y->z transpose); across CommA
-    /// ranks also the x-pencil spectra after the z->x hop.
-    pub(crate) zp_spec: Vec<LaneRow>,
-    /// z-pencil padded lines (physical z), which on one CommA rank are the
-    /// x-pencil spectra the x-stage reads; across CommA ranks also the
-    /// x-pencil spectra the x-stage writes, before the x->z hop.
+    /// The z-pencil `[y_loc][C][kx_block][pz]`: the CommB transpose writes
+    /// the first `nz` values of its lines, the z-stages transform them in
+    /// place, and on one CommA rank the x-stage reads and writes it as the
+    /// x-pencil.
     pub(crate) zp: Vec<LaneRow>,
-    /// z-pencil padded lines, the forward z-stage's input: written by the
-    /// x-stage on one CommA rank, by the x->z hop across them.
-    pub(crate) zp_prod: Vec<LaneRow>,
-    /// z-pencil truncated lines (after the forward z FFT).
-    pub(crate) out_z: Vec<LaneRow>,
+    /// The x-pencil `[y_loc][C][kx_block][z_loc]` across CommA ranks, where
+    /// the CommA hops move the z-pencil to and from it (empty on one).
+    pub(crate) xp: Vec<LaneRow>,
     /// Message buffers of the lane-row exchanges: the z->y transpose and
     /// the CommA hops (unused on a single rank).
     pub(crate) send: Vec<Vec<LaneRow>>,
@@ -55,6 +56,22 @@ impl Workspace {
     pub fn new() -> Workspace {
         Workspace::default()
     }
+
+    /// Bytes of the pencil buffers this workspace holds: the z-pencil and,
+    /// across CommA ranks, the x-pencil ([`crate::ParallelFft::workspace_bytes`]
+    /// is what the fused cycle grows them to).
+    pub fn bytes(&self) -> usize {
+        (self.zp.capacity() + self.xp.capacity()) * std::mem::size_of::<LaneRow>()
+    }
+}
+
+/// The first `len` rows of `buf`, grown (never shrunk) to hold them: only
+/// the growth is zero-filled, so a warm buffer is handed out untouched.
+pub(crate) fn grown(buf: &mut Vec<LaneRow>, len: usize) -> &mut [LaneRow] {
+    if buf.len() < len {
+        buf.resize(len, LaneRow::ZERO);
+    }
+    &mut buf[..len]
 }
 
 /// The cache-resident buffers of one line-loop worker (the serial path

@@ -44,7 +44,7 @@ use dns_core::solver::{run_serial, ChannelDns};
 use dns_fft::LaneRow;
 use dns_minimpi::{CartComm, Communicator, FaultPlan};
 use dns_pencil::reorder::{reorder_blocked, reorder_naive};
-use dns_pencil::{block_len, RowsPlacement, TransposePlan};
+use dns_pencil::{block_len, Room, RowsPlacement, TransposePlan};
 use dns_pfft::{ParallelFft, PfftConfig, NL_FIELDS, NL_PRODUCTS};
 use dns_telemetry::{self as telemetry, PhaseSeconds};
 use std::hint::black_box;
@@ -582,18 +582,23 @@ pub fn probe_reorder(g: Grid, reps: usize) -> Vec<(&'static str, [usize; 3], f64
         // the CommB plans of the nonlinear step: z->y over rows = fields
         // x kx lines, f = y, t = kz; y->z its inverse
         let zy_of = |k| TransposePlan::plan(&world, k * sx, ny, nz, RowsPlacement::Middle);
+        // one z-pencil with room for the five products, lines of pz
+        let room = Room {
+            fields: NL_PRODUCTS,
+            line: pz,
+        };
+        let mut lanes = vec![LaneRow::ZERO; ny * NL_PRODUCTS * sx.div_ceil(LANES) * pz];
         let yz = zy_of(NL_FIELDS).inverse(&world);
         let lines = vec![C64::new(1.0, 0.0); yz.input_len()];
-        let (mut send, mut lanes) = (Vec::new(), Vec::new());
+        let mut send = Vec::new();
         let into = fastest(reps, || {
-            yz.run_into_lanes(&world, sx, &lines, &mut send, &mut lanes);
+            yz.run_into_lanes(&world, sx, &lines, &mut send, &mut lanes, room);
             black_box(&lanes);
         });
         let zy = zy_of(NL_PRODUCTS);
-        let rows = vec![LaneRow::ZERO; NL_PRODUCTS * sx.div_ceil(LANES) * ny * nz];
         let (mut send, mut out) = (Vec::new(), Vec::new());
         let from = fastest(reps, || {
-            zy.run_from_lanes(&world, sx, &rows, &mut send, &mut out);
+            zy.run_from_lanes(&world, sx, &lanes, room, &mut send, &mut out);
             black_box(&out);
         });
         [

@@ -78,8 +78,8 @@ proptest! {
         prop_assert!(same_bits(&many, &single), "execute_many n={} lines={}", n, lines);
     }
 
-    /// ... and so does the entry with the 3/2-rule pad / truncate + scale
-    /// fused into its gather and scatter, with padding and without
+    /// ... and so does the in-place entry with the 3/2-rule pad / truncate
+    /// + scale fused into its gather and scatter, with padding and without
     #[test]
     fn cfft_dealiased_lanes_equal_single_lines_bitwise(
         half in 1usize..70,
@@ -120,12 +120,18 @@ proptest! {
             (plan, src)
         };
         // lane l of blocked line b is line LANES * b + l; the pad lanes of
-        // the last block are zero lines, whose transform is zero
-        let dst_len = want.len() / lines;
-        let nine = LaneRow { re: Lanes([9.0; LANES]), im: Lanes([9.0; LANES]) };
-        let mut got = vec![nine; lines.div_ceil(LANES) * dst_len];
-        let src = to_lane_lines(&src, src.len() / lines);
-        plan.execute_dealiased(&src, modes, &mut got, scale, &mut plan.make_scratch());
+        // the last block are zero lines, whose transform is zero. Each
+        // source line sits at the front of a whole line of n slots, the
+        // slots past it NaN: the transform must never read them
+        let (src_len, dst_len) = (src.len() / lines, want.len() / lines);
+        let nan = LaneRow { re: Lanes([f64::NAN; LANES]), im: Lanes([f64::NAN; LANES]) };
+        let mut buf = vec![nan; lines.div_ceil(LANES) * n];
+        let src = to_lane_lines(&src, src_len);
+        for (line, s) in buf.chunks_exact_mut(n).zip(src.chunks_exact(src_len)) {
+            line[..src_len].copy_from_slice(s);
+        }
+        plan.execute_dealiased(&mut buf, modes, scale, &mut plan.make_scratch());
+        let got: Vec<LaneRow> = buf.chunks_exact(n).flat_map(|l| &l[..dst_len]).copied().collect();
         let got = from_lane_lines(&got, dst_len);
         let (got, pad) = got.split_at(want.len());
         prop_assert!(same_bits(got, &want), "n={} modes={} lines={} inverse={}", n, modes, lines, inverse);
