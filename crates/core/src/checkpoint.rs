@@ -52,9 +52,10 @@
 //! newest may be the one a crash interrupted mid-gather; the one before
 //! is then still complete).
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use dns_resilience::crc32;
+use dns_resilience::{crc32, Crc32};
 
 use crate::solver::ChannelDns;
 use crate::C64;
@@ -202,57 +203,86 @@ fn latest_path(stem: &Path) -> PathBuf {
     suffixed(stem, ".latest")
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Bytes a record is staged in on its way to the file: the record
+/// streams through one buffer of this size rather than being built whole.
+const CHUNK: usize = 256 * 1024;
+
+/// `out` with a running CRC-32 and count of the bytes written through it.
+struct Sealed<W> {
+    out: W,
+    crc: Crc32,
+    bytes: u64,
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Serialise this rank's full record (header + fields + trailing CRC).
-fn encode(dns: &ChannelDns) -> Vec<u8> {
-    let p = dns.params();
-    let len = dns.field_len();
-    let mut buf = Vec::with_capacity(HEADER_U64S * 8 + 5 * len * 16 + 4);
-    put_u64(&mut buf, MAGIC);
-    put_u64(&mut buf, VERSION);
-    put_u64(&mut buf, p.state_hash());
-    for v in [
-        p.pa,
-        p.pb,
-        dns.pfft().comm_a().rank(),
-        dns.pfft().comm_b().rank(),
-        p.nx,
-        p.ny,
-        p.nz,
-    ] {
-        put_u64(&mut buf, v as u64);
+impl<W: Write> Write for Sealed<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.crc.update(&buf[..n]);
+        self.bytes += n as u64;
+        Ok(n)
     }
-    put_u64(&mut buf, dns.state().steps);
-    put_f64(&mut buf, dns.state().time);
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.out.flush()
+    }
+}
+
+/// Stream this rank's full record (header + fields + trailing CRC) into
+/// `out` through one [`CHUNK`]-sized buffer: `(crc, bytes)`.
+fn encode(dns: &ChannelDns, out: impl Write) -> std::io::Result<(u32, u64)> {
+    let sealed = Sealed {
+        out,
+        crc: Crc32::new(),
+        bytes: 0,
+    };
+    let mut w = std::io::BufWriter::with_capacity(CHUNK, sealed);
+    let (p, pfft, state) = (dns.params(), dns.pfft(), dns.state());
     let (dyn_force, flux_integral) = dns.controller_state();
-    put_f64(&mut buf, dyn_force);
-    put_f64(&mut buf, flux_integral);
-    put_u64(&mut buf, len as u64);
+    let header: [u64; HEADER_U64S] = [
+        MAGIC,
+        VERSION,
+        p.state_hash(),
+        p.pa as u64,
+        p.pb as u64,
+        pfft.comm_a().rank() as u64,
+        pfft.comm_b().rank() as u64,
+        p.nx as u64,
+        p.ny as u64,
+        p.nz as u64,
+        state.steps,
+        state.time.to_bits(),
+        dyn_force.to_bits(),
+        flux_integral.to_bits(),
+        dns.field_len() as u64,
+    ];
+    for v in header {
+        w.write_all(&v.to_le_bytes())?;
+    }
+    let mut staged = [0u8; 4096];
     for f in [
-        dns.state().u(),
-        dns.state().v(),
-        dns.state().w(),
-        dns.state().omega_y(),
-        dns.state().phi(),
+        state.u(),
+        state.v(),
+        state.w(),
+        state.omega_y(),
+        state.phi(),
     ] {
-        for c in f {
-            put_f64(&mut buf, c.re);
-            put_f64(&mut buf, c.im);
+        // re then im of every value: on a little-endian host the copy of
+        // the values' own bytes
+        for part in f.chunks(staged.len() / 16) {
+            for (d, c) in staged.chunks_exact_mut(16).zip(part) {
+                d[..8].copy_from_slice(&c.re.to_le_bytes());
+                d[8..].copy_from_slice(&c.im.to_le_bytes());
+            }
+            w.write_all(&staged[..16 * part.len()])?;
         }
     }
     if let Some(acc) = dns.stats() {
-        buf.extend_from_slice(&acc.encode());
+        w.write_all(&acc.encode())?;
     }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf
+    let mut sealed = w.into_inner().map_err(|e| e.into_error())?;
+    let crc = sealed.crc.finish();
+    sealed.out.write_all(&crc.to_le_bytes())?;
+    Ok((crc, sealed.bytes + 4))
 }
 
 /// Write `bytes` to `path` atomically: a `.tmp` sibling first, then a
@@ -266,15 +296,16 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Write this rank's state to `path` and return its receipt.
+/// Write this rank's state to `path`, as [`write_atomic`] does but
+/// streamed, and return its receipt.
 fn save_to(dns: &ChannelDns, path: &Path) -> Result<RankCkpt, CheckpointError> {
-    let buf = encode(dns);
-    write_atomic(path, &buf)?;
-    let crc = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
+    let tmp = path.with_extension("tmp");
+    let (crc, bytes) = encode(dns, std::fs::File::create(&tmp)?)?;
+    std::fs::rename(&tmp, path)?;
     Ok(RankCkpt {
         path: path.to_path_buf(),
         crc,
-        bytes: buf.len() as u64,
+        bytes,
     })
 }
 
