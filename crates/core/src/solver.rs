@@ -208,6 +208,7 @@ impl ChannelDns {
         };
         if telemetry::enabled() {
             telemetry::decision("wallnormal.plan", dns.wallnormal_plan());
+            telemetry::decision("pfft.workspace", dns.pfft.workspace_plan());
         }
         dns
     }
@@ -814,6 +815,26 @@ mod tests {
 
     fn tiny_params() -> Params {
         Params::channel(16, 25, 16, 50.0).with_dt(2e-3)
+    }
+
+    #[test]
+    fn a_step_grows_the_pencil_buffers_to_the_planned_bytes() {
+        for (pa, pb) in [(1, 1), (2, 1), (1, 2)] {
+            let params = tiny_params().with_grid(pa, pb);
+            for (rank, (before, after, planned)) in run_parallel(params, |dns| {
+                let before = dns.nl_ws.pfft.bytes();
+                dns.set_laminar(1.0);
+                dns.step();
+                (before, dns.nl_ws.pfft.bytes(), dns.pfft.workspace_bytes())
+            })
+            .into_iter()
+            .enumerate()
+            {
+                let case = format!("{pa}x{pb} rank {rank}");
+                assert_eq!(before, 0, "{case}: nothing allocated at set-up");
+                assert_eq!(after, planned, "{case}");
+            }
+        }
     }
 
     #[test]
