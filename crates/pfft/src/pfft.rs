@@ -522,9 +522,9 @@ impl ParallelFft {
             .max(self.zfwd.scratch_len())
     }
 
-    /// The z-stage, in place: every lane-blocked z line of the first `k`
-    /// fields of each y row of the z-pencil `zp` (room for `zp.len()` /
-    /// `nyl` lane rows per row, [`LANES`] kx per line) through `plan`. An
+    /// The z-stage, in place: every lane-blocked z line ([`LANES`] kx per
+    /// line) of the first `k` fields of each y row of the z-pencil `zp`,
+    /// one row per work item, through `plan`. An
     /// inverse plan zero-pads the first `nz` values of each line to `pz`;
     /// a forward plan truncates `pz -> nz` into the first `nz` and
     /// normalises by `pz`. Flops are counted once for the whole stage, per
@@ -613,19 +613,13 @@ impl ParallelFft {
         let plans = self.batch_plans(k);
         let Workspace { zp, xp, send, .. } = ws;
         let (zp, xp) = (grown(zp, self.zp_len(c)), grown(xp, self.xp_len(c)));
-        let (comm, fields) = (&self.comm_a, [k, c]);
-        match hop {
-            Hop::Zx => {
-                let region = telemetry::region("transpose_zx", Phase::Transpose);
-                plans.t_zx.run_in_planes(comm, fields, zp, send, xp);
-                region.close(&self.clock);
-            }
-            Hop::Xz => {
-                let region = telemetry::region("transpose_xz", Phase::Transpose);
-                plans.t_xz.run_in_planes(comm, fields, xp, send, zp);
-                region.close(&self.clock);
-            }
-        }
+        let (name, plan, from, to): (_, _, &[LaneRow], _) = match hop {
+            Hop::Zx => ("transpose_zx", plans.t_zx, zp, xp),
+            Hop::Xz => ("transpose_xz", plans.t_xz, xp, zp),
+        };
+        let region = telemetry::region(name, Phase::Transpose);
+        plan.run_in_planes(&self.comm_a, [k, c], from, send, to);
+        region.close(&self.clock);
     }
 
     /// The inverse leg of `k` fields into pencils with room for `c`: the
