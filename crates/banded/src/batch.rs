@@ -199,39 +199,6 @@ impl RhsPanel {
     }
 }
 
-/// Gather the `blk.len()`-long line of `src` that starts at `start(m)`
-/// into lane `l` of a block, for each `m = modes[l]`. The remaining lanes
-/// become zero, so whatever a sweep computes in them stays zero (never
-/// merely finite).
-pub fn gather_lanes(
-    blk: &mut [LaneRow],
-    src: &[C64],
-    modes: &[usize],
-    start: impl Fn(usize) -> usize,
-) {
-    for l in 0..LANES {
-        let line = modes.get(l).map(|&m| &src[start(m)..][..blk.len()]);
-        for (j, row) in blk.iter_mut().enumerate() {
-            row.set(l, line.map_or(C64::new(0.0, 0.0), |x| x[j]));
-        }
-    }
-}
-
-/// Scatter lane `l` of a block to the line of `dst` that starts at
-/// `start(m)`, for each `m = modes[l]`.
-pub fn scatter_lanes(
-    blk: &[LaneRow],
-    dst: &mut [C64],
-    modes: &[usize],
-    start: impl Fn(usize) -> usize,
-) {
-    for (l, &m) in modes.iter().enumerate() {
-        for (row, v) in blk.iter().zip(&mut dst[start(m)..][..blk.len()]) {
-            *v = row.get(l);
-        }
-    }
-}
-
 /// `width` corner-banded LU factorisations packed lane-wise for
 /// multi-RHS sweeps.
 ///

@@ -56,7 +56,7 @@ pub mod laneband;
 pub mod scalar;
 pub mod testmat;
 
-pub use batch::{gather_lanes, scatter_lanes, BatchedFactor, RhsPanel};
+pub use batch::{BatchedFactor, RhsPanel};
 pub use corner::{CornerBanded, CornerLu};
 pub use dense::DenseLu;
 pub use dns_fft::lanes::{LaneRow, LANES};

@@ -159,7 +159,19 @@ impl StepMonitor {
     /// Every rank returns the identical `Err(SentinelAbort)` when a
     /// physics sentinel crosses its abort threshold — the inputs to the
     /// verdict are reduced collectively first.
+    ///
+    /// The whole observation is one `monitor` region of the rank's phase
+    /// clock (an "other" phase: it runs between steps), so the ledger of
+    /// a monitored run covers it.
     pub fn observe_step(&mut self, dns: &ChannelDns, wall_s: f64) -> Result<(), SentinelAbort> {
+        let region = dns_telemetry::region("monitor", dns_telemetry::Phase::Other);
+        let verdict = self.observe(dns, wall_s);
+        region.close(dns.pfft().clock());
+        verdict
+    }
+
+    /// [`observe_step`](Self::observe_step) outside its region.
+    fn observe(&mut self, dns: &ChannelDns, wall_s: f64) -> Result<(), SentinelAbort> {
         let step = dns.state().steps;
         let (now, prev) = (Baselines::snapshot(dns, &self.comm), &self.prev);
         let (wait, phases) = (now.recv_wait - prev.recv_wait, now.timers - prev.timers);
@@ -274,5 +286,35 @@ impl StepMonitor {
                 .expect("write flight recorder");
             rec.flush().expect("flush flight recorder");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Params;
+
+    #[test]
+    fn a_monitored_step_books_the_monitor_region_on_the_ledger() {
+        let (stepped, monitored) = dns_minimpi::run(1, |world| {
+            let health = world.dup();
+            let mut dns = ChannelDns::new(world, Params::channel(16, 25, 16, 100.0));
+            dns.set_laminar(1.0);
+            dns.add_perturbation(0.1, 3);
+            let mut mon = StepMonitor::new(health, &dns, MonitorConfig::default(), 0, 2)
+                .expect("no flight recorder file to open");
+            dns.step();
+            let stepped = dns.timers();
+            mon.observe_step(&dns, 1e-3).expect("a healthy step");
+            (stepped, dns.timers())
+        })[0];
+        // the sentinel sweep ran between steps: its seconds are the
+        // monitor region's, booked as "other", and no step phase moved
+        assert!(
+            monitored.other > stepped.other,
+            "{stepped:?} -> {monitored:?}"
+        );
+        let phases = |t: PhaseSeconds| [t.transpose, t.fft, t.ns_advance];
+        assert_eq!(phases(monitored), phases(stepped));
     }
 }

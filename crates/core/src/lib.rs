@@ -57,6 +57,7 @@ pub mod checkpoint;
 pub mod flags;
 pub mod health;
 pub mod io;
+mod lanes;
 #[deny(missing_docs)]
 pub mod moser;
 pub mod nonlinear;

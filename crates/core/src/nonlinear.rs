@@ -22,9 +22,10 @@
 //! the forward hop. [`compute_unfused`] keeps the textbook six-product
 //! assembly as the correctness oracle; see DESIGN.md for the accounting.
 
+use crate::lanes::{assemble_g, assemble_v};
 use crate::solver::ChannelDns;
 use crate::C64;
-use dns_banded::{gather_lanes, scatter_lanes, LaneRow, RhsPanel, LANES};
+use dns_banded::{LaneRow, RhsPanel};
 use dns_telemetry::Phase;
 
 /// The spectral convective-flux divergences `H_i = -d/dx_j (u_i u_j)` as
@@ -40,9 +41,11 @@ struct HFields {
 }
 
 /// Nonlinear right-hand sides, as *values at the y collocation points*:
-/// one panel column per regular mode, in the column order of the rank's
-/// batched wall-normal solver (so the time advance reads them as they
-/// are), plus the mean-flow terms on the rank owning mode (0,0).
+/// one panel block per `(kz row, kx block)` of the lane-blocked y-pencil
+/// but the Nyquist row, in the column order of the rank's batched
+/// wall-normal solver (so the time advance reads them as they are; the
+/// mean mode's and the pad lanes' columns are never read back), plus the
+/// mean-flow terms on the rank owning mode (0,0).
 #[derive(Default)]
 pub struct NlTerms {
     /// RHS of the `omega_y` equation.
@@ -68,7 +71,7 @@ impl NlTerms {
     /// Size for the layout of `dns` and zero every entry (no allocation
     /// once the buffers have their steady-state sizes).
     pub fn reset(&mut self, dns: &ChannelDns) {
-        let (ny, width) = (dns.ops().n(), dns.batch_modes().len());
+        let (ny, width) = (dns.ops().n(), dns.panel_width());
         self.h_g.reset(ny, width);
         self.h_v.reset(ny, width);
         self.mean_hx.clear();
@@ -82,32 +85,42 @@ impl NlTerms {
     /// every row (zeros in the lanes past the last mode) and both mean
     /// lines on their owner before the time advance reads them.
     fn size(&mut self, dns: &ChannelDns) {
-        let shape = (dns.ops().n(), dns.batch_modes().len());
+        let shape = (dns.ops().n(), dns.panel_width());
         if (self.h_g.n(), self.h_g.width()) != shape || self.mean_hx.len() != shape.0 {
             self.reset(dns);
         }
     }
 }
 
-/// Reusable buffers for [`compute_into`]: the pfft pipeline workspace,
-/// the stacked field staging and the one-block lane panels the
-/// wall-normal stages work in. Starts empty; sized on first use,
-/// allocation-free afterwards.
+/// Reusable buffers for [`compute_into`]: the pfft workspace, the
+/// lane-blocked y-pencil stacks and three one-block scratch panels.
+/// Sized on first use, allocation-free afterwards.
 #[derive(Default)]
 pub struct NlWorkspace {
     /// Transform-pipeline buffers (transposes, line scratch).
     pub pfft: dns_pfft::Workspace,
-    /// Stacked velocity values `[kz_loc][3][kx_loc][ny]`.
-    uvw: Vec<C64>,
-    /// Stacked spectral products `[kz_loc][5][kx_loc][ny]`.
-    products: Vec<C64>,
-    /// Eight one-block panels of `ny` rows each (together L1-sized): the
-    /// five gathered product lines, an interpolation scratch, and two
-    /// derivative blocks.
-    blocks: [Vec<LaneRow>; 8],
-    /// Two mean-mode lines (`d/dy` of `uv` and `vw`, and their
-    /// interpolation scratch).
-    mean: [Vec<C64>; 2],
+    /// `B0 u`, `B0 v`, `B0 w`, lane-blocked `[kz_loc][3][kx_block][ny]`;
+    /// the advance writes the next substep's ([`ChannelDns::step`]).
+    pub(crate) uvw: Vec<LaneRow>,
+    /// Whether `uvw` holds the current state's values: cleared by every
+    /// state writer, set by the staging pass, kept by the advance.
+    pub(crate) staged: bool,
+    /// Spectral products, lane-blocked `[kz_loc][5][kx_block][ny]`.
+    products: Vec<LaneRow>,
+    /// One-block panels: an interpolation scratch, two derivatives.
+    blocks: [Vec<LaneRow>; 3],
+}
+
+/// Rows of panel block `(kz, xb)` of field `f` in a lane-blocked y-pencil
+/// stack of `k` fields, `nb` kx blocks of `ny` rows each.
+pub(crate) fn stack_block(
+    [k, nb, ny]: [usize; 3],
+    kz: usize,
+    f: usize,
+    xb: usize,
+) -> std::ops::Range<usize> {
+    let start = ((kz * k + f) * nb + xb) * ny;
+    start..start + ny
 }
 
 /// Evaluate the convective-flux divergences `H_i` for the current state
@@ -198,18 +211,24 @@ fn quadratic_h(dns: &ChannelDns) -> HFields {
     h
 }
 
-/// Evaluate the nonlinear terms through the fused five-product pipeline,
-/// writing into caller-owned output and workspace buffers. Steady-state
-/// calls perform zero heap allocations on a single rank.
-///
-/// Both wall-normal stages walk the regular modes [`LANES`] at a time in
-/// the batched solver's column order, every banded sweep on a one-block
-/// panel: per lane the operations, and their order, are those of the
-/// per-mode evaluation (the test module keeps it as the bitwise oracle).
-/// They are N-S advance regions on the rank's phase clock
-/// ([`ParallelFft::clock`](dns_pfft::ParallelFft::clock)), the transform
-/// pipeline between them transpose and FFT ones.
+/// Evaluate the nonlinear terms through the fused five-product pipeline
+/// into caller-owned buffers (no heap allocation once warm, one rank):
+/// stage the velocity values from the state (`b0_staging`), run the
+/// lane-blocked stacks through
+/// [`ParallelFft::nonlinear_lanes`](dns_pfft::ParallelFft::nonlinear_lanes)
+/// and assemble the right-hand sides panel block by panel block, per lane
+/// the per-mode evaluation's operations in its order (the test module
+/// keeps it as the bitwise oracle). The wall-normal stages are N-S advance
+/// regions on the rank's phase clock, the transforms between them
+/// transpose and FFT ones.
 pub fn compute_into(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWorkspace) {
+    ws.staged = false;
+    compute_staged(dns, out, ws);
+}
+
+/// [`compute_into`] that stages only when `ws` does not hold the current
+/// state's values ([`NlWorkspace::staged`]): the step's path.
+pub(crate) fn compute_staged(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWorkspace) {
     if !dns.params().nonlinear {
         out.reset(dns);
         return;
@@ -219,55 +238,15 @@ pub fn compute_into(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWorkspace) {
     let ops = dns.ops();
     let ny = ops.n();
     let pfft = dns.pfft();
-    let sxl = pfft.kx_block().len;
-    let zero = C64::new(0.0, 0.0);
-    const KF: usize = dns_pfft::NL_FIELDS;
-    const KP: usize = dns_pfft::NL_PRODUCTS;
-    let modes = dns.batch_modes();
-    let mean_mode = (0..dns.local_modes()).find(|&m| dns.is_mean(m));
-
-    // sized (and zeroed) once: every regular and mean line is stored
-    // below before the transform reads it, and the Nyquist lines, whose
-    // coefficients are structurally zero, are never written and stay zero
-    if ws.uvw.len() != KF * dns.field_len() {
-        ws.uvw.clear();
-        ws.uvw.resize(KF * dns.field_len(), zero);
-    }
     for blk in ws.blocks.iter_mut() {
         blk.resize(ny, LaneRow::ZERO);
     }
-    for line in ws.mean.iter_mut() {
-        line.resize(ny, zero);
+    if !ws.staged {
+        stage(dns, ws);
     }
-    let [pa, puv, puw, pvw, pb, coef, dy1, dy2] = &mut ws.blocks;
-    // where mode `m`'s line of field `f` starts in an
-    // `[kz_loc][nf][kx_loc][ny]` stack (`nf = 1`: the state's own layout)
-    let start = |nf: usize, f: usize| move |m: usize| ((m / sxl * nf + f) * sxl + m % sxl) * ny;
-
-    // velocities to collocation values, stacked [kz_loc][3][kx_loc][ny]
-    // directly (no separate full-field staging copy): gather 8
-    // coefficient lines, one B0 block matvec, scatter
-    let state = dns.state();
-    let fields = [state.u(), state.v(), state.w()];
-    let region = dns_telemetry::region("b0_staging", Phase::NsAdvance);
-    for modes in modes.chunks(LANES) {
-        for (fi, field) in fields.into_iter().enumerate() {
-            gather_lanes(coef, field, modes, start(1, 0));
-            ops.b0().matvec_block(coef, dy1);
-            scatter_lanes(dy1, &mut ws.uvw, modes, start(KF, fi));
-        }
-    }
-    if let Some(m) = mean_mode {
-        for (fi, field) in fields.into_iter().enumerate() {
-            let dst = start(KF, fi)(m);
-            ops.b0()
-                .matvec_complex(&field[dns.line_range(m)], &mut ws.uvw[dst..dst + ny]);
-        }
-    }
-    region.close(pfft.clock());
 
     // fused inverse-product-forward cycle: five spectral products out
-    pfft.nonlinear_products(&ws.uvw, &mut ws.products, &mut ws.pfft);
+    pfft.nonlinear_lanes(&ws.uvw, &mut ws.products, &mut ws.pfft);
 
     // assembly from the five products A = uu - vv, uv, uw, vw,
     // B = ww - vv (D = d/dy on a mode line):
@@ -275,7 +254,7 @@ pub fn compute_into(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWorkspace) {
     //   G   = kx^2 A + kz^2 B + 2 kx kz uw - ikx D(uv) - ikz D(vw)
     //   h_v = -D(G) + k^2 (ikx uv + ikz vw)
     // (the d/dy(vv) terms of H_y and of D(ikx H_x + ikz H_z) cancel)
-    let products = &ws.products;
+    let [coef, dy1, dy2] = &mut ws.blocks;
     // D of a block: interpolate the values to spline coefficients in
     // place (the shared B0 solve), then apply B1
     let dy_of = |vals: &mut [LaneRow], out: &mut [LaneRow]| {
@@ -283,67 +262,57 @@ pub fn compute_into(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWorkspace) {
         ops.b1().matvec_block(vals, out);
     };
     let region = dns_telemetry::region("rhs_assembly", Phase::NsAdvance);
-    for (b, modes) in modes.chunks(LANES).enumerate() {
-        for (f, blk) in [&mut *pa, puv, puw, pvw, pb].into_iter().enumerate() {
-            gather_lanes(blk, products, modes, start(KP, f));
-        }
-        // per-lane wavenumbers; zero past the last mode, where the
-        // gathered lanes are zero too
-        let (mut kxs, mut kzs) = ([0.0; LANES], [0.0; LANES]);
-        for (l, &m) in modes.iter().enumerate() {
-            let (ikx, ikz, _) = dns.mode_wavenumbers(m);
-            (kxs[l], kzs[l]) = (ikx.im, ikz.im);
-        }
+    let shape = [dns_pfft::NL_PRODUCTS, pfft.kx_lanes(), ny];
+    for (b, (kz, xb)) in dns.panel_blocks().enumerate() {
+        let product = |f: usize| &ws.products[stack_block(shape, kz, f, xb)];
+        let (pa, puv, puw, pvw, pb) = (product(0), product(1), product(2), product(3), product(4));
         // D(uv) and D(vw) feed both h_g and G
         coef.copy_from_slice(puv);
         dy_of(coef, dy1);
         coef.copy_from_slice(pvw);
         dy_of(coef, dy2);
-        // G lands in `coef`, where its own derivative solve wants it
-        let h_g = out.h_g.block_mut(b);
-        for j in 0..ny {
-            for l in 0..LANES {
-                let (kx, kz) = (kxs[l], kzs[l]);
-                let (ikx, ikz) = (C64::new(0.0, kx), C64::new(0.0, kz));
-                let (a, uw, bb) = (pa[j].get(l), puw[j].get(l), pb[j].get(l));
-                let (d1, d2) = (dy1[j].get(l), dy2[j].get(l));
-                h_g[j].set(
-                    l,
-                    kx * kz * (a - bb) + (kz * kz - kx * kx) * uw - ikz * d1 + ikx * d2,
-                );
-                coef[j].set(
-                    l,
-                    kx * kx * a + kz * kz * bb + 2.0 * kx * kz * uw - ikx * d1 - ikz * d2,
-                );
+        if dns.mean_block() == Some(b) {
+            // the mean mode (lane 0) is forced by -D(uv) and -D(vw)
+            let mean = out.mean_hx.iter_mut().zip(out.mean_hz.iter_mut());
+            for ((hx, hz), (d1, d2)) in mean.zip(dy1.iter().zip(dy2.iter())) {
+                (*hx, *hz) = (-d1.re[0], -d2.re[0]);
             }
         }
+        // G lands in `coef`, where its own derivative solve wants it
+        let waves = dns.block_waves(kz, xb);
+        let products = [pa, puw, pb, &dy1[..], &dy2[..]];
+        assemble_g(dns.isa(), &waves, products, out.h_g.block_mut(b), coef);
         // D(G) can overwrite dy1 — h_g and G are already assembled
         dy_of(coef, dy1);
-        let h_v = out.h_v.block_mut(b);
-        for j in 0..ny {
-            for l in 0..LANES {
-                let (kx, kz) = (kxs[l], kzs[l]);
-                let (ikx, ikz, k2) = (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz);
-                let (uv, vw) = (puv[j].get(l), pvw[j].get(l));
-                h_v[j].set(l, -dy1[j].get(l) + k2 * (ikx * uv + ikz * vw));
-            }
-        }
+        assemble_v(dns.isa(), &waves, [dy1, puv, pvw], out.h_v.block_mut(b));
     }
     // three interpolation solves per regular mode, reported per stage
-    ops.b0_lu().count_solves(modes.len(), 3);
-    // the mean mode's turbulent forcing: -D(uv) and -D(vw), two lines
-    if let Some(m) = mean_mode {
-        let [d, coef] = &mut ws.mean;
-        for (f, mean_h) in [(1, &mut out.mean_hx), (3, &mut out.mean_hz)] {
-            let s = start(KP, f)(m);
-            ops.interpolate_complex_into(&products[s..s + ny], coef);
-            ops.b1().matvec_complex(coef, d);
-            for (h, d) in mean_h.iter_mut().zip(d.iter()) {
-                *h = -d.re;
-            }
+    ops.b0_lu().count_solves(dns.regular_modes(), 3);
+    region.close(pfft.clock());
+}
+
+/// The `b0_staging` pass: `B0 u`, `B0 v`, `B0 w` of the state into the
+/// `ws.uvw` stack, block by block (the Nyquist row's stay zero).
+fn stage(dns: &ChannelDns, ws: &mut NlWorkspace) {
+    let (ops, pfft) = (dns.ops(), dns.pfft());
+    let len = pfft.y_stack_len(dns_pfft::NL_FIELDS);
+    if ws.uvw.len() != len {
+        ws.uvw.clear();
+        ws.uvw.resize(len, LaneRow::ZERO);
+    }
+    let region = dns_telemetry::region("b0_staging", Phase::NsAdvance);
+    let state = dns.state();
+    let shape = [dns_pfft::NL_FIELDS, pfft.kx_lanes(), ops.n()];
+    let coef = &mut ws.blocks[0];
+    for (kz, xb) in dns.panel_blocks() {
+        for (f, field) in [state.u(), state.v(), state.w()].into_iter().enumerate() {
+            dns.load_block(coef, field, kz, xb);
+            ops.b0()
+                .matvec_block(coef, &mut ws.uvw[stack_block(shape, kz, f, xb)]);
         }
     }
     region.close(pfft.clock());
+    ws.staged = true;
 }
 
 /// The pre-fusion reference evaluation: six products through the
@@ -366,8 +335,8 @@ pub fn compute_unfused(dns: &ChannelDns) -> NlTerms {
         }
     }
     let mut dy_vals = vec![C64::new(0.0, 0.0); ny];
-    for (col, &mode) in dns.batch_modes().iter().enumerate() {
-        let line = dns.line_range(mode);
+    for mode in dns.regular() {
+        let (col, line) = (dns.panel_col(mode), dns.line_range(mode));
         let (ikx, ikz, k2) = dns.mode_wavenumbers(mode);
         // h_g = ikz H_x - ikx H_z
         let h_g: Vec<C64> = (0..ny)
@@ -449,8 +418,7 @@ mod tests {
             }
             let (ikx, ikz, k2) = dns.mode_wavenumbers(mode);
             let (kx, kz) = (ikx.im, ikz.im);
-            let col = dns.batch_modes().iter().position(|&m| m == mode);
-            let col = col.expect("a regular mode has a panel column");
+            let col = dns.panel_col(mode);
             for j in 0..ny {
                 let h_g = kx * kz * (pa[j] - pb[j]) + (kz * kz - kx * kx) * puw[j] - ikz * dy1[j]
                     + ikx * dy2[j];
@@ -473,8 +441,13 @@ mod tests {
         (0..p.width()).flat_map(|r| p.col_to_vec(r)).collect()
     }
 
-    /// Every column of both panels and both mean lines, as bits.
-    fn bits(t: &NlTerms) -> Vec<u64> {
+    /// The regular modes' columns of both panels and both mean lines, as
+    /// bits (the mean mode's and the pad lanes' columns are never read).
+    fn bits(dns: &ChannelDns, t: &NlTerms) -> Vec<u64> {
+        let cols = |p: &RhsPanel| {
+            let cols = dns.regular().flat_map(|m| p.col_to_vec(dns.panel_col(m)));
+            cols.collect::<Vec<_>>()
+        };
         cols(&t.h_g)
             .into_iter()
             .chain(cols(&t.h_v))
@@ -500,7 +473,11 @@ mod tests {
                 compute_into(dns, &mut out, &mut ws);
                 dns.step();
                 compute_into(dns, &mut out, &mut ws);
-                (bits(&out), bits(&compute_per_mode(dns)), out.h_g.width())
+                (
+                    bits(dns, &out),
+                    bits(dns, &compute_per_mode(dns)),
+                    out.h_g.width(),
+                )
             });
             for (got, want, width) in outs {
                 assert!(width > 0 && want.iter().any(|&b| b != 0), "oracle ran");

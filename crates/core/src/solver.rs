@@ -4,27 +4,19 @@
 use std::ops::Range;
 
 use dns_bspline::{integration_weights, tanh_breakpoints, BsplineBasis, CollocationOps};
+use dns_fft::lanes::Isa;
 use dns_minimpi::Communicator;
-use dns_pfft::{ParallelFft, PfftConfig};
+use dns_pencil::reorder::reorder_into_lanes;
+use dns_pfft::{ParallelFft, PfftConfig, NL_FIELDS};
 use dns_telemetry as telemetry;
 
-use crate::nonlinear::{self, NlTerms, NlWorkspace};
+use crate::lanes::{recover_uw, Waves};
+use crate::nonlinear::{self, stack_block, NlTerms, NlWorkspace};
 use crate::params::Params;
 use crate::rk3;
 use crate::wallnormal::{dy_coefficients, dy_coefficients_block, BatchNormalSolver, MeanSolver};
 use crate::C64;
-use dns_banded::{gather_lanes, scatter_lanes, LaneRow, LANES};
-
-/// Classification of a locally-owned horizontal wavenumber.
-enum ModeKind {
-    /// `(kx, kz) = (0, 0)`: the mean flow.
-    Mean,
-    /// The structurally-zero spanwise Nyquist slot.
-    NyquistZ,
-    /// A regular mode; its solves run through the rank-wide
-    /// [`BatchNormalSolver`] panels.
-    Batched,
-}
+use dns_banded::{LaneRow, LANES};
 
 /// Prognostic and derived spectral fields, stored as B-spline
 /// *coefficients* in the y-pencil layout `[kz_loc][kx_loc][ny]`.
@@ -79,10 +71,10 @@ struct StepScratch {
     r2: Vec<f64>,
     r3: Vec<f64>,
     r4: Vec<f64>,
-    /// One-block panels of `ny` rows (together L1-sized): prognostic
-    /// columns, `B0 c`/`B2 c` matvec scratch, and the recovered `v`
-    /// columns. The nonlinear terms arrive as panels ([`NlTerms`]).
-    blocks: [Vec<LaneRow>; 4],
+    /// One-block panels of `ny` rows (together L1-sized): the `omega_y`
+    /// and `phi` columns, `B0 c`/`B2 c` matvec scratch, and the recovered
+    /// `v` columns. The nonlinear terms arrive as panels ([`NlTerms`]).
+    blocks: [Vec<LaneRow>; 5],
 }
 
 /// A distributed channel DNS bound to one rank of a `pa x pb` grid.
@@ -90,13 +82,14 @@ pub struct ChannelDns {
     params: Params,
     pfft: ParallelFft,
     ops: CollocationOps,
-    modes: Vec<ModeKind>,
     /// The rank-wide batched wall-normal solver (zero blocks on a rank
     /// that owns no regular mode, e.g. just the spanwise Nyquist slot).
     batch: BatchNormalSolver,
-    /// Local mode indices behind `batch`, in panel-column order
-    /// ([`batch_order`]).
-    batch_modes: Vec<usize>,
+    /// The local kz rows of `batch`'s panel blocks, all but the Nyquist
+    /// one: block `b` is row `panel_rows[b / nb]`, kx lane block `b % nb`.
+    panel_rows: Vec<usize>,
+    /// Instruction set of the wall-normal lane kernels.
+    isa: Isa,
     /// Seconds [`BatchNormalSolver::new`] took.
     batch_build_s: f64,
     mean: MeanSolver,
@@ -134,30 +127,31 @@ impl ChannelDns {
         let ops = CollocationOps::new(&basis);
         assert_eq!(ops.n(), params.ny, "basis size must equal ny");
 
-        let kxb = pfft.kx_block();
-        let kzb = pfft.kz_block();
-        let mut modes = Vec::with_capacity(kxb.len * kzb.len);
-        for kzl in 0..kzb.len {
-            let kz_g = kzb.global(kzl);
-            for kxl in 0..kxb.len {
-                modes.push(if kz_g == params.nz / 2 {
-                    ModeKind::NyquistZ
-                } else if kxb.global(kxl) == 0 && kz_g == 0 {
-                    ModeKind::Mean
-                } else {
-                    ModeKind::Batched
-                });
+        // one panel block per (kz row, kx block) of the lane-blocked
+        // y-pencil, the Nyquist row skipped; a +kz block and its -kz twin
+        // share a factor block. The mean lane (local mode 0 on its owner)
+        // and the pad lanes get a dummy k^2 = 1
+        let (kxb, kzb, nb) = (pfft.kx_block(), pfft.kz_block(), pfft.kx_lanes());
+        let is_nyquist = |kz: usize| kzb.global(kz) == params.nz / 2;
+        let panel_rows: Vec<usize> = (0..kzb.len).filter(|&kz| !is_nyquist(kz)).collect();
+        let mean_mode = (kxb.start == 0 && kzb.start == 0).then_some(0);
+        let mut batch_k2 = Vec::with_capacity(panel_rows.len() * nb * LANES);
+        for &kz in &panel_rows {
+            for xb in 0..nb {
+                let ([kx, kzs], first) = (
+                    block_waves(&params, &pfft, kz, xb),
+                    kz * kxb.len + xb * LANES,
+                );
+                batch_k2.extend((0..LANES).map(|l| {
+                    let regular = l < kxb.len - xb * LANES && mean_mode != Some(first + l);
+                    if regular {
+                        kx[l] * kx[l] + kzs[l] * kzs[l]
+                    } else {
+                        1.0
+                    }
+                }));
             }
         }
-        let batch_modes = batch_order(&modes, kxb.len, kzb.start, params.nz);
-        let batch_k2: Vec<f64> = batch_modes
-            .iter()
-            .map(|&m| {
-                let kx = params.alpha() * kxb.global(m % kxb.len) as f64;
-                let kz = params.beta() * pfft.kz_signed(kzb.global(m / kxb.len)) as f64;
-                kx * kx + kz * kz
-            })
-            .collect();
         let t0 = std::time::Instant::now();
         let batch = BatchNormalSolver::new(&ops, &batch_k2, params.nu, params.dt);
         let batch_build_s = t0.elapsed().as_secs_f64();
@@ -183,9 +177,9 @@ impl ChannelDns {
             params,
             pfft,
             ops,
-            modes,
             batch,
-            batch_modes,
+            panel_rows,
+            isa: Isa::detect(),
             batch_build_s,
             mean,
             state: State {
@@ -306,13 +300,74 @@ impl ChannelDns {
 
     /// Number of locally-owned horizontal wavenumbers.
     pub fn local_modes(&self) -> usize {
-        self.modes.len()
+        self.pfft.kx_block().len * self.pfft.kz_block().len
     }
 
-    /// The regular local modes in the column order of the wall-normal
-    /// panels (the batched solver's, and [`NlTerms`]'s).
-    pub(crate) fn batch_modes(&self) -> &[usize] {
-        &self.batch_modes
+    /// The regular local modes, ascending.
+    pub(crate) fn regular(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.local_modes()).filter(|&m| !self.is_nyquist(m) && !self.is_mean(m))
+    }
+
+    /// Number of regular local modes: the columns the panels solve for.
+    pub(crate) fn regular_modes(&self) -> usize {
+        self.regular().count()
+    }
+
+    /// Columns of the wall-normal panels (the batched solver's, and
+    /// [`NlTerms`]'s): [`LANES`] per panel block.
+    pub(crate) fn panel_width(&self) -> usize {
+        self.batch.width()
+    }
+
+    /// The panel blocks `(kz row, kx block)` in panel order: every local
+    /// kz row but the Nyquist one, each kx lane block of it. Block `b`'s
+    /// lane `l` is local mode `kz * kx_loc + LANES * xb + l`.
+    pub(crate) fn panel_blocks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let nb = self.pfft.kx_lanes();
+        (self.panel_rows.iter()).flat_map(move |&kz| (0..nb).map(move |xb| (kz, xb)))
+    }
+
+    /// The mean mode, local mode 0 on the rank owning it.
+    fn mean_mode(&self) -> Option<usize> {
+        let owner = self.pfft.kx_block().start == 0 && self.pfft.kz_block().start == 0;
+        owner.then_some(0)
+    }
+
+    /// The panel block holding the mean mode (in its lane 0).
+    pub(crate) fn mean_block(&self) -> Option<usize> {
+        self.mean_mode()
+    }
+
+    /// Panel column of local mode `m` (not the Nyquist slot).
+    pub(crate) fn panel_col(&self, m: usize) -> usize {
+        let (kxl, nb) = (self.pfft.kx_block().len, self.pfft.kx_lanes());
+        let row = self.panel_rows.iter().position(|&kz| kz == m / kxl);
+        let row = row.expect("the Nyquist slot has no panel column");
+        row * nb * LANES + m % kxl
+    }
+
+    /// `[kx, kz]` of the lanes of panel block `(kz, xb)`.
+    pub(crate) fn block_waves(&self, kz: usize, xb: usize) -> Waves {
+        block_waves(&self.params, &self.pfft, kz, xb)
+    }
+
+    /// `(first line, lanes)` of panel block `(kz, xb)`: its modes' y-lines
+    /// are consecutive in a field, one per lane from its first.
+    pub(crate) fn block_lines(&self, kz: usize, xb: usize) -> (usize, usize) {
+        let kxl = self.pfft.kx_block().len;
+        (kz * kxl + xb * LANES, LANES.min(kxl - xb * LANES))
+    }
+
+    /// Panel block `(kz, xb)` of the y-lines of `field`, one mode per lane
+    /// and zero past the row's last kx.
+    pub(crate) fn load_block(&self, blk: &mut [LaneRow], field: &[C64], kz: usize, xb: usize) {
+        let (first, n) = self.block_lines(kz, xb);
+        load_lanes(blk, field, first, n);
+    }
+
+    /// Instruction set of the wall-normal lane kernels.
+    pub(crate) fn isa(&self) -> Isa {
+        self.isa
     }
 
     /// Index range of mode `m`'s y-line within a spectral field.
@@ -323,22 +378,19 @@ impl ChannelDns {
 
     /// `(i kx, i kz, k^2)` of local mode `m`.
     pub fn mode_wavenumbers(&self, m: usize) -> (C64, C64, f64) {
-        let kxlen = self.pfft.kx_block().len;
-        let kx_g = self.pfft.kx_block().global(m % kxlen);
-        let kz_g = self.pfft.kz_block().global(m / kxlen);
-        let kx = self.params.alpha() * kx_g as f64;
-        let kz = self.params.beta() * self.pfft.kz_signed(kz_g) as f64;
+        let [kx, kz] = wavenumbers(&self.params, &self.pfft, m);
         (C64::new(0.0, kx), C64::new(0.0, kz), kx * kx + kz * kz)
     }
 
     /// Whether local mode `m` is the spanwise Nyquist slot.
     pub fn is_nyquist(&self, m: usize) -> bool {
-        matches!(self.modes[m], ModeKind::NyquistZ)
+        let kz_g = self.pfft.kz_block().global(m / self.pfft.kx_block().len);
+        kz_g == self.params.nz / 2
     }
 
     /// Whether local mode `m` is the mean mode (0,0).
     pub fn is_mean(&self, m: usize) -> bool {
-        matches!(self.modes[m], ModeKind::Mean)
+        self.mean_mode() == Some(m)
     }
 
     /// Weight of mode `m` in statistics sums (2 for `kx > 0`, whose
@@ -411,9 +463,10 @@ impl ChannelDns {
         let shape_o: Vec<f64> = self.ops.points().iter().map(|&y| 1.0 - y * y).collect();
         let cv_shape = self.ops.interpolate(&shape_v);
         let co_shape = self.ops.interpolate(&shape_o);
+        self.nl_ws.staged = false;
         let kxlen = self.pfft.kx_block().len;
         for m in 0..self.local_modes() {
-            if !matches!(self.modes[m], ModeKind::Batched) {
+            if self.is_nyquist(m) || self.is_mean(m) {
                 continue;
             }
             let kx_g = self.pfft.kx_block().global(m % kxlen);
@@ -455,9 +508,10 @@ impl ChannelDns {
         let ny = self.params.ny;
         assert_eq!(c_v.len(), ny);
         assert_eq!(c_omega.len(), ny);
+        self.nl_ws.staged = false;
         let kxlen = self.pfft.kx_block().len;
         for m in 0..self.local_modes() {
-            if !matches!(self.modes[m], ModeKind::Batched) {
+            if self.is_nyquist(m) || self.is_mean(m) {
                 continue;
             }
             let kx_g = self.pfft.kx_block().global(m % kxlen);
@@ -477,6 +531,7 @@ impl ChannelDns {
     /// Set the mean-flow line of `u` (on the rank owning kx = kz = 0) to
     /// the interpolant of `prof` at the collocation points.
     fn set_mean_u(&mut self, prof: &[f64]) {
+        self.nl_ws.staged = false;
         let coef = self.ops.interpolate(prof);
         for m in 0..self.local_modes() {
             if self.is_mean(m) {
@@ -524,7 +579,10 @@ impl ChannelDns {
 
     /// Advance one full RK3 timestep. The nonlinear terms run through
     /// the fused pipeline into persistent buffers; at steady state a
-    /// single-rank serial substep performs no heap allocation.
+    /// single-rank serial substep performs no heap allocation. Each
+    /// substep's advance writes the next one's velocity values into the
+    /// pipeline's lane-blocked stack, so the `b0_staging` pass runs only
+    /// on the first step after set-up or a state write.
     pub fn step(&mut self) {
         let _step = telemetry::span("rk3_step", telemetry::Phase::Other);
         let dt = self.params.dt;
@@ -538,9 +596,10 @@ impl ChannelDns {
         n_old.reset(self); // zeta_0 = 0: first substep ignores it anyway
         for i in 0..3 {
             let _substep = telemetry::span("rk3_substep", telemetry::Phase::Other);
-            nonlinear::compute_into(self, &mut nl, &mut ws);
+            nonlinear::compute_staged(self, &mut nl, &mut ws);
             let region = telemetry::region("ns_advance", telemetry::Phase::NsAdvance);
-            self.advance_substep(i, &nl, &n_old, &mut scratch);
+            let uvw = self.params.nonlinear.then_some(&mut ws.uvw[..]);
+            self.advance_substep(i, &nl, &n_old, &mut scratch, uvw);
             region.close(self.pfft.clock());
             std::mem::swap(&mut nl, &mut n_old);
             self.state.time += (rk3::ALPHA[i] + rk3::BETA[i]) * dt;
@@ -560,9 +619,16 @@ impl ChannelDns {
         }
     }
 
-    fn advance_substep(&mut self, i: usize, nl: &NlTerms, n_old: &NlTerms, sc: &mut StepScratch) {
+    fn advance_substep(
+        &mut self,
+        i: usize,
+        nl: &NlTerms,
+        n_old: &NlTerms,
+        sc: &mut StepScratch,
+        uvw: Option<&mut [LaneRow]>,
+    ) {
         self.advance_mean(i, nl, n_old, sc);
-        self.advance_blocks(i, nl, n_old, sc);
+        self.advance_blocks(i, nl, n_old, sc, uvw);
     }
 
     /// The `(0, 0)` mode: mass-flux feedback, then the `<u>`, `<w>`
@@ -574,37 +640,32 @@ impl ChannelDns {
         // mass-flux feedback: only the rank owning the mean mode uses the
         // force, so the controller needs no communication
         if let crate::params::Forcing::ConstantMassFlux { bulk } = self.params.forcing {
-            for (m, kind) in self.modes.iter().enumerate() {
-                if matches!(kind, ModeKind::Mean) {
-                    let r = m * ny..(m + 1) * ny;
-                    sc.r0.clear();
-                    sc.r0.extend(self.state.u[r].iter().map(|c| c.re));
-                    sc.r1.clear();
-                    sc.r1.resize(ny, 0.0);
-                    self.ops.b0().matvec(&sc.r0, &mut sc.r1);
-                    let current: f64 = sc
-                        .r1
-                        .iter()
-                        .zip(&self.y_weights)
-                        .map(|(u, w)| u * w)
-                        .sum::<f64>()
-                        / 2.0;
-                    // PI controller: the proportional part closes most
-                    // of the gap within a step; the small integral part
-                    // learns the steady drag without overshoot
-                    let gap = (bulk - current) / dt;
-                    self.flux_integral = (self.flux_integral + 0.02 * gap).clamp(-100.0, 100.0);
-                    self.dyn_force = (self.flux_integral + 0.4 * gap).clamp(-100.0, 100.0);
-                }
+            if let Some(m) = self.mean_mode() {
+                let r = m * ny..(m + 1) * ny;
+                sc.r0.clear();
+                sc.r0.extend(self.state.u[r].iter().map(|c| c.re));
+                sc.r1.clear();
+                sc.r1.resize(ny, 0.0);
+                self.ops.b0().matvec(&sc.r0, &mut sc.r1);
+                let current: f64 = sc
+                    .r1
+                    .iter()
+                    .zip(&self.y_weights)
+                    .map(|(u, w)| u * w)
+                    .sum::<f64>()
+                    / 2.0;
+                // PI controller: the proportional part closes most
+                // of the gap within a step; the small integral part
+                // learns the steady drag without overshoot
+                let gap = (bulk - current) / dt;
+                self.flux_integral = (self.flux_integral + 0.02 * gap).clamp(-100.0, 100.0);
+                self.dyn_force = (self.flux_integral + 0.4 * gap).clamp(-100.0, 100.0);
             }
         }
         let f = self.dyn_force;
-        let ops = &self.ops;
+        let (ops, mean) = (&self.ops, self.mean_mode());
         let state = &mut self.state;
-        for (m, kind) in self.modes.iter().enumerate() {
-            if !matches!(kind, ModeKind::Mean) {
-                continue;
-            }
+        if let Some(m) = mean {
             let r = m * ny..(m + 1) * ny;
             // <u>: forced by the pressure gradient and -d<uv>/dy
             sc.r0.clear();
@@ -641,52 +702,70 @@ impl ChannelDns {
         }
     }
 
-    /// Every regular mode, [`LANES`] at a time in the batched solver's
-    /// column order: gather the block's y-lines from the state, sweep
-    /// each banded system of the substep across its lanes against the
-    /// nonlinear-term panels, scatter back — one block's working set
-    /// stays in cache from the first sweep to the last.
-    fn advance_blocks(&mut self, i: usize, nl: &NlTerms, n_old: &NlTerms, sc: &mut StepScratch) {
-        let ny = self.params.ny;
-        let nu = self.params.nu;
-        let dt = self.params.dt;
-        let batch = &self.batch;
+    /// Every panel block, twins back to back: load its state lines, sweep
+    /// the substep's banded systems across its lanes, recover `u`, `w` and
+    /// store the regular lanes, one block in cache throughout. With `uvw`
+    /// the block then leaves `B0 u`, `B0 v`, `B0 w` of its new state there
+    /// (the mean lane's from [`advance_mean`](Self::advance_mean)).
+    fn advance_blocks(
+        &mut self,
+        i: usize,
+        nl: &NlTerms,
+        n_old: &NlTerms,
+        sc: &mut StepScratch,
+        mut uvw: Option<&mut [LaneRow]>,
+    ) {
+        let (ny, nu, dt) = (self.params.ny, self.params.nu, self.params.dt);
         for blk in sc.blocks.iter_mut() {
             blk.resize(ny, LaneRow::ZERO);
         }
-        let [c, b0c, b2c, v] = &mut sc.blocks;
-        let (ops, start) = (&self.ops, |m: usize| m * ny);
-        for (b, modes) in self.batch_modes.chunks(LANES).enumerate() {
+        let [om, c, b0c, b2c, v] = &mut sc.blocks;
+        let (batch, ops, nb) = (&self.batch, &self.ops, self.pfft.kx_lanes());
+        let shape = [NL_FIELDS, nb, ny];
+        for &b in batch.walk() {
+            let (kz, xb) = (self.panel_rows[b / nb], b % nb);
+            let (first, n) = self.block_lines(kz, xb);
+            // the mean mode (lane 0 of its block) is never stored
+            let live = usize::from(self.mean_block() == Some(b))..n;
+            let waves = self.block_waves(kz, xb);
+            let state = &mut self.state;
             // omega_y: advance through the substep's Helmholtz solve
             let (hg, hg_old) = (nl.h_g.block(b), n_old.h_g.block(b));
-            gather_lanes(c, &self.state.omega_y, modes, start);
-            batch.advance_block(ops, i, b, c, hg, hg_old, nu, dt, b0c, b2c);
-            scatter_lanes(c, &mut self.state.omega_y, modes, start);
+            load_lanes(om, &state.omega_y, first, n);
+            batch.advance_block(ops, i, b, om, hg, hg_old, nu, dt, b0c, b2c);
+            store_lanes(om, &mut state.omega_y, first, live.clone());
             // phi: advance, then recover v with the influence correction
             let (hv, hv_old) = (nl.h_v.block(b), n_old.h_v.block(b));
-            gather_lanes(c, &self.state.phi, modes, start);
+            load_lanes(c, &state.phi, first, n);
             batch.advance_block(ops, i, b, c, hv, hv_old, nu, dt, b0c, b2c);
             batch.solve_v_block(ops, i, b, c, v);
-            scatter_lanes(c, &mut self.state.phi, modes, start);
-            scatter_lanes(v, &mut self.state.v, modes, start);
-            // u, w recovery: dv/dy of the block, then per-mode
-            // combination with omega_y
+            store_lanes(c, &mut state.phi, first, live.clone());
+            store_lanes(v, &mut state.v, first, live.clone());
+            // u, w recovery from dv/dy and omega_y, into `c` and `b2c`
             dy_coefficients_block(ops, v, b0c);
-            for (l, &m) in modes.iter().enumerate() {
-                let (ikx, ikz, k2) = self.mode_wavenumbers(m);
-                let (base, state) = (m * ny, &mut self.state);
-                for j in 0..ny {
-                    let vy = b0c[j].get(l);
-                    let om = state.omega_y[base + j];
-                    state.u[base + j] = (ikx * vy - ikz * om) / k2;
-                    state.w[base + j] = (ikz * vy + ikx * om) / k2;
+            recover_uw(self.isa, &waves, batch.k2(b), [b0c, om], c, b2c);
+            store_lanes(c, &mut state.u, first, live.clone());
+            store_lanes(b2c, &mut state.w, first, live.clone());
+            if let Some(uvw) = uvw.as_deref_mut() {
+                if live.start > 0 {
+                    for (blk, field) in [
+                        (&mut *c, &state.u),
+                        (&mut *v, &state.v),
+                        (&mut *b2c, &state.w),
+                    ] {
+                        load_lanes(blk, field, first, n);
+                    }
+                }
+                for (f, blk) in [&*c, &*v, &*b2c].into_iter().enumerate() {
+                    ops.b0()
+                        .matvec_block(blk, &mut uvw[stack_block(shape, kz, f, xb)]);
                 }
             }
         }
         // two Helmholtz solves, the Poisson solve and the dv/dy
         // interpolation solve per mode, reported per stage
-        batch.count_solves(3);
-        ops.b0_lu().count_solves(batch.width(), 1);
+        batch.count_solves(self.regular_modes(), 3);
+        ops.b0_lu().count_solves(self.regular_modes(), 1);
     }
 
     /// Seconds per phase this rank has spent stepping: the transposes and
@@ -717,6 +796,7 @@ impl ChannelDns {
         for f in [&u, &v, &w, &omega_y, &phi] {
             assert_eq!(f.len(), len, "restored field length mismatch");
         }
+        self.nl_ws.staged = false;
         self.state.u = u;
         self.state.v = v;
         self.state.w = w;
@@ -737,35 +817,42 @@ impl ChannelDns {
     }
 }
 
-/// Column order of the wall-normal panels over the local modes
-/// (`[kz_loc][kx_loc]`, `kxlen` per row, the rows from global `kz_start`):
-/// first the `(kx, |kz|)` pairs whose `+kz` and `-kz` modes are both
-/// local, [`LANES`] pairs at a time — a full block of `+kz` modes, then
-/// the block of their `-kz` partners, which has the same eight `k^2` and
-/// so shares its factor block (and finds it in cache) — then everything
-/// else in mode order: the `kz = 0` row, modes whose partner lives on
-/// another rank, and the pairs left over from the last chunk.
-fn batch_order(modes: &[ModeKind], kxlen: usize, kz_start: usize, nz: usize) -> Vec<usize> {
-    let regular = |m: usize| matches!(modes[m], ModeKind::Batched);
-    // local index of the -kz partner of local mode m, for 0 < kz < nz/2
-    let partner = |m: usize| {
-        let kz_g = kz_start + m / kxlen;
-        let row = (nz - kz_g).checked_sub(kz_start)?;
-        let twin = row * kxlen + m % kxlen;
-        (0 < kz_g && kz_g < nz / 2 && twin < modes.len() && regular(m)).then_some(twin)
-    };
-    let pairs: Vec<(usize, usize)> = (0..modes.len())
-        .filter_map(|m| Some((m, partner(m)?)))
-        .collect();
-    let mut order = Vec::with_capacity(modes.len());
-    let mut placed = vec![false; modes.len()];
-    for chunk in pairs.chunks_exact(LANES) {
-        order.extend(chunk.iter().map(|p| p.0));
-        order.extend(chunk.iter().map(|p| p.1));
+/// Signed `[kx, kz]` of local mode `m` (`[kz_loc][kx_loc]` order).
+fn wavenumbers(params: &Params, pfft: &ParallelFft, m: usize) -> [f64; 2] {
+    let kxlen = pfft.kx_block().len;
+    let kx_g = pfft.kx_block().global(m % kxlen);
+    let kz_g = pfft.kz_block().global(m / kxlen);
+    let kx = params.alpha() * kx_g as f64;
+    [kx, params.beta() * pfft.kz_signed(kz_g) as f64]
+}
+
+/// `[kx, kz]` of the lanes of panel block `(kz, xb)`: each lane's mode's,
+/// zero in the pad lanes past the row's last kx.
+fn block_waves(params: &Params, pfft: &ParallelFft, kz: usize, xb: usize) -> Waves {
+    let kxl = pfft.kx_block().len;
+    let mut waves = [[0.0; LANES]; 2];
+    for l in 0..LANES.min(kxl - xb * LANES) {
+        [waves[0][l], waves[1][l]] = wavenumbers(params, pfft, kz * kxl + xb * LANES + l);
     }
-    order.iter().for_each(|&m| placed[m] = true);
-    order.extend((0..modes.len()).filter(|&m| regular(m) && !placed[m]));
-    order
+    waves
+}
+
+/// Lanes `0..n` of a block from the `n` consecutive y-lines of `field`
+/// that start at line `first`, one per lane; the lanes past them zero.
+fn load_lanes(blk: &mut [LaneRow], field: &[C64], first: usize, n: usize) {
+    let ny = blk.len();
+    reorder_into_lanes(&field[first * ny..][..n * ny], ny, n, blk);
+}
+
+/// Lanes `lanes` of a block to their y-lines of `field`, lane `l` to line
+/// `first + l`.
+fn store_lanes(blk: &[LaneRow], field: &mut [C64], first: usize, lanes: Range<usize>) {
+    let ny = blk.len();
+    for l in lanes {
+        for (v, row) in field[(first + l) * ny..][..ny].iter_mut().zip(blk) {
+            *v = row.get(l);
+        }
+    }
 }
 
 /// Deterministic unit-magnitude-ish complex amplitude from a hash.
@@ -952,8 +1039,8 @@ mod tests {
         for i in 0..3 {
             nonlinear::compute_into(dns, &mut nl, &mut ws);
             dns.advance_mean(i, &nl, &n_old, &mut sc);
-            for (col, (m, ms)) in solvers.iter().enumerate() {
-                let r = dns.line_range(*m);
+            for (m, ms) in solvers {
+                let (col, r) = (dns.panel_col(*m), dns.line_range(*m));
                 let (ikx, ikz, k2) = dns.mode_wavenumbers(*m);
                 let (ops, state) = (&dns.ops, &mut dns.state);
                 let (hg, hg_old) = (nl.h_g.col_to_vec(col), n_old.h_g.col_to_vec(col));
@@ -985,9 +1072,8 @@ mod tests {
                 dns.set_laminar(1.0);
                 dns.add_perturbation(0.05, 9);
                 let solvers: Vec<(usize, ModeSolver)> = dns
-                    .batch_modes
-                    .iter()
-                    .map(|&m| {
+                    .regular()
+                    .map(|m| {
                         let k2 = dns.mode_wavenumbers(m).2;
                         let p = &dns.params;
                         (m, ModeSolver::new(&dns.ops, k2, p.nu, p.dt))
@@ -1043,56 +1129,89 @@ mod tests {
     }
 
     #[test]
-    fn paired_column_order_advances_to_the_bits_of_plain_mode_order() {
-        // a column permutation only moves independent lanes, and shared
-        // factor blocks hold the bits unshared ones would
-        let run = |p: Params, plain: bool| {
-            run_parallel(p, move |dns| {
-                if plain {
-                    dns.batch_modes = (0..dns.modes.len())
-                        .filter(|&m| matches!(dns.modes[m], ModeKind::Batched))
-                        .collect();
-                    let k2: Vec<f64> = dns
-                        .batch_modes
-                        .iter()
-                        .map(|&m| dns.mode_wavenumbers(m).2)
-                        .collect();
-                    dns.batch = BatchNormalSolver::new(&dns.ops, &k2, dns.params.nu, dns.params.dt);
-                }
-                dns.set_laminar(1.0);
-                dns.add_perturbation(0.05, 13);
-                for _ in 0..3 {
-                    dns.step();
-                }
-                let s = dns.state();
-                let bits: Vec<u64> = [s.u(), s.v(), s.w(), s.omega_y(), s.phi()]
-                    .iter()
-                    .flat_map(|f| f.iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]))
-                    .collect();
-                (bits, dns.batch.blocks(), dns.batch.factor_blocks())
-            })
-        };
-        // (nx, nz, pa, pb, factor blocks shared on every rank); pb splits
-        // kz at the Nyquist slot, leaving every -kz partner remote;
-        // 20 x 12 has 50 pairs on one rank: six chunks and a remainder
-        for (nx, nz, pa, pb, shared) in [
-            (16, 16, 1, 1, true),
-            (16, 16, 2, 1, true),
-            (16, 16, 1, 2, false),
-            (16, 16, 2, 2, false),
-            (20, 12, 1, 1, true),
+    fn natural_block_order_shares_the_twin_factor_blocks() {
+        // (nx, nz, pa, pb, per-rank (panel blocks, factor blocks)): a +kz
+        // row's blocks and its -kz twin's have the same k^2 lanes; pb = 2
+        // splits kz at the Nyquist slot, leaving every twin remote; nx =
+        // 20 leaves two kx blocks per row, the second with two pad lanes
+        for (nx, nz, pa, pb, want) in [
+            (16, 16, 1, 1, vec![(15, 8)]),
+            (16, 16, 2, 1, vec![(15, 8); 2]),
+            (16, 16, 1, 2, vec![(8, 8), (7, 7)]),
+            (16, 16, 2, 2, vec![(8, 8), (7, 7), (8, 8), (7, 7)]),
+            (20, 12, 1, 1, vec![(22, 12)]),
         ] {
-            let p = Params::channel(nx, 25, nz, 50.0)
-                .with_dt(2e-3)
-                .with_grid(pa, pb);
-            let (paired, plain) = (run(p.clone(), false), run(p, true));
-            for (rank, (a, b)) in paired.iter().zip(&plain).enumerate() {
-                let case = format!("{nx}x{nz} on {pa}x{pb}, rank {rank}");
-                assert!(a.0.iter().any(|&x| x != 0), "{case}: ran");
-                assert!(a.0 == b.0, "{case}: trajectories differ");
-                assert_eq!(a.1, b.1, "{case}: same panel blocks");
-                assert_eq!(b.2, b.1, "{case}: plain mode order shares nothing");
-                assert_eq!(a.2 < a.1, shared, "{case}: {} of {} shared", a.2, a.1);
+            let p = Params::channel(nx, 25, nz, 50.0).with_grid(pa, pb);
+            let got = run_parallel(p, |dns| (dns.batch.blocks(), dns.batch.factor_blocks()));
+            assert_eq!(got, want, "{nx}x{nz} on {pa}x{pb}");
+        }
+    }
+
+    /// The five state fields, the time and the step count as bits.
+    fn state_bits(dns: &ChannelDns) -> Vec<u64> {
+        let s = dns.state();
+        let fields = [s.u(), s.v(), s.w(), s.omega_y(), s.phi()];
+        let parts = fields.into_iter().flatten().flat_map(|c| [c.re, c.im]);
+        let parts = parts.chain([s.time]).map(f64::to_bits);
+        parts.chain([s.steps]).collect()
+    }
+
+    /// The state as [`ChannelDns::restore_state`] takes it.
+    fn state_parts(dns: &ChannelDns) -> ([Vec<C64>; 5], f64, u64) {
+        let s = dns.state();
+        let fields = [s.u(), s.v(), s.w(), s.omega_y(), s.phi()].map(<[C64]>::to_vec);
+        (fields, s.time, s.steps)
+    }
+
+    fn restore(dns: &mut ChannelDns, ([u, v, w, om, phi], time, steps): ([Vec<C64>; 5], f64, u64)) {
+        dns.restore_state(u, v, w, om, phi, time, steps);
+    }
+
+    #[test]
+    fn every_state_writer_restages_the_velocity_values() {
+        // after a step the pipeline's stack holds the advance's values;
+        // each writer must make the next step stage its own state afresh,
+        // so it steps to the bits of a freshly built solver given the
+        // same state
+        for (pa, pb) in [(1, 1), (2, 2)] {
+            let params = tiny_params().with_grid(pa, pb);
+            for writer in 0..4 {
+                let outs = run_parallel(params.clone(), move |dns| {
+                    dns.set_laminar(1.0);
+                    dns.add_perturbation(0.05, 3);
+                    let start = state_parts(dns);
+                    dns.step();
+                    match writer {
+                        0 => restore(dns, start),
+                        1 => dns.set_laminar(0.5),
+                        2 => dns.add_perturbation(0.05, 8),
+                        _ => {
+                            let c: Vec<C64> = (0..dns.params.ny)
+                                .map(|j| C64::new(1e-3 * j as f64, 0.0))
+                                .collect();
+                            dns.seed_mode(1, -1, &c, &c);
+                        }
+                    }
+                    let written = state_parts(dns);
+                    dns.step();
+                    (written, state_bits(dns))
+                });
+                // the same states through freshly built solvers
+                let written: Vec<_> = outs.iter().map(|o| o.0.clone()).collect();
+                let params = params.clone();
+                let fresh = dns_minimpi::run(pa * pb, move |world| {
+                    let state = written[world.rank()].clone();
+                    let mut dns = ChannelDns::new(world, params.clone());
+                    restore(&mut dns, state);
+                    dns.step();
+                    state_bits(&dns)
+                });
+                for (rank, (o, f)) in outs.iter().zip(&fresh).enumerate() {
+                    assert!(
+                        o.1 == *f,
+                        "{pa}x{pb} writer {writer} rank {rank}: stale values stepped"
+                    );
+                }
             }
         }
     }

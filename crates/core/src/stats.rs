@@ -8,7 +8,7 @@
 //! modes whose conjugate partners are not stored.
 
 use crate::solver::ChannelDns;
-use dns_banded::{gather_lanes, LaneRow, LANES};
+use dns_banded::LaneRow;
 use dns_telemetry as telemetry;
 
 /// One-point profiles at the collocation points.
@@ -70,14 +70,13 @@ impl Profiles {
     }
 }
 
-/// One blockwise pass over the velocity state on reused buffers: regular
-/// modes go [`LANES`] at a time through `B0` (`B1` for `dv/dy`) block matvecs
-/// and fold into the plane sums lane by lane, in the per-mode loop's order.
+/// One blockwise pass over the velocity state on reused buffers: the
+/// wall-normal panel blocks go through `B0` (`B1` for `dv/dy`) block
+/// matvecs and their regular modes fold into the plane sums lane by lane,
+/// in the per-mode loop's order; the mean mode's lane gives `<u>`.
 #[derive(Default)]
 pub(crate) struct PlaneSweep {
-    /// The regular local modes, ascending.
-    modes: Vec<usize>,
-    /// One-block panels: gathered coefficients, `B0 u`, `B0 v`, `B0 w`, `B1 v`.
+    /// One-block panels: loaded coefficients, `B0 u`, `B0 v`, `B0 w`, `B1 v`.
     blocks: [Vec<LaneRow>; 5],
     /// Plane sums `[u_mean | uu | vv | ww | uv]`; `reduce` makes them the grid's.
     sums: Vec<f64>,
@@ -89,23 +88,25 @@ impl PlaneSweep {
     /// Fill this rank's plane sums and largest divergence.
     pub(crate) fn run(&mut self, dns: &ChannelDns) -> &mut Self {
         let (ops, ny, state) = (dns.ops(), dns.params().ny, dns.state());
-        let (modes, sums) = (&mut self.modes, &mut self.sums);
+        let sums = &mut self.sums;
         for block in &mut self.blocks {
             block.resize(ny, LaneRow::ZERO);
         }
         let [coef, u, v, w, vy] = &mut self.blocks;
-        modes.clear();
-        modes.extend((0..dns.local_modes()).filter(|&m| !dns.is_nyquist(m) && !dns.is_mean(m)));
         sums.clear();
         sums.resize(5 * ny, 0.0);
-        let (start, mut worst) = (|m: usize| m * ny, 0.0f64);
-        for modes in modes.chunks(LANES) {
+        let mut worst = 0.0f64;
+        for (b, (kz, xb)) in dns.panel_blocks().enumerate() {
             for (field, vals) in [(state.u(), &mut *u), (state.w(), w), (state.v(), v)] {
-                gather_lanes(coef, field, modes, start);
+                dns.load_block(coef, field, kz, xb);
                 ops.b0().matvec_block(coef, vals);
             }
-            ops.b1().matvec_block(coef, vy); // of v, gathered last
-            for (l, &m) in modes.iter().enumerate() {
+            ops.b1().matvec_block(coef, vy); // of v, loaded last
+            let (first, n) = dns.block_lines(kz, xb);
+            for (l, m) in (0..n)
+                .map(|l| (l, first + l))
+                .filter(|&(_, m)| !dns.is_mean(m))
+            {
                 let ((ikx, ikz, _), wt) = (dns.mode_wavenumbers(m), dns.mode_weight(m));
                 for j in 0..ny {
                     let (uj, vj, wj) = (u[j].get(l), v[j].get(l), w[j].get(l));
@@ -116,13 +117,11 @@ impl PlaneSweep {
                     worst = worst.max((ikx * uj + vy[j].get(l) + ikz * wj).norm_sqr());
                 }
             }
-        }
-        if let Some(m) = (0..dns.local_modes()).find(|&m| dns.is_mean(m)) {
-            gather_lanes(coef, state.u(), &[m], start);
-            ops.b0().matvec_block(coef, u);
-            sums.iter_mut()
-                .zip(&*u)
-                .for_each(|(sum, u)| *sum += u.re[0]);
+            if dns.mean_block() == Some(b) {
+                sums.iter_mut()
+                    .zip(&*u)
+                    .for_each(|(sum, u)| *sum += u.re[0]);
+            }
         }
         self.max_div = worst.sqrt(); // of the largest squared modulus
         self

@@ -227,6 +227,8 @@ pub struct BatchNormalSolver {
     width: usize,
     /// Panel block -> factor block.
     fblock: Vec<usize>,
+    /// [`walk`](Self::walk).
+    walk: Vec<usize>,
     /// Per factor block, the lanes' `k^2` (1.0 past the last mode; those
     /// lanes are never read back).
     k2: Vec<[f64; LANES]>,
@@ -302,6 +304,11 @@ impl BatchNormalSolver {
         }
         BatchNormalSolver {
             width: k2s.len(),
+            walk: {
+                let mut walk: Vec<usize> = (0..fblock.len()).collect();
+                walk.sort_by_key(|&b| fblock[b]);
+                walk
+            },
             fblock,
             k2,
             helm,
@@ -315,6 +322,12 @@ impl BatchNormalSolver {
         self.fblock.len()
     }
 
+    /// The panel blocks, those sharing a factor block back to back: a walk
+    /// in this order finds shared factor streams in cache.
+    pub fn walk(&self) -> &[usize] {
+        &self.walk
+    }
+
     /// Number of distinct factor blocks behind them.
     pub fn factor_blocks(&self) -> usize {
         self.k2.len()
@@ -326,17 +339,22 @@ impl BatchNormalSolver {
         self.pois.bytes() + self.helm.iter().map(|h| h.bytes() + greens).sum::<usize>()
     }
 
-    /// Number of batched modes (= panel width of every solve).
+    /// Number of batched columns (= panel width of every solve).
     pub fn width(&self) -> usize {
         self.width
     }
 
-    /// Telemetry of `stages` solve stages over the batch (the packed
-    /// Helmholtz and Poisson factors share one shape): the block methods
-    /// below are uncounted, so a caller that walks blocks itself reports
-    /// each stage once.
-    pub fn count_solves(&self, stages: usize) {
-        self.pois.count_solves(self.width, stages);
+    /// The lanes' `k^2` of panel block `b` (1.0 past the last column).
+    pub fn k2(&self, b: usize) -> &[f64; LANES] {
+        &self.k2[self.fblock[b]]
+    }
+
+    /// Telemetry of `stages` solve stages of `columns` solves each (the
+    /// packed Helmholtz and Poisson factors share one shape): the block
+    /// methods below are uncounted, so a caller that walks blocks itself
+    /// reports each stage once, counting the columns that hold a mode.
+    pub fn count_solves(&self, columns: usize, stages: usize) {
+        self.pois.count_solves(columns, stages);
     }
 
     /// Panel analogue of [`ModeSolver::advance`]: advance one
@@ -356,7 +374,7 @@ impl BatchNormalSolver {
         b0c: &mut RhsPanel,
         b2c: &mut RhsPanel,
     ) {
-        self.count_solves(1);
+        self.count_solves(self.width, 1);
         let (b0c, b2c) = (b0c.block_mut(0), b2c.block_mut(0));
         for b in 0..self.blocks() {
             let (nn, no) = (n_new.block(b), n_old.block(b));

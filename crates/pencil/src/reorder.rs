@@ -9,8 +9,9 @@
 //! single-rank route and its multi-rank unpack); [`reorder_naive`] is the textbook
 //! loop it is checked and timed against. [`reorder_into_lanes`] and
 //! [`reorder_from_lanes`] are its lane-blocking twins, the only code that
-//! converts between `C64` lines and [`LaneRow`]s: the CommB transposes
-//! unpack through them, so the z-pencil is stored lane-blocked.
+//! converts between `C64` lines and [`LaneRow`]s: `dns-pfft`'s line-order
+//! entry points convert their y-pencil stacks through them at the
+//! boundary, and every pencil past it is stored lane-blocked.
 
 use dns_fft::{LaneRow, C64, LANES};
 
@@ -64,84 +65,41 @@ pub fn reorder_blocked<T: Copy>(
     }
 }
 
-/// Edge of the `(f, t)` tiles of the lane-blocking reorders, in lane
-/// rows, chosen by timing the 5-field z->y unpack of a 48x49x48 dealiased
-/// step (4.5 MB; 2-core Xeon, median of 300 calls): 0.77 ms with 16,
-/// 0.86 untiled, 0.89 with 8.
-pub const LANE_TILE: usize = 16;
-
-/// [`reorder_blocked`] that gathers `C64` lines into lane rows: for `f <
-/// nf`, `g < groups`, `t < nt` and every line `i < lines` of group `g`,
-/// `dst[t*dt + (g*nb + i/LANES)*dr + f]` lane `i % LANES` is
-/// `src[f*sf + (g*lines + i)*sr + t]`, with `nb = lines.div_ceil(LANES)`
-/// blocks per group and the lanes past a group's last line zero. Each
-/// lane row is assembled from eight contiguous lines and stored whole;
-/// the `(f, t)` plane is moved in [`LANE_TILE`] x [`LANE_TILE`] tiles.
-pub fn reorder_into_lanes(
-    src: &[C64],
-    [sf, sr]: [usize; 2],
-    dst: &mut [LaneRow],
-    [dt, dr]: [usize; 2],
-    [nf, groups, lines, nt]: [usize; 4],
-) {
-    for (row, (first, n)) in lane_blocks(groups, lines).enumerate() {
-        for f0 in (0..nf).step_by(LANE_TILE) {
-            for t0 in (0..nt).step_by(LANE_TILE) {
-                let tl = LANE_TILE.min(nt - t0);
-                for f in f0..nf.min(f0 + LANE_TILE) {
-                    let from = f * sf + first * sr + t0;
-                    let to = t0 * dt + row * dr + f;
-                    for t in 0..tl {
-                        let mut v = LaneRow::ZERO;
-                        for l in 0..n {
-                            v.set(l, src[from + l * sr + t]);
-                        }
-                        dst[to + t * dt] = v;
-                    }
+/// `C64` lines into lane rows: `src` is runs of `lines` consecutive
+/// lines of `n` values, and line `i` of run `g` becomes lane `i % LANES`
+/// of the `n` rows of block `g * nb + i / LANES` of `dst`, with `nb =
+/// lines.div_ceil(LANES)` blocks per run and the lanes past a run's last
+/// line zero.
+pub fn reorder_into_lanes(src: &[C64], n: usize, lines: usize, dst: &mut [LaneRow]) {
+    let runs = src
+        .chunks(lines * n)
+        .zip(dst.chunks_mut(lines.div_ceil(LANES) * n));
+    for (run, blocks) in runs {
+        for (b, rows) in blocks.chunks_exact_mut(n).enumerate() {
+            let (block, count) = (&run[b * LANES * n..], LANES.min(lines - b * LANES));
+            for (t, row) in rows.iter_mut().enumerate() {
+                *row = LaneRow::ZERO;
+                for l in 0..count {
+                    row.set(l, block[l * n + t]);
                 }
             }
         }
     }
 }
 
-/// The inverse of [`reorder_into_lanes`]: for `f < nf`, `g < groups`,
-/// `t < nt` and every line `i < lines` of group `g`,
-/// `dst[t*dt + (g*lines + i)*dr + f]` is lane `i % LANES` of
-/// `src[f*sf + (g*nb + i/LANES)*sr + t]`. Pad lanes are not read.
-pub fn reorder_from_lanes(
-    src: &[LaneRow],
-    [sf, sr]: [usize; 2],
-    dst: &mut [C64],
-    [dt, dr]: [usize; 2],
-    [nf, groups, lines, nt]: [usize; 4],
-) {
-    for (row, (first, n)) in lane_blocks(groups, lines).enumerate() {
-        for f0 in (0..nf).step_by(LANE_TILE) {
-            let f1 = nf.min(f0 + LANE_TILE);
-            for t0 in (0..nt).step_by(LANE_TILE) {
-                // `f` innermost: each lane's line is written as one run
-                for t in t0..nt.min(t0 + LANE_TILE) {
-                    let to = t * dt + first * dr;
-                    for f in f0..f1 {
-                        let v = src[f * sf + row * sr + t];
-                        for l in 0..n {
-                            dst[to + l * dr + f] = v.get(l);
-                        }
-                    }
-                }
+/// The inverse of [`reorder_into_lanes`]; pad lanes are not read.
+pub fn reorder_from_lanes(src: &[LaneRow], n: usize, lines: usize, dst: &mut [C64]) {
+    let runs = src
+        .chunks(lines.div_ceil(LANES) * n)
+        .zip(dst.chunks_mut(lines * n));
+    for (blocks, run) in runs {
+        for (i, line) in run.chunks_exact_mut(n).enumerate() {
+            let rows = &blocks[i / LANES * n..][..n];
+            for (v, row) in line.iter_mut().zip(rows) {
+                *v = row.get(i % LANES);
             }
         }
     }
-}
-
-/// `(first line, lines)` of every lane block of `groups` groups of
-/// `lines` lines, in order.
-fn lane_blocks(groups: usize, lines: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..groups).flat_map(move |g| {
-        (0..lines)
-            .step_by(LANES)
-            .map(move |i| (g * lines + i, LANES.min(lines - i)))
-    })
 }
 
 /// Bytes moved by one reorder of `n` elements of size `sz` (read + write),
@@ -224,43 +182,29 @@ mod tests {
 
     #[test]
     fn lane_reorders_match_their_definition_and_invert_each_other() {
-        // lines per group below, at and past one block, with pad lanes;
-        // plane shapes around the lane tile edge
+        // lines per run below, at and past one block, with pad lanes
         for lines in [1, 3, LANES, LANES + 1, 2 * LANES + 5] {
-            for (nf, nt) in [(1, 1), (LANE_TILE + 1, 3), (5, 2 * LANE_TILE + 3)] {
-                let groups = 2;
-                let (nb, rows) = (lines.div_ceil(LANES), groups * lines);
-                let src: Vec<C64> = (0..nf * rows * nt)
-                    .map(|x| C64::new(x as f64, -(x as f64)))
-                    .collect();
-                // `[f][rows][t]` -> `[t][blocks][f]`, the yz unpack layout
-                let (s, d) = ([rows * nt, nt], [groups * nb * nf, nf]);
-                let mut lanes = vec![LaneRow::ZERO; nt * groups * nb * nf];
-                reorder_into_lanes(&src, s, &mut lanes, d, [nf, groups, lines, nt]);
-                for f in 0..nf {
-                    for t in 0..nt {
-                        for g in 0..groups {
-                            for b in 0..nb {
-                                let v = lanes[t * d[0] + (g * nb + b) * d[1] + f];
-                                for l in 0..LANES {
-                                    let i = b * LANES + l;
-                                    let want = if i < lines {
-                                        src[f * s[0] + (g * lines + i) * s[1] + t]
-                                    } else {
-                                        C64::new(0.0, 0.0)
-                                    };
-                                    assert_eq!(v.get(l), want, "lines={lines} nf={nf} nt={nt}");
-                                }
-                            }
-                        }
-                    }
+            let (runs, n, nb) = (3, 5, lines.div_ceil(LANES));
+            let src: Vec<C64> = (0..runs * lines * n)
+                .map(|x| C64::new(x as f64, -(x as f64)))
+                .collect();
+            let mut lanes = vec![LaneRow::ZERO; runs * nb * n];
+            reorder_into_lanes(&src, n, lines, &mut lanes);
+            for (r, row) in lanes.iter().enumerate() {
+                let (g, b, t) = (r / (nb * n), r / n % nb, r % n);
+                for l in 0..LANES {
+                    let i = b * LANES + l;
+                    let want = if i < lines {
+                        src[(g * lines + i) * n + t]
+                    } else {
+                        C64::new(0.0, 0.0)
+                    };
+                    assert_eq!(row.get(l), want, "lines={lines} row {r} lane {l}");
                 }
-                // and back: `[t][blocks][f]` read as `[f'][blocks][t']`
-                let mut back = vec![C64::new(f64::NAN, 0.0); src.len()];
-                let (s2, d2) = ([groups * nb * nf, nf], [rows * nt, nt]);
-                reorder_from_lanes(&lanes, s2, &mut back, d2, [nt, groups, lines, nf]);
-                assert_eq!(back, src, "lines={lines} nf={nf} nt={nt}");
             }
+            let mut back = vec![C64::new(f64::NAN, 0.0); src.len()];
+            reorder_from_lanes(&lanes, n, lines, &mut back);
+            assert_eq!(back, src, "lines={lines}");
         }
     }
 

@@ -6,13 +6,12 @@
 //! exchange / unpack: the exchange is one all-to-all within the
 //! sub-communicator ([`Communicator::alltoall_checked`]), and the unpack
 //! places every received block — through the cache-blocked reorder
-//! ([`reorder_blocked`]) where the two axes swap in memory, as contiguous
-//! runs where the placement keeps memory order
-//! ([`RowsPlacement::SplitFast`], [`RowsPlacement::SplitSlow`]), or
-//! through [`reorder_into_lanes`] / [`reorder_from_lanes`] where one side
-//! is lane-blocked ([`TransposePlan::run_into_lanes`],
-//! [`TransposePlan::run_from_lanes`]). On one rank the unpack of the
-//! input itself is the whole transpose.
+//! ([`reorder_blocked`]) where the two axes swap in memory, also where one
+//! side lies in a larger buffer ([`TransposePlan::run_into_room`],
+//! [`TransposePlan::run_from_room`]), or as contiguous runs where the
+//! placement keeps memory order ([`RowsPlacement::SplitFast`],
+//! [`RowsPlacement::SplitSlow`]). On one rank the unpack of the input
+//! itself is the whole transpose.
 //!
 //! There is one exchange schedule: on the eager transport every block is
 //! queued when it is posted, so any other (FFTW's pairwise `sendrecv`
@@ -20,8 +19,7 @@
 //! schedule costs on a real wire is the machine model's to price.
 
 use crate::decomp::Block;
-use crate::reorder::{reorder_blocked, reorder_from_lanes, reorder_into_lanes};
-use dns_fft::{LaneRow, C64, LANES};
+use crate::reorder::reorder_blocked;
 use dns_minimpi::Communicator;
 use dns_telemetry as telemetry;
 use dns_telemetry::{Counter, Phase};
@@ -249,82 +247,58 @@ impl TransposePlan {
         self.checked(result);
     }
 
-    /// The [`RowsPlacement::Middle`] transpose with its output
-    /// lane-blocked, the y->z transpose into the z-pencil: the plan's
-    /// `rows` are `groups` runs of `lines` lines, the input is `C64
-    /// [f_loc][rows][t]` and the output `LaneRow [t_loc][room.fields][nb][room.line]`
-    /// with `nb = lines.div_ceil(LANES)` blocks per group: group `g` is
-    /// field `g` of every plane, and lane `l` of its block `b` holds its
-    /// line `LANES * b + l` in the first `f` slots ([`reorder_into_lanes`];
-    /// pad lanes zero). Nothing else of the caller-sized `out` is written.
-    /// The exchange carries the input's `C64`s.
+    /// The [`RowsPlacement::Middle`] transpose into a buffer with room,
+    /// the y->z transpose into the z-pencil: the plan's `rows` are whole
+    /// fields of `group` rows each (`dns-pfft`'s kx lane blocks), the
+    /// input is `[f_loc][rows][t]` and the output
+    /// `[t_loc][room.fields][group][room.line]`, of which the plan's fields
+    /// and the first `f` values of their lines are written. Nothing else of
+    /// the caller-sized `out` is.
     ///
     /// # Panics
     /// As [`run_with`](Self::run_with), or if the plan is not `Middle`,
-    /// its rows are not whole groups, or they do not fit `room`.
-    pub fn run_into_lanes(
+    /// its rows are not whole fields, or they do not fit `room`.
+    pub fn run_into_room<T: Copy + Send + 'static>(
         &self,
         comm: &Communicator,
-        lines: usize,
-        input: &[C64],
-        send: &mut Vec<Vec<C64>>,
-        out: &mut [LaneRow],
+        group: usize,
+        input: &[T],
+        send: &mut Vec<Vec<T>>,
+        out: &mut [T],
         room: Room,
     ) {
-        let (groups, blocked) = self.lane_groups(lines, room);
-        let mut sides = self.sides(self.rows, blocked);
-        sides[1] = room.hold(sides[1], lines);
-        let unpack = |c: &[C64], src: Side, fb: Block, o: &mut [LaneRow]| {
-            let (dst, shape) = (sides[1], [fb.len, groups, lines, self.t_block.len]);
-            let (from, to) = ([src.plane, src.line], [dst.plane, dst.line]);
-            reorder_into_lanes(c, from, &mut o[fb.start..], to, shape);
+        let mut sides = self.sides(self.rows, self.rows);
+        sides[1] = room.hold(self, sides[1], group);
+        let unpack = |c: &[T], src: Side, fb: Block, o: &mut [T]| {
+            self.unpack(c, src, fb, o, sides[1]);
         };
         self.checked(self.exchange(comm, input, sides, send, out, unpack));
     }
 
-    /// The inverse of [`run_into_lanes`](Self::run_into_lanes) on the
-    /// same kind of plan, the z->y transpose out of the z-pencil: input
-    /// `LaneRow [f_loc][room.fields][nb][room.line]`, of which it reads the
-    /// plan's groups and the first `t` slots of their lines, output `C64
-    /// [t_loc][rows][f]` ([`reorder_from_lanes`]; pad lanes are not read).
-    /// The exchange carries the input's `LaneRow`s.
+    /// The inverse of [`run_into_room`](Self::run_into_room) on the same
+    /// kind of plan, the z->y transpose out of the z-pencil: the input is
+    /// `[f_loc][room.fields][group][room.line]`, of which the plan's
+    /// fields and the first `t` values of their lines are read, the output
+    /// `[t_loc][rows][f]`.
     ///
     /// # Panics
-    /// As [`run_into_lanes`](Self::run_into_lanes).
-    pub fn run_from_lanes(
+    /// As [`run_into_room`](Self::run_into_room).
+    pub fn run_from_room<T: Copy + Default + Send + 'static>(
         &self,
         comm: &Communicator,
-        lines: usize,
-        input: &[LaneRow],
+        group: usize,
+        input: &[T],
         room: Room,
-        send: &mut Vec<Vec<LaneRow>>,
-        out: &mut Vec<C64>,
+        send: &mut Vec<Vec<T>>,
+        out: &mut Vec<T>,
     ) {
-        let (groups, blocked) = self.lane_groups(lines, room);
-        let mut sides = self.sides(blocked, self.rows);
-        sides[0] = room.hold(sides[0], lines);
-        out.resize(sides[1].buffer(), C64::default());
-        let unpack = |c: &[LaneRow], src: Side, fb: Block, o: &mut [C64]| {
-            let (dst, shape) = (sides[1], [fb.len, groups, lines, self.t_block.len]);
-            let (from, to) = ([src.plane, src.line], [dst.plane, dst.line]);
-            reorder_from_lanes(c, from, &mut o[fb.start..], to, shape);
+        let mut sides = self.sides(self.rows, self.rows);
+        sides[0] = room.hold(self, sides[0], group);
+        out.resize(sides[1].buffer(), T::default());
+        let unpack = |c: &[T], src: Side, fb: Block, o: &mut [T]| {
+            self.unpack(c, src, fb, o, sides[1]);
         };
         self.checked(self.exchange(comm, input, sides, send, out, unpack));
-    }
-
-    /// `(groups, lane rows)` of a lane transpose of `lines`-line groups,
-    /// checked against the plan and the buffer's `room`.
-    fn lane_groups(&self, lines: usize, room: Room) -> (usize, usize) {
-        let middle = self.placement == RowsPlacement::Middle;
-        let whole = lines > 0 && self.rows.is_multiple_of(lines);
-        assert!(middle && whole, "lane blocks need Middle, whole groups");
-        let groups = self.rows / lines;
-        assert!(
-            groups <= room.fields,
-            "{groups} fields in room for {}",
-            room.fields
-        );
-        (groups, groups * lines.div_ceil(LANES))
     }
 
     /// Panic on a failed exchange (see [`run_with`](Self::run_with)).
@@ -493,13 +467,13 @@ impl TransposePlan {
     }
 }
 
-/// Room a lane-row pencil buffer keeps past what one transpose carries,
-/// so that one buffer serves transforms of different field counts
-/// (`dns-pfft`'s z-pencil `[y][fields][kx_block][pz]`, holding 3 or 5
-/// fields of `nz` coefficients): every plane (one local y row) has room
-/// for `fields` fields, every line for `line` values. A lane transpose
-/// reads or writes only the fields it carries and the leading values of
-/// their lines.
+/// Room a pencil buffer keeps past what one transpose carries, so that
+/// one buffer serves transforms of different field counts (`dns-pfft`'s
+/// z-pencil `[y][fields][kx_block][pz]`, holding 3 or 5 fields of `nz`
+/// coefficients): every plane (one local y row) has room for `fields`
+/// fields, every line for `line` values. A transpose in a room reads or
+/// writes only the fields it carries and the leading values of their
+/// lines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Room {
     /// Fields a plane has room for.
@@ -509,20 +483,23 @@ pub struct Room {
 }
 
 impl Room {
-    /// The lane-blocked `Middle` side `side` (planes of `groups * nb`
-    /// lines) inside this room, for groups of `lines` lines.
-    fn hold(self, side: Side, lines: usize) -> Side {
+    /// The `Middle` side `side` of `plan` (planes of whole fields of
+    /// `group` lines) inside this room.
+    fn hold(self, plan: &TransposePlan, side: Side, group: usize) -> Side {
+        let middle = plan.placement == RowsPlacement::Middle;
+        let whole = group > 0 && side.lines.is_multiple_of(group);
+        assert!(middle && whole, "a room needs Middle, whole fields");
+        let fields = side.lines / group;
         assert!(
-            side.len <= self.line,
-            "{}-value lines in room for {}",
+            fields <= self.fields && side.len <= self.line,
+            "{fields} fields of {}-value lines in room for {} of {}",
             side.len,
+            self.fields,
             self.line
         );
-        let line = self.line;
-        let plane = self.fields * lines.div_ceil(LANES) * line;
         Side {
-            plane,
-            line,
+            plane: self.fields * group * self.line,
+            line: self.line,
             ..side
         }
     }
@@ -573,7 +550,6 @@ impl Side {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_fft::Lanes;
     use dns_minimpi as mpi;
 
     /// Build the global `[rows][f][t]` tensor with recognisable entries.
@@ -738,22 +714,19 @@ mod tests {
     }
 
     #[test]
-    fn lane_transposes_match_their_definition_and_round_trip() {
-        // 3 lines (one padded block per group), 8 (one full block) and
-        // 11 (a full and a padded one); nf and nt split unevenly; the lane
-        // side lies in a buffer with room for one more group and two more
-        // values per line, and that room holds NaN: it must be neither
+    fn room_transposes_match_their_definition_and_round_trip() {
+        // fields of 1 and 3 rows; nf and nt split unevenly; the room side
+        // lies in a buffer with room for one more field and two more values
+        // per line, and that room holds u64::MAX: it must be neither
         // written by the transpose nor read by its inverse
         for p in [1, 2, 3] {
-            for lines in [3, LANES, LANES + 3] {
+            for group in [1, 3] {
                 mpi::run(p, move |comm| {
-                    let (groups, nf, nt) = (2, 7, 5);
-                    let rows = groups * lines;
+                    let (fields, nf, nt) = (2, 7, 5);
+                    let rows = fields * group;
                     let plan = TransposePlan::plan(&comm, rows, nf, nt, RowsPlacement::Middle);
                     let (fb, tb) = (plan.f_block(), plan.t_block());
-                    let value = |r: usize, f: usize, t: usize| {
-                        C64::new(((r * nf + f) * nt + t) as f64, r as f64)
-                    };
+                    let value = |r: usize, f: usize, t: usize| ((r * nf + f) * nt + t) as u64;
                     // input `[f_loc][rows][t]`
                     let mut input = Vec::with_capacity(plan.input_len());
                     for f in fb.start..fb.end() {
@@ -761,42 +734,29 @@ mod tests {
                             input.extend((0..nt).map(|t| value(r, f, t)));
                         }
                     }
-                    let nb = lines.div_ceil(LANES);
                     let room = Room {
-                        fields: groups + 1,
+                        fields: fields + 1,
                         line: nf + 2,
                     };
-                    let nan = LaneRow {
-                        re: Lanes([f64::NAN; LANES]),
-                        im: Lanes([f64::NAN; LANES]),
-                    };
-                    let plane = room.fields * nb * room.line;
-                    let mut lanes = vec![nan; tb.len * plane];
+                    let plane = room.fields * group * room.line;
+                    let mut out = vec![u64::MAX; tb.len * plane];
                     let mut send = Vec::new();
-                    plan.run_into_lanes(&comm, lines, &input, &mut send, &mut lanes, room);
-                    // output `[t_loc][fields][nb][line]`, lane `l` of group
-                    // `g`'s block `b` its line `LANES * b + l`, in the first
-                    // `nf` values
-                    for (i, row) in lanes.iter().enumerate() {
-                        let (tl, g) = (i / plane, i % plane / (nb * room.line));
-                        let (b, f) = (i / room.line % nb, i % room.line);
-                        for l in 0..LANES {
-                            let got = row.get(l);
-                            let line = LANES * b + l;
-                            if g >= groups || f >= nf {
-                                assert!(got.re.is_nan() && got.im.is_nan(), "room written");
-                            } else if line < lines {
-                                let want = value(g * lines + line, f, tb.global(tl));
-                                assert_eq!(got, want, "p={p} lines={lines}");
-                            } else {
-                                assert_eq!(got, C64::new(0.0, 0.0), "pad lane");
-                            }
+                    plan.run_into_room(&comm, group, &input, &mut send, &mut out, room);
+                    // output `[t_loc][fields][group][line]`, row `r` of the
+                    // plan in the first `nf` values of line `r`
+                    for (i, &got) in out.iter().enumerate() {
+                        let (tl, r, f) = (i / plane, i % plane / room.line, i % room.line);
+                        if r >= rows || f >= nf {
+                            assert_eq!(got, u64::MAX, "p={p} group={group}: room written");
+                        } else {
+                            let want = value(r, f, tb.global(tl));
+                            assert_eq!(got, want, "p={p} group={group}");
                         }
                     }
                     let inverse = plan.inverse(&comm);
                     let (mut send, mut back) = (Vec::new(), Vec::new());
-                    inverse.run_from_lanes(&comm, lines, &lanes, room, &mut send, &mut back);
-                    assert_eq!(back, input, "p={p} lines={lines}: round trip");
+                    inverse.run_from_room(&comm, group, &out, room, &mut send, &mut back);
+                    assert_eq!(back, input, "p={p} group={group}: round trip");
                 });
             }
         }

@@ -11,18 +11,21 @@
 //!     |                                        } CommA exchange
 //!  z-pencil [y_loc(B)][kx_blk(A)][z ]  -- z complete
 //!     | c2c FFT in z (+ 3/2 truncate)          } CommB exchange
-//!  y-pencil [kz_loc(B)][kx_loc(A)][y ]  -- y complete (solves live here)
+//!  y-pencil [kz_loc(B)][kx_blk(A)][y ]  -- y complete (solves live here)
 //! ```
 //!
 //! The x spectra are stored z-fastest, so the CommA exchange keeps memory
 //! order, and on one CommA rank the two middle layouts coincide: there is
-//! no exchange at all. Both middle layouts are lane-blocked over kx: an
-//! entry is a `dns_fft::LaneRow` whose lane `l` of block `b` is local kx
-//! `8b + l` (zero pad lanes past a rank's last kx), so the z- and
-//! x-stages read and write whole lane rows. The CommB transposes are the
-//! only place `C64` lines and lane rows convert
-//! (`dns_pencil::TransposePlan::{run_into_lanes, run_from_lanes}`); the
-//! y-pencil, which every caller sees, stays `C64` lines.
+//! no exchange at all. Every layout past the x spectra is lane-blocked
+//! over kx: an entry is a `dns_fft::LaneRow` whose lane `l` of block `b`
+//! is local kx `8b + l` (zero pad lanes past a rank's last kx), so the z-
+//! and x-stages read and write whole lane rows and the CommB transposes
+//! (`dns_pencil::TransposePlan::{run_into_room, run_from_room}`) move
+//! whole lane rows and never split a lane. The y-pencil stacks of
+//! [`ParallelFft::nonlinear_lanes`] are the wall-normal solver's panel
+//! blocks as they are; the line-order entry points (the batch transforms
+//! and [`ParallelFft::nonlinear_products`], on `[kz_loc][kx_loc][y]` `C64`
+//! lines) convert once at their boundary.
 //!
 //! [`ParallelFft::forward`] walks down that pipeline, [`ParallelFft::inverse`]
 //! walks back up (padding instead of truncating). The y direction is not

@@ -7,6 +7,7 @@ use dns_fft::{
     isa_fn, CfftPlan, Direction, LaneRow, LaneSpectra, Lanes, RealLayout, RfftPlan, LANES,
 };
 use dns_minimpi::{CartComm, Communicator};
+use dns_pencil::reorder::{reorder_from_lanes, reorder_into_lanes};
 use dns_pencil::{Block, Room, RowsPlacement, TransposePlan};
 
 use dns_telemetry as telemetry;
@@ -283,7 +284,7 @@ impl ParallelFft {
     /// Transpose plans for a `k`-field batch: a few integer operations,
     /// no message, no heap.
     fn batch_plans(&self, k: usize) -> BatchPlans {
-        let (cfg, ry, rx) = (&self.cfg, self.y_block.len * k, self.kx_block.len * k);
+        let (cfg, ry, rx) = (&self.cfg, self.y_block.len * k, self.kx_lanes() * k);
         // z->x: CommA in lane rows, rows = local y, f = kx block, t =
         // physical z, memory order kept (the x-pencil spectra are
         // z-fastest); the balanced split of the global block count gives
@@ -291,8 +292,9 @@ impl ParallelFft {
         let split = RowsPlacement::SplitFast;
         let t_zx = TransposePlan::plan(&self.comm_a, ry, self.kx_blocks(), cfg.pz(), split);
         debug_assert_eq!(t_zx.f_block().len, self.kx_block.len.div_ceil(LANES));
-        // z->y: CommB, rows = local kx (in C64 lines), f = y, t = kz
-        // spectrum; the z-pencil side is lane-blocked over kx
+        // z->y: CommB in lane rows, rows = kx blocks of the fields, f =
+        // y, t = kz spectrum; both sides are lane-blocked over kx, so
+        // whole lane rows move and no lane is split
         let middle = RowsPlacement::Middle;
         let t_zy = TransposePlan::plan(&self.comm_b, rx, cfg.ny, cfg.nz, middle);
         BatchPlans {
@@ -341,6 +343,12 @@ impl ParallelFft {
         self.kx_runs.iter().map(|len| len.div_ceil(LANES)).sum()
     }
 
+    /// Lane blocks of this rank's kx block: lane `l` of block `b` is local
+    /// kx `LANES * b + l`, lanes past the last kx are pads.
+    pub fn kx_lanes(&self) -> usize {
+        self.kx_block.len.div_ceil(LANES)
+    }
+
     /// Local length of a real x-pencil field.
     pub fn x_pencil_len(&self) -> usize {
         self.y_block.len * self.zphys_block.len * self.cfg.px()
@@ -349,6 +357,12 @@ impl ParallelFft {
     /// Local length of a spectral y-pencil field.
     pub fn y_pencil_len(&self) -> usize {
         self.kz_block.len * self.kx_block.len * self.cfg.ny
+    }
+
+    /// Lane rows of a lane-blocked y-pencil stack of `k` fields,
+    /// `[kz_loc][k][kx_block][ny]` (see [`ParallelFft::nonlinear_lanes`]).
+    pub fn y_stack_len(&self, k: usize) -> usize {
+        self.kz_block.len * k * self.kx_lanes() * self.cfg.ny
     }
 
     /// The rank's phase clock, on which callers close their own regions
@@ -498,6 +512,27 @@ impl ParallelFft {
         out
     }
 
+    /// A `[kz_loc][field][kx_loc][ny]` stack of `C64` lines as the
+    /// lane-blocked y-pencil stack `[kz_loc][field][kx_block][ny]` (pad
+    /// lanes zero): the line-order entry points' one conversion in, an FFT
+    /// region.
+    fn to_lanes(&self, lines: &[C64], lanes: &mut Vec<LaneRow>) {
+        let region = telemetry::region("stack_fields", Phase::Fft);
+        let (kxl, ny) = (self.kx_block.len, self.cfg.ny);
+        lanes.resize(lines.len() / kxl * self.kx_lanes(), LaneRow::ZERO);
+        reorder_into_lanes(lines, ny, kxl, lanes);
+        region.close(&self.clock);
+    }
+
+    /// Undo [`ParallelFft::to_lanes`] into `lines`, an FFT region.
+    fn to_lines(&self, lanes: &[LaneRow], lines: &mut Vec<C64>) {
+        let region = telemetry::region("unstack_fields", Phase::Fft);
+        let kxl = self.kx_block.len;
+        lines.resize(lanes.len() / self.kx_lanes() * kxl, C64::default());
+        reorder_from_lanes(lanes, self.cfg.ny, kxl, lines);
+        region.close(&self.clock);
+    }
+
     /// Undo [`ParallelFft::stack`] for `k` fields, an FFT region.
     fn unstack<T: Copy>(&self, stacked: Vec<T>, k: usize, block: usize) -> Vec<Vec<T>> {
         let region = telemetry::region("unstack_fields", Phase::Fft);
@@ -623,21 +658,21 @@ impl ParallelFft {
     }
 
     /// The inverse leg of `k` fields into pencils with room for `c`: the
-    /// spectral fields stacked as `[kz_loc][field][kx_loc][ny]` (so the
-    /// Middle transpose sees rows = `k * kx_loc`) through the CommB
-    /// transpose into the first `nz` values of the z-pencil's lines, the
-    /// padded inverse z-stage in place and the CommA hop, leaving the
+    /// lane-blocked y-pencil stack `[kz_loc][field][kx_block][ny]` (so the
+    /// Middle transpose sees rows = `k` fields of kx blocks) through the
+    /// CommB transpose into the first `nz` values of the z-pencil's lines,
+    /// the padded inverse z-stage in place and the CommA hop, leaving the
     /// z-fastest x-pencil spectra `[y_loc][field][kx_block][z_loc]` where
     /// [`ParallelFft::x_pencil`] hands them out.
-    fn inverse_leg(&self, k: usize, c: usize, stacked: &[C64], ws: &mut Workspace) {
+    fn inverse_leg(&self, k: usize, c: usize, stacked: &[LaneRow], ws: &mut Workspace) {
         let region = telemetry::region("transpose_yz", Phase::Transpose);
-        let (plan, kxl) = (self.batch_plans(k).t_yz, self.kx_block.len);
+        let (plan, nb) = (self.batch_plans(k).t_yz, self.kx_lanes());
         let room = Room {
             fields: c,
             line: self.cfg.pz(),
         };
         let zp = grown(&mut ws.zp, self.zp_len(c));
-        plan.run_into_lanes(&self.comm_b, kxl, stacked, &mut ws.send_lines, zp, room);
+        plan.run_into_room(&self.comm_b, nb, stacked, &mut ws.send, zp, room);
         region.close(&self.clock);
         self.z_stage(&self.zinv, k, zp, &mut ws.serial);
         self.hop(Hop::Zx, k, c, ws);
@@ -645,42 +680,32 @@ impl ParallelFft {
 
     /// The forward leg: the `k` x-pencil spectra the x-stage wrote through
     /// the CommA hop, the truncating forward z-stage in place and the
-    /// CommB transpose into `out`, stacked as `[kz_loc][field][kx_loc][ny]`.
-    fn forward_leg(&self, k: usize, ws: &mut Workspace, out: &mut Vec<C64>) {
+    /// CommB transpose into `out`, the lane-blocked y-pencil stack
+    /// `[kz_loc][field][kx_block][ny]`.
+    fn forward_leg(&self, k: usize, ws: &mut Workspace, out: &mut Vec<LaneRow>) {
         self.hop(Hop::Xz, k, k, ws);
         let zp = &mut ws.zp[..self.zp_len(k)];
         self.z_stage(&self.zfwd, k, zp, &mut ws.serial);
         let region = telemetry::region("transpose_zy", Phase::Transpose);
-        let (plan, kxl) = (self.batch_plans(k).t_zy, self.kx_block.len);
+        let plan = self.batch_plans(k).t_zy;
         let room = Room {
             fields: k,
             line: self.cfg.pz(),
         };
-        plan.run_from_lanes(&self.comm_b, kxl, zp, room, &mut ws.send, out);
+        plan.run_from_room(&self.comm_b, self.kx_lanes(), zp, room, &mut ws.send, out);
         region.close(&self.clock);
     }
 
-    /// The fused nonlinear cycle (section 4.1, Tables 2-4): inverse
-    /// transforms of u/v/w, quadratic products, and forward transforms of
-    /// the products, with the x-stage fused per cache-sized line group so
-    /// product fields never make a full-field round trip through DDR.
+    /// [`ParallelFft::nonlinear_lanes`] on line-order stacks, with one
+    /// conversion at each end.
     ///
     /// `uvw` holds the three spectral velocity fields stacked as
     /// `[kz_loc][3][kx_loc][ny]` (values at the collocation points);
     /// `out` receives the five dealiased spectral products stacked as
     /// `[kz_loc][5][kx_loc][ny]` in the order of the five-product
     /// accounting: `uu - vv`, `uv`, `uw`, `vw`, `ww - vv`
-    /// (see [`NL_PRODUCTS`]).
-    ///
-    /// It is the inverse leg over three fields, the fused x-stage and the
-    /// forward leg over five. Per x-line group the kernel pads +
-    /// c2r-inverses the three velocity lines, forms each product in
-    /// cache, and immediately r2c-forwards + truncates it — three lines of
-    /// `px` reals live in L1/L2 the whole time. On one CommA rank no CommA
-    /// hop runs and only the two CommB reorders move data. Line groups are
-    /// threaded over the configured threads with per-worker scratch; the
-    /// serial path runs entirely out of `ws` and performs zero heap
-    /// allocations once warm (single rank).
+    /// (see [`NL_PRODUCTS`]). The lane-blocked stacks are staged in `ws`,
+    /// which then holds more than [`Workspace::bytes`] counts.
     ///
     /// # Example
     ///
@@ -732,6 +757,45 @@ impl ParallelFft {
     pub fn nonlinear_products(&self, uvw: &[C64], out: &mut Vec<C64>, ws: &mut Workspace) {
         assert_eq!(uvw.len(), NL_FIELDS * self.y_pencil_len());
         let _fused = telemetry::span("nonlinear_products", Phase::Other);
+        let mut lanes = std::mem::take(&mut ws.staging);
+        self.to_lanes(uvw, &mut lanes);
+        self.fused_cycle(&lanes, ws);
+        self.forward_leg(NL_PRODUCTS, ws, &mut lanes);
+        self.to_lines(&lanes, out);
+        ws.staging = lanes;
+    }
+
+    /// The fused nonlinear cycle (section 4.1, Tables 2-4): inverse
+    /// transforms of u/v/w, quadratic products, and forward transforms of
+    /// the products, with the x-stage fused per cache-sized line group so
+    /// product fields never make a full-field round trip through DDR.
+    ///
+    /// `uvw` holds the three velocity fields (values at the collocation
+    /// points) as a lane-blocked y-pencil stack `[kz_loc][3][kx_block][ny]`
+    /// (lane `l` of block `b` is local kx `8b + l`, pad lanes zero), the
+    /// wall-normal panels' layout; `out` receives the five products of
+    /// [`ParallelFft::nonlinear_products`] stacked likewise.
+    ///
+    /// It is the inverse leg over three fields, the fused x-stage and the
+    /// forward leg over five. Per x-line group the kernel pads +
+    /// c2r-inverses the three velocity lines, forms each product in
+    /// cache, and immediately r2c-forwards + truncates it — three lines of
+    /// `px` reals live in L1/L2 the whole time. On one CommA rank no CommA
+    /// hop runs and only the two CommB reorders move data. Line groups are
+    /// threaded over the configured threads with per-worker scratch; the
+    /// serial path runs entirely out of `ws` and performs zero heap
+    /// allocations once warm (single rank).
+    pub fn nonlinear_lanes(&self, uvw: &[LaneRow], out: &mut Vec<LaneRow>, ws: &mut Workspace) {
+        let _fused = telemetry::span("nonlinear_products", Phase::Other);
+        self.fused_cycle(uvw, ws);
+        self.forward_leg(NL_PRODUCTS, ws, out);
+    }
+
+    /// The inverse leg and the fused x-stage of
+    /// [`ParallelFft::nonlinear_lanes`], leaving the five products' x
+    /// spectra where the forward leg reads them.
+    fn fused_cycle(&self, uvw: &[LaneRow], ws: &mut Workspace) {
+        assert_eq!(uvw.len(), self.y_stack_len(NL_FIELDS));
         let (px, zpl, nbx) = (self.cfg.px(), self.zphys_block.len, self.kx_blocks());
         let nyl = self.y_block.len;
         // every transform sizes the line scratch before any pipeline buffer:
@@ -782,7 +846,6 @@ impl ParallelFft {
         );
         ws.courant_weights = (wx, inv_dy, wz);
         ws.courant_rate = f64::from_bits(peak.into_inner());
-        self.forward_leg(NL_PRODUCTS, ws, out);
     }
 
     /// Batched inverse: transform `k` spectral fields to physical space
@@ -801,7 +864,11 @@ impl ParallelFft {
         let (px, nyl, zpl) = (self.cfg.px(), self.y_block.len, self.zphys_block.len);
         let mut ws = Workspace::new();
         ws.serial.ensure(k, px, self.fft_len());
-        let stacked = self.stack(fields, self.kx_block.len * self.cfg.ny);
+        let mut stacked = Vec::new();
+        self.to_lanes(
+            &self.stack(fields, self.kx_block.len * self.cfg.ny),
+            &mut stacked,
+        );
         self.inverse_leg(k, k, &stacked, &mut ws);
 
         // pad + c2r in x, then unstack
@@ -877,9 +944,10 @@ impl ParallelFft {
                 }
             },
         );
-        let mut yp = Vec::new();
+        let (mut yp, mut lines) = (Vec::new(), Vec::new());
         self.forward_leg(k, &mut ws, &mut yp);
-        self.unstack(yp, k, self.kx_block.len * self.cfg.ny)
+        self.to_lines(&yp, &mut lines);
+        self.unstack(lines, k, self.kx_block.len * self.cfg.ny)
     }
 
     /// Signed spanwise wavenumber of global kz index `g` (FFT ordering;

@@ -6,11 +6,14 @@
 //! lane `l` of block `b` is local kx `8b + l` (pad lanes zero), `C` is the
 //! call's larger field count (5 for the fused cycle, `k` for a `k`-field
 //! batch) and every z line has the padded length `pz`, of which the
-//! spectral stages use the first `nz`. On one CommA rank the z-fastest
+//! spectral stages use the first `nz`. The y-pencil stacks the transforms
+//! start from and end in are lane-blocked the same way,
+//! `[kz_loc][C][kx_block][ny]`, so the CommB transposes move whole lane
+//! rows. On one CommA rank the z-fastest
 //! x-pencil *is* that buffer; across CommA ranks the x-pencil
 //! `[y_loc][C][kx_block][z_loc]` (one run of blocks per CommA rank) is the
 //! one other. The buffers start empty and only ever grow, so the fused
-//! path ([`crate::ParallelFft::nonlinear_products`]), which reuses the
+//! path ([`crate::ParallelFft::nonlinear_lanes`]), which reuses the
 //! caller's workspace, fills a buffer once, when it grows; from the second
 //! call on no `resize` runs and a steady-state RK3 substep is
 //! allocation-free on a single rank (across ranks the exchanges reuse
@@ -36,12 +39,13 @@ pub struct Workspace {
     /// The x-pencil `[y_loc][C][kx_block][z_loc]` across CommA ranks, where
     /// the CommA hops move the z-pencil to and from it (empty on one).
     pub(crate) xp: Vec<LaneRow>,
-    /// Message buffers of the lane-row exchanges: the z->y transpose and
-    /// the CommA hops (unused on a single rank).
+    /// Message buffers of the exchanges, all in lane rows: the CommB
+    /// transposes and the CommA hops (unused on a single rank).
     pub(crate) send: Vec<Vec<LaneRow>>,
-    /// Message buffers of the y->z transpose, which carries the
-    /// y-pencil's `C64` lines (unused on a single rank).
-    pub(crate) send_lines: Vec<Vec<C64>>,
+    /// The lane-blocked y-pencil stack the line-order
+    /// [`crate::ParallelFft::nonlinear_products`] converts through (empty
+    /// while only [`crate::ParallelFft::nonlinear_lanes`] runs).
+    pub(crate) staging: Vec<LaneRow>,
     /// Per-line scratch for the serial (no thread pool) path.
     pub(crate) serial: LineScratch,
     /// Courant weights `(1/dx, 1/dy per local y row, 1/dz)`: with rows set, the
@@ -59,7 +63,8 @@ impl Workspace {
 
     /// Bytes of the pencil buffers this workspace holds: the z-pencil and,
     /// across CommA ranks, the x-pencil ([`crate::ParallelFft::workspace_bytes`]
-    /// is what the fused cycle grows them to).
+    /// is what the fused cycle grows them to). The line-order staging is
+    /// not a pencil and not counted.
     pub fn bytes(&self) -> usize {
         (self.zp.capacity() + self.xp.capacity()) * std::mem::size_of::<LaneRow>()
     }

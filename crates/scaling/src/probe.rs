@@ -561,14 +561,14 @@ fn ddr_of(f: impl FnOnce()) -> u64 {
 /// shapes `[rows, nf, nt]` of `g`'s pencils — the z->x hop
 /// ([`RowsPlacement::SplitFast`] through [`TransposePlan::run_with`], a
 /// plain copy on one rank, where the solver skips it), and the two CommB
-/// transposes as [`ParallelFft::nonlinear_products`] runs them: the three
-/// velocity fields into the lane-blocked z-pencil
-/// ([`TransposePlan::run_into_lanes`]) and the five products out of it
-/// ([`TransposePlan::run_from_lanes`]), `rows` counting the fields' kx
-/// lines — beside [`reorder_naive`] and [`reorder_blocked`] at one
+/// transposes as [`ParallelFft::nonlinear_lanes`] runs them on the
+/// lane-blocked y-pencil stacks: the three velocity fields into the
+/// z-pencil ([`TransposePlan::run_into_room`]) and the five products out
+/// of it ([`TransposePlan::run_from_room`]), `rows` counting the fields'
+/// kx lines — beside [`reorder_naive`] and [`reorder_blocked`] at one
 /// field's z<->y element count (shape `[ni, nj, nk]`). Shapes count
-/// 16-byte elements; the lane-blocked side also moves the pad lanes of a
-/// kx count that is not a multiple of [`LANES`].
+/// 16-byte elements; the lane rows also move the pad lanes of a kx count
+/// that is not a multiple of [`LANES`].
 pub fn probe_reorder(g: Grid, reps: usize) -> Vec<(&'static str, [usize; 3], f64)> {
     let (sx, ny, nz, pz) = (g.sx(), g.ny, g.nz, g.pz());
     let on_one_rank = dns_minimpi::run(1, move |world| {
@@ -579,26 +579,30 @@ pub fn probe_reorder(g: Grid, reps: usize) -> Vec<(&'static str, [usize; 3], f64
             hop.run_with(&world, &input, &mut send, &mut out);
             black_box(&out);
         });
-        // the CommB plans of the nonlinear step: z->y over rows = fields
-        // x kx lines, f = y, t = kz; y->z its inverse
-        let zy_of = |k| TransposePlan::plan(&world, k * sx, ny, nz, RowsPlacement::Middle);
+        // the CommB plans of the nonlinear step, in lane rows: z->y over
+        // rows = fields x kx blocks, f = y, t = kz; y->z its inverse
+        let nb = sx.div_ceil(LANES);
+        let zy_of = |k| TransposePlan::plan(&world, k * nb, ny, nz, RowsPlacement::Middle);
         // one z-pencil with room for the five products, lines of pz
         let room = Room {
             fields: NL_PRODUCTS,
             line: pz,
         };
-        let mut lanes = vec![LaneRow::ZERO; ny * NL_PRODUCTS * sx.div_ceil(LANES) * pz];
+        let mut zp = vec![LaneRow::ZERO; ny * NL_PRODUCTS * nb * pz];
         let yz = zy_of(NL_FIELDS).inverse(&world);
-        let lines = vec![C64::new(1.0, 0.0); yz.input_len()];
+        let mut stack = vec![LaneRow::ZERO; yz.input_len()];
+        stack
+            .iter_mut()
+            .for_each(|row| row.set(0, C64::new(1.0, 0.0)));
         let mut send = Vec::new();
         let into = fastest(reps, || {
-            yz.run_into_lanes(&world, sx, &lines, &mut send, &mut lanes, room);
-            black_box(&lanes);
+            yz.run_into_room(&world, nb, &stack, &mut send, &mut zp, room);
+            black_box(&zp);
         });
         let zy = zy_of(NL_PRODUCTS);
         let (mut send, mut out) = (Vec::new(), Vec::new());
         let from = fastest(reps, || {
-            zy.run_from_lanes(&world, sx, &lanes, room, &mut send, &mut out);
+            zy.run_from_room(&world, nb, &zp, room, &mut send, &mut out);
             black_box(&out);
         });
         [
