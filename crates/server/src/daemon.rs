@@ -701,7 +701,7 @@ impl Server {
                 slot.1 += 1;
             }
         }
-        let snapshot = dns_telemetry::snapshot();
+        let snapshot = dns_telemetry::counter_snapshot();
         metrics::render(&MetricsView {
             total_cores: self.cfg.total_cores,
             free_cores: self.scheduler.free_cores(),

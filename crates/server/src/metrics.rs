@@ -5,7 +5,8 @@
 //! byte-identical body, which `tests/http_facade.rs` locks with a golden
 //! file. The daemon assembles a view from its scheduler, the
 //! [`TenantTable`] (`crate::tenants`) ledger, and a
-//! `dns-telemetry` snapshot on every scrape.
+//! `dns-telemetry` counter snapshot on every scrape (the counter axes
+//! only, so a scrape costs the same however many jobs the daemon ran).
 //!
 //! Naming convention (DESIGN.md §10): every family is prefixed `dns_`,
 //! the second segment names the subsystem (`server`, `tenant`, or the

@@ -660,13 +660,44 @@ pub fn snapshot() -> Snapshot {
             }
         })
         .collect();
-    let tenants = TENANTS
+    Snapshot {
+        ranks,
+        tenants: tenant_sets(),
+    }
+}
+
+/// The counter axes of [`snapshot`] alone: every rank's totals and phase
+/// split and the tenant axis, with no spans and no decisions. What a
+/// scrape of a long-lived host renders; a whole [`snapshot`] would copy
+/// every decision record of every job the host ever ran, so each scrape
+/// would cost more than the one before.
+pub fn counter_snapshot() -> Snapshot {
+    flush_thread();
+    let reg = REGISTRY.lock().unwrap();
+    let ranks = reg
+        .iter()
+        .map(|(&key, data)| RankSnapshot {
+            rank: (key >= 0).then_some(key as usize),
+            spans: Vec::new(),
+            counters: data.counters,
+            by_phase: data.by_phase,
+            decisions: Vec::new(),
+            dropped: data.dropped,
+        })
+        .collect();
+    Snapshot {
+        ranks,
+        tenants: tenant_sets(),
+    }
+}
+
+fn tenant_sets() -> Vec<(String, CounterSet)> {
+    TENANTS
         .lock()
         .unwrap()
         .iter()
         .map(|(name, set)| (name.clone(), *set))
-        .collect();
-    Snapshot { ranks, tenants }
+        .collect()
 }
 
 impl Snapshot {
@@ -767,6 +798,32 @@ mod tests {
         let by_phase = snap.total_counters_by_phase();
         assert_eq!(by_phase[Phase::Other as usize].get(Counter::Flops), 7);
         assert_eq!(snap.ranks[0].decisions.len(), 1);
+    }
+
+    #[test]
+    fn counter_snapshot_carries_the_counters_without_the_records() {
+        let _x = exclusive();
+        reset();
+        set_level(Level::Phases);
+        for k in 0..50 {
+            let _s = span("step", Phase::Fft);
+            count(Counter::Flops, 3);
+            count_tenant("acme", Counter::Flops, 1);
+            decision("plan", format!("job {k}"));
+        }
+        set_level(Level::Off);
+        let (full, counters) = (snapshot(), counter_snapshot());
+        assert_eq!(full.span_count(), 50);
+        assert_eq!(full.ranks[0].decisions.len(), 50);
+        // the scrape's copy: same counter axes, none of the growing records
+        assert_eq!(counters.span_count(), 0);
+        assert!(counters.ranks.iter().all(|r| r.decisions.is_empty()));
+        assert_eq!(counters.total_counters(), full.total_counters());
+        assert_eq!(
+            counters.total_counters_by_phase(),
+            full.total_counters_by_phase()
+        );
+        assert_eq!(counters.tenants, full.tenants);
     }
 
     #[test]
