@@ -214,7 +214,7 @@ impl RunObserver for Cli {
                 );
             }
             println!("wall-normal set-up: {}", dns.wallnormal_plan());
-            println!("pencil buffers: {}", dns.pfft().workspace_plan());
+            println!("pencil buffer: {}", dns.pfft().workspace_plan());
         }
     }
 

@@ -271,7 +271,7 @@ pub(crate) fn compute_staged(dns: &ChannelDns, out: &mut NlTerms, ws: &mut NlWor
         dy_of(coef, dy1);
         coef.copy_from_slice(pvw);
         dy_of(coef, dy2);
-        if dns.mean_block() == Some(b) {
+        if dns.mean_mode() == Some(b) {
             // the mean mode (lane 0) is forced by -D(uv) and -D(vw)
             let mean = out.mean_hx.iter_mut().zip(out.mean_hz.iter_mut());
             for ((hx, hz), (d1, d2)) in mean.zip(dy1.iter().zip(dy2.iter())) {

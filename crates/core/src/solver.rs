@@ -200,10 +200,8 @@ impl ChannelDns {
             scratch: StepScratch::default(),
             stats: None,
         };
-        if telemetry::enabled() {
-            telemetry::decision("wallnormal.plan", dns.wallnormal_plan());
-            telemetry::decision("pfft.workspace", dns.pfft.workspace_plan());
-        }
+        telemetry::decision("wallnormal.plan", || dns.wallnormal_plan());
+        telemetry::decision("pfft.workspace", || dns.pfft.workspace_plan());
         dns
     }
 
@@ -327,15 +325,11 @@ impl ChannelDns {
         (self.panel_rows.iter()).flat_map(move |&kz| (0..nb).map(move |xb| (kz, xb)))
     }
 
-    /// The mean mode, local mode 0 on the rank owning it.
-    fn mean_mode(&self) -> Option<usize> {
+    /// The mean mode, local mode 0 on the rank owning it: also the panel
+    /// block holding it (in its lane 0).
+    pub(crate) fn mean_mode(&self) -> Option<usize> {
         let owner = self.pfft.kx_block().start == 0 && self.pfft.kz_block().start == 0;
         owner.then_some(0)
-    }
-
-    /// The panel block holding the mean mode (in its lane 0).
-    pub(crate) fn mean_block(&self) -> Option<usize> {
-        self.mean_mode()
     }
 
     /// Panel column of local mode `m` (not the Nyquist slot).
@@ -726,7 +720,7 @@ impl ChannelDns {
             let (kz, xb) = (self.panel_rows[b / nb], b % nb);
             let (first, n) = self.block_lines(kz, xb);
             // the mean mode (lane 0 of its block) is never stored
-            let live = usize::from(self.mean_block() == Some(b))..n;
+            let live = usize::from(self.mean_mode() == Some(b))..n;
             let waves = self.block_waves(kz, xb);
             let state = &mut self.state;
             // omega_y: advance through the substep's Helmholtz solve
@@ -905,14 +899,26 @@ mod tests {
     }
 
     #[test]
-    fn a_step_grows_the_pencil_buffers_to_the_planned_bytes() {
-        for (pa, pb) in [(1, 1), (2, 1), (1, 2)] {
+    fn a_step_grows_the_pencil_buffer_to_one_pencil_of_the_larger_view() {
+        for (pa, pb) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
             let params = tiny_params().with_grid(pa, pb);
-            for (rank, (before, after, planned)) in run_parallel(params, |dns| {
+            for (rank, (before, after, planned, pencil)) in run_parallel(params, |dns| {
                 let before = dns.nl_ws.pfft.bytes();
                 dns.set_laminar(1.0);
                 dns.step();
-                (before, dns.nl_ws.pfft.bytes(), dns.pfft.workspace_bytes())
+                // the five products' z view [y][5][kx_block][pz] and x view
+                // [y][5][kx blocks of every CommA rank][z_loc]
+                let (p, cfg) = (&dns.pfft, dns.pfft.config());
+                let blocks = |r| {
+                    dns_pencil::Block::of(cfg.sx(), cfg.pa, r)
+                        .len
+                        .div_ceil(LANES)
+                };
+                let z_view = p.kx_lanes() * cfg.pz();
+                let x_view = (0..cfg.pa).map(blocks).sum::<usize>() * p.zphys_block().len;
+                let rows = dns_pfft::NL_PRODUCTS * p.y_block().len * z_view.max(x_view);
+                let pencil = rows * std::mem::size_of::<LaneRow>();
+                (before, dns.nl_ws.pfft.bytes(), p.workspace_bytes(), pencil)
             })
             .into_iter()
             .enumerate()
@@ -920,6 +926,7 @@ mod tests {
                 let case = format!("{pa}x{pb} rank {rank}");
                 assert_eq!(before, 0, "{case}: nothing allocated at set-up");
                 assert_eq!(after, planned, "{case}");
+                assert_eq!(after, pencil, "{case}: one pencil of the larger view");
             }
         }
     }

@@ -117,7 +117,7 @@ impl PlaneSweep {
                     worst = worst.max((ikx * uj + vy[j].get(l) + ikz * wj).norm_sqr());
                 }
             }
-            if dns.mean_block() == Some(b) {
+            if dns.mean_mode() == Some(b) {
                 sums.iter_mut()
                     .zip(&*u)
                     .for_each(|(sum, u)| *sum += u.re[0]);

@@ -201,18 +201,15 @@ impl TransposePlan {
         // (the transpose is a bijection of the index space), so nothing
         // stale can be read and only a growing buffer is filled
         out.resize(self.output_len(), T::default());
-        let sides = self.sides(self.rows, self.rows);
-        self.exchange(comm, input, sides, send, out, |c, src, fb, o| {
-            self.unpack(c, src, fb, o, sides[1])
-        })
+        self.exchange(comm, input, self.sides(), send, out)
     }
 
-    /// [`run_with`](Self::run_with) of a split placement between two
-    /// buffers with room for more rows than the plan carries, into a
-    /// caller-sized `out`: the plan's rows are planes of `k` rows, and on
-    /// both sides every plane has room for `cap` rows (`dns-pfft`'s z- and
-    /// x-pencils, `[y][cap fields][...]`, carrying `k` fields). Only the
-    /// plan's rows are read and written; `out` holds `rows / k` planes.
+    /// [`run_with`](Self::run_with) of a split placement in place: the
+    /// plan's rows are planes of `k` rows, and in both views of `pencil`
+    /// (`dns-pfft`'s z- and x-pencils, `[y][cap fields][...]`, carrying `k`
+    /// fields) every plane has room for `cap` rows. Only the plan's rows are
+    /// read and written. The pack copies every input value before the
+    /// unpack writes any; on one rank the two views coincide.
     ///
     /// # Panics
     /// As [`run_with`](Self::run_with), or if the placement does not keep
@@ -221,9 +218,8 @@ impl TransposePlan {
         &self,
         comm: &Communicator,
         [k, cap]: [usize; 2],
-        input: &[T],
+        pencil: &mut [T],
         send: &mut Vec<Vec<T>>,
-        out: &mut [T],
     ) {
         let split = matches!(
             self.placement,
@@ -240,11 +236,15 @@ impl TransposePlan {
             plane: cap * s.len,
             ..s
         };
-        let sides = self.sides(self.rows, self.rows).map(planes);
-        let result = self.exchange(comm, input, sides, send, out, |c, src, fb, o| {
-            self.unpack(c, src, fb, o, sides[1])
-        });
-        self.checked(result);
+        let [inp, outp] = self.sides().map(planes);
+        assert_eq!(comm.size(), self.p);
+        if self.p == 1 {
+            return;
+        }
+        let _transpose = telemetry::span("transpose", Phase::Transpose);
+        self.pack(&pencil[..inp.buffer()], inp, send);
+        let out = &mut pencil[..outp.buffer()];
+        self.checked(self.deliver(comm, [inp, outp], send, out));
     }
 
     /// The [`RowsPlacement::Middle`] transpose into a buffer with room,
@@ -267,12 +267,9 @@ impl TransposePlan {
         out: &mut [T],
         room: Room,
     ) {
-        let mut sides = self.sides(self.rows, self.rows);
+        let mut sides = self.sides();
         sides[1] = room.hold(self, sides[1], group);
-        let unpack = |c: &[T], src: Side, fb: Block, o: &mut [T]| {
-            self.unpack(c, src, fb, o, sides[1]);
-        };
-        self.checked(self.exchange(comm, input, sides, send, out, unpack));
+        self.checked(self.exchange(comm, input, sides, send, out));
     }
 
     /// The inverse of [`run_into_room`](Self::run_into_room) on the same
@@ -292,13 +289,10 @@ impl TransposePlan {
         send: &mut Vec<Vec<T>>,
         out: &mut Vec<T>,
     ) {
-        let mut sides = self.sides(self.rows, self.rows);
+        let mut sides = self.sides();
         sides[0] = room.hold(self, sides[0], group);
         out.resize(sides[1].buffer(), T::default());
-        let unpack = |c: &[T], src: Side, fb: Block, o: &mut [T]| {
-            self.unpack(c, src, fb, o, sides[1]);
-        };
-        self.checked(self.exchange(comm, input, sides, send, out, unpack));
+        self.checked(self.exchange(comm, input, sides, send, out));
     }
 
     /// Panic on a failed exchange (see [`run_with`](Self::run_with)).
@@ -323,77 +317,81 @@ impl TransposePlan {
         }
     }
 
-    /// This rank's compact input and output sides for `rows_in` input
-    /// and `rows_out` output rows (they differ where one side is
-    /// lane-blocked).
-    fn sides(&self, rows_in: usize, rows_out: usize) -> [Side; 2] {
+    /// This rank's compact input and output sides.
+    fn sides(&self) -> [Side; 2] {
         [
-            self.side(rows_in, self.f_block.len, self.nt),
-            self.side(rows_out, self.t_block.len, self.nf),
+            self.side(self.rows, self.f_block.len, self.nt),
+            self.side(self.rows, self.t_block.len, self.nf),
         ]
     }
 
     /// Pack -> all-to-all -> unpack from `input` (laid out as `inp`) into
-    /// `out` (as `outp`): `unpack(chunk, side, fb, out)` places the block
-    /// received from the owner of `fb` of the `f` axis, laid out as `side`.
-    /// On one rank the input itself is the one block. Only the values of
-    /// the two sides are read, written and counted.
-    fn exchange<T: Copy + Send + 'static, U: Copy>(
+    /// `out` (as `outp`); on one rank the input itself is the one block to
+    /// unpack. Only the values of the two sides are read, written and
+    /// counted.
+    fn exchange<T: Copy + Send + 'static>(
         &self,
         comm: &Communicator,
         input: &[T],
         [inp, outp]: [Side; 2],
         send: &mut Vec<Vec<T>>,
-        out: &mut [U],
-        unpack: impl Fn(&[T], Side, Block, &mut [U]),
+        out: &mut [T],
     ) -> Result<(), dns_minimpi::CommError> {
         assert_eq!(comm.size(), self.p);
         assert_eq!(input.len(), inp.buffer(), "input length mismatch");
-        assert_eq!(out.len(), outp.buffer(), "output length mismatch");
         let _transpose = telemetry::span("transpose", Phase::Transpose);
-        let (nt, ntl) = (self.nt, self.t_block.len);
-        // one write of the output's values (their size differs from the
-        // input's by the pad lanes where one side is lane-blocked)
-        let written = outp.values() * std::mem::size_of::<U>();
-
-        if self.p == 1 {
-            // Single rank: no exchange, no pack copy — the input is the one
-            // block there is to unpack
-            unpack(input, inp, Block::of(self.nf, 1, 0), out);
-            let read = inp.values() * std::mem::size_of::<T>();
-            telemetry::count(Counter::DdrBytes, (read + written) as u64);
-            return Ok(());
+        if self.p > 1 {
+            self.pack(input, inp, send);
+            return self.deliver(comm, [inp, outp], send, out);
         }
+        assert_eq!(out.len(), outp.buffer(), "output length mismatch");
+        self.unpack(input, inp, Block::of(self.nf, 1, 0), out, outp);
+        let moved = (inp.values() + outp.values()) * std::mem::size_of::<T>();
+        telemetry::count(Counter::DdrBytes, moved as u64);
+        Ok(())
+    }
 
-        // Multi-rank: pack -> all-to-all -> unpack in source order.
-        let p = self.p;
-        // pack: dest d's block is every input line's slice of d's `t`
-        // range. A line is `nt` values, except where `t` is the slow axis
-        // (SplitSlow): there a row is one line of `nt` runs of `f_loc`
-        // values. Each block is packed straight into its message, reusing
-        // a buffer the previous exchange received.
+    /// The first half of a multi-rank exchange: every value of `input`
+    /// (laid out as `inp`) into the messages, dest `d`'s block (every input
+    /// line's slice of `d`'s `t` range) straight into a buffer the previous
+    /// exchange received. A line is `nt` values, except where `t` is the
+    /// slow axis (SplitSlow): there a row is one line of `nt` runs of
+    /// `f_loc` values.
+    fn pack<T: Copy>(&self, input: &[T], inp: Side, send: &mut Vec<Vec<T>>) {
+        let _pack = telemetry::span("pack", Phase::Transpose);
+        let (nt, p) = (self.nt, self.p);
         let unit = if self.placement == RowsPlacement::SplitSlow {
             self.f_block.len
         } else {
             1
         };
         send.resize_with(p, Vec::new);
-        {
-            let _pack = telemetry::span("pack", Phase::Transpose);
-            for (d, block) in send.iter_mut().enumerate() {
-                let tb = Block::of(nt, p, d);
-                block.clear();
-                for at in inp.starts() {
-                    for line in input[at..at + inp.len].chunks_exact(nt * unit) {
-                        block.extend_from_slice(&line[tb.start * unit..tb.end() * unit]);
-                    }
+        for (d, block) in send.iter_mut().enumerate() {
+            let tb = Block::of(nt, p, d);
+            block.clear();
+            for at in inp.starts() {
+                for line in input[at..at + inp.len].chunks_exact(nt * unit) {
+                    block.extend_from_slice(&line[tb.start * unit..tb.end() * unit]);
                 }
             }
-            // the pack streams the input once and writes it once
-            let values = inp.values() * std::mem::size_of::<T>();
-            telemetry::count(Counter::DdrBytes, 2 * values as u64);
         }
+        // the pack streams the input once and writes it once
+        let values = inp.values() * std::mem::size_of::<T>();
+        telemetry::count(Counter::DdrBytes, 2 * values as u64);
+    }
 
+    /// The second half: the all-to-all of the messages [`Self::pack`]
+    /// filled, then every received block unpacked into `out` (laid out as
+    /// `outp`) in source order. The received blocks carry the next
+    /// exchange's messages.
+    fn deliver<T: Copy + Send + 'static>(
+        &self,
+        comm: &Communicator,
+        [inp, outp]: [Side; 2],
+        send: &mut Vec<Vec<T>>,
+        out: &mut [T],
+    ) -> Result<(), dns_minimpi::CommError> {
+        assert_eq!(out.len(), outp.buffer(), "output length mismatch");
         let parts = {
             let _exchange = telemetry::span("exchange", Phase::Transpose);
             // the rank thread's wait clock is monotone, so its delta across
@@ -409,7 +407,9 @@ impl TransposePlan {
         };
 
         let _unpack = telemetry::span("unpack", Phase::Transpose);
-        let mut moved = written;
+        // one write of the output's values (their size differs from the
+        // input's by the pad lanes where one side is lane-blocked)
+        let mut moved = outp.values() * std::mem::size_of::<T>();
         // a block holds its source's input lines cut to this rank's `t`
         // range, back to back: the compact side of the same rows
         let rows = match self.placement {
@@ -418,14 +418,14 @@ impl TransposePlan {
             RowsPlacement::SplitFast | RowsPlacement::SplitSlow => inp.planes * inp.lines,
         };
         for (s, chunk) in parts.iter().enumerate() {
-            let fb = Block::of(self.nf, p, s);
-            unpack(chunk, self.side(rows, fb.len, ntl), fb, out);
+            let fb = Block::of(self.nf, self.p, s);
+            let src = self.side(rows, fb.len, self.t_block.len);
+            self.unpack(chunk, src, fb, out, outp);
             moved += std::mem::size_of_val(&chunk[..]);
         }
         // the unpack reads the receive chunks once and writes the output
         // once
         telemetry::count(Counter::DdrBytes, moved as u64);
-        // the received blocks carry the next exchange's messages
         *send = parts;
         Ok(())
     }
@@ -764,9 +764,11 @@ mod tests {
 
     #[test]
     fn split_hops_in_planes_touch_only_their_rows() {
-        // three planes of two rows each, in buffers with room for three
-        // rows per plane whose room holds u64::MAX: the result must be the
-        // compact transpose's rows, placed plane by plane, room untouched
+        // three planes of two rows each, in place in a buffer with room
+        // for three rows per plane in either view, every other slot a
+        // distinct sentinel: the output view's rows must be the compact
+        // transpose's, placed plane by plane, and every other slot keep
+        // what it held (input rows the unpack does not overwrite included)
         let (planes, k, cap, nf, nt) = (3, 2, 3, 11, 13);
         for p in [1, 2, 3] {
             for pl in [RowsPlacement::SplitFast, RowsPlacement::SplitSlow] {
@@ -777,18 +779,19 @@ mod tests {
                         .map(|i| i + 1000 * rank)
                         .collect();
                     let want = plan.run(&comm, &compact);
-                    let spread = |v: &[u64]| {
+                    let place = |buf: &mut [u64], v: &[u64]| {
                         let row = v.len() / (planes * k);
-                        let mut out = vec![u64::MAX; planes * cap * row];
                         for (r, run) in v.chunks_exact(row).enumerate() {
-                            out[(r / k * cap + r % k) * row..][..row].copy_from_slice(run);
+                            buf[(r / k * cap + r % k) * row..][..row].copy_from_slice(run);
                         }
-                        out
                     };
-                    let mut out = spread(&vec![u64::MAX; want.len()]);
-                    let input = spread(&compact);
-                    plan.run_in_planes(&comm, [k, cap], &input, &mut Vec::new(), &mut out);
-                    assert_eq!(out, spread(&want), "{pl:?} p={p}");
+                    let len = plan.input_len().max(plan.output_len()) / k * cap;
+                    let mut pencil: Vec<u64> = (0..len as u64).map(|i| u64::MAX - i).collect();
+                    place(&mut pencil, &compact);
+                    let mut expect = pencil.clone();
+                    place(&mut expect, &want);
+                    plan.run_in_planes(&comm, [k, cap], &mut pencil, &mut Vec::new());
+                    assert_eq!(pencil, expect, "{pl:?} p={p}");
                 });
             }
         }

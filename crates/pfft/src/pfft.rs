@@ -158,15 +158,6 @@ struct BatchPlans {
     t_yz: TransposePlan,
 }
 
-/// A CommA hop of `k` stacked fields (see [`ParallelFft::hop`]).
-#[derive(Clone, Copy)]
-enum Hop {
-    /// z-pencil -> z-fastest x-pencil, ending the inverse leg.
-    Zx,
-    /// z-fastest x-pencil -> z-pencil, starting the forward leg.
-    Xz,
-}
-
 /// One flop increment for a whole batch of `lines` transforms of nominal
 /// cost `per_line` (truncated per line, as the single-line entries count).
 fn count_flops(lines: usize, per_line: f64) {
@@ -416,40 +407,31 @@ impl ParallelFft {
         self.y_block.len * c * self.kx_blocks() * self.zphys_block.len
     }
 
-    /// Bytes of pencil buffers the fused cycle
-    /// ([`ParallelFft::nonlinear_products`]) grows a [`Workspace`] to: the
-    /// z-pencil with room for the five products and, across CommA ranks,
-    /// the x-pencil likewise. Computed from the plan; nothing is allocated.
+    /// Lane rows of the one pencil buffer with room for `c` fields: the
+    /// larger of its z and x views.
+    fn pencil_len(&self, c: usize) -> usize {
+        self.zp_len(c).max(self.xp_len(c))
+    }
+
+    /// Bytes of the pencil buffer the fused cycle
+    /// ([`ParallelFft::nonlinear_products`]) grows a [`Workspace`] to, with
+    /// room for the five products. Computed from the plan.
     pub fn workspace_bytes(&self) -> usize {
-        let x = if self.cfg.pa > 1 {
-            self.xp_len(NL_PRODUCTS)
-        } else {
-            0
-        };
-        (self.zp_len(NL_PRODUCTS) + x) * std::mem::size_of::<LaneRow>()
+        self.pencil_len(NL_PRODUCTS) * std::mem::size_of::<LaneRow>()
     }
 
     /// [`ParallelFft::workspace_bytes`] as the `pfft.workspace` telemetry
-    /// decision states it: each pencil buffer's megabytes and shape.
+    /// decision states it: megabytes and the shape of each view (on one
+    /// CommA rank they coincide).
     pub fn workspace_plan(&self) -> String {
-        let row = std::mem::size_of::<LaneRow>();
         let nyl = self.y_block.len;
-        let pencil = |name: &str, len: usize, z: usize, blocks: usize| {
-            format!(
-                "{name} {:.1} MB ({NL_PRODUCTS} fields x {z} z x {blocks} kx blocks x {nyl} y)",
-                (len * row) as f64 / 1e6
-            )
+        let view = |z: usize, blocks: usize| {
+            format!("({NL_PRODUCTS} fields x {z} z x {blocks} kx blocks x {nyl} y)")
         };
-        let nbl = self.kx_block.len.div_ceil(LANES);
-        let z = pencil("z-pencil", self.zp_len(NL_PRODUCTS), self.cfg.pz(), nbl);
-        if self.cfg.pa == 1 {
-            return z;
-        }
-        let (zpl, nbx) = (self.zphys_block.len, self.kx_blocks());
-        format!(
-            "{z} + {}",
-            pencil("x-pencil", self.xp_len(NL_PRODUCTS), zpl, nbx)
-        )
+        let mb = self.workspace_bytes() as f64 / 1e6;
+        let z = view(self.cfg.pz(), self.kx_lanes());
+        let x = view(self.zphys_block.len, self.kx_blocks());
+        format!("{mb:.1} MB: z-pencil {z}, x-pencil in place {x}")
     }
 
     /// Physical x-pencil (real `[y_loc][z_loc][px]`) to spectral y-pencil
@@ -497,43 +479,37 @@ impl ParallelFft {
         }
     }
 
-    /// Interleave `fields` block-wise for a batched transpose, an FFT
-    /// region: block `o` (`block` values) of field `f` lands at block
-    /// `o * k + f`.
-    fn stack(&self, fields: &[&[C64]], block: usize) -> Vec<C64> {
+    /// `k` fields of `[run][kx_loc][ny]` `C64` lines (a run is a kz row,
+    /// or a field of a line-order stack) as one lane-blocked y-pencil stack
+    /// `[run][k][kx_block][ny]` (pad lanes zero): the line-order entry
+    /// points' one conversion in, an FFT region.
+    fn to_lanes(&self, fields: &[&[C64]], lanes: &mut Vec<LaneRow>) {
         let region = telemetry::region("stack_fields", Phase::Fft);
-        let mut out = Vec::with_capacity(fields.len() * fields[0].len());
-        for o in 0..fields[0].len() / block.max(1) {
-            for field in fields {
-                out.extend_from_slice(&field[o * block..(o + 1) * block]);
-            }
+        let (kxl, ny, k) = (self.kx_block.len, self.cfg.ny, fields.len());
+        let (run, rows) = (kxl * ny, self.kx_lanes() * ny);
+        lanes.resize(fields[0].len() / run * k * rows, LaneRow::ZERO);
+        for (i, dst) in lanes.chunks_exact_mut(rows).enumerate() {
+            reorder_into_lanes(&fields[i % k][i / k * run..][..run], ny, kxl, dst);
         }
         region.close(&self.clock);
-        out
     }
 
-    /// A `[kz_loc][field][kx_loc][ny]` stack of `C64` lines as the
-    /// lane-blocked y-pencil stack `[kz_loc][field][kx_block][ny]` (pad
-    /// lanes zero): the line-order entry points' one conversion in, an FFT
-    /// region.
-    fn to_lanes(&self, lines: &[C64], lanes: &mut Vec<LaneRow>) {
-        let region = telemetry::region("stack_fields", Phase::Fft);
-        let (kxl, ny) = (self.kx_block.len, self.cfg.ny);
-        lanes.resize(lines.len() / kxl * self.kx_lanes(), LaneRow::ZERO);
-        reorder_into_lanes(lines, ny, kxl, lanes);
-        region.close(&self.clock);
-    }
-
-    /// Undo [`ParallelFft::to_lanes`] into `lines`, an FFT region.
-    fn to_lines(&self, lanes: &[LaneRow], lines: &mut Vec<C64>) {
+    /// Undo [`ParallelFft::to_lanes`] into `fields`, an FFT region.
+    fn to_lines(&self, lanes: &[LaneRow], fields: &mut [Vec<C64>]) {
         let region = telemetry::region("unstack_fields", Phase::Fft);
-        let kxl = self.kx_block.len;
-        lines.resize(lanes.len() / self.kx_lanes() * kxl, C64::default());
-        reorder_from_lanes(lanes, self.cfg.ny, kxl, lines);
+        let (kxl, ny, k) = (self.kx_block.len, self.cfg.ny, fields.len());
+        let (run, rows) = (kxl * ny, self.kx_lanes() * ny);
+        for field in fields.iter_mut() {
+            field.resize(lanes.len() / rows / k * run, C64::default());
+        }
+        for (i, src) in lanes.chunks_exact(rows).enumerate() {
+            reorder_from_lanes(src, ny, kxl, &mut fields[i % k][i / k * run..][..run]);
+        }
         region.close(&self.clock);
     }
 
-    /// Undo [`ParallelFft::stack`] for `k` fields, an FFT region.
+    /// Split a stack of `k` fields interleaved in blocks of `block`
+    /// values into the fields, an FFT region.
     fn unstack<T: Copy>(&self, stacked: Vec<T>, k: usize, block: usize) -> Vec<Vec<T>> {
         let region = telemetry::region("unstack_fields", Phase::Fft);
         let out = if k == 1 {
@@ -623,37 +599,30 @@ impl ParallelFft {
         region.close(&self.clock);
     }
 
-    /// The x-pencil of `ws` with room for `c` fields,
-    /// `[y][c][kx_block][z_loc]`, and the line scratch. The one place that
-    /// knows the `pa == 1` rule: on one CommA rank the z-fastest x-pencil
-    /// *is* the z-pencil (both `[y][field][kx_block][z]` lane rows with
-    /// `z_loc = pz`), so the x-stage runs on the z-pencil and no hop runs.
+    /// The x view of the pencil buffer of `ws` with room for `c` fields,
+    /// `[y][c][kx_block][z_loc]`, and the line scratch.
     fn x_pencil<'w>(
         &self,
         c: usize,
         ws: &'w mut Workspace,
     ) -> (&'w mut [LaneRow], &'w mut LineScratch) {
-        let Workspace { zp, xp, serial, .. } = ws;
-        let buf = if self.cfg.pa == 1 { zp } else { xp };
-        (grown(buf, self.xp_len(c)), serial)
+        let Workspace { pencil, serial, .. } = ws;
+        (
+            &mut grown(pencil, self.pencil_len(c))[..self.xp_len(c)],
+            serial,
+        )
     }
 
-    /// The CommA hop of `k` fields between the z-pencil and the x-pencil,
-    /// both with room for `c` (a no-op on one CommA rank, see
-    /// [`ParallelFft::x_pencil`]).
-    fn hop(&self, hop: Hop, k: usize, c: usize, ws: &mut Workspace) {
+    /// The CommA hop `plan` (region `name`) of `k` fields between the z and
+    /// x views of the pencil buffer with room for `c`, in place. On one
+    /// CommA rank the two views coincide, so no hop runs.
+    fn hop(&self, name: &'static str, plan: TransposePlan, [k, c]: [usize; 2], ws: &mut Workspace) {
         if self.cfg.pa == 1 {
             return;
         }
-        let plans = self.batch_plans(k);
-        let Workspace { zp, xp, send, .. } = ws;
-        let (zp, xp) = (grown(zp, self.zp_len(c)), grown(xp, self.xp_len(c)));
-        let (name, plan, from, to): (_, _, &[LaneRow], _) = match hop {
-            Hop::Zx => ("transpose_zx", plans.t_zx, zp, xp),
-            Hop::Xz => ("transpose_xz", plans.t_xz, xp, zp),
-        };
         let region = telemetry::region(name, Phase::Transpose);
-        plan.run_in_planes(&self.comm_a, [k, c], from, send, to);
+        let pencil = grown(&mut ws.pencil, self.pencil_len(c));
+        plan.run_in_planes(&self.comm_a, [k, c], pencil, &mut ws.send);
         region.close(&self.clock);
     }
 
@@ -666,16 +635,18 @@ impl ParallelFft {
     /// [`ParallelFft::x_pencil`] hands them out.
     fn inverse_leg(&self, k: usize, c: usize, stacked: &[LaneRow], ws: &mut Workspace) {
         let region = telemetry::region("transpose_yz", Phase::Transpose);
-        let (plan, nb) = (self.batch_plans(k).t_yz, self.kx_lanes());
+        let (plans, nb) = (self.batch_plans(k), self.kx_lanes());
         let room = Room {
             fields: c,
             line: self.cfg.pz(),
         };
-        let zp = grown(&mut ws.zp, self.zp_len(c));
-        plan.run_into_room(&self.comm_b, nb, stacked, &mut ws.send, zp, room);
+        let zp = &mut grown(&mut ws.pencil, self.pencil_len(c))[..self.zp_len(c)];
+        plans
+            .t_yz
+            .run_into_room(&self.comm_b, nb, stacked, &mut ws.send, zp, room);
         region.close(&self.clock);
         self.z_stage(&self.zinv, k, zp, &mut ws.serial);
-        self.hop(Hop::Zx, k, c, ws);
+        self.hop("transpose_zx", plans.t_zx, [k, c], ws);
     }
 
     /// The forward leg: the `k` x-pencil spectra the x-stage wrote through
@@ -683,16 +654,18 @@ impl ParallelFft {
     /// CommB transpose into `out`, the lane-blocked y-pencil stack
     /// `[kz_loc][field][kx_block][ny]`.
     fn forward_leg(&self, k: usize, ws: &mut Workspace, out: &mut Vec<LaneRow>) {
-        self.hop(Hop::Xz, k, k, ws);
-        let zp = &mut ws.zp[..self.zp_len(k)];
+        let plans = self.batch_plans(k);
+        self.hop("transpose_xz", plans.t_xz, [k, k], ws);
+        let zp = &mut ws.pencil[..self.zp_len(k)];
         self.z_stage(&self.zfwd, k, zp, &mut ws.serial);
         let region = telemetry::region("transpose_zy", Phase::Transpose);
-        let plan = self.batch_plans(k).t_zy;
         let room = Room {
             fields: k,
             line: self.cfg.pz(),
         };
-        plan.run_from_room(&self.comm_b, self.kx_lanes(), zp, room, &mut ws.send, out);
+        plans
+            .t_zy
+            .run_from_room(&self.comm_b, self.kx_lanes(), zp, room, &mut ws.send, out);
         region.close(&self.clock);
     }
 
@@ -758,10 +731,10 @@ impl ParallelFft {
         assert_eq!(uvw.len(), NL_FIELDS * self.y_pencil_len());
         let _fused = telemetry::span("nonlinear_products", Phase::Other);
         let mut lanes = std::mem::take(&mut ws.staging);
-        self.to_lanes(uvw, &mut lanes);
+        self.to_lanes(&[uvw], &mut lanes);
         self.fused_cycle(&lanes, ws);
         self.forward_leg(NL_PRODUCTS, ws, &mut lanes);
-        self.to_lines(&lanes, out);
+        self.to_lines(&lanes, std::slice::from_mut(out));
         ws.staging = lanes;
     }
 
@@ -865,10 +838,7 @@ impl ParallelFft {
         let mut ws = Workspace::new();
         ws.serial.ensure(k, px, self.fft_len());
         let mut stacked = Vec::new();
-        self.to_lanes(
-            &self.stack(fields, self.kx_block.len * self.cfg.ny),
-            &mut stacked,
-        );
+        self.to_lanes(fields, &mut stacked);
         self.inverse_leg(k, k, &stacked, &mut ws);
 
         // pad + c2r in x, then unstack
@@ -944,10 +914,10 @@ impl ParallelFft {
                 }
             },
         );
-        let (mut yp, mut lines) = (Vec::new(), Vec::new());
+        let (mut yp, mut out) = (Vec::new(), vec![Vec::new(); k]);
         self.forward_leg(k, &mut ws, &mut yp);
-        self.to_lines(&yp, &mut lines);
-        self.unstack(lines, k, self.kx_block.len * self.cfg.ny)
+        self.to_lines(&yp, &mut out);
+        out
     }
 
     /// Signed spanwise wavenumber of global kz index `g` (FFT ordering;
@@ -1672,8 +1642,8 @@ mod tests {
     #[test]
     fn pad_lanes_stay_zero_through_the_fused_cycle() {
         // sx = 8 over 2 and 4 CommA ranks: 4 and 2 kx per rank, so every
-        // lane row of the z-pencil (and of the x-pencil, one block per
-        // rank) carries 4 and 6 pad lanes
+        // lane row of the pencil buffer, in its z view and in its x view
+        // (one block per rank), carries 4 and 6 pad lanes
         for pa in [2, 4] {
             mpi::run(pa, move |world| {
                 let cfg = PfftConfig::customized(16, 7, 20, pa, 1).with_dealias();
@@ -1689,21 +1659,19 @@ mod tests {
                 let (mut out, mut ws) = (Vec::new(), Workspace::new());
                 for call in 0..2 {
                     p.nonlinear_products(&uvw, &mut out, &mut ws);
-                    let buffers = [("zp", &ws.zp), ("xp", &ws.xp)];
-                    for (name, rows) in buffers {
-                        // the test fields reach kx 4 in the products, so
-                        // only the rank owning kx 0 is sure to see them
-                        let mut live = rows.iter().flat_map(|r| (0..kxl).map(|l| r.get(l)));
-                        let first = p.kx_block().start == 0;
-                        assert!(!first || live.any(|c| c.norm() > 1e-3), "{name}: trivial");
-                        for (i, row) in rows.iter().enumerate() {
-                            for l in kxl..LANES {
-                                assert_eq!(
-                                    row.get(l),
-                                    C64::new(0.0, 0.0),
-                                    "{pa}x1 call {call} {name} row {i} lane {l}"
-                                );
-                            }
+                    let rows = &ws.pencil;
+                    // the test fields reach kx 4 in the products, so only
+                    // the rank owning kx 0 is sure to see them
+                    let mut live = rows.iter().flat_map(|r| (0..kxl).map(|l| r.get(l)));
+                    let first = p.kx_block().start == 0;
+                    assert!(!first || live.any(|c| c.norm() > 1e-3), "trivial");
+                    for (i, row) in rows.iter().enumerate() {
+                        for l in kxl..LANES {
+                            assert_eq!(
+                                row.get(l),
+                                C64::new(0.0, 0.0),
+                                "{pa}x1 call {call} row {i} lane {l}"
+                            );
                         }
                     }
                 }

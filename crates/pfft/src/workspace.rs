@@ -2,19 +2,20 @@
 //!
 //! Every transform of [`crate::ParallelFft`] runs the same two legs on a
 //! [`Workspace`], and every stage past the CommB transpose runs in place
-//! on one lane-row ([`LaneRow`]) z-pencil `[y_loc][C][kx_block][pz]`:
-//! lane `l` of block `b` is local kx `8b + l` (pad lanes zero), `C` is the
-//! call's larger field count (5 for the fused cycle, `k` for a `k`-field
-//! batch) and every z line has the padded length `pz`, of which the
-//! spectral stages use the first `nz`. The y-pencil stacks the transforms
-//! start from and end in are lane-blocked the same way,
-//! `[kz_loc][C][kx_block][ny]`, so the CommB transposes move whole lane
-//! rows. On one CommA rank the z-fastest
-//! x-pencil *is* that buffer; across CommA ranks the x-pencil
-//! `[y_loc][C][kx_block][z_loc]` (one run of blocks per CommA rank) is the
-//! one other. The buffers start empty and only ever grow, so the fused
+//! on one lane-row ([`LaneRow`]) pencil buffer. Its z view is
+//! `[y_loc][C][kx_block][pz]`: lane `l` of block `b` is local kx `8b + l`
+//! (pad lanes zero), `C` is the call's larger field count (5 for the
+//! fused cycle, `k` for a `k`-field batch) and every z line has the padded
+//! length `pz`, of which the spectral stages use the first `nz`. The
+//! y-pencil stacks the transforms start from and end in are lane-blocked
+//! the same way, `[kz_loc][C][kx_block][ny]`, so the CommB transposes move
+//! whole lane rows. Its x view is the z-fastest x-pencil
+//! `[y_loc][C][kx_block][z_loc]` (one run of blocks per CommA rank): on one
+//! CommA rank the two views coincide, and across CommA ranks the hops
+//! move the buffer between them in place, so the buffer has the length of
+//! the larger view. It starts empty and only ever grows, so the fused
 //! path ([`crate::ParallelFft::nonlinear_lanes`]), which reuses the
-//! caller's workspace, fills a buffer once, when it grows; from the second
+//! caller's workspace, fills it once, when it grows; from the second
 //! call on no `resize` runs and a steady-state RK3 substep is
 //! allocation-free on a single rank (across ranks the exchanges reuse
 //! their message buffers, and only the message layer's envelopes
@@ -24,21 +25,19 @@ use dns_fft::{LaneRow, Lanes};
 
 use crate::C64;
 
-/// The pipeline's pencil buffers plus the serial-path line scratch.
+/// The pipeline's pencil buffer plus the serial-path line scratch.
 ///
 /// One `Workspace` belongs to one [`crate::ParallelFft`]-shaped problem;
 /// it can be shared across calls and across differently-sized transforms
 /// (buffers only ever grow, and a call reads only what it wrote).
 #[derive(Default)]
 pub struct Workspace {
-    /// The z-pencil `[y_loc][C][kx_block][pz]`: the CommB transpose writes
-    /// the first `nz` values of its lines, the z-stages transform them in
-    /// place, and on one CommA rank the x-stage reads and writes it as the
-    /// x-pencil.
-    pub(crate) zp: Vec<LaneRow>,
-    /// The x-pencil `[y_loc][C][kx_block][z_loc]` across CommA ranks, where
-    /// the CommA hops move the z-pencil to and from it (empty on one).
-    pub(crate) xp: Vec<LaneRow>,
+    /// The pencil, as the z-pencil `[y_loc][C][kx_block][pz]` (the CommB
+    /// transpose writes the first `nz` values of its lines, the z-stages
+    /// transform them in place) or the x-pencil
+    /// `[y_loc][C][kx_block][z_loc]` (the x-stage reads and writes it),
+    /// which the CommA hops move it between.
+    pub(crate) pencil: Vec<LaneRow>,
     /// Message buffers of the exchanges, all in lane rows: the CommB
     /// transposes and the CommA hops (unused on a single rank).
     pub(crate) send: Vec<Vec<LaneRow>>,
@@ -61,12 +60,12 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Bytes of the pencil buffers this workspace holds: the z-pencil and,
-    /// across CommA ranks, the x-pencil ([`crate::ParallelFft::workspace_bytes`]
-    /// is what the fused cycle grows them to). The line-order staging is
-    /// not a pencil and not counted.
+    /// Bytes of the pencil buffer this workspace holds
+    /// ([`crate::ParallelFft::workspace_bytes`] is what the fused cycle
+    /// grows it to). The line-order staging is not a pencil and not
+    /// counted.
     pub fn bytes(&self) -> usize {
-        (self.zp.capacity() + self.xp.capacity()) * std::mem::size_of::<LaneRow>()
+        self.pencil.capacity() * std::mem::size_of::<LaneRow>()
     }
 }
 

@@ -54,12 +54,12 @@ use std::time::{Duration, Instant};
 pub enum Level {
     /// Record nothing; instrumented call sites cost one atomic load.
     Off = 0,
-    /// Record counters and decisions but no spans: what a long-lived host
-    /// (the campaign daemon) can leave on for ever, since counters are
-    /// fixed-size while span timelines grow with every step of every job.
-    /// With no span open, [`count`] attributes to [`Phase::Other`].
+    /// Record counters only: what a long-lived host (the campaign daemon)
+    /// can leave on for ever, since counters are fixed-size while spans and
+    /// decisions grow with every step and launch of every job. With no
+    /// span open, [`count`] attributes to [`Phase::Other`].
     Counters = 1,
-    /// Record phase-level spans and counters (the default when profiling).
+    /// Record spans, decisions and counters (the default when profiling).
     Phases = 2,
 }
 
@@ -523,15 +523,16 @@ pub fn count_tenant(tenant: &str, counter: Counter, n: u64) {
 }
 
 /// Record a planning decision (e.g. `wallnormal.plan`: "62 panel blocks
-/// on 32 factor blocks, ..."). Recorded at any enabled level.
-pub fn decision(topic: &'static str, text: impl Into<String>) {
-    if !enabled() {
+/// on 32 factor blocks, ..."). Recorded at [`Level::Phases`] only, as
+/// spans are; below it `text` is not even called.
+pub fn decision(topic: &'static str, text: impl FnOnce() -> String) {
+    if level() != Level::Phases {
         return;
     }
     BUF.with(|b| {
         b.borrow_mut().data.decisions.push(Decision {
             topic,
-            text: text.into(),
+            text: text(),
         })
     });
 }
@@ -748,7 +749,7 @@ mod tests {
         {
             let _s = span("dead", Phase::Fft);
             count(Counter::Flops, 1000);
-            decision("planner", "should not appear");
+            decision("planner", || unreachable!("formatted while off"));
         }
         let snap = snapshot();
         assert_eq!(snap.span_count(), 0);
@@ -788,7 +789,7 @@ mod tests {
         {
             let _s = span("step", Phase::Fft);
             count(Counter::Flops, 7);
-            decision("plan", "kept");
+            decision("plan", || unreachable!("formatted at Counters"));
         }
         set_level(Level::Off);
         flush_thread();
@@ -797,7 +798,7 @@ mod tests {
         assert_eq!(snap.total_counters().get(Counter::Flops), 7);
         let by_phase = snap.total_counters_by_phase();
         assert_eq!(by_phase[Phase::Other as usize].get(Counter::Flops), 7);
-        assert_eq!(snap.ranks[0].decisions.len(), 1);
+        assert_eq!(snap.ranks[0].decisions.len(), 0);
     }
 
     #[test]
@@ -809,7 +810,7 @@ mod tests {
             let _s = span("step", Phase::Fft);
             count(Counter::Flops, 3);
             count_tenant("acme", Counter::Flops, 1);
-            decision("plan", format!("job {k}"));
+            decision("plan", || format!("job {k}"));
         }
         set_level(Level::Off);
         let (full, counters) = (snapshot(), counter_snapshot());
